@@ -15,12 +15,24 @@ base table).  Mechanics:
   worker processes inside the inner engine's own ``snapshot()``
   payload (no AFA re-compiling in workers); workers warm their
   machines before reporting ready;
+- **data plane**: the parent forwards bytes and blocks on file
+  descriptors.  ``filter_stream`` runs one boundary scan over the
+  source (:func:`~repro.xmlstream.split.split_documents`: well-formed
+  or :class:`~repro.errors.XMLSyntaxError`, before anything is
+  shipped) and sends every worker the source's own UTF-8 slice per
+  document; ``filter_batch`` sends ``document_to_xml`` texts down the
+  same path (``_filter_texts``).  The N full parses happen in the
+  workers, in parallel; the parent builds no DOM.  Replies are awaited
+  with ``multiprocessing.connection.wait`` on every worker's result
+  pipe and process sentinel, so a reply or a crash wakes the parent at
+  once — nothing is polled;
 - each worker has a *bounded* task queue, and the parent additionally
   caps the number of in-flight batches at ``queue_depth`` — the
   backpressure that keeps an unbounded publisher from ballooning
-  memory while still pipelining: batch *i+1* is serialised and
-  enqueued while the workers chew batch *i*;
-- a worker death is detected at submit or collect time; the worker is
+  memory while still pipelining: batch *i+1* is enqueued while the
+  workers chew batch *i*;
+- a worker death is detected at submit time or while waiting (its
+  sentinel fires, its result pipe reads end-of-file); the worker is
   respawned from its retained payload, every batch it had not yet
   answered is resubmitted, and ``stats()["worker_restarts"]`` counts
   the event.  Duplicate answers from the pre-crash incarnation are
@@ -80,7 +92,7 @@ from __future__ import annotations
 import queue as queue_module
 import time
 from dataclasses import replace
-from typing import IO, Any, Iterable, Sequence, Union
+from typing import IO, Any, Callable, Iterable, Sequence, Union
 
 from repro.engine.config import EngineConfig
 from repro.engine.protocol import MatchHook
@@ -100,6 +112,7 @@ from repro.service.placement import (
 from repro.xmlstream.dom import Document, documents_of_events, parse_forest
 from repro.xmlstream.dtd import DTD
 from repro.xmlstream.events import EndDocument, Event
+from repro.xmlstream.split import split_documents
 from repro.xmlstream.writer import document_to_xml
 from repro.xpath.ast import XPathFilter
 from repro.xpath.parser import parse_workload, parse_xpath
@@ -116,24 +129,9 @@ class ServiceError(ReproError):
     """Raised when the sharded service cannot complete a batch."""
 
 
-#: First idle-poll sleep of a collect call; doubles per empty sweep.
-#: Small, because the sweep over per-worker result queues cannot block:
-#: a short first sleep keeps collect latency near the blocking-get
-#: behaviour when answers are milliseconds away.
-IDLE_POLL_START = 0.001
-
-#: Idle-poll ceiling — bounds how long a dead worker can go undetected
-#: (liveness checks run on every wakeup).
-IDLE_POLL_CAP = 1.0
-
-
-def _poll_timeout(wakeups: int, remaining: float) -> float:
-    """Exponential idle backoff, capped by the liveness ceiling and the
-    remaining no-progress budget: a waiting engine backs off instead of
-    spinning, but still wakes often enough to respawn dead workers and
-    raises exactly at the deadline."""
-    backoff = IDLE_POLL_START * (1 << min(wakeups, 10))
-    return max(0.0, min(backoff, IDLE_POLL_CAP, remaining))
+#: One document on the wire: a UTF-8 slice of the publisher's source
+#: (``filter_stream``) or a serialised DOM (``filter_batch``).
+DocumentText = Union[str, bytes]
 
 
 def _mp_context(start_method: str | None):
@@ -190,7 +188,7 @@ class _WorkerHandle:
         self.results = None
         # batch_id -> (texts, emit): everything needed to resubmit the
         # batch verbatim after a crash, match streaming included.
-        self.pending: dict[int, tuple[list[str], bool]] = {}
+        self.pending: dict[int, tuple[Sequence[DocumentText], bool]] = {}
         self.info: dict = {}
 
     @property
@@ -292,7 +290,6 @@ class ShardedFilterEngine:
         self.documents = 0
         self.batches = 0
         self.worker_restarts = 0
-        self.idle_wakeups = 0
         self.rebalances = 0
         self.splits = 0
         self.merges = 0
@@ -464,19 +461,22 @@ class ShardedFilterEngine:
         # Small slack above queue_depth so a restart can always requeue
         # every pending batch without blocking on its own bound.
         handle.tasks = self._ctx.Queue(maxsize=self.queue_depth + 2)
-        # Per-incarnation result queue: a worker hard-killed while its
-        # feeder thread holds a shared queue's pipe write-lock would
-        # poison every other writer forever, so no queue is ever shared
+        # Per-incarnation result pipe: a worker hard-killed mid-write
+        # leaves half a frame behind, which on a shared channel would
+        # corrupt every other writer's stream, so no pipe is ever shared
         # between workers, and a restart abandons the old incarnation's
-        # queue (late pre-crash answers die with it).
-        handle.results = self._ctx.Queue()
+        # pipe (late pre-crash answers die with it).
+        handle.results, sender = self._ctx.Pipe(duplex=False)
         handle.process = self._ctx.Process(
             target=worker_main,
-            args=(handle.shard_id, self._payloads[handle.shard_id], handle.tasks, handle.results),
+            args=(handle.shard_id, self._payloads[handle.shard_id], handle.tasks, sender),
             daemon=True,
             name=f"repro-shard-{handle.shard_id}",
         )
         handle.process.start()
+        # The worker now holds the only write end, so its death reads
+        # as end-of-file here — even in the middle of a frame.
+        sender.close()
 
     def _restart(self, handle: _WorkerHandle) -> None:
         # The payload was updated at every subscribe/unsubscribe, so the
@@ -768,21 +768,30 @@ class ShardedFilterEngine:
 
     def filter_batch(self, documents: Iterable[Document]) -> list[frozenset[str]]:
         """Filter *documents*; one oid-set per document, serial-identical."""
+        if self.parallel:
+            return self._filter_texts([document_to_xml(doc) for doc in documents])
+        return self._filter(list(documents), self._filter_batch_serial)
+
+    def _filter_texts(self, texts: Sequence[DocumentText]) -> list[frozenset[str]]:
+        """The one parallel data path: single-document *texts* fanned
+        out to every worker, whoever produced them."""
+        return self._filter(texts, self._fan_out)
+
+    def _filter(
+        self, items: Sequence[Any], run: Callable[[Any], list[frozenset[str]]]
+    ) -> list[frozenset[str]]:
+        """The bookkeeping every filter call shares, around *run*."""
         if self._closed:
             raise ServiceError("engine is closed")
-        docs = list(documents)
-        if not docs:
+        if not items:
             return []
-        self.documents += len(docs)
+        self.documents += len(items)
         if not self._routing:
             # No live filter can match; tombstoned machines would only
             # produce answers the merge drops anyway.
             self.batches += 1
-            return [frozenset()] * len(docs)
-        if not self.parallel:
-            results = self._filter_batch_serial(docs)
-        else:
-            results = self._filter_batch_parallel(docs)
+            return [frozenset()] * len(items)
+        results = run(items)
         # Live selectivity feedback: fold the answered match rates into
         # the cost model, then let hot-shard detection act on them.
         self._cost.observe(results)
@@ -795,7 +804,7 @@ class ShardedFilterEngine:
             self.maybe_rebalance()
         return results
 
-    def _filter_batch_serial(self, docs: list[Document]) -> list[frozenset[str]]:
+    def _filter_batch_serial(self, docs: Sequence[Document]) -> list[frozenset[str]]:
         merged: list[set[str]] = [set() for _ in docs]
         hook = self.on_match
         for offset in range(0, len(docs), self.batch_size):
@@ -859,34 +868,41 @@ class ShardedFilterEngine:
                 )
         return matched
 
-    def _filter_batch_parallel(self, docs: list[Document]) -> list[frozenset[str]]:
-        texts = [document_to_xml(doc) for doc in docs]
-        merged: list[set[str]] = [set() for _ in docs]
+    def _fan_out(self, texts: Sequence[DocumentText]) -> list[frozenset[str]]:
+        merged: list[set[str]] = [set() for _ in texts]
         outstanding: dict[int, dict] = {}
         emit = self.on_match is not None
-        for offset in range(0, len(texts), self.batch_size):
-            while len(outstanding) >= self.queue_depth:
+        try:
+            for offset in range(0, len(texts), self.batch_size):
+                while len(outstanding) >= self.queue_depth:
+                    self._collect_once(outstanding, merged)
+                chunk = texts[offset : offset + self.batch_size]
+                self._batch_counter += 1
+                batch_id = self._batch_counter
+                outstanding[batch_id] = {
+                    "offset": offset,
+                    "size": len(chunk),
+                    "waiting": set(self._workers),
+                    "started": time.perf_counter(),
+                    # Event-time delivery bookkeeping: (doc_offset, oid)
+                    # pairs already delivered (resubmitted batches
+                    # re-stream their matches), and doc offsets whose
+                    # first match has been latency-recorded.
+                    "emitted": set(),
+                    "firsts": set(),
+                }
+                for handle in self._workers.values():
+                    handle.pending[batch_id] = (chunk, emit)
+                    self._put_task(handle, ("batch", batch_id, chunk, emit))
+            while outstanding:
                 self._collect_once(outstanding, merged)
-            chunk = texts[offset : offset + self.batch_size]
-            self._batch_counter += 1
-            batch_id = self._batch_counter
-            outstanding[batch_id] = {
-                "offset": offset,
-                "size": len(chunk),
-                "waiting": set(self._workers),
-                "started": time.perf_counter(),
-                # Event-time delivery bookkeeping: (doc_offset, oid)
-                # pairs already delivered (resubmitted batches re-stream
-                # their matches), and doc offsets whose first match has
-                # been latency-recorded.
-                "emitted": set(),
-                "firsts": set(),
-            }
-            for handle in self._workers.values():
-                handle.pending[batch_id] = (chunk, emit)
-                self._put_task(handle, ("batch", batch_id, chunk, emit))
-        while outstanding:
-            self._collect_once(outstanding, merged)
+        finally:
+            # A call that gave up (a shard reported an error, nothing
+            # moved for result_timeout) abandons its batches: a later
+            # restart must not resubmit them.  Empty on success.
+            for batch_id in outstanding:
+                for handle in self._workers.values():
+                    handle.pending.pop(batch_id, None)
         return [frozenset(s) for s in merged]
 
     def _put_task(self, handle: _WorkerHandle, task: tuple) -> None:
@@ -908,38 +924,52 @@ class ShardedFilterEngine:
                     ) from None
 
     def _collect_once(self, outstanding: dict[int, dict], merged: list[set[str]]) -> None:
-        """Receive one message (or tick liveness checks) and fold it in."""
+        """Sleep until a worker replies or dies; fold one message in."""
+        self._fold(self._receive(outstanding), outstanding, merged)
+
+    def _receive(self, outstanding: dict[int, dict]) -> tuple:
+        """The next worker message, restarting workers that die first.
+
+        Blocks on every live worker's result pipe *and* process
+        sentinel at once, so a reply or a crash wakes the parent the
+        moment it happens.  Never a blocking read of one shared
+        channel: each incarnation writes to a private pipe, so one
+        dying mid-write can never wedge the others' answers.
+        """
+        from multiprocessing.connection import wait
+
         deadline = time.monotonic() + self.result_timeout
-        wakeups = 0
         while True:
-            # Sweep every live worker's own result queue.  Never a
-            # blocking get on a single shared queue: each incarnation
-            # writes to a private queue, so one dying mid-write can
-            # never wedge the others' answers behind a poisoned lock.
-            message = None
-            for handle in self._workers.values():
-                if handle.results is None:
-                    continue
-                try:
-                    message = handle.results.get_nowait()
-                    break
-                except queue_module.Empty:
-                    continue
-            if message is not None:
-                break
+            readers = {handle.results: handle for handle in self._workers.values()}
+            sentinels = [handle.process.sentinel for handle in self._workers.values()]
             remaining = deadline - time.monotonic()
-            if remaining <= 0:
+            # Past the deadline nothing is read any more, so workers
+            # that keep dying cannot keep the call alive either.
+            ready = wait([*readers, *sentinels], remaining) if remaining > 0 else []
+            if not ready:
                 waiting = {
                     bid: sorted(info["waiting"]) for bid, info in outstanding.items()
                 }
                 raise ServiceError(
                     f"no shard progress for {self.result_timeout:.0f}s; "
                     f"waiting on {waiting}"
-                ) from None
-            wakeups += 1
-            self.idle_wakeups += 1
+                )
+            # A reply that beat its worker's death to the pipe is still
+            # an answer: readable pipes first, sentinels after.
+            for reader in ready:
+                handle = readers.get(reader)
+                if handle is None:
+                    continue
+                try:
+                    return reader.recv()
+                except (EOFError, OSError):
+                    # End-of-file, possibly inside a frame: the worker
+                    # died.  Whatever it had not answered is resubmitted.
+                    self._restart(handle)
             self._check_workers()
-            time.sleep(_poll_timeout(wakeups, remaining))
+
+    def _fold(self, message: tuple, outstanding: dict[int, dict], merged: list[set[str]]) -> None:
+        """Apply one worker message to the call's in-flight state."""
         kind = message[0]
         if kind == "ready":
             _, shard_id, info = message
@@ -948,7 +978,7 @@ class ShardedFilterEngine:
             return
         if kind == "match":
             # Event-time delivery: a worker decided one match mid-batch.
-            # FIFO per-worker queues guarantee a shard's match messages
+            # FIFO per-worker pipes guarantee a shard's match messages
             # precede its batch reply, so every match is folded in
             # before the batch completes.
             _, shard_id, batch_id, doc_offset, oid, event_index = message
@@ -974,6 +1004,8 @@ class ShardedFilterEngine:
             return
         if kind == "error":
             _, shard_id, batch_id, text = message
+            if batch_id is not None and batch_id not in outstanding:
+                return  # the other shards' word on a batch already given up on
             raise ServiceError(f"shard {shard_id} failed on batch {batch_id}: {text}")
         _, shard_id, batch_id, answers, info = message
         handle = self._workers.get(shard_id)
@@ -1037,7 +1069,14 @@ class ShardedFilterEngine:
     def filter_stream(
         self, source: Union[str, bytes, IO[str], IO[bytes]]
     ) -> list[frozenset[str]]:
-        """Parse a (possibly multi-document) XML source and filter it."""
+        """Filter a (possibly multi-document) XML source.
+
+        In parallel mode the parent only finds the document boundaries
+        and forwards the source's own bytes; a source that is not
+        well-formed raises :class:`~repro.errors.XMLSyntaxError` here,
+        before anything is shipped."""
+        if self.parallel:
+            return self._filter_texts(split_documents(source, self.backend))
         if not isinstance(source, (str, bytes)):
             source = source.read()
         if isinstance(source, bytes):
@@ -1233,7 +1272,6 @@ class ShardedFilterEngine:
             "documents": self.documents,
             "batches": self.batches,
             "worker_restarts": self.worker_restarts,
-            "idle_wakeups": self.idle_wakeups,
             "resident_bytes": sum(e["resident_bytes"] for e in per_shard),
             "evictions": sum(e["evictions"] for e in per_shard),
             "xpush_states": sum(e["xpush_states"] for e in per_shard),

@@ -31,7 +31,9 @@ placement is reproducible across runs and processes.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from repro.errors import WorkloadError
@@ -117,16 +119,24 @@ class CostModel:
     :meth:`selectivity` divides by the combined document total.  Late
     subscribers start at σ̂ = 0 and earn their selectivity from
     traffic observed after they join.
+
+    :meth:`observe` folds a batch in with one C-level counter update
+    and never asks which oids are costed; *that* question is asked
+    where the counts are read or reset (:meth:`selectivity`,
+    :meth:`add`, :meth:`drop`), so a count taken while its oid was not
+    costed is never seen.
     """
 
     def __init__(self, selectivity_weight: float = SELECTIVITY_WEIGHT):
         self.selectivity_weight = float(selectivity_weight)
         self._states: dict[str, int] = {}
-        self._matches: dict[str, float] = {}
+        self._matches: Counter[str] = Counter()
         self._documents: float = 0.0
 
     def add(self, xpath_filter: XPathFilter) -> None:
         """Start costing *xpath_filter* (idempotent per oid)."""
+        if xpath_filter.oid not in self._states:
+            self._matches.pop(xpath_filter.oid, None)
         self._states[xpath_filter.oid] = afa_state_count(xpath_filter)
 
     def add_source(self, oid: str, source: str) -> None:
@@ -144,19 +154,16 @@ class CostModel:
         sigmas = filter_selectivities(filters, documents)
         n = float(len(documents))
         for oid, sigma in sigmas.items():
-            self._matches[oid] = self._matches.get(oid, 0.0) + sigma * n
+            if oid in self._states:
+                self._matches[oid] += sigma * n
         self._documents += n
 
     def observe(self, matched: Iterable[Iterable[str]]) -> None:
         """Fold one served batch in: *matched* is the per-document
         oid-set list the engine just answered with."""
-        documents = 0
-        for oids in matched:
-            documents += 1
-            for oid in oids:
-                if oid in self._states:
-                    self._matches[oid] = self._matches.get(oid, 0.0) + 1.0
-        self._documents += float(documents)
+        matched = list(matched)
+        self._matches.update(chain.from_iterable(matched))
+        self._documents += float(len(matched))
 
     @property
     def documents(self) -> float:
@@ -167,9 +174,9 @@ class CostModel:
         return self._states.get(oid, 1)
 
     def selectivity(self, oid: str) -> float:
-        if self._documents <= 0.0:
+        if self._documents <= 0.0 or oid not in self._states:
             return 0.0
-        return min(1.0, self._matches.get(oid, 0.0) / self._documents)
+        return min(1.0, self._matches[oid] / self._documents)
 
     def cost(self, oid: str) -> float:
         """``states × (1 + κ·σ̂)`` — 1.0 floor for unknown oids."""

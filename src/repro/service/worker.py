@@ -16,12 +16,16 @@ Protocol (plain picklable tuples):
 
 parent → worker, on the shard's task queue:
 
-- ``("batch", batch_id, [xml_text, ...], emit?)`` — filter each
-  single-document text, reply with one oid-set per text.  When the
-  optional ``emit`` flag is true, the worker additionally streams one
-  ``("match", ...)`` message per decided match *while the batch is
-  still running* (event-time earliest answering), ahead of the final
-  batch reply on the same FIFO queue;
+- ``("batch", batch_id, [text, ...], emit?)`` — filter each
+  single-document text, reply with one oid-set per text.  A text is a
+  UTF-8 ``bytes`` slice of the publisher's source, cut by the parent's
+  boundary scan and otherwise untouched (``filter_stream``), or a
+  ``str`` serialised from a DOM (``filter_batch``); either way this
+  worker's parse is the document's only full parse on this shard.
+  When the optional ``emit`` flag is true, the worker additionally
+  streams one ``("match", ...)`` message per decided match *while the
+  batch is still running* (event-time earliest answering), ahead of
+  the final batch reply on the same FIFO pipe;
 - ``("control", epoch, op, ...)`` — a workload update:
   ``("control", e, "subscribe", oid, xpath)``,
   ``("control", e, "unsubscribe", oid)`` or
@@ -35,13 +39,15 @@ parent → worker, on the shard's task queue:
   crash-recovery path);
 - ``("stop",)`` — drain and exit cleanly.
 
-worker → parent, on the shared result queue:
+worker → parent, on this incarnation's own result pipe (the write end
+of a one-way ``Pipe``; the parent closed its copy, so this process
+dying — even halfway through a frame — reads as end-of-file there):
 
 - ``("ready", shard_id, info)`` — engine built and warmed;
 - ``("match", shard_id, batch_id, doc_offset, oid, event_index)`` —
   one event-time match decision (``doc_offset`` is the document's
   position within the batch).  Always precedes the batch reply on the
-  queue, so the parent has folded every match in by the time the batch
+  pipe, so the parent has folded every match in by the time the batch
   completes; resubmitted batches re-stream their matches and the
   parent dedupes on ``(doc_offset, oid)``;
 - ``("batch", shard_id, batch_id, [frozenset, ...], info)``;
@@ -112,11 +118,11 @@ def worker_main(shard_id: int, payload: dict, tasks, results) -> None:
     try:
         engine = _build_engine(payload)
     except Exception as error:  # noqa: BLE001 - forwarded to the parent
-        results.put(("error", shard_id, None, f"worker init failed: {error!r}"))
+        results.send(("error", shard_id, None, f"worker init failed: {error!r}"))
         return
     applied_epoch = payload.get("epoch", 0)
     busy_s = 0.0
-    results.put(("ready", shard_id, _engine_info(engine, applied_epoch)))
+    results.send(("ready", shard_id, _engine_info(engine, applied_epoch)))
     while True:
         task = tasks.get()
         kind = task[0]
@@ -140,12 +146,12 @@ def worker_main(shard_id: int, payload: dict, tasks, results) -> None:
                     raise ValueError(f"unknown control op {op!r}")
                 applied_epoch = epoch
             except Exception as error:  # noqa: BLE001 - forwarded
-                results.put(
+                results.send(
                     ("error", shard_id, None, f"control {op} failed: {error!r}")
                 )
             continue
         if kind != "batch":
-            results.put(("error", shard_id, None, f"unknown task {kind!r}"))
+            results.send(("error", shard_id, None, f"unknown task {kind!r}"))
             continue
         batch_id, texts = task[1], task[2]
         emit = len(task) > 3 and bool(task[3])
@@ -157,7 +163,7 @@ def worker_main(shard_id: int, payload: dict, tasks, results) -> None:
             doc_base = 0
 
             def _relay(oid: str, doc_index: int, event_index: int) -> None:
-                results.put(
+                results.send(
                     ("match", shard_id, batch_id, doc_base + doc_index, oid, event_index)
                 )
 
@@ -171,13 +177,13 @@ def worker_main(shard_id: int, payload: dict, tasks, results) -> None:
                 doc_base = len(answers)
                 answers.extend(engine.filter_stream(text))
         except Exception as error:  # noqa: BLE001 - forwarded to the parent
-            results.put(("error", shard_id, batch_id, repr(error)))
+            results.send(("error", shard_id, batch_id, repr(error)))
             continue
         finally:
             busy_s += time.perf_counter() - started
             if emit:
                 engine.on_match = None
-        results.put(
+        results.send(
             (
                 "batch",
                 shard_id,

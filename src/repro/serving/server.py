@@ -46,6 +46,7 @@ from repro.errors import ProtocolError, ReproError, ServingError, WorkloadError
 from repro.service.latency import LatencyTracker
 from repro.serving.consumers import Consumer, ConsumerClosed
 from repro.serving.protocol import MAX_FRAME, Frame, FrameDecoder, encode_frame
+from repro.xmlstream.split import split_documents
 
 T = TypeVar("T")
 
@@ -97,7 +98,11 @@ class FilterServer:
         self.default_policy = default_policy
         self.high_watermark = high_watermark
         self.max_frame = max_frame
-        self.backend = (config or EngineConfig()).backend
+        #: The engine's parser backend: payloads are cut by the scanner
+        #: that accepted the publish, so cutting never raises after it.
+        self.backend = (
+            config or getattr(engine, "config", None) or EngineConfig()
+        ).backend
         #: Event-time earliest answering: when on, each publish wires
         #: the engine's ``on_match`` hook and routed ``payload=False``
         #: consumers receive per-match frames the moment the deciding
@@ -270,10 +275,11 @@ class FilterServer:
         self._seq += len(results)
         payloads: list[str] = []
         if want_payload and results:
-            from repro.xmlstream.dom import parse_forest
-            from repro.xmlstream.writer import document_to_xml
-
-            payloads = [document_to_xml(d) for d in parse_forest(xml, backend="python")]
+            # A payload is the publisher's own bytes for that document.
+            payloads = [
+                text.decode("utf-8")
+                for text in split_documents(xml, self.backend)
+            ]
         return epoch, base_seq, results, payloads, early_futures, delivered
 
     async def _deliver_early(

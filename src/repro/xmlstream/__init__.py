@@ -9,6 +9,8 @@ This package implements everything the paper assumes about XML:
 - a small DOM used by the reference evaluator, the baselines and the
   data generators (:mod:`repro.xmlstream.dom`);
 - a serialiser (:mod:`repro.xmlstream.writer`);
+- a boundary scan that cuts a concatenated source into per-document
+  byte slices without building anything (:mod:`repro.xmlstream.split`);
 - a DTD model with the sibling-order relation needed by the order
   optimisation, plus DTD-driven document generation
   (:mod:`repro.xmlstream.dtd`).
@@ -36,6 +38,7 @@ from repro.xmlstream.parser import (
     parse_into,
     resolve_backend,
 )
+from repro.xmlstream.split import split_documents
 from repro.xmlstream.writer import document_to_xml, element_to_xml
 
 __all__ = [
@@ -64,4 +67,5 @@ __all__ = [
     "parse_events",
     "parse_into",
     "resolve_backend",
+    "split_documents",
 ]

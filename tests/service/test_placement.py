@@ -107,6 +107,79 @@ def test_cost_model_drop_and_unknown_oids():
     assert model.cost("f0") == 1.0
 
 
+class _LoopCostModel:
+    """σ̂ bookkeeping as ``CostModel`` did it before ``observe`` became
+    one counter update: every oid of every answer walked in Python,
+    the "is it costed" question asked at write time."""
+
+    def __init__(self):
+        self.costed: set[str] = set()
+        self.matches: dict[str, float] = {}
+        self.documents = 0.0
+
+    def add(self, oid):
+        self.costed.add(oid)
+
+    def drop(self, oid):
+        self.costed.discard(oid)
+        self.matches.pop(oid, None)
+
+    def seed(self, sigmas, n):
+        for oid, sigma in sigmas.items():
+            self.matches[oid] = self.matches.get(oid, 0.0) + sigma * n
+        self.documents += float(n)
+
+    def observe(self, matched):
+        for oids in matched:
+            self.documents += 1.0
+            for oid in oids:
+                if oid in self.costed:
+                    self.matches[oid] = self.matches.get(oid, 0.0) + 1.0
+
+    def selectivity(self, oid):
+        if self.documents <= 0.0:
+            return 0.0
+        return min(1.0, self.matches.get(oid, 0.0) / self.documents)
+
+
+_OIDS = [f.oid for f in FILTERS]
+_SCHEDULE_STEP = st.one_of(
+    st.tuples(st.just("subscribe"), st.sampled_from(_OIDS)),
+    st.tuples(st.just("unsubscribe"), st.sampled_from(_OIDS)),
+    st.tuples(
+        st.just("observe"),
+        st.lists(st.frozensets(st.sampled_from(_OIDS + ["ghost"])), max_size=5),
+    ),
+)
+
+
+@given(schedule=st.lists(_SCHEDULE_STEP, max_size=40), seeded=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_counter_observe_is_value_identical_to_the_per_oid_loop(schedule, seeded):
+    by_oid = {f.oid: f for f in FILTERS}
+    model, reference = CostModel(), _LoopCostModel()
+    for oid in _OIDS[:2]:
+        model.add(by_oid[oid])
+        reference.add(oid)
+    if seeded:  # fractional pseudo-counts under the integer observations
+        model.seed(FILTERS[:2], DOCS[:3])
+        reference.seed(filter_selectivities(FILTERS[:2], DOCS[:3]), 3)
+    for verb, argument in schedule:
+        if verb == "subscribe":
+            model.add(by_oid[argument])
+            reference.add(argument)
+        elif verb == "unsubscribe":
+            model.drop(argument)
+            reference.drop(argument)
+        else:
+            model.observe(argument)
+            reference.observe(argument)
+        assert model.documents == reference.documents
+        for oid in _OIDS + ["ghost"]:
+            # Exact equality, not approx: same additions in the same order.
+            assert model.selectivity(oid) == reference.selectivity(oid), (verb, oid)
+
+
 def test_cost_model_table_sorted_most_expensive_first():
     model = CostModel()
     for f in FILTERS:

@@ -88,6 +88,23 @@ def test_payload_delivery_carries_the_document(serve):
         assert events[0]["seq"] == 0 and events[1]["seq"] == 2
 
 
+@pytest.mark.parametrize("backend", ["expat", "python"])
+def test_payload_is_the_publishers_own_bytes(serve, backend):
+    """No second parse and no re-serialisation: each payload is the
+    slice of the publish that held the document, references, CDATA,
+    quoting and multi-byte text exactly as they were sent."""
+    first = "<a k='é'><b>&#49;</b></a>"
+    second = "<a><b><![CDATA[1]]></b><c>x&amp;y</c></a>"
+    handle = serve(EngineConfig(engine="layered", backend=backend))
+    with ServingClient(*handle.address) as client:
+        client.create_consumer("content", payload=True)
+        client.subscribe("c0", "//a[b = 1]", consumer="content")
+        client.publish(first + "<a><c/></a>" + second)
+        events = client.drain("content", timeout=1.0)
+        assert [event["seq"] for event in events] == [0, 2]
+        assert [event["xml"].strip() for event in events] == [first, second]
+
+
 def test_graceful_shutdown_closes_consumers_and_rejects_publishes():
     server = FilterServer(config=EngineConfig(engine="layered"),
                           filters={"q0": "//a"})

@@ -7,8 +7,8 @@ runtimes, every optimisation combination) against the unbounded
 machine's answers; the soak test checks the resident-bytes gauge
 actually respects the watermark over a long stream; and each of the
 unbounded-stream leak fixes (results retention, mid-stream result
-collection, warm-up vs. management, stats reset, idle polling) keeps a
-dedicated regression.
+collection, warm-up vs. management, stats reset) keeps a dedicated
+regression.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import pytest
 
 from repro.afa.build import build_workload_automata
 from repro.bench.workloads import locality_stream, standard_workload
-from repro.service.engine import IDLE_POLL_CAP, IDLE_POLL_START, _poll_timeout
 from repro.xmlstream.writer import document_to_xml
 from repro.xpush.machine import LOW_WATERMARK_RATIO, XPushMachine
 from repro.xpush.options import XPushOptions
@@ -325,13 +324,3 @@ def test_options_validate_memory_knobs():
     options = XPushOptions(max_memory_bytes=1 << 20, eviction="flush")
     assert options.max_memory_bytes == 1 << 20
 
-
-def test_idle_poll_timeout_backs_off_and_caps():
-    assert _poll_timeout(0, 60.0) == IDLE_POLL_START
-    assert _poll_timeout(1, 60.0) == 2 * IDLE_POLL_START
-    # Doubling is capped by the liveness ceiling, not unbounded …
-    assert _poll_timeout(50, 60.0) == IDLE_POLL_CAP
-    # … bounded by the remaining no-progress budget …
-    assert _poll_timeout(50, 0.25) == 0.25
-    # … and never negative once the deadline passed.
-    assert _poll_timeout(3, -1.0) == 0.0
