@@ -41,6 +41,7 @@ import json
 import sys
 import time
 from dataclasses import replace
+from functools import partial
 
 from repro.afa.build import build_workload_automata
 from repro.bench.workloads import scaled, standard_stream, standard_workload
@@ -69,12 +70,16 @@ QUICK_SIZES = (100, 250, 500)
 FULL_SIZES = (500, 1_000, 2_000)
 
 
-def _measure(fn, repeats: int) -> float:
-    best = float("inf")
+def _measure(fns, repeats: int) -> list[float]:
+    """Best-of-*repeats* seconds per callable, interleaved (A, B, A, B,
+    …): a host speed step mid-run then lands on every side instead of
+    on whichever contender happened to be timed last."""
+    best = [float("inf")] * len(fns)
     for _ in range(repeats):
-        started = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - started)
+        for i, fn in enumerate(fns):
+            started = time.perf_counter()
+            fn()
+            best[i] = min(best[i], time.perf_counter() - started)
     return best
 
 
@@ -88,55 +93,51 @@ def _transition_count(machine: XPushMachine) -> int:
     )
 
 
-def _run_one(workload, options, documents, repeats: int) -> dict:
-    """Cold and warm measurements for one (workload, runtime) pair."""
-    machine = XPushMachine(workload, options)
-    answers: list = []
-
-    def cold_pass():
-        answers.clear()
-        for document in documents:
+def _pass(machine: XPushMachine, documents, answers: list, cold: bool) -> None:
+    """One pass over the stream; *cold* flushes the tables before every
+    document so each transition is recomputed."""
+    answers.clear()
+    for document in documents:
+        if cold:
             machine.reset_tables()
-            answers.append(machine.filter_document(document))
-        machine.clear_results()
+        answers.append(machine.filter_document(document))
+    machine.clear_results()
 
-    cold_pass()  # warm the allocator/index caches, not the tables
-    machine.stats.reset()
-    cold_seconds = _measure(cold_pass, repeats)
-    # Counters accumulated over `repeats` passes; per-pass share:
-    per_pass = _transition_count(machine) / repeats
-    cold_hit_ratio = machine.stats.hit_ratio
-    cold_answers = list(answers)
 
-    def warm_pass():
-        answers.clear()
-        for document in documents:
-            answers.append(machine.filter_document(document))
-        machine.clear_results()
-
-    warm_pass()  # build the tables once
-    machine.stats.reset()
-    warm_seconds = _measure(warm_pass, repeats)
-    warm_hit_ratio = machine.stats.hit_ratio
-    warm_answers = list(answers)
-
+def _run_pair(workload, runtimes, documents, repeats: int) -> dict:
+    """Cold and warm measurements for one workload: ``runtime ->
+    measured``, the runtimes timed interleaved within each regime."""
+    machines = [XPushMachine(workload, replace(TD, runtime=r)) for r in runtimes]
+    answers: list[list] = [[] for _ in machines]
     n_docs = len(documents)
-    return {
-        "cold": {
-            "seconds": round(cold_seconds, 4),
-            "docs_per_s": round(n_docs / cold_seconds, 1),
-            "transitions_per_pass": int(per_pass),
-            "ns_per_transition": round(cold_seconds / per_pass * 1e9, 1),
-            "hit_ratio": round(cold_hit_ratio, 4),
-        },
-        "warm": {
-            "seconds": round(warm_seconds, 4),
-            "docs_per_s": round(n_docs / warm_seconds, 1),
-            "hit_ratio": round(warm_hit_ratio, 4),
-        },
-        "answers": {"cold": cold_answers, "warm": warm_answers},
-        "states": machine.state_count,
-    }
+    measured: dict = {runtime: {"answers": {}} for runtime in runtimes}
+    for regime, cold in (("cold", True), ("warm", False)):
+        fns = [
+            partial(_pass, machine, documents, out, cold)
+            for machine, out in zip(machines, answers)
+        ]
+        for fn, machine in zip(fns, machines):
+            # Cold: warm the allocator/index caches, not the tables.
+            # Warm: build the tables once.
+            fn()
+            machine.stats.reset()
+        timings = _measure(fns, repeats)
+        for runtime, machine, seconds, got in zip(runtimes, machines, timings, answers):
+            row = {
+                "seconds": round(seconds, 4),
+                "docs_per_s": round(n_docs / seconds, 1),
+                "hit_ratio": round(machine.stats.hit_ratio, 4),
+            }
+            if regime == "cold":
+                # Counters accumulated over `repeats` passes; per-pass share:
+                per_pass = _transition_count(machine) / repeats
+                row["transitions_per_pass"] = int(per_pass)
+                row["ns_per_transition"] = round(seconds / per_pass * 1e9, 1)
+            measured[runtime][regime] = row
+            measured[runtime]["answers"][regime] = list(got)
+    for runtime, machine in zip(runtimes, machines):
+        measured[runtime]["states"] = machine.state_count
+    return measured
 
 
 def run(
@@ -173,12 +174,9 @@ def run(
     for queries in sizes:
         filters, _dataset = standard_workload(queries, mean_predicates=1.15)
         workload = build_workload_automata(filters)
-        per_runtime: dict = {}
+        per_runtime = _run_pair(workload, runtimes, documents, repeats)
         for runtime in runtimes:
-            options = replace(TD, runtime=runtime)
-            measured = _run_one(workload, options, documents, repeats)
-            per_runtime[runtime] = measured
-            cold, warm = measured["cold"], measured["warm"]
+            cold, warm = per_runtime[runtime]["cold"], per_runtime[runtime]["warm"]
             print(
                 f"{queries:>8}{runtime:>9} | {cold['seconds']:>8.3f}"
                 f"{cold['docs_per_s']:>9.1f}{cold['ns_per_transition']:>10.1f}"
@@ -281,8 +279,9 @@ def test_transition_cold_path(benchmark):
     sets_machine = XPushMachine(workload, replace(TD, runtime="sets"))
     cold_pass(bitmask)  # warm allocator + index
     benchmark.pedantic(lambda: cold_pass(bitmask), rounds=3, iterations=1)
-    bitmask_seconds = _measure(lambda: cold_pass(bitmask), 1)
-    sets_seconds = _measure(lambda: cold_pass(sets_machine), 1)
+    bitmask_seconds, sets_seconds = _measure(
+        [lambda: cold_pass(bitmask), lambda: cold_pass(sets_machine)], 1
+    )
     print(
         f"\ncold pass: sets {sets_seconds:.3f}s vs bitmask {bitmask_seconds:.3f}s "
         f"(x{sets_seconds / bitmask_seconds:.2f})"

@@ -304,7 +304,7 @@ def cmd_filter(args) -> int:
         results = machine.filter_stream(text, backend=args.backend)
         elapsed = time.perf_counter() - start
         footer = f"{machine.state_count} states, hit ratio {machine.stats.hit_ratio:.1%}"
-        if options.max_memory_bytes is not None or options.max_states is not None:
+        if options.max_memory_bytes is not None:
             footer += (
                 f", {machine.stats.evictions} evictions, "
                 f"{machine.stats.flushes} flushes, "

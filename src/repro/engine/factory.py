@@ -92,6 +92,7 @@ def _build_layered(filters: list[XPathFilter], config: EngineConfig) -> FilterEn
         config.dtd,
         compact_threshold=config.compact_threshold,
         backend=config.backend,
+        training_seed=config.training_seed,
     )
 
 

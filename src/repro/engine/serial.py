@@ -283,6 +283,7 @@ class SerialXPushEngine(RebuildFilterEngine):
             filters,
             replace(config.options, retain_results=False),
             dtd=config.dtd,
+            training_seed=config.training_seed,
         )
 
     def _machine(self) -> XPushMachine:

@@ -1,0 +1,200 @@
+"""Transition kernels: the set→set algebra behind a memo miss.
+
+An XPush state is a set of AFA states; the machine
+(:mod:`repro.xpush.machine`) represents every such set as one int
+*mask* (bit *sid* set ⇔ AFA state *sid* present) and owns everything no
+runtime disagrees about — stack, interning, memo tables, counters,
+eviction.  What a runtime decides is only how a set of AFA states is
+mapped to a set of AFA states when a memo probe misses.  That decision
+lives here, behind one interface:
+
+- ``initial_enabled()`` — the ε-closed enabled set behind ``qt0``;
+- ``push(enabled, label)`` — ``t_push``: the enabled set of a child;
+- ``pop(bottom, label)`` — ``t_pop``: δ⁻¹(eval(bottom), label);
+- ``pop_early(bottom, label, enabled, parent_enabled)`` — ``t_pop``
+  under early notification: ``(lifted, notified oids)``;
+- ``badd(parent, aux)`` — ``t_badd``, with the order optimisation.
+
+:class:`MaskKernel` (``runtime="bitmask"``) computes on the workload's
+:class:`~repro.afa.automaton.CompiledMasks` tables;
+:class:`CodegenKernel` (``"codegen"``) swaps in the per-label compiled
+handlers of :mod:`repro.afa.codegen` and inherits the rest;
+:class:`SetsKernel` (``"sets"``) is the executable spec — every
+transition goes through the frozenset methods of
+:class:`~repro.afa.automaton.WorkloadAutomata`, never a compiled table,
+converting int↔set at the seam — which the differential tests compare
+the other two against.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, Callable, Mapping
+
+from repro.afa.automaton import CompiledMasks, WorkloadAutomata, bits_of
+
+if TYPE_CHECKING:  # pragma: no cover - keeps the code generator lazily imported
+    from repro.afa.codegen import CompiledHandlers
+
+#: Shared empty notification set (pop entries reuse one object).
+EMPTY_OIDS: frozenset[str] = frozenset()
+
+Precedence = Mapping[int, frozenset[int]]
+Handler = Callable[[int], int]
+mask_of = CompiledMasks.mask_of
+
+
+class MaskKernel:
+    """Transitions as bitwise ops over the compiled mask tables."""
+
+    def __init__(self, masks: CompiledMasks, prec: Precedence | None = None):
+        self.masks = masks
+        # Order optimisation: sid -> mask of the siblings that must
+        # already have matched before sid may be merged in.
+        self._prec = {sid: mask_of(required) for sid, required in (prec or {}).items()}
+
+    def initial_enabled(self) -> int:
+        return self.masks.epsilon_closure(self.masks.initial_mask)
+
+    def push(self, enabled: int, label: str) -> int:
+        return self.masks.push_targets_closure(enabled, label, label.startswith("@"))
+
+    def eval(self, bottom: int) -> int:
+        return self.masks.eval_closure(bottom)
+
+    def lift(self, evaluated: int, label: str) -> int:
+        return self.masks.delta_inverse(evaluated, label, label.startswith("@"))
+
+    def pop(self, bottom: int, label: str) -> int:
+        return self.lift(self.eval(bottom), label)
+
+    def pop_early(
+        self, bottom: int, label: str, enabled: int | None, parent_enabled: int | None
+    ) -> tuple[int, frozenset[str]]:
+        """A notification state only counts when it is *enabled* at the
+        closing node: absence-driven connectives (NOT, or an OR/AND with
+        a NOT beneath) can appear in eval() at unrelated nodes.  A
+        skipped notification is safe — the ordinary bottom-up path still
+        matches the filter.  Lifted states are intersected with the
+        parent's enabled set (the ``//`` fix of Sec. 5) and stripped of
+        every notified filter's states."""
+        masks = self.masks
+        evaluated = self.eval(bottom)
+        lifted = self.lift(evaluated, label)
+        if parent_enabled is not None:
+            lifted &= parent_enabled
+        noted = masks.notification_mask & evaluated
+        if noted and enabled is not None:
+            noted &= enabled
+        if not noted:
+            return lifted, EMPTY_OIDS
+        return lifted & ~masks.afa_states(noted), masks.notified_oids(noted)
+
+    def badd(self, parent: int, aux: int) -> int:
+        merged = parent | aux
+        prec = self._prec
+        if prec:
+            fresh = aux & ~parent
+            while fresh:
+                low = fresh & -fresh
+                required = prec.get(low.bit_length() - 1)
+                if required is not None and required & parent != required:
+                    merged ^= low  # a mandated preceding sibling is missing
+                fresh ^= low
+        return merged
+
+
+def _resolve(
+    table: dict[str, Handler], elem_default: Handler, attr_default: Handler, label: str
+) -> Handler:
+    """A label absent from a compiled table is served by the wildcard
+    default of its kind."""
+    return table.get(label) or (attr_default if label.startswith("@") else elem_default)
+
+
+class CodegenKernel(MaskKernel):
+    """:class:`MaskKernel` with ``push`` / fused ``pop`` / ``eval`` /
+    ``lift`` dispatched into the workload's compiled handlers
+    (:mod:`repro.afa.codegen`); ``badd`` and the early-notification
+    algebra are inherited."""
+
+    def __init__(
+        self, masks: CompiledMasks, handlers: CompiledHandlers, prec: Precedence | None = None
+    ):
+        super().__init__(masks, prec)
+        self._handlers = handlers
+
+    def push(self, enabled: int, label: str) -> int:
+        h = self._handlers
+        return _resolve(h.push, h.push_elem_default, h.push_attr_default, label)(enabled)
+
+    def eval(self, bottom: int) -> int:
+        return self._handlers.eval_closure(bottom)
+
+    def lift(self, evaluated: int, label: str) -> int:
+        h = self._handlers
+        return _resolve(h.pop_ev, h.pop_ev_elem_default, h.pop_ev_attr_default, label)(evaluated)
+
+    def pop(self, bottom: int, label: str) -> int:
+        # The fused handler computes δ⁻¹(eval(bottom), label) in one
+        # call; without early notification nothing else inspects eval().
+        h = self._handlers
+        return _resolve(h.pop, h.pop_elem_default, h.pop_attr_default, label)(bottom)
+
+
+class SetsKernel:
+    """The reference spec: the frozenset algebra of
+    :class:`WorkloadAutomata`, behind the same int-mask interface."""
+
+    def __init__(self, workload: WorkloadAutomata, prec: Precedence | None = None):
+        self.workload = workload
+        self._prec = prec or {}
+        self._notification_sids = frozenset(
+            afa.notification for afa in workload.afas if afa.notification >= 0
+        )
+
+    def initial_enabled(self) -> int:
+        workload = self.workload
+        return mask_of(workload.epsilon_closure({afa.initial for afa in workload.afas}))
+
+    def push(self, enabled: int, label: str) -> int:
+        workload = self.workload
+        targets = workload.push_targets(bits_of(enabled), label, label.startswith("@"))
+        return mask_of(workload.epsilon_closure(targets))
+
+    def _eval_and_lift(self, bottom: int, label: str) -> tuple[frozenset[int], set[int]]:
+        """``(eval(bottom), δ⁻¹(eval(bottom), label))``."""
+        workload = self.workload
+        evaluated = workload.eval_closure(bits_of(bottom))
+        return evaluated, workload.delta_inverse(evaluated, label, label.startswith("@"))
+
+    def pop(self, bottom: int, label: str) -> int:
+        return mask_of(self._eval_and_lift(bottom, label)[1])
+
+    def pop_early(
+        self, bottom: int, label: str, enabled: int | None, parent_enabled: int | None
+    ) -> tuple[int, frozenset[str]]:
+        workload = self.workload
+        evaluated, lifted = self._eval_and_lift(bottom, label)
+        if parent_enabled is not None:
+            lifted &= set(bits_of(parent_enabled))
+        noted = [
+            sid
+            for sid in self._notification_sids & evaluated
+            if enabled is None or enabled >> sid & 1
+        ]
+        if not noted:
+            return mask_of(lifted), EMPTY_OIDS
+        return mask_of(lifted - workload.afa_states_of(noted)), workload.notified_oids(noted)
+
+    def badd(self, parent: int, aux: int) -> int:
+        parent_set = frozenset(bits_of(parent))
+        prec = self._prec
+        kept = [
+            sid
+            for sid in bits_of(aux)
+            if sid in parent_set or prec.get(sid, frozenset()) <= parent_set
+        ]
+        return mask_of(parent_set.union(kept))
+
+
+Kernel = MaskKernel | SetsKernel

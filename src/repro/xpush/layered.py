@@ -129,9 +129,12 @@ class LayeredFilterEngine:
         dtd: DTD | None = None,
         compact_threshold: int = 64,
         backend: str = "auto",
+        training_seed: int = 0,
     ):
         self.options = options or XPushOptions()
         self.dtd = dtd
+        #: Seed of the warm-up document generator (``options.train``).
+        self.training_seed = training_seed
         self.backend = backend
         #: Insertions accumulated since the last compaction.
         self.compact_threshold = compact_threshold
@@ -245,6 +248,7 @@ class LayeredFilterEngine:
             workload,
             replace(self.options, retain_results=False),
             dtd=self.dtd,
+            training_seed=self.training_seed,
         )
 
     # ------------------------------------------------------------------

@@ -17,21 +17,23 @@ interned states (Sec. 4): the first time a (state, event) pair occurs
 there is "a relatively high cost", recovered on every reuse; the hit
 counters quantify it (Fig. 8).
 
-That first-touch cost is paid in one of three interchangeable
-*runtimes* (``XPushOptions.runtime``): ``"bitmask"`` (default)
-computes against the workload's compiled
-:class:`~repro.afa.automaton.CompiledMasks` — state sets are single
-ints, ``eval``/δ⁻¹/closures are bitwise ops, and states intern by
-their mask with no sorting; ``"codegen"`` dispatches into straight-
-line Python generated per workload (:mod:`repro.afa.codegen`) — fused
-per-label pop handlers, literal-inlined push rows, dead branches
-elided — falling back to the bitmask tables (with a warning and a
-stats counter) when the workload exceeds
-``XPushOptions.codegen_max_handlers``; ``"sets"`` keeps the original
-frozenset/tuple algebra as the executable reference implementation.
-The memoised hit path is identical for all three; only the miss path
-differs, which is exactly what dominates in low-hit-ratio regimes
-(Fig. 8) and at large workload sizes (Figs. 6/10).
+The machine owns what no runtime disagrees about, once: the stack and
+registers, the SAX callbacks with their memoised hit path, state
+interning (:mod:`repro.xpush.state` — every state set is one int mask),
+the memo tables, the counters and the memory manager.  The first-touch
+cost itself — mapping a set of AFA states to a set of AFA states — is
+the only runtime-specific decision and sits behind the transition-
+kernel seam of :mod:`repro.xpush.kernels`, selected by
+``XPushOptions.runtime``: ``"bitmask"`` (default) computes on the
+workload's compiled :class:`~repro.afa.automaton.CompiledMasks`
+tables; ``"codegen"`` dispatches into straight-line Python generated
+per workload (:mod:`repro.afa.codegen`), running the bitmask kernel
+(with a warning and a stats counter) when the workload exceeds
+``XPushOptions.codegen_max_handlers``; ``"sets"`` is the frozenset
+algebra of :class:`~repro.afa.automaton.WorkloadAutomata`, the
+executable reference the other two are differentially tested against.
+The miss path matters exactly where hits are rare: low-hit-ratio
+regimes (Fig. 8) and large workloads (Figs. 6/10).
 
 The Sec. 5 optimisations are selected with
 :class:`repro.xpush.options.XPushOptions`:
@@ -51,7 +53,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
-from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import IO, TYPE_CHECKING, Callable, Hashable, Iterable
 
 from repro.afa.automaton import StateKind, WorkloadAutomata
 
@@ -66,8 +68,16 @@ from repro.xmlstream.events import Event, dispatch, events_of_document
 from repro.xmlstream.parser import parse_into
 from repro.xpath.ast import XPathFilter
 from repro.xpath.parser import parse_workload
+from repro.xpush.kernels import (
+    EMPTY_OIDS,
+    CodegenKernel,
+    Kernel,
+    MaskKernel,
+    SetsKernel,
+    mask_of,
+)
 from repro.xpush.options import XPushOptions
-from repro.xpush.state import ENTRY_BYTES, StateStore, XPushState, XPushTopState
+from repro.xpush.state import StateStore, XPushState, XPushTopState
 from repro.xpush.stats import MachineStats
 
 #: The clock sweep evicts down to this fraction of ``max_memory_bytes``.
@@ -76,9 +86,6 @@ from repro.xpush.stats import MachineStats
 #: stayed cold across document boundaries; only above *high* (the hard
 #: bound) does the sweep force eviction regardless of reference bits.
 LOW_WATERMARK_RATIO = 0.8
-
-#: Shared empty notification set (codegen pop entries reuse one object).
-_EMPTY_OIDS: frozenset[str] = frozenset()
 
 
 def compute_precedence(workload: WorkloadAutomata, dtd: DTD) -> dict[int, frozenset[int]]:
@@ -131,6 +138,7 @@ class XPushMachine:
         self.workload = workload
         self.options = options or XPushOptions()
         self.dtd = dtd
+        self.training_seed = training_seed  # kept so clone() trains alike
         # Hot-path copy: end_element keys its memo per (label, qt,
         # parent qt) under early notification, per label otherwise.
         self._early_keys = self.options.early
@@ -157,92 +165,50 @@ class XPushMachine:
 
                 self.schema = specialize(workload, dtd)
         compiled = self.schema.workload if self.schema is not None else workload
+        masks = compiled.masks
+        if masks is None:
+            raise WorkloadError(
+                f"{self.runtime} runtime needs a finalized workload (call finalize())"
+            )
 
         self.index = AtomicPredicateIndex()
         for sid in compiled.terminals:
             self.index.add(compiled.states[sid].predicate, sid)
         self.index.freeze()
+        # t_value's per-key base mask (workload-derived, like the
+        # index's own per-key answers): repeat keys skip the index sweep.
+        self._value_masks: dict[Hashable, int] = {}
 
-        self._masks = compiled.masks if self.runtime != "sets" else None
-        if self.runtime != "sets" and self._masks is None:
-            raise WorkloadError(
-                f"{self.runtime} runtime needs a finalized workload (call finalize())"
-            )
-        # The codegen runtime binds workload-specialized compiled
-        # handlers (shared across machines over the same workload); a
-        # declined compilation falls back to the interpreted bitmask
-        # tables — compiled_handlers() warned once — and the fallback
-        # wrappers below count the interpreted transitions.
+        # The kernel is the only runtime-specific part: it maps state
+        # sets (int masks) to state sets on a memo miss.  The codegen
+        # runtime binds workload-specialized compiled handlers (shared
+        # across machines over the same workload); a declined
+        # compilation — compiled_handlers() warned once — runs the
+        # interpreted MaskKernel and the miss path counts those
+        # transitions so operators can see it.
         self._handlers = (
             compiled.compiled_handlers(self.options.codegen_max_handlers)
             if self.runtime == "codegen"
             else None
         )
-
+        self._codegen_declined = self.runtime == "codegen" and self._handlers is None
         prec = compute_precedence(workload, dtd) if self.options.order else None
-        self._prec = prec
-        self._prec_masks = (
-            {sid: self._masks.mask_of(required) for sid, required in prec.items()}
-            if prec is not None and self._masks is not None
-            else None
-        )
-        self._notification_sids = frozenset(
-            afa.notification for afa in workload.afas if afa.notification >= 0
-        )
-
-        self.store = StateStore(
-            accepts_of=compiled.accepted_oids,
-            terminal_sids=frozenset(compiled.terminals),
-            masks=self._masks,
-        )
-        # Cold-path transitions are computed by the selected runtime;
-        # the memoised hit path in the SAX callbacks is shared.
+        self.kernel: Kernel
         if self.runtime == "sets":
-            self._compute_push = self._compute_push_sets
-            self._compute_value = self._compute_value_sets
-            self._compute_pop = self._compute_pop_sets
-            self._badd = self._badd_sets
+            self.kernel = SetsKernel(workload, prec)
         elif self._handlers is not None:
-            # t_badd has no per-label structure to specialize; the
-            # compiled runtime shares the bitmask one.  t_value caches
-            # the per-key base mask (workload-derived, like the index's
-            # own per-key answers) so repeat keys skip the index sweep.
-            self._value_masks: dict = {}
-            # Per-label handler resolution (table probe + wildcard
-            # default) is loop-invariant; cache it per machine so the
-            # compute wrappers are one dict probe per miss.
-            self._push_fns: dict = {}
-            self._pop_fns: dict = {}
-            self._compute_push = self._compute_push_codegen
-            self._compute_value = self._compute_value_codegen
-            self._compute_pop = (
-                self._compute_pop_codegen_early
-                if self.options.early
-                else self._compute_pop_codegen
-            )
-            self._badd = self._badd_bitmask
-        elif self.runtime == "codegen":
-            self._compute_push = self._compute_push_fallback
-            self._compute_value = self._compute_value_bitmask
-            self._compute_pop = self._compute_pop_fallback
-            self._badd = self._badd_bitmask
+            self.kernel = CodegenKernel(masks, self._handlers, prec)
         else:
-            self._compute_push = self._compute_push_bitmask
-            self._compute_value = self._compute_value_bitmask
-            self._compute_pop = self._compute_pop_bitmask
-            self._badd = self._badd_bitmask
+            self.kernel = MaskKernel(masks, prec)
+
+        self.store = StateStore(masks)
         self._stamp_codegen_gauges()
         # The enabled set behind qt0 is a workload constant; compute it
         # once so table flushes only pay the intern, not the closure.
-        if not self.options.top_down:
-            self._qt0_enabled = None
-        elif self._masks is not None:
-            self._qt0_enabled = self._masks.epsilon_closure(self._masks.initial_mask)
-        else:
-            self._qt0_enabled = workload.epsilon_closure(
-                {afa.initial for afa in workload.afas}
-            )
-        self.qt0 = self._make_qt0()
+        self._qt0_enabled = (
+            self.kernel.initial_enabled() if self.options.top_down else None
+        )
+        self.qt0 = self.store.intern_top(self._qt0_enabled)
 
         # Sec. 4, "State Precomputation": in the bottom-up machine the
         # atomic predicate index and the t_value states are precomputed.
@@ -295,10 +261,7 @@ class XPushMachine:
         self._collect: list[frozenset[str]] | None = None
         self._doc_seq = 0  # monotonic document number (on_result index)
         self._training = False  # warm_up in progress: suspend mgmt/results
-        self._memory_managed = (
-            self.options.max_states is not None
-            or self.options.max_memory_bytes is not None
-        )
+        self._memory_managed = self.options.max_memory_bytes is not None
         # Clock hands (uid of the last swept state) for the second-chance
         # eviction sweep over each intern ring.
         self._clock_bottom_hand = -1
@@ -330,28 +293,14 @@ class XPushMachine:
         if self.options.train:
             self.warm_up(seed=training_seed)
 
-    def _make_qt0(self) -> XPushTopState:
-        """The initial top-down state in the selected runtime."""
-        if not self.options.top_down:
-            return self.store.intern_top(None)
-        if self._masks is not None:
-            return self.store.intern_top_mask(self._qt0_enabled)
-        return self.store.intern_top(self._qt0_enabled)
-
     def _seed_value_table(self) -> None:
         """Seed qt0's ``t_value`` memo from the precomputed index."""
-        masks = self._masks
         store = self.store
         table = self.qt0.value_table
         for key, sids in self.index.precomputed_items():
-            if key in table:
-                continue
-            if masks is not None:
-                state = store.intern_bottom_mask(masks.mask_of(sids))
-            else:
-                state = store.intern_bottom(sids)
-            table[key] = state
-            store.note_entries(1)
+            if key not in table:
+                table[key] = store.intern_bottom(mask_of(sids))
+                store.note_entries(1)
 
     # ------------------------------------------------------------------
     # Construction conveniences
@@ -361,7 +310,7 @@ class XPushMachine:
         """A fresh machine over the same (shared, immutable) workload
         automata with empty tables — e.g. one per worker thread, since
         a machine instance itself is not thread-safe."""
-        return XPushMachine(self.workload, self.options, self.dtd)
+        return XPushMachine(self.workload, self.options, self.dtd, self.training_seed)
 
     @classmethod
     def from_filters(
@@ -369,8 +318,9 @@ class XPushMachine:
         filters: list[XPathFilter],
         options: XPushOptions | None = None,
         dtd: DTD | None = None,
+        training_seed: int = 0,
     ) -> "XPushMachine":
-        return cls(build_workload_automata(filters), options, dtd)
+        return cls(build_workload_automata(filters), options, dtd, training_seed)
 
     @classmethod
     def from_xpath(
@@ -378,9 +328,10 @@ class XPushMachine:
         sources: dict[str, str] | list[str],
         options: XPushOptions | None = None,
         dtd: DTD | None = None,
+        training_seed: int = 0,
     ) -> "XPushMachine":
         """Build a machine straight from XPath source strings."""
-        return cls.from_filters(parse_workload(sources), options, dtd)
+        return cls.from_filters(parse_workload(sources), options, dtd, training_seed)
 
     # ------------------------------------------------------------------
     # SAX callbacks (Fig. 2)
@@ -682,177 +633,68 @@ class XPushMachine:
         return self._record_result(accepted)
 
     # ------------------------------------------------------------------
-    # Lazy transition computation — "sets" runtime (the reference spec)
+    # Lazy transition computation: the one memo-miss path.  The kernel
+    # maps state sets to state sets; everything else — counters,
+    # interning, the memo entry and its byte accounting — is here.
     # ------------------------------------------------------------------
 
-    def _compute_push_sets(self, qt: XPushTopState, label: str) -> XPushTopState:
+    def _compute_push(self, qt: XPushTopState, label: str) -> XPushTopState:
         self.stats.push_computed += 1
-        if qt.sids is None:
-            nxt = qt  # single top-down state, as in the Sec. 3.2 machine
-        else:
-            targets = self.workload.push_targets(qt.sids, label, label.startswith("@"))
-            nxt = self.store.intern_top(self.workload.epsilon_closure(targets))
-        qt.push_table[label] = nxt
-        self.store.note_entries(1)
-        return nxt
-
-    def _compute_value_sets(self, qt: XPushTopState, key, value: str) -> XPushState:
-        self.stats.value_computed += 1
-        sids = self.index.lookup(value)
-        if qt.sids is not None:
-            sids = sids & qt.sids
-        state = self.store.intern_bottom(sids)
-        qt.value_table[key] = state
-        self.store.note_entries(1)
-        return state
-
-    def _compute_pop_sets(
-        self,
-        qb: XPushState,
-        label: str,
-        qt: XPushTopState,
-        parent_qt: XPushTopState,
-        pop_key,
-    ) -> tuple[XPushState, frozenset[str]]:
-        self.stats.pop_computed += 1
-        workload = self.workload
-        evaluated = workload.eval_closure(qb.sids)
-        lifted = workload.delta_inverse(evaluated, label, label.startswith("@"))
-        notified: frozenset[str] = frozenset()
-        if self.options.early:
-            if parent_qt.sids is not None:
-                lifted &= parent_qt.sids
-            noted = self._noted_sids(evaluated, qt)
-            if noted:
-                notified = workload.notified_oids(noted)
-                lifted -= workload.afa_states_of(noted)
-        state = self.store.intern_bottom(lifted)
-        entry = (state, notified)
-        qb.pop_table[pop_key] = entry
-        self.store.note_entries(1)
-        return entry
-
-    def _noted_sids(self, evaluated: frozenset[int], qt: XPushTopState) -> list[int]:
-        """Notification states that matched the closing node.
-
-        A notification state only counts when it is *enabled* at the
-        node: absence-driven connectives (NOT, or an OR/AND with a NOT
-        somewhere beneath) can appear in eval() at unrelated nodes, and
-        presence-driven ones are enabled anyway.  A skipped notification
-        is safe — the ordinary bottom-up path still matches the filter.
-        """
-        return [sid for sid in self._notification_sids & evaluated if qt.enables(sid)]
-
-    def _badd_sets(self, qbs: XPushState, qaux: XPushState) -> XPushState:
-        """Compute t_badd on a memo miss.  The SAX callbacks inline the
-        hit path (emptiness check + ``add_table`` probe) themselves —
-        this runs only when the probe came up empty."""
-        self.stats.add_computed += 1
-        prec = self._prec
-        if prec:
-            parent_set = qbs.sid_set
-            kept = [
-                sid
-                for sid in qaux.sids
-                if sid in parent_set or self._prec_ok(sid, parent_set)
-            ]
-            merged = parent_set.union(kept)
-        else:
-            merged = qbs.sid_set | qaux.sid_set
-        out = self.store.intern_bottom(merged)
-        qbs.add_table[qaux.uid] = out
-        self.store.note_entries(1)
-        return out
-
-    def _prec_ok(self, sid: int, parent_set: frozenset[int]) -> bool:
-        required = self._prec.get(sid)
-        return required is None or required <= parent_set
-
-    # ------------------------------------------------------------------
-    # Lazy transition computation — "bitmask" runtime (compiled tables)
-    # ------------------------------------------------------------------
-
-    def _compute_push_bitmask(self, qt: XPushTopState, label: str) -> XPushTopState:
-        self.stats.push_computed += 1
+        if self._codegen_declined:
+            self.stats.codegen_fallbacks += 1
         if qt.mask is None:
             nxt = qt  # single top-down state, as in the Sec. 3.2 machine
         else:
-            closed = self._masks.push_targets_closure(
-                qt.mask, label, label.startswith("@")
-            )
-            nxt = self.store.intern_top_mask(closed)
+            nxt = self.store.intern_top(self.kernel.push(qt.mask, label))
         qt.push_table[label] = nxt
         self.store.note_entries(1)
         return nxt
 
-    def _compute_value_bitmask(self, qt: XPushTopState, key, value: str) -> XPushState:
+    def _compute_value(self, qt: XPushTopState, key: Hashable, value: str) -> XPushState:
+        """t_value has no runtime-specific part: the index answers, the
+        top-down state restricts the answer to its enabled set."""
         self.stats.value_computed += 1
-        mask = self._masks.mask_of(self.index.lookup(value))
+        mask = self._value_masks.get(key)
+        if mask is None:
+            mask = self._value_masks[key] = mask_of(self.index.lookup(value))
         if qt.mask is not None:
             mask &= qt.mask
-        state = self.store.intern_bottom_mask(mask)
+        state = self.store.intern_bottom(mask)
         qt.value_table[key] = state
         self.store.note_entries(1)
         return state
 
-    def _compute_pop_bitmask(
+    def _compute_pop(
         self,
         qb: XPushState,
         label: str,
         qt: XPushTopState,
         parent_qt: XPushTopState,
-        pop_key,
+        pop_key: Hashable,
     ) -> tuple[XPushState, frozenset[str]]:
         self.stats.pop_computed += 1
-        masks = self._masks
-        evaluated = masks.eval_closure(qb.mask)
-        lifted = masks.delta_inverse(evaluated, label, label.startswith("@"))
-        notified: frozenset[str] = frozenset()
-        if self.options.early:
-            if parent_qt.mask is not None:
-                lifted &= parent_qt.mask
-            noted = masks.notification_mask & evaluated
-            if noted and qt.mask is not None:
-                noted &= qt.mask  # only notifications *enabled* at the node
-            if noted:
-                notified = masks.notified_oids(noted)
-                lifted &= ~masks.afa_states(noted)
-        state = self.store.intern_bottom_mask(lifted)
-        entry = (state, notified)
+        if self._codegen_declined:
+            self.stats.codegen_fallbacks += 1
+        if self._early_keys:
+            lifted, notified = self.kernel.pop_early(
+                qb.mask, label, qt.mask, parent_qt.mask
+            )
+        else:
+            lifted, notified = self.kernel.pop(qb.mask, label), EMPTY_OIDS
+        entry = (self.store.intern_bottom(lifted), notified)
         qb.pop_table[pop_key] = entry
         self.store.note_entries(1)
         return entry
 
-    def _badd_bitmask(self, qbs: XPushState, qaux: XPushState) -> XPushState:
+    def _badd(self, qbs: XPushState, qaux: XPushState) -> XPushState:
         """Compute t_badd on a memo miss.  The SAX callbacks inline the
         hit path (emptiness check + ``add_table`` probe) themselves —
         this runs only when the probe came up empty."""
         self.stats.add_computed += 1
-        parent = qbs.mask
-        merged = parent | qaux.mask
-        prec_masks = self._prec_masks
-        if prec_masks:
-            fresh = qaux.mask & ~parent
-            while fresh:
-                low = fresh & -fresh
-                required = prec_masks.get(low.bit_length() - 1)
-                if required is not None and required & parent != required:
-                    merged ^= low  # a mandated preceding sibling is missing
-                fresh ^= low
-        store = self.store
-        out = store._bottom.get(merged)  # intern_bottom_mask, hit path inlined
-        if out is None:
-            out = store.intern_bottom_mask(merged)
-        else:
-            out.ref = True
+        out = self.store.intern_bottom(self.kernel.badd(qbs.mask, qaux.mask))
         qbs.add_table[qaux.uid] = out
-        store.table_entries += 1
-        store.resident_bytes += ENTRY_BYTES
+        self.store.note_entries(1)
         return out
-
-    # ------------------------------------------------------------------
-    # Lazy transition computation — "codegen" runtime (compiled Python)
-    # ------------------------------------------------------------------
 
     def _stamp_codegen_gauges(self) -> None:
         """Mirror the compiled-handler and schema-pruning gauges into
@@ -868,140 +710,6 @@ class XPushMachine:
         """The generated Python the codegen runtime dispatches into, or
         None when another runtime (or the fallback) is active."""
         return self._handlers.source if self._handlers is not None else None
-
-    def _compute_push_codegen(self, qt: XPushTopState, label: str) -> XPushTopState:
-        self.stats.push_computed += 1
-        store = self.store
-        if qt.mask is None:
-            nxt = qt  # single top-down state, as in the Sec. 3.2 machine
-        else:
-            fn = self._push_fns.get(label)
-            if fn is None:
-                handlers = self._handlers
-                fn = handlers.push.get(label) or (
-                    handlers.push_attr_default
-                    if label.startswith("@")
-                    else handlers.push_elem_default
-                )
-                self._push_fns[label] = fn
-            mask = fn(qt.mask)
-            nxt = store._top.get(mask)  # intern_top_mask, hit path inlined
-            if nxt is None:
-                nxt = store.intern_top_mask(mask)
-            else:
-                nxt.ref = True
-        qt.push_table[label] = nxt
-        store.table_entries += 1
-        store.resident_bytes += ENTRY_BYTES
-        return nxt
-
-    def _compute_value_codegen(self, qt: XPushTopState, key, value: str) -> XPushState:
-        self.stats.value_computed += 1
-        base = self._value_masks.get(key)
-        if base is None:
-            base = self._masks.mask_of(self.index.lookup(value))
-            self._value_masks[key] = base
-        mask = base & qt.mask if qt.mask is not None else base
-        store = self.store
-        state = store._bottom.get(mask)  # intern_bottom_mask, hit path inlined
-        if state is None:
-            state = store.intern_bottom_mask(mask)
-        else:
-            state.ref = True
-        qt.value_table[key] = state
-        store.table_entries += 1
-        store.resident_bytes += ENTRY_BYTES
-        return state
-
-    def _compute_pop_codegen(
-        self,
-        qb: XPushState,
-        label: str,
-        qt: XPushTopState,
-        parent_qt: XPushTopState,
-        pop_key,
-    ) -> tuple[XPushState, frozenset[str]]:
-        """The fused handler computes δ⁻¹(eval(qb), label) in one call;
-        without early notification nothing else inspects eval(qb)."""
-        self.stats.pop_computed += 1
-        fn = self._pop_fns.get(label)
-        if fn is None:
-            handlers = self._handlers
-            fn = handlers.pop.get(label) or (
-                handlers.pop_attr_default
-                if label.startswith("@")
-                else handlers.pop_elem_default
-            )
-            self._pop_fns[label] = fn
-        mask = fn(qb.mask)
-        store = self.store
-        state = store._bottom.get(mask)  # intern_bottom_mask, hit path inlined
-        if state is None:
-            state = store.intern_bottom_mask(mask)
-        else:
-            state.ref = True
-        entry = (state, _EMPTY_OIDS)
-        qb.pop_table[pop_key] = entry
-        store.table_entries += 1
-        store.resident_bytes += ENTRY_BYTES
-        return entry
-
-    def _compute_pop_codegen_early(
-        self,
-        qb: XPushState,
-        label: str,
-        qt: XPushTopState,
-        parent_qt: XPushTopState,
-        pop_key,
-    ) -> tuple[XPushState, frozenset[str]]:
-        """Early notification inspects every filter's notification
-        state, so this path runs the compiled full eval and the
-        evaluated-input per-label handler instead of the fused one."""
-        self.stats.pop_computed += 1
-        handlers = self._handlers
-        masks = self._masks
-        evaluated = handlers.eval_closure(qb.mask)
-        fn = handlers.pop_ev.get(label)
-        if fn is None:
-            fn = (
-                handlers.pop_ev_attr_default
-                if label.startswith("@")
-                else handlers.pop_ev_elem_default
-            )
-        lifted = fn(evaluated)
-        notified: frozenset[str] = _EMPTY_OIDS
-        if parent_qt.mask is not None:
-            lifted &= parent_qt.mask
-        noted = masks.notification_mask & evaluated
-        if noted and qt.mask is not None:
-            noted &= qt.mask  # only notifications *enabled* at the node
-        if noted:
-            notified = masks.notified_oids(noted)
-            lifted &= ~masks.afa_states(noted)
-        state = self.store.intern_bottom_mask(lifted)
-        entry = (state, notified)
-        qb.pop_table[pop_key] = entry
-        self.store.note_entries(1)
-        return entry
-
-    # The interpreted fallback (codegen requested but declined): the
-    # bitmask computes run unchanged, with a counter so operators can
-    # see a workload silently running interpreted.
-
-    def _compute_push_fallback(self, qt: XPushTopState, label: str) -> XPushTopState:
-        self.stats.codegen_fallbacks += 1
-        return self._compute_push_bitmask(qt, label)
-
-    def _compute_pop_fallback(
-        self,
-        qb: XPushState,
-        label: str,
-        qt: XPushTopState,
-        parent_qt: XPushTopState,
-        pop_key,
-    ) -> tuple[XPushState, frozenset[str]]:
-        self.stats.codegen_fallbacks += 1
-        return self._compute_pop_bitmask(qb, label, qt, parent_qt, pop_key)
 
     # ------------------------------------------------------------------
     # Driving the machine
@@ -1114,7 +822,7 @@ class XPushMachine:
         data-derived — and precomputed ``t_value`` states are re-seeded
         from it when the machine was built with precomputation."""
         self.store.reset()
-        self.qt0 = self._make_qt0()
+        self.qt0 = self.store.intern_top(self._qt0_enabled)
         if self.options.precompute_values and not self.options.top_down:
             self._seed_value_table()
         self._qt = self.qt0
@@ -1129,26 +837,18 @@ class XPushMachine:
         self.stats.table_entries = self.store.table_entries
 
     def _manage_memory(self) -> None:
-        """Apply the memory policy at a document boundary (Sec. 6).
-
-        ``max_states`` keeps its historical brute-force semantics (the
-        escape hatch); ``max_memory_bytes`` triggers the configured
-        eviction policy — a full flush, or the incremental clock sweep
-        down to the low watermark.
-        """
+        """Apply the memory policy at a document boundary (Sec. 6):
+        crossing ``max_memory_bytes`` triggers the configured eviction
+        policy — a full flush, or the incremental clock sweep down to
+        the low watermark."""
         options, store, stats = self.options, self.store, self.stats
-        limit = options.max_states
-        if limit is not None and store.bottom_count > limit:
-            self.reset_tables()
-            stats.flushes += 1
-        else:
-            high = options.max_memory_bytes
-            if high is not None and store.resident_bytes > high:
-                if options.eviction == "flush":
-                    self.reset_tables()
-                    stats.flushes += 1
-                else:
-                    self._evict_cold(int(high * LOW_WATERMARK_RATIO), high)
+        high = options.max_memory_bytes
+        if high is not None and store.resident_bytes > high:
+            if options.eviction == "flush":
+                self.reset_tables()
+                stats.flushes += 1
+            else:
+                self._evict_cold(int(high * LOW_WATERMARK_RATIO), high)
         stats.resident_bytes = store.resident_bytes
         stats.table_entries = store.table_entries
 

@@ -14,11 +14,11 @@ the paper states and we enforce:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import OptionsError
 
-#: State-set representations the machine can run with.
+#: Transition kernels (:mod:`repro.xpush.kernels`) a machine can run on.
 RUNTIMES = ("bitmask", "codegen", "sets")
 
 #: Memory-management policies applied when ``max_memory_bytes`` is crossed.
@@ -53,20 +53,19 @@ class XPushOptions:
             machine but cannot when top-down pruning is on (the Sec. 7
             discussion of the TD-only series); we follow that rule at
             machine construction.
-        runtime: state-set representation the machine computes lazy
-            transitions with.  ``"bitmask"`` (default) uses the
-            compiled integer-bitmask tables built at workload
-            ``finalize()`` — every cold-path set operation is a
-            single-int bitwise op and states intern by their mask int.
+        runtime: the transition kernel (:mod:`repro.xpush.kernels`)
+            that computes a memo miss; state sets are int masks in
+            every runtime.  ``"bitmask"`` (default) uses the compiled
+            integer-bitmask tables built at workload ``finalize()`` —
+            every cold-path set operation is a single-int bitwise op.
             ``"codegen"`` goes one step further and runs transitions
             through straight-line Python compiled per workload at first
             use (:mod:`repro.afa.codegen`): per-label push/pop handlers
             with the mask tables inlined as int literals and dead
-            branches elided.  ``"sets"`` is the frozenset/tuple
-            reference implementation, kept as the executable spec the
-            compiled runtimes are differentially tested against.
-            Answers are identical by construction (and by test); this
-            is purely a speed/memory representation knob.
+            branches elided.  ``"sets"`` is the frozenset reference
+            algebra, kept as the executable spec the compiled runtimes
+            are differentially tested against.  Answers are identical
+            by construction (and by test); this is purely a speed knob.
         codegen_max_handlers: upper bound on the number of functions
             the ``"codegen"`` runtime may generate for one workload
             (roughly three per distinct label).  A workload exceeding
@@ -74,22 +73,14 @@ class XPushOptions:
             warning — never an error — so pathological label alphabets
             cannot explode compile time or code size.  Ignored by the
             other runtimes.
-        max_states: memory management for unbounded streams (Theorem
-            6.2 shows states grow linearly with the number of
+        max_memory_bytes: memory management for unbounded streams
+            (Theorem 6.2 shows states grow linearly with the number of
             documents; Sec. 6: "we need some form of memory management
-            in order to process infinite streams").  When the store
-            exceeds this many bottom-up states at a document boundary,
-            all states and tables are flushed — the machine "can be
-            deleted when we run out of memory and recomputed later"
-            (the cache view of Sec. 7).  None = unbounded.  This is the
-            blunt escape hatch; prefer ``max_memory_bytes`` for
-            long-running services.
-        max_memory_bytes: the high watermark of the incremental memory
-            manager.  The store keeps a byte-level estimate of resident
-            state and memo-table memory; when it exceeds this bound at
-            a document boundary, the *eviction* policy runs until the
-            low watermark (80% of the bound) is reached.  None =
-            unbounded.
+            in order to process infinite streams").  The store keeps a
+            byte-level estimate of resident state and memo-table
+            memory; when it exceeds this high watermark at a document
+            boundary, the *eviction* policy runs until the low
+            watermark (80% of the bound) is reached.  None = unbounded.
         eviction: what to do when ``max_memory_bytes`` is crossed.
             ``"clock"`` (default) runs a second-chance sweep: memo
             entries whose owning state was not referenced since the
@@ -97,7 +88,9 @@ class XPushOptions:
             from any table, register or intern root are
             garbage-collected — cold entries go, the hot working set
             (and its hit ratio) survives.  ``"flush"`` is the paper's
-            brute-force fallback: drop every state and table.
+            brute-force fallback: drop every state and table — the
+            machine "can be deleted when we run out of memory and
+            recomputed later" (the cache view of Sec. 7).
         schema_mode: schema-aware specialization of the compiled
             runtimes (:mod:`repro.afa.schema`).  ``"off"`` (default)
             builds the tables from the workload alone.  ``"trust"``
@@ -129,7 +122,6 @@ class XPushOptions:
     runtime: str = "bitmask"
     codegen_max_handlers: int = 4096
     schema_mode: str = "off"
-    max_states: int | None = None
     max_memory_bytes: int | None = None
     eviction: str = "clock"
     retain_results: bool = True
@@ -146,8 +138,6 @@ class XPushOptions:
                 f"unknown schema_mode {self.schema_mode!r}; "
                 f"known: {sorted(SCHEMA_MODES)}"
             )
-        if self.max_states is not None and self.max_states < 1:
-            raise OptionsError("max_states must be positive")
         if self.max_memory_bytes is not None and self.max_memory_bytes < 1:
             raise OptionsError("max_memory_bytes must be positive")
         if self.eviction not in EVICTION_POLICIES:
@@ -195,7 +185,3 @@ def variant_options(name: str) -> XPushOptions:
         return VARIANTS[name]
     except KeyError:
         raise OptionsError(f"unknown variant {name!r}; known: {sorted(VARIANTS)}") from None
-
-
-def with_training(options: XPushOptions, train: bool = True) -> XPushOptions:
-    return replace(options, train=train)

@@ -4,16 +4,13 @@ The paper represents an XPush state as "a sorted array of AFA states,
 plus a 32 bit signature (hash value)", with all discovered states stored
 "in a hash table indexed by their signature", and the six transition
 functions as arrays of hash tables hanging off the states.  This module
-is the Python equivalent, in two interchangeable representations:
-
-- **sets** (the reference spec): a bottom-up state is interned by its
-  sorted tuple of AFA sids, a top-down state by its frozenset of
-  *enabled* sids;
-- **bitmask** (the compiled runtime): a state set is a single Python
-  int with bit *sid* set, interned by that int — an O(1) hash with no
-  sorting and no tuple allocation on the cold path.  The ``sids`` /
-  ``sid_set`` views are materialised lazily from the mask, so repr,
-  tracing and statistics keep working unchanged.
+is the Python equivalent, in one representation for every runtime: a
+state set is a single Python int *mask* with bit *sid* set ⇔ AFA state
+*sid* present — the sorted array and its signature in one value — and
+states are interned by that int, an O(1) hash with no sorting and no
+tuple allocation on the cold path.  The ``sids`` / ``sid_set`` views
+(the paper's sorted array) are materialised lazily from the mask for
+repr, tracing, dot export and the differential tests.
 
 - a bottom-up state (:class:`XPushState`) carries its ``t_pop`` and
   ``t_badd`` memo tables, the precomputed ``t_accept`` answer and the
@@ -48,9 +45,6 @@ import sys
 from typing import Hashable, Iterable
 
 from repro.afa.automaton import CompiledMasks, bits_of
-
-_EMPTY_OIDS: frozenset[str] = frozenset()
-
 
 def _dict_slot_bytes() -> int:
     probe: dict = {}
@@ -87,33 +81,25 @@ class XPushState:
         "contains_terminal",
     )
 
-    def __init__(
-        self,
-        uid: int,
-        sids: tuple[int, ...] | None = None,
-        accepts: frozenset[str] = _EMPTY_OIDS,
-        contains_terminal: bool = False,
-        mask: int | None = None,
-        masks: CompiledMasks | None = None,
-    ):
+    def __init__(self, uid: int, mask: int, masks: CompiledMasks):
         self.uid = uid
-        self.mask = mask  # int in the bitmask runtime, else None
-        self._sids = sids  # sorted tuple — the paper's sorted array
+        self.mask = mask
+        self._sids: tuple[int, ...] | None = None  # lazy views of the mask
         self._sid_set: frozenset[int] | None = None
-        self.size = mask.bit_count() if mask is not None else len(sids)
+        self.size = mask.bit_count()
         self.ref = True  # CLOCK reference bit (second-chance eviction)
         # t_pop memo: pop key -> (resulting state, oids notified early)
         self.pop_table: dict[Hashable, tuple["XPushState", frozenset[str]]] = {}
         # t_badd memo: other state uid -> resulting state
         self.add_table: dict[Hashable, "XPushState"] = {}
-        # t_accept: precomputed for set-keyed states, lazy for mask-
-        # keyed ones — almost every interned state is intermediate and
-        # never asked for its accepts (only the document-root set is,
-        # at endDocument), so computing it per intern is wasted cold-
-        # path work.
-        self._accepts = accepts if masks is None else None
+        # t_accept is lazy: almost every interned state is intermediate
+        # and never asked for its accepts (only the document-root set
+        # is, at endDocument), so computing it per intern is wasted
+        # cold-path work.
+        self._accepts: frozenset[str] | None = None
         self._masks = masks
-        self.contains_terminal = contains_terminal
+        # Predicate terminals present (the no-mixed-content rule).
+        self.contains_terminal = bool(mask & masks.terminal_mask)
 
     @property
     def accepts(self) -> frozenset[str]:
@@ -125,7 +111,7 @@ class XPushState:
 
     @property
     def sids(self) -> tuple[int, ...]:
-        """Sorted sid tuple (materialised lazily from the mask)."""
+        """Sorted sid tuple — the paper's sorted array."""
         sids = self._sids
         if sids is None:
             sids = self._sids = bits_of(self.mask)
@@ -151,23 +137,17 @@ class XPushState:
 class XPushTopState:
     """One interned top-down state: the set of *enabled* AFA states.
 
-    ``sids`` is None in the unpruned machine — the single top-down state
-    ``qt0`` of Sec. 3.2, where every AFA state counts as enabled.  In
-    the bitmask runtime a pruned state is identified by ``mask`` and the
-    frozenset view is materialised lazily.
+    ``mask`` (and so ``sids``) is None in the unpruned machine — the
+    single top-down state ``qt0`` of Sec. 3.2, where every AFA state
+    counts as enabled.
     """
 
     __slots__ = ("uid", "mask", "ref", "_sids", "push_table", "value_table")
 
-    def __init__(
-        self,
-        uid: int,
-        sids: frozenset[int] | None = None,
-        mask: int | None = None,
-    ):
+    def __init__(self, uid: int, mask: int | None):
         self.uid = uid
         self.mask = mask
-        self._sids = sids
+        self._sids: frozenset[int] | None = None  # lazy view of the mask
         self.ref = True  # CLOCK reference bit (second-chance eviction)
         self.push_table: dict[str, "XPushTopState"] = {}  # t_push memo
         self.value_table: dict[Hashable, "XPushState"] = {}  # t_value memo
@@ -181,26 +161,17 @@ class XPushTopState:
 
     @property
     def size(self) -> int:
-        if self.mask is not None:
-            return self.mask.bit_count()
-        return len(self._sids) if self._sids is not None else 0
-
-    def enables(self, sid: int) -> bool:
-        mask = self.mask
-        if mask is not None:
-            return bool((mask >> sid) & 1)
-        sids = self._sids
-        return sids is None or sid in sids
+        return self.mask.bit_count() if self.mask is not None else 0
 
     def __repr__(self) -> str:
-        if self.mask is None and self._sids is None:
+        if self.mask is None:
             return f"<Qt#{self.uid} ALL>"
-        return f"<Qt#{self.uid} |{len(self.sids)}|>"
+        return f"<Qt#{self.uid} |{self.size}|>"
 
 
 #: Calibrated per-object base costs (slotted instance + two tables).
-BOTTOM_STATE_BYTES = sys.getsizeof(XPushState(0, ())) + 2 * sys.getsizeof({})
-TOP_STATE_BYTES = sys.getsizeof(XPushTopState(0)) + 2 * sys.getsizeof({})
+BOTTOM_STATE_BYTES = sys.getsizeof(object.__new__(XPushState)) + 2 * sys.getsizeof({})
+TOP_STATE_BYTES = sys.getsizeof(XPushTopState(0, None)) + 2 * sys.getsizeof({})
 
 
 def _bottom_cost(state: XPushState) -> int:
@@ -214,10 +185,10 @@ def _top_cost(state: XPushTopState) -> int:
 class StateStore:
     """Intern tables for bottom-up and top-down states, with counters.
 
-    With ``masks`` (a :class:`~repro.afa.automaton.CompiledMasks`), the
-    ``*_mask`` intern methods are available and states hash by their
-    mask int; without it the store is the plain set-keyed table.  One
-    store only ever uses one representation.
+    States hash by their mask int; *masks* (the workload's
+    :class:`~repro.afa.automaton.CompiledMasks`) answers the two
+    questions a state asks about its own mask — ``t_accept`` and
+    whether it contains a predicate terminal.
 
     The store also keeps the memory manager's books: ``resident_bytes``
     estimates the bytes held by interned states plus memo-table
@@ -227,29 +198,17 @@ class StateStore:
     the books stay balanced.
     """
 
-    def __init__(
-        self,
-        accepts_of,
-        terminal_sids: frozenset[int],
-        masks: CompiledMasks | None = None,
-    ):
-        """``accepts_of(sids)`` computes t_accept for a new set-keyed
-        state; *terminal_sids* flags states containing predicate
-        terminals (used for the no-mixed-content rule)."""
-        self._accepts_of = accepts_of
-        self._terminal_sids = terminal_sids
+    def __init__(self, masks: CompiledMasks):
         self._masks = masks
-        self._bottom: dict[Hashable, XPushState] = {}
-        self._top: dict[Hashable, XPushTopState] = {}
+        self._bottom: dict[int, XPushState] = {}
+        self._top: dict[int | None, XPushTopState] = {}
         self.bottom_size_total = 0  # sum of |state| over resident states
         # Uids never restart (a reused uid would alias stale memo keys).
         self._next_bottom_uid = 0
         self._next_top_uid = 0
         self.resident_bytes = 0
         self.table_entries = 0
-        self.empty = (
-            self.intern_bottom_mask(0) if masks is not None else self.intern_bottom(())
-        )
+        self.empty = self.intern_bottom(0)
 
     # -- memory accounting ----------------------------------------------
 
@@ -372,7 +331,7 @@ class StateStore:
                 if state.ref or id(state) in keep:
                     continue
                 dropped += self.evict_state_tables(state)
-                del table[state.mask if state.mask is not None else state.sids]
+                del table[state.mask]
                 self.resident_bytes -= cost(state)
                 if ring_is_bottom:
                     self.bottom_size_total -= state.size
@@ -443,34 +402,12 @@ class StateStore:
 
     # -- bottom-up -------------------------------------------------------
 
-    def intern_bottom(self, sids: Iterable[int]) -> XPushState:
-        key = tuple(sorted(sids))
-        state = self._bottom.get(key)
-        if state is None:
-            contains_terminal = any(sid in self._terminal_sids for sid in key)
-            state = XPushState(
-                self._next_bottom_uid, key, self._accepts_of(key), contains_terminal
-            )
-            self._next_bottom_uid += 1
-            self._bottom[key] = state
-            self.bottom_size_total += len(key)
-            self.resident_bytes += _bottom_cost(state)
-        else:
-            state.ref = True
-        return state
-
-    def intern_bottom_mask(self, mask: int) -> XPushState:
+    def intern_bottom(self, mask: int) -> XPushState:
         """Intern by bitmask: one dict probe on an int key — no sorting,
-        no tuple allocation (the compiled runtime's cold-path win)."""
+        no tuple allocation on the cold path."""
         state = self._bottom.get(mask)
         if state is None:
-            masks = self._masks
-            state = XPushState(
-                self._next_bottom_uid,
-                contains_terminal=bool(mask & masks.terminal_mask),
-                mask=mask,
-                masks=masks,
-            )
+            state = XPushState(self._next_bottom_uid, mask, self._masks)
             self._next_bottom_uid += 1
             self._bottom[mask] = state
             self.bottom_size_total += state.size
@@ -495,21 +432,11 @@ class StateStore:
 
     # -- top-down --------------------------------------------------------
 
-    def intern_top(self, sids: frozenset[int] | None) -> XPushTopState:
-        state = self._top.get(sids)
-        if state is None:
-            state = XPushTopState(self._next_top_uid, sids)
-            self._next_top_uid += 1
-            self._top[sids] = state
-            self.resident_bytes += _top_cost(state)
-        else:
-            state.ref = True
-        return state
-
-    def intern_top_mask(self, mask: int) -> XPushTopState:
+    def intern_top(self, mask: int | None) -> XPushTopState:
+        """*mask* None is the unpruned machine's single ``qt0``."""
         state = self._top.get(mask)
         if state is None:
-            state = XPushTopState(self._next_top_uid, mask=mask)
+            state = XPushTopState(self._next_top_uid, mask)
             self._next_top_uid += 1
             self._top[mask] = state
             self.resident_bytes += _top_cost(state)
@@ -532,8 +459,4 @@ class StateStore:
         self.bottom_size_total = 0
         self.resident_bytes = 0
         self.table_entries = 0
-        self.empty = (
-            self.intern_bottom_mask(0)
-            if self._masks is not None
-            else self.intern_bottom(())
-        )
+        self.empty = self.intern_bottom(0)

@@ -42,7 +42,7 @@ class MachineStats:
     schema_pruned_states: int = 0  # gauge: AFA states stripped by schema pruning
     schema_pruned_edges: int = 0  # gauge: AFA transitions deleted by schema pruning
     schema_fallbacks: int = 0  # documents replayed unpruned (schema_mode=validate)
-    flushes: int = 0  # full table resets (max_states / eviction="flush")
+    flushes: int = 0  # full table resets (eviction="flush")
     evictions: int = 0  # memo entries dropped by the clock sweep
     gc_states: int = 0  # states garbage-collected after eviction
     resident_bytes: int = 0  # gauge: estimated bytes of states + tables

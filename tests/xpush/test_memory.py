@@ -259,7 +259,7 @@ def test_filter_stream_answers_survive_midstream_clear():
 def test_filter_stream_answers_survive_a_flush_midstream():
     """A table flush between documents must not lose collected answers."""
     machine = XPushMachine.from_xpath(
-        {"q": "//a[b/text()=1]"}, options=replace(TD, max_states=1, eviction="flush")
+        {"q": "//a[b/text()=1]"}, options=replace(TD, max_memory_bytes=1, eviction="flush")
     )
     stream = "".join(f"<a><b>{i % 2}</b></a>" for i in range(6))
     answers = machine.filter_stream(stream)
@@ -272,12 +272,12 @@ def test_warm_up_is_exempt_from_memory_management(protein):
     (the manager would discard exactly what training builds), and the
     manager's history must survive warm_up's trailing stats reset."""
     filters = make_workload(protein, 10, seed=3, prob_descendant=0.0)
-    options = replace(TD, train=True, max_states=1)
+    options = replace(TD, train=True, max_memory_bytes=1, eviction="flush")
     machine = XPushMachine(
         build_workload_automata(filters), options, dtd=protein.dtd
     )
     # Training ran at construction with management suspended: the many
-    # training states are still resident despite max_states=1 …
+    # training states are still resident despite the 1-byte bound …
     assert machine.state_count > 1
     assert machine.stats.flushes == 0
     assert machine.stats.documents == 0  # … and counters reflect no real data

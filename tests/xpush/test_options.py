@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import OptionsError, WorkloadError
-from repro.xpush.options import VARIANTS, XPushOptions, variant_options, with_training
+from repro.xpush.options import VARIANTS, XPushOptions, variant_options
 
 
 def test_defaults():
@@ -55,10 +55,3 @@ def test_variant_options_lookup():
     assert variant_options("basic") == XPushOptions()
     with pytest.raises(ValueError):
         variant_options("nope")
-
-
-def test_with_training():
-    base = variant_options("TD-order")
-    trained = with_training(base)
-    assert trained.train and not base.train
-    assert trained.top_down and trained.order
