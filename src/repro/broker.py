@@ -70,7 +70,6 @@ class MessageBroker:
         incremental: bool = False,
         shards: int = 1,
         batch_size: int = 16,
-        shard_strategy: str = "hash",
         shard_parallel: bool | None = None,
         backend: str = "auto",
         config: EngineConfig | None = None,
@@ -98,7 +97,6 @@ class MessageBroker:
                 dtd=dtd,
                 backend=backend,
                 shards=int(shards),  # EngineConfig rejects shards < 1
-                strategy=shard_strategy,
                 batch_size=int(batch_size),
                 parallel=shard_parallel,
             )

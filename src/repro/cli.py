@@ -29,9 +29,13 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import contextmanager
+from dataclasses import replace
 
 from repro.afa.build import build_workload_automata
+from repro.engine import BACKENDS, EngineConfig, create_engine
 from repro.errors import ReproError
+from repro.service.placement import PLACEMENT_POLICIES
 from repro.xmlstream.dtdparser import parse_dtd_file
 from repro.xpath.ast import count_atomic_predicates, is_linear
 from repro.xpath.parser import parse_xpath
@@ -96,6 +100,111 @@ def _read_input(path: str) -> str:
 
 
 # ----------------------------------------------------------------------
+# Engine flags: declared once, turned into an EngineConfig one way
+# ----------------------------------------------------------------------
+
+#: flag → ``add_argument`` keywords; ``filter``, ``serve`` and ``bench``
+#: all take their engine knobs from here (:func:`_add_engine_flags`).
+_ENGINE_FLAGS: dict[str, dict] = {
+    "--dtd": dict(
+        default=None,
+        help="DTD file (order optimisation, training, schema specialization)",
+    ),
+    "--shards": dict(
+        type=int,
+        help="partition the workload over N shards — worker processes "
+             "when N > 1 (docs/scaling.md)",
+    ),
+    "--batch-size": dict(
+        type=int, default=16, help="documents per work item in sharded mode",
+    ),
+    "--placement": dict(
+        default="hash", choices=list(PLACEMENT_POLICIES),
+        help="where filters live in sharded mode (hash = CRC-32 of the oid, "
+             "cost = selectivity-weighted LPT at boot and lightest-shard "
+             "routing for live subscribes, docs/scaling.md)",
+    ),
+    "--backend": dict(
+        default="auto", choices=list(BACKENDS),
+        help="parser backend for the push-mode event path "
+             "(auto = expat when available)",
+    ),
+    "--runtime": dict(
+        default="bitmask", choices=sorted(RUNTIMES),
+        help="state-set representation for cold-path transitions "
+             "(bitmask = compiled integer masks, sets = reference)",
+    ),
+    "--max-memory": dict(
+        default=None,
+        help="bound resident states+tables per machine (bytes, or K/M/G "
+             "suffix, e.g. 64M); crossing it at a document boundary "
+             "triggers --eviction",
+    ),
+    "--eviction": dict(
+        default="clock", choices=sorted(EVICTION_POLICIES),
+        help="policy when --max-memory is crossed (clock = incremental "
+             "second-chance sweep, flush = drop all states and tables)",
+    ),
+    "--early": dict(
+        action="store_true",
+        help="event-time earliest answering: decide filters at the "
+             "earliest deciding event (requires a top-down variant)",
+    ),
+    "--schema-mode": dict(
+        default="off", choices=sorted(SCHEMA_MODES),
+        help="schema-aware AFA specialization against the DTD (trust = "
+             "assume conforming input, validate = check per event and "
+             "fall back unpruned on violation)",
+    ),
+}
+
+
+def _add_engine_flags(p: argparse.ArgumentParser, *, shards: int, without=()) -> None:
+    """Declare the engine flags on subcommand *p*; the ones it does not
+    offer (*without*) are pinned to their defaults instead."""
+    for flag, spec in _ENGINE_FLAGS.items():
+        if flag in without:
+            p.set_defaults(**{flag[2:].replace("-", "_"): spec["default"]})
+        else:
+            p.add_argument(flag, **spec)
+    p.set_defaults(shards=shards)
+
+
+def _engine_config(args, dtd) -> EngineConfig:
+    """The :class:`EngineConfig` the engine flags of *args* describe.
+
+    The engine kind is ``--engine`` where the subcommand has one, else
+    sharded exactly when ``--shards`` asks for more than one.
+    """
+    options = variant_options(getattr(args, "variant", "TD"))
+    options = replace(
+        options,
+        order=options.order or getattr(args, "order", False),
+        early=options.early or args.early,
+        runtime=args.runtime,
+        eviction=args.eviction,
+        schema_mode=args.schema_mode,
+    )
+    if args.max_memory:
+        options = replace(options, max_memory_bytes=_parse_bytes(args.max_memory))
+    if options.order and dtd is None:
+        raise ReproError("the order optimisation needs --dtd (the sibling order comes from it)")
+    if options.schema_mode != "off" and dtd is None:
+        raise ReproError(f"--schema-mode {options.schema_mode} needs --dtd")
+    if args.shards < 1:
+        raise ReproError("--shards must be >= 1")
+    return EngineConfig(
+        engine=getattr(args, "engine", None) or ("sharded" if args.shards > 1 else "xpush"),
+        options=options,
+        dtd=dtd,
+        backend=args.backend,
+        shards=args.shards,
+        placement=args.placement,
+        batch_size=args.batch_size,
+    )
+
+
+# ----------------------------------------------------------------------
 # Engine state files (the persisted update control plane)
 # ----------------------------------------------------------------------
 
@@ -118,7 +227,6 @@ def _load_state(path: str, engine_kind: str | None = None):
     layered — the engine whose updates never flush warmed tables)."""
     import os
 
-    from repro.engine import EngineConfig, create_engine
     from repro.xpush.persist import load_engine_snapshot
 
     if os.path.exists(path):
@@ -134,45 +242,38 @@ def _load_state(path: str, engine_kind: str | None = None):
     return create_engine(EngineConfig(engine=engine_kind or "layered", parallel=False))
 
 
-def _save_state(engine, path: str) -> None:
+@contextmanager
+def _updating_state(path: str, engine_kind: str | None = None):
+    """The engine of state file *path*, for one update: saved back when
+    the body succeeds, closed either way."""
     from repro.xpush.persist import save_engine_snapshot
 
-    save_engine_snapshot(engine.snapshot(), path)
+    engine = _load_state(path, engine_kind)
+    try:
+        yield engine
+        save_engine_snapshot(engine.snapshot(), path)
+    finally:
+        engine.close()
 
 
 def cmd_subscribe(args) -> int:
-    engine = _load_state(args.state, args.engine)
-    try:
+    with _updating_state(args.state, args.engine) as engine:
         engine.subscribe(args.oid, args.xpath)
-        _save_state(engine, args.state)
-        stats = engine.stats()
-    finally:
-        engine.close()
-    print(
-        f"# subscribed {args.oid}, {stats['filters']} filters in {args.state}",
-        file=sys.stderr,
-    )
+        count = engine.filter_count
+    print(f"# subscribed {args.oid}, {count} filters in {args.state}", file=sys.stderr)
     return 0
 
 
 def cmd_unsubscribe(args) -> int:
-    engine = _load_state(args.state)
-    try:
+    with _updating_state(args.state) as engine:
         engine.unsubscribe(args.oid)
-        _save_state(engine, args.state)
-        stats = engine.stats()
-    finally:
-        engine.close()
-    print(
-        f"# unsubscribed {args.oid}, {stats['filters']} filters in {args.state}",
-        file=sys.stderr,
-    )
+        count = engine.filter_count
+    print(f"# unsubscribed {args.oid}, {count} filters in {args.state}", file=sys.stderr)
     return 0
 
 
 def cmd_compact(args) -> int:
-    engine = _load_state(args.state)
-    try:
+    with _updating_state(args.state) as engine:
         compact = getattr(engine, "compact", None)
         if compact is None:
             raise ReproError(
@@ -180,37 +281,23 @@ def cmd_compact(args) -> int:
                 "has no delta layer to compact"
             )
         compact()
-        _save_state(engine, args.state)
-        stats = engine.stats()
-    finally:
-        engine.close()
+        count = engine.filter_count
     print(
-        f"# compacted {args.state}: {stats['filters']} filters in the base layer",
+        f"# compacted {args.state}: {count} filters in the base layer",
         file=sys.stderr,
     )
     return 0
 
 
 def cmd_rebalance(args) -> int:
-    engine = _load_state(args.state, "sharded")
-    try:
-        rebalance = getattr(engine, "rebalance", None)
-        if rebalance is None:
-            raise ReproError(
-                f"{args.state}: engine {engine.stats().get('engine')!r} "
-                "has no shards to rebalance"
-            )
-        moves = rebalance()
-        _save_state(engine, args.state)
+    with _updating_state(args.state, "sharded") as engine:
+        moves = engine.rebalance()
         stats = engine.stats()
-    finally:
-        engine.close()
     for move in moves:
         print(f"  {move.oid}: shard {move.source} -> {move.target}", file=sys.stderr)
     print(
         f"# rebalanced {args.state}: {len(moves)} moves, "
-        f"imbalance {stats.get('imbalance', 1.0):.3f} "
-        f"over {stats.get('shards', 1)} shards",
+        f"imbalance {stats['imbalance']:.3f} over {stats['shards']} shards",
         file=sys.stderr,
     )
     return 0
@@ -222,161 +309,89 @@ def cmd_rebalance(args) -> int:
 
 
 def cmd_filter(args) -> int:
-    from dataclasses import replace
-
     dtd = parse_dtd_file(args.dtd) if args.dtd else None
-    options = replace(
-        variant_options(args.variant),
-        runtime=args.runtime,
-        eviction=args.eviction,
-        schema_mode=args.schema_mode,
-    )
-    if args.early:
-        options = replace(options, early=True)
-    if args.max_memory:
-        options = replace(options, max_memory_bytes=_parse_bytes(args.max_memory))
-    if options.order and dtd is None:
-        raise ReproError(f"variant {args.variant!r} needs --dtd for the order optimisation")
-    if options.schema_mode != "off" and dtd is None:
-        raise ReproError(f"--schema-mode {options.schema_mode} needs --dtd")
+    config = _engine_config(args, dtd)
     if sum(bool(source) for source in (args.queries, args.compiled, args.state)) > 1:
         raise ReproError("pass exactly one of --queries, --compiled or --state")
-    if args.shards < 1:
-        raise ReproError("--shards must be >= 1")
     if args.state:
-        text = _read_input(args.input)
         engine = _load_state(args.state)
-        try:
-            start = time.perf_counter()
-            results = engine.filter_stream(text)
-            elapsed = time.perf_counter() - start
-            stats = engine.stats()
-        finally:
-            engine.close()
-        for i, matched in enumerate(results):
-            print(f"{i}\t{','.join(sorted(matched)) or '-'}")
-        megabytes = len(text.encode("utf-8")) / 1e6
-        print(
-            f"# {len(results)} documents, {stats['filters']} filters, "
-            f"state={args.state} engine={stats.get('engine')}, "
-            f"{elapsed:.3f}s ({megabytes / elapsed if elapsed else 0:.2f} MB/s)",
-            file=sys.stderr,
-        )
-        return 0
-    if args.compiled:
+    elif args.compiled:
         from repro.xpush.persist import load_workload as load_compiled
 
         workload = load_compiled(args.compiled)
-        filters = [parse_xpath(afa.source, afa.oid) for afa in workload.afas]
+        engine = create_engine(
+            config, [parse_xpath(afa.source, afa.oid) for afa in workload.afas]
+        )
     elif args.queries:
-        filters = _load_queries(args.queries)
-        workload = build_workload_automata(filters)
+        engine = create_engine(config, _load_queries(args.queries))
     else:
         raise ReproError("filter requires --queries or --compiled")
-    text = _read_input(args.input)
-    if args.shards > 1:
-        from repro.service import ShardedFilterEngine
-
-        with ShardedFilterEngine(
-            filters,
-            args.shards,
-            options=options,
-            dtd=dtd,
-            strategy=args.strategy,
-            batch_size=args.batch_size,
-            backend=args.backend,
-            placement=args.placement,
-        ) as engine:
-            start = time.perf_counter()
-            results = engine.filter_stream(text)
-            elapsed = time.perf_counter() - start
-            stats = engine.stats()
-        footer = (
-            f"{args.shards} shards ({stats['strategy']}"
-            f"{', ' + stats['placement'] + ' placement' if stats['placement'] != 'hash' else ''}"
-            f"{', serial fallback' if stats['serial_fallback'] else ''}), "
-            f"{sum(e['xpush_states'] for e in stats['per_shard'])} states, "
-            f"{stats['worker_restarts']} restarts"
-        )
-    else:
-        machine = XPushMachine(workload, options, dtd=dtd)
+    try:
+        text = _read_input(args.input)
         start = time.perf_counter()
-        results = machine.filter_stream(text, backend=args.backend)
+        results = engine.filter_stream(text)
         elapsed = time.perf_counter() - start
-        footer = f"{machine.state_count} states, hit ratio {machine.stats.hit_ratio:.1%}"
-        if options.max_memory_bytes is not None:
-            footer += (
-                f", {machine.stats.evictions} evictions, "
-                f"{machine.stats.flushes} flushes, "
-                f"{machine.stats.resident_bytes} resident bytes"
-            )
+        stats = engine.stats()
+    finally:
+        engine.close()
     for i, matched in enumerate(results):
         print(f"{i}\t{','.join(sorted(matched)) or '-'}")
     megabytes = len(text.encode("utf-8")) / 1e6
     print(
-        f"# {len(results)} documents, {len(filters)} filters, "
-        f"backend={args.backend}, "
+        f"# {len(results)} documents, {stats['filters']} filters, "
+        f"{f'state={args.state} ' if args.state else ''}engine={stats['engine']} "
+        f"backend={stats.get('backend', args.backend)}, "
         f"{elapsed:.3f}s ({megabytes / elapsed if elapsed else 0:.2f} MB/s), "
-        f"{footer}",
+        f"{_engine_footer(stats, config.options.max_memory_bytes is not None)}",
         file=sys.stderr,
     )
     return 0
 
 
+def _engine_footer(stats: dict, bounded: bool) -> str:
+    """What an engine's ``stats()`` say about a run, for a footer
+    (*bounded*: a memory bound was set, so report what it cost)."""
+    parts = []
+    if "per_shard" in stats:
+        placement = "" if stats["placement"] == "hash" else f", {stats['placement']} placement"
+        fallback = ", serial fallback" if stats["serial_fallback"] else ""
+        parts.append(f"{stats['shards']} shards ({stats['inner']}{placement}{fallback})")
+    parts.append(f"{stats.get('xpush_states', 0)} states")
+    if "hit_ratio" in stats:
+        parts.append(f"hit ratio {stats['hit_ratio']:.1%}")
+    if bounded:
+        flushes = stats.get("flushes", sum(e["flushes"] for e in stats.get("per_shard", ())))
+        parts.append(
+            f"{stats.get('evictions', 0)} evictions, {flushes} flushes, "
+            f"{stats.get('resident_bytes', 0)} resident bytes"
+        )
+    if "worker_restarts" in stats:
+        parts.append(f"{stats['worker_restarts']} restarts")
+    return ", ".join(parts)
+
+
 def cmd_serve(args) -> int:
     import asyncio
-    from dataclasses import replace
 
-    from repro.engine import EngineConfig
     from repro.serving import FilterServer
 
     if args.queries and args.state:
         raise ReproError("pass at most one of --queries and --state")
-    dtd = parse_dtd_file(args.dtd) if args.dtd else None
-    if args.order and dtd is None:
-        raise ReproError("--order needs --dtd (the sibling order comes from it)")
-    if args.schema_mode != "off" and dtd is None:
-        raise ReproError(f"--schema-mode {args.schema_mode} needs --dtd")
-    config = EngineConfig(
-        engine=args.engine,
-        backend=args.backend,
-        shards=max(args.shards, 1) if args.engine == "sharded" else 1,
-        placement=args.placement if args.engine == "sharded" else "hash",
-        batch_size=args.batch_size,
-        parallel=None if args.engine == "sharded" else False,
-        dtd=dtd,
-    )
-    config = replace(
-        config,
-        options=replace(
-            config.options,
-            order=args.order,
-            schema_mode=args.schema_mode,
-            early=args.early,
-        ),
+    config = _engine_config(args, parse_dtd_file(args.dtd) if args.dtd else None)
+    serving = dict(
+        host=args.host,
+        port=args.port,
+        default_policy=args.policy,
+        high_watermark=args.high_watermark,
+        early=args.early,
     )
     borrowed_engine = None
     if args.state:
         borrowed_engine = _load_state(args.state, args.engine)
-        server = FilterServer(
-            borrowed_engine,
-            host=args.host,
-            port=args.port,
-            default_policy=args.policy,
-            high_watermark=args.high_watermark,
-            early=args.early,
-        )
+        server = FilterServer(borrowed_engine, **serving)
     else:
         filters = _load_queries(args.queries) if args.queries else None
-        server = FilterServer(
-            config=config,
-            filters=filters,
-            host=args.host,
-            port=args.port,
-            default_policy=args.policy,
-            high_watermark=args.high_watermark,
-            early=args.early,
-        )
+        server = FilterServer(config=config, filters=filters, **serving)
 
     async def _run() -> None:
         await server.start()
@@ -498,7 +513,6 @@ def cmd_inspect(args) -> int:
 def _explain_placement(args, filters) -> int:
     """Dump the placement cost table and compare hash vs cost shard
     loads (``repro explain --placement``)."""
-    from repro.service.partition import shard_of_oid
     from repro.service.placement import CostModel, imbalance, place_filters, shard_loads
 
     model = CostModel()
@@ -516,16 +530,14 @@ def _explain_placement(args, filters) -> int:
         print(f"{row.oid:<24} {row.states:>6} {row.selectivity:>7.3f} {row.cost:>9.2f}")
     shards = max(args.shards, 1)
     costs = model.costs()
-    hash_routing = {f.oid: shard_of_oid(f.oid, shards) for f in filters}
-    hash_loads = shard_loads(hash_routing, costs, shards)
-    cost_routing = {
-        f.oid: shard
-        for shard, placed in enumerate(place_filters(filters, shards, model))
-        for f in placed
-    }
-    cost_loads = shard_loads(cost_routing, costs, shards)
     print()
-    for policy, loads in (("hash", hash_loads), ("cost", cost_loads)):
+    for policy in PLACEMENT_POLICIES:
+        routing = {
+            f.oid: shard
+            for shard, placed in enumerate(place_filters(filters, shards, model, policy))
+            for f in placed
+        }
+        loads = shard_loads(routing, costs, shards)
         rendered = ", ".join(f"{load:.1f}" for load in loads)
         print(
             f"{policy:<5} placement over {shards} shards: "
@@ -621,8 +633,6 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    from dataclasses import replace
-
     from repro.xpath.generator import GeneratorConfig, QueryGenerator
 
     dataset = _dataset(args.dataset, args.seed)
@@ -634,72 +644,55 @@ def cmd_bench(args) -> int:
     filters = generator.generate(args.queries)
     stream = dataset.stream_of_bytes(args.bytes)
     megabytes = len(stream.encode("utf-8")) / 1e6
-    workload = build_workload_automata(filters)
-    options = replace(
-        variant_options(args.variant),
-        runtime=args.runtime,
-        eviction=args.eviction,
-        schema_mode=args.schema_mode,
-    )
-    if args.early:
-        options = replace(options, early=True)
-    if args.max_memory:
-        options = replace(options, max_memory_bytes=_parse_bytes(args.max_memory))
-    machine = XPushMachine(workload, options, dtd=dataset.dtd)
+    config = _engine_config(args, dataset.dtd)
+    options = config.options
+    engine = create_engine(config.with_engine("xpush", shards=1, parallel=False), filters)
+    engine.filter_events(())  # build (and train) the machine outside the cold pass
     start = time.perf_counter()
-    machine.filter_stream(stream, backend=args.backend)
+    engine.filter_stream(stream)
     cold = time.perf_counter() - start
-    machine.clear_results()
     start = time.perf_counter()
-    machine.filter_stream(stream, backend=args.backend)
+    engine.filter_stream(stream)
     warm = time.perf_counter() - start
+    stats = engine.stats()
+    engine.close()
     print(
         f"variant={args.variant} queries={args.queries} data={megabytes:.2f}MB "
         f"backend={args.backend} runtime={args.runtime}"
     )
     print(f"cold: {cold:.3f}s ({megabytes / cold:.2f} MB/s)")
     print(f"warm: {warm:.3f}s ({megabytes / warm:.2f} MB/s)")
-    print(f"states={machine.state_count} avg_size={machine.average_state_size:.1f} "
-          f"hit_ratio={machine.stats.hit_ratio:.1%}")
+    print(f"states={stats['xpush_states']} hit_ratio={stats['hit_ratio']:.1%}")
     if args.runtime == "codegen":
         print(
-            f"codegen: compile={machine.stats.codegen_compile_ms:.1f}ms "
-            f"handlers={machine.stats.codegen_handlers} "
-            f"fallbacks={machine.stats.codegen_fallbacks}"
+            f"codegen: compile={stats['codegen_compile_ms']:.1f}ms "
+            f"handlers={stats['codegen_handlers']} "
+            f"fallbacks={stats['codegen_fallbacks']}"
         )
     if options.schema_mode != "off":
         print(
             f"schema: mode={options.schema_mode} "
-            f"pruned_states={machine.stats.schema_pruned_states} "
-            f"pruned_edges={machine.stats.schema_pruned_edges} "
-            f"fallbacks={machine.stats.schema_fallbacks}"
+            f"pruned_states={stats['schema_pruned_states']} "
+            f"pruned_edges={stats['schema_pruned_edges']} "
+            f"fallbacks={stats['schema_fallbacks']}"
         )
     if options.max_memory_bytes is not None:
         print(
             f"memory: bound={options.max_memory_bytes} eviction={options.eviction} "
-            f"resident={machine.stats.resident_bytes} "
-            f"evictions={machine.stats.evictions} flushes={machine.stats.flushes} "
-            f"gc_states={machine.stats.gc_states}"
+            f"resident={stats['resident_bytes']} "
+            f"evictions={stats['evictions']} flushes={stats['flushes']} "
+            f"gc_states={stats['gc_states']}"
         )
-    if args.shards > 1:
-        from repro.service import ShardedFilterEngine
+    if config.engine == "sharded":
         from repro.xmlstream.dom import parse_forest
 
         documents = parse_forest(stream)
-        with ShardedFilterEngine(
-            filters,
-            args.shards,
-            options=options,
-            dtd=dataset.dtd,
-            batch_size=args.batch_size,
-            backend=args.backend,
-            placement=args.placement,
-        ) as engine:
-            engine.filter_batch(documents)  # warm the shard machines
+        with create_engine(config, filters) as sharded_engine:
+            sharded_engine.filter_batch(documents)  # warm the shard machines
             start = time.perf_counter()
-            engine.filter_batch(documents)
+            sharded_engine.filter_batch(documents)
             sharded = time.perf_counter() - start
-            stats = engine.stats()
+            stats = sharded_engine.stats()
         latency = stats["batch_latency"]
         print(
             f"sharded({args.shards}x, batch={args.batch_size}"
@@ -731,38 +724,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "`subscribe`/`unsubscribe`/`compact` instead of --queries")
     p.add_argument("--input", default="-", help="XML stream file, or - for stdin")
     p.add_argument("--variant", default="TD", choices=sorted(VARIANTS))
-    p.add_argument("--dtd", help="DTD file (needed for order/training variants)")
-    p.add_argument("--shards", type=int, default=1,
-                   help="partition the workload over N worker processes (docs/scaling.md)")
-    p.add_argument("--batch-size", type=int, default=16,
-                   help="documents per work item in sharded mode")
-    p.add_argument("--strategy", default="hash",
-                   choices=["hash", "round_robin", "size_balanced"],
-                   help="shard partitioning strategy")
-    p.add_argument("--placement", default="hash", choices=["hash", "cost"],
-                   help="routing policy for filters in sharded mode "
-                        "(cost = selectivity-weighted LPT, docs/scaling.md)")
-    p.add_argument("--backend", default="auto", choices=["python", "expat", "auto"],
-                   help="parser backend for the push-mode event path "
-                        "(auto = expat when available)")
-    p.add_argument("--runtime", default="bitmask", choices=sorted(RUNTIMES),
-                   help="state-set representation for cold-path transitions "
-                        "(bitmask = compiled integer masks, sets = reference)")
-    p.add_argument("--max-memory",
-                   help="bound resident states+tables per machine "
-                        "(bytes, or K/M/G suffix, e.g. 64M); crossing it at a "
-                        "document boundary triggers --eviction")
-    p.add_argument("--eviction", default="clock", choices=sorted(EVICTION_POLICIES),
-                   help="policy when --max-memory is crossed "
-                        "(clock = incremental second-chance sweep, "
-                        "flush = drop all states and tables)")
-    p.add_argument("--early", action="store_true",
-                   help="event-time earliest answering: decide filters at the "
-                        "earliest deciding event (requires a top-down variant)")
-    p.add_argument("--schema-mode", default="off", choices=sorted(SCHEMA_MODES),
-                   help="schema-aware AFA specialization against --dtd "
-                        "(trust = assume conforming input, validate = check "
-                        "per event and fall back unpruned on violation)")
+    _add_engine_flags(p, shards=1)
     p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser("compile", help="pre-compile a query file to a workload JSON")
@@ -814,24 +776,9 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["xpush", "layered", "sharded"],
                    help="engine kind behind the server (default layered: "
                         "live updates never flush the warmed base)")
-    p.add_argument("--shards", type=int, default=2,
-                   help="shard count when --engine sharded")
-    p.add_argument("--placement", default="hash", choices=["hash", "cost"],
-                   help="shard placement policy when --engine sharded "
-                        "(cost = selectivity-driven cost model, "
-                        "lightest-shard routing for live subscribes)")
-    p.add_argument("--batch-size", type=int, default=16,
-                   help="documents per work item when --engine sharded")
-    p.add_argument("--backend", default="auto", choices=["python", "expat", "auto"],
-                   help="parser backend for the push-mode event path")
-    p.add_argument("--dtd", help="DTD file (order optimisation / schema specialization)")
     p.add_argument("--order", action="store_true",
                    help="enable the Sec. 5 order optimisation (needs --dtd)")
-    p.add_argument("--early", action="store_true",
-                   help="event-time earliest answering: decide filters at the "
-                        "earliest deciding event (requires a top-down variant)")
-    p.add_argument("--schema-mode", default="off", choices=sorted(SCHEMA_MODES),
-                   help="schema-aware AFA specialization against --dtd")
+    _add_engine_flags(p, shards=2, without=("--runtime", "--max-memory", "--eviction"))
     p.add_argument("--policy", default="block",
                    choices=["block", "drop_oldest", "evict"],
                    help="default slow-consumer policy at the high watermark")
@@ -912,27 +859,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bytes", type=int, default=100_000)
     p.add_argument("--variant", default="TD-order-train", choices=sorted(VARIANTS))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--shards", type=int, default=1,
-                   help="also measure a sharded engine with N worker processes")
-    p.add_argument("--batch-size", type=int, default=16,
-                   help="documents per work item in sharded mode")
-    p.add_argument("--placement", default="hash", choices=["hash", "cost"],
-                   help="routing policy for filters in sharded mode")
-    p.add_argument("--backend", default="auto", choices=["python", "expat", "auto"],
-                   help="parser backend for the push-mode event path")
-    p.add_argument("--runtime", default="bitmask", choices=sorted(RUNTIMES),
-                   help="state-set representation for cold-path transitions")
-    p.add_argument("--max-memory",
-                   help="bound resident states+tables per machine "
-                        "(bytes, or K/M/G suffix, e.g. 64M)")
-    p.add_argument("--eviction", default="clock", choices=sorted(EVICTION_POLICIES),
-                   help="policy when --max-memory is crossed")
-    p.add_argument("--early", action="store_true",
-                   help="event-time earliest answering: decide filters at the "
-                        "earliest deciding event (requires a top-down variant)")
-    p.add_argument("--schema-mode", default="off", choices=sorted(SCHEMA_MODES),
-                   help="schema-aware AFA specialization against the "
-                        "dataset's own DTD")
+    _add_engine_flags(p, shards=1, without=("--dtd",))
     p.set_defaults(func=cmd_bench)
 
     return parser

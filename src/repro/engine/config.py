@@ -61,12 +61,10 @@ class EngineConfig:
         inner: engine kind the sharded service hosts per shard — any
             registry name whose engine supports updates; ``"layered"``
             keeps insertions from flushing the warmed base tables.
-        strategy: initial workload partitioning strategy
-            (:data:`repro.service.PARTITION_STRATEGIES`).
-        placement: post-boot routing policy of the placement layer
-            (:mod:`repro.service.placement`): ``"hash"`` keeps CRC-32
-            oid routing; ``"cost"`` boots via cost-model LPT (subsuming
-            *strategy*) and routes new subscribes to the lightest
+        placement: placement policy of the sharded service
+            (:mod:`repro.service.placement`), at boot and afterwards:
+            ``"hash"`` routes every oid by CRC-32; ``"cost"`` boots via
+            cost-model LPT and routes new subscribes to the lightest
             shard.
         rebalance_threshold: load imbalance (hottest shard over mean,
             >= 1.0) above which ``rebalance()``/``maybe_rebalance()``
@@ -82,9 +80,6 @@ class EngineConfig:
         training_seed: seed for the warm-up document generator.
         result_timeout: seconds of no shard progress before a batch is
             declared stuck.
-        start_method: multiprocessing start method override.
-        eager_max_states: state budget for the eager Sec. 3.2
-            construction (it is exponential in the worst case).
     """
 
     engine: str = "xpush"
@@ -94,7 +89,6 @@ class EngineConfig:
     compact_threshold: int = 64
     shards: int = 1
     inner: str = "layered"
-    strategy: str = "hash"
     placement: str = "hash"
     rebalance_threshold: float = 1.5
     rebalance_interval: int = 0
@@ -104,8 +98,6 @@ class EngineConfig:
     warm: bool = True
     training_seed: int = 0
     result_timeout: float = 60.0
-    start_method: str | None = None
-    eager_max_states: int = 50_000
 
     def __post_init__(self) -> None:
         if not isinstance(self.options, XPushOptions):
@@ -126,16 +118,10 @@ class EngineConfig:
             raise WorkloadError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.queue_depth < 1:
             raise WorkloadError(f"queue_depth must be >= 1, got {self.queue_depth}")
-        # Deferred import: repro.service.partition is leaf-light, but
-        # importing it at module level would pull repro.service.__init__
-        # (which imports the engine package) into a cycle.
-        from repro.service.partition import PARTITION_STRATEGIES, PLACEMENT_POLICIES
+        # Deferred import: importing repro.service at module level would
+        # pull its __init__ (which imports the engine package) into a cycle.
+        from repro.service.placement import PLACEMENT_POLICIES
 
-        if self.strategy not in PARTITION_STRATEGIES:
-            raise WorkloadError(
-                f"unknown partition strategy {self.strategy!r}; "
-                f"known: {sorted(PARTITION_STRATEGIES)}"
-            )
         if self.placement not in PLACEMENT_POLICIES:
             raise WorkloadError(
                 f"unknown placement policy {self.placement!r}; "
@@ -152,10 +138,6 @@ class EngineConfig:
         if self.result_timeout <= 0:
             raise WorkloadError(
                 f"result_timeout must be > 0 seconds, got {self.result_timeout}"
-            )
-        if self.eager_max_states < 1:
-            raise WorkloadError(
-                f"eager_max_states must be >= 1, got {self.eager_max_states}"
             )
         if self.engine == "sharded" and self.inner == "sharded":
             raise WorkloadError("sharded engines cannot nest sharded inner engines")

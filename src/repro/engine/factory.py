@@ -10,9 +10,7 @@ every composite, the CLI and the benches can use it.
 Builders receive the parsed filter list and the full config; they read
 only the fields they understand.  The ``snapshot`` argument resumes an
 engine from a prior :meth:`~repro.engine.protocol.FilterEngine.snapshot`
-capture instead of a filter list (a restarted shard worker boots this
-way, resuming base + uncompacted delta + tombstones without re-parsing
-the base workload).
+capture instead of a filter list (how ``repro … --state`` files load).
 """
 
 from __future__ import annotations

@@ -23,8 +23,8 @@ The contract, in paper terms:
   XML text/bytes/file (the push-mode fast path);
 - **persistence**: ``snapshot()`` captures the current workload as a
   JSON-safe dict and ``restore()`` resumes from one — including any
-  uncompacted layered delta and tombstones, so a restarted worker
-  carries on from the exact workload version it crashed at;
+  uncompacted layered delta and tombstones, so a restored engine
+  carries on from the exact workload version that was captured;
 - **observability and lifecycle**: ``stats()`` and ``close()``.
 
 Beyond the required surface, engines may expose **optional control

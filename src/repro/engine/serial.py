@@ -409,9 +409,7 @@ class EagerEngine(RebuildFilterEngine):
     def _build(self, filters: list[XPathFilter]) -> _DocumentEvaluator:
         from repro.xpush.eager import EagerXPushMachine
 
-        return _EagerAdapter(
-            EagerXPushMachine(filters, max_states=self.config.eager_max_states)
-        )
+        return _EagerAdapter(EagerXPushMachine(filters))
 
     def stats(self) -> dict[str, Any]:
         out = super().stats()

@@ -10,32 +10,32 @@ software analogue of the parallel filter engines in FPGA XML-filtering
 architectures, with bounded inter-stage buffering in the spirit of
 schema-based event-processor scheduling):
 
-- :mod:`repro.service.partition` — workload partitioning strategies
-  (``hash``, ``round_robin``, ``size_balanced`` by AFA state count);
-- :mod:`repro.service.placement` — the selectivity-driven placement
-  layer: a per-filter cost model (AFA states × estimated σ), LPT boot
-  placement, lightest-shard routing for post-boot subscribes, load /
-  imbalance gauges and the ``rebalance`` / ``split`` / ``merge``
-  migration planners;
-- :mod:`repro.service.worker` — the worker-process main loop; shards
-  are shipped as :mod:`repro.xpush.persist` snapshots so workers skip
-  re-parsing and re-compiling, then warmed via ``warm_up()``;
+- :mod:`repro.service.placement` — where filters live: the two
+  placement policies (``hash``: CRC-32 of the oid; ``cost``: a
+  per-filter cost model, AFA states × estimated σ, placed by LPT at
+  boot and onto the lightest shard afterwards), load / imbalance
+  gauges and the ``rebalance`` / ``split`` / ``merge`` migration
+  planners;
+- :mod:`repro.service.shard` — the one seam between "a shard" and how
+  it is hosted: :class:`LocalShard` (an inner engine in this process)
+  and :class:`WorkerShard` (a worker process with its queue, pipe and
+  unanswered batches) share the control verbs, and both are built — and
+  a crashed worker rebuilt — from the orchestrator's routing table and
+  XPath sources, the only durable state the service has;
+- :mod:`repro.service.worker` — the worker-process main loop: boots an
+  inner engine from ``{config, filters}``, warms it via ``warm_up()``,
+  then answers batches and applies control messages in FIFO order;
 - :mod:`repro.service.engine` — :class:`ShardedFilterEngine`, the
-  parent-side orchestrator: batched publish over bounded work queues
-  with backpressure, crash detection with restart-and-resubmit, and a
-  serial in-process fallback when ``shards == 1`` or
-  ``multiprocessing`` is unavailable.
+  parent-side orchestrator: routing table + sources, every control
+  verb written once, batched publish over bounded work queues with
+  backpressure, crash detection with restart-and-resubmit.
 
 See ``docs/scaling.md`` for the operational contract.
 """
 
 from repro.service.engine import ServiceError, ShardedFilterEngine
-from repro.service.partition import (
-    PARTITION_STRATEGIES,
-    PLACEMENT_POLICIES,
-    partition_filters,
-)
 from repro.service.placement import (
+    PLACEMENT_POLICIES,
     CostModel,
     FilterCost,
     Move,
@@ -48,7 +48,6 @@ from repro.service.placement import (
 )
 
 __all__ = [
-    "PARTITION_STRATEGIES",
     "PLACEMENT_POLICIES",
     "CostModel",
     "FilterCost",
@@ -56,7 +55,6 @@ __all__ = [
     "ServiceError",
     "ShardedFilterEngine",
     "imbalance",
-    "partition_filters",
     "place_filters",
     "plan_drain",
     "plan_rebalance",

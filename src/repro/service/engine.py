@@ -3,102 +3,66 @@
 Scaling model (see ``docs/scaling.md``): the *workload* is partitioned
 into N shards; every document batch fans out to all shards and the
 per-shard oid sets are unioned, so the engine's answers are exactly
-the serial machine's answers regardless of N or strategy.
+the serial machine's answers regardless of N or placement policy.
 
-Each shard hosts an inner :class:`~repro.engine.protocol.FilterEngine`
-built exclusively through :func:`~repro.engine.factory.create_engine`
-(``config.inner`` names the kind; the default ``"layered"`` gives every
-shard the Sec. 8 base + delta machine, so updates never flush a warmed
-base table).  Mechanics:
+**What the orchestrator owns.**  The XPush machine is a cache over the
+workload (Sec. 7-8: it "can be deleted ... and recomputed later"), so
+the only durable state here is *which filter lives where*: the oid →
+shard **routing table** and the oid → XPath **sources**.  Everything a
+shard needs — at boot, after a crash, after ``restore()`` — is projected
+from those two at that moment (``_boot_payload``); ``snapshot()`` is
+those two plus the epoch.  A shard itself is an inner
+:class:`~repro.engine.protocol.FilterEngine` (``config.inner`` names
+the kind; the default ``"layered"`` keeps updates from flushing a
+warmed base table) behind the seam in :mod:`repro.service.shard`:
+in-process when ``shards == 1``, ``parallel=False`` or
+``multiprocessing`` is unusable (``stats()["serial_fallback"]``), a
+worker process otherwise — same API, same answers.
 
-- shard workloads are compiled once in the parent and shipped to
-  worker processes inside the inner engine's own ``snapshot()``
-  payload (no AFA re-compiling in workers); workers warm their
-  machines before reporting ready;
-- **data plane**: the parent forwards bytes and blocks on file
-  descriptors.  ``filter_stream`` runs one boundary scan over the
-  source (:func:`~repro.xmlstream.split.split_documents`: well-formed
-  or :class:`~repro.errors.XMLSyntaxError`, before anything is
-  shipped) and sends every worker the source's own UTF-8 slice per
-  document; ``filter_batch`` sends ``document_to_xml`` texts down the
-  same path (``_filter_texts``).  The N full parses happen in the
-  workers, in parallel; the parent builds no DOM.  Replies are awaited
-  with ``multiprocessing.connection.wait`` on every worker's result
-  pipe and process sentinel, so a reply or a crash wakes the parent at
-  once — nothing is polled;
-- each worker has a *bounded* task queue, and the parent additionally
-  caps the number of in-flight batches at ``queue_depth`` — the
-  backpressure that keeps an unbounded publisher from ballooning
-  memory while still pipelining: batch *i+1* is enqueued while the
-  workers chew batch *i*;
-- a worker death is detected at submit time or while waiting (its
-  sentinel fires, its result pipe reads end-of-file); the worker is
-  respawned from its retained payload, every batch it had not yet
-  answered is resubmitted, and ``stats()["worker_restarts"]`` counts
-  the event.  Duplicate answers from the pre-crash incarnation are
-  discarded idempotently;
-- ``shards == 1``, ``parallel=False`` or an unusable
-  ``multiprocessing`` all degrade to in-process inner engines with
-  the same API and the same answers (``stats()["serial_fallback"]``).
+**Update control plane.**  ``subscribe`` / ``unsubscribe`` / ``compact``
+and the placement verbs ``rebalance`` / ``split`` / ``merge``
+(:mod:`repro.service.placement`) are each written once: validate in the
+parent (bad XPath or duplicate oid never reaches a shard), bump the
+*epoch*, update routing + sources, *then* call the shard verb.  That
+order is the whole crash story: a worker that dies at any point is
+respawned from the current projection, so every update is applied
+exactly once and no control message is ever replayed.  A migration is a
+subscribe on the target plus an unsubscribe on the source (add before
+remove — transient double-residency is benign because answers are
+unioned, a gap would drop matches).  Verbs run between batch fan-outs
+and ``filter_batch`` drains its in-flight work before returning, so
+every batch is answered entirely pre-update or entirely post-update.
+Batch replies carry the shard's ``applied_epoch``, so answers are
+attributable to a workload version.
 
-**Update control plane.**  ``subscribe``/``unsubscribe``/``compact``
-are first-class while the engine serves traffic:
-
-- every update bumps the engine *epoch* and is eagerly validated in
-  the parent (bad XPath or duplicate oid never reaches a worker);
-- an explicit oid→shard **routing table** is the single source of
-  truth for ownership: it is carried in snapshots and projected into
-  every worker boot payload (``payload["oids"]``), so placement never
-  has to be re-derived by hashing.  New oids route through the
-  placement layer (:mod:`repro.service.placement`):
-  ``placement="hash"`` keeps consistent CRC-32 routing
-  (:func:`~repro.service.partition.shard_of_oid`, reproducible across
-  restarts); ``placement="cost"`` routes to the lightest shard by the
-  per-filter cost model (AFA states × σ̂) — which also closes the old
-  mismatch where post-boot subscribes always hashed even under a
-  ``size_balanced`` boot;
-- **hot-shard management** rides the same control plane:
-  ``rebalance()`` migrates filter subsets between shards when the
-  cost-model imbalance gauge crosses ``rebalance_threshold``
-  (optionally auto-checked every ``rebalance_interval`` batches),
-  ``split()`` adds a shard and populates it, ``merge()`` drains and
-  retires the last shard.  Each verb is one epoch: a migration is a
-  payload-folded subscribe on the target plus an unsubscribe on the
-  source (add before remove — transient double-residency is benign
-  because answers are unioned, a gap would drop matches).  These verbs
-  run between batch fan-outs, and ``filter_batch`` fully drains its
-  in-flight work before returning, so no document ever straddles a
-  migration: every batch is answered entirely pre-move or entirely
-  post-move, and a worker crash mid-migration reboots from the folded
-  payload exactly like any other update;
-- in parallel mode the update is *folded into the target worker's
-  boot payload first*, then sent as an epoch-stamped control message
-  on the same FIFO task queue as batches.  FIFO ordering makes the
-  update visible to exactly the batches submitted after it; payload
-  folding makes crashes safe without replay — a restarted worker
-  boots the updated workload while the stale queue dies with the old
-  process, so updates are applied exactly once;
-- batch replies carry the worker's ``applied_epoch``, so answers are
-  attributable to a workload version; batches resubmitted after a
-  crash are re-answered at the *current* epoch (that attribution is
-  what the tags are for);
-- ``compact()`` broadcasts to every shard and folds the payloads the
-  expensive way (recompile base from sources) — the paper's
-  brute-force reset, amortised to once per epoch of updates.
+**Data plane** (worker shards).  The parent forwards bytes and blocks on
+file descriptors.  ``filter_stream`` runs one boundary scan over the
+source (:func:`~repro.xmlstream.split.split_documents`: well-formed or
+:class:`~repro.errors.XMLSyntaxError`, before anything is shipped) and
+sends every worker the source's own UTF-8 slice per document;
+``filter_batch`` sends ``document_to_xml`` texts down the same path
+(``_filter_texts``).  The N full parses happen in the workers, in
+parallel; the parent builds no DOM.  In-flight batches are capped at
+``queue_depth`` (backpressure that still pipelines: batch *i+1* is
+enqueued while the workers chew batch *i*).  Replies are awaited with
+``multiprocessing.connection.wait`` on every worker's result pipe and
+process sentinel, so a reply or a crash wakes the parent at once —
+nothing is polled; a dead worker is restarted, every batch it had not
+answered is resubmitted (re-answered at the *current* epoch), and
+duplicates from the pre-crash incarnation are discarded idempotently.
 """
 
 from __future__ import annotations
 
-import queue as queue_module
 import time
 from dataclasses import replace
-from typing import IO, Any, Callable, Iterable, Sequence, Union
+from functools import partial
+from typing import IO, Any, Callable, Iterable, Mapping, Sequence, Union, cast
 
 from repro.engine.config import EngineConfig
 from repro.engine.protocol import MatchHook
-from repro.errors import ReproError, WorkloadError
+from repro.errors import WorkloadError
 from repro.service.latency import LatencyTracker
-from repro.service.partition import partition_filters, shard_of_oid
 from repro.service.placement import (
     CostModel,
     Move,
@@ -109,8 +73,9 @@ from repro.service.placement import (
     route_new,
     shard_loads,
 )
+from repro.service.shard import DocumentText, LocalShard, ServiceError, WorkerShard
+from repro.service.worker import build_payload
 from repro.xmlstream.dom import Document, documents_of_events, parse_forest
-from repro.xmlstream.dtd import DTD
 from repro.xmlstream.events import EndDocument, Event
 from repro.xmlstream.split import split_documents
 from repro.xmlstream.writer import document_to_xml
@@ -118,38 +83,26 @@ from repro.xpath.ast import XPathFilter
 from repro.xpath.parser import parse_workload, parse_xpath
 from repro.xpush.options import XPushOptions
 
-LAYERED_FORMAT = "repro-layered-engine"
+__all__ = ["ServiceError", "ShardedFilterEngine"]
 
 #: ``snapshot()`` format tag of the sharded engine itself.
 SNAPSHOT_FORMAT = "repro-sharded-engine"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
-class ServiceError(ReproError):
-    """Raised when the sharded service cannot complete a batch."""
-
-
-#: One document on the wire: a UTF-8 slice of the publisher's source
-#: (``filter_stream``) or a serialised DOM (``filter_batch``).
-DocumentText = Union[str, bytes]
-
-
-def _mp_context(start_method: str | None):
-    """A usable multiprocessing context, or None (serial fallback)."""
+def _mp_context() -> Any:
+    """A usable multiprocessing context (``fork`` where the platform
+    has it), or None — the serial fallback."""
     try:
         import multiprocessing
 
         methods = multiprocessing.get_all_start_methods()
-        if start_method is None:
-            start_method = "fork" if "fork" in methods else methods[0]
-        elif start_method not in methods:
-            return None
-        return multiprocessing.get_context(start_method)
+        return multiprocessing.get_context("fork" if "fork" in methods else methods[0])
     except (ImportError, ValueError, OSError):
         return None
 
 
-def _picklable(value) -> bool:
+def _picklable(value: Any) -> bool:
     import pickle
 
     try:
@@ -159,13 +112,27 @@ def _picklable(value) -> bool:
         return False
 
 
+def _shippable(config: EngineConfig) -> EngineConfig:
+    """*config* as it can cross the process boundary.
+
+    A DTD that cannot be pickled is dropped; the order optimisation and
+    schema specialization need it, so those switch off in the workers —
+    performance knobs only, answers are unchanged.
+    """
+    if config.dtd is None or _picklable(config.dtd):
+        return config
+    options = replace(config.options, order=False, train=False, schema_mode="off")
+    return replace(config, dtd=None, options=options)
+
+
 def _snapshot_sources(snap: dict | None) -> dict[str, str]:
-    """The live oid → XPath sources a shard snapshot describes (base
-    plus delta minus tombstones for the layered format, the filters
-    mapping otherwise)."""
+    """The version-1 snapshot reader: the live oid → XPath sources one
+    of its per-shard inner-engine snapshots describes (base plus delta
+    minus tombstones for ``repro-layered-engine``, the filters mapping
+    otherwise).  The only code here that knows an inner format."""
     if not isinstance(snap, dict):
         return {}
-    if snap.get("format") == LAYERED_FORMAT:
+    if snap.get("format") == "repro-layered-engine":
         base = snap.get("base") or {"afas": []}
         sources = {str(afa["oid"]): str(afa["source"]) for afa in base["afas"]}
         for oid, xpath in snap.get("delta", {}).items():
@@ -176,55 +143,22 @@ def _snapshot_sources(snap: dict | None) -> dict[str, str]:
     return {str(oid): str(xpath) for oid, xpath in snap.get("filters", {}).items()}
 
 
-class _WorkerHandle:
-    """Parent-side bookkeeping for one shard's worker process."""
-
-    __slots__ = ("shard_id", "process", "tasks", "results", "pending", "info")
-
-    def __init__(self, shard_id: int):
-        self.shard_id = shard_id
-        self.process = None
-        self.tasks = None
-        self.results = None
-        # batch_id -> (texts, emit): everything needed to resubmit the
-        # batch verbatim after a crash, match streaming included.
-        self.pending: dict[int, tuple[Sequence[DocumentText], bool]] = {}
-        self.info: dict = {}
-
-    @property
-    def dead(self) -> bool:
-        return self.process is None or self.process.exitcode is not None
-
-
 class ShardedFilterEngine:
     """Filter document batches against a workload split over N shards.
-
-    Configure either through a consolidated
-    :class:`~repro.engine.config.EngineConfig` (``config=``, the
-    :func:`~repro.engine.factory.create_engine` path) or through the
-    historical keyword arguments; ``config`` wins when both are given.
 
     Args:
         filters: the workload (``XPathFilter`` list, or oid→xpath
             mapping / list of sources as accepted by ``parse_workload``).
-        shards: number of shards (1 = serial, no processes).
-        config: consolidated engine configuration (subsumes every
-            keyword below plus ``inner`` and ``compact_threshold``).
-        options: machine options, shared by every shard.
-        dtd: optional DTD (order optimisation / training).
-        strategy: partitioning strategy (:data:`PARTITION_STRATEGIES`).
-        batch_size: documents per work item fanned out to the shards.
-        queue_depth: max in-flight work items (backpressure bound).
-        parallel: force processes on (True), off (False) or auto (None).
-        warm: warm each shard machine via ``warm_up()`` at boot.
-        training_seed: seed for the warm-up document generator.
-        result_timeout: seconds of *no progress* before a batch is
-            declared stuck and :class:`ServiceError` is raised.
-        start_method: multiprocessing start method override.
-        backend: parser backend the workers use on the push-mode event
-            path (``"python"``, ``"expat"`` or ``"auto"``; see
-            :func:`repro.xmlstream.parser.parse_into`).  Answers are
-            backend-independent — this is a throughput knob only.
+        shards: number of shards (1 = serial, no processes); shorthand
+            for the ``shards=`` field of *config*.
+        config: the consolidated :class:`~repro.engine.config.EngineConfig`
+            (default ``EngineConfig(engine="sharded")``) — every knob and
+            every default lives there.
+        sample_documents: optional document sample seeding the cost
+            model's σ̂ before the boot placement.
+        **overrides: ``EngineConfig`` fields replaced on *config*
+            (``options=``, ``batch_size=``, ``parallel=``, …); anything
+            that is not a field is a ``TypeError``.
     """
 
     name = "sharded"
@@ -232,64 +166,30 @@ class ShardedFilterEngine:
     def __init__(
         self,
         filters: Sequence[XPathFilter] | dict[str, str] | list[str],
-        shards: int = 2,
+        shards: int | None = None,
         *,
         config: EngineConfig | None = None,
-        options: XPushOptions | None = None,
-        dtd: DTD | None = None,
-        strategy: str = "hash",
-        batch_size: int = 16,
-        queue_depth: int = 4,
-        parallel: bool | None = None,
-        warm: bool = True,
-        training_seed: int = 0,
-        result_timeout: float = 60.0,
-        start_method: str | None = None,
-        backend: str = "auto",
-        placement: str = "hash",
         sample_documents: Sequence[Document] | None = None,
+        **overrides: Any,
     ):
-        if config is None:
-            config = EngineConfig(
-                engine="sharded",
-                options=options
-                or XPushOptions(top_down=True, precompute_values=False),
-                dtd=dtd,
-                backend=backend,
-                shards=int(shards),
-                strategy=strategy,
-                placement=placement,
-                batch_size=int(batch_size),
-                queue_depth=int(queue_depth),
-                parallel=parallel,
-                warm=warm,
-                training_seed=training_seed,
-                result_timeout=float(result_timeout),
-                start_method=start_method,
-            )
+        config = config or EngineConfig(engine="sharded")
+        if shards is not None:
+            overrides["shards"] = int(shards)
+        if overrides:
+            config = replace(config, **overrides)
         self.config = config
+        # Workload-level facts a restore / split / merge may change.
         self.shards = config.shards
         self.inner = config.inner
-        self.options = config.options
-        self.dtd = config.dtd
-        self.strategy = config.strategy
         self.placement = config.placement
         self.rebalance_threshold = config.rebalance_threshold
-        self.rebalance_interval = config.rebalance_interval
-        self.batch_size = config.batch_size
-        self.queue_depth = config.queue_depth
-        self.warm = config.warm
-        self.training_seed = config.training_seed
-        self.result_timeout = config.result_timeout
-        self.backend = config.backend
 
         if filters and not isinstance(next(iter(filters)), XPathFilter):
             filters = parse_workload(filters)  # type: ignore[arg-type]
-        self.filters = list(filters)  # type: ignore[arg-type]
+        parsed: list[XPathFilter] = list(filters)  # type: ignore[arg-type]
 
         self.documents = 0
         self.batches = 0
-        self.worker_restarts = 0
         self.rebalances = 0
         self.splits = 0
         self.merges = 0
@@ -318,185 +218,111 @@ class ShardedFilterEngine:
         self._batch_counter = 0
         self._epoch = 0
         self._closed = False
-        self._engines: dict[int, Any] = {}  # serial fallback, shard -> engine
-        self._workers: dict[int, _WorkerHandle] = {}
-        self._payloads: dict[int, dict] = {}
+        #: shard id → shard handle (all local or all workers).
+        self._shards: dict[int, LocalShard | WorkerShard] = {}
+        # Restarts of workers since retired by merge() / restore().
+        self._retired_restarts = 0
         #: The routing table: oid → owning shard for every *live*
-        #: subscription — the single source of truth for placement,
-        #: carried in snapshots and projected into worker payloads.
+        #: subscription.  With ``_sources`` it is the single source of
+        #: truth: snapshots carry it and shards boot from its projection.
         self._routing: dict[str, int] = {}
-        #: oid → XPath source, retained for migrations (a move re-sends
-        #: the filter to its new shard as a subscribe control).
+        #: oid → XPath source of every live subscription.
         self._sources: dict[str, str] = {}
         #: Per-filter cost model (AFA states × σ̂); maintained under
         #: both policies so the load gauges never go dark.
         self._cost = CostModel()
-        #: Cumulative per-shard busy seconds in the serial fallback
-        #: (parallel workers measure their own and report it in info).
-        self._busy: dict[int, float] = {}
         # Batch count at the last auto-rebalance check.
         self._auto_marker = 0
-        for xpath_filter in self.filters:
+        for xpath_filter in parsed:
             self._cost.add(xpath_filter)
             self._sources[xpath_filter.oid] = xpath_filter.source or str(
                 xpath_filter.path
             )
         if sample_documents:
-            self._cost.seed(self.filters, list(sample_documents))
+            self._cost.seed(parsed, list(sample_documents))
 
         self._ctx = None
         parallel = config.parallel
         if parallel is None:
             parallel = self.shards > 1
         if parallel and self.shards > 1:
-            self._ctx = _mp_context(config.start_method)
+            self._ctx = _mp_context()
         self.parallel = self._ctx is not None
 
-        if self.placement == "cost":
-            shard_filters = place_filters(self.filters, self.shards, self._cost)
-        else:
-            shard_filters = partition_filters(self.filters, self.shards, self.strategy)
-        for shard_id, shard in enumerate(shard_filters):
-            for xpath_filter in shard:
+        placed = place_filters(parsed, self.shards, self._cost, self.placement)
+        for shard_id, shard_filters in enumerate(placed):
+            for xpath_filter in shard_filters:
                 self._routing[xpath_filter.oid] = shard_id
-        if self.parallel:
-            self._boot_workers(shard_filters)
-        else:
-            self._boot_serial(shard_filters)
-
-    @classmethod
-    def from_xpath(cls, sources: dict[str, str] | list[str], shards: int = 2, **kwargs):
-        return cls(parse_workload(sources), shards, **kwargs)
+        self._boot_shards()
 
     # ------------------------------------------------------------------
-    # Boot paths
+    # Shards: built from the routing projection, whenever one is needed
     # ------------------------------------------------------------------
 
-    def _inner_config(self, *, dtd: DTD | None, options: XPushOptions) -> EngineConfig:
-        """The per-shard config handed to :func:`create_engine`."""
-        return replace(
-            self.config,
-            engine=self.inner,
-            options=options,
-            dtd=dtd,
-            shards=1,
-            parallel=False,
+    def _projection(self, shard_id: int) -> dict[str, str]:
+        """Shard *shard_id*'s workload (oid → XPath) as the routing
+        table and sources have it right now."""
+        return {
+            oid: self._sources[oid]
+            for oid, shard in self._routing.items()
+            if shard == shard_id
+        }
+
+    def _boot_payload(self, shard_id: int, config: EngineConfig, epoch: int) -> dict:
+        return build_payload(
+            config,
+            self._projection(shard_id),
+            epoch=epoch,
+            warm=self.config.warm,
+            training_seed=self.config.training_seed,
         )
 
-    def _boot_serial(self, shard_filters: list[list[XPathFilter]]) -> None:
-        from repro.engine.factory import create_engine
-
-        inner_config = self._inner_config(dtd=self.dtd, options=self.options)
-        for shard_id in range(self.shards):
-            engine = create_engine(inner_config, shard_filters[shard_id])
-            if self.warm and not self.options.train:
-                warm_up = getattr(engine, "warm_up", None)
-                if warm_up is not None:
-                    warm_up(seed=self.training_seed)
-            self._engines[shard_id] = engine
-
-    def _worker_config(self) -> EngineConfig:
-        """The inner config shipped across the process boundary.
-
-        A DTD that cannot be pickled is dropped; the order optimisation
-        and schema specialization need it, so those switch off in the
-        workers — performance knobs only, answers are unchanged.
-        """
-        dtd = self.dtd
-        options = self.options
-        if dtd is not None and not _picklable(dtd):
-            dtd = None
-            options = replace(options, order=False, train=False, schema_mode="off")
-        return self._inner_config(dtd=dtd, options=options)
-
-    def _boot_workers(self, shard_filters: list[list[XPathFilter]]) -> None:
-        from repro.service.worker import build_payload
-
-        inner_config = self._worker_config()
-        for shard_id in range(self.shards):
-            self._payloads[shard_id] = build_payload(
-                inner_config,
-                self._shard_snapshot(shard_filters[shard_id]),
-                warm=self.warm,
-                training_seed=self.training_seed,
-                oids=[f.oid for f in shard_filters[shard_id]],
-            )
-            handle = _WorkerHandle(shard_id)
-            self._workers[shard_id] = handle
-            self._spawn(handle)
-
-    def _shard_snapshot(self, shard: list[XPathFilter]) -> dict:
-        """One shard's boot snapshot in its inner engine's own format.
-
-        For the layered inner engine the base ships *compiled*
-        (:mod:`repro.xpush.persist` JSON) — AFA compilation happens
-        once, here in the parent.  Other inner kinds ship sources.
-        """
-        if self.inner == "layered":
-            from repro.afa.build import build_workload_automata
-            from repro.xpush.persist import workload_to_json
-
-            return {
-                "format": LAYERED_FORMAT,
-                "version": 1,
-                "base": (
-                    workload_to_json(build_workload_automata(shard)) if shard else None
-                ),
-                "delta": {},
-                "tombstones": [],
-            }
-        from repro.engine.serial import sources_snapshot
-
-        return sources_snapshot(self.inner, {f.oid: f for f in shard})
-
-    def _spawn(self, handle: _WorkerHandle) -> None:
-        from repro.service.worker import worker_main
-
-        for stale in (handle.tasks, handle.results):
-            if stale is not None:  # free the dead incarnation's pipes
-                try:
-                    stale.close()
-                except (OSError, ValueError):
-                    pass
-        # Small slack above queue_depth so a restart can always requeue
-        # every pending batch without blocking on its own bound.
-        handle.tasks = self._ctx.Queue(maxsize=self.queue_depth + 2)
-        # Per-incarnation result pipe: a worker hard-killed mid-write
-        # leaves half a frame behind, which on a shared channel would
-        # corrupt every other writer's stream, so no pipe is ever shared
-        # between workers, and a restart abandons the old incarnation's
-        # pipe (late pre-crash answers die with it).
-        handle.results, sender = self._ctx.Pipe(duplex=False)
-        handle.process = self._ctx.Process(
-            target=worker_main,
-            args=(handle.shard_id, self._payloads[handle.shard_id], handle.tasks, sender),
-            daemon=True,
-            name=f"repro-shard-{handle.shard_id}",
+    def _make_shard(self, shard_id: int) -> LocalShard | WorkerShard:
+        # The per-shard config is fixed for the shard's life: restore()
+        # — the one thing that changes it — rebuilds every shard.
+        config = replace(self.config, engine=self.inner, shards=1, parallel=False)
+        if not self.parallel:
+            boot = partial(self._boot_payload, shard_id, config)
+            return LocalShard(shard_id, boot, epoch=self._epoch)
+        return WorkerShard(
+            shard_id,
+            partial(self._boot_payload, shard_id, _shippable(config)),
+            self._ctx,
+            self.config.queue_depth,
+            self.config.result_timeout,
+            epoch=self._epoch,
         )
-        handle.process.start()
-        # The worker now holds the only write end, so its death reads
-        # as end-of-file here — even in the middle of a frame.
-        sender.close()
 
-    def _restart(self, handle: _WorkerHandle) -> None:
-        # The payload was updated at every subscribe/unsubscribe, so the
-        # respawned worker resumes the *current* workload epoch; control
-        # messages lost with the old task queue are already in it.
-        self.worker_restarts += 1
-        if handle.process is not None:
-            handle.process.join(timeout=1.0)
-        self._spawn(handle)
-        for batch_id, (texts, emit) in sorted(handle.pending.items()):
-            handle.tasks.put(("batch", batch_id, texts, emit))
+    def _boot_shards(self) -> None:
+        self._shards = {
+            shard_id: self._make_shard(shard_id) for shard_id in range(self.shards)
+        }
+
+    @property
+    def _workers(self) -> dict[int, WorkerShard]:
+        """The shards that are worker processes: all of them or none."""
+        return self._shards if self.parallel else {}  # type: ignore[return-value]
+
+    @property
+    def worker_restarts(self) -> int:
+        return self._retired_restarts + sum(
+            shard.restarts for shard in self._shards.values()
+        )
 
     def _check_workers(self) -> None:
-        for handle in self._workers.values():
-            if handle.dead:
-                self._restart(handle)
+        for shard in self._workers.values():
+            if shard.dead:
+                shard.restart()
 
     # ------------------------------------------------------------------
-    # Update control plane
+    # Update control plane — every verb: parent state first, shard after
     # ------------------------------------------------------------------
+
+    @property
+    def options(self) -> XPushOptions:
+        """The machine options every shard runs (a restore may change
+        their schema mode)."""
+        return self.config.options
 
     @property
     def filter_count(self) -> int:
@@ -512,66 +338,46 @@ class ShardedFilterEngine:
         """A copy of the oid → shard routing table."""
         return dict(self._routing)
 
-    def _route_new(self, oid: str) -> int:
-        """Shard for a post-boot subscribe, per the placement policy."""
-        if self.placement != "cost":
-            return shard_of_oid(oid, self.shards)
-        loads = shard_loads(self._routing, self._cost.costs(), self.shards)
-        return route_new(oid, loads, "cost")
+    def _check_open(self) -> None:
+        if self._closed:
+            raise ServiceError("engine is closed")
 
     def subscribe(self, oid: str, xpath: str) -> None:
         """Add a filter while serving.  Validated here, applied on the
         shard the placement policy picks (CRC-32 under ``hash``, the
         lightest shard under ``cost``) without flushing its warmed base
         tables."""
-        if self._closed:
-            raise ServiceError("engine is closed")
+        self._check_open()
         if oid in self._routing:
             raise WorkloadError(f"oid {oid!r} already subscribed")
-        parsed = parse_xpath(xpath, oid)  # eager; workers trust the parent
-        shard_id = self._route_new(oid)
+        parsed = parse_xpath(xpath, oid)  # eager; shards trust the parent
+        loads = self.shard_load() if self.placement == "cost" else ()
+        shard_id = route_new(oid, loads, self.placement, self.shards)
         self._epoch += 1
         self._routing[oid] = shard_id
         self._sources[oid] = xpath
         self._cost.add(parsed)
-        if self.parallel:
-            self._fold_insert(self._payloads[shard_id], oid, xpath)
-            self._send_control(shard_id, ("subscribe", oid, xpath))
-        else:
-            self._engines[shard_id].subscribe(oid, xpath)
+        self._shards[shard_id].subscribe(oid, xpath, self._epoch)
 
     def unsubscribe(self, oid: str) -> None:
         """Drop a filter while serving; a tombstone on its shard until
         the next compaction."""
-        if self._closed:
-            raise ServiceError("engine is closed")
+        self._check_open()
         if oid not in self._routing:
             raise WorkloadError(f"unknown oid {oid!r}")
         shard_id = self._routing.pop(oid)
-        self._sources.pop(oid, None)
+        del self._sources[oid]
         self._cost.drop(oid)
         self._epoch += 1
-        if self.parallel:
-            self._fold_remove(self._payloads[shard_id], oid)
-            self._send_control(shard_id, ("unsubscribe", oid))
-        else:
-            self._engines[shard_id].unsubscribe(oid)
+        self._shards[shard_id].unsubscribe(oid, self._epoch)
 
     def compact(self) -> None:
         """Fold every shard's delta and tombstones into a fresh base —
         the brute-force reset, amortised to once per update epoch."""
-        if self._closed:
-            raise ServiceError("engine is closed")
+        self._check_open()
         self._epoch += 1
-        if self.parallel:
-            for shard_id in range(self.shards):
-                self._fold_compact(self._payloads[shard_id])
-                self._send_control(shard_id, ("compact",))
-        else:
-            for engine in self._engines.values():
-                compact = getattr(engine, "compact", None)
-                if compact is not None:
-                    compact()
+        for shard in self._shards.values():
+            shard.compact(self._epoch)
 
     # Placement verbs — hot-shard management on the same control plane.
     # Each verb runs between batch fan-outs (filter_batch drains its
@@ -588,20 +394,24 @@ class ShardedFilterEngine:
         return imbalance(self.shard_load())
 
     def seed_placement(self, documents: Sequence[Document]) -> None:
-        """Seed the cost model's σ̂ from a document sample (the live
-        match-rate feedback keeps refining it afterwards)."""
-        self._cost.seed(self.filters, list(documents))
+        """Seed the cost model's σ̂ for the *live* workload from a
+        document sample (the live match-rate feedback keeps refining it
+        afterwards)."""
+        live = [parse_xpath(source, oid) for oid, source in self._sources.items()]
+        self._cost.seed(live, list(documents))
+
+    def _plan_rebalance(self) -> list[Move]:
+        return plan_rebalance(
+            self._routing, self._cost.costs(), self.shards, self.rebalance_threshold
+        )
 
     def rebalance(self) -> list[Move]:
         """Migrate filters between shards until the cost-model
         imbalance is within ``rebalance_threshold`` (or no single move
         improves it); returns the executed moves.  One epoch bump for
         the whole plan."""
-        if self._closed:
-            raise ServiceError("engine is closed")
-        moves = plan_rebalance(
-            self._routing, self._cost.costs(), self.shards, self.rebalance_threshold
-        )
+        self._check_open()
+        moves = self._plan_rebalance()
         if moves:
             self._apply_moves(moves)
             self.rebalances += 1
@@ -615,46 +425,23 @@ class ShardedFilterEngine:
         return bool(self.rebalance())
 
     def split(self) -> int:
-        """Add one shard (an empty worker) and rebalance filters onto
-        it; returns the new shard count."""
-        if self._closed:
-            raise ServiceError("engine is closed")
+        """Add one shard (empty) and rebalance filters onto it; returns
+        the new shard count."""
+        self._check_open()
         new_id = self.shards
         self.shards += 1
         self._epoch += 1
-        if self.parallel:
-            from repro.service.worker import build_payload
-
-            payload = build_payload(
-                self._worker_config(),
-                self._shard_snapshot([]),
-                warm=self.warm,
-                training_seed=self.training_seed,
-                oids=[],
-            )
-            payload["epoch"] = self._epoch
-            self._payloads[new_id] = payload
-            handle = _WorkerHandle(new_id)
-            self._workers[new_id] = handle
-            self._spawn(handle)
-        else:
-            from repro.engine.factory import create_engine
-
-            inner_config = self._inner_config(dtd=self.dtd, options=self.options)
-            self._engines[new_id] = create_engine(inner_config, [])
+        self._shards[new_id] = self._make_shard(new_id)
         self.splits += 1
-        moves = plan_rebalance(
-            self._routing, self._cost.costs(), self.shards, self.rebalance_threshold
-        )
+        moves = self._plan_rebalance()
         if moves:
             self._apply_moves(moves)
         return self.shards
 
     def merge(self) -> int:
-        """Drain the last shard onto the others and retire its worker;
-        returns the new shard count."""
-        if self._closed:
-            raise ServiceError("engine is closed")
+        """Drain the last shard onto the others and retire it; returns
+        the new shard count."""
+        self._check_open()
         if self.shards <= 1:
             raise ServiceError("cannot merge a single-shard engine")
         victim = self.shards - 1
@@ -662,24 +449,13 @@ class ShardedFilterEngine:
         self._epoch += 1
         self.migrations += len(moves)
         for move in moves:
-            source = self._sources[move.oid]
             self._routing[move.oid] = move.target
-            if self.parallel:
-                self._fold_insert(self._payloads[move.target], move.oid, source)
-                self._send_control(move.target, ("subscribe", move.oid, source))
-            else:
-                self._engines[move.target].subscribe(move.oid, source)
-        # The victim needs no per-filter unsubscribes — the whole
-        # worker (or in-process engine) is retired with its state.
-        if self.parallel:
-            handle = self._workers.pop(victim)
-            self._stop_handle(handle)
-            self._payloads.pop(victim, None)
-        else:
-            engine = self._engines.pop(victim)
-            close = getattr(engine, "close", None)
-            if close is not None:
-                close()
+            self._shards[move.target].subscribe(
+                move.oid, self._sources[move.oid], self._epoch
+            )
+        # The victim needs no per-filter unsubscribes — the whole shard
+        # is retired with its state.
+        self._retire(self._shards.pop(victim))
         self.shards -= 1
         self.merges += 1
         return self.shards
@@ -695,72 +471,11 @@ class ShardedFilterEngine:
         self._epoch += 1
         self.migrations += len(moves)
         for move in moves:
-            source = self._sources[move.oid]
             self._routing[move.oid] = move.target
-            if self.parallel:
-                self._fold_insert(self._payloads[move.target], move.oid, source)
-                self._send_control(move.target, ("subscribe", move.oid, source))
-                self._fold_remove(self._payloads[move.source], move.oid)
-                self._send_control(move.source, ("unsubscribe", move.oid))
-            else:
-                self._engines[move.target].subscribe(move.oid, source)
-                self._engines[move.source].unsubscribe(move.oid)
-
-    def _send_control(self, shard_id: int, op: tuple) -> None:
-        handle = self._workers[shard_id]
-        # If the worker is dead, _put_task restarts it from the payload
-        # the update was just folded into — the control message itself
-        # is then redundant and deliberately not re-sent.
-        self._put_task(handle, ("control", self._epoch, *op))
-
-    # Payload folding — the crash-recovery half of the control plane.
-    # Each helper mirrors exactly what the live control message does to
-    # the worker's inner engine, expressed on the boot snapshot.
-
-    def _fold_insert(self, payload: dict, oid: str, xpath: str) -> None:
-        snap = payload["snapshot"]
-        if snap.get("format") == LAYERED_FORMAT:
-            snap["tombstones"] = [t for t in snap["tombstones"] if t != oid]
-            snap["delta"][oid] = xpath
-        else:
-            snap["filters"][oid] = xpath
-        oids = payload.setdefault("oids", [])
-        if oid not in oids:
-            oids.append(oid)
-        payload["epoch"] = self._epoch
-
-    def _fold_remove(self, payload: dict, oid: str) -> None:
-        snap = payload["snapshot"]
-        if snap.get("format") == LAYERED_FORMAT:
-            if oid not in snap["tombstones"]:
-                snap["tombstones"].append(oid)
-        else:
-            snap["filters"].pop(oid, None)
-        oids = payload.setdefault("oids", [])
-        if oid in oids:
-            oids.remove(oid)
-        payload["epoch"] = self._epoch
-
-    def _fold_compact(self, payload: dict) -> None:
-        snap = payload["snapshot"]
-        if snap.get("format") == LAYERED_FORMAT:
-            from repro.afa.build import build_workload_automata
-            from repro.xpush.persist import workload_to_json
-
-            sources: dict[str, str] = {
-                afa["oid"]: afa["source"]
-                for afa in (snap["base"] or {"afas": []})["afas"]
-            }
-            sources.update(snap["delta"])
-            for oid in snap["tombstones"]:
-                sources.pop(oid, None)
-            filters = [parse_xpath(source, oid) for oid, source in sources.items()]
-            snap["base"] = (
-                workload_to_json(build_workload_automata(filters)) if filters else None
+            self._shards[move.target].subscribe(
+                move.oid, self._sources[move.oid], self._epoch
             )
-            snap["delta"] = {}
-            snap["tombstones"] = []
-        payload["epoch"] = self._epoch
+            self._shards[move.source].unsubscribe(move.oid, self._epoch)
 
     # ------------------------------------------------------------------
     # Filtering
@@ -781,8 +496,7 @@ class ShardedFilterEngine:
         self, items: Sequence[Any], run: Callable[[Any], list[frozenset[str]]]
     ) -> list[frozenset[str]]:
         """The bookkeeping every filter call shares, around *run*."""
-        if self._closed:
-            raise ServiceError("engine is closed")
+        self._check_open()
         if not items:
             return []
         self.documents += len(items)
@@ -795,10 +509,11 @@ class ShardedFilterEngine:
         # Live selectivity feedback: fold the answered match rates into
         # the cost model, then let hot-shard detection act on them.
         self._cost.observe(results)
+        interval = self.config.rebalance_interval
         if (
             self.placement == "cost"
-            and self.rebalance_interval > 0
-            and self.batches - self._auto_marker >= self.rebalance_interval
+            and interval > 0
+            and self.batches - self._auto_marker >= interval
         ):
             self._auto_marker = self.batches
             self.maybe_rebalance()
@@ -807,8 +522,10 @@ class ShardedFilterEngine:
     def _filter_batch_serial(self, docs: Sequence[Document]) -> list[frozenset[str]]:
         merged: list[set[str]] = [set() for _ in docs]
         hook = self.on_match
-        for offset in range(0, len(docs), self.batch_size):
-            chunk = docs[offset : offset + self.batch_size]
+        batch_size = self.config.batch_size
+        shards = cast("dict[int, LocalShard]", self._shards)
+        for offset in range(0, len(docs), batch_size):
+            chunk = docs[offset : offset + batch_size]
             started = time.perf_counter()
             # Per-shard busy seconds within this fan-out: the maximum
             # is the critical path an ideally parallel run would pay —
@@ -816,9 +533,9 @@ class ShardedFilterEngine:
             chunk_busy: dict[int, float] = {}
             for index, doc in enumerate(chunk):
                 if hook is None:
-                    for shard_id, engine in self._engines.items():
+                    for shard_id, shard in shards.items():
                         shard_started = time.perf_counter()
-                        merged[offset + index] |= engine.filter_document(doc)
+                        merged[offset + index] |= shard.engine.filter_document(doc)
                         chunk_busy[shard_id] = chunk_busy.get(shard_id, 0.0) + (
                             time.perf_counter() - shard_started
                         )
@@ -831,7 +548,7 @@ class ShardedFilterEngine:
             if chunk_busy:
                 self.critical_path.record(max(chunk_busy.values()))
                 for shard_id, busy in chunk_busy.items():
-                    self._busy[shard_id] = self._busy.get(shard_id, 0.0) + busy
+                    shards[shard_id].busy_s += busy
         return [frozenset(s) for s in merged]
 
     def _filter_document_emitting(
@@ -856,7 +573,8 @@ class ShardedFilterEngine:
                 self.first_match.record(time.perf_counter() - started)
             hook(oid, doc_index, event_index)
 
-        for shard_id, engine in self._engines.items():
+        for shard_id, shard in cast("dict[int, LocalShard]", self._shards).items():
+            engine = shard.engine
             engine.on_match = _relay
             shard_started = time.perf_counter()
             try:
@@ -872,11 +590,12 @@ class ShardedFilterEngine:
         merged: list[set[str]] = [set() for _ in texts]
         outstanding: dict[int, dict] = {}
         emit = self.on_match is not None
+        batch_size, queue_depth = self.config.batch_size, self.config.queue_depth
         try:
-            for offset in range(0, len(texts), self.batch_size):
-                while len(outstanding) >= self.queue_depth:
+            for offset in range(0, len(texts), batch_size):
+                while len(outstanding) >= queue_depth:
                     self._collect_once(outstanding, merged)
-                chunk = texts[offset : offset + self.batch_size]
+                chunk = texts[offset : offset + batch_size]
                 self._batch_counter += 1
                 batch_id = self._batch_counter
                 outstanding[batch_id] = {
@@ -891,9 +610,8 @@ class ShardedFilterEngine:
                     "emitted": set(),
                     "firsts": set(),
                 }
-                for handle in self._workers.values():
-                    handle.pending[batch_id] = (chunk, emit)
-                    self._put_task(handle, ("batch", batch_id, chunk, emit))
+                for shard in self._workers.values():
+                    shard.submit(batch_id, chunk, emit)
             while outstanding:
                 self._collect_once(outstanding, merged)
         finally:
@@ -901,27 +619,9 @@ class ShardedFilterEngine:
             # moved for result_timeout) abandons its batches: a later
             # restart must not resubmit them.  Empty on success.
             for batch_id in outstanding:
-                for handle in self._workers.values():
-                    handle.pending.pop(batch_id, None)
+                for shard in self._workers.values():
+                    shard.pending.pop(batch_id, None)
         return [frozenset(s) for s in merged]
-
-    def _put_task(self, handle: _WorkerHandle, task: tuple) -> None:
-        deadline = time.monotonic() + self.result_timeout
-        while True:
-            if handle.dead:
-                # _restart resubmits everything in handle.pending —
-                # including the batch this task carries — so done.
-                self._restart(handle)
-                return
-            try:
-                handle.tasks.put(task, timeout=0.1)
-                return
-            except queue_module.Full:
-                if time.monotonic() > deadline:
-                    raise ServiceError(
-                        f"shard {handle.shard_id}: task queue stuck for "
-                        f"{self.result_timeout:.0f}s"
-                    ) from None
 
     def _collect_once(self, outstanding: dict[int, dict], merged: list[set[str]]) -> None:
         """Sleep until a worker replies or dies; fold one message in."""
@@ -938,10 +638,11 @@ class ShardedFilterEngine:
         """
         from multiprocessing.connection import wait
 
-        deadline = time.monotonic() + self.result_timeout
+        result_timeout = self.config.result_timeout
+        deadline = time.monotonic() + result_timeout
         while True:
-            readers = {handle.results: handle for handle in self._workers.values()}
-            sentinels = [handle.process.sentinel for handle in self._workers.values()]
+            readers = {shard.results: shard for shard in self._workers.values()}
+            sentinels = [shard.process.sentinel for shard in self._workers.values()]
             remaining = deadline - time.monotonic()
             # Past the deadline nothing is read any more, so workers
             # that keep dying cannot keep the call alive either.
@@ -951,21 +652,21 @@ class ShardedFilterEngine:
                     bid: sorted(info["waiting"]) for bid, info in outstanding.items()
                 }
                 raise ServiceError(
-                    f"no shard progress for {self.result_timeout:.0f}s; "
+                    f"no shard progress for {result_timeout:.0f}s; "
                     f"waiting on {waiting}"
                 )
             # A reply that beat its worker's death to the pipe is still
             # an answer: readable pipes first, sentinels after.
             for reader in ready:
-                handle = readers.get(reader)
-                if handle is None:
+                shard = readers.get(reader)
+                if shard is None:
                     continue
                 try:
                     return reader.recv()
                 except (EOFError, OSError):
                     # End-of-file, possibly inside a frame: the worker
                     # died.  Whatever it had not answered is resubmitted.
-                    self._restart(handle)
+                    shard.restart()
             self._check_workers()
 
     def _fold(self, message: tuple, outstanding: dict[int, dict], merged: list[set[str]]) -> None:
@@ -974,7 +675,7 @@ class ShardedFilterEngine:
         if kind == "ready":
             _, shard_id, info = message
             if shard_id in self._workers:
-                self._workers[shard_id].info = info
+                self._workers[shard_id].last_info = info
             return
         if kind == "match":
             # Event-time delivery: a worker decided one match mid-batch.
@@ -1008,11 +709,11 @@ class ShardedFilterEngine:
                 return  # the other shards' word on a batch already given up on
             raise ServiceError(f"shard {shard_id} failed on batch {batch_id}: {text}")
         _, shard_id, batch_id, answers, info = message
-        handle = self._workers.get(shard_id)
+        shard = self._workers.get(shard_id)
         info_entry = outstanding.get(batch_id)
-        if handle is not None:
-            handle.info = info
-            handle.pending.pop(batch_id, None)
+        if shard is not None:
+            shard.last_info = info
+            shard.pending.pop(batch_id, None)
         if info_entry is None or shard_id not in info_entry["waiting"]:
             return  # duplicate from a pre-crash incarnation
         if len(answers) != info_entry["size"]:
@@ -1053,7 +754,7 @@ class ShardedFilterEngine:
                 if isinstance(event, EndDocument):
                     docs.extend(documents_of_events(buffer))
                     buffer = []
-                    if len(docs) >= self.batch_size:
+                    if len(docs) >= self.config.batch_size:
                         self._doc_base = len(answers)
                         answers.extend(self.filter_batch(docs))
                         docs = []
@@ -1076,30 +777,21 @@ class ShardedFilterEngine:
         well-formed raises :class:`~repro.errors.XMLSyntaxError` here,
         before anything is shipped."""
         if self.parallel:
-            return self._filter_texts(split_documents(source, self.backend))
+            return self._filter_texts(split_documents(source, self.config.backend))
         if not isinstance(source, (str, bytes)):
             source = source.read()
         if isinstance(source, bytes):
             source = source.decode("utf-8")
-        return self.filter_batch(parse_forest(source, backend=self.backend))
+        return self.filter_batch(parse_forest(source, backend=self.config.backend))
 
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
 
     def snapshot(self) -> dict[str, Any]:
-        """Capture the sharded workload: one inner-engine snapshot per
-        shard plus the routing map and epoch.  In parallel mode this is
-        the parent's folded view — authoritative for workload
-        composition even while workers are mid-update."""
-        if self.parallel:
-            shard_snapshots = [
-                self._payloads[shard_id]["snapshot"] for shard_id in range(self.shards)
-            ]
-        else:
-            shard_snapshots = [
-                self._engines[shard_id].snapshot() for shard_id in range(self.shards)
-            ]
+        """Capture the sharded workload — routing table, sources, epoch
+        — the same flat thing in both modes, and authoritative even
+        while workers are mid-update (it never asks them)."""
         from repro.engine.serial import record_schema_identity
 
         out: dict[str, Any] = {
@@ -1107,89 +799,69 @@ class ShardedFilterEngine:
             "version": SNAPSHOT_VERSION,
             "shards": self.shards,
             "inner": self.inner,
-            "strategy": self.strategy,
             "placement": self.placement,
             "epoch": self._epoch,
             "routing": dict(self._routing),
-            "shard_snapshots": shard_snapshots,
+            "filters": dict(self._sources),
         }
         record_schema_identity(out, self.config)
         return out
 
-    def restore(self, snapshot: dict[str, Any]) -> None:
-        """Replace the workload with a :meth:`snapshot` capture; the
-        shard processes are rebooted from the captured shard states."""
-        from repro.engine.factory import create_engine
-        from repro.service.worker import build_payload
+    @staticmethod
+    def _snapshot_filters(snapshot: Mapping[str, Any]) -> dict[str, str]:
+        """The oid → XPath sources of a version-2 or version-1 capture."""
         from repro.xpush.persist import PersistError
 
-        if snapshot.get("format") != SNAPSHOT_FORMAT:
-            raise PersistError("not a persisted sharded engine snapshot")
-        if snapshot.get("version") != SNAPSHOT_VERSION:
-            raise PersistError(
-                f"unsupported sharded snapshot version {snapshot.get('version')!r}"
-            )
+        version = snapshot.get("version")
+        if version == SNAPSHOT_VERSION:
+            filters = snapshot.get("filters")
+            if not isinstance(filters, Mapping):
+                raise PersistError("malformed sharded snapshot: filters")
+            return {str(oid): str(xpath) for oid, xpath in filters.items()}
+        if version != 1:
+            raise PersistError(f"unsupported sharded snapshot version {version!r}")
+        # Version 1 carried one inner-engine snapshot per shard.
         shard_snapshots = snapshot.get("shard_snapshots")
         if not isinstance(shard_snapshots, list) or len(shard_snapshots) != int(
             snapshot.get("shards", -1)
         ):
             raise PersistError("malformed sharded snapshot: shard_snapshots")
-        from repro.engine.serial import apply_schema_identity
+        sources: dict[str, str] = {}
+        for shard_snapshot in shard_snapshots:
+            sources.update(_snapshot_sources(shard_snapshot))
+        return sources
 
-        config = apply_schema_identity(snapshot, self.config)
-        if config is not self.config:
-            self.config = config
-            self.options = config.options
-        self._shutdown_workers()
-        self.shards = int(snapshot["shards"])
+    def restore(self, snapshot: dict[str, Any]) -> None:
+        """Replace the workload with a :meth:`snapshot` capture; every
+        shard is rebuilt from the captured routing table and sources."""
+        from repro.engine.serial import apply_schema_identity
+        from repro.xpush.persist import PersistError
+
+        if snapshot.get("format") != SNAPSHOT_FORMAT:
+            raise PersistError("not a persisted sharded engine snapshot")
+        sources = self._snapshot_filters(snapshot)
+        routing = {
+            str(oid): int(shard) for oid, shard in snapshot.get("routing", {}).items()
+        }
+        shards = int(snapshot.get("shards", 0))
+        if shards < 1 or not all(0 <= shard < shards for shard in routing.values()):
+            raise PersistError("malformed sharded snapshot: shards / routing")
+        if not routing.keys() <= sources.keys():
+            raise PersistError("malformed sharded snapshot: routed oid without a filter")
+        self.config = apply_schema_identity(snapshot, self.config)
+        self._stop_shards()
+        self.shards = shards
         self.inner = str(snapshot.get("inner", self.inner))
         self.placement = str(snapshot.get("placement", self.placement))
         self._epoch = int(snapshot.get("epoch", 0))
-        self._routing = {
-            str(oid): int(shard) for oid, shard in snapshot.get("routing", {}).items()
-        }
-        # Rebuild the migration sources and the cost model from the
-        # captured shard workloads (σ̂ restarts from zero — live match
-        # rates are runtime state, re-earned from traffic).
-        self._sources = {}
+        self._routing = routing
+        self._sources = {oid: sources[oid] for oid in routing}
+        # σ̂ restarts from zero — live match rates are runtime state,
+        # re-earned from traffic.
         self._cost = CostModel()
-        self._busy = {}
-        for shard_snap in shard_snapshots:
-            for oid, source in _snapshot_sources(shard_snap).items():
-                self._sources[oid] = source
-                if oid in self._routing:
-                    self._cost.add_source(oid, source)
-        self._payloads = {}
-        if self.parallel:
-            inner_config = self._worker_config()
-            for shard_id in range(self.shards):
-                payload = build_payload(
-                    inner_config,
-                    shard_snapshots[shard_id],
-                    warm=self.warm,
-                    training_seed=self.training_seed,
-                    oids=[
-                        oid
-                        for oid, shard in self._routing.items()
-                        if shard == shard_id
-                    ],
-                )
-                payload["epoch"] = self._epoch
-                self._payloads[shard_id] = payload
-                handle = _WorkerHandle(shard_id)
-                self._workers[shard_id] = handle
-                self._spawn(handle)
-        else:
-            inner_config = self._inner_config(dtd=self.dtd, options=self.options)
-            for shard_id in range(self.shards):
-                engine = create_engine(
-                    inner_config, snapshot=shard_snapshots[shard_id]
-                )
-                if self.warm and not self.options.train:
-                    warm_up = getattr(engine, "warm_up", None)
-                    if warm_up is not None:
-                        warm_up(seed=self.training_seed)
-                self._engines[shard_id] = engine
+        for oid, source in self._sources.items():
+            self._cost.add_source(oid, source)
+        self._boot_shards()
 
     # ------------------------------------------------------------------
     # Test hooks, stats, lifecycle
@@ -1197,10 +869,9 @@ class ShardedFilterEngine:
 
     def inject_crash(self, shard_id: int, exit_code: int = 17) -> None:
         """Make *shard_id*'s worker die on its next task (tests only)."""
-        if not self.parallel:
+        if not self._workers:
             raise ServiceError("inject_crash requires parallel mode")
-        handle = self._workers[shard_id]
-        handle.tasks.put(("crash", exit_code))
+        self._workers[shard_id].inject_crash(exit_code)
 
     _INFO_KEYS = (
         ("afa_states", 0),
@@ -1221,54 +892,46 @@ class ShardedFilterEngine:
         ("schema_pruned_edges", 0),
         ("schema_fallbacks", 0),
         ("busy_s", 0.0),
+        ("applied_epoch", 0),
     )
-
-    def _shard_filter_count(self, shard_id: int) -> int:
-        return sum(1 for shard in self._routing.values() if shard == shard_id)
 
     def stats(self) -> dict:
         loads = self.shard_load()
+        counts = [0] * self.shards
+        for shard_id in self._routing.values():
+            counts[shard_id] += 1
         per_shard = []
         for shard_id in range(self.shards):
             entry: dict = {
                 "shard": shard_id,
-                "filters": self._shard_filter_count(shard_id),
+                "filters": counts[shard_id],
                 "load": loads[shard_id],
             }
-            engine = self._engines.get(shard_id)
-            if engine is not None:
-                info = engine.stats()
-                info["applied_epoch"] = self._epoch
-                info["busy_s"] = self._busy.get(shard_id, 0.0)
-            elif shard_id in self._workers:
-                info = self._workers[shard_id].info
-            else:
-                info = {}
+            info = self._shards[shard_id].info()
             for key, default in self._INFO_KEYS:
                 entry[key] = info.get(key, default)
-            entry["applied_epoch"] = info.get("applied_epoch", 0)
             per_shard.append(entry)
         depths = []
-        for handle in self._workers.values():
+        for shard in self._workers.values():
             try:
-                depths.append(handle.tasks.qsize())
+                depths.append(shard.tasks.qsize())
             except (NotImplementedError, OSError):
                 depths.append(-1)
+        options = self.options
         return {
             "engine": self.name,
             "filters": self.filter_count,
             "epoch": self._epoch,
             "inner": self.inner,
             "shards": self.shards,
-            "strategy": self.strategy,
             "placement": self.placement,
-            "backend": self.backend,
-            "runtime": self.options.runtime,
-            "schema_mode": self.options.schema_mode,
+            "backend": self.config.backend,
+            "runtime": options.runtime,
+            "schema_mode": options.schema_mode,
             "parallel": self.parallel,
             "serial_fallback": not self.parallel,
-            "batch_size": self.batch_size,
-            "queue_depth": self.queue_depth,
+            "batch_size": self.config.batch_size,
+            "queue_depth": self.config.queue_depth,
             "documents": self.documents,
             "batches": self.batches,
             "worker_restarts": self.worker_restarts,
@@ -1278,7 +941,7 @@ class ShardedFilterEngine:
             "queue_depths": depths,
             "per_shard": per_shard,
             "shard_load": loads,
-            "imbalance": self.imbalance(),
+            "imbalance": imbalance(loads),
             "rebalances": self.rebalances,
             "splits": self.splits,
             "merges": self.merges,
@@ -1288,34 +951,20 @@ class ShardedFilterEngine:
             "critical_path_latency": self.critical_path.snapshot(),
         }
 
-    def _stop_handle(self, handle: "_WorkerHandle") -> None:
-        if handle.process is None:
-            return
-        try:
-            handle.tasks.put_nowait(("stop",))
-        except queue_module.Full:
-            pass
-        handle.process.join(timeout=2.0)
-        if handle.process.is_alive():
-            handle.process.terminate()
-            handle.process.join(timeout=1.0)
+    def _retire(self, shard: LocalShard | WorkerShard) -> None:
+        self._retired_restarts += shard.restarts
+        shard.stop()
 
-    def _shutdown_workers(self) -> None:
-        for handle in self._workers.values():
-            self._stop_handle(handle)
-        self._workers.clear()
-        for engine in self._engines.values():
-            close = getattr(engine, "close", None)
-            if close is not None:
-                close()
-        self._engines.clear()
+    def _stop_shards(self) -> None:
+        while self._shards:
+            self._retire(self._shards.popitem()[1])
 
     def close(self) -> None:
-        """Stop all workers; the engine cannot filter afterwards."""
+        """Stop all shards; the engine cannot filter afterwards."""
         if self._closed:
             return
         self._closed = True
-        self._shutdown_workers()
+        self._stop_shards()
 
     def __enter__(self) -> "ShardedFilterEngine":
         return self

@@ -19,9 +19,10 @@ many lazy states and SAX-event firings it induces).
 - **live** — the observed per-oid match rate of the serving engine,
   fed back batch by batch (:meth:`CostModel.observe`).
 
-On top of the model sit pure planning functions: LPT boot placement
-(:func:`place_filters`), lightest-shard routing for post-boot
-subscribes (:func:`route_new`), per-shard load / imbalance gauges
+On top of the model sit pure planning functions: the boot partition
+(:func:`place_filters` — the only one: CRC-32 under ``hash``, LPT over
+model costs under ``cost``), routing for post-boot subscribes
+(:func:`route_new`, the same two policies), per-shard load / imbalance gauges
 (:func:`shard_loads` / :func:`imbalance`), and greedy migration
 planners (:func:`plan_rebalance`, :func:`plan_drain`) whose
 :class:`Move` lists the engine executes as epoch-stamped control-plane
@@ -31,17 +32,13 @@ placement is reproducible across runs and processes.
 
 from __future__ import annotations
 
+import zlib
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from repro.errors import WorkloadError
-from repro.service.partition import (
-    PLACEMENT_POLICIES,
-    afa_state_count,
-    shard_of_oid,
-)
 from repro.xmlstream.dom import Document
 from repro.xpath.ast import XPathFilter, iter_predicates
 from repro.xpath.parser import parse_xpath
@@ -52,6 +49,7 @@ __all__ = [
     "CostModel",
     "FilterCost",
     "Move",
+    "afa_state_count",
     "filter_selectivities",
     "imbalance",
     "place_filters",
@@ -59,12 +57,45 @@ __all__ = [
     "plan_rebalance",
     "route_new",
     "shard_loads",
+    "shard_of_oid",
 ]
+
+#: Placement policies: ``hash`` routes every oid by CRC-32, ``cost``
+#: places by model cost (LPT at boot, lightest shard afterwards).
+PLACEMENT_POLICIES = ("hash", "cost")
 
 #: κ — how strongly σ̂ scales a filter's cost above its static state
 #: count.  At the default, a filter matching every document costs 5×
 #: its automaton size; a never-matching one costs exactly its size.
 SELECTIVITY_WEIGHT = 4.0
+
+
+def shard_of_oid(oid: str, shards: int) -> int:
+    """Stable shard index for *oid* under the ``hash`` policy (CRC-32:
+    identical across processes and restarts, unlike the salted builtin
+    ``hash``, and independent of subscription order)."""
+    return zlib.crc32(oid.encode("utf-8")) % shards
+
+
+#: Structure → state count, keyed by the normalised path form.  The
+#: count depends only on the filter's structure, never its oid, so
+#: deduplicated workloads compile each distinct filter exactly once.
+_STATE_COUNT_CACHE: dict[str, int] = {}
+
+
+def afa_state_count(xpath_filter: XPathFilter) -> int:
+    """Number of AFA states *xpath_filter* compiles to (its static
+    weight).  Memoized on the normalised path: every boot and every
+    cost-model refresh pays for one single-filter compile per
+    *distinct* filter, not per call."""
+    key = str(xpath_filter.path)
+    cached = _STATE_COUNT_CACHE.get(key)
+    if cached is None:
+        from repro.afa.build import build_workload_automata
+
+        cached = build_workload_automata([xpath_filter]).state_count
+        _STATE_COUNT_CACHE[key] = cached
+    return cached
 
 
 @dataclass(frozen=True)
@@ -111,8 +142,7 @@ def filter_selectivities(
 class CostModel:
     """Per-filter placement cost, maintained incrementally.
 
-    State counts come from the memoized
-    :func:`~repro.service.partition.afa_state_count`; σ̂ is a
+    State counts come from the memoized :func:`afa_state_count`; σ̂ is a
     pseudo-count blend — :meth:`seed` contributes ``σ·n`` synthetic
     matches over an ``n``-document sample, :meth:`observe` contributes
     real per-oid match counts from served traffic, and
@@ -220,18 +250,35 @@ def imbalance(loads: Sequence[float]) -> float:
     return max(loads) / (total / len(loads))
 
 
+def _check_policy(policy: str) -> None:
+    if policy not in PLACEMENT_POLICIES:
+        raise WorkloadError(
+            f"unknown placement policy {policy!r}; "
+            f"known: {', '.join(PLACEMENT_POLICIES)}"
+        )
+
+
 def place_filters(
-    filters: Sequence[XPathFilter], shards: int, model: CostModel
+    filters: Sequence[XPathFilter],
+    shards: int,
+    model: CostModel,
+    policy: str = "cost",
 ) -> list[list[XPathFilter]]:
-    """Boot partition under the ``cost`` policy: greedy LPT over model
-    costs.  Same shape contract as
-    :func:`~repro.service.partition.partition_filters` — exactly
-    *shards* lists, order preserved within each."""
+    """The boot partition: CRC-32 of the oid under ``hash``, greedy LPT
+    over model costs under ``cost`` (with an unseeded model that is LPT
+    over AFA state counts).  Always exactly *shards* lists (some
+    possibly empty), every filter in exactly one of them, original
+    relative order preserved within each."""
+    _check_policy(policy)
     if shards < 1:
         raise WorkloadError(f"shard count must be >= 1, got {shards}")
     out: list[list[XPathFilter]] = [[] for _ in range(shards)]
     if shards == 1:
         out[0].extend(filters)
+        return out
+    if policy == "hash":
+        for xpath_filter in filters:
+            out[shard_of_oid(xpath_filter.oid, shards)].append(xpath_filter)
         return out
     weighted = sorted(
         ((model.cost(f.oid), index, f) for index, f in enumerate(filters)),
@@ -253,11 +300,7 @@ def route_new(
 ) -> int:
     """Shard for a post-boot subscribe: CRC-32 under ``hash``, the
     lightest shard (lowest index on ties) under ``cost``."""
-    if policy not in PLACEMENT_POLICIES:
-        raise WorkloadError(
-            f"unknown placement policy {policy!r}; "
-            f"known: {', '.join(PLACEMENT_POLICIES)}"
-        )
+    _check_policy(policy)
     if policy == "hash":
         return shard_of_oid(oid, shards if shards is not None else len(loads))
     if not loads:

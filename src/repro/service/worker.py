@@ -2,15 +2,13 @@
 
 Each worker owns one shard: it boots an inner
 :class:`~repro.engine.protocol.FilterEngine` through
-:func:`~repro.engine.factory.create_engine` from a picklable payload —
-an :class:`~repro.engine.config.EngineConfig` naming the inner engine
-kind plus that engine's own ``snapshot()`` capture.  For the default
-layered inner engine the snapshot carries the shard's *compiled* base
-workload (:mod:`repro.xpush.persist` JSON), so AFA compilation happened
-exactly once, in the parent; the worker warms its machine with
-``warm_up()`` — the lazy transition tables are per-process and training
-rebuilds them deterministically, which the persist-determinism test
-pins down.
+:func:`~repro.engine.factory.create_engine` from a picklable payload
+(:func:`build_payload`): the inner engine's
+:class:`~repro.engine.config.EngineConfig` plus the shard's filters as
+``oid → XPath`` sources — the parent's routing projection at the moment
+of the (re)spawn.  The worker parses and compiles its own filters, then
+warms its machine with ``warm_up()``; nothing about an engine's
+internal state ever lives outside it.
 
 Protocol (plain picklable tuples):
 
@@ -31,10 +29,10 @@ parent → worker, on the shard's task queue:
   ``("control", e, "unsubscribe", oid)`` or
   ``("control", e, "compact")``.  Applied in FIFO order with batches,
   so a batch submitted after an update is always answered under it.
-  No ack is sent — the parent folded the same update into this
-  worker's boot payload before enqueuing it, so a crash between
-  enqueue and apply loses nothing (the restarted worker boots the
-  updated workload and the stale queue dies with the old process);
+  No ack is sent and none is needed: the parent updated its routing
+  table and sources *before* enqueuing the message, and a respawned
+  worker boots from exactly those, so a crash between enqueue and
+  apply loses nothing (the stale queue dies with the old process);
 - ``("crash", exit_code)`` — die immediately (test hook for the
   crash-recovery path);
 - ``("stop",)`` — drain and exit cleanly.
@@ -55,58 +53,57 @@ dying — even halfway through a frame — reads as end-of-file there):
   failed (bad document, internal error); the parent raises it.
 
 ``info`` is the inner engine's ``stats()`` plus ``applied_epoch`` — the
-epoch of the last control message this worker applied.  Every batch
-reply is thereby *epoch-tagged*: the parent can attribute each answer
-to a workload version, which matters after a crash, when pending
-batches are resubmitted and re-answered at the *current* epoch rather
-than the one they were first submitted under.
+epoch this worker booted at or of the last control message it applied.
+Every batch reply is thereby *epoch-tagged*: the parent can attribute
+each answer to a workload version, which matters after a crash, when
+pending batches are resubmitted and re-answered at the *current* epoch
+rather than the one they were first submitted under.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from typing import Any, Sequence
+from typing import Any, Mapping
 
 
 def build_payload(
-    config,
-    snapshot: dict | None,
+    config: Any,
+    filters: Mapping[str, str],
+    epoch: int = 0,
     warm: bool = True,
     training_seed: int = 0,
-    oids: Sequence[str] | None = None,
 ) -> dict:
-    """The picklable description of one shard a worker boots from.
+    """The picklable description of one shard an engine boots from.
 
-    *config* is the inner engine's :class:`EngineConfig`; *snapshot* is
-    that engine's ``snapshot()`` capture (or ``None`` for an engine
-    that starts empty and grows through control messages); *oids* is
-    the placement layer's routing projection — the oids this shard
-    answers for, kept in lockstep with the snapshot by the parent's
-    fold helpers so a restarted worker and the routing table agree.
+    *config* is the inner engine's :class:`EngineConfig`; *filters* is
+    the shard's live workload as ``oid → XPath`` sources; *epoch* is
+    the workload version those filters represent.
     """
     return {
         "config": config,
-        "snapshot": snapshot,
+        "filters": dict(filters),
+        "epoch": epoch,
         "warm": warm,
         "training_seed": training_seed,
-        "oids": list(oids or []),
     }
 
 
-def _build_engine(payload: dict):
+def build_engine(payload: dict) -> Any:
+    """The inner engine *payload* describes, warmed when asked to —
+    the one boot path of in-process and worker shards alike."""
     from repro.engine.factory import create_engine
 
     config = payload["config"]
-    engine = create_engine(config, snapshot=payload.get("snapshot"))
-    if payload.get("warm", True) and not config.options.train:
+    engine = create_engine(config, payload["filters"])
+    if payload["warm"] and not config.options.train:
         warm_up = getattr(engine, "warm_up", None)
         if warm_up is not None:
-            warm_up(seed=payload.get("training_seed", 0))
+            warm_up(seed=payload["training_seed"])
     return engine
 
 
-def _engine_info(engine, applied_epoch: int, busy_s: float = 0.0) -> dict[str, Any]:
+def engine_info(engine: Any, applied_epoch: int, busy_s: float = 0.0) -> dict[str, Any]:
     info = dict(engine.stats())
     info["applied_epoch"] = applied_epoch
     info["busy_s"] = busy_s
@@ -116,13 +113,13 @@ def _engine_info(engine, applied_epoch: int, busy_s: float = 0.0) -> dict[str, A
 def worker_main(shard_id: int, payload: dict, tasks, results) -> None:
     """Run one shard worker until a ``stop`` task (or a crash hook)."""
     try:
-        engine = _build_engine(payload)
+        engine = build_engine(payload)
     except Exception as error:  # noqa: BLE001 - forwarded to the parent
         results.send(("error", shard_id, None, f"worker init failed: {error!r}"))
         return
-    applied_epoch = payload.get("epoch", 0)
+    applied_epoch = payload["epoch"]
     busy_s = 0.0
-    results.send(("ready", shard_id, _engine_info(engine, applied_epoch)))
+    results.send(("ready", shard_id, engine_info(engine, applied_epoch)))
     while True:
         task = tasks.get()
         kind = task[0]
@@ -189,6 +186,6 @@ def worker_main(shard_id: int, payload: dict, tasks, results) -> None:
                 shard_id,
                 batch_id,
                 answers,
-                _engine_info(engine, applied_epoch, busy_s),
+                engine_info(engine, applied_epoch, busy_s),
             )
         )

@@ -12,7 +12,7 @@ import pytest
 
 from repro.engine.config import EngineConfig
 from repro.errors import WorkloadError
-from repro.service.partition import PARTITION_STRATEGIES, PLACEMENT_POLICIES
+from repro.service.placement import PLACEMENT_POLICIES
 
 
 def test_default_config_is_valid():
@@ -44,27 +44,7 @@ def test_negative_rebalance_interval_rejected():
         EngineConfig(rebalance_interval=-1)
 
 
-@pytest.mark.parametrize("strategy", sorted(PARTITION_STRATEGIES))
-def test_known_strategies_accepted(strategy):
-    EngineConfig(strategy=strategy)
-
-
-def test_unknown_strategy_rejected():
-    with pytest.raises(WorkloadError, match="unknown partition strategy"):
-        EngineConfig(strategy="round_trip")
-
-
 @pytest.mark.parametrize("timeout", [0, 0.0, -1, -0.5])
 def test_non_positive_result_timeout_rejected(timeout):
     with pytest.raises(WorkloadError, match="result_timeout"):
         EngineConfig(result_timeout=timeout)
-
-
-@pytest.mark.parametrize("bound", [0, -1])
-def test_eager_max_states_floor(bound):
-    with pytest.raises(WorkloadError, match="eager_max_states"):
-        EngineConfig(eager_max_states=bound)
-
-
-def test_eager_max_states_of_one_accepted():
-    EngineConfig(eager_max_states=1)

@@ -1,9 +1,10 @@
-"""Determinism of the snapshot-shipping path.
+"""Determinism of the shard boot path and of workload persistence.
 
-Workers boot from a :mod:`repro.xpush.persist` snapshot rather than the
-parent's in-memory automata.  For that to be sound the round-trip must
-be *behaviourally* identical, not merely answer-identical: a machine
-built from the loaded workload, warmed with the same seed and replayed
+Shards boot from XPath *sources* (the routing projection) rather than
+the parent's in-memory automata, and compiled workloads round-trip
+through :mod:`repro.xpush.persist`.  For either to be sound the result
+must be *behaviourally* identical, not merely answer-identical: a
+machine built the other way, warmed with the same seed and replayed
 over the same stream, must make the same lazy-table decisions — same
 hit ratio, same state counts, same everything the stats record.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 from repro.afa.build import build_workload_automata
 from repro.engine import EngineConfig
-from repro.service.worker import _build_engine, build_payload
+from repro.service.worker import build_engine, build_payload
 from repro.xpush.machine import XPushMachine
 from repro.xpush.options import XPushOptions
 from repro.xpush.persist import workload_from_json, workload_to_json
@@ -47,8 +48,8 @@ def test_snapshot_round_trip_replays_identically(protein):
 
 
 def test_worker_boot_path_matches_parent_machine(protein):
-    """The exact code path a shard worker runs (payload → engine): the
-    engine booted from the shipped snapshot must replay *behaviourally*
+    """The exact code path a shard runs (payload → engine): the engine
+    booted from the shipped sources must replay *behaviourally*
     identically to a machine built from the parent's in-memory
     automata — same answers, same lazy-table decisions."""
     filters = make_workload(protein, 14, seed=5)
@@ -58,15 +59,10 @@ def test_worker_boot_path_matches_parent_machine(protein):
     parent = XPushMachine(workload, TD, dtd=protein.dtd)
     parent.warm_up(seed=0)
     config = EngineConfig(engine="layered", options=TD, dtd=protein.dtd)
-    snapshot = {
-        "format": "repro-layered-engine",
-        "version": 1,
-        "base": workload_to_json(workload),
-        "delta": {},
-        "tombstones": [],
-    }
-    worker_engine = _build_engine(
-        build_payload(config, snapshot, warm=True, training_seed=0)
+    worker_engine = build_engine(
+        build_payload(
+            config, {f.oid: f.source for f in filters}, warm=True, training_seed=0
+        )
     )
 
     parent_results, parent_stats = _replay(parent, stream)

@@ -2,8 +2,8 @@
 
 Pure-function coverage: the cost model's σ̂ blending, the LPT boot
 placement, lightest-shard routing, load/imbalance gauges and the
-rebalance/drain planners — plus the memoization satellite on
-``partition.afa_state_count``.
+rebalance/drain planners — plus the memoization of
+``afa_state_count``.
 """
 
 from __future__ import annotations
@@ -13,14 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import WorkloadError
-from repro.service.partition import (
-    _STATE_COUNT_CACHE,
-    afa_state_count,
-    shard_of_oid,
-)
 from repro.service.placement import (
+    _STATE_COUNT_CACHE,
     CostModel,
     Move,
+    afa_state_count,
     filter_selectivities,
     imbalance,
     place_filters,
@@ -28,6 +25,7 @@ from repro.service.placement import (
     plan_rebalance,
     route_new,
     shard_loads,
+    shard_of_oid,
 )
 from repro.xmlstream.dom import parse_document
 from repro.xpath.parser import parse_xpath

@@ -6,7 +6,7 @@ schedules, the sharded engine's answers equal the serial XPush engine
 and a brute-force rebuild at every epoch — in the serial fallback and
 with real worker processes, including a worker crash *during* a
 rebalance epoch.  Migrations ride the same epoch-stamped control
-messages as updates: folded into the boot payload first, so a crashed
+messages as updates: the routing table moves first, so a crashed
 worker restarts into the already-migrated workload.
 """
 
@@ -141,12 +141,11 @@ def _check_routing_invariants(engine):
     assert len(stats["shard_load"]) == engine.shards
     assert stats["imbalance"] >= 1.0
     assert sum(e["filters"] for e in stats["per_shard"]) == engine.filter_count
-    if engine.parallel:
-        # Payload oids projections partition the routing table.
-        for shard_id, payload in engine._payloads.items():
-            assert sorted(payload["oids"]) == sorted(
-                oid for oid, shard in routing.items() if shard == shard_id
-            )
+    # Each shard's derived boot filters partition the routing table.
+    booted = [set(engine._projection(shard_id)) for shard_id in range(engine.shards)]
+    assert sum(len(oids) for oids in booted) == len(routing)
+    for shard_id, oids in enumerate(booted):
+        assert oids == {oid for oid, shard in routing.items() if shard == shard_id}
 
 
 @pytest.mark.parametrize("placement", ["hash", "cost"])
@@ -198,7 +197,7 @@ def test_cost_routing_sends_new_subscribes_to_lightest_shard():
 
 
 def test_hash_routing_still_hashes_post_boot():
-    from repro.service.partition import shard_of_oid
+    from repro.service.placement import shard_of_oid
 
     engine = ShardedFilterEngine(
         dict(SEED), 3, options=TD, parallel=False, placement="hash"
@@ -271,9 +270,39 @@ def test_auto_rebalance_interval_triggers_from_filter_batch():
         engine.close()
 
 
+def test_seed_placement_seeds_the_live_workload():
+    """σ̂ is seeded for the filters live *now*, not the boot-time list:
+    a late subscriber gets its rate, a dropped filter dilutes nothing."""
+    engine = ShardedFilterEngine({"q0": "//a", "gone": "//b"}, 2, parallel=False)
+    try:
+        engine.subscribe("late", "//b[c = 1]")
+        engine.unsubscribe("gone")
+        engine.seed_placement(parse_forest("<b><c>1</c></b>" * 4))
+        assert engine._cost.selectivity("late") == 1.0
+        assert engine._cost.selectivity("q0") == 0.0
+        assert engine._cost.documents == 4
+    finally:
+        engine.close()
+
+
+def test_seed_placement_on_a_restored_engine_seeds_its_filters():
+    engine = ShardedFilterEngine({"q0": "//a", "p": "//b[c = 1]"}, 2, parallel=False)
+    snapshot = engine.snapshot()
+    engine.close()
+    restored = create_engine(
+        EngineConfig(engine="sharded", parallel=False), snapshot=snapshot
+    )
+    try:
+        restored.seed_placement(parse_forest("<b><c>1</c></b>" * 4))
+        assert restored._cost.selectivity("p") == 1.0
+        assert restored._cost.documents == 4
+    finally:
+        restored.close()
+
+
 def test_crash_during_rebalance_recovers_migrated_workload():
     """Kill every worker right after a rebalance epoch: the respawned
-    workers must boot the *migrated* payloads and answer identically."""
+    workers must boot the *migrated* workload and answer identically."""
     oids = {f"h{i}": FILTER_POOL[i % len(FILTER_POOL)] for i in range(8)}
     engine = ShardedFilterEngine(
         oids, 2, options=TD, batch_size=2, warm=False, result_timeout=30.0

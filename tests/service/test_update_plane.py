@@ -6,8 +6,8 @@ identical to (a) a serial :class:`LayeredFilterEngine` fed the same
 update schedule and (b) a brute-force engine freshly rebuilt from the
 live filter set — and insertions must never flush a shard's warmed
 base tables.  Updates ride the worker task queues as epoch-stamped
-control messages and are folded into the boot payloads, so a crashed
-worker resumes the *updated* workload.
+control messages after the routing table and sources are updated, so a
+crashed worker — respawned from those — resumes the *updated* workload.
 """
 
 from __future__ import annotations
@@ -156,16 +156,13 @@ def test_worker_processes_match_rebuild_at_each_epoch(schedule):
     try:
         _drive(schedule, [engine], dict(SEED))
         # Answers are epoch-attributed: each shard reports the epoch of
-        # the last control message routed to it (folded into its boot
-        # payload), never something newer than the engine's epoch.
+        # the last control message routed to it (which its handle
+        # remembers), never something newer than the engine's epoch.
         stats = engine.stats()
         assert stats["epoch"] > 0
         for entry in stats["per_shard"]:
             assert entry["applied_epoch"] <= stats["epoch"]
-            assert (
-                entry["applied_epoch"]
-                == engine._payloads[entry["shard"]].get("epoch", 0)
-            )
+            assert entry["applied_epoch"] == engine._shards[entry["shard"]].epoch
         assert stats["worker_restarts"] == 0  # updates are not restarts
         # compact() broadcasts to every shard, so afterwards all of
         # them answer at the current epoch.
@@ -217,7 +214,7 @@ def test_insertions_never_flush_the_base(parallel):
 def test_crash_with_uncompacted_deltas_recovers_updated_workload(protein, protein_docs):
     """A worker dying with deltas and tombstones that were never
     compacted must come back serving the *updated* workload: the parent
-    folds every control message into the boot payload at send time."""
+    updates routing + sources before it sends a control message."""
     filters = make_workload(protein, 8, seed=13)
     extra = make_workload(protein, 12, seed=77)[8:]
     docs = protein_docs[:6]
@@ -250,13 +247,12 @@ def test_crash_with_uncompacted_deltas_recovers_updated_workload(protein, protei
         assert engine.filter_batch(docs) == expected
         stats = engine.stats()
         assert stats["worker_restarts"] == len(stats["per_shard"])
-        # The respawned workers booted the folded payload: each answers
-        # at the epoch of its last folded update without replaying any
-        # control message (the stale queue died with the old process).
+        # The respawned workers booted the routing projection: each
+        # answers at the epoch of the last update routed to it without
+        # replaying any control message (the stale queue died with the
+        # old process).
         for entry in stats["per_shard"]:
-            assert entry["applied_epoch"] == engine._payloads[
-                entry["shard"]
-            ].get("epoch", 0)
+            assert entry["applied_epoch"] == engine._shards[entry["shard"]].epoch
         assert max(e["applied_epoch"] for e in stats["per_shard"]) > 0
         # ... and keep accepting updates afterwards.
         engine.unsubscribe(extra[0].oid)
@@ -290,6 +286,66 @@ def test_snapshot_restore_preserves_epoch_and_routing():
         # Updates continue from the restored epoch, not from zero.
         restored.subscribe("u1", "/a/b")
         assert restored.stats()["epoch"] == snapshot["epoch"] + 1
+    finally:
+        restored.close()
+
+
+#: A version-1 capture, as the engine wrote them while it still kept
+#: one inner-engine snapshot per shard: shard 0 is layered with a base,
+#: an uncompacted delta (``u0`` re-defines a tombstoned base oid) and a
+#: tombstone; shard 1 is in the sources format of the other engines.
+VERSION_1_SNAPSHOT = {
+    "format": "repro-sharded-engine",
+    "version": 1,
+    "shards": 2,
+    "inner": "layered",
+    "strategy": "hash",
+    "placement": "hash",
+    "epoch": 9,
+    "routing": {"q0": 0, "u0": 0, "u1": 0, "q2": 1},
+    "shard_snapshots": [
+        {
+            "format": "repro-layered-engine",
+            "version": 1,
+            "base": {
+                "afas": [
+                    {"oid": "q0", "source": "//a[b = 1]"},
+                    {"oid": "q1", "source": "/a/b"},
+                    {"oid": "u0", "source": "//a"},
+                ]
+            },
+            "delta": {"u0": "/a[not(b = 1)]", "u1": "//b[text() = 2]"},
+            "tombstones": ["q1"],
+        },
+        {
+            "format": "repro-engine-workload",
+            "version": 1,
+            "engine": "xpush",
+            "filters": {"q2": "//*[@k = 'x']"},
+        },
+    ],
+    "schema_mode": "off",
+}
+
+
+def test_version_1_snapshot_restores_the_live_workload():
+    live = {
+        "q0": "//a[b = 1]",
+        "u0": "/a[not(b = 1)]",
+        "u1": "//b[text() = 2]",
+        "q2": "//*[@k = 'x']",
+    }
+    stream = "".join(DOC_POOL)
+    restored = create_engine(
+        EngineConfig(engine="sharded", parallel=False), snapshot=VERSION_1_SNAPSHOT
+    )
+    try:
+        assert restored.filter_stream(stream) == brute_truth(live, stream)
+        assert restored.routing == VERSION_1_SNAPSHOT["routing"]
+        assert restored.stats()["epoch"] == 9
+        again = restored.snapshot()  # re-saved in the current format
+        assert again["version"] == 2 and again["filters"] == live
+        assert "shard_snapshots" not in again and "strategy" not in again
     finally:
         restored.close()
 

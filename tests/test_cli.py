@@ -39,7 +39,7 @@ def test_filter_sharded_matches_serial(query_file, stream_file, capsys):
     assert (
         main(
             ["filter", "--queries", query_file, "--input", stream_file,
-             "--shards", "3", "--batch-size", "2", "--strategy", "round_robin"]
+             "--shards", "3", "--batch-size", "2"]
         )
         == 0
     )
