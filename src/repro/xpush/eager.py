@@ -19,7 +19,7 @@ the eager machine is than the lazily-materialised one.
 
 from __future__ import annotations
 
-from repro.afa.automaton import WorkloadAutomata
+from repro.afa.automaton import WorkloadAutomata, bits_of
 from repro.afa.build import build_workload_automata
 from repro.afa.index import AtomicPredicateIndex
 from repro.errors import MixedContentError, ReproError, WorkloadError
@@ -74,8 +74,8 @@ class EagerXPushMachine:
         # t_value: one entry per elementary value class.
         self.index.precompute()
         self.value_states: dict = {}
-        for key, sids in self.index.precomputed_items():
-            self.value_states[key] = self._intern(sids)
+        for key, mask in self.index.precomputed_items():
+            self.value_states[key] = self._intern(bits_of(mask))
 
         self.pop_table: dict[tuple[int, str], int] = {}
         self.add_table: dict[tuple[int, int], int] = {}

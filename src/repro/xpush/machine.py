@@ -74,7 +74,6 @@ from repro.xpush.kernels import (
     Kernel,
     MaskKernel,
     SetsKernel,
-    mask_of,
 )
 from repro.xpush.options import XPushOptions
 from repro.xpush.state import StateStore, XPushState, XPushTopState
@@ -175,9 +174,6 @@ class XPushMachine:
         for sid in compiled.terminals:
             self.index.add(compiled.states[sid].predicate, sid)
         self.index.freeze()
-        # t_value's per-key base mask (workload-derived, like the
-        # index's own per-key answers): repeat keys skip the index sweep.
-        self._value_masks: dict[Hashable, int] = {}
 
         # The kernel is the only runtime-specific part: it maps state
         # sets (int masks) to state sets on a memo miss.  The codegen
@@ -297,9 +293,9 @@ class XPushMachine:
         """Seed qt0's ``t_value`` memo from the precomputed index."""
         store = self.store
         table = self.qt0.value_table
-        for key, sids in self.index.precomputed_items():
+        for key, mask in self.index.precomputed_items():
             if key not in table:
-                table[key] = store.intern_bottom(mask_of(sids))
+                table[key] = store.intern_bottom(mask)
                 store.note_entries(1)
 
     # ------------------------------------------------------------------
@@ -651,12 +647,12 @@ class XPushMachine:
         return nxt
 
     def _compute_value(self, qt: XPushTopState, key: Hashable, value: str) -> XPushState:
-        """t_value has no runtime-specific part: the index answers, the
-        top-down state restricts the answer to its enabled set."""
+        """t_value has no runtime-specific part: the index answers with
+        a state-set mask (memoised per key, so a key another top-down
+        state already asked about costs one probe), the top-down state
+        restricts the answer to its enabled set."""
         self.stats.value_computed += 1
-        mask = self._value_masks.get(key)
-        if mask is None:
-            mask = self._value_masks[key] = mask_of(self.index.lookup(value))
+        mask = self.index.lookup_mask(value)
         if qt.mask is not None:
             mask &= qt.mask
         state = self.store.intern_bottom(mask)

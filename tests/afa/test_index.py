@@ -133,3 +133,51 @@ def test_randomised_against_brute_force():
     values += ["".join(rng.choice("abcdef") for _ in range(rng.randint(0, 4))) for _ in range(30)]
     for value in values:
         assert index.lookup(value) == brute(predicates, value), value
+
+
+@pytest.mark.parametrize("order", [("nan", "0", "nan"), ("0", "nan", "0")])
+def test_nan_does_not_share_a_key_with_small_numbers(order):
+    # nan parses as a number but is ordered against nothing: it
+    # satisfies exactly the numeric != predicates, whichever of nan and
+    # a number below the least constant reaches the memo first.
+    index, predicates = build_index(
+        [
+            AtomicPredicate("<", 5),
+            AtomicPredicate("!=", 3),
+            AtomicPredicate("<=", 3),
+            AtomicPredicate("!=", "nan"),
+        ]
+    )
+    assert index.key_of("nan") != index.key_of("0")
+    for value in order:
+        assert index.lookup(value) == brute(predicates, value), value
+    assert index.lookup("nan") == {1}
+    assert index.lookup("0") == {0, 1, 2, 3}
+
+
+def test_lookup_mask_is_the_memoised_answer():
+    index, predicates = build_index(
+        [AtomicPredicate("=", 1), AtomicPredicate(">", 2), AtomicPredicate.TRUE]
+    )
+    assert index.lookup_mask("1") == 0b101
+    assert index.lookup_mask("7") == 0b110
+    assert index.lookup_mask("x") == 0b100
+    assert index.lookup("7") == {1, 2}  # the set view of the same memo
+    assert (index.lookups, index.hits) == (4, 1)
+    assert dict(index.precomputed_items())[index.key_of("7")] == 0b110
+
+
+def test_empty_substring_patterns_are_always_true():
+    index, predicates = build_index(
+        [
+            AtomicPredicate("contains", ""),
+            AtomicPredicate("starts-with", ""),
+            AtomicPredicate("starts-with", "ab"),
+            AtomicPredicate("starts-with", "abc"),
+            AtomicPredicate("starts-with", "xy"),
+            AtomicPredicate("contains", "bc"),
+            AtomicPredicate("contains", "bc"),
+        ]
+    )
+    for value in ["", "a", "ab", "abc", "abcd", "xy", "xbc", "bcx"]:
+        assert index.lookup(value) == brute(predicates, value), value

@@ -73,3 +73,56 @@ def test_precompute_then_lookup_all_hits(preds):
     for probe in probes:
         index.lookup(probe)
     assert index.lookups - index.hits == before_misses  # zero new misses
+
+
+# ----------------------------------------------------------------------
+# The mask-emitting tables against the predicate-by-predicate oracle,
+# over everything the index special-cases.
+
+wide_constants = st.one_of(
+    st.integers(-5, 5),
+    st.sampled_from([0.5, -2.5, 1e3, float("inf")]),
+    st.sampled_from(["5", "-0", "nan", "", "a", "ab", "abc", "b", "é"]),
+)
+wide_predicates = st.one_of(
+    st.builds(AtomicPredicate, relational_ops, wide_constants),
+    st.just(AtomicPredicate.TRUE),
+    st.builds(
+        AtomicPredicate,
+        st.sampled_from(["contains", "starts-with"]),
+        st.sampled_from(["", "a", "ab", "abc", "b", "bc", "é", "3"]),
+    ),
+)
+SPECIAL_VALUES = [
+    "nan", "-nan", "NaN", "inf", "-inf", "-0", "0", "1e3", "1_0", " 3 ", "", "  ",
+    "é", "日本語", "abcé", "٣",
+]  # fmt: skip
+
+
+@st.composite
+def indexes_and_probes(draw):
+    preds = draw(st.lists(wide_predicates, max_size=25))
+    probes = list(SPECIAL_VALUES)
+    for predicate in preds:
+        constant = predicate.constant
+        if isinstance(constant, str):
+            probes += [constant, constant + "a", constant[:-1], "b" + constant]
+        elif constant is not None:
+            probes += [repr(constant), repr(constant - 1), repr(constant + 0.5), f" {constant} "]
+    return preds, draw(st.permutations(probes)), draw(st.permutations(probes))
+
+
+@given(indexes_and_probes())
+@settings(max_examples=300, deadline=None)
+def test_lookup_mask_equals_oracle_in_any_order(case):
+    preds, first_pass, second_pass = case
+    index = build(preds)
+    by_key = {}
+    # Twice, in two orders: whichever value reaches a key first fills
+    # its memo, so a key shared by values that differ shows up here.
+    for value in first_pass + second_pass:
+        want = sum(1 << i for i, p in enumerate(preds) if p.test(value))
+        got = index.lookup_mask(value)
+        assert got == want, (value, [str(p) for p in preds])
+        assert by_key.setdefault(index.key_of(value), got) == got
+        assert index.lookup(value) == frozenset(i for i in range(len(preds)) if want >> i & 1)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import EngineConfig, create_engine
 from repro.errors import MixedContentError
 from repro.xmlstream.dom import parse_document
 from repro.xmlstream.writer import document_to_xml
@@ -40,6 +41,21 @@ def test_numeric_value_formats():
     assert check(["/a[b = -3]"], "<a><b>-3.0</b></a>") == {"q0"}
     assert check(["/a[b > 1000]"], "<a><b>inf</b></a>") == {"q0"}  # float('inf')
     assert check(["/a[b = 1]"], "<a><b>one</b></a>") == frozenset()
+
+
+@pytest.mark.parametrize("values", [("nan", "0"), ("0", "nan")])
+def test_nan_value_does_not_poison_small_numbers(values):
+    # nan parses as a number; it must not share t_value's memo entry
+    # with the numbers below the least constant, in either order.
+    sources = {"lt": "/a[b/text() < 5]", "ne": "/a[b/text() != 3]"}
+    engine = create_engine(EngineConfig(engine="xpush"), sources)
+    filters = [parse_xpath(source, oid) for oid, source in sources.items()]
+    docs = [f"<a><b>{value}</b></a>" for value in values]
+    want = {"nan": {"ne"}, "0": {"lt", "ne"}}
+    assert [matching_oids(filters, parse_document(doc)) for doc in docs] == [
+        want[value] for value in values
+    ]
+    assert engine.filter_stream("".join(docs)) == [want[value] for value in values]
 
 
 def test_empty_and_whitespace_values():
