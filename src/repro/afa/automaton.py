@@ -48,7 +48,7 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from repro.afa.predicates import AtomicPredicate
 
@@ -60,15 +60,44 @@ WILDCARD = "*"
 ATTRIBUTE_WILDCARD = "@*"
 
 
+#: :func:`bits_of` keeps the lowest-bit peel for masks at most this wide
+#: or with at most this many bits set (the measured crossover).
+_PEEL_WIDTH = 2048
+_PEEL_BITS = 16
+
+
 def bits_of(mask: int) -> tuple[int, ...]:
     """The set bit positions of *mask*, ascending — the sorted sid
-    tuple a bitmask state set denotes (no sorting needed: bit order
-    *is* sid order)."""
+    tuple a bitmask state set denotes (bit order *is* sid order).  The
+    one bit-enumeration primitive under every :class:`CompiledMasks`
+    sweep, O(words + set bits): a wide, populated mask is sliced once
+    into 64-bit words and its bits are peeled from those small ints.
+    Peeling the mask itself (``m & -m``, ``m ^= low``) is three big-int
+    operations over every word *per bit*, O(bits × words) — ×3.5 slower
+    at 12 000 bits / 90 set — but pays no per-word loop, so narrow or
+    nearly empty masks, where it is the cheaper, keep it; the choice
+    reads only the mask.  A negative int denotes no state set (its peel
+    never ends) and raises :class:`ValueError`."""
+    if mask <= 0:
+        if mask:
+            raise ValueError("negative mask")
+        return ()
     out: list[int] = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+    append = out.append
+    width = mask.bit_length()
+    if width <= _PEEL_WIDTH or mask.bit_count() <= _PEEL_BITS:
+        while mask:
+            low = mask & -mask
+            append(low.bit_length() - 1)
+            mask ^= low
+    else:
+        base = -1
+        for word in memoryview(mask.to_bytes((width + 63) // 64 * 8, "little")).cast("Q"):
+            while word:
+                low = word & -word
+                append(base + low.bit_length())
+                word ^= low
+            base += 64
     return tuple(out)
 
 
@@ -409,8 +438,15 @@ class CompiledMasks:
 
     Every method here is the integer-mask twin of a set-based method on
     :class:`WorkloadAutomata` and must agree with it exactly — the
-    differential runtime tests (`tests/xpush/test_runtime_differential`)
-    enforce that; the set versions are the executable spec.
+    differential walls (`tests/xpush/test_runtime_differential`,
+    `tests/xpush/test_kernels`) enforce that; the set versions are the
+    executable spec.
+
+    Cost model: a sweep enumerates its argument with :func:`bits_of` —
+    one word slice per call, a per-call temporary, then small-int work
+    per set bit — and ORs one precomputed table row per bit, so a
+    transition costs O(words × set bits) only in those row ORs, never
+    in finding the bits.  Negative masks are rejected there.
     """
 
     __slots__ = (
@@ -446,7 +482,7 @@ class CompiledMasks:
 
         terminal = not_mask = initial = notification = 0
         eps_masks = [0] * n
-        rev_masks: list[dict[str, int] | None] = [None] * n
+        rev_masks: list[dict[str, int]] = [{}] * n  # one shared empty row, never written
         rev_targets_by_label: dict[str, int] = {}
         for state in states:
             bit = 1 << state.sid
@@ -505,13 +541,7 @@ class CompiledMasks:
             up_masks[state.sid] = mask
         self._closure_masks = closure_masks
         self._up_masks = up_masks
-        not_up = 0
-        m = not_mask
-        while m:
-            low = m & -m
-            not_up |= up_masks[low.bit_length() - 1]
-            m ^= low
-        self.not_up_mask = not_up
+        self.not_up_mask = _or_rows(up_masks, not_mask)
 
         # Label-edge index for t_push, with the targets' ε-closure baked
         # in: per label, the mask of source states carrying that label
@@ -571,7 +601,9 @@ class CompiledMasks:
                 buckets[state.rank][1] |= bit
             else:  # OR with ε-successors
                 buckets[state.rank][2] |= bit
-        self._rank_buckets = tuple(tuple(b) for b in buckets[1:] if any(b))
+        self._rank_buckets = tuple(
+            (ands, nots, ors) for ands, nots, ors in buckets[1:] if ands or nots or ors
+        )
 
         # Per-sid mask of the owning AFA's states (early notification
         # strips a notified filter's whole automaton) and the oid maps
@@ -668,34 +700,25 @@ class CompiledMasks:
         # Candidate connectives: every NOT state plus the upward
         # ε-closure of the present states and of the NOTs (the NOT part
         # is the precomputed ``not_up_mask``).
-        up = self._up_masks
-        seen = self.not_up_mask
-        m = qb_mask
-        while m:
-            low = m & -m
-            seen |= up[low.bit_length() - 1]
-            m ^= low
+        seen = _or_rows(self._up_masks, qb_mask, self.not_up_mask)
         eps = self._eps_masks
         for and_bucket, not_bucket, or_bucket in self._rank_buckets:
-            m = and_bucket & seen & ~result
-            while m:
-                low = m & -m
-                mask = eps[low.bit_length() - 1]
+            # States of one rank never feed each other, so the rank's
+            # candidates are fixed before any of them fires; with none
+            # left, no higher rank can fire either.
+            pending = seen & ~result
+            if not pending:
+                break
+            for sid in bits_of(and_bucket & pending):
+                mask = eps[sid]
                 if mask & result == mask:
-                    result |= low
-                m ^= low
-            m = not_bucket & seen & ~result
-            while m:
-                low = m & -m
-                if not eps[low.bit_length() - 1] & result:
-                    result |= low
-                m ^= low
-            m = or_bucket & seen & ~result
-            while m:
-                low = m & -m
-                if eps[low.bit_length() - 1] & result:
-                    result |= low
-                m ^= low
+                    result |= 1 << sid
+            for sid in bits_of(not_bucket & pending):
+                if not eps[sid] & result:
+                    result |= 1 << sid
+            for sid in bits_of(or_bucket & pending):
+                if eps[sid] & result:
+                    result |= 1 << sid
         return result
 
     def delta_inverse(self, evaluated_mask: int, label: str, is_attribute: bool) -> int:
@@ -703,21 +726,11 @@ class CompiledMasks:
         out = self._top_masks.get(label, 0)
         out |= self._top_attr_wild_mask if is_attribute else self._top_wild_mask
         rev = self._rev_masks
-        targets = self._rev_targets_by_label.get(label)
-        if targets is not None:
-            m = evaluated_mask & targets
-            while m:
-                low = m & -m
-                out |= rev[low.bit_length() - 1][label]
-                m ^= low
-        wildcard = ATTRIBUTE_WILDCARD if is_attribute else WILDCARD
-        targets = self._rev_targets_by_label.get(wildcard)
-        if targets is not None:
-            m = evaluated_mask & targets
-            while m:
-                low = m & -m
-                out |= rev[low.bit_length() - 1][wildcard]
-                m ^= low
+        for edge in (label, ATTRIBUTE_WILDCARD if is_attribute else WILDCARD):
+            targets = self._rev_targets_by_label.get(edge)
+            if targets is not None:
+                for sid in bits_of(evaluated_mask & targets):
+                    out |= rev[sid][edge]
         return out
 
     def push_targets_closure(
@@ -734,58 +747,39 @@ class CompiledMasks:
                 return 0
         sources_mask, by_source, full_union = entry
         m = enabled_mask & sources_mask
-        if m == sources_mask:
-            return full_union
-        out = 0
-        while m:
-            low = m & -m
-            out |= by_source[low.bit_length() - 1]
-            m ^= low
-        return out
+        return full_union if m == sources_mask else _or_rows(by_source, m)
 
     def epsilon_closure(self, mask: int) -> int:
         """Mask twin of :meth:`WorkloadAutomata.epsilon_closure`."""
-        closures = self._closure_masks
-        result = mask
-        while mask:
-            low = mask & -mask
-            result |= closures[low.bit_length() - 1]
-            mask ^= low
-        return result
+        return _or_rows(self._closure_masks, mask, mask)
 
     def accepted_oids(self, qb_mask: int) -> frozenset[str]:
         """Mask twin of :meth:`WorkloadAutomata.accepted_oids`."""
         hits = qb_mask & self.initial_mask
         if not hits:
             return _EMPTY_OIDS
-        out: list[str] = []
         by_initial = self._oid_by_initial
-        while hits:
-            low = hits & -hits
-            out.extend(by_initial[low.bit_length() - 1])
-            hits ^= low
-        return frozenset(out)
+        return frozenset(oid for sid in bits_of(hits) for oid in by_initial[sid])
 
     def notified_oids(self, noted_mask: int) -> frozenset[str]:
         """Mask twin of :meth:`WorkloadAutomata.notified_oids`."""
-        out: list[str] = []
         by_notification = self._oid_by_notification
-        m = noted_mask & self.notification_mask
-        while m:
-            low = m & -m
-            out.extend(by_notification[low.bit_length() - 1])
-            m ^= low
-        return frozenset(out)
+        return frozenset(
+            oid
+            for sid in bits_of(noted_mask & self.notification_mask)
+            for oid in by_notification[sid]
+        )
 
     def afa_states(self, noted_mask: int) -> int:
         """Mask twin of :meth:`WorkloadAutomata.afa_states_of`."""
-        out = 0
-        owner_masks = self._owner_masks
-        while noted_mask:
-            low = noted_mask & -noted_mask
-            out |= owner_masks[low.bit_length() - 1]
-            noted_mask ^= low
-        return out
+        return _or_rows(self._owner_masks, noted_mask)
+
+
+def _or_rows(rows: Sequence[int] | Mapping[int, int], mask: int, out: int = 0) -> int:
+    """*out* OR-ed with ``rows[sid]`` for every sid in *mask*."""
+    for sid in bits_of(mask):
+        out |= rows[sid]
+    return out
 
 
 def _mask_of(sids: Iterable[int]) -> int:

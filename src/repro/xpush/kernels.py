@@ -93,13 +93,10 @@ class MaskKernel:
         merged = parent | aux
         prec = self._prec
         if prec:
-            fresh = aux & ~parent
-            while fresh:
-                low = fresh & -fresh
-                required = prec.get(low.bit_length() - 1)
+            for sid in bits_of(aux & ~parent):
+                required = prec.get(sid)
                 if required is not None and required & parent != required:
-                    merged ^= low  # a mandated preceding sibling is missing
-                fresh ^= low
+                    merged ^= 1 << sid  # a mandated preceding sibling is missing
         return merged
 
 

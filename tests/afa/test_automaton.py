@@ -1,6 +1,20 @@
-"""Tests for WorkloadAutomata runtime operations: eval closure, δ⁻¹."""
+"""Tests for WorkloadAutomata runtime operations: eval closure, δ⁻¹,
+and the bit-enumeration primitive under the mask twins."""
 
-from repro.afa.automaton import StateKind, WorkloadAutomata
+import random
+import signal
+from contextlib import contextmanager
+
+import pytest
+
+from repro.afa.automaton import (
+    _PEEL_BITS,
+    _PEEL_WIDTH,
+    CompiledMasks,
+    StateKind,
+    WorkloadAutomata,
+    bits_of,
+)
 from repro.afa.build import build_workload_automata
 from repro.afa.predicates import AtomicPredicate
 from repro.xpath.parser import parse_xpath
@@ -136,3 +150,81 @@ def test_ranks_monotone():
     for state in workload.states:
         for child in state.eps:
             assert state.rank > workload.states[child].rank
+
+
+# -- bits_of: the one enumeration primitive --------------------------------
+
+
+def naive_bits(mask):
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def random_mask(rng, width, bits):
+    """A mask exactly *width* bits wide with exactly *bits* bits set."""
+    mask = 1 << (width - 1)
+    for position in rng.sample(range(width - 1), bits - 1):
+        mask |= 1 << position
+    return mask
+
+
+@contextmanager
+def deadline(seconds):
+    """Turn a hang into a failure (no pytest-timeout in tier 1)."""
+
+    def on_alarm(signum, frame):
+        raise TimeoutError(f"still running after {seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "mask",
+    [
+        0,
+        1,
+        1 << 63,
+        1 << 64,
+        (1 << 64) - 1,
+        (1 << 128) | 1,
+        1 << 12_000,  # a lone top bit: wide, nearly empty
+        (1 << 12_000) | ((1 << 64) - 1) << 64,  # one full word below it
+        (1 << 4_096) - 1,  # dense
+        int("10" * 2_048, 2),
+    ],
+    ids=lambda m: f"{m.bit_length()}w{m.bit_count()}b",
+)
+def test_bits_of_word_boundaries(mask):
+    assert bits_of(mask) == naive_bits(mask)
+    assert CompiledMasks.mask_of(bits_of(mask)) == mask
+
+
+def test_bits_of_on_both_sides_of_the_narrow_wide_decision():
+    rng = random.Random(20)
+    widths = (1, 63, 64, 65, _PEEL_WIDTH - 1, _PEEL_WIDTH, _PEEL_WIDTH + 1, 3 * _PEEL_WIDTH)
+    counts = (1, 2, _PEEL_BITS, _PEEL_BITS + 1, 4 * _PEEL_BITS)
+    for width in widths:
+        for bits in counts:
+            if bits <= width:
+                mask = random_mask(rng, width, bits)
+                assert bits_of(mask) == naive_bits(mask), (width, bits)
+    for _ in range(50):
+        mask = rng.getrandbits(rng.randrange(1, 6_000)) & rng.getrandbits(6_000)
+        assert bits_of(mask) == naive_bits(mask)
+
+
+def test_negative_mask_is_rejected_not_peeled_forever():
+    """``-1 ^ 1 == -2``, ``-2 ^ 2 == -4``, …: peeling a negative int
+    never reaches zero and the int grows without bound."""
+    masks = build("/a[b = 1 and not(c)]").masks
+    wide_negative = -(random_mask(random.Random(3), 3 * _PEEL_WIDTH, 4 * _PEEL_BITS))
+    with deadline(5):
+        for negative in (-1, -(1 << 70), wide_negative):
+            for reject in (bits_of, CompiledMasks.sids_of, masks.epsilon_closure, masks.eval_closure):
+                with pytest.raises(ValueError, match="negative mask"):
+                    reject(negative)

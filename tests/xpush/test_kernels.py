@@ -8,23 +8,36 @@ bottom/top state of a warmed machine, plus random sub-masks) — every
 (``order`` × ``early`` × ``codegen``) cell, including ``pop_early``
 without an enabled set, which no machine configuration reaches.
 ``SetsKernel`` is the spec the other two must equal.
+
+The second half repeats the comparison on a workload wider than 4 096
+AFA states — masks that cross many 64-bit word boundaries and reach
+the word-slicing path of :func:`repro.afa.automaton.bits_of` — and
+holds every :class:`~repro.afa.automaton.CompiledMasks` sweep to its
+:class:`~repro.afa.automaton.WorkloadAutomata` set twin, converting
+int↔set with a naive shift-and-test so the spec side never leans on
+the primitive under test.
 """
 
 from __future__ import annotations
 
+import inspect
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.afa import automaton
+from repro.afa.automaton import _PEEL_BITS, _PEEL_WIDTH, bits_of
 from repro.afa.build import build_workload_automata
+from repro.xmlstream.dom import parse_document
 from repro.xmlstream.dtd import DTD, PCDATA, ElementDecl, elem, seq
 from repro.xpath.parser import parse_workload
 from repro.xpush.kernels import CodegenKernel, MaskKernel, SetsKernel
 from repro.xpush.machine import XPushMachine, compute_precedence
 from repro.xpush.options import XPushOptions
 
+from tests.afa.test_automaton import naive_bits
 from tests.property.test_machine_properties import documents as gen_documents
 
 #: ``//``, ``*``, ``@*``, ``not()``, ``or``, nested predicates — over the
@@ -167,3 +180,113 @@ def test_declined_codegen_runs_the_mask_kernel(workload):
     stats = declined.stats
     assert stats.codegen_fallbacks == stats.push_computed + stats.pop_computed > 0
     assert reference.stats.codegen_fallbacks == 0
+
+
+# -- the same wall, wider than one word --------------------------------------
+
+#: Bit positions either side of the first two word boundaries.
+BOUNDARY_BITS = (63, 64, 127, 128)
+
+
+def naive_mask(sids) -> int:
+    return sum(1 << sid for sid in set(sids))
+
+
+@pytest.fixture(scope="module")
+def wide_workload(workload):
+    """``SOURCES`` replicated under distinct oids until the state masks
+    are wider than 4 096 bits."""
+    copies = 2 * _PEEL_WIDTH // workload.state_count + 1
+    wide = build_workload_automata(
+        parse_workload(
+            {f"{oid}{i}": xpath for i in range(copies) for oid, xpath in SOURCES.items()}
+        )
+    )
+    assert wide.state_count > 4096
+    return wide
+
+
+@pytest.fixture(scope="module")
+def wide_kernels(wide_workload):
+    prec = compute_precedence(wide_workload, ordered_dtd())
+    assert prec
+    return SetsKernel(wide_workload, prec), MaskKernel(wide_workload.masks, prec)
+
+
+def wide_masks(workload, docs, seed: int, count: int = 8) -> list[int]:
+    """A sample of harvested masks (every replica carries the same
+    states, so they are wide *and* populated), each also as a random
+    sub-mask forced to hold the word-boundary bits and the top bit."""
+    rng = random.Random(seed)
+    bottoms, tops = harvest(workload, docs, seed)
+    forced = naive_mask(BOUNDARY_BITS) | 1 << workload.state_count - 1
+    pool = bottoms + tops
+    sample = rng.sample(pool, min(count, len(pool)))
+    return sample + [m & rng.getrandbits(workload.state_count) | forced for m in sample]
+
+
+def check_sweeps(workload, masks: list[int], rng: random.Random) -> None:
+    """Every ``CompiledMasks`` sweep against its set twin on *masks*."""
+    compiled = workload.masks
+    for mask in masks:
+        sids = naive_bits(mask)
+        assert bits_of(mask) == sids
+        assert compiled.eval_closure(mask) == naive_mask(workload.eval_closure(sids))
+        assert compiled.epsilon_closure(mask) == naive_mask(workload.epsilon_closure(set(sids)))
+        assert compiled.accepted_oids(mask) == workload.accepted_oids(sids)
+        assert compiled.notified_oids(mask) == workload.notified_oids(sids)
+        assert compiled.afa_states(mask) == naive_mask(workload.afa_states_of(sids))
+        for label in rng.sample(LABELS, 3):
+            attr = label.startswith("@")
+            assert compiled.delta_inverse(mask, label, attr) == naive_mask(
+                workload.delta_inverse(sids, label, attr)
+            ), (mask, label)
+            assert compiled.push_targets_closure(mask, label, attr) == naive_mask(
+                workload.epsilon_closure(workload.push_targets(sids, label, attr))
+            ), (mask, label)
+
+
+@given(st.lists(gen_documents, min_size=1, max_size=3), st.integers(0, 2**16))
+@settings(max_examples=12, deadline=None)
+def test_wide_sweeps_equal_their_set_twins(wide_workload, docs, seed):
+    masks = wide_masks(wide_workload, docs, seed)
+    assert any(
+        m.bit_length() > _PEEL_WIDTH and m.bit_count() > _PEEL_BITS for m in masks
+    ), "no mask reached the word-slicing path"
+    check_sweeps(wide_workload, masks, random.Random(seed))
+
+
+@given(st.lists(gen_documents, min_size=1, max_size=3), st.integers(0, 2**16))
+@settings(max_examples=12, deadline=None)
+def test_wide_mask_kernel_equals_sets_kernel(wide_workload, wide_kernels, docs, seed):
+    sets, mask = wide_kernels
+    masks = wide_masks(wide_workload, docs, seed)
+    rng = random.Random(seed)
+    for bottom in masks:
+        label = rng.choice(LABELS)
+        assert mask.pop(bottom, label) == sets.pop(bottom, label), (bottom, label)
+        for enabled in (None, rng.choice(masks)):
+            for parent in (None, rng.choice(masks)):
+                args = (bottom, label, enabled, parent)
+                assert mask.pop_early(*args) == sets.pop_early(*args), args
+        aux = rng.choice(masks)
+        assert mask.badd(bottom, aux) == sets.badd(bottom, aux), (bottom, aux)
+
+
+def test_the_wall_catches_an_off_by_one_word_base(wide_workload, monkeypatch):
+    """Seed ``base += 63`` into the word loop: the sweeps must disagree
+    with their set twins (the wall would be blind to the wide path if
+    they did not)."""
+    source = inspect.getsource(bits_of)
+    assert source.count("base += 64") == 1
+    scope = dict(vars(automaton))
+    exec(source.replace("base += 64", "base += 63"), scope)
+    docs = [
+        parse_document(xml)
+        for xml in ("<a><b>1</b><c d='2'/></a>", "<a><x a='x'/><d/></a>", "<b><c><d>2</d></c></b>")
+    ]
+    masks = wide_masks(wide_workload, docs, seed=7)
+    check_sweeps(wide_workload, masks, random.Random(7))
+    monkeypatch.setattr(automaton, "bits_of", scope["bits_of"])
+    with pytest.raises(AssertionError):
+        check_sweeps(wide_workload, masks, random.Random(7))
