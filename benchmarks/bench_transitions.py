@@ -38,15 +38,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
-import subprocess
 import sys
 import time
 from dataclasses import replace
 from functools import partial
 
 from repro.afa.build import build_workload_automata
+from repro.bench.harness import stamp
 from repro.bench.workloads import scaled, standard_stream, standard_workload
 from repro.xmlstream.dom import parse_forest
 from repro.xmlstream.parser import count_bytes
@@ -71,27 +69,6 @@ RUNTIME_PAIRS = {
 
 QUICK_SIZES = (100, 250, 500)
 FULL_SIZES = (500, 1_000, 2_000)
-
-
-def _stamp() -> dict:
-    """Where and on what a ``--json`` file was measured (``-dirty``: on
-    uncommitted changes over that commit)."""
-    try:
-        commit = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        commit = "unknown"
-    return {
-        "commit": commit,
-        "cpus": os.cpu_count(),
-        "platform": platform.platform(),
-        "python": platform.python_version(),
-    }
 
 
 def _measure(fns, repeats: int) -> list[float]:
@@ -259,7 +236,7 @@ def main(argv=None) -> int:
     runtimes = RUNTIME_PAIRS[args.runtime]
     results = run(sizes, stream_bytes, args.repeats, runtimes=runtimes)
     if args.json:
-        results["stamp"] = _stamp()
+        results["stamp"] = stamp()
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(results, handle, indent=2, sort_keys=True)
             handle.write("\n")

@@ -3,28 +3,41 @@
 Sec. 8's point is that supporting filter updates by recompiling the
 machine is "equivalent to flushing an entire cache": every insertion
 pays the full workload compile and throws away every warmed lazy
-table.  The layered engine instead compiles only the delta layer —
-the resident base machine (and everything it learned) survives
-untouched.
+table.  The layered engine instead compiles the one new filter on top
+of the delta layer — the resident base machine (and everything it
+learned) survives untouched — and a fold appends the delta to the
+base, whose memoised states stay reachable through its predecessor
+store.
 
 This bench grows a resident workload by one filter at a time, both
 ways, and after **every** insertion checks the two engines against
 each other on the same Protein stream:
 
 - **layered** — ``LayeredFilterEngine.insert``; the timed cost is
-  parsing the new filter and recompiling the (tiny) delta layer;
+  parsing the new filter and compiling its one AFA into the delta;
 - **rebuild** — recompile the whole workload from source, the
   brute-force strategy of the serial engine.
+
+A second phase fills a delta to ``compact_threshold`` = 64 without
+reading in between, lets the 64th insertion fold it, and replays the
+stream.
 
 Gates:
 
 - answers are identical at every insertion epoch (differential, not
-  just at the end);
+  just at the end), and after the fold;
 - the warmed base layer's lazy tables survive every insertion
   (``base_states`` never shrinks — a flush would reset them);
 - mean insert latency: layered must beat rebuild by x5 in ``--quick``
   CI mode at 1 000 resident filters, and by x25 in the full run that
-  ``BENCH_updates.json`` records.
+  ``BENCH_updates.json`` records;
+- insert latency does not grow with the delta: the mean of insertions
+  49–63 is within x2 of the mean of insertions 1–15 (a ratio of two
+  timings on one host, so host-independent);
+- a fold leaves the base's memoised work reachable: on the replay the
+  predecessor store answers misses (``carried`` > 0) and fewer than
+  half as many misses go whole to the kernel as in a brute-force
+  rebuild (counts, so they repeat exactly).
 
 Entry points:
 
@@ -42,6 +55,7 @@ import sys
 import time
 
 from repro.afa.build import build_workload_automata
+from repro.bench.harness import stamp
 from repro.bench.workloads import scaled, standard_stream, standard_workload
 from repro.xpush.layered import LayeredFilterEngine
 from repro.xpush.machine import XPushMachine
@@ -60,6 +74,11 @@ QUICK_RESIDENT, QUICK_INSERTS = 1_000, 8
 FULL_RESIDENT, FULL_INSERTS = 2_000, 12
 
 STREAM_BYTES = 60_000
+
+#: The fold phase: the engine's default threshold, and how much later
+#: insertions into a filling delta may cost than the first ones.
+FOLD_THRESHOLD = 64
+GROWTH_GATE = 2.0
 
 
 def run(resident: int, inserts: int, repeats: int, out=sys.stdout) -> dict:
@@ -142,6 +161,57 @@ def run(resident: int, inserts: int, repeats: int, out=sys.stdout) -> dict:
     }
 
 
+def _whole_sweeps(machine: XPushMachine) -> int:
+    """Pop and push misses that went to the kernel with the whole mask."""
+    stats = machine.stats
+    return stats.pop_computed + stats.push_computed - stats.carried
+
+
+def run_fold(resident: int, out=sys.stdout) -> dict:
+    """Fill a delta to the fold, timing every insertion; then replay
+    the stream through the folded engine and through a rebuild."""
+    filters, _dataset = standard_workload(resident + FOLD_THRESHOLD)
+    base, extra = filters[:resident], filters[resident:]
+    stream = standard_stream(STREAM_BYTES)
+    layered = LayeredFilterEngine(base, options=TD, compact_threshold=FOLD_THRESHOLD)
+    layered.filter_stream(stream)
+    times: list[float] = []
+    for new in extra:
+        started = time.perf_counter()
+        layered.insert(new.oid, new.source)
+        times.append(time.perf_counter() - started)
+    folded = layered.stats()["compactions"] == 1 and layered._delta is None
+    early = sum(times[:15]) / 15
+    late = sum(times[48:63]) / 15
+    before = _whole_sweeps(layered._base)
+    answers = layered.filter_stream(stream)
+    rebuilt = XPushMachine(build_workload_automata(filters), TD)
+    same = answers == rebuilt.filter_stream(stream)
+    carried = layered.stats()["carried"]
+    whole = _whole_sweeps(layered._base) - before
+    brute = _whole_sweeps(rebuilt)
+    print(
+        f"fold at {FOLD_THRESHOLD}: insertions 1-15 {1e3 * early:.3f} ms, "
+        f"49-63 {1e3 * late:.3f} ms (x{late / early:.2f}), fold "
+        f"{1e3 * times[-1]:.1f} ms | replay: {carried} misses carried, "
+        f"{whole} whole sweeps vs {brute} after a rebuild, answers "
+        f"{'equal' if same else 'DIFFER'}",
+        file=out,
+    )
+    return {
+        "fold_threshold": FOLD_THRESHOLD,
+        "folded_by_last_insert": folded,
+        "insert_1_15_mean_s": round(early, 6),
+        "insert_49_63_mean_s": round(late, 6),
+        "insert_growth": round(late / early, 2),
+        "fold_s": round(times[-1], 6),
+        "post_fold_carried": carried,
+        "post_fold_whole_sweeps": whole,
+        "rebuild_whole_sweeps": brute,
+        "post_fold_answers_equal": same,
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
@@ -168,7 +238,9 @@ def main(argv=None) -> int:
         gate = FULL_GATE_SPEEDUP
     results = run(resident, inserts, repeats)
     results["gate_speedup"] = gate
+    results.update(run_fold(resident))
     if args.json:
+        results["stamp"] = stamp()
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(results, handle, indent=2, sort_keys=True)
             handle.write("\n")
@@ -185,6 +257,21 @@ def main(argv=None) -> int:
         failures.append(
             f"layered insert only x{results['speedup_layered_vs_rebuild']} "
             f"vs rebuild (gate x{gate})"
+        )
+    if not (results["folded_by_last_insert"] and results["post_fold_answers_equal"]):
+        failures.append("the fold did not happen, or changed the answers")
+    if results["insert_growth"] > GROWTH_GATE:
+        failures.append(
+            f"insertions 49-63 cost x{results['insert_growth']} of insertions "
+            f"1-15 (gate x{GROWTH_GATE}): insert latency grows with the delta"
+        )
+    if not results["post_fold_carried"] or (
+        2 * results["post_fold_whole_sweeps"] >= results["rebuild_whole_sweeps"]
+    ):
+        failures.append(
+            f"the fold left the base cold: {results['post_fold_carried']} carried, "
+            f"{results['post_fold_whole_sweeps']} whole sweeps vs "
+            f"{results['rebuild_whole_sweeps']} after a rebuild"
         )
     for failure in failures:
         print(f"FATAL: {failure}", file=sys.stderr)

@@ -51,10 +51,12 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from repro.afa.predicates import AtomicPredicate
+from repro.errors import WorkloadError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.afa.codegen import CompiledHandlers
     from repro.afa.schema import SchemaSpec
+    from repro.xpath.ast import XPathFilter
 
 WILDCARD = "*"
 ATTRIBUTE_WILDCARD = "@*"
@@ -174,13 +176,25 @@ class AFA:
     source: str = ""
     state_sids: tuple[int, ...] = ()
     notification: int = -1  # first branching state (early notification)
+    #: A retired AFA rides on in the sid space with every transition
+    #: intact but answers to no oid (:meth:`WorkloadAutomata.extend`).
+    retired: bool = False
 
     def __repr__(self) -> str:
         return f"AFA(oid={self.oid!r}, initial=s{self.initial}, states={len(self.state_sids)})"
 
 
 class WorkloadAutomata:
-    """All AFAs of a workload plus the global evaluation structures."""
+    """All AFAs of a workload plus the global evaluation structures.
+
+    A workload only ever *grows*: :meth:`extend` compiles new filters
+    at the top of the sid space and :meth:`finalize` folds whatever was
+    added since its last call into the indexes — the first call is
+    simply the one that starts from empty.  Because the AFAs of
+    different filters share no state, nothing recorded about an
+    already-finalised state changes, so a set of AFA states restricted
+    to an older block of sids is still a correct state of that block.
+    """
 
     def __init__(self) -> None:
         self.states: list[AfaState] = []
@@ -194,15 +208,24 @@ class WorkloadAutomata:
         self._oid_by_initial: dict[int, list[str]] = {}
         self._oid_by_notification: dict[int, list[str]] = {}
         self.masks: CompiledMasks | None = None  # built by finalize()
+        #: oid -> index in ``afas`` of the one AFA answering to it.
+        self._live: dict[str, int] = {}
+        #: Retired passengers (see :meth:`extend`): how many AFAs, and
+        #: how many of ``states`` they own.
+        self.retired_filters = 0
+        self.retired_states = 0
         # Lazy per-bound cache of workload-specialized handlers (the
         # "codegen" runtime); None caches a declined compilation so the
         # fallback warning fires once per workload, not once per machine.
         self._codegen_cache: dict[int | None, "CompiledHandlers | None"] = {}
         # Schema-specialized (DTD-pruned) clones of this workload, one
         # per DTD fingerprint (repro.afa.schema.specialize), so every
-        # machine, shard and layered epoch shares one pruning pass.
+        # machine and shard over it shares one pruning pass.  Both
+        # caches describe the workload as it was: growth drops them.
         self._schema_cache: dict[str, "SchemaSpec"] = {}
-        self._finalized = False
+        # How much of ``states`` / ``afas`` finalize() has folded in.
+        self._finalized_states = 0
+        self._finalized_afas = 0
 
     # -- construction-time API (used by repro.afa.build) ----------------
 
@@ -211,45 +234,120 @@ class WorkloadAutomata:
         self.states.append(state)
         return state
 
+    def extend(
+        self, filters: "Sequence[XPathFilter]" = (), retire: Iterable[str] = ()
+    ) -> "WorkloadAutomata":
+        """Grow the workload in place: compile *filters* at the top of
+        the sid space, finalise only the new states, and *retire* the
+        given live oids.
+
+        A retired AFA stays in the sid space as an inert passenger —
+        its states, edges, initial and notification bits are untouched,
+        so every state set over the older block stays bit-identical —
+        but it is dropped from the accept and notification maps, so no
+        answer names it again.  The same call may retire an oid and
+        define it anew.  Machines that share this workload see it
+        change under them; callers that grow a workload own it.
+        """
+        from repro.afa.build import build_afa
+
+        retire = list(retire)
+        unknown = [oid for oid in retire if oid not in self._live]
+        if unknown:
+            raise WorkloadError(f"cannot retire unknown oids: {unknown[:8]}")
+        oids = [f.oid for f in filters]
+        taken = self._live.keys() - set(retire)
+        if len(set(oids)) != len(oids) or not taken.isdisjoint(oids):
+            raise WorkloadError("duplicate oids in workload")
+        try:
+            for xpath_filter in filters:
+                build_afa(self, xpath_filter)
+        except Exception:
+            # A filter that does not compile leaves no half-built AFA.
+            del self.states[self._finalized_states :]
+            del self.afas[self._finalized_afas :]
+            raise
+        for oid in retire:
+            afa = self.afas[self._live.pop(oid)]
+            afa.retired = True
+            self.retired_filters += 1
+            self.retired_states += len(afa.state_sids)
+            self._oid_by_initial[afa.initial].remove(oid)
+            if afa.notification >= 0:
+                self._oid_by_notification[afa.notification].remove(oid)
+        if retire:
+            self._codegen_cache.clear()
+            self._schema_cache.clear()
+        return self.finalize()
+
     def finalize(self) -> "WorkloadAutomata":
-        """Build reverse indexes, ranks and accept maps; call once after
-        all AFAs have been added."""
-        if self._finalized:
+        """Fold the states and AFAs added since the last call into the
+        reverse indexes, ranks, accept maps and compiled mask tables
+        (all of them, the first time).
+
+        Every state must be owned by exactly one AFA: the set-based
+        ``afa_states_of`` and the compiled per-filter owner masks both
+        resolve a state's filter through ``state.owner``, and an
+        ownerless state would silently strip the wrong filter under
+        early notification.
+        """
+        states = self.states
+        fresh = states[self._finalized_states :]
+        fresh_afas = self.afas[self._finalized_afas :]
+        if self.masks is not None and not fresh and not fresh_afas:
             return self
+        orphans = [state.sid for state in fresh if state.owner < 0]
+        if orphans:
+            raise WorkloadError(f"states without an owning AFA: {orphans[:8]}")
         top_by_label: dict[str, list[int]] = {}
         rev: dict[int, dict[str, list[int]]] = {}
-        for state in self.states:
+        for state in fresh:
             for label, targets in state.edges.items():
                 for target in targets:
                     rev.setdefault(target, {}).setdefault(label, []).append(state.sid)
             for label in state.top_labels:
                 top_by_label.setdefault(label, []).append(state.sid)
             for child in state.eps:
-                self.states[child].eps_parents.append(state.sid)
+                states[child].eps_parents.append(state.sid)
         for target, by_label in rev.items():
-            self.states[target].rev = {
+            states[target].rev = {
                 label: tuple(sorted(sources)) for label, sources in by_label.items()
             }
-        self.top_by_label = {
-            label: tuple(sorted(sids)) for label, sids in top_by_label.items()
-        }
+        for label, sids in top_by_label.items():  # fresh sids sort above the old
+            self.top_by_label[label] = self.top_by_label.get(label, ()) + tuple(sorted(sids))
         self.top_wild = self.top_by_label.get(WILDCARD, ())
         self.top_attr_wild = self.top_by_label.get(ATTRIBUTE_WILDCARD, ())
-        self.not_sids = tuple(s.sid for s in self.states if s.kind is StateKind.NOT)
-        self.terminals = tuple(s.sid for s in self.states if s.is_terminal)
-        self.initial_sids = frozenset(afa.initial for afa in self.afas)
-        for afa in self.afas:
-            self._oid_by_initial.setdefault(afa.initial, []).append(afa.oid)
+        self.not_sids += tuple(s.sid for s in fresh if s.kind is StateKind.NOT)
+        self.terminals += tuple(s.sid for s in fresh if s.is_terminal)
+        self.initial_sids |= {afa.initial for afa in fresh_afas}
+        for index, afa in enumerate(fresh_afas, self._finalized_afas):
+            # Every initial and notification state has an entry, a
+            # retired AFA's (a schema clone copies them) an empty one.
+            named = [self._oid_by_initial.setdefault(afa.initial, [])]
             if afa.notification >= 0:
-                self._oid_by_notification.setdefault(afa.notification, []).append(afa.oid)
-        self._compute_ranks()
-        self.masks = CompiledMasks(self)
-        self._finalized = True
+                named.append(self._oid_by_notification.setdefault(afa.notification, []))
+            if afa.retired:
+                self.retired_filters += 1
+                self.retired_states += len(afa.state_sids)
+                continue
+            self._live[afa.oid] = index
+            for oids in named:
+                oids.append(afa.oid)
+        self._compute_ranks(fresh)
+        if self.masks is None:
+            self.masks = CompiledMasks()
+        self.masks.extend(self)
+        self._finalized_states = len(states)
+        self._finalized_afas = len(self.afas)
+        self._codegen_cache.clear()
+        self._schema_cache.clear()
         return self
 
-    def _compute_ranks(self) -> None:
+    def _compute_ranks(self, fresh: list[AfaState]) -> None:
         """Topological rank over the ε-DAG: a connective's rank exceeds
-        all its ε-successors', so one ordered pass settles eval()."""
+        all its ε-successors', so one ordered pass settles eval().  A
+        state's ε-successors belong to its own AFA, so the ranks of
+        *fresh* states never reach into older ones."""
         memo: dict[int, int] = {}
 
         def rank_of(sid: int) -> int:
@@ -262,7 +360,7 @@ class WorkloadAutomata:
             state.rank = value
             return value
 
-        for state in self.states:
+        for state in fresh:
             rank_of(state.sid)
 
     def compiled_handlers(self, max_handlers: int | None = None) -> "CompiledHandlers | None":
@@ -277,8 +375,6 @@ class WorkloadAutomata:
         to the interpreted bitmask tables, never a hard error.
         """
         if self.masks is None:
-            from repro.errors import WorkloadError
-
             raise WorkloadError(
                 "codegen needs a finalized workload (call finalize())"
             )
@@ -457,6 +553,7 @@ class CompiledMasks:
         "initial_mask",
         "notification_mask",
         "not_up_mask",
+        "_afa_count",
         "_eps_masks",
         "_closure_masks",
         "_up_masks",
@@ -474,50 +571,72 @@ class CompiledMasks:
         "_oid_by_notification",
     )
 
-    def __init__(self, workload: WorkloadAutomata):
+    def __init__(self, workload: WorkloadAutomata | None = None):
+        self.state_count = 0
+        self._afa_count = 0
+        self.all_mask = 0
+        self.terminal_mask = self.not_mask = 0
+        self.initial_mask = self.notification_mask = self.not_up_mask = 0
+        self._eps_masks: list[int] = []
+        self._closure_masks: list[int] = []
+        self._up_masks: list[int] = []
+        self._rank_buckets: list[list[int]] = []
+        self._rev_masks: list[dict[str, int]] = []
+        self._rev_targets_by_label: dict[str, int] = {}
+        self._push_by_label: dict[str, tuple[int, dict[int, int], int]] = {}
+        self._push_elem_wild = self._push_attr_wild = None
+        self._top_masks: dict[str, int] = {}
+        self._top_wild_mask = self._top_attr_wild_mask = 0
+        self._owner_masks: list[int] = []
+        self._oid_by_initial: dict[int, list[str]] = {}
+        self._oid_by_notification: dict[int, list[str]] = {}
+        if workload is not None:
+            self.extend(workload)
+
+    def extend(self, workload: WorkloadAutomata) -> None:
+        """Append the rows of the states and AFAs *workload* gained
+        since the last call; no row of an older state changes (its
+        edges and ε-arcs stay inside its own AFA).  Per-label tables
+        gain bits and entries for the new sids only."""
         states = workload.states
+        start = self.state_count
+        fresh = states[start:]
         n = len(states)
         self.state_count = n
         self.all_mask = (1 << n) - 1
 
-        terminal = not_mask = initial = notification = 0
-        eps_masks = [0] * n
-        rev_masks: list[dict[str, int]] = [{}] * n  # one shared empty row, never written
-        rev_targets_by_label: dict[str, int] = {}
-        for state in states:
-            bit = 1 << state.sid
+        not_mask = 0
+        eps_masks, rev_masks = self._eps_masks, self._rev_masks
+        rev_targets_by_label, top_masks = self._rev_targets_by_label, self._top_masks
+        # A row is an int as wide as its sid is high, and most rows are
+        # a single bit or a copy of another row: build each such int
+        # once and let the rows share it (see _or_all).
+        bits = [1 << state.sid for state in fresh]
+        for state, bit in zip(fresh, bits):
             if state.is_terminal:
-                terminal |= bit
+                self.terminal_mask |= bit
             if state.kind is StateKind.NOT:
                 not_mask |= bit
             mask = 0
             for child in state.eps:
                 mask |= 1 << child
-            eps_masks[state.sid] = mask
-            if state.rev:
-                rev_masks[state.sid] = {
-                    label: _mask_of(sources) for label, sources in state.rev.items()
+            eps_masks.append(mask)
+            # States without reverse edges share one empty row, never written.
+            rev_masks.append(
+                {
+                    label: _or_all(bits[source - start] for source in sources)
+                    for label, sources in state.rev.items()
                 }
-                for label in state.rev:
-                    rev_targets_by_label[label] = (
-                        rev_targets_by_label.get(label, 0) | bit
-                    )
-        for afa in workload.afas:
-            initial |= 1 << afa.initial
-            if afa.notification >= 0:
-                notification |= 1 << afa.notification
-        self.terminal_mask = terminal
-        self.not_mask = not_mask
-        self.initial_mask = initial
-        self.notification_mask = notification
-        self._eps_masks = eps_masks
-        self._rev_masks = rev_masks
-        self._rev_targets_by_label = rev_targets_by_label
-        self._top_masks = {
-            label: _mask_of(sids) for label, sids in workload.top_by_label.items()
-        }
-        self._top_wild_mask = self._top_masks.get(WILDCARD, 0)
-        self._top_attr_wild_mask = self._top_masks.get(ATTRIBUTE_WILDCARD, 0)
+                if state.rev
+                else _NO_ROW
+            )
+            for label in state.rev:
+                rev_targets_by_label[label] = rev_targets_by_label.get(label, 0) | bit
+            for label in state.top_labels:
+                top_masks[label] = top_masks.get(label, 0) | bit
+        self.not_mask |= not_mask
+        self._top_wild_mask = top_masks.get(WILDCARD, 0)
+        self._top_attr_wild_mask = top_masks.get(ATTRIBUTE_WILDCARD, 0)
 
         # Per-sid transitive ε-closures, both directions.  The ε-graph
         # is a DAG (finalize() computed topological ranks over it), so
@@ -526,98 +645,102 @@ class CompiledMasks:
         # closure is itself plus its ε-parents' upward closures.  These
         # tables turn every runtime closure into a single OR-sweep over
         # the argument's bits — no frontier loop, no revisits.
-        by_rank = sorted(states, key=lambda s: s.rank)
-        closure_masks = [0] * n
+        by_rank = sorted(fresh, key=lambda s: s.rank)
+        closure_masks, up_masks = self._closure_masks, self._up_masks
+        closure_masks.extend([0] * len(fresh))
+        up_masks.extend([0] * len(fresh))
         for state in by_rank:  # children (lower rank) first
-            mask = 1 << state.sid
+            mask = bits[state.sid - start]
             for child in state.eps:
                 mask |= closure_masks[child]
             closure_masks[state.sid] = mask
-        up_masks = [0] * n
         for state in reversed(by_rank):  # parents (higher rank) first
-            mask = 1 << state.sid
+            mask = bits[state.sid - start]
             for parent in state.eps_parents:
                 mask |= up_masks[parent]
             up_masks[state.sid] = mask
-        self._closure_masks = closure_masks
-        self._up_masks = up_masks
-        self.not_up_mask = _or_rows(up_masks, not_mask)
+        self.not_up_mask = _or_rows(up_masks, not_mask, self.not_up_mask)
 
-        # Label-edge index for t_push, with the targets' ε-closure baked
-        # in: per label, the mask of source states carrying that label
-        # plus a per-source table of the already-closed target sets —
-        # t_push is then one AND, a sweep over the (few) enabled
-        # sources, and zero closure calls.
-        raw_push: dict[str, tuple[int, dict[int, int]]] = {}
-        for state in states:
-            for label, targets in state.edges.items():
-                closed = 0
-                for target in targets:
-                    closed |= closure_masks[target]
-                sources_mask, by_source = raw_push.get(label, (0, {}))
-                by_source[state.sid] = by_source.get(state.sid, 0) | closed
-                raw_push[label] = (sources_mask | (1 << state.sid), by_source)
-        # Fold the matching wildcard row into every concrete label so
-        # t_push is a single lookup + sweep; the bare wildcard rows stay
-        # in the table as the fallback for labels with no concrete edge.
-        # Each entry also carries the union of all its target closures:
-        # when every source for the label is enabled (the common case at
-        # shallow depths under top-down evaluation) the sweep collapses
-        # to returning that precomputed union.
-        push_by_label: dict[str, tuple[int, dict[int, int], int]] = {}
-        for label, (sources_mask, by_source) in raw_push.items():
-            if label not in (WILDCARD, ATTRIBUTE_WILDCARD):
-                wild = raw_push.get(
-                    ATTRIBUTE_WILDCARD if label.startswith("@") else WILDCARD
-                )
-                if wild is not None:
-                    wild_sources, wild_by_source = wild
-                    sources_mask |= wild_sources
-                    merged = dict(wild_by_source)
-                    for sid, closed in by_source.items():
-                        merged[sid] = merged.get(sid, 0) | closed
-                    by_source = merged
-            full_union = 0
-            for closed in by_source.values():
-                full_union |= closed
-            push_by_label[label] = (sources_mask, by_source, full_union)
-        self._push_by_label = push_by_label
-        self._push_elem_wild = push_by_label.get(WILDCARD)
-        self._push_attr_wild = push_by_label.get(ATTRIBUTE_WILDCARD)
+        self._extend_push_rows(fresh)
 
         # Rank-bucketed eval structures: per ε-rank ≥ 1, one candidate
         # mask per connective kind, so eval_closure is a rank-by-rank
         # sweep over (candidates ∩ bucket) with one subset/overlap test
-        # per fired state — no sorting, no frozenset allocation.
-        max_rank = max((s.rank for s in states), default=0)
-        buckets = [[0, 0, 0] for _ in range(max_rank + 1)]
-        for state in states:
+        # per fired state — no sorting, no frozenset allocation.  (A
+        # rank-r connective has a rank r-1 ε-successor, so no bucket
+        # below the highest is empty.)
+        buckets = self._rank_buckets
+        for state in fresh:
             if not state.eps:
                 continue
-            bit = 1 << state.sid
-            if state.kind is StateKind.AND:
-                buckets[state.rank][0] |= bit
-            elif state.kind is StateKind.NOT:
-                buckets[state.rank][1] |= bit
-            else:  # OR with ε-successors
-                buckets[state.rank][2] |= bit
-        self._rank_buckets = tuple(
-            (ands, nots, ors) for ands, nots, ors in buckets[1:] if ands or nots or ors
-        )
+            while len(buckets) < state.rank:
+                buckets.append([0, 0, 0])
+            kind = 0 if state.kind is StateKind.AND else 1 if state.kind is StateKind.NOT else 2
+            buckets[state.rank - 1][kind] |= 1 << state.sid
 
         # Per-sid mask of the owning AFA's states (early notification
         # strips a notified filter's whole automaton) and the oid maps
-        # behind t_accept / notification answers.
-        afa_masks = [_mask_of(afa.state_sids) for afa in workload.afas]
-        self._owner_masks = [
-            afa_masks[state.owner] if state.owner >= 0 else 0 for state in states
-        ]
-        self._oid_by_initial = {
-            sid: tuple(oids) for sid, oids in workload._oid_by_initial.items()
-        }
-        self._oid_by_notification = {
-            sid: tuple(oids) for sid, oids in workload._oid_by_notification.items()
-        }
+        # behind t_accept / notification answers — the workload's own,
+        # so retiring an oid there is retiring it here.  A retired AFA
+        # keeps its initial and notification bits: the transitions must
+        # not notice.
+        afa_start = self._afa_count
+        fresh_afas = workload.afas[afa_start:]
+        self._afa_count = len(workload.afas)
+        afa_masks = [_mask_of(afa.state_sids) for afa in fresh_afas]
+        self._owner_masks.extend(afa_masks[state.owner - afa_start] for state in fresh)
+        for afa in fresh_afas:
+            self.initial_mask |= 1 << afa.initial
+            if afa.notification >= 0:
+                self.notification_mask |= 1 << afa.notification
+        self._oid_by_initial = workload._oid_by_initial
+        self._oid_by_notification = workload._oid_by_notification
+
+    def _extend_push_rows(self, fresh: list[AfaState]) -> None:
+        """Label-edge index for t_push, with the targets' ε-closure
+        baked in: per label, the mask of source states carrying that
+        label, a per-source table of the already-closed target sets,
+        and the union of all of them — t_push is one AND, a sweep over
+        the (few) enabled sources and zero closure calls, and when
+        every source for the label is enabled (the common case at
+        shallow depths under top-down evaluation) the sweep collapses
+        to returning the precomputed union.
+
+        The matching wildcard row is folded into every concrete label
+        so t_push is a single lookup; the bare wildcard rows stay in
+        the table as the fallback for labels with no concrete edge."""
+        closure_masks = self._closure_masks
+        fresh_rows: dict[str, dict[int, int]] = {}
+        for state in fresh:
+            for label, targets in state.edges.items():
+                fresh_rows.setdefault(label, {})[state.sid] = _or_all(
+                    closure_masks[target] for target in targets
+                )
+        if not fresh_rows:
+            return
+        table = self._push_by_label
+        wildcards = (WILDCARD, ATTRIBUTE_WILDCARD)
+        # Concrete labels first: a label seen for the first time starts
+        # from the wildcard row as it stood, then every label takes the
+        # fresh sources of its own row and of its wildcard's.
+        for label in (table.keys() | fresh_rows.keys()).difference(wildcards):
+            wild = ATTRIBUTE_WILDCARD if label.startswith("@") else WILDCARD
+            added = dict(fresh_rows.get(wild, ()))
+            for sid, closed in fresh_rows.get(label, {}).items():
+                wild_closed = added.get(sid)
+                added[sid] = closed if wild_closed is None else wild_closed | closed
+            if not added:
+                continue
+            entry = table.get(label)
+            if entry is None and wild in table:
+                sources_mask, by_source, union = table[wild]
+                entry = (sources_mask, dict(by_source), union)
+            table[label] = _with_sources(entry, added)
+        for wild in wildcards:
+            if wild in fresh_rows:
+                table[wild] = _with_sources(table.get(wild), fresh_rows[wild])
+        self._push_elem_wild = table.get(WILDCARD)
+        self._push_attr_wild = table.get(ATTRIBUTE_WILDCARD)
 
     # -- set algebra on masks --------------------------------------------
 
@@ -690,7 +813,7 @@ class CompiledMasks:
 
     def rank_bucket_rows(self) -> tuple[tuple[int, int, int], ...]:
         """Per ε-rank ≥ 1: (AND, NOT, OR) connective masks."""
-        return self._rank_buckets
+        return tuple((ands, nots, ors) for ands, nots, ors in self._rank_buckets)
 
     # -- runtime transitions ---------------------------------------------
 
@@ -788,5 +911,28 @@ def _mask_of(sids: Iterable[int]) -> int:
         mask |= 1 << sid
     return mask
 
+
+def _or_all(masks: Iterable[int]) -> int:
+    """The OR of *masks*; of exactly one, that very object — table
+    rows are wide ints, and a shared one is stored once."""
+    out = None
+    for mask in masks:
+        out = mask if out is None else out | mask
+    return out or 0
+
+
+def _with_sources(
+    entry: tuple[int, dict[int, int], int] | None, added: Mapping[int, int]
+) -> tuple[int, dict[int, int], int]:
+    """A ``_push_by_label`` entry grown by the *added* source rows."""
+    sources_mask, by_source, union = entry or (0, {}, 0)
+    for sid, closed in added.items():
+        by_source[sid] = closed
+        sources_mask |= 1 << sid
+        union |= closed
+    return sources_mask, by_source, union
+
+
+_NO_ROW: dict[str, int] = {}
 
 _EMPTY_OIDS: frozenset[str] = frozenset()

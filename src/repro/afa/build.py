@@ -237,23 +237,6 @@ def build_afa(workload: WorkloadAutomata, xpath_filter: XPathFilter) -> AFA:
 
 def build_workload_automata(filters: list[XPathFilter]) -> WorkloadAutomata:
     """Compile a whole workload (Step 1 of Sec. 3.2) and finalise the
-    shared indexes (including the compiled bitmask tables).  Oids must
-    be unique.
-
-    Every state must end up owned by exactly one AFA: the set-based
-    ``afa_states_of`` and the compiled per-filter owner masks both
-    resolve a state's filter through ``state.owner``, and an ownerless
-    state would silently strip the wrong filter under early
-    notification.  The compiler guarantees ownership by construction;
-    this guard turns any future violation into a loud error.
-    """
-    oids = [f.oid for f in filters]
-    if len(set(oids)) != len(oids):
-        raise WorkloadError("duplicate oids in workload")
-    workload = WorkloadAutomata()
-    for xpath_filter in filters:
-        build_afa(workload, xpath_filter)
-    orphans = [state.sid for state in workload.states if state.owner < 0]
-    if orphans:
-        raise WorkloadError(f"states without an owning AFA: {orphans[:8]}")
-    return workload.finalize()
+    shared indexes (including the compiled bitmask tables): growth from
+    empty (:meth:`WorkloadAutomata.extend`).  Oids must be unique."""
+    return WorkloadAutomata().extend(filters)

@@ -30,8 +30,8 @@ The pruned automaton is a genuine second
 :class:`~repro.afa.automaton.WorkloadAutomata` over the *same* sid
 space, finalized normally — its :class:`CompiledMasks` and compiled
 handlers are built by the ordinary machinery and are cached per DTD
-fingerprint on the original workload, so machines, shards and layered
-epochs over one workload share one specialization.
+fingerprint on the original workload until that workload grows, so
+machines and shards over one workload share one specialization.
 
 Soundness (``schema_mode="trust"``) holds exactly on documents that
 only use producible labels and respect the depth bound; those are the
@@ -222,7 +222,8 @@ class SchemaSpec:
 
 def specialize(workload: WorkloadAutomata, dtd: DTD) -> SchemaSpec:
     """The DTD × AFA product pruning, cached per DTD fingerprint on the
-    workload (machines, shards and layered epochs share one result).
+    workload (machines and shards over it share one result; growing the
+    workload drops the cache).
 
     The clone keeps the original sid numbering (states are re-created
     in append order), so oids, owners, notification states and every
@@ -291,6 +292,7 @@ def specialize(workload: WorkloadAutomata, dtd: DTD) -> SchemaSpec:
                 source=afa.source,
                 state_sids=afa.state_sids,
                 notification=afa.notification,
+                retired=afa.retired,
             )
         )
         for sid in afa.state_sids:

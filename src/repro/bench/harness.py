@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import platform
+import subprocess
 import time
 from dataclasses import dataclass
 
@@ -12,6 +15,27 @@ from repro.xmlstream.parser import count_bytes, iterparse
 from repro.xpath.ast import XPathFilter
 from repro.xpush.machine import XPushMachine
 from repro.xpush.options import variant_options
+
+
+def stamp() -> dict:
+    """Where and on what a ``--json`` file was measured (``-dirty``: on
+    uncommitted changes over that commit)."""
+    try:
+        commit = subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        commit = "unknown"
+    return {
+        "commit": commit,
+        "cpus": os.cpu_count(),
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+    }
 
 
 def timed(callable_, *args, **kwargs) -> tuple[object, float]:

@@ -128,17 +128,17 @@ def _shippable(config: EngineConfig) -> EngineConfig:
 def _snapshot_sources(snap: dict | None) -> dict[str, str]:
     """The version-1 snapshot reader: the live oid → XPath sources one
     of its per-shard inner-engine snapshots describes (base plus delta
-    minus tombstones for ``repro-layered-engine``, the filters mapping
-    otherwise).  The only code here that knows an inner format."""
+    minus tombstones for ``repro-layered-engine``, read by that
+    format's own reader; the filters mapping otherwise)."""
     if not isinstance(snap, dict):
         return {}
     if snap.get("format") == "repro-layered-engine":
-        base = snap.get("base") or {"afas": []}
-        sources = {str(afa["oid"]): str(afa["source"]) for afa in base["afas"]}
-        for oid, xpath in snap.get("delta", {}).items():
-            sources[str(oid)] = str(xpath)
-        for oid in snap.get("tombstones", []):
-            sources.pop(str(oid), None)
+        from repro.xpush.layered import snapshot_layers
+
+        base, delta, tombstones = snapshot_layers(snap)
+        sources = {**base, **delta}
+        for oid in tombstones:
+            sources.pop(oid, None)
         return sources
     return {str(oid): str(xpath) for oid, xpath in snap.get("filters", {}).items()}
 
@@ -372,8 +372,9 @@ class ShardedFilterEngine:
         self._shards[shard_id].unsubscribe(oid, self._epoch)
 
     def compact(self) -> None:
-        """Fold every shard's delta and tombstones into a fresh base —
-        the brute-force reset, amortised to once per update epoch."""
+        """Fold every shard's delta and tombstones into its base (a
+        layered shard appends; the brute-force rebuild is its
+        renumbering rule's to call)."""
         self._check_open()
         self._epoch += 1
         for shard in self._shards.values():

@@ -10,34 +10,48 @@ The paper sketches two ways to update the XPath workload:
    they contain at most one state from the old XPush machine and a few
    AFA states from the new XPath filter."
 
-:class:`LayeredFilterEngine` realises the second idea with an
-equivalent factored construction: the established workload keeps its
-fully-warmed *base* machine, and filters inserted since the last
-compaction live in a small *delta* machine.  A composite state of the
-paper's layered machine is exactly a pair (base state, delta state);
-running the two machines side by side over the same event stream
-maintains precisely those pairs without materialising the product, and
-the answer is the union of the layers' answers.  The expensive, warmed
-base tables are never touched by an insertion.
+:class:`LayeredFilterEngine` realises the second idea with a factored
+construction and one rule: **a layer grows, it is not rebuilt**.  The
+established workload lives in a warmed *base* machine and the filters
+inserted since the last fold in a small *delta* machine; a composite
+state of the paper's layered machine is exactly a pair (base state,
+delta state), maintained by running the two machines side by side over
+the same event stream, and the answer is the union of the layers'
+answers.  Three verbs change a layer, and each is
+:meth:`repro.xpush.machine.XPushMachine.extend` underneath:
 
-Deletions are tombstones (dropped from answers immediately); calling
-:meth:`compact` folds the delta and the tombstones into a fresh base
-(the brute-force path, amortised to once per epoch).  A *re-inserted*
-oid whose old definition still lives in the base layer is **shadowed**:
-the delta's definition answers for it and the base layer's stale
-matches are suppressed until compaction folds them away.
+- **grow** — ``insert`` compiles exactly one AFA, at the top of the
+  delta's sid space; ``compact`` (the *fold*, automatic every
+  ``compact_threshold`` insertions) appends the delta's filters at the
+  top of the base's.  Nothing about an existing AFA state changes, so
+  the machine keeps the state store it had as a read-only predecessor
+  and a memo miss takes the old block's share of the answer from it —
+  the "on top of the old XPush machine" of the quote;
+- **retire** — ``remove`` is a tombstone (dropped from answers at
+  once); the next fold turns tombstoned and re-defined filters into
+  *passengers*: their AFAs stay in the sid space, transitions intact,
+  and answer to no oid.  A re-inserted oid whose old definition still
+  sits in the base is *shadowed* by the delta's until then; one whose
+  old definition sits in the delta is retired on the spot;
+- **renumber** — passengers widen every mask, so when a fold finds the
+  base's retired AFA states outnumbering half its live ones it
+  rebuilds the base from the live sources instead (the brute-force
+  path, cold).  The rule reads the workload; there is no knob.
 
 The engine conforms to the :class:`repro.engine.protocol.FilterEngine`
 protocol: ``subscribe``/``unsubscribe`` alias ``insert``/``remove``,
 ``filter_stream`` runs the zero-allocation push-mode event path fanned
 out over both layers in a single pass, and ``snapshot()``/``restore()``
-capture base + delta + tombstones (the base as a compiled
-:mod:`repro.xpush.persist` workload, so a restarted worker resumes the
-updated workload without re-parsing it).
+capture the live definitions of base and delta plus the tombstones as
+XPath sources — passengers are never written, so a restart cannot
+resurrect one.  Folds and renumberings are logged at INFO on
+``repro.xpush.layered``.
 """
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import replace
 from typing import IO, Any, Callable, Iterable, Mapping, Union
 
@@ -50,9 +64,31 @@ from repro.xpath.ast import XPathFilter
 from repro.xpush.machine import XPushMachine
 from repro.xpush.options import XPushOptions
 
-#: ``snapshot()`` format tag (see :mod:`repro.xpush.persist`).
+log = logging.getLogger(__name__)
+
+#: ``snapshot()`` format tag (see :mod:`repro.xpush.persist`).  Version 1
+#: shipped the base as a compiled workload; version 2 ships sources.
 SNAPSHOT_FORMAT = "repro-layered-engine"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
+
+
+def snapshot_layers(
+    snapshot: Mapping[str, Any],
+) -> tuple[dict[str, str], dict[str, str], list[str]]:
+    """``(base sources, delta sources, tombstones)`` of a version 1 or
+    2 capture — the one reader of the format."""
+    from repro.xpush.persist import PersistError
+
+    base = snapshot.get("base") or {}
+    delta = snapshot.get("delta") or {}
+    tombstones = snapshot.get("tombstones") or []
+    try:
+        if snapshot.get("version") == 1:
+            base = {afa["oid"]: afa["source"] for afa in base.get("afas", [])}
+        layers = [{str(oid): str(xpath) for oid, xpath in layer.items()} for layer in (base, delta)]
+        return layers[0], layers[1], [str(oid) for oid in tombstones]
+    except (AttributeError, KeyError, TypeError) as error:
+        raise PersistError(f"malformed layered snapshot: {error}") from None
 
 
 class _LayerFanout(EventHandler):
@@ -181,34 +217,42 @@ class LayeredFilterEngine:
     # ------------------------------------------------------------------
 
     def insert(self, oid: str, xpath: str) -> None:
-        """Add a filter; only the small delta machine is rebuilt, the
-        warmed base machine and all its states survive untouched.
+        """Add a filter: one AFA is compiled, at the top of the delta
+        layer (or, when this insertion fills the delta, of the base it
+        is folded into); the warmed base machine and all its states
+        survive untouched.
 
-        Re-inserting a previously removed oid is allowed; if its old
-        definition still sits in the base layer it is *shadowed* — the
-        new delta definition answers alone (never both layers), and
-        ``filter_count`` counts the oid once.
+        Re-inserting a previously removed oid is allowed.  If its old
+        definition sits in the base layer it is *shadowed* — the new
+        delta definition answers alone (never both layers), and
+        ``filter_count`` counts the oid once; if it sits in the delta,
+        that AFA is retired in the same step.
         """
-        live = (
+        if (
             oid in self._base_filters or oid in self._delta_filters
-        ) and oid not in self._tombstones
-        if live:
+        ) and oid not in self._tombstones:
             raise WorkloadError(f"oid {oid!r} already subscribed")
         from repro.xpath.parser import parse_xpath
 
         parsed = parse_xpath(xpath, oid)
-        self._tombstones.discard(oid)
-        # The delta definition shadows any stale base-layer definition
-        # of the same oid (dict-merge order in compact() agrees).
-        self._delta_filters[oid] = parsed
-        self._delta = self._build(list(self._delta_filters.values()))
+        redefined = oid in self._delta_filters
+        if len(self._delta_filters) + (not redefined) >= self.compact_threshold:
+            self._fold(parsed)
+        else:
+            delta = self._delta
+            if delta is None:
+                delta = self._machine_of(build_workload_automata([]))
+            delta.extend([parsed], retire=[oid] if redefined else ())
+            self._delta = delta
+            self._tombstones.discard(oid)
+            # Sid order, not definition order: a redefinition moves last.
+            self._delta_filters.pop(oid, None)
+            self._delta_filters[oid] = parsed
         self.insertions += 1
-        if len(self._delta_filters) >= self.compact_threshold:
-            self.compact()
 
     def remove(self, oid: str) -> None:
         """Delete a filter.  Cheap: a tombstone filters the answers; the
-        machines are untouched until the next compaction."""
+        machines are untouched until the next fold."""
         if oid not in self._base_filters and oid not in self._delta_filters:
             raise WorkloadError(f"unknown oid {oid!r}")
         if oid in self._tombstones:
@@ -224,17 +268,68 @@ class LayeredFilterEngine:
         self.remove(oid)
 
     def compact(self) -> None:
-        """Fold delta and tombstones into a fresh base machine — the
-        paper's brute-force reset, amortised over an epoch of updates."""
-        merged = {**self._base_filters, **self._delta_filters}
-        for oid in self._tombstones:
-            merged.pop(oid, None)
+        """Fold the delta and the tombstones into the base: the delta's
+        live filters are appended to the base machine, tombstoned and
+        re-defined base filters become passengers, and the base's
+        memoised states stay reachable through its predecessor store.
+        Renumbers instead — rebuilds the base from its live sources —
+        when passengers have come to outnumber half the live AFA states."""
+        self._fold()
+
+    def _fold(self, incoming: XPathFilter | None = None) -> None:
+        """:meth:`compact`, with the insertion that triggered it (if
+        any) going straight into the base."""
+        started = time.perf_counter()
+        delta, tombstones = dict(self._delta_filters), set(self._tombstones)
+        if incoming is not None:
+            delta.pop(incoming.oid, None)
+            delta[incoming.oid] = incoming
+            tombstones.discard(incoming.oid)
+        arriving = [f for oid, f in delta.items() if oid not in tombstones]
+        leaving = [oid for oid in self._base_filters if oid in tombstones or oid in delta]
+        merged = {
+            oid: f
+            for oid, f in self._base_filters.items()
+            if oid not in tombstones and oid not in delta
+        }
+        merged.update((f.oid, f) for f in arriving)
+        base = self._base
+        workload = base.workload if base is not None else None
+        # Passengers cost mask width — every table row and interned
+        # state is an int as wide as the sid space — so the base is
+        # renumbered once they outnumber half its live AFA states.
+        renumber = (
+            workload is not None
+            and 2 * workload.retired_states > workload.state_count - workload.retired_states
+        )
+        if base is None or renumber:
+            # Compiling may refuse the incoming filter: nothing is
+            # touched before it.  The old stores are most of the heap
+            # and go before the new machine exists.
+            rebuilt = build_workload_automata(list(merged.values()))
+            if base is not None:
+                base.close()
+            self._base = self._machine_of(rebuilt) if merged else None
+        else:
+            base.extend(arriving, retire=leaving)
+        if self._delta is not None:
+            self._delta.close()
+        self._delta = None
         self._base_filters = merged
         self._delta_filters = {}
         self._tombstones = set()
-        self._base = self._build(list(merged.values()))
-        self._delta = None
         self.compactions += 1
+        if log.isEnabledFor(logging.INFO):
+            stats = self.stats()
+            log.info(
+                "%s: %d live filters, %d retired, %d AFA states, %d carried hits, %.1f ms",
+                "renumbered" if renumber else "folded",
+                stats["filters"],
+                stats["retired_filters"],
+                stats["afa_states"],
+                stats["carried"],
+                (time.perf_counter() - started) * 1e3,
+            )
 
     def _build(self, filters: list[XPathFilter]) -> XPushMachine | None:
         if not filters:
@@ -361,29 +456,25 @@ class LayeredFilterEngine:
     def snapshot(self) -> dict[str, Any]:
         """Capture base + delta + tombstones as a JSON-safe dict.
 
-        The base ships as a compiled :mod:`repro.xpush.persist`
-        workload — restoring skips XPath parsing and AFA compilation
-        for the (large) base layer; the (small) delta ships as sources
-        and is recompiled on restore.  A worker restarted from this
-        snapshot resumes the exact workload version, uncompacted
-        updates included.
+        Both layers ship as XPath sources of their *live* definitions
+        (a tombstoned one included, with its tombstone, so a worker
+        restarted from this snapshot resumes the exact workload
+        version, unfolded updates and all); retired passengers are not
+        definitions and are never written.  Restoring recompiles, and
+        so renumbers, both layers.
         """
-        from repro.xpush.persist import workload_to_json
-
         out: dict[str, Any] = {
             "format": SNAPSHOT_FORMAT,
             "version": SNAPSHOT_VERSION,
             # Compiled handlers (codegen) and bitmask tables are derived
-            # data, rebuilt by finalize() on restore; recording the
-            # runtime is enough to resume the same machine shape.  The
-            # schema identity (mode + DTD fingerprint) is recorded the
-            # same way: pruned tables are derived from the DTD, so the
-            # snapshot names which DTD they must be re-derived from.
+            # data, rebuilt on restore; recording the runtime is enough
+            # to resume the same machine shape.  The schema identity
+            # (mode + DTD fingerprint) is recorded the same way: pruned
+            # tables are derived from the DTD, so the snapshot names
+            # which DTD they must be re-derived from.
             "runtime": self.options.runtime,
             "schema_mode": self.options.schema_mode,
-            "base": (
-                workload_to_json(self._base.workload) if self._base is not None else None
-            ),
+            "base": {oid: f.source for oid, f in self._base_filters.items()},
             "delta": {oid: f.source for oid, f in self._delta_filters.items()},
             "tombstones": sorted(self._tombstones),
         }
@@ -396,17 +487,15 @@ class LayeredFilterEngine:
     def restore(self, snapshot: Mapping[str, Any]) -> None:
         """Replace the current workload with a :meth:`snapshot` capture."""
         from repro.xpath.parser import parse_xpath
-        from repro.xpush.persist import PersistError, workload_from_json
+        from repro.xpush.persist import PersistError
 
         if snapshot.get("format") != SNAPSHOT_FORMAT:
             raise PersistError("not a persisted layered engine snapshot")
-        if snapshot.get("version") != SNAPSHOT_VERSION:
+        if snapshot.get("version") not in (1, SNAPSHOT_VERSION):
             raise PersistError(
                 f"unsupported layered snapshot version {snapshot.get('version')!r}"
             )
-        base_data = snapshot.get("base")
-        delta_data = snapshot.get("delta") or {}
-        tombstones = snapshot.get("tombstones") or []
+        base_data, delta_data, tombstones = snapshot_layers(snapshot)
         runtime = snapshot.get("runtime")
         if isinstance(runtime, str) and runtime != self.options.runtime:
             self.options = replace(self.options, runtime=runtime)
@@ -429,29 +518,19 @@ class LayeredFilterEngine:
                     )
             if mode != self.options.schema_mode:
                 self.options = replace(self.options, schema_mode=mode)
-        if not isinstance(delta_data, Mapping) or not isinstance(tombstones, list):
-            raise PersistError("malformed layered snapshot")
-        if base_data is not None:
-            base_workload = workload_from_json(base_data)
-            base_filters = {
-                afa.oid: parse_xpath(afa.source, afa.oid) for afa in base_workload.afas
-            }
-            base_machine: XPushMachine | None = self._machine_of(base_workload)
-        else:
-            base_filters = {}
-            base_machine = None
-        delta_filters = {
-            oid: parse_xpath(source, oid) for oid, source in delta_data.items()
-        }
-        known = base_filters.keys() | delta_filters.keys()
-        stale = [oid for oid in tombstones if oid not in known]
+        stale = [oid for oid in tombstones if oid not in base_data and oid not in delta_data]
         if stale:
             raise PersistError(f"tombstones for unknown oids: {stale[:8]}")
+        base_filters = {oid: parse_xpath(source, oid) for oid, source in base_data.items()}
+        delta_filters = {oid: parse_xpath(source, oid) for oid, source in delta_data.items()}
+        base = self._build(list(base_filters.values()))
+        delta = self._build(list(delta_filters.values()))
+        self.close()
         self._base_filters = base_filters
         self._delta_filters = delta_filters
         self._tombstones = set(tombstones)
-        self._base = base_machine
-        self._delta = self._build(list(delta_filters.values()))
+        self._base = base
+        self._delta = delta
 
     # ------------------------------------------------------------------
     # Warm-up, stats, lifecycle
@@ -477,6 +556,9 @@ class LayeredFilterEngine:
             "base_filters": len(self._base_filters),
             "delta_filters": len(self._delta_filters),
             "tombstones": len(self._tombstones),
+            # Passengers: folded-away AFAs still riding in a layer's sid
+            # space (and counted in ``afa_states``) until a renumbering.
+            "retired_filters": sum(m.workload.retired_filters for m in layers),
             "base_states": base.state_count if base else 0,
             "delta_states": delta.state_count if delta else 0,
             "insertions": self.insertions,
@@ -492,15 +574,16 @@ class LayeredFilterEngine:
             "imbalance": 1.0,
             "events": sum(m.stats.events for m in layers),
             "bytes_processed": self.bytes_processed,
-            "resident_bytes": sum(m.store.resident_bytes for m in layers),
-            "table_entries": sum(m.store.table_entries for m in layers),
+            # Misses whose old block a predecessor store answered.
+            "carried": sum(m.stats.carried for m in layers),
+            "resident_bytes": sum(m.resident_bytes for m in layers),
+            "table_entries": sum(m.table_entries for m in layers),
             "evictions": sum(m.stats.evictions for m in layers),
             "gc_states": sum(m.stats.gc_states for m in layers),
             "flushes": sum(m.stats.flushes for m in layers),
             "runtime": self.options.runtime,
-            # Compile cost is per-layer (the base layer's handlers are
-            # reused across delta rebuilds, so the sum stays flat until
-            # a compaction regenerates the base).
+            # Compile cost is per-layer: a layer that grows recompiles
+            # its handlers, the other layer's are untouched.
             "codegen_compile_ms": sum(m.stats.codegen_compile_ms for m in layers),
             "codegen_handlers": sum(m.stats.codegen_handlers for m in layers),
             "codegen_fallbacks": sum(m.stats.codegen_fallbacks for m in layers),
@@ -513,6 +596,9 @@ class LayeredFilterEngine:
     def close(self) -> None:
         """Release the layer machines; the engine can be restored or
         rebuilt through updates afterwards."""
+        for machine in (self._base, self._delta):
+            if machine is not None:
+                machine.close()
         self._base = None
         self._delta = None
         self._base_filters = {}

@@ -53,9 +53,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
-from typing import IO, TYPE_CHECKING, Callable, Hashable, Iterable
+from typing import IO, TYPE_CHECKING, Callable, Hashable, Iterable, Sequence
 
-from repro.afa.automaton import StateKind, WorkloadAutomata
+from repro.afa.automaton import CompiledMasks, StateKind, WorkloadAutomata
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.afa.schema import SchemaSpec
@@ -146,78 +146,24 @@ class XPushMachine:
         self.stats = MachineStats()
 
         self.runtime = self.options.runtime
-        # Schema specialization (repro.afa.schema): with a DTD and
-        # schema_mode on, the compiled runtimes build every table from
-        # a DTD-pruned clone of the workload over the same sid space —
-        # impossible label edges deleted, forward-unreachable states
-        # stripped, per-element push rows materialised.  The "sets"
-        # reference runtime always runs unpruned: it is the executable
-        # spec the pruned runtimes are differentially tested against.
-        self.schema: "SchemaSpec | None" = None
-        if self.options.schema_mode != "off":
-            if dtd is None:
-                raise WorkloadError(
-                    f"schema_mode={self.options.schema_mode!r} requires a DTD"
-                )
-            if self.runtime != "sets":
-                from repro.afa.schema import specialize
-
-                self.schema = specialize(workload, dtd)
-        compiled = self.schema.workload if self.schema is not None else workload
-        masks = compiled.masks
-        if masks is None:
+        if self.options.schema_mode != "off" and dtd is None:
             raise WorkloadError(
-                f"{self.runtime} runtime needs a finalized workload (call finalize())"
+                f"schema_mode={self.options.schema_mode!r} requires a DTD"
             )
+        #: The store this one replaced at the last :meth:`extend`, kept
+        #: read-only: its memo answers the old block ``_covered`` of a
+        #: t_pop / t_push miss.  ``_retired`` holds the oids that extend
+        #: retired — a notification set memoised before must not name them.
+        self._predecessor: StateStore | None = None
+        self._covered = 0
+        self._retired: frozenset[str] = frozenset()
+        self._open_store(self._bind_workload())
 
-        self.index = AtomicPredicateIndex()
-        for sid in compiled.terminals:
-            self.index.add(compiled.states[sid].predicate, sid)
-        self.index.freeze()
-
-        # The kernel is the only runtime-specific part: it maps state
-        # sets (int masks) to state sets on a memo miss.  The codegen
-        # runtime binds workload-specialized compiled handlers (shared
-        # across machines over the same workload); a declined
-        # compilation — compiled_handlers() warned once — runs the
-        # interpreted MaskKernel and the miss path counts those
-        # transitions so operators can see it.
-        self._handlers = (
-            compiled.compiled_handlers(self.options.codegen_max_handlers)
-            if self.runtime == "codegen"
-            else None
-        )
-        self._codegen_declined = self.runtime == "codegen" and self._handlers is None
-        prec = compute_precedence(workload, dtd) if self.options.order else None
-        self.kernel: Kernel
-        if self.runtime == "sets":
-            self.kernel = SetsKernel(workload, prec)
-        elif self._handlers is not None:
-            self.kernel = CodegenKernel(masks, self._handlers, prec)
-        else:
-            self.kernel = MaskKernel(masks, prec)
-
-        self.store = StateStore(masks)
-        self._stamp_codegen_gauges()
-        # The enabled set behind qt0 is a workload constant; compute it
-        # once so table flushes only pay the intern, not the closure.
-        self._qt0_enabled = (
-            self.kernel.initial_enabled() if self.options.top_down else None
-        )
-        self.qt0 = self.store.intern_top(self._qt0_enabled)
-
-        # Sec. 4, "State Precomputation": in the bottom-up machine the
-        # atomic predicate index and the t_value states are precomputed.
-        if self.options.precompute_values and not self.options.top_down:
-            self.index.precompute()
-            self._seed_value_table()
-
-        # Per-document registers (Fig. 2).  ``_content`` tracks what the
-        # open element contains so far (0 nothing, 1 text, 2 element
-        # children) to reject mixed content structurally — the paper's
-        # "no mixed content" assumption (Sec. 3.2).
-        self._qt: XPushTopState = self.qt0
-        self._qb: XPushState = self.store.empty
+        # Per-document registers (Fig. 2; ``_qt`` / ``_qb`` start with
+        # the store).  ``_content`` tracks what the open element
+        # contains so far (0 nothing, 1 text, 2 element children) to
+        # reject mixed content structurally — the paper's "no mixed
+        # content" assumption (Sec. 3.2).
         # The element stack is a frame buffer plus a stack pointer, so
         # documents reuse slots instead of growing and shrinking a
         # list.  A non-recursive DTD bounds document depth, so schema
@@ -258,10 +204,6 @@ class XPushMachine:
         self._doc_seq = 0  # monotonic document number (on_result index)
         self._training = False  # warm_up in progress: suspend mgmt/results
         self._memory_managed = self.options.max_memory_bytes is not None
-        # Clock hands (uid of the last swept state) for the second-chance
-        # eviction sweep over each intern ring.
-        self._clock_bottom_hand = -1
-        self._clock_top_hand = -1
         #: Optional push-mode sink: called as ``on_result(index, oids)``
         #: the moment each document finishes — lets brokers route
         #: packets without buffering the results list.  ``index`` is a
@@ -288,6 +230,81 @@ class XPushMachine:
 
         if self.options.train:
             self.warm_up(seed=training_seed)
+
+    def _bind_workload(self) -> CompiledMasks:
+        """(Re)derive what the machine reads off its workload — the
+        schema-specialised tables, the atomic predicate index, the
+        transition kernel, the enabled set behind ``qt0`` — and return
+        the mask tables states are interned against.  Runs at
+        construction and after every :meth:`extend`."""
+        workload, options, dtd = self.workload, self.options, self.dtd
+        # Schema specialization (repro.afa.schema): with a DTD and
+        # schema_mode on, the compiled runtimes build every table from
+        # a DTD-pruned clone of the workload over the same sid space —
+        # impossible label edges deleted, forward-unreachable states
+        # stripped, per-element push rows materialised.  The "sets"
+        # reference runtime always runs unpruned: it is the executable
+        # spec the pruned runtimes are differentially tested against.
+        self.schema: "SchemaSpec | None" = None
+        if options.schema_mode != "off" and self.runtime != "sets":
+            from repro.afa.schema import specialize
+
+            assert dtd is not None
+            self.schema = specialize(workload, dtd)
+        compiled = self.schema.workload if self.schema is not None else workload
+        masks = compiled.masks
+        if masks is None:
+            raise WorkloadError(
+                f"{self.runtime} runtime needs a finalized workload (call finalize())"
+            )
+
+        self.index = AtomicPredicateIndex()
+        for sid in compiled.terminals:
+            self.index.add(compiled.states[sid].predicate, sid)
+        self.index.freeze()
+
+        # The kernel is the only runtime-specific part: it maps state
+        # sets (int masks) to state sets on a memo miss.  The codegen
+        # runtime binds workload-specialized compiled handlers (shared
+        # across machines over the same workload); a declined
+        # compilation — compiled_handlers() warned once — runs the
+        # interpreted MaskKernel and the miss path counts those
+        # transitions so operators can see it.
+        self._handlers = (
+            compiled.compiled_handlers(options.codegen_max_handlers)
+            if self.runtime == "codegen"
+            else None
+        )
+        self._codegen_declined = self.runtime == "codegen" and self._handlers is None
+        prec = compute_precedence(workload, dtd) if options.order else None
+        self.kernel: Kernel
+        if self.runtime == "sets":
+            self.kernel = SetsKernel(workload, prec)
+        elif self._handlers is not None:
+            self.kernel = CodegenKernel(masks, self._handlers, prec)
+        else:
+            self.kernel = MaskKernel(masks, prec)
+        self._stamp_codegen_gauges()
+        # The enabled set behind qt0 is a workload constant; compute it
+        # once so table flushes only pay the intern, not the closure.
+        self._qt0_enabled = self.kernel.initial_enabled() if options.top_down else None
+        return masks
+
+    def _open_store(self, masks: CompiledMasks) -> None:
+        """Start from an empty state store over *masks*."""
+        self.store = StateStore(masks)
+        self.qt0 = self.store.intern_top(self._qt0_enabled)
+        # Sec. 4, "State Precomputation": in the bottom-up machine the
+        # atomic predicate index and the t_value states are precomputed.
+        if self.options.precompute_values and not self.options.top_down:
+            self.index.precompute()
+            self._seed_value_table()
+        self._qt: XPushTopState = self.qt0
+        self._qb: XPushState = self.store.empty
+        # Clock hands (uid of the last swept state) for the second-chance
+        # eviction sweep over each intern ring.
+        self._clock_bottom_hand = -1
+        self._clock_top_hand = -1
 
     def _seed_value_table(self) -> None:
         """Seed qt0's ``t_value`` memo from the precomputed index."""
@@ -328,6 +345,82 @@ class XPushMachine:
     ) -> "XPushMachine":
         """Build a machine straight from XPath source strings."""
         return cls.from_filters(parse_workload(sources), options, dtd, training_seed)
+
+    # ------------------------------------------------------------------
+    # Growth (Sec. 8) and release
+    # ------------------------------------------------------------------
+
+    def extend(
+        self, filters: Sequence[XPathFilter] = (), retire: Iterable[str] = ()
+    ) -> None:
+        """Grow the workload in place, between documents: *filters* are
+        compiled at the top of the sid space and the *retire* oids stop
+        answering (:meth:`WorkloadAutomata.extend` — the workload object
+        itself changes, so a :meth:`clone` sharing it must not be used
+        again).  The paper's Sec. 8 insertion: "a new XPush machine on
+        top of the old XPush machine and the new XPath expression".
+
+        Memoised transitions say nothing about the new filters, so the
+        machine starts a fresh state store — but keeps the one it had
+        as a read-only *predecessor* for the block of sids that existed
+        before.  AFAs are disjoint, so a state restricted to that block
+        is a state the predecessor may know, and its memo entry is the
+        block's share of the answer: a t_pop / t_push miss takes it from
+        there and asks the kernel for the remainder only.  The carry is
+        an accelerator, never a semantic: a probe the predecessor cannot
+        answer falls through to the ordinary whole-mask sweep.  One
+        predecessor is kept, the store being replaced; growing by
+        nothing replaces nothing.
+        """
+        if self._sp:
+            raise EventStreamError("extend() inside a document")
+        retire = frozenset(retire)
+        if not filters and not retire:
+            return
+        workload = self.workload
+        assert workload.masks is not None
+        covered = workload.masks.all_mask
+        workload.extend(filters, retire)
+        masks = self._bind_workload()
+        replaced = self.store
+        replaced.demote()
+        self._drop_predecessor()
+        if covered:
+            self._predecessor = replaced
+            self._covered = covered
+            self._retired = retire
+        else:
+            replaced.close()  # an empty workload memoised nothing
+        if self._fallback is not None:  # the unpruned twin is rebuilt on demand
+            self._fallback.close()
+            self._fallback = None
+        self._open_store(masks)
+        self.stats.resident_bytes = self.resident_bytes
+        self.stats.table_entries = self.table_entries
+
+    def _drop_predecessor(self) -> None:
+        if self._predecessor is not None:
+            self._predecessor.close()
+            self._predecessor = None
+            self._covered = 0
+            self._retired = frozenset()
+
+    def close(self) -> None:
+        """Release the state stores (and the schema fallback's), tables
+        cleared, so a replaced machine is freed by reference counting
+        the moment it is dropped instead of waiting, as cyclic garbage,
+        for a full collection."""
+        self._drop_predecessor()
+        self.store.close()
+        if self._fallback is not None:
+            self._fallback.close()
+            self._fallback = None
+        self._stack = []
+        self.on_match = self.on_result = None
+        # schema_mode="validate" binds its callbacks per instance — a
+        # machine → bound method → machine cycle.
+        for name in ("start_document", "start_element", "text", "end_element", "end_document"):
+            self.__dict__.pop(name, None)
 
     # ------------------------------------------------------------------
     # SAX callbacks (Fig. 2)
@@ -509,9 +602,8 @@ class XPushMachine:
             if self._memory_managed:
                 self._manage_memory()
             else:
-                store = self.store
-                self.stats.resident_bytes = store.resident_bytes
-                self.stats.table_entries = store.table_entries
+                self.stats.resident_bytes = self.resident_bytes
+                self.stats.table_entries = self.table_entries
         return accepted
 
     # ------------------------------------------------------------------
@@ -641,7 +733,21 @@ class XPushMachine:
         if qt.mask is None:
             nxt = qt  # single top-down state, as in the Sec. 3.2 machine
         else:
-            nxt = self.store.intern_top(self.kernel.push(qt.mask, label))
+            enabled = qt.mask
+            carried = None
+            if self._predecessor is not None:
+                old = self._predecessor.find_top(enabled & self._covered)
+                if old is not None:
+                    carried = old.push_table.get(label)
+            if carried is None:
+                pushed = self.kernel.push(enabled, label)
+            else:
+                # As in _compute_pop: the predecessor's memo answers the
+                # covered block, the kernel sweeps the rest.
+                self.stats.carried += 1
+                rest = ~self._covered
+                pushed = self.kernel.push(enabled & rest, label) & rest | carried.mask
+            nxt = self.store.intern_top(pushed)
         qt.push_table[label] = nxt
         self.store.note_entries(1)
         return nxt
@@ -671,16 +777,69 @@ class XPushMachine:
         self.stats.pop_computed += 1
         if self._codegen_declined:
             self.stats.codegen_fallbacks += 1
+        bottom, enabled, parent_enabled = qb.mask, qt.mask, parent_qt.mask
+        carried = (
+            None
+            if self._predecessor is None
+            else self._carried_pop(self._predecessor, bottom, label, enabled, parent_enabled)
+        )
+        if carried is not None:
+            # The predecessor answered the covered block; the kernel
+            # sweeps what is left.  On that reduced input a NOT or
+            # ⊤-edge state of the covered block may fire spuriously —
+            # masked off, the predecessor's word is the only one there.
+            self.stats.carried += 1
+            rest = ~self._covered
+            bottom &= rest
+            if self._early_keys:
+                enabled &= rest
+                parent_enabled &= rest
         if self._early_keys:
-            lifted, notified = self.kernel.pop_early(
-                qb.mask, label, qt.mask, parent_qt.mask
-            )
+            lifted, notified = self.kernel.pop_early(bottom, label, enabled, parent_enabled)
         else:
-            lifted, notified = self.kernel.pop(qb.mask, label), EMPTY_OIDS
+            lifted, notified = self.kernel.pop(bottom, label), EMPTY_OIDS
+        if carried is not None:
+            lifted = lifted & rest | carried[0]
+            if carried[1]:
+                notified = notified | carried[1]
         entry = (self.store.intern_bottom(lifted), notified)
         qb.pop_table[pop_key] = entry
         self.store.note_entries(1)
         return entry
+
+    def _carried_pop(
+        self,
+        predecessor: StateStore,
+        bottom: int,
+        label: str,
+        enabled: int | None,
+        parent_enabled: int | None,
+    ) -> tuple[int, frozenset[str]] | None:
+        """The covered block's share of a t_pop miss, read off the
+        predecessor store: the state that is *bottom* restricted to the
+        block, and that state's own memo entry — under early
+        notification keyed by the predecessor's own top-down states for
+        the restricted enabled sets.  None when any of those is
+        missing: the miss then goes whole to the kernel, never a mix."""
+        covered = self._covered
+        old = predecessor.find_bottom(bottom & covered)
+        if old is None:
+            return None
+        key: Hashable = label
+        if self._early_keys:
+            assert enabled is not None and parent_enabled is not None
+            old_qt = predecessor.find_top(enabled & covered)
+            old_parent = predecessor.find_top(parent_enabled & covered)
+            if old_qt is None or old_parent is None:
+                return None
+            key = (label, old_qt.uid, old_parent.uid)
+        entry = old.pop_table.get(key)
+        if entry is None:
+            return None
+        lifted, notified = entry
+        if notified and self._retired:
+            notified = notified - self._retired
+        return lifted.mask, notified
 
     def _badd(self, qbs: XPushState, qaux: XPushState) -> XPushState:
         """Compute t_badd on a memo miss.  The SAX callbacks inline the
@@ -806,8 +965,8 @@ class XPushMachine:
         stats.reset()
         stats.flushes, stats.evictions, stats.gc_states = kept
         stats.schema_fallbacks = fallbacks_before
-        stats.resident_bytes = self.store.resident_bytes
-        stats.table_entries = self.store.table_entries
+        stats.resident_bytes = self.resident_bytes
+        stats.table_entries = self.table_entries
         self._stamp_codegen_gauges()
         return count
 
@@ -817,6 +976,7 @@ class XPushMachine:
         predicate index survives — it is workload-derived, not
         data-derived — and precomputed ``t_value`` states are re-seeded
         from it when the machine was built with precomputation."""
+        self._drop_predecessor()
         self.store.reset()
         self.qt0 = self.store.intern_top(self._qt0_enabled)
         if self.options.precompute_values and not self.options.top_down:
@@ -832,6 +992,20 @@ class XPushMachine:
         self.stats.resident_bytes = self.store.resident_bytes
         self.stats.table_entries = self.store.table_entries
 
+    @property
+    def resident_bytes(self) -> int:
+        """Estimated bytes of states and memo tables the machine holds,
+        the predecessor store's included."""
+        predecessor = self._predecessor
+        held = self.store.resident_bytes
+        return held if predecessor is None else held + predecessor.resident_bytes
+
+    @property
+    def table_entries(self) -> int:
+        predecessor = self._predecessor
+        held = self.store.table_entries
+        return held if predecessor is None else held + predecessor.table_entries
+
     def _manage_memory(self) -> None:
         """Apply the memory policy at a document boundary (Sec. 6):
         crossing ``max_memory_bytes`` triggers the configured eviction
@@ -839,14 +1013,18 @@ class XPushMachine:
         the low watermark."""
         options, store, stats = self.options, self.store, self.stats
         high = options.max_memory_bytes
+        if high is not None and self.resident_bytes > high:
+            # The predecessor is the first thing to go: it only saves
+            # work, the live store holds the working set.
+            self._drop_predecessor()
         if high is not None and store.resident_bytes > high:
             if options.eviction == "flush":
                 self.reset_tables()
                 stats.flushes += 1
             else:
                 self._evict_cold(int(high * LOW_WATERMARK_RATIO), high)
-        stats.resident_bytes = store.resident_bytes
-        stats.table_entries = store.table_entries
+        stats.resident_bytes = self.resident_bytes
+        stats.table_entries = self.table_entries
 
     def _evict_cold(self, low: int, high: int) -> None:
         """Second-chance (CLOCK) sweep toward the low watermark.

@@ -55,7 +55,17 @@ def _predicate_from_json(data) -> AtomicPredicate | None:
 
 
 def workload_to_json(workload: WorkloadAutomata) -> dict:
-    """A JSON-compatible dict capturing the compiled workload."""
+    """A JSON-compatible dict capturing the compiled workload.
+
+    An AFA record has no field for *retired*, so a workload carrying
+    retired passengers (:meth:`WorkloadAutomata.extend`) is refused
+    rather than written in a form that would load them back alive.
+    """
+    if workload.retired_filters:
+        raise PersistError(
+            f"workload carries {workload.retired_filters} retired filters; "
+            "rebuild it from its live sources before persisting"
+        )
     return {
         "format": "repro-workload",
         "version": FORMAT_VERSION,

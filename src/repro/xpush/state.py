@@ -451,12 +451,61 @@ class StateStore:
     def top_states(self) -> list[XPushTopState]:
         return list(self._top.values())
 
-    def reset(self) -> None:
-        """Drop every state and table — the paper's "brute force" update
-        path (Sec. 8): equivalent to flushing an entire cache."""
+    # -- read-only probes (a predecessor store, XPushMachine.extend) -----
+
+    def find_bottom(self, mask: int) -> XPushState | None:
+        """The interned bottom-up state for *mask*, if any: no intern,
+        no reference bit — a predecessor store is never written."""
+        return self._bottom.get(mask)
+
+    def find_top(self, mask: int | None) -> XPushTopState | None:
+        return self._top.get(mask)
+
+    # -- lifecycle -------------------------------------------------------
+
+    def demote(self) -> None:
+        """Shrink to what a predecessor is asked.  Only t_pop and
+        t_push memos are carried, so t_badd and t_value entries go, and
+        with them every bottom-up state that neither holds a t_pop memo
+        nor is named by one — on a warmed store most states are
+        intermediate t_badd unions."""
+        named = {
+            id(target)
+            for state in self._bottom.values()
+            for target, _notified in state.pop_table.values()
+        }
+        kept: dict[int, XPushState] = {}
+        for mask, state in self._bottom.items():
+            state.add_table.clear()
+            if state.pop_table or id(state) in named:
+                kept[mask] = state
+        self._bottom = kept
+        for top in self._top.values():
+            top.value_table.clear()
+        self.bottom_size_total = sum(state.size for state in kept.values())
+        self.table_entries, self.resident_bytes = self.recount()
+
+    def close(self) -> None:
+        """Drop every state and table.  The memo tables are cleared one
+        by one: states point at each other through them, and a store
+        that is merely forgotten is cyclic garbage only a full
+        collection frees; emptied, reference counting frees it at
+        once."""
+        for state in self._bottom.values():
+            state.pop_table.clear()
+            state.add_table.clear()
+        for top in self._top.values():
+            top.push_table.clear()
+            top.value_table.clear()
         self._bottom.clear()
         self._top.clear()
         self.bottom_size_total = 0
         self.resident_bytes = 0
         self.table_entries = 0
+
+    def reset(self) -> None:
+        """Drop every state and table and start over — the paper's
+        "brute force" update path (Sec. 8): equivalent to flushing an
+        entire cache."""
+        self.close()
         self.empty = self.intern_bottom(0)

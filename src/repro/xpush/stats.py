@@ -36,6 +36,7 @@ class MachineStats:
     add_computed: int = 0
     value_computed: int = 0
     push_computed: int = 0
+    carried: int = 0  # pop/push misses whose old block a predecessor store answered
     codegen_compile_ms: float = 0.0  # gauge: one-time handler compile cost
     codegen_handlers: int = 0  # gauge: compiled functions bound (codegen runtime)
     codegen_fallbacks: int = 0  # transitions interpreted while codegen requested

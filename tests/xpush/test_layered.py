@@ -179,3 +179,198 @@ def test_restore_rejects_malformed_snapshots():
         engine.restore({**good, "version": 99})
     with pytest.raises(PersistError):
         engine.restore({**good, "tombstones": ["ghost"]})  # stale tombstone
+
+
+# ----------------------------------------------------------------------
+# Layers grow, they are not rebuilt (grow / retire / renumber)
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def compiled(monkeypatch):
+    """Oids of every AFA compiled while the test runs, in order."""
+    from repro.afa import build
+
+    calls = []
+    build_afa = build.build_afa
+
+    def counting(workload, xpath_filter):
+        calls.append(xpath_filter.oid)
+        return build_afa(workload, xpath_filter)
+
+    monkeypatch.setattr(build, "build_afa", counting)
+    return calls
+
+
+def test_insert_compiles_exactly_one_afa(compiled):
+    engine = LayeredFilterEngine.from_xpath({f"b{i}": f"//x{i}" for i in range(5)})
+    engine.compact_threshold = 1_000
+    del compiled[:]
+    for i in range(64):
+        engine.insert(f"q{i}", f"//y{i}[z = {i}]")
+    assert compiled == [f"q{i}" for i in range(64)]  # 64, not 1 + 2 + … + 64
+    assert engine.filter_document(doc("<y63><z>63</z></y63>")) == {"q63"}
+
+
+def test_fold_compiles_the_delta_only_and_never_a_doomed_delta(compiled):
+    engine = LayeredFilterEngine.from_xpath({"a": "//x", "b": "//y"})
+    engine.compact_threshold = 3
+    base = engine._base
+    del compiled[:]
+    engine.insert("c", "//z")
+    engine.insert("d", "//w")
+    engine.remove("c")
+    assert compiled == ["c", "d"]
+    engine.insert("e", "//v")  # fills the delta: goes straight into the base
+    assert compiled == ["c", "d", "d", "e"]  # no delta rebuilt to be thrown away
+    assert engine._base is base and engine._delta is None
+    assert engine.compactions == 1 and engine.stats()["base_filters"] == 4
+    assert engine.filter_text("<x/><z/><w/><v/>") == [{"a"}, frozenset(), {"d"}, {"e"}]
+
+
+def test_fold_keeps_the_base_memo_reachable():
+    engine = LayeredFilterEngine.from_xpath({"a": "//x[k = 1]", "b": "/r/x[not(k = 2)]"})
+    stream = "<r><x><k>1</k></x></r><r><x><k>2</k></x></r>"
+    assert engine.filter_text(stream) == [{"a", "b"}, frozenset()]
+    engine.insert("c", "//k")
+    engine.compact()
+    base = engine._base
+    computed = base.stats.pop_computed
+    assert engine.filter_text(stream) == [{"a", "b", "c"}, {"c"}]
+    # Every pop miss of the replay found its old block in the predecessor.
+    assert base.stats.pop_computed > computed
+    assert engine.stats()["carried"] >= base.stats.pop_computed - computed
+    # A fold with nothing to fold (an untouched shard's epoch) leaves the
+    # warmed store live: the replay is all hits.
+    store, misses = base.store, base.stats.lookups - base.stats.hits
+    engine.compact()
+    assert engine.filter_text(stream) == [{"a", "b", "c"}, {"c"}]
+    assert base.store is store and base.stats.lookups - base.stats.hits == misses
+    assert engine.compactions == 2  # still counted, as before this engine grew in place
+
+
+EARLY = dict(top_down=True, early=True, precompute_values=False)
+
+
+@pytest.mark.parametrize("options", [{}, EARLY], ids=["default", "early"])
+def test_passenger_and_live_definition_share_an_oid_in_one_layer(options):
+    """Two AFAs, one oid, same layer: only the live one may answer —
+    at ``end_document`` and through ``on_match`` (under early
+    notification the retired one's oid also sits in memoised pop
+    entries of the predecessor store)."""
+    from repro.xpush.options import XPushOptions
+
+    engine = LayeredFilterEngine.from_xpath(
+        {"a": "/r/x[k]", "b": "/r/y", "p0": "//p0", "p1": "//p1", "p2": "//p2"},
+        XPushOptions(**options),
+    )
+    emitted = []
+    engine.on_match = lambda oid, _doc, _event: emitted.append(oid)
+
+    def answers(xml):
+        del emitted[:]
+        answer = engine.filter_document(doc(xml))
+        assert sorted(emitted) == sorted(answer)
+        return answer
+
+    old, new = "<r><x><k>1</k></x></r>", "<r><z/></r>"
+    assert answers(old) == {"a"}
+    # In the base: the old "a" is a passenger after the fold.
+    engine.remove("a")
+    engine.insert("a", "/r/z")
+    assert (answers(old), answers(new)) == (frozenset(), {"a"})
+    engine.compact()
+    assert engine.stats()["retired_filters"] == 1 and engine.stats()["tombstones"] == 0
+    assert (answers(old), answers(new)) == (frozenset(), {"a"})
+    # In the delta: redefined before any fold, retired on the spot.
+    engine.insert("d", "/r/x[k]")
+    assert answers(old) == {"d"}
+    engine.remove("d")
+    engine.insert("d", "/r/z")
+    assert engine.stats()["retired_filters"] == 2 and engine.filter_count == 6
+    assert (answers(old), answers(new)) == (frozenset(), {"a", "d"})
+    engine.compact()
+    assert (answers(old), answers(new)) == (frozenset(), {"a", "d"})
+
+
+def test_snapshot_never_resurrects_a_passenger():
+    from repro.service.engine import _snapshot_sources
+
+    engine = LayeredFilterEngine.from_xpath({"a": "//x", "b": "//y", "c": "//w"})
+    engine.remove("a")
+    engine.insert("a", "//z")
+    engine.compact()  # the old "a" rides in the base, retired
+    engine.insert("d", "//v")
+    engine.remove("b")  # tombstoned, not yet folded
+    assert engine.stats()["retired_filters"] == 1
+    snapshot = engine.snapshot()
+    assert snapshot["version"] == 2
+    assert snapshot["base"] == {"b": "//y", "c": "//w", "a": "//z"}
+    assert _snapshot_sources(snapshot) == {"c": "//w", "a": "//z", "d": "//v"}
+
+    restored = LayeredFilterEngine([])
+    restored.restore(snapshot)
+    stats = restored.stats()
+    assert (stats["retired_filters"], stats["tombstones"], stats["delta_filters"]) == (0, 1, 1)
+    stream = "<x/><y/><z/><w/><v/>"
+    assert restored.filter_text(stream) == engine.filter_text(stream)
+    assert restored.filter_text(stream) == [frozenset(), frozenset(), {"a"}, {"c"}, {"d"}]
+
+
+def test_version_1_snapshot_still_restores():
+    from repro.afa.build import build_workload_automata
+    from repro.xpush.persist import workload_to_json
+
+    base = build_workload_automata(parse_workload({"a": "//x", "b": "//y"}))
+    engine = LayeredFilterEngine([])
+    engine.restore(
+        {
+            "format": "repro-layered-engine",
+            "version": 1,
+            "base": workload_to_json(base),
+            "delta": {"c": "//z"},
+            "tombstones": ["b"],
+        }
+    )
+    assert engine.filter_text("<x/><y/><z/>") == [{"a"}, frozenset(), {"c"}]
+
+
+def test_renumbering_rule_reads_the_workload(caplog):
+    """Passengers outnumbering half the live AFA states renumber the
+    base at the next fold; until then folds only grow it.  Both are
+    logged, and both count as compactions."""
+    import logging
+
+    engine = LayeredFilterEngine.from_xpath({f"q{i}": f"//x{i}" for i in range(9)})
+    base = engine._base
+    with caplog.at_level(logging.INFO, logger="repro.xpush.layered"):
+        for i in range(3):
+            engine.remove(f"q{i}")
+        engine.compact()  # 3 passengers against 6 live: not yet more than half
+        assert engine._base is base
+        assert engine.stats()["retired_filters"] == 3 and engine.stats()["afa_states"] == 9
+        engine.remove("q3")
+        engine.compact()  # decided on what rides now (3 of 6): still grows
+        assert engine._base is base and engine.stats()["retired_filters"] == 4
+        engine.compact()  # 4 passengers against 5 live: renumbered
+    assert engine._base is not base
+    stats = engine.stats()
+    assert (stats["retired_filters"], stats["afa_states"], stats["compactions"]) == (0, 5, 3)
+    assert engine.filter_text("<x3/><x4/>") == [frozenset(), {"q4"}]
+    lines = [record.getMessage() for record in caplog.records]
+    assert [line.split(":")[0] for line in lines] == ["folded", "folded", "renumbered"]
+    assert "5 live filters, 0 retired, 5 AFA states" in lines[-1]
+
+
+def test_uncompilable_insert_leaves_the_engine_as_it_was():
+    engine = LayeredFilterEngine.from_xpath({"a": "//x"})
+    engine.compact_threshold = 3
+    for oid, xpath in (("b", "//y"), ("c", "//w")):  # into the delta, then a fold
+        with pytest.raises(WorkloadError):
+            engine.insert("bad", "//z[not(.)]")
+        engine.insert(oid, xpath)
+    with pytest.raises(WorkloadError):
+        engine.insert("bad", "//z[not(.)]")
+    assert engine.filter_count == 3 and engine.compactions == 0
+    assert engine.stats()["delta_filters"] == 2
+    assert engine.filter_text("<x/><y/><w/>") == [{"a"}, {"b"}, {"c"}]
