@@ -55,7 +55,6 @@ from repro.errors import WorkloadError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.afa.codegen import CompiledHandlers
-    from repro.afa.schema import SchemaSpec
     from repro.xpath.ast import XPathFilter
 
 WILDCARD = "*"
@@ -217,12 +216,8 @@ class WorkloadAutomata:
         # Lazy per-bound cache of workload-specialized handlers (the
         # "codegen" runtime); None caches a declined compilation so the
         # fallback warning fires once per workload, not once per machine.
+        # The cache describes the workload as it was: growth drops it.
         self._codegen_cache: dict[int | None, "CompiledHandlers | None"] = {}
-        # Schema-specialized (DTD-pruned) clones of this workload, one
-        # per DTD fingerprint (repro.afa.schema.specialize), so every
-        # machine and shard over it shares one pruning pass.  Both
-        # caches describe the workload as it was: growth drops them.
-        self._schema_cache: dict[str, "SchemaSpec"] = {}
         # How much of ``states`` / ``afas`` finalize() has folded in.
         self._finalized_states = 0
         self._finalized_afas = 0
@@ -277,7 +272,6 @@ class WorkloadAutomata:
                 self._oid_by_notification[afa.notification].remove(oid)
         if retire:
             self._codegen_cache.clear()
-            self._schema_cache.clear()
         return self.finalize()
 
     def finalize(self) -> "WorkloadAutomata":
@@ -321,18 +315,10 @@ class WorkloadAutomata:
         self.terminals += tuple(s.sid for s in fresh if s.is_terminal)
         self.initial_sids |= {afa.initial for afa in fresh_afas}
         for index, afa in enumerate(fresh_afas, self._finalized_afas):
-            # Every initial and notification state has an entry, a
-            # retired AFA's (a schema clone copies them) an empty one.
-            named = [self._oid_by_initial.setdefault(afa.initial, [])]
-            if afa.notification >= 0:
-                named.append(self._oid_by_notification.setdefault(afa.notification, []))
-            if afa.retired:
-                self.retired_filters += 1
-                self.retired_states += len(afa.state_sids)
-                continue
             self._live[afa.oid] = index
-            for oids in named:
-                oids.append(afa.oid)
+            self._oid_by_initial.setdefault(afa.initial, []).append(afa.oid)
+            if afa.notification >= 0:
+                self._oid_by_notification.setdefault(afa.notification, []).append(afa.oid)
         self._compute_ranks(fresh)
         if self.masks is None:
             self.masks = CompiledMasks()
@@ -340,7 +326,6 @@ class WorkloadAutomata:
         self._finalized_states = len(states)
         self._finalized_afas = len(self.afas)
         self._codegen_cache.clear()
-        self._schema_cache.clear()
         return self
 
     def _compute_ranks(self, fresh: list[AfaState]) -> None:
@@ -753,32 +738,6 @@ class CompiledMasks:
     def sids_of(mask: int) -> tuple[int, ...]:
         """The sorted sid tuple a mask denotes."""
         return bits_of(mask)
-
-    def materialize_push_rows(
-        self, element_labels: Iterable[str], attribute_labels: Iterable[str]
-    ) -> int:
-        """Insert a direct ``_push_by_label`` row for every given label
-        that currently has none, aliasing the matching wildcard row.
-
-        Wildcard edges are normally resolved at lookup time: a label
-        with no concrete row falls through to the ``*``/``@*`` entry.
-        When the producible label alphabet is known (a DTD is supplied
-        — :mod:`repro.afa.schema`), resolving that fallback at build
-        time makes ``t_push`` a single dict hit per label and lets the
-        code generator emit one literal handler per element type.
-        Returns the number of rows added."""
-        added = 0
-        for labels, wild in (
-            (element_labels, self._push_elem_wild),
-            (attribute_labels, self._push_attr_wild),
-        ):
-            if wild is None:
-                continue
-            for label in labels:
-                if label not in self._push_by_label:
-                    self._push_by_label[label] = wild
-                    added += 1
-        return added
 
     # -- emit-ready table exports (consumed by repro.afa.codegen) ---------
 

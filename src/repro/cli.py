@@ -40,13 +40,7 @@ from repro.xmlstream.dtdparser import parse_dtd_file
 from repro.xpath.ast import count_atomic_predicates, is_linear
 from repro.xpath.parser import parse_xpath
 from repro.xpush.machine import XPushMachine
-from repro.xpush.options import (
-    EVICTION_POLICIES,
-    RUNTIMES,
-    SCHEMA_MODES,
-    VARIANTS,
-    variant_options,
-)
+from repro.xpush.options import RUNTIMES, VARIANTS, variant_options
 
 
 def _parse_bytes(text: str) -> int:
@@ -108,7 +102,7 @@ def _read_input(path: str) -> str:
 _ENGINE_FLAGS: dict[str, dict] = {
     "--dtd": dict(
         default=None,
-        help="DTD file (order optimisation, training, schema specialization)",
+        help="DTD file (order optimisation, training)",
     ),
     "--shards": dict(
         type=int,
@@ -138,23 +132,12 @@ _ENGINE_FLAGS: dict[str, dict] = {
         default=None,
         help="bound resident states+tables per machine (bytes, or K/M/G "
              "suffix, e.g. 64M); crossing it at a document boundary "
-             "triggers --eviction",
-    ),
-    "--eviction": dict(
-        default="clock", choices=sorted(EVICTION_POLICIES),
-        help="policy when --max-memory is crossed (clock = incremental "
-             "second-chance sweep, flush = drop all states and tables)",
+             "runs the second-chance (CLOCK) sweep",
     ),
     "--early": dict(
         action="store_true",
         help="event-time earliest answering: decide filters at the "
              "earliest deciding event (requires a top-down variant)",
-    ),
-    "--schema-mode": dict(
-        default="off", choices=sorted(SCHEMA_MODES),
-        help="schema-aware AFA specialization against the DTD (trust = "
-             "assume conforming input, validate = check per event and "
-             "fall back unpruned on violation)",
     ),
 }
 
@@ -182,15 +165,11 @@ def _engine_config(args, dtd) -> EngineConfig:
         order=options.order or getattr(args, "order", False),
         early=options.early or args.early,
         runtime=args.runtime,
-        eviction=args.eviction,
-        schema_mode=args.schema_mode,
     )
     if args.max_memory:
         options = replace(options, max_memory_bytes=_parse_bytes(args.max_memory))
     if options.order and dtd is None:
         raise ReproError("the order optimisation needs --dtd (the sibling order comes from it)")
-    if options.schema_mode != "off" and dtd is None:
-        raise ReproError(f"--schema-mode {options.schema_mode} needs --dtd")
     if args.shards < 1:
         raise ReproError("--shards must be >= 1")
     return EngineConfig(
@@ -360,9 +339,8 @@ def _engine_footer(stats: dict, bounded: bool) -> str:
     if "hit_ratio" in stats:
         parts.append(f"hit ratio {stats['hit_ratio']:.1%}")
     if bounded:
-        flushes = stats.get("flushes", sum(e["flushes"] for e in stats.get("per_shard", ())))
         parts.append(
-            f"{stats.get('evictions', 0)} evictions, {flushes} flushes, "
+            f"{stats.get('evictions', 0)} evictions, "
             f"{stats.get('resident_bytes', 0)} resident bytes"
         )
     if "worker_restarts" in stats:
@@ -562,14 +540,6 @@ def cmd_explain(args) -> int:
     workload = build_workload_automata(filters)
     print(f"filters     : {len(workload.afas)}")
     print(f"AFA states  : {workload.state_count}")
-    if args.schema:
-        if not args.dtd:
-            raise ReproError("explain --schema needs --dtd FILE")
-        from repro.afa.schema import specialize
-
-        spec = specialize(workload, parse_dtd_file(args.dtd))
-        print()
-        print(spec.describe())
     if not args.codegen:
         return 0
     options = XPushOptions(runtime="codegen")
@@ -669,19 +639,11 @@ def cmd_bench(args) -> int:
             f"handlers={stats['codegen_handlers']} "
             f"fallbacks={stats['codegen_fallbacks']}"
         )
-    if options.schema_mode != "off":
-        print(
-            f"schema: mode={options.schema_mode} "
-            f"pruned_states={stats['schema_pruned_states']} "
-            f"pruned_edges={stats['schema_pruned_edges']} "
-            f"fallbacks={stats['schema_fallbacks']}"
-        )
     if options.max_memory_bytes is not None:
         print(
-            f"memory: bound={options.max_memory_bytes} eviction={options.eviction} "
+            f"memory: bound={options.max_memory_bytes} "
             f"resident={stats['resident_bytes']} "
-            f"evictions={stats['evictions']} flushes={stats['flushes']} "
-            f"gc_states={stats['gc_states']}"
+            f"evictions={stats['evictions']} gc_states={stats['gc_states']}"
         )
     if config.engine == "sharded":
         from repro.xmlstream.dom import parse_forest
@@ -778,7 +740,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "live updates never flush the warmed base)")
     p.add_argument("--order", action="store_true",
                    help="enable the Sec. 5 order optimisation (needs --dtd)")
-    _add_engine_flags(p, shards=2, without=("--runtime", "--max-memory", "--eviction"))
+    _add_engine_flags(p, shards=2, without=("--runtime", "--max-memory"))
     p.add_argument("--policy", default="block",
                    choices=["block", "drop_oldest", "evict"],
                    help="default slow-consumer policy at the high watermark")
@@ -833,10 +795,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-handlers", type=int, default=None,
                    help="override the codegen handler bound "
                         "(XPushOptions.codegen_max_handlers)")
-    p.add_argument("--schema", action="store_true",
-                   help="show the DTD×AFA specialization: pruned states and "
-                        "edges, per-depth label sets, derived depth bound")
-    p.add_argument("--dtd", help="DTD file for --schema")
     p.add_argument("--placement", action="store_true",
                    help="dump the placement cost table (AFA states × σ̂) and "
                         "compare hash vs cost shard loads")

@@ -7,7 +7,7 @@ parser entry points, shard/batch/queue knobs on the service, the
 compaction threshold on the layered engine) and every composite had to
 hand-thread each knob through its constructor.  ``EngineConfig``
 subsumes all of them: it *contains* the machine-level
-:class:`~repro.xpush.options.XPushOptions` (runtime, eviction,
+:class:`~repro.xpush.options.XPushOptions` (runtime,
 ``max_memory_bytes``, ``retain_results``, the Sec. 5 optimisation
 flags) and adds the engine-level knobs around it.  A config plus a
 workload is everything :func:`repro.engine.create_engine` needs.
@@ -48,8 +48,8 @@ class EngineConfig:
         engine: registry name of the engine to build (``"xpush"``,
             ``"layered"``, ``"sharded"``, ``"eager"``, or a baseline).
         options: the machine-level :class:`XPushOptions` (Sec. 5
-            optimisation flags, runtime representation, memory bound and
-            eviction policy, ``retain_results``).  Engines that manage
+            optimisation flags, runtime representation, memory bound,
+            ``retain_results``).  Engines that manage
             result lifetimes themselves (layered, sharded, broker) force
             ``retain_results=False`` on their inner machines regardless.
         dtd: optional DTD (order optimisation / training).
@@ -141,11 +141,6 @@ class EngineConfig:
             )
         if self.engine == "sharded" and self.inner == "sharded":
             raise WorkloadError("sharded engines cannot nest sharded inner engines")
-        if self.options.schema_mode != "off" and self.dtd is None:
-            raise WorkloadError(
-                f"schema_mode={self.options.schema_mode!r} requires a DTD "
-                "(EngineConfig.dtd)"
-            )
 
     def with_engine(self, engine: str, **overrides: Any) -> "EngineConfig":
         """A copy selecting a different engine kind (plus overrides) —

@@ -33,6 +33,7 @@ from repro.xmlstream.events import Event
 from repro.xpath.ast import XPathFilter
 from repro.xpath.parser import parse_xpath
 from repro.xpush.machine import XPushMachine
+from repro.xpush.persist import restored_options
 
 #: ``snapshot()`` format tag shared by the source-level engines.
 SNAPSHOT_FORMAT = "repro-engine-workload"
@@ -79,51 +80,6 @@ def sources_from_snapshot(snapshot: Mapping[str, Any]) -> dict[str, XPathFilter]
     if not isinstance(filters, Mapping):
         raise WorkloadError("malformed engine snapshot: no filters mapping")
     return {oid: parse_xpath(source, oid) for oid, source in filters.items()}
-
-
-def record_schema_identity(out: dict[str, Any], config: EngineConfig) -> None:
-    """Record the schema identity (mode + DTD fingerprint) in a
-    snapshot payload, mirroring how the runtime is recorded: the
-    pruned tables are derived data rebuilt on load, so the snapshot
-    carries *which* schema they were derived from."""
-    out["schema_mode"] = config.options.schema_mode
-    if config.options.schema_mode != "off" and config.dtd is not None:
-        from repro.afa.schema import dtd_fingerprint
-
-        out["schema_fingerprint"] = dtd_fingerprint(config.dtd)
-
-
-def apply_schema_identity(
-    snapshot: Mapping[str, Any], config: EngineConfig
-) -> EngineConfig:
-    """Re-apply a snapshot's recorded schema identity to *config*.
-
-    Raises :class:`WorkloadError` when the snapshot records a DTD
-    fingerprint that does not match the restoring engine's DTD —
-    restoring would silently rebuild different pruned tables than the
-    ones the snapshot's answers came from.
-    """
-    mode = snapshot.get("schema_mode")
-    if not isinstance(mode, str):
-        return config  # pre-schema snapshot: nothing recorded
-    fingerprint = snapshot.get("schema_fingerprint")
-    if isinstance(fingerprint, str) and mode != "off":
-        if config.dtd is None:
-            raise WorkloadError(
-                f"snapshot was built with schema specialization (mode={mode!r}) "
-                "but the restoring engine has no DTD"
-            )
-        from repro.afa.schema import dtd_fingerprint
-
-        actual = dtd_fingerprint(config.dtd)
-        if actual != fingerprint:
-            raise WorkloadError(
-                "schema fingerprint mismatch: snapshot recorded "
-                f"{fingerprint[:12]}…, restoring engine's DTD is {actual[:12]}…"
-            )
-    if mode != config.options.schema_mode:
-        config = replace(config, options=replace(config.options, schema_mode=mode))
-    return config
 
 
 class _DocumentEvaluator(Protocol):
@@ -336,13 +292,9 @@ class SerialXPushEngine(RebuildFilterEngine):
                 table_entries=machine.store.table_entries,
                 evictions=machine.stats.evictions,
                 gc_states=machine.stats.gc_states,
-                flushes=machine.stats.flushes,
                 codegen_compile_ms=machine.stats.codegen_compile_ms,
                 codegen_handlers=machine.stats.codegen_handlers,
                 codegen_fallbacks=machine.stats.codegen_fallbacks,
-                schema_pruned_states=machine.stats.schema_pruned_states,
-                schema_pruned_edges=machine.stats.schema_pruned_edges,
-                schema_fallbacks=machine.stats.schema_fallbacks,
             )
         else:
             out.update(
@@ -353,16 +305,11 @@ class SerialXPushEngine(RebuildFilterEngine):
                 table_entries=0,
                 evictions=0,
                 gc_states=0,
-                flushes=0,
                 codegen_compile_ms=0.0,
                 codegen_handlers=0,
                 codegen_fallbacks=0,
-                schema_pruned_states=0,
-                schema_pruned_edges=0,
-                schema_fallbacks=0,
             )
         out["runtime"] = self.config.options.runtime
-        out["schema_mode"] = self.config.options.schema_mode
         out["backend"] = self.config.backend
         out["shard_load"] = [float(out["afa_states"])]
         return out
@@ -370,22 +317,15 @@ class SerialXPushEngine(RebuildFilterEngine):
     def snapshot(self) -> dict[str, Any]:
         # Record the runtime so a restored engine rebuilds the same
         # machine shape (compiled codegen handlers are derived data,
-        # rebuilt on load exactly like the bitmask tables), and the
-        # schema identity (mode + DTD fingerprint) so restore rebuilds
-        # identical pruned tables — or refuses a mismatched DTD.
+        # rebuilt on load exactly like the bitmask tables).
         out = super().snapshot()
         out["runtime"] = self.config.options.runtime
-        record_schema_identity(out, self.config)
         return out
 
     def restore(self, snapshot: dict[str, Any]) -> None:
+        options = restored_options(snapshot, self.config.options)
         super().restore(snapshot)
-        runtime = snapshot.get("runtime")
-        if isinstance(runtime, str) and runtime != self.config.options.runtime:
-            self.config = replace(
-                self.config, options=replace(self.config.options, runtime=runtime)
-            )
-        self.config = apply_schema_identity(snapshot, self.config)
+        self.config = replace(self.config, options=options)
 
 
 class _EagerAdapter:

@@ -115,13 +115,13 @@ def _picklable(value: Any) -> bool:
 def _shippable(config: EngineConfig) -> EngineConfig:
     """*config* as it can cross the process boundary.
 
-    A DTD that cannot be pickled is dropped; the order optimisation and
-    schema specialization need it, so those switch off in the workers —
-    performance knobs only, answers are unchanged.
+    A DTD that cannot be pickled is dropped; the order optimisation
+    needs it, so that switches off in the workers — a performance knob
+    only, answers are unchanged.
     """
     if config.dtd is None or _picklable(config.dtd):
         return config
-    options = replace(config.options, order=False, train=False, schema_mode="off")
+    options = replace(config.options, order=False, train=False)
     return replace(config, dtd=None, options=options)
 
 
@@ -321,7 +321,7 @@ class ShardedFilterEngine:
     @property
     def options(self) -> XPushOptions:
         """The machine options every shard runs (a restore may change
-        their schema mode)."""
+        their runtime)."""
         return self.config.options
 
     @property
@@ -793,9 +793,7 @@ class ShardedFilterEngine:
         """Capture the sharded workload — routing table, sources, epoch
         — the same flat thing in both modes, and authoritative even
         while workers are mid-update (it never asks them)."""
-        from repro.engine.serial import record_schema_identity
-
-        out: dict[str, Any] = {
+        return {
             "format": SNAPSHOT_FORMAT,
             "version": SNAPSHOT_VERSION,
             "shards": self.shards,
@@ -805,8 +803,6 @@ class ShardedFilterEngine:
             "routing": dict(self._routing),
             "filters": dict(self._sources),
         }
-        record_schema_identity(out, self.config)
-        return out
 
     @staticmethod
     def _snapshot_filters(snapshot: Mapping[str, Any]) -> dict[str, str]:
@@ -835,11 +831,11 @@ class ShardedFilterEngine:
     def restore(self, snapshot: dict[str, Any]) -> None:
         """Replace the workload with a :meth:`snapshot` capture; every
         shard is rebuilt from the captured routing table and sources."""
-        from repro.engine.serial import apply_schema_identity
-        from repro.xpush.persist import PersistError
+        from repro.xpush.persist import PersistError, restored_options
 
         if snapshot.get("format") != SNAPSHOT_FORMAT:
             raise PersistError("not a persisted sharded engine snapshot")
+        options = restored_options(snapshot, self.options)
         sources = self._snapshot_filters(snapshot)
         routing = {
             str(oid): int(shard) for oid, shard in snapshot.get("routing", {}).items()
@@ -849,7 +845,7 @@ class ShardedFilterEngine:
             raise PersistError("malformed sharded snapshot: shards / routing")
         if not routing.keys() <= sources.keys():
             raise PersistError("malformed sharded snapshot: routed oid without a filter")
-        self.config = apply_schema_identity(snapshot, self.config)
+        self.config = replace(self.config, options=options)
         self._stop_shards()
         self.shards = shards
         self.inner = str(snapshot.get("inner", self.inner))
@@ -882,16 +878,12 @@ class ShardedFilterEngine:
         ("table_entries", 0),
         ("evictions", 0),
         ("gc_states", 0),
-        ("flushes", 0),
         ("base_states", 0),
         ("delta_states", 0),
         ("tombstones", 0),
         ("codegen_compile_ms", 0.0),
         ("codegen_handlers", 0),
         ("codegen_fallbacks", 0),
-        ("schema_pruned_states", 0),
-        ("schema_pruned_edges", 0),
-        ("schema_fallbacks", 0),
         ("busy_s", 0.0),
         ("applied_epoch", 0),
     )
@@ -918,7 +910,6 @@ class ShardedFilterEngine:
                 depths.append(shard.tasks.qsize())
             except (NotImplementedError, OSError):
                 depths.append(-1)
-        options = self.options
         return {
             "engine": self.name,
             "filters": self.filter_count,
@@ -927,8 +918,7 @@ class ShardedFilterEngine:
             "shards": self.shards,
             "placement": self.placement,
             "backend": self.config.backend,
-            "runtime": options.runtime,
-            "schema_mode": options.schema_mode,
+            "runtime": self.options.runtime,
             "parallel": self.parallel,
             "serial_fallback": not self.parallel,
             "batch_size": self.config.batch_size,

@@ -463,31 +463,22 @@ class LayeredFilterEngine:
         definitions and are never written.  Restoring recompiles, and
         so renumbers, both layers.
         """
-        out: dict[str, Any] = {
+        return {
             "format": SNAPSHOT_FORMAT,
             "version": SNAPSHOT_VERSION,
             # Compiled handlers (codegen) and bitmask tables are derived
             # data, rebuilt on restore; recording the runtime is enough
-            # to resume the same machine shape.  The schema identity
-            # (mode + DTD fingerprint) is recorded the same way: pruned
-            # tables are derived from the DTD, so the snapshot names
-            # which DTD they must be re-derived from.
+            # to resume the same machine shape.
             "runtime": self.options.runtime,
-            "schema_mode": self.options.schema_mode,
             "base": {oid: f.source for oid, f in self._base_filters.items()},
             "delta": {oid: f.source for oid, f in self._delta_filters.items()},
             "tombstones": sorted(self._tombstones),
         }
-        if self.options.schema_mode != "off" and self.dtd is not None:
-            from repro.afa.schema import dtd_fingerprint
-
-            out["schema_fingerprint"] = dtd_fingerprint(self.dtd)
-        return out
 
     def restore(self, snapshot: Mapping[str, Any]) -> None:
         """Replace the current workload with a :meth:`snapshot` capture."""
         from repro.xpath.parser import parse_xpath
-        from repro.xpush.persist import PersistError
+        from repro.xpush.persist import PersistError, restored_options
 
         if snapshot.get("format") != SNAPSHOT_FORMAT:
             raise PersistError("not a persisted layered engine snapshot")
@@ -496,33 +487,13 @@ class LayeredFilterEngine:
                 f"unsupported layered snapshot version {snapshot.get('version')!r}"
             )
         base_data, delta_data, tombstones = snapshot_layers(snapshot)
-        runtime = snapshot.get("runtime")
-        if isinstance(runtime, str) and runtime != self.options.runtime:
-            self.options = replace(self.options, runtime=runtime)
-        mode = snapshot.get("schema_mode")
-        if isinstance(mode, str):
-            fingerprint = snapshot.get("schema_fingerprint")
-            if isinstance(fingerprint, str) and mode != "off":
-                from repro.afa.schema import dtd_fingerprint
-
-                if self.dtd is None:
-                    raise PersistError(
-                        f"snapshot was built with schema specialization "
-                        f"(mode={mode!r}) but the restoring engine has no DTD"
-                    )
-                actual = dtd_fingerprint(self.dtd)
-                if actual != fingerprint:
-                    raise PersistError(
-                        "schema fingerprint mismatch: snapshot recorded "
-                        f"{fingerprint[:12]}…, engine's DTD is {actual[:12]}…"
-                    )
-            if mode != self.options.schema_mode:
-                self.options = replace(self.options, schema_mode=mode)
+        options = restored_options(snapshot, self.options)
         stale = [oid for oid in tombstones if oid not in base_data and oid not in delta_data]
         if stale:
             raise PersistError(f"tombstones for unknown oids: {stale[:8]}")
         base_filters = {oid: parse_xpath(source, oid) for oid, source in base_data.items()}
         delta_filters = {oid: parse_xpath(source, oid) for oid, source in delta_data.items()}
+        self.options = options
         base = self._build(list(base_filters.values()))
         delta = self._build(list(delta_filters.values()))
         self.close()
@@ -580,17 +551,12 @@ class LayeredFilterEngine:
             "table_entries": sum(m.table_entries for m in layers),
             "evictions": sum(m.stats.evictions for m in layers),
             "gc_states": sum(m.stats.gc_states for m in layers),
-            "flushes": sum(m.stats.flushes for m in layers),
             "runtime": self.options.runtime,
             # Compile cost is per-layer: a layer that grows recompiles
             # its handlers, the other layer's are untouched.
             "codegen_compile_ms": sum(m.stats.codegen_compile_ms for m in layers),
             "codegen_handlers": sum(m.stats.codegen_handlers for m in layers),
             "codegen_fallbacks": sum(m.stats.codegen_fallbacks for m in layers),
-            "schema_mode": self.options.schema_mode,
-            "schema_pruned_states": sum(m.stats.schema_pruned_states for m in layers),
-            "schema_pruned_edges": sum(m.stats.schema_pruned_edges for m in layers),
-            "schema_fallbacks": sum(m.stats.schema_fallbacks for m in layers),
         }
 
     def close(self) -> None:

@@ -52,13 +52,9 @@ The Sec. 5 optimisations are selected with
 from __future__ import annotations
 
 import random
-from dataclasses import replace
-from typing import IO, TYPE_CHECKING, Callable, Hashable, Iterable, Sequence
+from typing import IO, Callable, Hashable, Iterable, Sequence
 
 from repro.afa.automaton import CompiledMasks, StateKind, WorkloadAutomata
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.afa.schema import SchemaSpec
 from repro.afa.build import build_workload_automata
 from repro.afa.index import AtomicPredicateIndex
 from repro.errors import EventStreamError, MixedContentError, WorkloadError
@@ -146,10 +142,6 @@ class XPushMachine:
         self.stats = MachineStats()
 
         self.runtime = self.options.runtime
-        if self.options.schema_mode != "off" and dtd is None:
-            raise WorkloadError(
-                f"schema_mode={self.options.schema_mode!r} requires a DTD"
-            )
         #: The store this one replaced at the last :meth:`extend`, kept
         #: read-only: its memo answers the old block ``_covered`` of a
         #: t_pop / t_push miss.  ``_retired`` holds the oids that extend
@@ -165,36 +157,11 @@ class XPushMachine:
         # reject mixed content structurally — the paper's "no mixed
         # content" assumption (Sec. 3.2).
         # The element stack is a frame buffer plus a stack pointer, so
-        # documents reuse slots instead of growing and shrinking a
-        # list.  A non-recursive DTD bounds document depth, so schema
-        # specialization preallocates the whole buffer up front; the
-        # push path still appends past the end when input (or a
-        # schema-less workload) runs deeper.
-        self._stack_bound = (
-            self.schema.analysis.depth_bound if self.schema is not None else None
-        )
-        self._stack: list[tuple[XPushTopState, XPushState, int] | None] = (
-            [None] * self._stack_bound if self._stack_bound else []
-        )
+        # documents reuse slots instead of growing and shrinking a list.
+        self._stack: list[tuple[XPushTopState, XPushState, int] | None] = []
         self._sp = 0
         self._content = 0
         self._early: set[str] = set()
-        # schema_mode="validate": per-event checks of the two pruning
-        # assumptions (producible labels, depth bound), journaling the
-        # current document so a violation replays it into an unpruned
-        # fallback machine.  Installed as instance attributes so every
-        # driver — dispatch, the push-mode parsers, a layered fanout —
-        # hits the validating path; off/trust pay nothing.
-        self._fallback: "XPushMachine | None" = None
-        self._violated = False
-        self._journal: list[tuple[str, str]] = []
-        if self.schema is not None and self.options.schema_mode == "validate":
-            self._producible = self.schema.analysis.producible
-            self.start_document = self._start_document_validate  # type: ignore[method-assign]
-            self.start_element = self._start_element_validate  # type: ignore[method-assign]
-            self.text = self._text_validate  # type: ignore[method-assign]
-            self.end_element = self._end_element_validate  # type: ignore[method-assign]
-            self.end_document = self._end_document_validate  # type: ignore[method-assign]
         self._results: list[frozenset[str]] = []
         # Per-call result sink: filter_stream/process_events collect the
         # call's own answers here instead of slicing ``_results`` (which
@@ -224,43 +191,25 @@ class XPushMachine:
         # Event counter behind ``on_match``'s event_index: startDocument
         # is event 0, each subsequent SAX event pre-increments.
         self._event_index = 0
-        # Oids already emitted on a pruned prefix before a schema
-        # fallback trip — the fallback replay must not re-fire them.
-        self._prefix_emitted: set[str] = set()
 
         if self.options.train:
             self.warm_up(seed=training_seed)
 
     def _bind_workload(self) -> CompiledMasks:
         """(Re)derive what the machine reads off its workload — the
-        schema-specialised tables, the atomic predicate index, the
-        transition kernel, the enabled set behind ``qt0`` — and return
-        the mask tables states are interned against.  Runs at
-        construction and after every :meth:`extend`."""
+        atomic predicate index, the transition kernel, the enabled set
+        behind ``qt0`` — and return the mask tables states are interned
+        against.  Runs at construction and after every :meth:`extend`."""
         workload, options, dtd = self.workload, self.options, self.dtd
-        # Schema specialization (repro.afa.schema): with a DTD and
-        # schema_mode on, the compiled runtimes build every table from
-        # a DTD-pruned clone of the workload over the same sid space —
-        # impossible label edges deleted, forward-unreachable states
-        # stripped, per-element push rows materialised.  The "sets"
-        # reference runtime always runs unpruned: it is the executable
-        # spec the pruned runtimes are differentially tested against.
-        self.schema: "SchemaSpec | None" = None
-        if options.schema_mode != "off" and self.runtime != "sets":
-            from repro.afa.schema import specialize
-
-            assert dtd is not None
-            self.schema = specialize(workload, dtd)
-        compiled = self.schema.workload if self.schema is not None else workload
-        masks = compiled.masks
+        masks = workload.masks
         if masks is None:
             raise WorkloadError(
                 f"{self.runtime} runtime needs a finalized workload (call finalize())"
             )
 
         self.index = AtomicPredicateIndex()
-        for sid in compiled.terminals:
-            self.index.add(compiled.states[sid].predicate, sid)
+        for sid in workload.terminals:
+            self.index.add(workload.states[sid].predicate, sid)
         self.index.freeze()
 
         # The kernel is the only runtime-specific part: it maps state
@@ -271,7 +220,7 @@ class XPushMachine:
         # interpreted MaskKernel and the miss path counts those
         # transitions so operators can see it.
         self._handlers = (
-            compiled.compiled_handlers(options.codegen_max_handlers)
+            workload.compiled_handlers(options.codegen_max_handlers)
             if self.runtime == "codegen"
             else None
         )
@@ -391,9 +340,6 @@ class XPushMachine:
             self._retired = retire
         else:
             replaced.close()  # an empty workload memoised nothing
-        if self._fallback is not None:  # the unpruned twin is rebuilt on demand
-            self._fallback.close()
-            self._fallback = None
         self._open_store(masks)
         self.stats.resident_bytes = self.resident_bytes
         self.stats.table_entries = self.table_entries
@@ -406,21 +352,13 @@ class XPushMachine:
             self._retired = frozenset()
 
     def close(self) -> None:
-        """Release the state stores (and the schema fallback's), tables
-        cleared, so a replaced machine is freed by reference counting
-        the moment it is dropped instead of waiting, as cyclic garbage,
-        for a full collection."""
+        """Release the state stores, tables cleared, so a replaced
+        machine is freed by reference counting the moment it is dropped
+        instead of waiting, as cyclic garbage, for a full collection."""
         self._drop_predecessor()
         self.store.close()
-        if self._fallback is not None:
-            self._fallback.close()
-            self._fallback = None
         self._stack = []
         self.on_match = self.on_result = None
-        # schema_mode="validate" binds its callbacks per instance — a
-        # machine → bound method → machine cycle.
-        for name in ("start_document", "start_element", "text", "end_element", "end_document"):
-            self.__dict__.pop(name, None)
 
     # ------------------------------------------------------------------
     # SAX callbacks (Fig. 2)
@@ -607,120 +545,6 @@ class XPushMachine:
         return accepted
 
     # ------------------------------------------------------------------
-    # schema_mode="validate": checked callbacks + unpruned fallback
-    # ------------------------------------------------------------------
-
-    def _ensure_fallback(self) -> "XPushMachine":
-        """The lazily-built unpruned twin a non-conforming document is
-        replayed into.  Kept across documents so its memo tables warm
-        up like any machine's."""
-        fallback = self._fallback
-        if fallback is None:
-            fallback = XPushMachine(
-                self.workload,
-                replace(
-                    self.options,
-                    schema_mode="off",
-                    train=False,
-                    retain_results=False,
-                ),
-                dtd=self.dtd,
-            )
-            fallback.on_match = self._forward_match
-            self._fallback = fallback
-        return fallback
-
-    def _forward_match(self, oid: str, _seq: int, event_index: int) -> None:
-        """Relay an emission from the unpruned fallback under the outer
-        machine's document sequence, suppressing oids the pruned prefix
-        already fired before the trip (the replay re-discovers them)."""
-        if oid in self._prefix_emitted:
-            return
-        hook = self.on_match
-        if hook is not None:
-            hook(oid, self._doc_seq, event_index)
-
-    def _trip_schema_fallback(self) -> "XPushMachine":
-        """First violation in a document: replay the journal into the
-        unpruned fallback and reset this machine's registers (the rest
-        of the document goes to the fallback only)."""
-        self._violated = True
-        self.stats.schema_fallbacks += 1
-        fallback = self._ensure_fallback()
-        # Oids already fired at event time on the conforming prefix must
-        # not re-fire when the replay re-decides them (capture before
-        # the replay below — _forward_match consults this set live).
-        self._prefix_emitted = set(self._early)
-        fallback.start_document()
-        for kind, payload in self._journal:
-            if kind == "s":
-                fallback.start_element(payload)
-            elif kind == "t":
-                fallback.text(payload)
-            else:
-                fallback.end_element(payload)
-        self._journal.clear()
-        # Abandon the pruned machine's half-processed document.  Early
-        # notifications it found on the conforming prefix are safe to
-        # drop: the fallback replayed that same prefix and will report
-        # them itself.
-        self._qt = self.qt0
-        self._qb = self.store.empty
-        stack = self._stack
-        for i in range(self._sp):
-            stack[i] = None
-        self._sp = 0
-        self._content = 0
-        self._early = set()
-        return fallback
-
-    def _start_document_validate(self) -> None:
-        self._violated = False
-        self._journal.clear()
-        XPushMachine.start_document(self)
-
-    def _start_element_validate(self, label: str) -> None:
-        if self._violated:
-            assert self._fallback is not None
-            self._fallback.start_element(label)
-            return
-        bound = self._stack_bound
-        if label not in self._producible or (
-            bound is not None and self._sp >= bound
-        ):
-            self._trip_schema_fallback().start_element(label)
-            return
-        XPushMachine.start_element(self, label)
-        self._journal.append(("s", label))
-
-    def _text_validate(self, value: str) -> None:
-        if self._violated:
-            assert self._fallback is not None
-            self._fallback.text(value)
-            return
-        XPushMachine.text(self, value)
-        self._journal.append(("t", value))
-
-    def _end_element_validate(self, label: str) -> None:
-        if self._violated:
-            assert self._fallback is not None
-            self._fallback.end_element(label)
-            return
-        XPushMachine.end_element(self, label)
-        self._journal.append(("e", label))
-
-    def _end_document_validate(self) -> frozenset[str]:
-        if not self._violated:
-            return XPushMachine.end_document(self)
-        assert self._fallback is not None
-        stats = self.stats
-        stats.events += 1
-        stats.documents += 1
-        accepted = self._fallback.end_document()
-        self._violated = False
-        return self._record_result(accepted)
-
-    # ------------------------------------------------------------------
     # Lazy transition computation: the one memo-miss path.  The kernel
     # maps state sets to state sets; everything else — counters,
     # interning, the memo entry and its byte accounting — is here.
@@ -852,14 +676,11 @@ class XPushMachine:
         return out
 
     def _stamp_codegen_gauges(self) -> None:
-        """Mirror the compiled-handler and schema-pruning gauges into
-        the stats (stats resets wipe them; warm_up re-stamps)."""
+        """Mirror the compiled-handler gauges into the stats (stats
+        resets wipe them; warm_up re-stamps)."""
         if self._handlers is not None:
             self.stats.codegen_compile_ms = self._handlers.compile_ms
             self.stats.codegen_handlers = self._handlers.handler_count
-        if self.schema is not None:
-            self.stats.schema_pruned_states = self.schema.pruned_state_count
-            self.stats.schema_pruned_edges = self.schema.pruned_edge_count
 
     def dump_source(self) -> str | None:
         """The generated Python the codegen runtime dispatches into, or
@@ -935,11 +756,11 @@ class XPushMachine:
         ``state_count`` (exactly how Fig. 6 counts them: "additional
         states created during the training phase").
 
-        Memory management is suspended while training runs — a flush or
-        sweep triggered by the training documents themselves would
-        silently discard the very states training exists to create.
-        The memory-manager history (``flushes`` / ``evictions`` /
-        ``gc_states``) survives the trailing counter reset.
+        Memory management is suspended while training runs — a sweep
+        triggered by the training documents themselves would silently
+        discard the very states training exists to create.  The
+        memory-manager history (``evictions`` / ``gc_states``) survives
+        the trailing counter reset.
         """
         from repro.xpush.training import training_documents
 
@@ -947,12 +768,6 @@ class XPushMachine:
             self.workload, self.dtd, rng=random.Random(seed)
         )
         count = 0
-        # Training documents are workload-derived, not schema-derived:
-        # under schema_mode="validate" they may legitimately trip the
-        # unpruned fallback.  Those replays are setup, exactly like the
-        # event counts the trailing reset discards, so the fallback
-        # counter keeps its pre-training value.
-        fallbacks_before = self.stats.schema_fallbacks
         self._training = True
         try:
             for document in documents:
@@ -961,10 +776,9 @@ class XPushMachine:
         finally:
             self._training = False
         stats = self.stats
-        kept = (stats.flushes, stats.evictions, stats.gc_states)
+        kept = (stats.evictions, stats.gc_states)
         stats.reset()
-        stats.flushes, stats.evictions, stats.gc_states = kept
-        stats.schema_fallbacks = fallbacks_before
+        stats.evictions, stats.gc_states = kept
         stats.resident_bytes = self.resident_bytes
         stats.table_entries = self.table_entries
         self._stamp_codegen_gauges()
@@ -983,7 +797,7 @@ class XPushMachine:
             self._seed_value_table()
         self._qt = self.qt0
         self._qb = self.store.empty
-        self._stack = [None] * self._stack_bound if self._stack_bound else []
+        self._stack = []
         self._sp = 0
         self._content = 0
         self._early = set()
@@ -1008,21 +822,16 @@ class XPushMachine:
 
     def _manage_memory(self) -> None:
         """Apply the memory policy at a document boundary (Sec. 6):
-        crossing ``max_memory_bytes`` triggers the configured eviction
-        policy — a full flush, or the incremental clock sweep down to
-        the low watermark."""
-        options, store, stats = self.options, self.store, self.stats
-        high = options.max_memory_bytes
+        crossing ``max_memory_bytes`` triggers the incremental clock
+        sweep down to the low watermark."""
+        store, stats = self.store, self.stats
+        high = self.options.max_memory_bytes
         if high is not None and self.resident_bytes > high:
             # The predecessor is the first thing to go: it only saves
             # work, the live store holds the working set.
             self._drop_predecessor()
         if high is not None and store.resident_bytes > high:
-            if options.eviction == "flush":
-                self.reset_tables()
-                stats.flushes += 1
-            else:
-                self._evict_cold(int(high * LOW_WATERMARK_RATIO), high)
+            self._evict_cold(int(high * LOW_WATERMARK_RATIO), high)
         stats.resident_bytes = self.resident_bytes
         stats.table_entries = self.table_entries
 

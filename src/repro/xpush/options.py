@@ -21,16 +21,6 @@ from repro.errors import OptionsError
 #: Transition kernels (:mod:`repro.xpush.kernels`) a machine can run on.
 RUNTIMES = ("bitmask", "codegen", "sets")
 
-#: Memory-management policies applied when ``max_memory_bytes`` is crossed.
-EVICTION_POLICIES = ("clock", "flush")
-
-#: Schema-specialization behaviours (repro.afa.schema).  ``"off"``
-#: ignores the DTD for pruning; ``"trust"`` runs the pruned tables
-#: assuming conforming input; ``"validate"`` checks the pruning
-#: assumptions per event and falls back to the unpruned tables for a
-#: non-conforming document instead of mis-answering.
-SCHEMA_MODES = ("off", "trust", "validate")
-
 
 @dataclass(frozen=True)
 class XPushOptions:
@@ -79,33 +69,15 @@ class XPushOptions:
             in order to process infinite streams").  The store keeps a
             byte-level estimate of resident state and memo-table
             memory; when it exceeds this high watermark at a document
-            boundary, the *eviction* policy runs until the low
-            watermark (80% of the bound) is reached.  None = unbounded.
-        eviction: what to do when ``max_memory_bytes`` is crossed.
-            ``"clock"`` (default) runs a second-chance sweep: memo
-            entries whose owning state was not referenced since the
-            last sweep are dropped, then states no longer reachable
-            from any table, register or intern root are
-            garbage-collected — cold entries go, the hot working set
-            (and its hit ratio) survives.  ``"flush"`` is the paper's
-            brute-force fallback: drop every state and table — the
-            machine "can be deleted when we run out of memory and
-            recomputed later" (the cache view of Sec. 7).
-        schema_mode: schema-aware specialization of the compiled
-            runtimes (:mod:`repro.afa.schema`).  ``"off"`` (default)
-            builds the tables from the workload alone.  ``"trust"``
-            prunes the AFA against the machine's DTD at construction —
-            impossible label edges deleted, forward-unreachable states
-            stripped, per-element push rows materialised, and (for
-            non-recursive DTDs) the element stack preallocated to the
-            derived depth bound — and *assumes* input conforms; answers
-            on non-conforming input may differ from the unpruned
-            machine's.  ``"validate"`` runs the same pruned tables but
-            checks the two pruning assumptions (producible labels,
-            depth bound) on every event, replaying the current document
-            into an unpruned fallback machine on the first violation —
-            never a wrong answer, at the cost of a per-event check.
-            Requires a DTD; the ``"sets"`` reference runtime ignores it.
+            boundary, a second-chance (CLOCK) sweep runs until the low
+            watermark (80% of the bound) is reached: memo entries whose
+            owning state was not referenced since the last sweep are
+            dropped, then states no longer reachable from any table,
+            register or intern root are garbage-collected — cold
+            entries go, the hot working set (and its hit ratio)
+            survives.  None = unbounded.  (The paper's brute-force
+            alternative, "deleted when we run out of memory and
+            recomputed later", is :meth:`XPushMachine.reset_tables`.)
         retain_results: append each document's answer to the machine's
             ``results()`` list.  True (default) suits batch use;
             long-running services driven by ``on_result`` or the
@@ -121,9 +93,7 @@ class XPushOptions:
     precompute_values: bool = True
     runtime: str = "bitmask"
     codegen_max_handlers: int = 4096
-    schema_mode: str = "off"
     max_memory_bytes: int | None = None
-    eviction: str = "clock"
     retain_results: bool = True
 
     def __post_init__(self):
@@ -133,18 +103,8 @@ class XPushOptions:
             raise OptionsError(f"unknown runtime {self.runtime!r}; known: {sorted(RUNTIMES)}")
         if self.codegen_max_handlers < 1:
             raise OptionsError("codegen_max_handlers must be positive")
-        if self.schema_mode not in SCHEMA_MODES:
-            raise OptionsError(
-                f"unknown schema_mode {self.schema_mode!r}; "
-                f"known: {sorted(SCHEMA_MODES)}"
-            )
         if self.max_memory_bytes is not None and self.max_memory_bytes < 1:
             raise OptionsError("max_memory_bytes must be positive")
-        if self.eviction not in EVICTION_POLICIES:
-            raise OptionsError(
-                f"unknown eviction policy {self.eviction!r}; "
-                f"known: {sorted(EVICTION_POLICIES)}"
-            )
 
     def describe(self) -> str:
         parts = [
@@ -160,8 +120,6 @@ class XPushOptions:
         described = "+".join(parts) if parts else "basic"
         if self.runtime != "bitmask":
             described += f"[{self.runtime}]"
-        if self.schema_mode != "off":
-            described += f"[schema:{self.schema_mode}]"
         return described
 
 

@@ -29,17 +29,36 @@ from a snapshot starts with fresh books and re-converges under the same
 from __future__ import annotations
 
 import json
-from typing import IO
+from dataclasses import replace
+from typing import IO, Any, Mapping
 
 from repro.afa.automaton import AFA, AfaState, StateKind, WorkloadAutomata
 from repro.afa.predicates import AtomicPredicate
 from repro.errors import ReproError
+from repro.xpush.options import RUNTIMES, XPushOptions
 
 FORMAT_VERSION = 1
 
 
 class PersistError(ReproError):
     """Raised when a persisted workload cannot be decoded."""
+
+
+def restored_options(snapshot: Mapping[str, Any], options: XPushOptions) -> XPushOptions:
+    """*options* under the runtime an engine snapshot records, if it
+    records one.  Every engine's ``restore`` calls this before it
+    changes anything, so a snapshot naming an unknown runtime is
+    refused whole.  Snapshots of older versions also carry
+    ``"schema_mode"`` and ``"schema_fingerprint"``; nothing reads them.
+    """
+    runtime = snapshot.get("runtime")
+    if runtime is None:
+        return options
+    if runtime not in RUNTIMES:
+        raise PersistError(
+            f"snapshot records unknown runtime {runtime!r}; known: {sorted(RUNTIMES)}"
+        )
+    return replace(options, runtime=runtime)
 
 
 def _predicate_to_json(predicate: AtomicPredicate | None):

@@ -5,7 +5,7 @@ paper's evaluation (Sec. 7).
 - table lookups vs hits ("One can think of the XPush machine as a
   cache") → the hit ratio of Fig. 8;
 - events and bytes processed → throughput (the abstract's MB/s claim);
-- flushes / evictions / GC'd states and the resident-memory gauges →
+- evictions / GC'd states and the resident-memory gauges →
   the Sec. 6 memory manager (bounded-memory infinite streams).
 """
 
@@ -40,10 +40,6 @@ class MachineStats:
     codegen_compile_ms: float = 0.0  # gauge: one-time handler compile cost
     codegen_handlers: int = 0  # gauge: compiled functions bound (codegen runtime)
     codegen_fallbacks: int = 0  # transitions interpreted while codegen requested
-    schema_pruned_states: int = 0  # gauge: AFA states stripped by schema pruning
-    schema_pruned_edges: int = 0  # gauge: AFA transitions deleted by schema pruning
-    schema_fallbacks: int = 0  # documents replayed unpruned (schema_mode=validate)
-    flushes: int = 0  # full table resets (eviction="flush")
     evictions: int = 0  # memo entries dropped by the clock sweep
     gc_states: int = 0  # states garbage-collected after eviction
     resident_bytes: int = 0  # gauge: estimated bytes of states + tables

@@ -54,30 +54,6 @@ def test_differential_on_auction_data(auction, auction_docs):
             assert machine.filter_document(doc) == matching_oids(filters, doc)
 
 
-def test_schema_modes_agree_on_recursive_auction(auction, auction_docs):
-    """Schema specialization on a recursive DTD: no depth bound, but
-    label pruning still applies — answers must match schema-off."""
-    from dataclasses import replace
-
-    generator = QueryGenerator(
-        auction.dtd,
-        auction.value_pool,
-        GeneratorConfig(seed=8, mean_predicates=2.0, prob_descendant=0.2),
-    )
-    filters = generator.generate(25)
-    workload = build_workload_automata(filters)
-    base = XPushOptions(top_down=True, precompute_values=False)
-    plain = XPushMachine(workload, base, dtd=auction.dtd)
-    expected = [plain.filter_document(doc) for doc in auction_docs]
-    for mode in ("trust", "validate"):
-        machine = XPushMachine(
-            workload, replace(base, schema_mode=mode), dtd=auction.dtd
-        )
-        assert machine._stack_bound is None  # recursive: no preallocation
-        assert [machine.filter_document(d) for d in auction_docs] == expected
-        assert machine.stats.schema_fallbacks == 0
-
-
 def test_deep_recursion_descendant_queries(auction):
     """// through the parlist/listitem recursion."""
     machine = XPushMachine.from_xpath(

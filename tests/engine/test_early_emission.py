@@ -2,20 +2,16 @@
 
 Every engine exposes an ``on_match`` hook that fires ``(oid,
 doc_index, event_index)`` the moment a filter is decided.  The wall
-pins the contract down across runtimes (sets / bitmask / codegen),
-engines (serial xpush / layered / sharded, serial and parallel) and
-schema modes (off / trust / validate, including the validate-replay
-fallback): the emitted oid set per document must equal the
-end-of-document answer set exactly, no oid may be emitted twice for
-one document, and — for the single-machine engines — emissions arrive
-in event order.  The sharded engine scans shards independently, so
+pins the contract down across runtimes (sets / bitmask / codegen) and
+engines (serial xpush / layered / sharded, serial and parallel): the
+emitted oid set per document must equal the end-of-document answer
+set exactly, no oid may be emitted twice for one document, and — for
+the single-machine engines — emissions arrive in event order.  The sharded engine scans shards independently, so
 only the per-document *set* contract holds there, not a global event
 order.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import pytest
 
@@ -130,12 +126,10 @@ def test_parallel_sharded_workers_stream_matches(runtime):
 
 
 @pytest.mark.parametrize("runtime", RUNTIMES)
-@pytest.mark.parametrize("mode", ["off", "trust", "validate"])
-def test_emissions_under_schema_modes(mode, runtime, protein, protein_docs):
+def test_emissions_on_a_generated_workload(runtime, protein, protein_docs):
     filters = make_workload(protein, 20, seed=77)
-    options = replace(_early_options(runtime), schema_mode=mode)
     engine = create_engine(
-        EngineConfig(engine="xpush", options=options, dtd=protein.dtd),
+        EngineConfig(engine="xpush", options=_early_options(runtime), dtd=protein.dtd),
         filters,
     )
     xml = "".join(document_to_xml(doc) for doc in protein_docs[:8])
@@ -144,33 +138,6 @@ def test_emissions_under_schema_modes(mode, runtime, protein, protein_docs):
     finally:
         engine.close()
     assert answers == [matching_oids(filters, doc) for doc in protein_docs[:8]]
-    assert_emissions_cover(answers, emissions, event_ordered=True)
-
-
-@pytest.mark.parametrize("runtime", RUNTIMES)
-def test_emissions_through_validate_replay(runtime, protein, nasa, protein_docs, nasa_docs):
-    """Nonconforming documents trip the validate fallback mid-document;
-    the replay on the unpruned machine must not re-emit oids the pruned
-    prefix already delivered, and must still cover the answer set."""
-    filters = list(make_workload(protein, 12, seed=11))
-    for index, f in enumerate(make_workload(nasa, 12, seed=12)):
-        filters.append(parse_xpath(f.source, f"nasa{index}"))
-    options = replace(_early_options(runtime), schema_mode="validate")
-    engine = create_engine(
-        EngineConfig(engine="xpush", options=options, dtd=protein.dtd),
-        filters,
-    )
-    stream = protein_docs[:2] + nasa_docs[:4] + protein_docs[2:4]
-    xml = "".join(document_to_xml(doc) for doc in stream)
-    try:
-        answers, emissions = collect(engine, xml)
-        fallbacks = engine.stats()["schema_fallbacks"]
-    finally:
-        engine.close()
-    # The sets runtime always runs unpruned (it is the executable spec),
-    # so only the compiled runtimes have a fallback to trip.
-    assert fallbacks == (0 if runtime == "sets" else 4)
-    assert answers == [matching_oids(filters, doc) for doc in stream]
     assert_emissions_cover(answers, emissions, event_ordered=True)
 
 

@@ -25,6 +25,7 @@ from repro.xmlstream.dom import parse_document
 from repro.xmlstream.events import events_of_document
 from repro.xpath.parser import parse_xpath
 from repro.xpath.semantics import matching_oids
+from repro.xpush.persist import PersistError
 
 WORKLOAD = {
     "q0": "//a[b = 1]",
@@ -121,6 +122,69 @@ def test_snapshot_restore_round_trip(kind):
         assert "q4" in restored.filter_stream("<c/>")[0]
     finally:
         restored.close()
+
+
+#: The three kinds whose snapshots record machine options.
+XPUSH_KINDS = ("xpush", "layered", "sharded")
+
+#: Snapshots as the tree before the schema axis was deleted wrote them:
+#: today's formats plus the two legacy keys.
+LEGACY_SNAPSHOTS = {
+    "xpush": {
+        "format": "repro-engine-workload",
+        "version": 1,
+        "engine": "xpush",
+        "filters": {"q0": "//a[b = 1]", "q2": "/a[not(b)]", "q3": "//e"},
+        "runtime": "bitmask",
+    },
+    "layered": {
+        "format": "repro-layered-engine",
+        "version": 2,
+        "runtime": "bitmask",
+        "base": {"q0": "//a[b = 1]", "q1": "//c", "q2": "/a[not(b)]"},
+        "delta": {"q3": "//e"},
+        "tombstones": ["q1"],
+    },
+    "sharded": {
+        "format": "repro-sharded-engine",
+        "version": 2,
+        "shards": 2,
+        "inner": "layered",
+        "placement": "hash",
+        "epoch": 2,
+        "routing": {"q0": 0, "q2": 1, "q3": 1},
+        "filters": {"q0": "//a[b = 1]", "q2": "/a[not(b)]", "q3": "//e"},
+    },
+}
+LEGACY_LIVE = LEGACY_SNAPSHOTS["xpush"]["filters"]
+
+
+@pytest.mark.parametrize("mode", ["trust", "validate"])
+@pytest.mark.parametrize("kind", XPUSH_KINDS)
+def test_snapshots_with_the_legacy_schema_keys_still_load(kind, mode):
+    """The keys are dropped on read: an engine with no DTD loads the
+    snapshot, answers like the reference, and never writes them back."""
+    legacy = {**LEGACY_SNAPSHOTS[kind], "schema_mode": mode, "schema_fingerprint": "9f2c" * 16}
+    restored = create_engine(_config(kind), snapshot=legacy)
+    try:
+        for xml in DOCS + ["<e/>"]:
+            assert restored.filter_stream(xml)[0] == _expected(LEGACY_LIVE, xml)
+        assert restored.snapshot().keys() == LEGACY_SNAPSHOTS[kind].keys()
+    finally:
+        restored.close()
+
+
+@pytest.mark.parametrize("kind", XPUSH_KINDS)
+def test_rejected_snapshot_leaves_the_engine_as_it_was(kind):
+    engine = create_engine(_config(kind), {"z": "//z"})
+    try:
+        with pytest.raises(PersistError):
+            engine.restore({**LEGACY_SNAPSHOTS[kind], "runtime": "bogus"})
+        assert engine.filter_count == 1
+        assert engine.filter_stream("<z/>") == [frozenset({"z"})]
+        assert engine.filter_stream(DOCS[0]) == [frozenset()]
+    finally:
+        engine.close()
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -24,8 +24,8 @@ from repro.xpath.semantics import matching_oids
 from repro.xpush.layered import LayeredFilterEngine
 from repro.xpush.options import XPushOptions
 
-# The order optimisation and schema_mode="trust" are sound on
-# documents that conform to the DTD, so the closed world has one.
+# The order optimisation is sound on documents that conform to the
+# DTD, so the closed world has one.
 DTD = parse_dtd(
     """
     <!ELEMENT r (a*, b*, c?)>
@@ -82,7 +82,6 @@ VARIANTS = {
     "top_down": XPushOptions(top_down=True, precompute_values=False),
     "top_down+early": XPushOptions(top_down=True, early=True, precompute_values=False),
     "order": XPushOptions(order=True),
-    "trust": XPushOptions(top_down=True, precompute_values=False, schema_mode="trust"),
 }
 RUNTIMES = ("bitmask", "sets")
 

@@ -134,14 +134,11 @@ def test_reset_tables_reseeds_precomputed_values():
     assert run(machine, "<a><b>1</b></a>") == {"q"}
 
 
-def test_memory_bound_flushes_at_document_boundaries():
+def test_memory_bound_sweeps_at_document_boundaries():
     # Many distinct constants force many distinct t_value/union states.
     sources = {f"q{i}": f"//a[b = {i}]" for i in range(20)}
     machine = machine_for(
-        sources,
-        options=XPushOptions(
-            precompute_values=False, max_memory_bytes=1, eviction="flush"
-        ),
+        sources, options=XPushOptions(precompute_values=False, max_memory_bytes=1)
     )
     for i in range(20):
         j = (i + 7) % 20
@@ -149,8 +146,8 @@ def test_memory_bound_flushes_at_document_boundaries():
         # Never mid-document: both values' states survive to the answer …
         assert run(machine, xml) == {f"q{i}", f"q{j}"}, i
         # … and the bound is enforced at every document boundary.
-        assert machine.state_count == 1  # just the empty state
-    assert machine.stats.flushes == 20
+        assert machine.state_count == 2  # the empty state and the last register
+    assert machine.stats.gc_states > 20
     # A capped machine still answers exactly like an uncapped one.
     uncapped = machine_for(sources)
     for i in range(20):

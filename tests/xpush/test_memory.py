@@ -2,10 +2,10 @@
 
 The contract under test: bounding the machine's memory changes *when*
 tables are recomputed, never *what* the machine answers.  The
-differential wall drives bounded machines (both eviction policies, both
-runtimes, every optimisation combination) against the unbounded
-machine's answers; the soak test checks the resident-bytes gauge
-actually respects the watermark over a long stream; and each of the
+differential wall drives bounded machines (both runtimes, every
+optimisation combination) against the unbounded machine's answers; the
+soak test checks the resident-bytes gauge actually respects the
+watermark over a long stream; and each of the
 unbounded-stream leak fixes (results retention, mid-stream result
 collection, warm-up vs. management, stats reset) keeps a dedicated
 regression.
@@ -43,10 +43,6 @@ def memory_stream(protein_docs):
     return "".join(document_to_xml(doc) for doc in protein_docs)
 
 
-def _bounded_options(base: XPushOptions, bound: int, policy: str) -> XPushOptions:
-    return replace(base, max_memory_bytes=bound, eviction=policy)
-
-
 def _tight_bound(workload, options, dtd, stream) -> int:
     """A bound the unbounded machine crosses repeatedly: 40% of its
     converged residency (floored so registers + seeds always fit)."""
@@ -68,14 +64,11 @@ def test_bounded_answers_equal_unbounded_all_variants(
     reference = XPushMachine(workload, options, dtd=protein.dtd)
     expected = reference.filter_stream(memory_stream)
     bound = max(32 * 1024, int(reference.store.resident_bytes * 0.4))
-    for policy in ("clock", "flush"):
-        machine = XPushMachine(
-            workload, _bounded_options(options, bound, policy), dtd=protein.dtd
-        )
-        # Two passes: the second runs against tables the first pass's
-        # sweeps already evicted from, the regime the manager lives in.
-        assert machine.filter_stream(memory_stream) == expected, policy
-        assert machine.filter_stream(memory_stream) == expected, policy
+    machine = XPushMachine(workload, replace(options, max_memory_bytes=bound), dtd=protein.dtd)
+    # Two passes: the second runs against tables the first pass's
+    # sweeps already evicted from, the regime the manager lives in.
+    assert machine.filter_stream(memory_stream) == expected
+    assert machine.filter_stream(memory_stream) == expected
 
 
 @pytest.mark.parametrize("runtime", ["bitmask", "sets"])
@@ -88,9 +81,7 @@ def test_bounded_answers_equal_unbounded_both_runtimes(
         memory_stream
     )
     bound = _tight_bound(workload, options, protein.dtd, memory_stream)
-    machine = XPushMachine(
-        workload, _bounded_options(options, bound, "clock"), dtd=protein.dtd
-    )
+    machine = XPushMachine(workload, replace(options, max_memory_bytes=bound), dtd=protein.dtd)
     assert machine.filter_stream(memory_stream) == expected
     assert machine.filter_stream(memory_stream) == expected
 
@@ -104,7 +95,7 @@ def test_bounded_answers_from_persisted_workload(memory_workload, memory_stream)
     save_workload(workload, buffer)
     buffer.seek(0)
     reloaded = load_workload(buffer)
-    machine = XPushMachine(reloaded, _bounded_options(TD, 64 * 1024, "clock"))
+    machine = XPushMachine(reloaded, replace(TD, max_memory_bytes=64 * 1024))
     assert machine.filter_stream(memory_stream) == expected
 
 
@@ -113,8 +104,7 @@ def test_bounded_answers_from_persisted_workload(memory_workload, memory_stream)
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("policy", ["clock", "flush"])
-def test_soak_resident_bytes_stay_under_bound(policy):
+def test_soak_resident_bytes_stay_under_bound():
     stream = locality_stream(120_000)
     filters, _dataset = standard_workload(150, mean_predicates=1.15)
     workload = build_workload_automata(filters)
@@ -124,7 +114,7 @@ def test_soak_resident_bytes_stay_under_bound(policy):
     assert len(expected) > 20  # the soak needs a long document sequence
     bound = max(32 * 1024, int(unbounded.store.resident_bytes * 0.35))
 
-    machine = XPushMachine(workload, _bounded_options(TD, bound, policy))
+    machine = XPushMachine(workload, replace(TD, max_memory_bytes=bound))
     samples: list[int] = []
     machine.on_result = lambda index, oids: samples.append(
         machine.stats.resident_bytes
@@ -133,12 +123,8 @@ def test_soak_resident_bytes_stay_under_bound(policy):
     assert machine.filter_stream(stream) == expected  # steady state
     # Every post-management sample respects the hard bound.
     assert max(samples) <= bound
-    if policy == "clock":
-        assert machine.stats.evictions > 0
-        assert machine.stats.gc_states > 0
-        assert machine.stats.flushes == 0
-    else:
-        assert machine.stats.flushes > 0
+    assert machine.stats.evictions > 0
+    assert machine.stats.gc_states > 0
     # The incremental books must equal a from-scratch recount.
     entries, resident = machine.store.recount()
     assert machine.store.table_entries == entries
@@ -152,7 +138,7 @@ def test_clock_survives_bound_below_working_set(memory_workload, memory_stream):
     books balanced and the answers right."""
     workload = build_workload_automata(memory_workload)
     expected = XPushMachine(workload, TD).filter_stream(memory_stream)
-    machine = XPushMachine(workload, _bounded_options(TD, 40 * 1024, "clock"))
+    machine = XPushMachine(workload, replace(TD, max_memory_bytes=40 * 1024))
     assert machine.filter_stream(memory_stream) == expected
     entries, resident = machine.store.recount()
     assert (machine.store.table_entries, machine.store.resident_bytes) == (
@@ -222,7 +208,7 @@ def test_precomputed_value_seeds_survive_eviction(protein, protein_docs):
     workload = build_workload_automata(filters)
     basic = XPushOptions()  # bottom-up, precompute_values=True
     expected = XPushMachine(workload, basic).filter_stream(stream)
-    machine = XPushMachine(workload, _bounded_options(basic, 48 * 1024, "clock"))
+    machine = XPushMachine(workload, replace(basic, max_memory_bytes=48 * 1024))
     assert machine.filter_stream(stream) == expected
     assert machine.qt0.value_table  # seeds present after sweeps
 
@@ -258,36 +244,37 @@ def test_filter_stream_answers_survive_midstream_clear():
 
 def test_filter_stream_answers_survive_a_flush_midstream():
     """A table flush between documents must not lose collected answers."""
-    machine = XPushMachine.from_xpath(
-        {"q": "//a[b/text()=1]"}, options=replace(TD, max_memory_bytes=1, eviction="flush")
-    )
+    machine = XPushMachine.from_xpath({"q": "//a[b/text()=1]"}, options=TD)
+    machine.on_result = lambda index, oids: machine.reset_tables()
     stream = "".join(f"<a><b>{i % 2}</b></a>" for i in range(6))
     answers = machine.filter_stream(stream)
-    assert machine.stats.flushes > 0
+    assert machine.state_count == 1  # flushed after the last document too
     assert answers == [frozenset({"q"}) if i % 2 else frozenset() for i in range(6)]
 
 
 def test_warm_up_is_exempt_from_memory_management(protein):
-    """Training states must never be flushed by the manager mid-training
+    """Training states must never be evicted by the manager mid-training
     (the manager would discard exactly what training builds), and the
     manager's history must survive warm_up's trailing stats reset."""
     filters = make_workload(protein, 10, seed=3, prob_descendant=0.0)
-    options = replace(TD, train=True, max_memory_bytes=1, eviction="flush")
+    options = replace(TD, train=True, max_memory_bytes=1)
     machine = XPushMachine(
         build_workload_automata(filters), options, dtd=protein.dtd
     )
     # Training ran at construction with management suspended: the many
     # training states are still resident despite the 1-byte bound …
-    assert machine.state_count > 1
-    assert machine.stats.flushes == 0
+    trained = machine.state_count
+    assert trained > 1
+    assert machine.stats.gc_states == 0
     assert machine.stats.documents == 0  # … and counters reflect no real data
     # The first real document boundary applies the policy.
     machine.filter_stream("<protein-database><entry-count>1</entry-count></protein-database>")
-    assert machine.stats.flushes == 1
+    swept = machine.stats.gc_states
+    assert swept > 0 and machine.state_count < trained
     assert machine.stats.documents == 1
     # A later warm_up preserves manager history across its reset.
     machine.warm_up(seed=1)
-    assert machine.stats.flushes == 1
+    assert machine.stats.gc_states == swept
     assert machine.stats.documents == 0
     assert machine.stats.resident_bytes == machine.store.resident_bytes
 
@@ -318,9 +305,7 @@ def test_stats_snapshot_has_gauges_and_bytes_alias():
 
 def test_options_validate_memory_knobs():
     with pytest.raises(ValueError):
-        XPushOptions(eviction="lru")
-    with pytest.raises(ValueError):
         XPushOptions(max_memory_bytes=0)
-    options = XPushOptions(max_memory_bytes=1 << 20, eviction="flush")
+    options = XPushOptions(max_memory_bytes=1 << 20)
     assert options.max_memory_bytes == 1 << 20
 

@@ -179,7 +179,7 @@ def test_memory_bounded_eviction_agrees_across_runtimes(protein, protein_docs):
     )
     for doc in protein_docs:
         machine.filter_document(doc)
-    assert machine.stats.evictions > 0 or machine.stats.flushes > 0
+    assert machine.stats.evictions > 0
 
 
 def test_persist_round_trip_under_every_runtime(protein, protein_docs, tmp_path):

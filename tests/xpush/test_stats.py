@@ -11,11 +11,11 @@ def test_snapshot_and_reset():
     stats.events = 5
     stats.lookups = 10
     stats.hits = 4
-    stats.flushes = 1
+    stats.evictions = 1
     snap = stats.snapshot()
     assert snap["events"] == 5
     assert snap["hit_ratio"] == 0.4
-    assert snap["flushes"] == 1
+    assert snap["evictions"] == 1
     stats.reset()
     assert stats.events == 0
     assert stats.hit_ratio == 0.0
