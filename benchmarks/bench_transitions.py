@@ -29,7 +29,8 @@ Entry points:
 - ``python benchmarks/bench_transitions.py [--quick] [--json PATH]`` —
   the CI smoke test.  ``--quick`` shrinks the sweep and **fails**
   unless the bitmask runtime is at least 2x the sets runtime on the
-  cold path at the largest size (a host-independent relative gate).
+  cold path at the largest size (a host-independent relative gate);
+  with ``--runtime codegen`` it only reports.
 - ``pytest benchmarks/bench_transitions.py`` — pytest-benchmark
   harness at ``REPRO_BENCH_SCALE`` size.
 """
@@ -55,11 +56,6 @@ TD = XPushOptions(top_down=True, precompute_values=False)
 
 #: The acceptance gate: cold-path bitmask throughput vs sets, largest size.
 QUICK_GATE_SPEEDUP = 2.0
-
-#: The codegen gate is deliberately conservative (compiled handlers must
-#: never lose to the interpreted tables they replace); the recorded
-#: BENCH_codegen.json numbers document the actual margin.
-CODEGEN_GATE_SPEEDUP = 1.0
 
 #: ``--runtime`` value -> (baseline runtime, contender runtime).
 RUNTIME_PAIRS = {
@@ -241,12 +237,10 @@ def main(argv=None) -> int:
             json.dump(results, handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"wrote {args.json}")
-    if args.quick:
-        gate = (
-            CODEGEN_GATE_SPEEDUP
-            if args.runtime == "codegen"
-            else QUICK_GATE_SPEEDUP
-        )
+    # Only sets-vs-bitmask is gated: codegen is decided-dead code
+    # (ROADMAP "Decided"), so its pair is a report row.
+    if args.quick and args.runtime == "bitmask":
+        gate = QUICK_GATE_SPEEDUP
         largest = str(max(sizes))
         speedup = results["sizes"][largest]["speedup"]["cold"]
         if speedup < gate:

@@ -48,7 +48,7 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from repro.afa.predicates import AtomicPredicate
 from repro.errors import WorkloadError
@@ -65,6 +65,14 @@ ATTRIBUTE_WILDCARD = "@*"
 #: or with at most this many bits set (the measured crossover).
 _PEEL_WIDTH = 2048
 _PEEL_BITS = 16
+
+#: ``eval`` and δ⁻¹ run over their (offset, mask) lanes once the argument
+#: brings at least one bit per this many lanes; below that the bit sweep
+#: fetches fewer table rows than the lanes cost shifts.  The measured
+#: crossover: with 24 lanes the two cost the same at 12-16 bits on 95-word
+#: masks and at 16-31 on 187-word ones, and a cold 2 000-filter pass
+#: reads the same docs/s (±4 %) for every value from 1 to 8.
+_LANES_PER_BIT = 2
 
 
 def bits_of(mask: int) -> tuple[int, ...]:
@@ -332,21 +340,24 @@ class WorkloadAutomata:
         """Topological rank over the ε-DAG: a connective's rank exceeds
         all its ε-successors', so one ordered pass settles eval().  A
         state's ε-successors belong to its own AFA, so the ranks of
-        *fresh* states never reach into older ones."""
-        memo: dict[int, int] = {}
-
-        def rank_of(sid: int) -> int:
-            known = memo.get(sid)
-            if known is not None:
-                return known
-            state = self.states[sid]
-            value = 0 if not state.eps else 1 + max(rank_of(child) for child in state.eps)
-            memo[sid] = value
-            state.rank = value
-            return value
-
-        for state in fresh:
-            rank_of(state.sid)
+        *fresh* states never reach into older ones.  Children first on
+        an explicit stack: a chain too deep for the interpreter's must
+        not fail here, after the indexes have taken the fresh states."""
+        states = self.states
+        ranked: set[int] = set()  # connectives only: an ε-free state keeps rank 0
+        for root in fresh:
+            stack = [root] if root.eps and root.sid not in ranked else []
+            while stack:
+                state = stack[-1]
+                waiting = [
+                    states[c] for c in state.eps if states[c].eps and c not in ranked
+                ]
+                if waiting:
+                    stack.extend(waiting)
+                    continue
+                stack.pop()
+                ranked.add(state.sid)
+                state.rank = 1 + max(states[c].rank for c in state.eps)
 
     def compiled_handlers(self, max_handlers: int | None = None) -> "CompiledHandlers | None":
         """The workload-specialized compiled handlers for the
@@ -513,6 +524,20 @@ class WorkloadAutomata:
         return "\n".join(lines)
 
 
+class LaneProfile(NamedTuple):
+    """The regularity the word-parallel path of :class:`CompiledMasks`
+    depends on (:meth:`CompiledMasks.lane_profile`)."""
+
+    states: int
+    #: Per ε-rank ≥ 1, its (connective kind, child − parent) lanes.
+    eps_lanes: tuple[int, ...]
+    #: Per label with a δ⁻¹ edge, its distinct target − source offsets.
+    rev_lanes: dict[str, int]
+    #: ``eval`` runs over the lanes from this many candidate bits up
+    #: (the state's own plus the workload's NOT cone), below it sweeps.
+    eval_lane_bits: int
+
+
 class CompiledMasks:
     """Flat bitmask tables for a finalized workload (the compiled AFA
     runtime).  A *state set* is one int: bit *sid* set ⇔ sid present.
@@ -523,11 +548,28 @@ class CompiledMasks:
     `tests/xpush/test_kernels`) enforce that; the set versions are the
     executable spec.
 
-    Cost model: a sweep enumerates its argument with :func:`bits_of` —
-    one word slice per call, a per-call temporary, then small-int work
-    per set bit — and ORs one precomputed table row per bit, so a
-    transition costs O(words × set bits) only in those row ORs, never
-    in finding the bits.  Negative masks are rejected there.
+    Cost model: ``eval`` and δ⁻¹ — the two halves of a ``t_pop`` miss —
+    cost O(min(lanes, set bits) × words).  :mod:`repro.afa.build`
+    numbers each filter's states in recursion order, so the transition
+    relation is nearly a constant: every δ⁻¹ edge of a label has one of
+    a few ``target − source`` offsets, every ε-arc of a rank and
+    connective kind one of a few ``child − parent`` offsets.
+    :meth:`extend` files each edge under its offset as it appends it —
+    a *lane* is ``(offset, mask of the states at the edge's head)`` —
+    and a transition is then one shift and a few ANDs/ORs per lane,
+    every filter's automaton advancing in lockstep, with no bit
+    enumerated and no row fetched.  The lanes only grow (a new sid ORs
+    its bit into one; no older bit moves), and they are derived data,
+    never persisted.  An irregular workload — one filter with hundreds
+    of differently shaped predicates — can have more lanes than a
+    state has bits; then the *sweep* is cheaper: enumerate the argument
+    with :func:`bits_of` (one word slice per call, then small-int work
+    per set bit) and OR one precomputed table row per bit, O(words ×
+    set bits).  Which of the two a call takes is one comparison of the
+    argument's popcount with the lane count (``_LANES_PER_BIT``), read
+    from the mask and the tables alone; :meth:`lane_profile` reports
+    both sides of it.  Every other method is a sweep.  Negative masks
+    are rejected on either path.
     """
 
     __slots__ = (
@@ -543,8 +585,11 @@ class CompiledMasks:
         "_closure_masks",
         "_up_masks",
         "_rank_buckets",
+        "_eps_lanes",
+        "_eps_lane_count",
         "_rev_masks",
         "_rev_targets_by_label",
+        "_rev_lanes",
         "_push_by_label",
         "_push_elem_wild",
         "_push_attr_wild",
@@ -566,8 +611,11 @@ class CompiledMasks:
         self._closure_masks: list[int] = []
         self._up_masks: list[int] = []
         self._rank_buckets: list[list[int]] = []
+        self._eps_lanes: list[dict[int, list[int]]] = []
+        self._eps_lane_count = 0
         self._rev_masks: list[dict[str, int]] = []
         self._rev_targets_by_label: dict[str, int] = {}
+        self._rev_lanes: dict[str, dict[int, int]] = {}
         self._push_by_label: dict[str, tuple[int, dict[int, int], int]] = {}
         self._push_elem_wild = self._push_attr_wild = None
         self._top_masks: dict[str, int] = {}
@@ -592,7 +640,7 @@ class CompiledMasks:
 
         not_mask = 0
         eps_masks, rev_masks = self._eps_masks, self._rev_masks
-        rev_targets_by_label, top_masks = self._rev_targets_by_label, self._top_masks
+        rev_lanes, top_masks = self._rev_lanes, self._top_masks
         # A row is an int as wide as its sid is high, and most rows are
         # a single bit or a copy of another row: build each such int
         # once and let the rows share it (see _or_all).
@@ -615,10 +663,15 @@ class CompiledMasks:
                 if state.rev
                 else _NO_ROW
             )
-            for label in state.rev:
-                rev_targets_by_label[label] = rev_targets_by_label.get(label, 0) | bit
+            for label, sources in state.rev.items():
+                lanes = rev_lanes.setdefault(label, {})
+                for source in sources:
+                    offset = state.sid - source
+                    lanes[offset] = lanes.get(offset, 0) | bit
             for label in state.top_labels:
                 top_masks[label] = top_masks.get(label, 0) | bit
+        for label, lanes in rev_lanes.items():  # a label's targets: its lanes' union
+            self._rev_targets_by_label[label] = _or_all(lanes.values())
         self.not_mask |= not_mask
         self._top_wild_mask = top_masks.get(WILDCARD, 0)
         self._top_attr_wild_mask = top_masks.get(ATTRIBUTE_WILDCARD, 0)
@@ -654,14 +707,23 @@ class CompiledMasks:
         # per fired state — no sorting, no frozenset allocation.  (A
         # rank-r connective has a rank r-1 ε-successor, so no bucket
         # below the highest is empty.)
-        buckets = self._rank_buckets
-        for state in fresh:
+        # Beside each bucket, the rank's ε-lanes: ``child − parent`` ->
+        # (AND, NOT, OR) masks of the parents with a child that far off.
+        buckets, eps_lanes = self._rank_buckets, self._eps_lanes
+        for state, bit in zip(fresh, bits):
             if not state.eps:
                 continue
             while len(buckets) < state.rank:
                 buckets.append([0, 0, 0])
+                eps_lanes.append({})
             kind = 0 if state.kind is StateKind.AND else 1 if state.kind is StateKind.NOT else 2
-            buckets[state.rank - 1][kind] |= 1 << state.sid
+            buckets[state.rank - 1][kind] |= bit
+            lanes = eps_lanes[state.rank - 1]
+            for child in state.eps:
+                lane = lanes.setdefault(child - state.sid, [0, 0, 0])
+                if not lane[kind]:
+                    self._eps_lane_count += 1
+                lane[kind] |= bit
 
         # Per-sid mask of the owning AFA's states (early notification
         # strips a notified filter's whole automaton) and the oid maps
@@ -774,10 +836,53 @@ class CompiledMasks:
         """Per ε-rank ≥ 1: (AND, NOT, OR) connective masks."""
         return tuple((ands, nots, ors) for ands, nots, ors in self._rank_buckets)
 
+    def lane_profile(self) -> LaneProfile:
+        """How regular the workload's transition relation is, and from
+        which popcount ``eval`` therefore takes the lanes."""
+        return LaneProfile(
+            states=self.state_count,
+            eps_lanes=tuple(
+                sum(1 for lane in lanes.values() for parents in lane if parents)
+                for lanes in self._eps_lanes
+            ),
+            rev_lanes={label: len(lanes) for label, lanes in self._rev_lanes.items()},
+            eval_lane_bits=-(-self._eps_lane_count // _LANES_PER_BIT),
+        )
+
     # -- runtime transitions ---------------------------------------------
 
     def eval_closure(self, qb_mask: int) -> int:
         """Mask twin of :meth:`WorkloadAutomata.eval_closure`."""
+        if qb_mask < 0:
+            raise ValueError("negative mask")
+        # The sweep visits every present state and every NOT candidate.
+        if (qb_mask | self.not_up_mask).bit_count() * _LANES_PER_BIT >= self._eps_lane_count:
+            return self._eval_by_lanes(qb_mask)
+        return self._eval_by_sweep(qb_mask)
+
+    def _eval_by_lanes(self, result: int) -> int:
+        """Rank by rank, all connectives of the rank at once: shifting
+        *result* by a lane's offset lines every child up with its
+        parent, so an AND fires where no lane misses a child, a NOT
+        where its lane does, an OR where some lane finds one."""
+        # ``lane ^ (lane & present)`` is ``lane & ~present`` without a
+        # negative int, whose two's-complement pass triples the cost.
+        for (and_bucket, _, _), lanes in zip(self._rank_buckets, self._eps_lanes):
+            missing = fired = 0
+            for offset, (ands, nots, ors) in lanes.items():
+                present = result >> offset if offset >= 0 else result << -offset
+                if ands:
+                    missing |= ands ^ (ands & present)
+                if nots:
+                    fired |= nots ^ (nots & present)
+                if ors:
+                    fired |= ors & present
+            result |= fired | (and_bucket ^ missing)  # missing ⊆ and_bucket
+        return result
+
+    def _eval_by_sweep(self, qb_mask: int) -> int:
+        """Rank by rank, one subset/overlap test per candidate
+        connective against its own row of ε-successors."""
         result = qb_mask
         # Candidate connectives: every NOT state plus the upward
         # ε-closure of the present states and of the NOTs (the NOT part
@@ -805,14 +910,18 @@ class CompiledMasks:
 
     def delta_inverse(self, evaluated_mask: int, label: str, is_attribute: bool) -> int:
         """Mask twin of :meth:`WorkloadAutomata.delta_inverse`."""
+        if evaluated_mask < 0:
+            raise ValueError("negative mask")
         out = self._top_masks.get(label, 0)
         out |= self._top_attr_wild_mask if is_attribute else self._top_wild_mask
-        rev = self._rev_masks
         for edge in (label, ATTRIBUTE_WILDCARD if is_attribute else WILDCARD):
-            targets = self._rev_targets_by_label.get(edge)
-            if targets is not None:
-                for sid in bits_of(evaluated_mask & targets):
-                    out |= rev[sid][edge]
+            hits = evaluated_mask & self._rev_targets_by_label.get(edge, 0)
+            if hits:
+                lanes = self._rev_lanes[edge]
+                if hits.bit_count() * _LANES_PER_BIT >= len(lanes):
+                    out = _lift_by_lanes(lanes, hits, out)
+                else:
+                    out = _lift_by_sweep(self._rev_masks, edge, hits, out)
         return out
 
     def push_targets_closure(
@@ -861,6 +970,21 @@ def _or_rows(rows: Sequence[int] | Mapping[int, int], mask: int, out: int = 0) -
     """*out* OR-ed with ``rows[sid]`` for every sid in *mask*."""
     for sid in bits_of(mask):
         out |= rows[sid]
+    return out
+
+
+def _lift_by_lanes(lanes: Mapping[int, int], hits: int, out: int) -> int:
+    """*out* OR-ed with the sources of *hits*: each lane's targets step
+    back to their sources by the lane's offset, all at once."""
+    for offset, targets in lanes.items():
+        out |= (hits & targets) >> offset if offset >= 0 else (hits & targets) << -offset
+    return out
+
+
+def _lift_by_sweep(rev: Sequence[Mapping[str, int]], edge: str, hits: int, out: int) -> int:
+    """*out* OR-ed with the *edge* source row of every target in *hits*."""
+    for sid in bits_of(hits):
+        out |= rev[sid][edge]
     return out
 
 

@@ -220,7 +220,13 @@ def _notification_state(workload: WorkloadAutomata, initial: int) -> int:
 def build_afa(workload: WorkloadAutomata, xpath_filter: XPathFilter) -> AFA:
     """Compile one filter into *workload*; returns its AFA record."""
     compiler = _Compiler(workload)
-    initial = compiler.compile_filter(xpath_filter.path)
+    try:
+        initial = compiler.compile_filter(xpath_filter.path)
+    except RecursionError:
+        # The half-built states are the caller's to drop (extend does).
+        raise WorkloadError(
+            f"filter {xpath_filter.oid!r} is nested too deep to compile"
+        ) from None
     afa = AFA(
         oid=xpath_filter.oid,
         initial=initial,

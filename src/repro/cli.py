@@ -593,6 +593,19 @@ def cmd_analyze(args) -> int:
         f"({dedup.class_count} equivalence classes)"
     )
     print(f"max predicates in one query: {profile.max_predicates_in_one_query}")
+    masks = build_workload_automata(filters).masks
+    assert masks is not None
+    lanes = masks.lane_profile()
+    per_label = list(lanes.rev_lanes.values()) or [0]
+    print(f"AFA states: {lanes.states}")
+    print(
+        f"eval lanes per ε-rank: {', '.join(map(str, lanes.eps_lanes)) or 'none'} "
+        f"(a state takes the word-parallel path from {lanes.eval_lane_bits} candidate bits)"
+    )
+    print(
+        f"δ⁻¹ lanes per label: mean {sum(per_label) / len(per_label):.1f}, "
+        f"max {max(per_label)} over {len(lanes.rev_lanes)} labels"
+    )
     top = most_shared_predicates(filters, top=args.top)
     if top:
         print("most shared atomic predicates:")

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any, Callable, Iterable, Mapping, Protocol, Sequence
 
+from repro.afa.build import build_workload_automata
 from repro.engine.config import EngineConfig
 from repro.engine.protocol import MatchHook, StreamSource
 from repro.errors import WorkloadError
@@ -241,6 +242,12 @@ class SerialXPushEngine(RebuildFilterEngine):
             dtd=config.dtd,
             training_seed=config.training_seed,
         )
+
+    def subscribe(self, oid: str, xpath: str) -> None:
+        # The rebuild is lazy: a filter the AFA build refuses must be
+        # refused here, or every document fails until the oid is removed.
+        build_workload_automata([parse_xpath(xpath, oid)])
+        super().subscribe(oid, xpath)
 
     def _machine(self) -> XPushMachine:
         inner = self._live()

@@ -353,10 +353,12 @@ class ShardedFilterEngine:
         parsed = parse_xpath(xpath, oid)  # eager; shards trust the parent
         loads = self.shard_load() if self.placement == "cost" else ()
         shard_id = route_new(oid, loads, self.placement, self.shards)
+        # Costing compiles the filter; one the AFA build refuses must
+        # stop here, before the routing table names it.
+        self._cost.add(parsed)
         self._epoch += 1
         self._routing[oid] = shard_id
         self._sources[oid] = xpath
-        self._cost.add(parsed)
         self._shards[shard_id].subscribe(oid, xpath, self._epoch)
 
     def unsubscribe(self, oid: str) -> None:

@@ -165,9 +165,10 @@ class CostModel:
 
     def add(self, xpath_filter: XPathFilter) -> None:
         """Start costing *xpath_filter* (idempotent per oid)."""
+        states = afa_state_count(xpath_filter)  # raises before anything is kept
         if xpath_filter.oid not in self._states:
             self._matches.pop(xpath_filter.oid, None)
-        self._states[xpath_filter.oid] = afa_state_count(xpath_filter)
+        self._states[xpath_filter.oid] = states
 
     def add_source(self, oid: str, source: str) -> None:
         """:meth:`add` from XPath text (the snapshot-restore path)."""

@@ -204,7 +204,12 @@ def parse_xpath(source: str, oid: str = "") -> XPathFilter:
     >>> str(parse_xpath("//a[b/text()=1 and .//a[@c>2]]").path)
     '//a[b/text() = 1 and .//a[@c > 2]]'
     """
-    path = _Parser(source).parse_filter()
+    try:
+        path = _Parser(source).parse_filter()
+    except RecursionError:
+        # Predicates nest by recursive descent; a subscriber must get the
+        # typed refusal every boundary catches, not the interpreter's.
+        raise XPathSyntaxError("filter is nested too deep to parse") from None
     return XPathFilter(path, oid=oid, source=source)
 
 

@@ -20,7 +20,7 @@ from repro.engine import (
     engine_names,
     register_engine,
 )
-from repro.errors import WorkloadError
+from repro.errors import WorkloadError, XPathSyntaxError
 from repro.xmlstream.dom import parse_document
 from repro.xmlstream.events import events_of_document
 from repro.xpath.parser import parse_xpath
@@ -183,6 +183,39 @@ def test_rejected_snapshot_leaves_the_engine_as_it_was(kind):
         assert engine.filter_count == 1
         assert engine.filter_stream("<z/>") == [frozenset({"z"})]
         assert engine.filter_stream(DOCS[0]) == [frozenset()]
+    finally:
+        engine.close()
+
+
+#: Filters past the interpreter's recursion limit: a step chain the
+#: AFA build recurses down, predicates and ``not(`` the parser does.
+TOO_DEEP = {
+    "steps": "/a" + "/b" * 3000,
+    "predicates": "/a" + "[b" * 400 + "]" * 400,
+    "negations": "/a[" + "not(" * 400 + "b" + ")" * 400 + "]",
+}
+
+
+@pytest.mark.parametrize("shape", TOO_DEEP)
+@pytest.mark.parametrize("kind", XPUSH_KINDS)
+def test_a_filter_too_deep_to_compile_is_refused_typed_and_changes_nothing(kind, shape):
+    """Refused at ``subscribe`` with a :class:`ReproError` — the serial
+    engine builds lazily and once took the filter, then failed every
+    document — and the engine answers and updates as if never asked."""
+    live = dict(WORKLOAD)
+    engine = create_engine(_config(kind), live)
+    try:
+        for xml in DOCS:
+            assert engine.filter_stream(xml)[0] == _expected(live, xml)
+        with pytest.raises((XPathSyntaxError, WorkloadError), match="too deep"):
+            engine.subscribe("bad", TOO_DEEP[shape])
+        assert engine.filter_count == len(live)
+        with pytest.raises(WorkloadError, match="unknown oid"):
+            engine.unsubscribe("bad")
+        live["bad"] = "//d"  # the oid is still free
+        engine.subscribe("bad", live["bad"])
+        for xml in DOCS:
+            assert engine.filter_stream(xml)[0] == _expected(live, xml)
     finally:
         engine.close()
 

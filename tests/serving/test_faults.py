@@ -28,6 +28,7 @@ import pytest
 from repro.engine import EngineConfig, create_engine
 from repro.serving import ServingClient, encode_frame
 
+from tests.engine.test_protocol import TOO_DEEP
 from tests.serving.conftest import DOC_POOL, FILTER_POOL
 
 MATCH_ALL_DOC = "<a><b>1</b></a>"  # matches q0, q1, q5, q6
@@ -184,6 +185,24 @@ def test_malformed_frame_keeps_the_connection(serve):
         # same connection, next frame: business as usual
         assert client.publish("<a/>") == [frozenset({"q0"})]
         assert client.stats()["protocol_errors"] == 1
+
+
+@pytest.mark.parametrize(
+    "shape, kind", [("steps", "WorkloadError"), ("predicates", "XPathSyntaxError")]
+)
+def test_a_filter_too_deep_to_compile_gets_an_error_reply(serve, shape, kind):
+    """``dispatch`` answers only :class:`ReproError`: the interpreter's
+    own ``RecursionError`` would kill the subscriber's connection
+    handler.  The refusal is a typed reply on a connection that lives."""
+    handle = serve(EngineConfig(engine="layered"), {"q0": "//a"})
+    with ServingClient(*handle.address) as client:
+        client.send_raw(encode_frame({"op": "subscribe", "oid": "deep", "xpath": TOO_DEEP[shape]}))
+        reply = client.read_reply()
+        assert reply["ok"] is False
+        assert reply["kind"] == kind
+        assert "too deep" in reply["error"]
+        assert client.publish("<a/>") == [frozenset({"q0"})]
+        assert client.stats()["engine"]["filters"] == 1
 
 
 def test_oversized_frame_closes_only_that_connection(serve):

@@ -209,6 +209,11 @@ def test_analyze(tmp_path, capsys):
     assert "duplicate filters: 1" in out
     assert "most shared atomic predicates:" in out
     assert "k" in out
+    # The regularity the word-parallel pop path depends on: both ANDs
+    # sit the same two offsets from their children, every edge one off.
+    assert "AFA states: 15" in out
+    assert "eval lanes per ε-rank: 2 (a state takes the word-parallel path from 1 candidate bits)" in out
+    assert "δ⁻¹ lanes per label: mean 1.0, max 1 over 5 labels" in out
 
 
 def test_bench_smoke(capsys):
