@@ -11,16 +11,14 @@ Run:  python examples/message_broker.py
 
 from collections import Counter
 
-from repro import MessageBroker, XPushOptions
+from repro import MessageBroker
 from repro.data import ProteinDataset
+from repro.engine import EngineConfig
 
 
 def main() -> None:
     dataset = ProteinDataset(seed=2024)
-    broker = MessageBroker(
-        options=XPushOptions(top_down=True, precompute_values=False),
-        dtd=dataset.dtd,
-    )
+    broker = MessageBroker(EngineConfig(dtd=dataset.dtd))
 
     inboxes: Counter = Counter()
     broker.on_deliver = lambda subscriber, doc: inboxes.update([subscriber])

@@ -3,19 +3,19 @@
 
 Demonstrates the fragment's boolean breadth — ``and`` / ``or`` /
 ``not`` (universal!), attributes, descendants — plus the Sec. 8 update
-story: new subscriptions arrive mid-stream and the engine is rebuilt
-(the "brute force" path, equivalent to flushing a cache).
+story: new subscriptions arrive mid-stream and go to a small delta
+layer beside the warmed machine, which keeps its tables.
 
 Run:  python examples/notification_service.py
 """
 
-from repro import MessageBroker, XPushOptions, parse_document
+from repro import MessageBroker, parse_document
 from repro.data import NasaDataset
 
 
 def main() -> None:
     dataset = NasaDataset(seed=11)
-    broker = MessageBroker(options=XPushOptions(top_down=True, precompute_values=False))
+    broker = MessageBroker()
     log: list[tuple[str, str]] = []
     broker.on_deliver = lambda who, doc: log.append((who, doc.root.label))
 
@@ -36,7 +36,7 @@ def main() -> None:
     after_first = len(log)
     print(f"batch 1: {len(first_batch)} packets → {after_first} notifications")
 
-    # A consumer joins mid-stream; the engine rebuilds lazily.
+    # A consumer joins mid-stream; one AFA is compiled, nothing is flushed.
     broker.subscribe("deep", "//description//description")
     for document in dataset.documents(30):
         broker.publish(document)

@@ -9,18 +9,17 @@ delivered to every subscriber whose filter matched.
 
 The broker is a thin routing shell over one
 :class:`~repro.engine.protocol.FilterEngine`, constructed exclusively
-through :func:`~repro.engine.factory.create_engine`; the engine kind
-decides the Sec. 8 update strategy:
+through :func:`~repro.engine.factory.create_engine` from the one
+:class:`~repro.engine.config.EngineConfig` it is given; the engine kind
+decides what a subscription change costs (Sec. 8):
 
-- ``"xpush"`` (default) — brute-force: a subscription change marks the
-  machine stale and it is rebuilt lazily on the next publish
-  ("equivalent to flushing an entire cache");
-- ``"layered"`` (``incremental=True``) — a warmed base machine plus a
-  small delta layer; insertions never flush the base tables;
-- ``"sharded"`` (``shards >= 2``) — the scale-out service of
-  ``docs/scaling.md``; subscription changes ride its update control
-  plane as epoch-stamped control messages, so the worker processes
-  (and their warmed tables) survive every change.
+- ``"layered"`` (default) — a warmed base machine plus, while updates
+  are pending, a small delta layer; insertions never flush the base
+  tables;
+- ``"sharded"`` — the scale-out service of ``docs/scaling.md``;
+  subscription changes ride its update control plane as epoch-stamped
+  control messages, so the worker processes (and their warmed tables)
+  survive every change.
 """
 
 from __future__ import annotations
@@ -33,9 +32,7 @@ from repro.engine.factory import create_engine
 from repro.engine.protocol import FilterEngine
 from repro.errors import WorkloadError
 from repro.xmlstream.dom import Document
-from repro.xmlstream.dtd import DTD
 from repro.xpath.parser import parse_xpath
-from repro.xpush.options import XPushOptions
 
 Deliver = Callable[[str, Document], None]
 
@@ -63,50 +60,10 @@ class MessageBroker:
     ['alice']
     """
 
-    def __init__(
-        self,
-        options: XPushOptions | None = None,
-        dtd: DTD | None = None,
-        incremental: bool = False,
-        shards: int = 1,
-        batch_size: int = 16,
-        shard_parallel: bool | None = None,
-        backend: str = "auto",
-        config: EngineConfig | None = None,
-    ):
-        """*incremental* selects the layered engine, *shards* >= 2 the
-        sharded service (worker processes unless *shard_parallel* is
-        False) — see the module docstring for the update semantics of
-        each.  *backend* selects the parser backend of the push-mode
-        event path used when packets arrive as text (``publish_text``)
-        and by shard workers; routing decisions are backend-independent.
-
-        Alternatively pass a full :class:`EngineConfig` as *config* —
-        it wins over every other argument and may name any registered
-        engine kind that supports ``subscribe``/``unsubscribe``."""
-        if config is None:
-            if incremental and shards > 1:
-                raise WorkloadError(
-                    "incremental and sharded modes are mutually exclusive"
-                )
-            engine = "layered" if incremental else "sharded" if shards > 1 else "xpush"
-            config = EngineConfig(
-                engine=engine,
-                options=options
-                or XPushOptions(top_down=True, precompute_values=False),
-                dtd=dtd,
-                backend=backend,
-                shards=int(shards),  # EngineConfig rejects shards < 1
-                batch_size=int(batch_size),
-                parallel=shard_parallel,
-            )
-        self.config = config
-        self.options = config.options
-        self.dtd = config.dtd
-        self.incremental = config.engine == "layered"
-        self.shards = config.shards
-        self.batch_size = config.batch_size
-        self.backend = config.backend
+    def __init__(self, config: EngineConfig | None = None):
+        """*config* names the engine (any registered kind) and carries
+        every knob of it; the default is the in-process layered engine."""
+        self.config = config or EngineConfig()
         self._subscriptions: dict[str, Subscription] = {}
         self._filter_engine: FilterEngine | None = None
         self._counter = 0
@@ -188,40 +145,31 @@ class MessageBroker:
     def publish_text(self, xml_text: str) -> int:
         """Parse and route every document in *xml_text* as one batch.
 
-        Parsing uses the broker's configured push-mode *backend*."""
+        Parsing uses the config's push-mode parser *backend*."""
         from repro.xmlstream.dom import parse_forest
 
-        return self.publish_batch(parse_forest(xml_text, backend=self.backend))
+        return self.publish_batch(parse_forest(xml_text, backend=self.config.backend))
 
     def stats(self) -> dict:
+        """Broker counters, the engine's ``stats()`` under its kind's
+        name, and the gauges every kind reports lifted to the top."""
         out = {
             "subscriptions": len(self._subscriptions),
             "published": self.published,
             "delivered": self.delivered,
-            "backend": self.backend,
-            "runtime": self.options.runtime,
+            "backend": self.config.backend,
+            "runtime": self.config.options.runtime,
             "engine": self.config.engine,
         }
         engine_stats = (
             self._filter_engine.stats() if self._filter_engine is not None else {}
         )
-        if self.config.engine == "layered":
-            out["layered"] = engine_stats
-            out["xpush_states"] = engine_stats.get("xpush_states", 0)
-            out["hit_ratio"] = engine_stats.get("hit_ratio", 0.0)
-        elif self.config.engine == "sharded":
-            out["sharded"] = engine_stats
-            out["worker_restarts"] = engine_stats.get("worker_restarts", 0)
-            out["xpush_states"] = engine_stats.get("xpush_states", 0)
-            out["resident_bytes"] = engine_stats.get("resident_bytes", 0)
-            out["evictions"] = engine_stats.get("evictions", 0)
-            out["epoch"] = engine_stats.get("epoch", 0)
-            out["hit_ratio"] = 0.0
-        else:
-            out["xpush_states"] = engine_stats.get("xpush_states", 0)
-            out["hit_ratio"] = engine_stats.get("hit_ratio", 0.0)
-            out["resident_bytes"] = engine_stats.get("resident_bytes", 0)
-            out["evictions"] = engine_stats.get("evictions", 0)
+        out[self.config.engine] = engine_stats
+        for key in ("xpush_states", "hit_ratio", "resident_bytes", "evictions"):
+            out[key] = engine_stats.get(key, 0)
+        for key in ("worker_restarts", "epoch"):
+            if key in engine_stats:
+                out[key] = engine_stats[key]
         # Uniform placement gauge block, whatever the engine kind.
         out["shard_load"] = engine_stats.get(
             "shard_load", [float(len(self._subscriptions))]

@@ -173,7 +173,7 @@ def _engine_config(args, dtd) -> EngineConfig:
     if args.shards < 1:
         raise ReproError("--shards must be >= 1")
     return EngineConfig(
-        engine=getattr(args, "engine", None) or ("sharded" if args.shards > 1 else "xpush"),
+        engine=getattr(args, "engine", None) or ("sharded" if args.shards > 1 else "layered"),
         options=options,
         dtd=dtd,
         backend=args.backend,
@@ -188,6 +188,12 @@ def _engine_config(args, dtd) -> EngineConfig:
 # ----------------------------------------------------------------------
 
 
+def _kind(name: str) -> str:
+    """``"xpush"`` and ``"layered"`` name one engine, so a state file
+    written under either loads under both."""
+    return "layered" if name == "xpush" else name
+
+
 def _engine_kind_of(snapshot: dict) -> str:
     """Which registered engine kind a snapshot file belongs to."""
     fmt = snapshot.get("format", "")
@@ -196,7 +202,7 @@ def _engine_kind_of(snapshot: dict) -> str:
     if fmt == "repro-sharded-engine":
         return "sharded"
     if fmt == "repro-engine-workload":
-        return str(snapshot.get("engine", "xpush"))
+        return _kind(str(snapshot.get("engine", "layered")))
     raise ReproError(f"unrecognised engine state format {fmt!r}")
 
 
@@ -211,7 +217,7 @@ def _load_state(path: str, engine_kind: str | None = None):
     if os.path.exists(path):
         snapshot = load_engine_snapshot(path)
         kind = _engine_kind_of(snapshot)
-        if engine_kind and engine_kind != kind:
+        if engine_kind and _kind(engine_kind) != kind:
             raise ReproError(
                 f"{path} holds a {kind!r} engine, not {engine_kind!r}"
             )
@@ -629,8 +635,7 @@ def cmd_bench(args) -> int:
     megabytes = len(stream.encode("utf-8")) / 1e6
     config = _engine_config(args, dataset.dtd)
     options = config.options
-    engine = create_engine(config.with_engine("xpush", shards=1, parallel=False), filters)
-    engine.filter_events(())  # build (and train) the machine outside the cold pass
+    engine = create_engine(config.with_engine("layered", shards=1, parallel=False), filters)
     start = time.perf_counter()
     engine.filter_stream(stream)
     cold = time.perf_counter() - start
@@ -716,7 +721,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xpath", required=True, help="the XPath filter")
     p.add_argument("--engine", choices=["layered", "xpush", "sharded"],
                    help="engine kind when creating a new state file "
-                        "(default layered: updates keep the warmed base)")
+                        "(default layered; xpush names the same engine)")
     p.set_defaults(func=cmd_subscribe)
 
     p = sub.add_parser("unsubscribe", help="drop a filter from an engine state file")
@@ -749,8 +754,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", help="engine state file (see `subscribe`) to serve")
     p.add_argument("--engine", default="layered",
                    choices=["xpush", "layered", "sharded"],
-                   help="engine kind behind the server (default layered: "
-                        "live updates never flush the warmed base)")
+                   help="engine kind behind the server (default layered; "
+                        "xpush names the same engine)")
     p.add_argument("--order", action="store_true",
                    help="enable the Sec. 5 order optimisation (needs --dtd)")
     _add_engine_flags(p, shards=2, without=("--runtime", "--max-memory"))

@@ -1,7 +1,7 @@
 """One engine surface for the whole library.
 
-Every filtering engine — serial lazy machine, eager machine, layered
-updatable engine, sharded multi-process service, and the three
+Every filtering engine — the in-process XPush engine, the sharded
+multi-process service over it, the eager machine and the three
 related-work baselines — conforms to the
 :class:`~repro.engine.protocol.FilterEngine` protocol, is configured by
 one consolidated :class:`~repro.engine.config.EngineConfig`, and is
@@ -21,25 +21,16 @@ See ``docs/architecture.md`` for the full contract, including the
 dynamic-update control plane of the sharded service.
 """
 
-from repro.engine.config import BACKENDS, KNOWN_ENGINES, EngineConfig
+from repro.engine.config import BACKENDS, EngineConfig
 from repro.engine.factory import create_engine, engine_names, register_engine
 from repro.engine.protocol import FilterEngine, StreamSource
-from repro.engine.serial import (
-    BaselineEngine,
-    EagerEngine,
-    RebuildFilterEngine,
-    SerialXPushEngine,
-)
+from repro.engine.serial import BaselineEngine
 
 __all__ = [
     "BACKENDS",
     "BaselineEngine",
-    "EagerEngine",
     "EngineConfig",
     "FilterEngine",
-    "KNOWN_ENGINES",
-    "RebuildFilterEngine",
-    "SerialXPushEngine",
     "StreamSource",
     "create_engine",
     "engine_names",

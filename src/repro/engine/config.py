@@ -26,10 +26,6 @@ from repro.errors import WorkloadError
 from repro.xmlstream.dtd import DTD
 from repro.xpush.options import XPushOptions
 
-#: Engine kinds :func:`repro.engine.create_engine` builds by default.
-#: (The registry is open — see :func:`repro.engine.register_engine`.)
-KNOWN_ENGINES = ("xpush", "layered", "sharded", "eager", "naive", "yfilter", "xfilter")
-
 #: Parser backends of the push-mode event path (repro.xmlstream.parser).
 BACKENDS = ("python", "expat", "auto")
 
@@ -45,13 +41,14 @@ class EngineConfig:
     """Consolidated configuration for any :class:`FilterEngine`.
 
     Attributes:
-        engine: registry name of the engine to build (``"xpush"``,
-            ``"layered"``, ``"sharded"``, ``"eager"``, or a baseline).
+        engine: registry name of the engine to build
+            (:func:`repro.engine.engine_names`): ``"layered"`` — the
+            in-process XPush engine, which ``"xpush"`` also names —
+            ``"sharded"``, ``"eager"``, or a baseline.
         options: the machine-level :class:`XPushOptions` (Sec. 5
             optimisation flags, runtime representation, memory bound,
-            ``retain_results``).  Engines that manage
-            result lifetimes themselves (layered, sharded, broker) force
-            ``retain_results=False`` on their inner machines regardless.
+            ``retain_results``).  The engines return answers per
+            call and force ``retain_results=False`` on their machines.
         dtd: optional DTD (order optimisation / training).
         backend: parser backend for the push-mode event path.
         compact_threshold: layered engines fold their delta into the
@@ -59,8 +56,7 @@ class EngineConfig:
             amortised brute-force reset).
         shards: shard count for the sharded service (>= 1).
         inner: engine kind the sharded service hosts per shard — any
-            registry name whose engine supports updates; ``"layered"``
-            keeps insertions from flushing the warmed base tables.
+            registry name but ``"sharded"``.
         placement: placement policy of the sharded service
             (:mod:`repro.service.placement`), at boot and afterwards:
             ``"hash"`` routes every oid by CRC-32; ``"cost"`` boots via
@@ -82,7 +78,7 @@ class EngineConfig:
             declared stuck.
     """
 
-    engine: str = "xpush"
+    engine: str = "layered"
     options: XPushOptions = field(default_factory=_default_options)
     dtd: DTD | None = None
     backend: str = "auto"

@@ -1,8 +1,8 @@
 """The :class:`FilterEngine` protocol — one surface for every engine.
 
-Every filtering engine in the library (the lazy XPush machine, the
-eager Sec. 3.2 machine, the Sec. 8 layered engine, the sharded
-multi-process service and the three related-work baselines) answers
+Every filtering engine in the library (the XPush engine with its
+Sec. 8 layers, the sharded multi-process service over it, the eager
+Sec. 3.2 machine and the three related-work baselines) answers
 the same question — *which subscriptions match this document?* — yet
 each grew its own ad-hoc surface.  This protocol names the shared
 contract once, so composites (:class:`repro.service.ShardedFilterEngine`,
@@ -14,8 +14,8 @@ The contract, in paper terms:
 - **workload updates are first-class** (Sec. 8): ``subscribe`` /
   ``unsubscribe`` change the live workload.  How cheap that is differs
   per engine — layered insertion touches only a small delta machine,
-  the serial machines fall back to the brute-force rebuild ("flushing
-  an entire cache") — but the *semantics* are identical: after the
+  the baselines fall back to the brute-force rebuild ("flushing an
+  entire cache") — but the *semantics* are identical: after the
   call returns, filtering reflects the new workload;
 - **filtering** over the three source granularities the library
   supports: an in-memory :class:`~repro.xmlstream.dom.Document`, a
@@ -68,7 +68,7 @@ class FilterEngine(Protocol):
     """A filtering engine over a mutable workload of XPath filters."""
 
     #: Optional event-time match sink (see :data:`MatchHook`).  Engines
-    #: with a streaming evaluator (xpush, layered, sharded) fire it at
+    #: with a streaming evaluator (layered, sharded) fire it at
     #: the deciding event — under ``XPushOptions.early`` that is the
     #: earliest event the paper's Sec. 5 notification resolves; without
     #: early it is the document end.  Document-granularity engines fire
@@ -125,7 +125,7 @@ class FilterEngine(Protocol):
         """Engine counters; every engine includes at least ``engine``
         (its registry name), ``filters`` (the live filter count) and
         the uniform placement gauge block — ``shard_load`` (per-shard
-        cost list; length 1 on serial engines) and ``imbalance``
+        cost list; length 1 on in-process engines) and ``imbalance``
         (hottest shard over mean, 1.0 when balanced) — so dashboards
         never special-case engine kinds."""
         ...

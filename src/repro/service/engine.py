@@ -60,6 +60,7 @@ from functools import partial
 from typing import IO, Any, Callable, Iterable, Mapping, Sequence, Union, cast
 
 from repro.engine.config import EngineConfig
+from repro.engine.factory import engine_names
 from repro.engine.protocol import MatchHook
 from repro.errors import WorkloadError
 from repro.service.latency import LatencyTracker
@@ -125,22 +126,28 @@ def _shippable(config: EngineConfig) -> EngineConfig:
     return replace(config, dtd=None, options=options)
 
 
+def _known_inner(inner: str) -> str:
+    """*inner* if the registry has it — asked before any shard exists,
+    or a worker process is where the name is first looked up and the
+    refusal comes back as a failed batch."""
+    if inner not in engine_names():
+        raise WorkloadError(f"unknown inner engine {inner!r}; known: {engine_names()}")
+    return inner
+
+
 def _snapshot_sources(snap: dict | None) -> dict[str, str]:
     """The version-1 snapshot reader: the live oid → XPath sources one
     of its per-shard inner-engine snapshots describes (base plus delta
-    minus tombstones for ``repro-layered-engine``, read by that
-    format's own reader; the filters mapping otherwise)."""
+    minus tombstones, read by the inner formats' own reader)."""
     if not isinstance(snap, dict):
         return {}
-    if snap.get("format") == "repro-layered-engine":
-        from repro.xpush.layered import snapshot_layers
+    from repro.xpush.layered import snapshot_layers
 
-        base, delta, tombstones = snapshot_layers(snap)
-        sources = {**base, **delta}
-        for oid in tombstones:
-            sources.pop(oid, None)
-        return sources
-    return {str(oid): str(xpath) for oid, xpath in snap.get("filters", {}).items()}
+    base, delta, tombstones = snapshot_layers(snap)
+    sources = {**base, **delta}
+    for oid in tombstones:
+        sources.pop(oid, None)
+    return sources
 
 
 class ShardedFilterEngine:
@@ -180,7 +187,7 @@ class ShardedFilterEngine:
         self.config = config
         # Workload-level facts a restore / split / merge may change.
         self.shards = config.shards
-        self.inner = config.inner
+        self.inner = _known_inner(config.inner)
         self.placement = config.placement
         self.rebalance_threshold = config.rebalance_threshold
 
@@ -847,10 +854,11 @@ class ShardedFilterEngine:
             raise PersistError("malformed sharded snapshot: shards / routing")
         if not routing.keys() <= sources.keys():
             raise PersistError("malformed sharded snapshot: routed oid without a filter")
+        inner = _known_inner(str(snapshot.get("inner", self.inner)))
         self.config = replace(self.config, options=options)
         self._stop_shards()
         self.shards = shards
-        self.inner = str(snapshot.get("inner", self.inner))
+        self.inner = inner
         self.placement = str(snapshot.get("placement", self.placement))
         self._epoch = int(snapshot.get("epoch", 0))
         self._routing = routing
@@ -872,22 +880,24 @@ class ShardedFilterEngine:
             raise ServiceError("inject_crash requires parallel mode")
         self._workers[shard_id].inject_crash(exit_code)
 
+    #: What ``per_shard`` carries of a shard's ``info()``; 0 stands in
+    #: while a worker has not reported yet (and under a baseline inner).
     _INFO_KEYS = (
-        ("afa_states", 0),
-        ("xpush_states", 0),
-        ("hit_ratio", 0.0),
-        ("resident_bytes", 0),
-        ("table_entries", 0),
-        ("evictions", 0),
-        ("gc_states", 0),
-        ("base_states", 0),
-        ("delta_states", 0),
-        ("tombstones", 0),
-        ("codegen_compile_ms", 0.0),
-        ("codegen_handlers", 0),
-        ("codegen_fallbacks", 0),
-        ("busy_s", 0.0),
-        ("applied_epoch", 0),
+        "afa_states",
+        "xpush_states",
+        "hit_ratio",
+        "resident_bytes",
+        "table_entries",
+        "evictions",
+        "gc_states",
+        "base_states",
+        "delta_states",
+        "tombstones",
+        "codegen_compile_ms",
+        "codegen_handlers",
+        "codegen_fallbacks",
+        "busy_s",
+        "applied_epoch",
     )
 
     def stats(self) -> dict:
@@ -903,8 +913,8 @@ class ShardedFilterEngine:
                 "load": loads[shard_id],
             }
             info = self._shards[shard_id].info()
-            for key, default in self._INFO_KEYS:
-                entry[key] = info.get(key, default)
+            for key in self._INFO_KEYS:
+                entry[key] = info.get(key, 0)
             per_shard.append(entry)
         depths = []
         for shard in self._workers.values():

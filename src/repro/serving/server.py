@@ -1,8 +1,8 @@
 """`FilterServer` — the asyncio front door over any `FilterEngine`.
 
 The paper's setting is "a large number of clients" subscribing to one
-shared stream; everything below this module (serial machine, layered
-engine, sharded service) filters in-process.  `FilterServer` puts a
+shared stream; everything below this module (layered engine, sharded
+service) filters in-process.  `FilterServer` puts a
 network boundary around one engine:
 
 - **many concurrent publishers** connect over TCP and send documents as

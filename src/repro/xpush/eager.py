@@ -195,3 +195,6 @@ class EagerXPushMachine:
             if trace is not None and kind in (Text, EndElement):
                 trace.append(qb)
         return self.accepts_of(qb)
+
+    #: The document-evaluator spelling the engine layer calls.
+    filter_document = run

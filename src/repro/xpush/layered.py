@@ -1,4 +1,5 @@
-"""Workload updates without full recomputation (Sec. 8).
+"""The one in-process engine over the XPush machine, and its Sec. 8
+update path.
 
 The paper sketches two ways to update the XPath workload:
 
@@ -35,17 +36,25 @@ answers.  Three verbs change a layer, and each is
   old definition sits in the delta is retired on the spot;
 - **renumber** — passengers widen every mask, so when a fold finds the
   base's retired AFA states outnumbering half its live ones it
-  rebuilds the base from the live sources instead (the brute-force
-  path, cold).  The rule reads the workload; there is no knob.
+  rebuilds the base from the live sources instead.  That *is* the
+  brute-force path, cold, taken when the workload says so; there is no
+  knob, and no second engine that takes it on every update.
+
+A workload that is never updated has one layer and pays for one: each
+filter call reads how many layer machines are live, and with exactly
+one the parser drives that machine's SAX callbacks directly.  The
+fan-out over base and delta runs only while both exist.  The workload
+must not change while a call is in flight (the serving tier and the
+shard workers already serialise updates and filter calls).
 
 The engine conforms to the :class:`repro.engine.protocol.FilterEngine`
-protocol: ``subscribe``/``unsubscribe`` alias ``insert``/``remove``,
-``filter_stream`` runs the zero-allocation push-mode event path fanned
-out over both layers in a single pass, and ``snapshot()``/``restore()``
-capture the live definitions of base and delta plus the tombstones as
-XPath sources — passengers are never written, so a restart cannot
-resurrect one.  Folds and renumberings are logged at INFO on
-``repro.xpush.layered``.
+protocol and is registered under ``"layered"`` and, for the harness
+that still names it, ``"xpush"``: ``subscribe``/``unsubscribe`` alias
+``insert``/``remove``, ``filter_stream`` is the zero-allocation
+push-mode event path, and ``snapshot()``/``restore()`` capture the live
+definitions of base and delta plus the tombstones as XPath sources —
+passengers are never written, so a restart cannot resurrect one.
+Folds and renumberings are logged at INFO on ``repro.xpush.layered``.
 """
 
 from __future__ import annotations
@@ -53,102 +62,108 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import replace
-from typing import IO, Any, Callable, Iterable, Mapping, Union
+from typing import IO, Any, Callable, Collection, Iterable, Mapping, Sequence, Union
 
+from repro.afa.automaton import WorkloadAutomata
 from repro.afa.build import build_workload_automata
 from repro.errors import WorkloadError
 from repro.xmlstream.dtd import DTD
 from repro.xmlstream.dom import Document
 from repro.xmlstream.events import Event, EventHandler, dispatch, events_of_document
+from repro.xmlstream.parser import parse_into
 from repro.xpath.ast import XPathFilter
+from repro.xpath.parser import parse_workload, parse_xpath
 from repro.xpush.machine import XPushMachine
 from repro.xpush.options import XPushOptions
+from repro.xpush.persist import PersistError, restored_options
 
 log = logging.getLogger(__name__)
+
+# As repro.engine.protocol spells them (the engine package imports this
+# one, not the other way round).
+MatchHook = Callable[[str, int, int], None]
+StreamSource = Union[str, bytes, IO[str], IO[bytes]]
 
 #: ``snapshot()`` format tag (see :mod:`repro.xpush.persist`).  Version 1
 #: shipped the base as a compiled workload; version 2 ships sources.
 SNAPSHOT_FORMAT = "repro-layered-engine"
 SNAPSHOT_VERSION = 2
 
+#: What the serial ``xpush`` engine wrote before it became this one (and
+#: the baseline engines still write): live filters by source, no layers.
+SOURCES_FORMAT = "repro-engine-workload"
+
 
 def snapshot_layers(
     snapshot: Mapping[str, Any],
 ) -> tuple[dict[str, str], dict[str, str], list[str]]:
-    """``(base sources, delta sources, tombstones)`` of a version 1 or
-    2 capture — the one reader of the format."""
-    from repro.xpush.persist import PersistError
-
+    """``(base sources, delta sources, tombstones)`` of a capture in
+    any format an XPush engine ever wrote: :data:`SNAPSHOT_FORMAT`
+    version 1 or 2, or :data:`SOURCES_FORMAT` version 1 (every filter
+    in the base).  The one reader of them."""
+    kind = (snapshot.get("format"), snapshot.get("version"))
     base = snapshot.get("base") or {}
-    delta = snapshot.get("delta") or {}
-    tombstones = snapshot.get("tombstones") or []
     try:
-        if snapshot.get("version") == 1:
+        if kind == (SOURCES_FORMAT, 1):
+            base = snapshot["filters"]
+        elif kind == (SNAPSHOT_FORMAT, 1):
             base = {afa["oid"]: afa["source"] for afa in base.get("afas", [])}
-        layers = [{str(oid): str(xpath) for oid, xpath in layer.items()} for layer in (base, delta)]
-        return layers[0], layers[1], [str(oid) for oid in tombstones]
+        elif kind != (SNAPSHOT_FORMAT, SNAPSHOT_VERSION):
+            raise PersistError(
+                f"not an XPush engine snapshot: format {kind[0]!r}, version {kind[1]!r}"
+            )
+        layers = [
+            {str(oid): str(xpath) for oid, xpath in layer.items()}
+            for layer in (base, snapshot.get("delta") or {})
+        ]
+        return layers[0], layers[1], [str(oid) for oid in snapshot.get("tombstones") or []]
     except (AttributeError, KeyError, TypeError) as error:
-        raise PersistError(f"malformed layered snapshot: {error}") from None
+        raise PersistError(f"malformed engine snapshot: {error}") from None
 
 
 class _LayerFanout(EventHandler):
-    """Drives both layer machines from one pass over an event stream.
+    """Drives the layer machines of one filter call from one pass over
+    its event stream.
 
     The machines' SAX callbacks are invoked directly — no per-layer
     event buffering, so an unbounded stream is processed in bounded
-    memory (the old implementation materialised ``list(events)``,
-    which defeated the Sec. 6 memory manager).  Layer membership and
-    tombstones are re-read at every document boundary, so updates
-    interleaved with a long stream take effect at the next document.
+    memory.  An engine with one layer does not come through here (the
+    parser drives that machine itself); one with none gets the empty
+    answer per document.
     """
 
-    __slots__ = ("engine", "answers", "_base", "_delta")
+    __slots__ = ("engine", "layers", "answers")
 
-    def __init__(self, engine: "LayeredFilterEngine"):
+    def __init__(self, engine: "LayeredFilterEngine", layers: Sequence[XPushMachine]):
         self.engine = engine
+        self.layers = layers
         self.answers: list[frozenset[str]] = []
-        self._base: XPushMachine | None = None
-        self._delta: XPushMachine | None = None
 
     def start_document(self) -> None:
-        engine = self.engine
-        self._base = engine._base
-        self._delta = engine._delta
-        engine._begin_emit_document(self._base, self._delta)
-        if self._base is not None:
-            self._base.start_document()
-        if self._delta is not None:
-            self._delta.start_document()
+        for machine in self.layers:
+            machine.start_document()
 
     def start_element(self, label: str) -> None:
-        if self._base is not None:
-            self._base.start_element(label)
-        if self._delta is not None:
-            self._delta.start_element(label)
+        for machine in self.layers:
+            machine.start_element(label)
 
     def text(self, value: str) -> None:
-        if self._base is not None:
-            self._base.text(value)
-        if self._delta is not None:
-            self._delta.text(value)
+        for machine in self.layers:
+            machine.text(value)
 
     def end_element(self, label: str) -> None:
-        if self._base is not None:
-            self._base.end_element(label)
-        if self._delta is not None:
-            self._delta.end_element(label)
+        for machine in self.layers:
+            machine.end_element(label)
 
     def end_document(self) -> None:
         self.answers.append(
-            self.engine._merge(
-                self._base.end_document() if self._base is not None else frozenset(),
-                self._delta.end_document() if self._delta is not None else frozenset(),
-            )
+            self.engine._merge(*[machine.end_document() for machine in self.layers])
         )
 
 
 class LayeredFilterEngine:
-    """An updatable filtering engine: base layer + insertion layer.
+    """The XPush filtering engine: a base layer, and while updates are
+    pending an insertion layer beside it.
 
     >>> engine = LayeredFilterEngine.from_xpath({"a": "//x"})
     >>> engine.insert("b", "//y[z = 1]")
@@ -186,20 +201,14 @@ class LayeredFilterEngine:
         self.compactions = 0
         self.insertions = 0
         #: Bytes parsed by :meth:`filter_stream` — counted here because
-        #: the scanner feeds both layers at once, so neither machine
-        #: can claim the stream for itself.
+        #: layer machines come and go, and while there are two the
+        #: scanner feeds both at once.
         self.bytes_processed = 0
         #: Event-time match sink (FilterEngine protocol): fired at the
         #: deciding event of whichever layer resolves the match, with
         #: shadowed base-layer oids and tombstones suppressed exactly as
         #: :meth:`_merge` suppresses them from the answer set.
-        self.on_match: Callable[[str, int, int], None] | None = None
-        # Per-call emission registers (the fanout's __slots__ keeps it
-        # lean, so these live on the engine): 0-based document index
-        # within the current filter call, and the oids already emitted
-        # for the current document.
-        self._emit_doc = -1
-        self._emitted: set[str] = set()
+        self.on_match: MatchHook | None = None
 
     @classmethod
     def from_xpath(
@@ -208,8 +217,6 @@ class LayeredFilterEngine:
         options: XPushOptions | None = None,
         dtd: DTD | None = None,
     ) -> "LayeredFilterEngine":
-        from repro.xpath.parser import parse_workload
-
         return cls(parse_workload(sources), options, dtd)
 
     # ------------------------------------------------------------------
@@ -232,8 +239,6 @@ class LayeredFilterEngine:
             oid in self._base_filters or oid in self._delta_filters
         ) and oid not in self._tombstones:
             raise WorkloadError(f"oid {oid!r} already subscribed")
-        from repro.xpath.parser import parse_xpath
-
         parsed = parse_xpath(xpath, oid)
         redefined = oid in self._delta_filters
         if len(self._delta_filters) + (not redefined) >= self.compact_threshold:
@@ -336,7 +341,7 @@ class LayeredFilterEngine:
             return None
         return self._machine_of(build_workload_automata(filters))
 
-    def _machine_of(self, workload: Any) -> XPushMachine:
+    def _machine_of(self, workload: WorkloadAutomata) -> XPushMachine:
         # Layer answers are merged and returned per call; the layer
         # machines must not retain their own unbounded copies.
         return XPushMachine(
@@ -359,7 +364,9 @@ class LayeredFilterEngine:
         )
 
     def _merge(
-        self, base_matched: frozenset[str], delta_matched: frozenset[str]
+        self,
+        base_matched: frozenset[str] = frozenset(),
+        delta_matched: frozenset[str] = frozenset(),
     ) -> frozenset[str]:
         """One document's answer from the per-layer answers: the delta
         layer shadows base-layer oids it redefines, tombstones drop."""
@@ -371,81 +378,77 @@ class LayeredFilterEngine:
         matched -= self._tombstones
         return frozenset(matched)
 
-    # -- event-time emission (FilterEngine on_match) -------------------
-
-    def _begin_emit_document(
-        self, base: XPushMachine | None, delta: XPushMachine | None
-    ) -> None:
-        """Called by the fanout at each document boundary: (un)wire the
-        layer machines' hooks for the next document.  With no sink the
+    def _layers_for_call(self) -> list[XPushMachine]:
+        """The live layer machines, base first, with the event-time
+        relay (un)wired for one filter call.  Wired per call so a layer
+        made since the last one picks the hook up, and with no sink the
         machines run hook-free — the hot path pays nothing."""
-        self._emit_doc += 1
         hook = self.on_match
-        if hook is None:
-            if base is not None:
-                base.on_match = None
-            if delta is not None:
-                delta.on_match = None
-            return
-        self._emitted = set()
-        if base is not None:
-            base.on_match = self._base_match
-        if delta is not None:
-            delta.on_match = self._delta_match
+        layers = [machine for machine in (self._base, self._delta) if machine is not None]
+        for machine in layers:
+            if hook is None:
+                machine.on_match = None
+            else:
+                shadowed: Collection[str] = self._delta_filters if machine is self._base else ()
+                machine.on_match = self._relay(hook, machine.doc_seq, shadowed)
+        return layers
 
-    def _base_match(self, oid: str, _seq: int, event_index: int) -> None:
-        # Mirror _merge: a base-layer match never reaches the answer
-        # when the oid is tombstoned or redefined in the delta layer.
-        if oid in self._tombstones or oid in self._delta_filters:
-            return
-        self._emit(oid, event_index)
+    def _relay(self, hook: MatchHook, first_seq: int, shadowed: Collection[str]) -> MatchHook:
+        """A layer machine's ``on_match`` for one call: mirror
+        :meth:`_merge` (a match never reaches the answer when its oid
+        is tombstoned, or sits in the base and is redefined in the
+        delta) and turn the machine's running document number into the
+        0-based index within the call.  A machine emits an oid once a
+        document and an oid answers from one layer, so nothing repeats."""
+        tombstones = self._tombstones
 
-    def _delta_match(self, oid: str, _seq: int, event_index: int) -> None:
-        if oid in self._tombstones:
-            return
-        self._emit(oid, event_index)
+        def relay(oid: str, doc_seq: int, event_index: int) -> None:
+            if oid not in tombstones and oid not in shadowed:
+                hook(oid, doc_seq - first_seq, event_index)
 
-    def _emit(self, oid: str, event_index: int) -> None:
-        if oid in self._emitted:
-            return
-        self._emitted.add(oid)
-        hook = self.on_match
-        if hook is not None:
-            hook(oid, self._emit_doc, event_index)
+        return relay
+
+    def _without_tombstones(self, answers: list[frozenset[str]]) -> list[frozenset[str]]:
+        """:meth:`_merge` for the answers of a sole layer."""
+        tombstones = self._tombstones
+        return [matched - tombstones for matched in answers] if tombstones else answers
 
     def filter_document(self, document: Document) -> frozenset[str]:
-        # One lockstep pass over both layers (not one pass per layer),
-        # so event-time emissions stay monotone in document order.
         return self.filter_events(events_of_document(document))[0]
 
     def filter_events(self, events: Iterable[Event]) -> list[frozenset[str]]:
         """Filter a SAX event stream; one oid-set per document.
 
-        All layers are driven incrementally from a single pass — the
+        The layers are driven incrementally from a single pass — the
         stream is never materialised, so infinite streams run in the
         bounded memory the machines' own memory manager provides.
         """
-        handler = _LayerFanout(self)
-        self._emit_doc = -1
+        layers = self._layers_for_call()
+        if len(layers) == 1:
+            return self._without_tombstones(layers[0].process_events(iter(events)))
+        handler = _LayerFanout(self, layers)
         dispatch(iter(events), handler)
         return handler.answers
 
     def filter_stream(
-        self, source: Union[str, bytes, IO[str], IO[bytes]], backend: str | None = None
+        self, source: StreamSource, backend: str | None = None
     ) -> list[frozenset[str]]:
         """Parse and filter XML text on the push-mode fast path: the
-        scanner drives both layer machines directly, no Event objects
-        or per-layer buffering in between."""
-        from repro.xmlstream.parser import parse_into
-
-        handler = _LayerFanout(self)
-        self._emit_doc = -1
-        self.bytes_processed += parse_into(source, handler, backend=backend or self.backend)
+        scanner drives the layer machine — or, while there are two, the
+        fan-out over them — directly, no Event objects in between."""
+        layers = self._layers_for_call()
+        backend = backend or self.backend
+        if len(layers) == 1:
+            stats = layers[0].stats
+            before = stats.bytes_processed
+            answers = layers[0].filter_stream(source, backend=backend)
+            self.bytes_processed += stats.bytes_processed - before
+            return self._without_tombstones(answers)
+        handler = _LayerFanout(self, layers)
+        self.bytes_processed += parse_into(source, handler, backend=backend)
         return handler.answers
 
-    def filter_text(
-        self, source: Union[str, bytes, IO[str], IO[bytes]]
-    ) -> list[frozenset[str]]:
+    def filter_text(self, source: StreamSource) -> list[frozenset[str]]:
         """Historical alias for :meth:`filter_stream`."""
         return self.filter_stream(source)
 
@@ -476,16 +479,9 @@ class LayeredFilterEngine:
         }
 
     def restore(self, snapshot: Mapping[str, Any]) -> None:
-        """Replace the current workload with a :meth:`snapshot` capture."""
-        from repro.xpath.parser import parse_xpath
-        from repro.xpush.persist import PersistError, restored_options
-
-        if snapshot.get("format") != SNAPSHOT_FORMAT:
-            raise PersistError("not a persisted layered engine snapshot")
-        if snapshot.get("version") not in (1, SNAPSHOT_VERSION):
-            raise PersistError(
-                f"unsupported layered snapshot version {snapshot.get('version')!r}"
-            )
+        """Replace the current workload with a :meth:`snapshot` capture
+        (or a ``repro-engine-workload`` one: the serial ``xpush`` engine
+        wrote those, and every filter of one goes to the base)."""
         base_data, delta_data, tombstones = snapshot_layers(snapshot)
         options = restored_options(snapshot, self.options)
         stale = [oid for oid in tombstones if oid not in base_data and oid not in delta_data]
@@ -508,19 +504,15 @@ class LayeredFilterEngine:
     # ------------------------------------------------------------------
 
     def warm_up(self, seed: int = 0) -> int:
-        """Warm the base layer over workload-derived training documents
+        """Warm the layers over workload-derived training documents
         (Sec. 5); returns the number of training documents processed."""
-        count = 0
-        if self._base is not None:
-            count += self._base.warm_up(seed=seed)
-        if self._delta is not None:
-            count += self._delta.warm_up(seed=seed)
-        return count
+        return sum(m.warm_up(seed=seed) for m in (self._base, self._delta) if m is not None)
 
     def stats(self) -> dict[str, Any]:
         base, delta = self._base, self._delta
         layers = [m for m in (base, delta) if m is not None]
         afa_states = sum(m.workload.state_count for m in layers)
+        lookups = sum(m.stats.lookups for m in layers)
         return {
             "engine": self.name,
             "filters": self.filter_count,
@@ -534,24 +526,26 @@ class LayeredFilterEngine:
             "delta_states": delta.state_count if delta else 0,
             "insertions": self.insertions,
             "compactions": self.compactions,
-            "hit_ratio": base.stats.hit_ratio if base else 0.0,
-            # Cross-layer aggregates, named as the serial machine names
-            # them so composite (sharded/broker) stats read uniformly.
+            # Cross-layer aggregates: an engine grown from empty has its
+            # only machine in the delta, so no gauge reads one layer.
+            "hit_ratio": sum(m.stats.hits for m in layers) / lookups if lookups else 0.0,
             "afa_states": afa_states,
             "xpush_states": sum(m.state_count for m in layers),
-            # Uniform placement gauge block: one layered engine is one
+            # Uniform placement gauge block: an in-process engine is one
             # "shard" carrying its whole automaton weight.
             "shard_load": [float(afa_states)],
             "imbalance": 1.0,
             "events": sum(m.stats.events for m in layers),
             "bytes_processed": self.bytes_processed,
-            # Misses whose old block a predecessor store answered.
+            # Misses whose old block a predecessor store answered; the
+            # bytes and entries below count those stores too.
             "carried": sum(m.stats.carried for m in layers),
             "resident_bytes": sum(m.resident_bytes for m in layers),
             "table_entries": sum(m.table_entries for m in layers),
             "evictions": sum(m.stats.evictions for m in layers),
             "gc_states": sum(m.stats.gc_states for m in layers),
             "runtime": self.options.runtime,
+            "backend": self.backend,
             # Compile cost is per-layer: a layer that grows recompiles
             # its handlers, the other layer's are untouched.
             "codegen_compile_ms": sum(m.stats.codegen_compile_ms for m in layers),

@@ -15,7 +15,6 @@ from repro.engine import (
     BACKENDS,
     EngineConfig,
     FilterEngine,
-    KNOWN_ENGINES,
     create_engine,
     engine_names,
     register_engine,
@@ -37,7 +36,7 @@ DOCS = ["<a><b>1</b></a>", "<c/>", "<a><d/></a>", "<a><b>2</b></a>"]
 
 #: Engine kinds exercised in-process (sharded runs serial here; its
 #: worker-process behaviour has its own suite in tests/service/).
-ALL_KINDS = sorted(KNOWN_ENGINES)
+ALL_KINDS = engine_names()
 
 
 def _config(kind: str) -> EngineConfig:
@@ -124,11 +123,13 @@ def test_snapshot_restore_round_trip(kind):
         restored.close()
 
 
-#: The three kinds whose snapshots record machine options.
+#: The names whose snapshots record machine options ("xpush" and
+#: "layered" name one engine class).
 XPUSH_KINDS = ("xpush", "layered", "sharded")
 
-#: Snapshots as the tree before the schema axis was deleted wrote them:
-#: today's formats plus the two legacy keys.
+#: Snapshots as older trees wrote them: "xpush" is the sources format
+#: of the serial engine that name once built, the others are today's
+#: formats; the tests add the two keys of the deleted schema axis.
 LEGACY_SNAPSHOTS = {
     "xpush": {
         "format": "repro-engine-workload",
@@ -158,28 +159,71 @@ LEGACY_SNAPSHOTS = {
 }
 LEGACY_LIVE = LEGACY_SNAPSHOTS["xpush"]["filters"]
 
+#: ``(file format, registry name restoring it)``: each format under its
+#: own name, and the two in-process formats under each other's.
+FILE_UNDER_NAME = [
+    pytest.param("xpush", "xpush", id="xpush"),
+    pytest.param("layered", "layered", id="layered"),
+    pytest.param("sharded", "sharded", id="sharded"),
+    pytest.param("xpush", "layered", id="xpush-file-as-layered"),
+    pytest.param("layered", "xpush", id="layered-file-as-xpush"),
+]
+
+
+def test_xpush_and_layered_name_one_engine_class():
+    engines = [create_engine(_config(kind), WORKLOAD) for kind in ("xpush", "layered")]
+    assert type(engines[0]) is type(engines[1])
+    assert engines[0].snapshot() == engines[1].snapshot()
+    assert engines[0].stats().keys() == engines[1].stats().keys()
+
 
 @pytest.mark.parametrize("mode", ["trust", "validate"])
-@pytest.mark.parametrize("kind", XPUSH_KINDS)
-def test_snapshots_with_the_legacy_schema_keys_still_load(kind, mode):
+@pytest.mark.parametrize("fmt, kind", FILE_UNDER_NAME)
+def test_snapshots_with_the_legacy_schema_keys_still_load(fmt, kind, mode):
     """The keys are dropped on read: an engine with no DTD loads the
-    snapshot, answers like the reference, and never writes them back."""
-    legacy = {**LEGACY_SNAPSHOTS[kind], "schema_mode": mode, "schema_fingerprint": "9f2c" * 16}
+    snapshot, answers like the reference, and never writes them back —
+    it writes its own format, whichever it read."""
+    legacy = {**LEGACY_SNAPSHOTS[fmt], "schema_mode": mode, "schema_fingerprint": "9f2c" * 16}
     restored = create_engine(_config(kind), snapshot=legacy)
     try:
         for xml in DOCS + ["<e/>"]:
             assert restored.filter_stream(xml)[0] == _expected(LEGACY_LIVE, xml)
-        assert restored.snapshot().keys() == LEGACY_SNAPSHOTS[kind].keys()
+        written = "layered" if kind == "xpush" else kind
+        assert restored.snapshot().keys() == LEGACY_SNAPSHOTS[written].keys()
     finally:
         restored.close()
 
 
-@pytest.mark.parametrize("kind", XPUSH_KINDS)
-def test_rejected_snapshot_leaves_the_engine_as_it_was(kind):
+@pytest.mark.parametrize("fmt, kind", FILE_UNDER_NAME)
+def test_restored_legacy_snapshot_takes_updates_and_round_trips(fmt, kind):
+    """What was restored is a live workload: it grows, shrinks, folds
+    and is written back in a form the same name reads again."""
+    live = dict(LEGACY_LIVE)
+    engine = create_engine(_config(kind), snapshot=LEGACY_SNAPSHOTS[fmt])
+    try:
+        engine.subscribe("q4", "//c")
+        engine.unsubscribe("q0")
+        live["q4"] = "//c"
+        del live["q0"]
+        again = create_engine(_config(kind), snapshot=engine.snapshot())
+        engine.compact()
+        try:
+            for xml in DOCS + ["<e/>"]:
+                assert engine.filter_stream(xml)[0] == _expected(live, xml)
+                assert again.filter_stream(xml)[0] == _expected(live, xml)
+            assert engine.filter_count == again.filter_count == len(live)
+        finally:
+            again.close()
+    finally:
+        engine.close()
+
+
+@pytest.mark.parametrize("fmt, kind", FILE_UNDER_NAME)
+def test_rejected_snapshot_leaves_the_engine_as_it_was(fmt, kind):
     engine = create_engine(_config(kind), {"z": "//z"})
     try:
         with pytest.raises(PersistError):
-            engine.restore({**LEGACY_SNAPSHOTS[kind], "runtime": "bogus"})
+            engine.restore({**LEGACY_SNAPSHOTS[fmt], "runtime": "bogus"})
         assert engine.filter_count == 1
         assert engine.filter_stream("<z/>") == [frozenset({"z"})]
         assert engine.filter_stream(DOCS[0]) == [frozenset()]
@@ -199,9 +243,8 @@ TOO_DEEP = {
 @pytest.mark.parametrize("shape", TOO_DEEP)
 @pytest.mark.parametrize("kind", XPUSH_KINDS)
 def test_a_filter_too_deep_to_compile_is_refused_typed_and_changes_nothing(kind, shape):
-    """Refused at ``subscribe`` with a :class:`ReproError` — the serial
-    engine builds lazily and once took the filter, then failed every
-    document — and the engine answers and updates as if never asked."""
+    """Refused at ``subscribe`` with a :class:`ReproError`, and the
+    engine answers and updates as if never asked."""
     live = dict(WORKLOAD)
     engine = create_engine(_config(kind), live)
     try:
@@ -225,7 +268,8 @@ def test_stats_names_the_engine(kind):
     engine = create_engine(_config(kind), WORKLOAD)
     try:
         stats = engine.stats()
-        assert stats["engine"] == kind
+        # "xpush" is a second name of the layered engine, not a kind.
+        assert stats["engine"] == ("layered" if kind == "xpush" else kind)
         assert stats["filters"] == len(WORKLOAD)
     finally:
         engine.close()
@@ -254,6 +298,33 @@ def test_factory_rejects_unknown_engine_and_double_source():
     snapshot = engine.snapshot()
     with pytest.raises(WorkloadError):
         create_engine(EngineConfig(), {"q0": "//a"}, snapshot=snapshot)
+
+
+@pytest.mark.parametrize("parallel", [True, False])
+def test_sharded_engine_refuses_an_unregistered_inner_at_construction(parallel, monkeypatch):
+    """Regression: with worker processes the name was first looked up
+    in a worker, so construction succeeded and the first filter call
+    failed as ``ServiceError: ... worker init failed``.  It is refused
+    typed, naming the registry, before multiprocessing is touched."""
+
+    def no_workers():
+        raise AssertionError("refuse the inner engine before spawning anything")
+
+    monkeypatch.setattr("repro.service.engine._mp_context", no_workers)
+    config = EngineConfig(engine="sharded", shards=2, inner="bogus", parallel=parallel)
+    with pytest.raises(WorkloadError, match=r"unknown inner engine 'bogus'.*'layered'"):
+        create_engine(config, WORKLOAD)
+
+
+def test_sharded_restore_refuses_an_unregistered_inner_and_changes_nothing():
+    engine = create_engine(_config("sharded"), {"z": "//z"})
+    try:
+        with pytest.raises(WorkloadError, match="unknown inner engine 'bogus'"):
+            engine.restore({**LEGACY_SNAPSHOTS["sharded"], "inner": "bogus"})
+        assert engine.filter_stream("<z/>") == [frozenset({"z"})]
+        assert engine.stats()["inner"] == "layered"
+    finally:
+        engine.close()
 
 
 def test_register_engine_is_open():

@@ -5,6 +5,13 @@ which is what a brute-force rebuild at that step would answer — in
 every machine variant and on both the production and the reference
 kernel, at ``end_document`` and through ``on_match`` alike.
 
+An engine has three layer states — a base alone, a delta alone (grown
+by ``subscribe`` from empty), both — and two ways to drive them: the
+parser on the one machine directly, or the fan-out over the two.  They
+must agree on the *event*, not only on the answer: every emission's
+``(doc_index, event_index)`` is checked against a bare
+:class:`XPushMachine` built over the live filters.
+
 Layers grow in place (``XPushMachine.extend``) and answer memo misses
 partly from the store they had before, so the pools put ``not(...)``,
 ``//``, ``*`` and existence tests into the carried block: those are the
@@ -19,9 +26,11 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 from repro.xmlstream.dom import parse_document
 from repro.xmlstream.dtdparser import parse_dtd
+from repro.xmlstream.events import events_of_document
 from repro.xpath.parser import parse_xpath
 from repro.xpath.semantics import matching_oids
 from repro.xpush.layered import LayeredFilterEngine
+from repro.xpush.machine import XPushMachine
 from repro.xpush.options import XPushOptions
 
 # The order optimisation is sound on documents that conform to the
@@ -98,18 +107,66 @@ def seeded_engines():
     }
 
 
-def check_answers(engines, live, document):
-    """Every engine answers *document* like the reference evaluator
-    over *live* (oid -> xpath), and emits exactly that through
-    ``on_match``, each oid once."""
-    expected = matching_oids(
-        [parse_xpath(source, oid) for oid, source in live.items()], document
-    )
+def grown_engines(check):
+    """One engine per variant that starts empty and subscribes
+    :data:`SEED_FILTERS` one by one, ``check(engines, live)`` after
+    each: the first two leave a delta and no base."""
+    engines = {
+        (name, "grown"): LayeredFilterEngine([], options, dtd=DTD, compact_threshold=3)
+        for name, options in VARIANTS.items()
+    }
+    live: dict[str, str] = {}
+    check(engines, live)
+    for oid, source in SEED_FILTERS.items():
+        for engine in engines.values():
+            engine.subscribe(oid, source)
+        live[oid] = source
+        check(engines, live)
+    return engines
+
+
+#: The ``(has base, has delta)`` pairs :func:`check_answers` has seen.
+LAYER_STATES: set[tuple[bool, bool]] = set()
+ALL_DOCUMENTS = range(len(DOCUMENTS))
+
+
+def reference_emissions(options, live, documents):
+    """``(doc_index, event_index, oid)`` of every match, as a machine
+    built over exactly the *live* filters decides them."""
+    machine = XPushMachine.from_xpath(dict(live), options, dtd=DTD)
+    emitted = []
+    machine.on_match = lambda oid, doc, event: emitted.append((doc, event, oid))
+    machine.process_events(e for document in documents for e in events_of_document(document))
+    return sorted(emitted)
+
+
+def check_answers(engines, live, indexes, stream=False):
+    """In one filter call over the documents at *indexes* (parsed from
+    text when *stream*), every engine answers like the reference
+    evaluator over *live* (oid -> xpath) and emits exactly that through
+    ``on_match``: each oid once, at the document and event a bare
+    machine over the live filters decides it."""
+    documents = [DOCUMENTS[index] for index in indexes]
+    filters = [parse_xpath(source, oid) for oid, source in live.items()]
+    expected = [matching_oids(filters, document) for document in documents]
+    events = {
+        name: reference_emissions(options, live, documents) for name, options in VARIANTS.items()
+    }
     for key, engine in engines.items():
-        emitted: list[str] = []
-        engine.on_match = lambda oid, _doc, _event: emitted.append(oid)
-        assert engine.filter_document(document) == expected, key
-        assert sorted(emitted) == sorted(expected), key
+        LAYER_STATES.add((engine._base is not None, engine._delta is not None))
+        emitted = []
+        engine.on_match = lambda oid, doc, event: emitted.append((doc, event, oid))
+        if stream:
+            answers = engine.filter_stream("".join(DOC_POOL[index] for index in indexes))
+        else:
+            answers = engine.filter_events(
+                e for document in documents for e in events_of_document(document)
+            )
+        assert answers == expected, key
+        assert sorted(emitted) == events[key[0]], key
+        assert sorted((doc, oid) for doc, _, oid in emitted) == sorted(
+            (doc, oid) for doc, matched in enumerate(expected) for oid in matched
+        ), key
 
 
 def run_seeded_schedule():
@@ -120,6 +177,7 @@ def run_seeded_schedule():
     engine, the most carried hits and passengers its stats ever showed
     (a renumbering starts both from zero)."""
     engines = seeded_engines()
+    engines.update(grown_engines(lambda grown, live: check_answers(grown, live, ALL_DOCUMENTS)))
     live = dict(SEED_FILTERS)
     peaks = {key: {"carried": 0, "retired_filters": 0} for key in engines}
 
@@ -130,8 +188,9 @@ def run_seeded_schedule():
             live[args[0]] = args[1]
         elif verb == "remove":
             del live[args[0]]
-        for document in DOCUMENTS:
-            check_answers(engines, live, document)
+        for index in ALL_DOCUMENTS:
+            check_answers(engines, live, [index])
+        check_answers(engines, live, ALL_DOCUMENTS, stream=True)
         for key, engine in engines.items():
             stats = engine.stats()
             for name, peak in peaks[key].items():
@@ -156,15 +215,22 @@ def run_seeded_schedule():
 
 def test_seeded_schedule_matches_reference_at_every_step():
     # The schedule is only a wall for the carry if the carry happened,
-    # and for passengers if some rode along.
+    # for passengers if some rode along, and for the two ways of driving
+    # the layers if it was checked with a base alone, a delta alone and
+    # both (the first two are the direct path, the last the fan-out).
+    LAYER_STATES.clear()
     for key, peak in run_seeded_schedule().items():
         assert peak["carried"] > 0 and peak["retired_filters"] > 0, key
+    assert LAYER_STATES == {(False, False), (True, False), (False, True), (True, True)}
 
 
 class LayeredEngineMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.engines = seeded_engines()
+        self.engines.update(
+            grown_engines(lambda grown, live: check_answers(grown, live, [0, 4], stream=True))
+        )
         self.live: dict[str, str] = dict(SEED_FILTERS)  # oid -> xpath
         self.removed: list[str] = []
         self.counter = 0
@@ -202,9 +268,12 @@ class LayeredEngineMachine(RuleBasedStateMachine):
         for engine in self.engines.values():
             engine.compact()
 
-    @rule(document=st.sampled_from(DOCUMENTS))
-    def filter_matches_reference(self, document):
-        check_answers(self.engines, self.live, document)
+    @rule(
+        indexes=st.lists(st.sampled_from(ALL_DOCUMENTS), min_size=1, max_size=3),
+        stream=st.booleans(),
+    )
+    def filter_matches_reference(self, indexes, stream):
+        check_answers(self.engines, self.live, indexes, stream)
 
     @invariant()
     def count_is_consistent(self):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.broker import MessageBroker
+from repro.engine import EngineConfig
 from repro.errors import ReproError, WorkloadError
 from repro.xmlstream.dom import parse_document
 
@@ -61,7 +62,7 @@ def test_machine_rebuilt_after_subscription_change():
     broker.on_deliver = lambda who, doc: seen.append(who)
     broker.subscribe("x", "//a")
     broker.publish(parse_document("<a/>"))
-    broker.subscribe("y", "//a")  # triggers a lazy rebuild
+    broker.subscribe("y", "//a")  # lands in a delta layer beside x's machine
     broker.publish(parse_document("<a/>"))
     assert seen == ["x", "x", "y"]
 
@@ -73,8 +74,10 @@ def test_publish_with_no_subscribers():
 
 
 def test_incremental_broker_equals_rebuilding_broker():
-    plain = MessageBroker()
-    layered = MessageBroker(incremental=True)
+    """The default engine's layers against the Sec. 8 brute-force path,
+    which a baseline engine still takes on every update."""
+    plain = MessageBroker(EngineConfig(engine="naive"))
+    layered = MessageBroker()
     log_plain, log_layered = [], []
     plain.on_deliver = lambda who, doc: log_plain.append(who)
     layered.on_deliver = lambda who, doc: log_layered.append(who)
@@ -98,6 +101,7 @@ def test_incremental_broker_equals_rebuilding_broker():
         layered.publish(doc)
     assert log_plain == log_layered
     assert layered.stats()["layered"]["insertions"] == 3
+    assert plain.stats()["naive"]["rebuilds"] == 3
 
 
 # ----------------------------------------------------------------------
@@ -127,11 +131,10 @@ FILTER_POOL = [
 
 
 def _make_modes():
-    """The three broker modes the delivery-equivalence property covers."""
+    """The broker modes the delivery-equivalence property covers."""
     return {
-        "plain": MessageBroker(),
-        "incremental": MessageBroker(incremental=True),
-        "sharded": MessageBroker(shards=2, shard_parallel=False),
+        "default": MessageBroker(),
+        "sharded": MessageBroker(EngineConfig(engine="sharded", shards=2, parallel=False)),
     }
 
 
@@ -151,8 +154,8 @@ def test_publish_batch_counts_and_delivery():
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
 def test_broker_modes_agree_on_random_interleavings(seed):
     """Subscribe/unsubscribe/publish interleavings deliver identically
-    in rebuild, incremental and sharded modes, and an unsubscribed oid
-    is never delivered after its removal."""
+    in default and sharded modes, and an unsubscribed oid is never
+    delivered after its removal."""
     rng = random.Random(seed)
     docs = [parse_document(text) for text in DOC_POOL]
     modes = _make_modes()
@@ -188,16 +191,14 @@ def test_broker_modes_agree_on_random_interleavings(seed):
                 assert not (set(delivered_now) & removed), (
                     f"{name}: delivery to unsubscribed {set(delivered_now) & removed}"
                 )
-    reference = logs["plain"]
-    assert logs["incremental"] == reference
-    assert logs["sharded"] == reference
+    assert logs["sharded"] == logs["default"]
     for broker in modes.values():
         broker.close()
 
 
 def test_sharded_broker_with_worker_processes():
     plain = MessageBroker()
-    with MessageBroker(shards=2, batch_size=2) as sharded:
+    with MessageBroker(EngineConfig(engine="sharded", shards=2, batch_size=2)) as sharded:
         log_plain, log_sharded = [], []
         plain.on_deliver = lambda who, doc: log_plain.append(who)
         sharded.on_deliver = lambda who, doc: log_sharded.append(who)
@@ -214,13 +215,6 @@ def test_sharded_broker_with_worker_processes():
         assert stats["xpush_states"] > 0
         if not stats["sharded"]["serial_fallback"]:
             assert stats["sharded"]["batches"] >= 3  # batched fan-out happened
-
-
-def test_sharded_and_incremental_modes_are_exclusive():
-    with pytest.raises(WorkloadError):
-        MessageBroker(incremental=True, shards=2)
-    with pytest.raises(WorkloadError):
-        MessageBroker(shards=0)
 
 
 def test_broker_serve_bridges_to_network_tier():

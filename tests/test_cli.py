@@ -294,6 +294,37 @@ def test_subscribe_errors(tmp_path, capsys):
     assert "ghost" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("written, asked", [("xpush", "layered"), ("layered", "xpush")])
+def test_state_files_load_under_either_name_of_the_xpush_engine(
+    written, asked, tmp_path, stream_file, capsys
+):
+    """``xpush`` and ``layered`` name one engine: a state file started
+    under one takes updates under the other, and so does the sources
+    file the serial ``xpush`` engine used to write."""
+    import json
+
+    state = str(tmp_path / "engine.json")
+    legacy = str(tmp_path / "legacy.json")
+    with open(legacy, "w", encoding="utf-8") as handle:
+        json.dump({"format": "repro-engine-workload", "version": 1, "engine": "xpush",
+                   "filters": {"s0": "//a[b = 1]"}, "runtime": "bitmask"}, handle)
+    assert main(["subscribe", "--state", state, "--engine", written,
+                 "--oid", "s0", "--xpath", "//a[b = 1]"]) == 0
+    for path in (state, legacy):
+        assert main(["subscribe", "--state", path, "--engine", asked,
+                     "--oid", "s1", "--xpath", "//c"]) == 0
+        capsys.readouterr()
+        assert main(["filter", "--state", path, "--input", stream_file]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.strip().splitlines() == ["0\ts0", "1\ts1", "2\t-"]
+        assert "engine=layered" in captured.err
+        assert json.load(open(path))["format"] == "repro-layered-engine"
+    # ... and is still not a sharded one.
+    assert main(["subscribe", "--state", state, "--engine", "sharded",
+                 "--oid", "s2", "--xpath", "//d"]) == 2
+    assert "'layered' engine, not 'sharded'" in capsys.readouterr().err
+
+
 # -- the placement layer: rebalance / explain --placement ----------------
 
 

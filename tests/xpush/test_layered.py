@@ -108,6 +108,27 @@ def test_empty_engine():
     engine.insert("a", "//x")
     assert engine.filter_document(doc("<x/>")) == {"a"}
 
+def test_stats_aggregate_over_the_live_layers_not_the_base():
+    """Regression: ``hit_ratio`` was the base machine's alone, so an
+    engine grown from empty — its only machine is the delta — read 0.0
+    while that machine hit its memo on nearly every lookup."""
+    engine = LayeredFilterEngine([])
+    engine.subscribe("a", "//a[b=1]")
+    for _ in range(50):
+        assert engine.filter_text("<a><b>1</b></a>") == [frozenset({"a"})]
+    assert engine._base is None and engine._delta is not None
+    stats = engine.stats()
+    assert stats["hit_ratio"] == engine._delta.stats.hit_ratio > 0.9
+    engine.compact()  # the first fold builds the base ...
+    engine.filter_text("<a><b>1</b></a>")
+    engine.insert("b", "//b")
+    engine.compact()  # ... the second grows it: the old store stays, as predecessor
+    engine.filter_text("<a><b>1</b></a>")
+    stats = engine.stats()
+    assert stats["resident_bytes"] == engine._base.resident_bytes
+    assert stats["resident_bytes"] > engine._base.store.resident_bytes
+
+
 def test_reinsert_with_different_filter_shadows_stale_base_definition():
     """Regression: re-inserting a tombstoned base oid with a *new*
     filter must not resurrect the old definition — the stale base

@@ -207,19 +207,18 @@ def test_persist_round_trip_under_every_runtime(protein, protein_docs, tmp_path)
 def test_engine_snapshot_restores_codegen_runtime(protein, protein_docs, tmp_path):
     """Engine snapshots record the runtime; a restored engine rebuilds
     (and recompiles) under the same runtime it was captured with."""
-    from repro.engine.config import EngineConfig
-    from repro.engine.serial import SerialXPushEngine
+    from repro.engine import EngineConfig, create_engine
 
     filters = make_workload(protein, 15, seed=6)
-    config = EngineConfig(options=XPushOptions(runtime="codegen"))
-    engine = SerialXPushEngine(filters, config)
+    config = EngineConfig(engine="xpush", options=XPushOptions(runtime="codegen"))
+    engine = create_engine(config, filters)
     expected = [engine.filter_document(doc) for doc in protein_docs[:5]]
     snapshot = engine.snapshot()
     assert snapshot["runtime"] == "codegen"
 
-    restored = SerialXPushEngine([], EngineConfig())
+    restored = create_engine(EngineConfig(engine="xpush"))
     restored.restore(snapshot)
-    assert restored.config.options.runtime == "codegen"
+    assert restored.options.runtime == "codegen"
     assert [restored.filter_document(d) for d in protein_docs[:5]] == expected
     assert restored.stats()["codegen_handlers"] > 0
 
