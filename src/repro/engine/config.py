@@ -51,9 +51,12 @@ class EngineConfig:
             call and force ``retain_results=False`` on their machines.
         dtd: optional DTD (order optimisation / training).
         backend: parser backend for the push-mode event path.
-        compact_threshold: layered engines fold their delta into the
-            base after this many uncompacted insertions (Sec. 8's
-            amortised brute-force reset).
+        compact_threshold: the life of a layered engine's delta: it
+            is folded into the base at this many uncompacted
+            insertions, or once this many documents have been answered
+            since the last insertion, whichever comes first (the fold
+            runs at the start of a filter call, never inside a
+            document).
         shards: shard count for the sharded service (>= 1).
         inner: engine kind the sharded service hosts per shard — any
             registry name but ``"sharded"``.

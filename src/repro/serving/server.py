@@ -330,11 +330,14 @@ class FilterServer:
                 self._counters["evictions"] += 1
                 self._close_attachment(name, "slow_consumer")
 
-    def _control_job(self, fn: Callable[[], None]) -> int:
-        """Executor-side control verb: apply, then bump the epoch."""
+    def _control_job(self, fn: Callable[[], None]) -> tuple[int, int]:
+        """Executor-side control verb: apply, then bump the epoch.
+        Returns the new epoch and the filter count read at it, in the
+        same engine-thread job: read later on the event loop, the count
+        could belong to another verb's epoch."""
         fn()
         self._epoch += 1
-        return self._epoch
+        return self._epoch, self.engine.filter_count
 
     # -- verb dispatch (shared by frames and HTTP) ---------------------
 
@@ -447,20 +450,20 @@ class FilterServer:
             if not isinstance(consumer, str):
                 raise ServingError("'consumer' must be a string")
             self._ensure_consumer(consumer, frame)
-        epoch = await self._run_engine(
+        epoch, filters = await self._run_engine(
             lambda: self._control_job(lambda: self.engine.subscribe(oid, xpath))
         )
         if consumer is not None:
             self._routes[oid] = consumer
-        return {"ok": True, "epoch": epoch, "filters": self.engine.filter_count}
+        return {"ok": True, "epoch": epoch, "filters": filters}
 
     async def _op_unsubscribe(self, frame: Frame, conn: _Connection | None) -> Frame:
         oid = self._field(frame, "oid")
-        epoch = await self._run_engine(
+        epoch, filters = await self._run_engine(
             lambda: self._control_job(lambda: self.engine.unsubscribe(oid))
         )
         self._routes.pop(oid, None)
-        return {"ok": True, "epoch": epoch, "filters": self.engine.filter_count}
+        return {"ok": True, "epoch": epoch, "filters": filters}
 
     async def _op_compact(self, frame: Frame, conn: _Connection | None) -> Frame:
         compact = getattr(self.engine, "compact", None)
@@ -468,7 +471,7 @@ class FilterServer:
             raise ServingError(
                 f"engine {self.engine.stats().get('engine')!r} has no compact verb"
             )
-        epoch = await self._run_engine(lambda: self._control_job(compact))
+        epoch, _ = await self._run_engine(lambda: self._control_job(compact))
         return {"ok": True, "epoch": epoch}
 
     async def _op_rebalance(self, frame: Frame, conn: _Connection | None) -> Frame:
@@ -480,7 +483,7 @@ class FilterServer:
 
         def job() -> tuple[int, int, float]:
             moves = rebalance()
-            epoch = self._control_job(lambda: None)
+            epoch, _ = self._control_job(lambda: None)
             stats = self.engine.stats()
             imbalance = stats.get("imbalance", 1.0)
             return epoch, len(moves), float(imbalance)

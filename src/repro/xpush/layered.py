@@ -23,11 +23,13 @@ answers.  Three verbs change a layer, and each is
 
 - **grow** — ``insert`` compiles exactly one AFA, at the top of the
   delta's sid space; ``compact`` (the *fold*, automatic every
-  ``compact_threshold`` insertions) appends the delta's filters at the
-  top of the base's.  Nothing about an existing AFA state changes, so
-  the machine keeps the state store it had as a read-only predecessor
-  and a memo miss takes the old block's share of the answer from it —
-  the "on top of the old XPush machine" of the quote;
+  ``compact_threshold`` insertions, and once a delta has gone
+  ``compact_threshold`` documents without one) appends the delta's
+  filters at the top of the base's.  Nothing about an existing AFA
+  state changes, so the machine keeps the state store it had as a
+  read-only predecessor and a memo miss takes the old block's share of
+  the answer from it — the "on top of the old XPush machine" of the
+  quote;
 - **retire** — ``remove`` is a tombstone (dropped from answers at
   once); the next fold turns tombstoned and re-defined filters into
   *passengers*: their AFAs stay in the sid space, transitions intact,
@@ -40,12 +42,14 @@ answers.  Three verbs change a layer, and each is
   brute-force path, cold, taken when the workload says so; there is no
   knob, and no second engine that takes it on every update.
 
-A workload that is never updated has one layer and pays for one: each
-filter call reads how many layer machines are live, and with exactly
-one the parser drives that machine's SAX callbacks directly.  The
-fan-out over base and delta runs only while both exist.  The workload
-must not change while a call is in flight (the serving tier and the
-shard workers already serialise updates and filter calls).
+A workload that has stopped being updated ends on one layer and pays
+for one: each filter call reads how many layer machines are live, and
+with exactly one the parser drives that machine's SAX callbacks
+directly.  The fan-out over base and delta runs only while both exist,
+and the idle fold, taken at the start of a call and never inside a
+document, bounds how long that is.  The workload must not change while
+a call is in flight (the serving tier and the shard workers already
+serialise updates and filter calls).
 
 The engine conforms to the :class:`repro.engine.protocol.FilterEngine`
 protocol and is registered under ``"layered"`` and, for the harness
@@ -54,7 +58,9 @@ that still names it, ``"xpush"``: ``subscribe``/``unsubscribe`` alias
 push-mode event path, and ``snapshot()``/``restore()`` capture the live
 definitions of base and delta plus the tombstones as XPath sources —
 passengers are never written, so a restart cannot resurrect one.
-Folds and renumberings are logged at INFO on ``repro.xpush.layered``.
+Folds and renumberings are logged at INFO on ``repro.xpush.layered``,
+each with its trigger: ``threshold`` (the insertion that filled the
+delta), ``compact`` (the verb) or ``idle``.
 """
 
 from __future__ import annotations
@@ -187,8 +193,10 @@ class LayeredFilterEngine:
         #: Seed of the warm-up document generator (``options.train``).
         self.training_seed = training_seed
         self.backend = backend
-        #: Insertions accumulated since the last compaction.
+        #: A delta's life, in insertions or in documents answered since
+        #: the last insertion, whichever it reaches first.
         self.compact_threshold = compact_threshold
+        self._idle_documents = 0
         self._base_filters: dict[str, XPathFilter] = {}
         for xpath_filter in filters:
             if xpath_filter.oid in self._base_filters:
@@ -242,7 +250,7 @@ class LayeredFilterEngine:
         parsed = parse_xpath(xpath, oid)
         redefined = oid in self._delta_filters
         if len(self._delta_filters) + (not redefined) >= self.compact_threshold:
-            self._fold(parsed)
+            self._fold("threshold", parsed)
         else:
             delta = self._delta
             if delta is None:
@@ -254,6 +262,7 @@ class LayeredFilterEngine:
             self._delta_filters.pop(oid, None)
             self._delta_filters[oid] = parsed
         self.insertions += 1
+        self._idle_documents = 0
 
     def remove(self, oid: str) -> None:
         """Delete a filter.  Cheap: a tombstone filters the answers; the
@@ -279,11 +288,12 @@ class LayeredFilterEngine:
         memoised states stay reachable through its predecessor store.
         Renumbers instead — rebuilds the base from its live sources —
         when passengers have come to outnumber half the live AFA states."""
-        self._fold()
+        self._fold("compact")
 
-    def _fold(self, incoming: XPathFilter | None = None) -> None:
+    def _fold(self, trigger: str, incoming: XPathFilter | None = None) -> None:
         """:meth:`compact`, with the insertion that triggered it (if
-        any) going straight into the base."""
+        any) going straight into the base; *trigger* names the rule
+        that ran it in the log line."""
         started = time.perf_counter()
         delta, tombstones = dict(self._delta_filters), set(self._tombstones)
         if incoming is not None:
@@ -327,8 +337,9 @@ class LayeredFilterEngine:
         if log.isEnabledFor(logging.INFO):
             stats = self.stats()
             log.info(
-                "%s: %d live filters, %d retired, %d AFA states, %d carried hits, %.1f ms",
+                "%s (%s): %d live filters, %d retired, %d AFA states, %d carried hits, %.1f ms",
                 "renumbered" if renumber else "folded",
+                trigger,
                 stats["filters"],
                 stats["retired_filters"],
                 stats["afa_states"],
@@ -382,7 +393,16 @@ class LayeredFilterEngine:
         """The live layer machines, base first, with the event-time
         relay (un)wired for one filter call.  Wired per call so a layer
         made since the last one picks the hook up, and with no sink the
-        machines run hook-free — the hot path pays nothing."""
+        machines run hook-free — the hot path pays nothing.  A delta
+        beside a base that has gone ``compact_threshold`` documents
+        without an insertion is folded first: a call starts between
+        documents, and from here on it takes the one-machine path."""
+        if (
+            self._base is not None
+            and self._delta is not None
+            and self._idle_documents >= self.compact_threshold
+        ):
+            self._fold("idle")
         hook = self.on_match
         layers = [machine for machine in (self._base, self._delta) if machine is not None]
         for machine in layers:
@@ -425,10 +445,13 @@ class LayeredFilterEngine:
         """
         layers = self._layers_for_call()
         if len(layers) == 1:
-            return self._without_tombstones(layers[0].process_events(iter(events)))
-        handler = _LayerFanout(self, layers)
-        dispatch(iter(events), handler)
-        return handler.answers
+            answers = self._without_tombstones(layers[0].process_events(iter(events)))
+        else:
+            handler = _LayerFanout(self, layers)
+            dispatch(iter(events), handler)
+            answers = handler.answers
+        self._idle_documents += len(answers)
+        return answers
 
     def filter_stream(
         self, source: StreamSource, backend: str | None = None
@@ -441,12 +464,14 @@ class LayeredFilterEngine:
         if len(layers) == 1:
             stats = layers[0].stats
             before = stats.bytes_processed
-            answers = layers[0].filter_stream(source, backend=backend)
+            answers = self._without_tombstones(layers[0].filter_stream(source, backend=backend))
             self.bytes_processed += stats.bytes_processed - before
-            return self._without_tombstones(answers)
-        handler = _LayerFanout(self, layers)
-        self.bytes_processed += parse_into(source, handler, backend=backend)
-        return handler.answers
+        else:
+            handler = _LayerFanout(self, layers)
+            self.bytes_processed += parse_into(source, handler, backend=backend)
+            answers = handler.answers
+        self._idle_documents += len(answers)
+        return answers
 
     def filter_text(self, source: StreamSource) -> list[frozenset[str]]:
         """Historical alias for :meth:`filter_stream`."""

@@ -1,5 +1,6 @@
 """Stateful property test: the layered engine under arbitrary
-insert / remove / re-insert / compact / filter interleavings always
+insert / remove / re-insert / compact / filter interleavings (runs of
+filtering with no update included, so deltas idle out) always
 answers like the reference evaluator over its *current* filter set —
 which is what a brute-force rebuild at that step would answer — in
 every machine variant and on both the production and the reference
@@ -18,6 +19,7 @@ partly from the store they had before, so the pools put ``not(...)``,
 states that fire spuriously when the kernel sweeps only the remainder.
 """
 
+import itertools
 from dataclasses import replace
 
 from hypothesis import settings
@@ -93,6 +95,10 @@ VARIANTS = {
     "order": XPushOptions(order=True),
 }
 RUNTIMES = ("bitmask", "sets")
+#: ``compact_threshold`` of every engine here: low, so folds are
+#: frequent, and below ``len(DOC_POOL)``, so a check of every document
+#: idles a delta out.
+THRESHOLD = 3
 
 
 def seeded_engines():
@@ -100,8 +106,8 @@ def seeded_engines():
     seeds = [parse_xpath(source, oid) for oid, source in SEED_FILTERS.items()]
     return {
         (name, runtime): LayeredFilterEngine(
-            seeds, replace(options, runtime=runtime), dtd=DTD, compact_threshold=3
-        )  # a low threshold forces frequent folds
+            seeds, replace(options, runtime=runtime), dtd=DTD, compact_threshold=THRESHOLD
+        )
         for name, options in VARIANTS.items()
         for runtime in RUNTIMES
     }
@@ -112,7 +118,7 @@ def grown_engines(check):
     :data:`SEED_FILTERS` one by one, ``check(engines, live)`` after
     each: the first two leave a delta and no base."""
     engines = {
-        (name, "grown"): LayeredFilterEngine([], options, dtd=DTD, compact_threshold=3)
+        (name, "grown"): LayeredFilterEngine([], options, dtd=DTD, compact_threshold=THRESHOLD)
         for name, options in VARIANTS.items()
     }
     live: dict[str, str] = {}
@@ -180,36 +186,49 @@ def run_seeded_schedule():
     engines.update(grown_engines(lambda grown, live: check_answers(grown, live, ALL_DOCUMENTS)))
     live = dict(SEED_FILTERS)
     peaks = {key: {"carried": 0, "retired_filters": 0} for key in engines}
+    streams = itertools.cycle((True, False))
 
-    def step(verb, *args):
-        for engine in engines.values():
-            getattr(engine, verb)(*args)
-        if verb == "insert":
-            live[args[0]] = args[1]
-        elif verb == "remove":
-            del live[args[0]]
+    def step(*updates):
+        for verb, *args in updates:
+            for engine in engines.values():
+                getattr(engine, verb)(*args)
+            if verb == "insert":
+                live[args[0]] = args[1]
+            elif verb == "remove":
+                del live[args[0]]
+        # Every document meets the layers the updates left in one call
+        # first; the one-document calls after it find the delta idle
+        # and fold it, so updates that must meet in one delta share a
+        # step.
+        check_answers(engines, live, ALL_DOCUMENTS, stream=next(streams))
         for index in ALL_DOCUMENTS:
             check_answers(engines, live, [index])
-        check_answers(engines, live, ALL_DOCUMENTS, stream=True)
         for key, engine in engines.items():
+            assert engine._base is None or engine._delta is None, key
             stats = engine.stats()
             for name, peak in peaks[key].items():
                 peaks[key][name] = max(peak, stats[name])
 
-    step("compact")
-    step("insert", "n0", "//a[b = 1]")
-    step("insert", "n1", "/r/a[b = 1 and d = 3]")
-    step("insert", "n2", "//*[@k = 'x']")  # the third insertion folds
-    step("remove", "s0")
-    step("insert", "s0", "//b[text() = 2]")  # shadows the tombstoned base s0
-    step("remove", "n1")
-    step("insert", "n3", "//c//a[b = 3 and a]")
-    step("remove", "n3")
-    step("insert", "n3", "/r/a/b")  # redefined inside the delta
-    step("compact")
-    step("remove", "s0")
-    step("insert", "s0", "/r/a[not(b = 1)]")  # two retired s0 AFAs ride in the base
-    step("compact")
+    step(("compact",))
+    step(("insert", "n0", "//a[b = 1]"))
+    step(
+        ("insert", "n1", "/r/a[b = 1 and d = 3]"),
+        ("insert", "n2", "//*[@k = 'x']"),
+        ("insert", "n4", "//a[d]"),  # the third insertion folds
+    )
+    step(("insert", "n3", "//c//a[b = 3 and a]"), ("remove", "n3"))  # tombstoned in the delta
+    step(("remove", "s0"))
+    step(
+        ("insert", "s0", "//b[text() = 2]"),  # shadows the tombstoned base s0
+        ("remove", "n1"),
+        ("insert", "n3", "//c//a[b = 3 and a]"),
+        ("remove", "n3"),
+        ("insert", "n3", "/r/a/b"),  # redefined inside the delta
+    )
+    step(("compact",))
+    step(("remove", "s0"))
+    step(("insert", "s0", "/r/a[not(b = 1)]"))  # two retired s0 AFAs ride in the base
+    step(("compact",))
     return peaks
 
 
@@ -267,6 +286,15 @@ class LayeredEngineMachine(RuleBasedStateMachine):
     def compact(self):
         for engine in self.engines.values():
             engine.compact()
+
+    @rule(stream=st.booleans())
+    def filter_documents_with_no_update(self, stream):
+        """One call a document, one more than the threshold: a delta
+        left beside the base idles out before the last call."""
+        for index in range(THRESHOLD + 1):
+            check_answers(self.engines, self.live, [index], stream)
+        for key, engine in self.engines.items():
+            assert engine._base is None or engine._delta is None, key
 
     @rule(
         indexes=st.lists(st.sampled_from(ALL_DOCUMENTS), min_size=1, max_size=3),

@@ -13,6 +13,7 @@ no fewer.
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -156,3 +157,111 @@ def test_http_and_frame_publishers_agree(serve):
                     frozenset(m) for m in json.loads(response.read())["results"]
                 ]
             assert framed == over_http == expected[text]
+
+
+@pytest.mark.parametrize("early", [False, True], ids=["late", "early"])
+def test_a_workload_loaded_by_subscribes_idles_to_one_layer(serve, early):
+    """A server loaded only through ``subscribe`` ends with a partial
+    delta (9 filters against a threshold of 4); ``compact_threshold``
+    single-document publishes later, the next publish folds it.  Every
+    answer equals an engine built from the same sources, on both sides
+    of the fold, and each matched (seq, oid) reaches its consumer once."""
+    from repro.engine import create_engine
+    from repro.xpush.options import XPushOptions
+
+    threshold = 4
+    sources = {**FILTER_POOL, "q8": "/r"}
+    config = EngineConfig(
+        compact_threshold=threshold,
+        options=XPushOptions(top_down=True, early=early, precompute_values=False),
+    )
+    direct = create_engine(config, sources)
+    handle = serve(config, early=early)
+    singles = [text for text in DOC_POOL if len(direct.filter_stream(text)) == 1]
+    texts = [singles[i % len(singles)] for i in range(threshold + 1)] + DOC_POOL
+    host, port = handle.address
+    try:
+        with ServingClient(host, port) as client:
+            client.create_consumer("all", policy="block", high_watermark=512)
+            for oid, xpath in sources.items():
+                client.subscribe(oid, xpath, consumer="all")
+            assert client.stats()["engine"]["delta_filters"] == 1
+            matched = set()
+            for i, text in enumerate(texts):
+                ack = client.publish_detail(text)
+                answers = [frozenset(oids) for oids in ack["results"]]
+                assert answers == direct.filter_stream(text), (i, text)
+                matched.update(
+                    (ack["seq"] + index, oid) for index, oids in enumerate(answers) for oid in oids
+                )
+                delta = client.stats()["engine"]["delta_filters"]
+                assert delta == (1 if i < threshold else 0), i
+            events = client.drain("all", timeout=1.0)
+            delivered = [(event["seq"], oid) for event in events for oid in event["oids"]]
+            assert sorted(delivered) == sorted(matched)
+            assert any(event.get("early") for event in events) == early
+    finally:
+        direct.close()
+
+
+def _until(condition, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.005)
+
+
+def test_control_replies_count_the_filters_of_their_own_epoch():
+    """Two connections subscribe concurrently, and the first reply is
+    composed on the event loop only after the second subscribe has been
+    applied on the engine thread.  Each reply's ``filters`` is still the
+    live count at that reply's ``epoch``."""
+    from repro.serving import FilterServer, ServerThread
+    from repro.xpush.layered import LayeredFilterEngine
+
+    second_applied = threading.Event()
+
+    class Interleaving(LayeredFilterEngine):
+        """Holds the first subscribe's job until the second is queued
+        behind it, then stalls the event loop until the second has been
+        applied."""
+
+        def subscribe(self, oid, xpath):
+            super().subscribe(oid, xpath)
+            if oid == "second":
+                second_applied.set()
+                return
+            _until(lambda: server._inflight == 2)
+            stalled = threading.Event()
+
+            def stall():
+                stalled.set()
+                second_applied.wait(10)
+
+            server._loop.call_soon_threadsafe(stall)
+            assert stalled.wait(10)
+
+    engine = Interleaving([])
+    server = FilterServer(engine)
+    handle = ServerThread(server).start()
+    host, port = handle.address
+    replies = {}
+
+    def subscribe(oid):
+        with ServingClient(host, port) as client:
+            replies[oid] = client.request({"op": "subscribe", "oid": oid, "xpath": "//a"})
+
+    try:
+        first = threading.Thread(target=subscribe, args=("first",))
+        first.start()
+        _until(lambda: server._inflight == 1)
+        second = threading.Thread(target=subscribe, args=("second",))
+        second.start()
+        for thread in (first, second):
+            thread.join(30)
+            assert not thread.is_alive()
+    finally:
+        handle.stop()
+        engine.close()
+    assert (replies["first"]["epoch"], replies["first"]["filters"]) == (1, 1)
+    assert (replies["second"]["epoch"], replies["second"]["filters"]) == (2, 2)

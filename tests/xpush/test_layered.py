@@ -379,7 +379,11 @@ def test_renumbering_rule_reads_the_workload(caplog):
     assert (stats["retired_filters"], stats["afa_states"], stats["compactions"]) == (0, 5, 3)
     assert engine.filter_text("<x3/><x4/>") == [frozenset(), {"q4"}]
     lines = [record.getMessage() for record in caplog.records]
-    assert [line.split(":")[0] for line in lines] == ["folded", "folded", "renumbered"]
+    assert [line.split(":")[0] for line in lines] == [
+        "folded (compact)",
+        "folded (compact)",
+        "renumbered (compact)",
+    ]
     assert "5 live filters, 0 retired, 5 AFA states" in lines[-1]
 
 
@@ -395,3 +399,113 @@ def test_uncompilable_insert_leaves_the_engine_as_it_was():
     assert engine.filter_count == 3 and engine.compactions == 0
     assert engine.stats()["delta_filters"] == 2
     assert engine.filter_text("<x/><y/><w/>") == [{"a"}, {"b"}, {"c"}]
+
+
+# ----------------------------------------------------------------------
+# A delta that stops growing folds (the idle rule)
+# ----------------------------------------------------------------------
+
+
+def _fold_triggers(caplog):
+    return [record.getMessage().split(":")[0] for record in caplog.records]
+
+
+@pytest.mark.parametrize("options", [{}, EARLY], ids=["default", "early"])
+def test_a_delta_idles_out_after_threshold_documents(caplog, options):
+    """Grown from empty by ``2 × threshold + k`` subscribes, the engine
+    keeps base and delta for ``threshold`` documents; the next call
+    folds before its first event and runs on one machine.  Answers and
+    ``on_match`` ``(oid, doc_index, event_index)`` equal an engine built
+    from the same sources on every document, on both sides of the fold."""
+    import logging
+
+    from repro.xpush.options import XPushOptions
+
+    threshold, k = 4, 3
+    sources = {f"q{i}": f"//x{i % 5}[k = {i % 3}]" for i in range(2 * threshold + k)}
+    engine = LayeredFilterEngine([], XPushOptions(**options), compact_threshold=threshold)
+    reference = LayeredFilterEngine.from_xpath(sources, XPushOptions(**options))
+    with caplog.at_level(logging.INFO, logger="repro.xpush.layered"):
+        for oid, xpath in sources.items():
+            engine.subscribe(oid, xpath)
+        assert engine.stats()["delta_filters"] == k and engine._base is not None
+
+        def emissions(target, xml):
+            emitted = []
+            target.on_match = lambda *match: emitted.append(match)
+            answers = target.filter_text(xml)
+            return answers, sorted(emitted)
+
+        for i in range(threshold + 2):
+            xml = f"<x{i % 5}><k>{i % 3}</k></x{i % 5}><x{(i + 1) % 5}><k>0</k></x{(i + 1) % 5}>"
+            assert emissions(engine, xml) == emissions(reference, xml), i
+            # One call answers two documents: the count reaches the
+            # threshold with the second call, the third call folds.
+            assert (engine._delta is not None) == (i < 2), i
+        assert _fold_triggers(caplog) == ["folded (threshold)"] * 2 + ["folded (idle)"]
+    stats = engine.stats()
+    assert stats["delta_filters"] == 0 and stats["compactions"] == 3
+    assert stats["base_filters"] == len(sources)
+
+
+def test_a_delta_beside_no_base_is_left_alone():
+    """A workload grown from empty below the threshold has its delta as
+    its only machine: already the one-machine path, so no idle fold
+    rebuilds it."""
+    engine = LayeredFilterEngine([], compact_threshold=2)
+    engine.subscribe("a", "//a")
+    delta = engine._delta
+    for _ in range(5):
+        assert engine.filter_text("<a/>") == [{"a"}]
+    assert engine._delta is delta and engine._base is None and engine.compactions == 0
+
+
+def test_a_multi_document_call_counts_each_document():
+    engine = LayeredFilterEngine.from_xpath({"a": "//x"})
+    engine.compact_threshold = 3
+    engine.insert("b", "//y")
+    assert engine.filter_text("<x/><y/><z/>") == [{"a"}, {"b"}, frozenset()]
+    assert engine._delta is not None  # never inside a call
+    assert engine.filter_text("<y/>") == [{"b"}]
+    assert engine._delta is None and engine.stats()["delta_filters"] == 0
+
+
+def test_an_insert_restarts_the_idle_count():
+    engine = LayeredFilterEngine.from_xpath({"a": "//x"})
+    engine.compact_threshold = 3
+    engine.insert("b", "//y")
+    engine.filter_text("<x/><y/>")
+    engine.insert("c", "//z")
+    engine.filter_text("<x/><y/>")
+    engine.filter_text("<z/>")
+    assert engine.stats()["delta_filters"] == 2  # 3 documents, not 5
+    assert engine.filter_text("<z/>") == [{"c"}]
+    assert engine.stats()["delta_filters"] == 0 and engine.compactions == 1
+
+
+def test_an_insert_every_k_documents_never_idles(caplog):
+    """k < threshold documents between insertions: every fold is the
+    insertion threshold's."""
+    import logging
+
+    engine = LayeredFilterEngine.from_xpath({"a": "//x"})
+    engine.compact_threshold = 4
+    with caplog.at_level(logging.INFO, logger="repro.xpush.layered"):
+        for i in range(12):
+            engine.insert(f"q{i}", f"//y{i}")
+            for _ in range(3):
+                assert engine.filter_text(f"<y{i}/>") == [{f"q{i}"}]
+    assert _fold_triggers(caplog) == ["folded (threshold)"] * 3
+
+
+def test_a_delta_holding_only_a_tombstone_idles_out():
+    engine = LayeredFilterEngine.from_xpath({"a": "//x"})
+    engine.compact_threshold = 2
+    engine.insert("b", "//x")
+    engine.remove("b")
+    assert engine.filter_text("<x/><x/>") == [{"a"}, {"a"}]
+    assert engine._delta is not None
+    assert engine.filter_text("<x/>") == [{"a"}]
+    stats = engine.stats()
+    assert engine._delta is None
+    assert (stats["delta_filters"], stats["tombstones"], stats["filters"]) == (0, 0, 1)
