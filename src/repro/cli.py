@@ -37,6 +37,7 @@ from repro.engine import BACKENDS, EngineConfig, create_engine
 from repro.errors import ReproError
 from repro.service.placement import PLACEMENT_POLICIES
 from repro.xmlstream.dtdparser import parse_dtd_file
+from repro.xmlstream.parser import _not_utf8
 from repro.xpath.ast import count_atomic_predicates, is_linear
 from repro.xpath.parser import parse_xpath
 from repro.xpush.machine import XPushMachine
@@ -87,10 +88,13 @@ def _dataset(name: str, seed: int):
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as error:  # one decode of the whole file
+        raise _not_utf8(error) from None
 
 
 # ----------------------------------------------------------------------

@@ -22,6 +22,7 @@ from repro.engine.protocol import MatchHook, StreamSource
 from repro.errors import WorkloadError
 from repro.xmlstream.dom import Document, documents_of_events, parse_forest
 from repro.xmlstream.events import Event
+from repro.xmlstream.parser import _decode_utf8
 from repro.xpath.ast import XPathFilter
 from repro.xpath.parser import parse_xpath
 
@@ -171,7 +172,7 @@ class BaselineEngine:
         if not isinstance(source, (str, bytes)):
             source = source.read()
         if isinstance(source, bytes):
-            source = source.decode("utf-8")
+            source = _decode_utf8(source)
         return parse_forest(source, backend=self.config.backend)
 
     # -- persistence, stats, lifecycle ---------------------------------

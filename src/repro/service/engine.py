@@ -17,7 +17,7 @@ the kind; the default ``"layered"`` keeps updates from flushing a
 warmed base table) behind the seam in :mod:`repro.service.shard`:
 in-process when ``shards == 1``, ``parallel=False`` or
 ``multiprocessing`` is unusable (``stats()["serial_fallback"]``), a
-worker process otherwise — same API, same answers.
+worker process otherwise — same API, same batch path, same answers.
 
 **Update control plane.**  ``subscribe`` / ``unsubscribe`` / ``compact``
 and the placement verbs ``rebalance`` / ``split`` / ``merge``
@@ -35,21 +35,25 @@ every batch is answered entirely pre-update or entirely post-update.
 Batch replies carry the shard's ``applied_epoch``, so answers are
 attributable to a workload version.
 
-**Data plane** (worker shards).  The parent forwards bytes and blocks on
-file descriptors.  ``filter_stream`` runs one boundary scan over the
-source (:func:`~repro.xmlstream.split.split_documents`: well-formed or
+**Data plane** — one for both kinds of shard.  ``filter_stream`` runs
+one boundary scan over the source
+(:func:`~repro.xmlstream.split.split_documents`: well-formed or
 :class:`~repro.errors.XMLSyntaxError`, before anything is shipped) and
-sends every worker the source's own UTF-8 slice per document;
-``filter_batch`` sends ``document_to_xml`` texts down the same path
-(``_filter_texts``).  The N full parses happen in the workers, in
-parallel; the parent builds no DOM.  In-flight batches are capped at
-``queue_depth`` (backpressure that still pipelines: batch *i+1* is
-enqueued while the workers chew batch *i*).  Replies are awaited with
-``multiprocessing.connection.wait`` on every worker's result pipe and
-process sentinel, so a reply or a crash wakes the parent at once —
-nothing is polled; a dead worker is restarted, every batch it had not
-answered is resubmitted (re-answered at the *current* epoch), and
-duplicates from the pre-crash incarnation are discarded idempotently.
+submits every shard the source's own UTF-8 slice per document;
+``filter_batch`` submits ``document_to_xml`` texts.  The parent builds
+no DOM.  Every shard answers in :func:`~repro.service.worker.run_batch`'s
+messages and ``_fold`` alone reads them: match dedupe, epoch tags and a
+failed batch (:class:`ServiceError`) work alike for both.  ``parallel``
+decides only where a reply is read and what the critical path records.
+An in-process shard answers inside ``submit`` (its ``on_match`` calls
+arrive as it finishes the batch) and the path is modelled as the
+slowest shard's ``batch_s``; a worker's replies are awaited with
+``multiprocessing.connection.wait`` on every result pipe and process
+sentinel, and the path is the wall time to the last reply.  In-flight
+batches are capped at ``queue_depth``.  A dead worker is restarted,
+every batch it had not answered is resubmitted (re-answered at the
+*current* epoch), and duplicates from the pre-crash incarnation are
+discarded idempotently.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ from __future__ import annotations
 import time
 from dataclasses import replace
 from functools import partial
-from typing import IO, Any, Callable, Iterable, Mapping, Sequence, Union, cast
+from typing import IO, Any, Iterable, Mapping, Sequence, Union, cast
 
 from repro.engine.config import EngineConfig
 from repro.engine.factory import engine_names
@@ -76,7 +80,7 @@ from repro.service.placement import (
 )
 from repro.service.shard import DocumentText, LocalShard, ServiceError, WorkerShard
 from repro.service.worker import build_payload
-from repro.xmlstream.dom import Document, documents_of_events, parse_forest
+from repro.xmlstream.dom import Document, documents_of_events
 from repro.xmlstream.events import EndDocument, Event
 from repro.xmlstream.split import split_documents
 from repro.xmlstream.writer import document_to_xml
@@ -202,17 +206,16 @@ class ShardedFilterEngine:
         self.merges = 0
         self.migrations = 0
         self.latency = LatencyTracker()
-        #: Per-fan-out critical path — the slowest shard's share of each
-        #: batch.  In parallel mode this equals the batch latency; in
-        #: the serial fallback it is measured per shard and *modelled*
-        #: (what an ideally parallel run of this placement would cost),
-        #: which is what the placement benchmarks gate on.
+        #: Per-fan-out critical path: the wall time to the last worker
+        #: reply, or in-process the slowest shard's ``batch_s`` —
+        #: *modelled*, what an ideally parallel run of this placement
+        #: would pay, which is what the placement benchmarks gate on.
         self.critical_path = LatencyTracker()
         #: Submit → first delivered match, per document that matched
         #: anything (populated while an ``on_match`` sink is attached).
         self.first_match = LatencyTracker()
         #: Event-time match sink (FilterEngine protocol): fired as
-        #: worker match messages arrive, ahead of batch completion.
+        #: shard match messages are folded, ahead of batch completion.
         #: ``doc_index`` is relative to the current filter call;
         #: ``event_index`` is the deciding event within the document.
         #: Emission order is monotone per shard, not globally — shards
@@ -315,11 +318,6 @@ class ShardedFilterEngine:
         return self._retired_restarts + sum(
             shard.restarts for shard in self._shards.values()
         )
-
-    def _check_workers(self) -> None:
-        for shard in self._workers.values():
-            if shard.dead:
-                shard.restart()
 
     # ------------------------------------------------------------------
     # Update control plane — every verb: parent state first, shard after
@@ -492,30 +490,23 @@ class ShardedFilterEngine:
     # ------------------------------------------------------------------
 
     def filter_batch(self, documents: Iterable[Document]) -> list[frozenset[str]]:
-        """Filter *documents*; one oid-set per document, serial-identical."""
-        if self.parallel:
-            return self._filter_texts([document_to_xml(doc) for doc in documents])
-        return self._filter(list(documents), self._filter_batch_serial)
+        """Filter *documents*; one oid-set per document, serial-identical.
+        Each shard parses its own serialised copy of every document."""
+        return self._filter([document_to_xml(doc) for doc in documents])
 
-    def _filter_texts(self, texts: Sequence[DocumentText]) -> list[frozenset[str]]:
-        """The one parallel data path: single-document *texts* fanned
-        out to every worker, whoever produced them."""
-        return self._filter(texts, self._fan_out)
-
-    def _filter(
-        self, items: Sequence[Any], run: Callable[[Any], list[frozenset[str]]]
-    ) -> list[frozenset[str]]:
-        """The bookkeeping every filter call shares, around *run*."""
+    def _filter(self, texts: Sequence[DocumentText]) -> list[frozenset[str]]:
+        """The one data path: single-document *texts* fanned out to
+        every shard, plus the bookkeeping every filter call shares."""
         self._check_open()
-        if not items:
+        if not texts:
             return []
-        self.documents += len(items)
+        self.documents += len(texts)
         if not self._routing:
             # No live filter can match; tombstoned machines would only
             # produce answers the merge drops anyway.
             self.batches += 1
-            return [frozenset()] * len(items)
-        results = run(items)
+            return [frozenset()] * len(texts)
+        results = self._fan_out(texts)
         # Live selectivity feedback: fold the answered match rates into
         # the cost model, then let hot-shard detection act on them.
         self._cost.observe(results)
@@ -529,73 +520,6 @@ class ShardedFilterEngine:
             self.maybe_rebalance()
         return results
 
-    def _filter_batch_serial(self, docs: Sequence[Document]) -> list[frozenset[str]]:
-        merged: list[set[str]] = [set() for _ in docs]
-        hook = self.on_match
-        batch_size = self.config.batch_size
-        shards = cast("dict[int, LocalShard]", self._shards)
-        for offset in range(0, len(docs), batch_size):
-            chunk = docs[offset : offset + batch_size]
-            started = time.perf_counter()
-            # Per-shard busy seconds within this fan-out: the maximum
-            # is the critical path an ideally parallel run would pay —
-            # the modelled latency the placement benchmarks gate on.
-            chunk_busy: dict[int, float] = {}
-            for index, doc in enumerate(chunk):
-                if hook is None:
-                    for shard_id, shard in shards.items():
-                        shard_started = time.perf_counter()
-                        merged[offset + index] |= shard.engine.filter_document(doc)
-                        chunk_busy[shard_id] = chunk_busy.get(shard_id, 0.0) + (
-                            time.perf_counter() - shard_started
-                        )
-                else:
-                    merged[offset + index] |= self._filter_document_emitting(
-                        doc, offset + index, started, hook, chunk_busy
-                    )
-            self.batches += 1
-            self.latency.record(time.perf_counter() - started)
-            if chunk_busy:
-                self.critical_path.record(max(chunk_busy.values()))
-                for shard_id, busy in chunk_busy.items():
-                    shards[shard_id].busy_s += busy
-        return [frozenset(s) for s in merged]
-
-    def _filter_document_emitting(
-        self,
-        doc: Document,
-        doc_pos: int,
-        started: float,
-        hook: MatchHook,
-        chunk_busy: dict[int, float],
-    ) -> set[str]:
-        """One document through every in-process shard engine with the
-        event-time relay wired.  Shard workloads are disjoint, so no
-        cross-shard dedup is needed; the first relay fire records the
-        document's first-match latency against the batch start."""
-        matched: set[str] = set()
-        pending_first = [True]
-        doc_index = self._doc_base + doc_pos
-
-        def _relay(oid: str, _d: int, event_index: int) -> None:
-            if pending_first[0]:
-                pending_first[0] = False
-                self.first_match.record(time.perf_counter() - started)
-            hook(oid, doc_index, event_index)
-
-        for shard_id, shard in cast("dict[int, LocalShard]", self._shards).items():
-            engine = shard.engine
-            engine.on_match = _relay
-            shard_started = time.perf_counter()
-            try:
-                matched |= engine.filter_document(doc)
-            finally:
-                engine.on_match = None
-                chunk_busy[shard_id] = chunk_busy.get(shard_id, 0.0) + (
-                    time.perf_counter() - shard_started
-                )
-        return matched
-
     def _fan_out(self, texts: Sequence[DocumentText]) -> list[frozenset[str]]:
         merged: list[set[str]] = [set() for _ in texts]
         outstanding: dict[int, dict] = {}
@@ -604,15 +528,17 @@ class ShardedFilterEngine:
         try:
             for offset in range(0, len(texts), batch_size):
                 while len(outstanding) >= queue_depth:
-                    self._collect_once(outstanding, merged)
+                    self._fold(self._receive(outstanding), outstanding, merged)
                 chunk = texts[offset : offset + batch_size]
                 self._batch_counter += 1
                 batch_id = self._batch_counter
                 outstanding[batch_id] = {
                     "offset": offset,
                     "size": len(chunk),
-                    "waiting": set(self._workers),
+                    "waiting": set(self._shards),
                     "started": time.perf_counter(),
+                    # The slowest shard's own batch seconds so far.
+                    "slowest": 0.0,
                     # Event-time delivery bookkeeping: (doc_offset, oid)
                     # pairs already delivered (resubmitted batches
                     # re-stream their matches), and doc offsets whose
@@ -620,32 +546,36 @@ class ShardedFilterEngine:
                     "emitted": set(),
                     "firsts": set(),
                 }
-                for shard in self._workers.values():
+                for shard in self._shards.values():
                     shard.submit(batch_id, chunk, emit)
             while outstanding:
-                self._collect_once(outstanding, merged)
+                self._fold(self._receive(outstanding), outstanding, merged)
         finally:
             # A call that gave up (a shard reported an error, nothing
             # moved for result_timeout) abandons its batches: a later
-            # restart must not resubmit them.  Empty on success.
+            # restart must not resubmit them, and _fold drops whatever
+            # of theirs is still queued.  Empty on success.
             for batch_id in outstanding:
                 for shard in self._workers.values():
                     shard.pending.pop(batch_id, None)
         return [frozenset(s) for s in merged]
 
-    def _collect_once(self, outstanding: dict[int, dict], merged: list[set[str]]) -> None:
-        """Sleep until a worker replies or dies; fold one message in."""
-        self._fold(self._receive(outstanding), outstanding, merged)
-
     def _receive(self, outstanding: dict[int, dict]) -> tuple:
-        """The next worker message, restarting workers that die first.
+        """The next shard message, restarting workers that die first.
 
-        Blocks on every live worker's result pipe *and* process
-        sentinel at once, so a reply or a crash wakes the parent the
-        moment it happens.  Never a blocking read of one shared
-        channel: each incarnation writes to a private pipe, so one
-        dying mid-write can never wedge the others' answers.
+        In-process shards answered inside ``submit``: their replies
+        are already queued.  Otherwise this blocks on every live
+        worker's result pipe *and* process sentinel at once, so a reply
+        or a crash wakes the parent the moment it happens.  Never a
+        blocking read of one shared channel: each incarnation writes to
+        a private pipe, so one dying mid-write can never wedge the
+        others' answers.
         """
+        if not self.parallel:
+            for local in cast("dict[int, LocalShard]", self._shards).values():
+                if local.replies:
+                    return local.replies.popleft()
+            raise ServiceError(f"no shard reply queued for batches {sorted(outstanding)}")
         from multiprocessing.connection import wait
 
         result_timeout = self.config.result_timeout
@@ -677,10 +607,12 @@ class ShardedFilterEngine:
                     # End-of-file, possibly inside a frame: the worker
                     # died.  Whatever it had not answered is resubmitted.
                     shard.restart()
-            self._check_workers()
+            for shard in self._workers.values():
+                if shard.dead:
+                    shard.restart()
 
     def _fold(self, message: tuple, outstanding: dict[int, dict], merged: list[set[str]]) -> None:
-        """Apply one worker message to the call's in-flight state."""
+        """Apply one shard message to the call's in-flight state."""
         kind = message[0]
         if kind == "ready":
             _, shard_id, info = message
@@ -688,8 +620,8 @@ class ShardedFilterEngine:
                 self._workers[shard_id].last_info = info
             return
         if kind == "match":
-            # Event-time delivery: a worker decided one match mid-batch.
-            # FIFO per-worker pipes guarantee a shard's match messages
+            # Event-time delivery: a shard decided one match mid-batch.
+            # FIFO per-shard replies guarantee a shard's match messages
             # precede its batch reply, so every match is folded in
             # before the batch completes.
             _, shard_id, batch_id, doc_offset, oid, event_index = message
@@ -732,6 +664,7 @@ class ShardedFilterEngine:
                 f"batch of {info_entry['size']} documents"
             )
         info_entry["waiting"].discard(shard_id)
+        info_entry["slowest"] = max(info_entry["slowest"], info["batch_s"])
         offset = info_entry["offset"]
         for index, oids in enumerate(answers):
             merged[offset + index] |= oids
@@ -739,9 +672,8 @@ class ShardedFilterEngine:
             self.batches += 1
             elapsed = time.perf_counter() - info_entry["started"]
             self.latency.record(elapsed)
-            # Workers run concurrently: the wall time to the last shard
-            # reply *is* the fan-out's critical path.
-            self.critical_path.record(elapsed)
+            # In-process shards run one after another: model the path.
+            self.critical_path.record(elapsed if self.parallel else info_entry["slowest"])
             del outstanding[batch_id]
 
     def filter_document(self, document: Document) -> frozenset[str]:
@@ -782,17 +714,11 @@ class ShardedFilterEngine:
     ) -> list[frozenset[str]]:
         """Filter a (possibly multi-document) XML source.
 
-        In parallel mode the parent only finds the document boundaries
-        and forwards the source's own bytes; a source that is not
-        well-formed raises :class:`~repro.errors.XMLSyntaxError` here,
-        before anything is shipped."""
-        if self.parallel:
-            return self._filter_texts(split_documents(source, self.config.backend))
-        if not isinstance(source, (str, bytes)):
-            source = source.read()
-        if isinstance(source, bytes):
-            source = source.decode("utf-8")
-        return self.filter_batch(parse_forest(source, backend=self.config.backend))
+        The parent only finds the document boundaries and forwards the
+        source's own bytes; a source that is not well-formed raises
+        :class:`~repro.errors.XMLSyntaxError` here, before anything is
+        shipped."""
+        return self._filter(split_documents(source, self.config.backend))
 
     # ------------------------------------------------------------------
     # Persistence

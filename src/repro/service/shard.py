@@ -3,10 +3,15 @@
 A shard is either an inner engine in this process (:class:`LocalShard`)
 or a worker process (:class:`WorkerShard`); the orchestrator
 (:class:`~repro.service.engine.ShardedFilterEngine`) writes every
-control verb once against the surface the two share::
+control verb and its one data plane against the surface the two share::
 
+    submit(batch_id, texts, emit)
     subscribe(oid, xpath, epoch)   unsubscribe(oid, epoch)
     compact(epoch)                 info()                 stop()
+
+Both kinds answer a batch in :func:`~repro.service.worker.run_batch`'s
+messages — a worker down its result pipe, a local shard into ``replies``
+inside ``submit`` — and the orchestrator folds them alike.
 
 Who owns what: the orchestrator owns the *workload* — the routing table
 and the XPath sources — and nothing else is durable.  A shard owns an
@@ -33,6 +38,7 @@ from __future__ import annotations
 
 import queue as queue_module
 import time
+from collections import deque
 from typing import Any, Callable, Sequence, Union
 
 from repro.errors import ReproError
@@ -52,7 +58,23 @@ DocumentText = Union[str, bytes]
 Boot = Callable[[int], dict]
 
 
-class LocalShard:
+class _Shard:
+    """The control verbs, written once over each kind's ``_control``."""
+
+    def _control(self, epoch: int, *op: str) -> None:
+        raise NotImplementedError
+
+    def subscribe(self, oid: str, xpath: str, epoch: int) -> None:
+        self._control(epoch, "subscribe", oid, xpath)
+
+    def unsubscribe(self, oid: str, epoch: int) -> None:
+        self._control(epoch, "unsubscribe", oid)
+
+    def compact(self, epoch: int) -> None:
+        self._control(epoch, "compact")
+
+
+class LocalShard(_Shard):
     """A shard hosted in this process: the inner engine, called directly."""
 
     restarts = 0  # an in-process engine has no process to lose
@@ -62,20 +84,19 @@ class LocalShard:
         self.epoch = epoch
         #: Cumulative seconds spent filtering (workers measure their own).
         self.busy_s = 0.0
+        #: Batch replies (worker protocol), oldest first, until read.
+        self.replies: deque[tuple] = deque()
         self.engine = worker.build_engine(boot(epoch))
 
-    def subscribe(self, oid: str, xpath: str, epoch: int) -> None:
-        self.engine.subscribe(oid, xpath)
-        self.epoch = epoch
+    def submit(self, batch_id: int, texts: Sequence[DocumentText], emit: bool) -> None:
+        """Answer one batch now; its messages wait in ``replies``."""
+        task = ("batch", batch_id, texts, emit)
+        self.busy_s = worker.run_batch(
+            self.engine, self.shard_id, task, self.epoch, self.busy_s, self.replies.append
+        )
 
-    def unsubscribe(self, oid: str, epoch: int) -> None:
-        self.engine.unsubscribe(oid)
-        self.epoch = epoch
-
-    def compact(self, epoch: int) -> None:
-        compact = getattr(self.engine, "compact", None)
-        if compact is not None:
-            compact()
+    def _control(self, epoch: int, *op: str) -> None:
+        worker.apply_control(self.engine, *op)
         self.epoch = epoch
 
     def info(self) -> dict[str, Any]:
@@ -85,7 +106,7 @@ class LocalShard:
         self.engine.close()
 
 
-class WorkerShard:
+class WorkerShard(_Shard):
     """A shard hosted in a worker process (:mod:`repro.service.worker`).
 
     Control verbs are epoch-stamped messages on the same FIFO task queue
@@ -187,15 +208,6 @@ class WorkerShard:
     def _control(self, epoch: int, *op: str) -> None:
         self.epoch = epoch  # before the message: a respawn boots at it
         self.put_task(("control", epoch, *op))
-
-    def subscribe(self, oid: str, xpath: str, epoch: int) -> None:
-        self._control(epoch, "subscribe", oid, xpath)
-
-    def unsubscribe(self, oid: str, epoch: int) -> None:
-        self._control(epoch, "unsubscribe", oid)
-
-    def compact(self, epoch: int) -> None:
-        self._control(epoch, "compact")
 
     def info(self) -> dict[str, Any]:
         return self.last_info

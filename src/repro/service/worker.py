@@ -10,20 +10,24 @@ of the (re)spawn.  The worker parses and compiles its own filters, then
 warms its machine with ``warm_up()``; nothing about an engine's
 internal state ever lives outside it.
 
+:func:`run_batch` answers a batch in the messages below, and
+:func:`apply_control` applies an update, for a worker and an
+in-process :class:`~repro.service.shard.LocalShard` alike.
+
 Protocol (plain picklable tuples):
 
 parent → worker, on the shard's task queue:
 
-- ``("batch", batch_id, [text, ...], emit?)`` — filter each
+- ``("batch", batch_id, [text, ...], emit)`` — filter each
   single-document text, reply with one oid-set per text.  A text is a
   UTF-8 ``bytes`` slice of the publisher's source, cut by the parent's
   boundary scan and otherwise untouched (``filter_stream``), or a
   ``str`` serialised from a DOM (``filter_batch``); either way this
   worker's parse is the document's only full parse on this shard.
-  When the optional ``emit`` flag is true, the worker additionally
-  streams one ``("match", ...)`` message per decided match *while the
-  batch is still running* (event-time earliest answering), ahead of
-  the final batch reply on the same FIFO pipe;
+  When ``emit`` is true, the worker additionally streams one
+  ``("match", ...)`` message per decided match *while the batch is
+  still running* (event-time earliest answering), ahead of the final
+  batch reply on the same FIFO pipe;
 - ``("control", epoch, op, ...)`` — a workload update:
   ``("control", e, "subscribe", oid, xpath)``,
   ``("control", e, "unsubscribe", oid)`` or
@@ -48,7 +52,8 @@ dying — even halfway through a frame — reads as end-of-file there):
   pipe, so the parent has folded every match in by the time the batch
   completes; resubmitted batches re-stream their matches and the
   parent dedupes on ``(doc_offset, oid)``;
-- ``("batch", shard_id, batch_id, [frozenset, ...], info)``;
+- ``("batch", shard_id, batch_id, [frozenset, ...], info)`` — ``info``
+  also carries ``batch_s``, the seconds this batch took on this shard;
 - ``("error", shard_id, batch_id, message)`` — a batch or control
   failed (bad document, internal error); the parent raises it.
 
@@ -64,7 +69,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 
 def build_payload(
@@ -129,63 +134,65 @@ def worker_main(shard_id: int, payload: dict, tasks, results) -> None:
             # Test hook: simulate a hard worker failure mid-stream.
             os._exit(task[1] if len(task) > 1 else 17)
         if kind == "control":
-            _, epoch, op = task[:3]
+            _, epoch, op, *args = task
             try:
-                if op == "subscribe":
-                    engine.subscribe(task[3], task[4])
-                elif op == "unsubscribe":
-                    engine.unsubscribe(task[3])
-                elif op == "compact":
-                    compact = getattr(engine, "compact", None)
-                    if compact is not None:
-                        compact()
-                else:
-                    raise ValueError(f"unknown control op {op!r}")
+                apply_control(engine, op, *args)
                 applied_epoch = epoch
             except Exception as error:  # noqa: BLE001 - forwarded
-                results.send(
-                    ("error", shard_id, None, f"control {op} failed: {error!r}")
-                )
+                results.send(("error", shard_id, None, f"control {op} failed: {error!r}"))
             continue
         if kind != "batch":
             results.send(("error", shard_id, None, f"unknown task {kind!r}"))
             continue
-        batch_id, texts = task[1], task[2]
-        emit = len(task) > 3 and bool(task[3])
-        answers: list = []
-        if emit:
-            # Stream each decided match the moment the inner engine's
-            # event-time hook fires — doc_base maps the engine's
-            # call-relative document index to the batch offset.
-            doc_base = 0
+        busy_s = run_batch(engine, shard_id, task, applied_epoch, busy_s, results.send)
 
-            def _relay(oid: str, doc_index: int, event_index: int) -> None:
-                results.send(
-                    ("match", shard_id, batch_id, doc_base + doc_index, oid, event_index)
-                )
 
-            engine.on_match = _relay
-        started = time.perf_counter()
-        try:
-            # The inner engine builds its machines with
-            # retain_results=False, so the per-call return is the only
-            # copy — nothing to clear between batches.
-            for text in texts:
-                doc_base = len(answers)
-                answers.extend(engine.filter_stream(text))
-        except Exception as error:  # noqa: BLE001 - forwarded to the parent
-            results.send(("error", shard_id, batch_id, repr(error)))
-            continue
-        finally:
-            busy_s += time.perf_counter() - started
-            if emit:
-                engine.on_match = None
-        results.send(
-            (
-                "batch",
-                shard_id,
-                batch_id,
-                answers,
-                engine_info(engine, applied_epoch, busy_s),
-            )
-        )
+def apply_control(engine: Any, op: str, *args: str) -> None:
+    """Apply one workload update — ``subscribe``, ``unsubscribe`` or
+    ``compact`` — to *engine*; a worker and a local shard alike."""
+    if op == "compact":
+        compact = getattr(engine, "compact", None)  # baselines have none
+        if compact is not None:
+            compact()
+    elif op in ("subscribe", "unsubscribe"):
+        getattr(engine, op)(*args)
+    else:
+        raise ValueError(f"unknown control op {op!r}")
+
+
+def run_batch(
+    engine: Any,
+    shard_id: int,
+    task: tuple,
+    applied_epoch: int,
+    busy_s: float,
+    send: Callable[[tuple], Any],
+) -> float:
+    """Answer one ``("batch", batch_id, texts, emit)`` *task* on
+    *engine* as messages to *send*; returns *busy_s* plus the batch's
+    own seconds, which its reply carries as ``info["batch_s"]``."""
+    _, batch_id, texts, emit = task
+    doc_base = 0  # the batch offset of the engine's call-relative doc_index
+
+    def _relay(oid: str, doc_index: int, event_index: int) -> None:
+        send(("match", shard_id, batch_id, doc_base + doc_index, oid, event_index))
+
+    engine.on_match = _relay if emit else None
+    answers: list | None = []
+    started = time.perf_counter()
+    try:
+        # Inner machines run with retain_results=False: the per-call
+        # return is the only copy, nothing to clear between batches.
+        for text in texts:
+            doc_base = len(answers)
+            answers.extend(engine.filter_stream(text))
+    except Exception as error:  # noqa: BLE001 - forwarded to the parent
+        send(("error", shard_id, batch_id, repr(error)))
+        answers = None
+    finally:
+        engine.on_match = None
+    batch_s = time.perf_counter() - started
+    if answers is not None:
+        info = {**engine_info(engine, applied_epoch, busy_s + batch_s), "batch_s": batch_s}
+        send(("batch", shard_id, batch_id, answers, info))
+    return busy_s + batch_s

@@ -479,6 +479,28 @@ def make_scanner(handler: EventHandler, backend: str = "auto"):
 # ----------------------------------------------------------------------
 
 
+def _not_utf8(error: UnicodeDecodeError, offset: int = 0) -> XMLSyntaxError:
+    """*error* as the syntax error it is, at its byte offset in the
+    source (*offset*: where the decoded bytes start there)."""
+    return XMLSyntaxError(f"invalid UTF-8 ({error.reason}) at byte {offset + error.start}")
+
+
+def _decode_utf8(
+    data: bytes,
+    offset: int = 0,
+    decoder: codecs.IncrementalDecoder | None = None,
+    final: bool = False,
+) -> str:
+    """*data* as text, or :func:`_not_utf8`'s error; *offset* is where
+    *data* starts in the source (an incremental *decoder*'s held-back
+    bytes from the previous chunk start before it)."""
+    held = len(decoder.getstate()[0]) if decoder is not None else 0
+    try:
+        return data.decode("utf-8") if decoder is None else decoder.decode(data, final)
+    except UnicodeDecodeError as error:
+        raise _not_utf8(error, offset - held) from None
+
+
 def _utf8_length(chunk: str) -> int:
     # Pure-ASCII strings (the overwhelmingly common chunk) are free to
     # measure; only genuinely non-ASCII chunks pay for an encode.
@@ -503,7 +525,7 @@ def parse_into(
     if isinstance(source, (str, bytes)):
         if isinstance(source, bytes):
             total = len(source)
-            source = source.decode("utf-8")
+            source = _decode_utf8(source)
         else:
             total = _utf8_length(source)
         scanner.feed(source)
@@ -516,17 +538,17 @@ def parse_into(
         if not chunk:
             break
         if isinstance(chunk, bytes):
-            total += len(chunk)
             if decoder is None:
                 decoder = codecs.getincrementaldecoder("utf-8")()
-            chunk = decoder.decode(chunk)
+            offset, total = total, total + len(chunk)
+            chunk = _decode_utf8(chunk, offset, decoder)
             if not chunk:
                 continue
         else:
             total += _utf8_length(chunk)
         scanner.feed(chunk)
     if decoder is not None:
-        tail = decoder.decode(b"", True)
+        tail = _decode_utf8(b"", total, decoder, final=True)
         if tail:
             scanner.feed(tail)
     scanner.close()
@@ -574,7 +596,7 @@ def iterparse(
     scanner = make_scanner(sink, backend)
     events = sink.events
     if isinstance(source, bytes):
-        source = source.decode("utf-8")
+        source = _decode_utf8(source)
     if isinstance(source, str):
         for start in range(0, len(source), chunk_size):
             scanner.feed(source[start : start + chunk_size])
@@ -583,6 +605,7 @@ def iterparse(
                 events.clear()
     else:
         decoder = None
+        consumed = 0  # bytes read before the current chunk
         while True:
             chunk = source.read(chunk_size)
             if not chunk:
@@ -590,7 +613,8 @@ def iterparse(
             if isinstance(chunk, bytes):
                 if decoder is None:
                     decoder = codecs.getincrementaldecoder("utf-8")()
-                chunk = decoder.decode(chunk)
+                offset, consumed = consumed, consumed + len(chunk)
+                chunk = _decode_utf8(chunk, offset, decoder)
                 if not chunk:
                     continue
             scanner.feed(chunk)
@@ -598,7 +622,7 @@ def iterparse(
                 yield from events
                 events.clear()
         if decoder is not None:
-            tail = decoder.decode(b"", True)
+            tail = _decode_utf8(b"", consumed, decoder, final=True)
             if tail:
                 scanner.feed(tail)
     scanner.close()
@@ -611,7 +635,7 @@ def parse_events(text: str, backend: str = "python") -> list[Event]:
     sink = _EventBuffer()
     scanner = make_scanner(sink, backend)
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        text = _decode_utf8(text)
     scanner.feed(text)
     scanner.close()
     return sink.events

@@ -29,7 +29,7 @@ from typing import IO, Union
 
 from repro.errors import XMLSyntaxError
 from repro.xmlstream.events import EventHandler
-from repro.xmlstream.parser import PushScanner, resolve_backend
+from repro.xmlstream.parser import PushScanner, _decode_utf8, resolve_backend
 
 __all__ = ["split_documents"]
 
@@ -45,7 +45,7 @@ def split_documents(
             source = source.encode("utf-8")
         return _split_expat(source)
     if isinstance(source, bytes):
-        source = source.decode("utf-8")
+        source = _decode_utf8(source)
     return _split_python(source)
 
 

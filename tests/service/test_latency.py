@@ -4,13 +4,17 @@ The tracker backs every latency stat in the service and serving tiers
 (batch latency, publish latency, first-match latency).  Percentiles
 use the nearest-rank (ceiling) definition — ``p50`` of an even-sized
 window is the lower median sample, never an interpolated value and
-never subject to banker's rounding.
+never subject to banker's rounding.  The sharded engine's modelled
+critical path, which the placement gate reads, is checked here too.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 import pytest
 
+from repro.service.engine import ShardedFilterEngine
 from repro.service.latency import LatencyTracker
 
 
@@ -79,3 +83,35 @@ def test_extreme_fractions_clamp_to_the_window():
         tracker.record(s)
     assert tracker.percentile(0.0) == pytest.approx(0.001)
     assert tracker.percentile(1.0) == pytest.approx(0.003)
+
+
+def test_inprocess_critical_path_is_the_slowest_shards_batch(monkeypatch):
+    """In-process shards run one after another, so the critical path
+    the placement gate reads is modelled: each sample is the largest
+    per-shard ``batch_s`` of its fan-out — not their sum, not the wall
+    time the fan-out took."""
+    workload = {f"q{i}": f"//a[b = {i}]" for i in range(30)}
+    engine = ShardedFilterEngine(workload, 3, parallel=False, batch_size=2)
+    shares: dict[int, list[float]] = defaultdict(list)
+    fold = engine._fold
+
+    def spy(message, outstanding, merged):
+        if message[0] == "batch":
+            shares[message[2]].append(message[4]["batch_s"])
+        fold(message, outstanding, merged)
+
+    samples: list[float] = []
+    walls: list[float] = []
+    monkeypatch.setattr(engine, "_fold", spy)
+    monkeypatch.setattr(engine.critical_path, "record", samples.append)
+    monkeypatch.setattr(engine.latency, "record", walls.append)
+    try:
+        engine.filter_stream("".join(f"<a><b>{i}</b></a>" for i in range(6)))
+    finally:
+        engine.close()
+    per_fan_out = [shares[batch_id] for batch_id in sorted(shares)]
+    assert len(samples) == len(walls) == len(per_fan_out) == 3
+    for sample, wall, batch_s in zip(samples, walls, per_fan_out):
+        assert len(batch_s) == 3 and min(batch_s) > 0.0
+        assert sample == max(batch_s)
+        assert sample < sum(batch_s) < wall

@@ -3,10 +3,12 @@
 Both are driven here without an orchestrator — the test plays that
 part: it owns the workload (``live``), hands each shard a ``boot``
 callable that projects it, and keeps the one invariant the seam asks
-for (update ``live`` *before* calling a control verb).  One update
-schedule through both kinds must give the same answers and the same
-``info()``; a killed worker must come back from ``boot`` and re-answer
-exactly the batches it still owed.
+for (update ``live`` *before* calling a control verb).  Both kinds
+answer a ``submit`` in the worker protocol's messages, so one update
+schedule through both must give the same reply sequences — ``match``
+messages ahead of the ``batch`` reply, the same ``applied_epoch`` —
+and the same ``info()``; a killed worker must come back from ``boot``
+and re-answer exactly the batches it still owed.
 """
 
 from __future__ import annotations
@@ -60,27 +62,44 @@ def _make(kind, inner, live):
     return WorkerShard(0, boot, ctx, queue_depth=4, result_timeout=30.0)
 
 
+def _next(shard):
+    """A shard's next reply: queued by a local shard inside ``submit``,
+    read off a worker's result pipe (folded as the orchestrator does)."""
+    if isinstance(shard, LocalShard):
+        return shard.replies.popleft()
+    assert shard.results.poll(30.0), "worker never answered"
+    message = shard.results.recv()
+    if message[0] == "batch":
+        shard.pending.pop(message[2])
+        shard.last_info = message[4]
+    return message
+
+
 def _replies(shard, count):
-    """The next *count* batch replies of a worker shard, by batch id."""
-    replies = {}
+    """The next *count* batch replies, by batch id; the ``info`` of
+    each cut down to ``applied_epoch``, its ``match`` messages kept."""
+    replies: dict = {}
+    matches: list = []
     while len(replies) < count:
-        assert shard.results.poll(30.0), "worker never answered"
-        message = shard.results.recv()
+        message = _next(shard)
         if message[0] == "ready":
             continue
+        if message[0] == "match":
+            matches.append(message)
+            continue
         assert message[0] == "batch", message
-        _, _, batch_id, answers, info = message
+        kind, shard_id, batch_id, answers, info = message
         assert batch_id not in replies, "a batch was answered twice"
-        replies[batch_id] = answers
-        shard.pending.pop(batch_id)
-        shard.last_info = info
+        assert info["batch_s"] > 0.0
+        epoch = {"applied_epoch": info["applied_epoch"]}
+        replies[batch_id] = [*matches, (kind, shard_id, batch_id, answers, epoch)]
+        matches = []
     return replies
 
 
-def _answers(shard, batch_id, texts):
-    if isinstance(shard, LocalShard):
-        return [matched for text in texts for matched in shard.engine.filter_stream(text)]
-    shard.submit(batch_id, texts, False)
+def _submit(shard, batch_id, texts, emit=False):
+    """Submit one batch; its reply sequence, the batch reply last."""
+    shard.submit(batch_id, texts, emit)
     return _replies(shard, 1)[batch_id]
 
 
@@ -105,10 +124,17 @@ def test_one_schedule_through_both_kinds_of_shard(inner):
                     shard.unsubscribe(op[1], epoch)
                 else:
                     shard.compact(epoch)
-            expected = _truth(lives["local"])
-            local = _answers(shards["local"], epoch, DOCS)
-            worker = _answers(shards["worker"], epoch, DOCS)
-            assert local == worker == expected, op
+            local = _submit(shards["local"], epoch, DOCS, emit=True)
+            worker = _submit(shards["worker"], epoch, DOCS, emit=True)
+            assert local == worker, op
+            *matches, (_, _, _, answers, info) = local
+            assert answers == _truth(lives["local"]), op
+            assert info == {"applied_epoch": epoch}
+            # Every match streams ahead of the reply, once, and names
+            # a document whose answer holds it.
+            assert sorted((m[3], m[4]) for m in matches) == sorted(
+                (doc, oid) for doc, oids in enumerate(answers) for oid in oids
+            )
             local_info, worker_info = shards["local"].info(), shards["worker"].info()
             assert local_info["filters"] == worker_info["filters"] == len(lives["local"])
             assert local_info["applied_epoch"] == worker_info["applied_epoch"] == epoch
@@ -123,7 +149,7 @@ def test_killed_worker_reanswers_exactly_its_pending_batches_once():
     shard = _make("worker", "xpush", live)
     try:
         expected = _truth(live)
-        assert _answers(shard, 1, DOCS) == expected  # answered: owes nothing
+        assert _submit(shard, 1, DOCS)[-1][3] == expected  # answered: owes nothing
         # An update the worker never applies: it dies first (held
         # stopped while its queue fills, so the order is certain).  The
         # workload moved before the verb, so the respawn boots it.
@@ -139,7 +165,10 @@ def test_killed_worker_reanswers_exactly_its_pending_batches_once():
         shard.restart()
         replies = _replies(shard, 2)
         expected = _truth(live)
-        assert replies == {2: expected[:2], 3: expected[2:]}
+        assert {bid: reply[-1][3] for bid, reply in replies.items()} == {
+            2: expected[:2],
+            3: expected[2:],
+        }
         assert not shard.results.poll(0.3)  # nothing else: batch 1 stays answered
         assert shard.restarts == 1 and not shard.pending
         assert shard.info()["applied_epoch"] == 7 and shard.info()["filters"] == 3
