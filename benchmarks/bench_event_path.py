@@ -17,14 +17,18 @@ same Protein stream through
 
 Each mode is reported twice: *parse-only* (events into a no-op handler,
 isolating scanner cost) and *filter* (end-to-end through a warmed
-XPush machine).
+XPush machine).  The filter section has two more rows,
+``push-python-triples`` and ``push-expat-triples``: the same warmed
+machine behind a handler without ``leaf``, so the scanners send it
+start/text/end triples instead of fused leaves.
 
 Entry points:
 
 - ``python benchmarks/bench_event_path.py [--quick] [--json PATH]`` —
   the CI smoke test.  ``--quick`` shrinks the stream and **fails** if
   push-mode python throughput drops below the pull path on the same
-  run (a host-independent relative gate).
+  run, or if either scanner's leaf path answers differently from, or
+  runs slower than, its triple path (host-independent relative gates).
 - ``pytest benchmarks/bench_event_path.py`` — pytest-benchmark harness
   at ``REPRO_BENCH_SCALE`` size.
 """
@@ -319,6 +323,34 @@ def _parse_only_modes(stream: str) -> dict[str, callable]:
     }
 
 
+class _Triples:
+    """The machine's five classic callbacks and not its ``leaf``: the
+    scanners then send it start/text/end triples for every leaf, as
+    they did before leaves were fused.  The attributes are the
+    machine's own bound methods, so the scanner calls them directly."""
+
+    def __init__(self, machine: XPushMachine):
+        self.start_document = machine.start_document
+        self.start_element = machine.start_element
+        self.text = machine.text
+        self.end_element = machine.end_element
+        self.end_document = machine.end_document
+
+
+def _triples(machine: XPushMachine, stream: str, backend: str):
+    """``filter_stream`` with the machine behind :class:`_Triples`."""
+    from repro.xmlstream.parser import parse_into
+
+    handler = _Triples(machine)
+
+    def call() -> list[frozenset[str]]:
+        machine.clear_results()
+        parse_into(stream, handler, backend=backend)
+        return machine.results()
+
+    return call
+
+
 def _filter_modes(machine: XPushMachine, stream: str) -> dict[str, callable]:
     def run(fn):
         def call():
@@ -332,7 +364,9 @@ def _filter_modes(machine: XPushMachine, stream: str) -> dict[str, callable]:
         "seed-pull": run(lambda: machine.process_events(seed_iterparse(stream))),
         "pull": run(lambda: machine.process_events(iterparse(stream))),
         "push-python": run(lambda: machine.filter_stream(stream, backend="python")),
+        "push-python-triples": run(_triples(machine, stream, "python")),
         "push-expat": run(lambda: machine.filter_stream(stream, backend="expat")),
+        "push-expat-triples": run(_triples(machine, stream, "expat")),
     }
 
 
@@ -390,6 +424,13 @@ def run(queries: int, stream_bytes: int, repeats: int, out=sys.stdout) -> dict:
                 file=out,
             )
         results[section]["documents"] = documents
+    # The same warmed machine, fed leaves and fed their triples, must
+    # answer alike.
+    results["filter"]["leaf_equals_triples"] = all(
+        machine.filter_stream(stream, backend=backend) == _triples(machine, stream, backend)()
+        for backend in ("python", "expat")
+    )
+    machine.clear_results()
     return results
 
 
@@ -431,6 +472,22 @@ def main(argv=None) -> int:
             )
             return 1
         print(f"gate ok: push-python {push}/s >= pull {pull_rate}/s >= seed {seed_rate}/s")
+        # Fused leaves must answer like the triples they replace, and
+        # be no slower on either scanner.
+        if not results["filter"]["leaf_equals_triples"]:
+            print("FAIL: leaf and triple answers differ", file=sys.stderr)
+            return 1
+        for backend in ("python", "expat"):
+            leaf = results["filter"][f"push-{backend}"]["docs_per_s"]
+            triples = results["filter"][f"push-{backend}-triples"]["docs_per_s"]
+            if leaf < triples:
+                print(
+                    f"FAIL: push-{backend} with leaves ({leaf}/s) slower than "
+                    f"with triples ({triples}/s)",
+                    file=sys.stderr,
+                )
+                return 1
+            print(f"gate ok: push-{backend} leaves {leaf}/s >= triples {triples}/s")
     return 0
 
 

@@ -65,13 +65,17 @@ class Element:
 
     def depth(self) -> int:
         """Height of the subtree rooted here (a leaf has depth 1)."""
-        if not self.children:
-            return 1
-        return 1 + max(child.depth() for child in self.children)
+        deepest = 0
+        stack = [(self, 1)]
+        while stack:
+            node, level = stack.pop()
+            deepest = max(deepest, level)
+            stack.extend((child, level + 1) for child in node.children)
+        return deepest
 
     def size(self) -> int:
         """Number of element nodes in the subtree (attributes excluded)."""
-        return 1 + sum(child.size() for child in self.children)
+        return sum(1 for _node in self.iter_descendants())
 
 
 @dataclass(slots=True)

@@ -20,6 +20,15 @@ Events are plain, immutable dataclass values so that streams can be
 generated, stored, replayed and compared cheaply; every consumer in the
 library (XPush machine, baselines, validators) is written against this
 event vocabulary rather than against raw XML text.
+
+The push-mode scanners know one more callback, which a handler may
+define and :class:`EventHandler` does not: ``leaf(label, value)``,
+defined as exactly ``start_element(label); text(value);
+end_element(label)``.  To a handler that has it, a scanner sends every
+attribute as ``leaf("@name", value)`` and every element that holds
+only non-whitespace text (``<x>v</x>``) as ``leaf("x", "v")`` — one
+call instead of three.  Every other handler receives the classic
+triples, and the event *objects* stay the five above.
 """
 
 from __future__ import annotations
@@ -92,6 +101,9 @@ class EventHandler:
     Subclass and override the five methods; :func:`dispatch` routes a
     stream of :class:`Event` values to them.  The XPush machine, the
     baselines and the document validators all implement this interface.
+    A handler that also defines ``leaf(label, value)`` receives fused
+    leaves from the scanners (module docstring); this class defines no
+    ``leaf``, so its subclasses get the triples unless they opt in.
     """
 
     def start_document(self) -> None:  # pragma: no cover - trivial default
@@ -140,20 +152,24 @@ def events_of_document(document) -> list[Event]:
     if cached is not None:
         return cached
     out: list[Event] = [StartDocument()]
-    _element_events(document.root, out)
+    # An explicit stack, so nesting depth is bounded by memory and not
+    # by the interpreter's recursion limit: an element is opened when
+    # popped, and closed by the EndElement pushed beneath its children.
+    pending: list = [document.root]
+    while pending:
+        element = pending.pop()
+        if type(element) is EndElement:
+            out.append(element)
+            continue
+        out.append(StartElement(element.label))
+        for name, value in element.attributes:
+            out.append(StartElement(attribute_label(name)))
+            out.append(Text(value))
+            out.append(EndElement(attribute_label(name)))
+        if element.text is not None:
+            out.append(Text(element.text))
+        pending.append(EndElement(element.label))
+        pending.extend(reversed(element.children))
     out.append(EndDocument())
     document.event_cache = out
     return out
-
-
-def _element_events(element, out: list[Event]) -> None:
-    out.append(StartElement(element.label))
-    for name, value in element.attributes:
-        out.append(StartElement(attribute_label(name)))
-        out.append(Text(value))
-        out.append(EndElement(attribute_label(name)))
-    if element.text is not None:
-        out.append(Text(element.text))
-    for child in element.children:
-        _element_events(child, out)
-    out.append(EndElement(element.label))

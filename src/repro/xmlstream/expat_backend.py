@@ -27,7 +27,11 @@ the hand-written scanner layered on top:
 
 Like the python scanner, the handler callbacks are invoked directly —
 no event objects are allocated on this path, and the tokenisation
-itself runs in C.
+itself runs in C.  So are the python scanner's leaf rules: a handler
+that defines ``leaf`` (:mod:`repro.xmlstream.events`) gets each
+attribute, and each element holding only non-whitespace text, as one
+``leaf`` call; expat is then given the ``_start_fused`` /
+``_end_fused`` pair, every other handler the classic one.
 """
 
 from __future__ import annotations
@@ -58,6 +62,8 @@ class ExpatScanner:
         "_on_text",
         "_on_end",
         "_on_end_document",
+        "_on_leaf",
+        "_held",
         "_parser",
         "_pending",
         "_depth",
@@ -73,6 +79,10 @@ class ExpatScanner:
         self._on_text = handler.text
         self._on_end = handler.end_element
         self._on_end_document = handler.end_document
+        self._on_leaf = getattr(handler, "leaf", None)
+        #: A start tag without attributes, held back until the next
+        #: callback says whether it opens a leaf (fused path only).
+        self._held: str | None = None
         self._pending: list[str] = []
         self._depth = 0
         self._closed = False
@@ -87,8 +97,12 @@ class ExpatScanner:
         parser = _expat.ParserCreate("utf-8")
         parser.buffer_text = True
         parser.ordered_attributes = True
-        parser.StartElementHandler = self._start
-        parser.EndElementHandler = self._end
+        if self._on_leaf is None:
+            parser.StartElementHandler = self._start
+            parser.EndElementHandler = self._end
+        else:
+            parser.StartElementHandler = self._start_fused
+            parser.EndElementHandler = self._end_fused
         parser.CharacterDataHandler = self._pending.append
         self._parser = parser
         self._any_element = False
@@ -131,6 +145,47 @@ class ExpatScanner:
         self._on_end(name)
         if self._depth == 0:
             self._on_end_document()
+
+    def _start_fused(self, name: str, attrs: list[str]) -> None:
+        """:meth:`_start` for a handler with ``leaf``: attributes go as
+        leaves, and a start tag without them is held back."""
+        held = self._held
+        if held is not None:
+            self._held = None
+            self._on_start(held)
+        if self._pending:
+            self._flush_text()
+        if self._depth == 0:
+            self._any_element = True
+            self._on_start_document()
+        self._depth += 1
+        if attrs:
+            self._on_start(name)
+            on_leaf = self._on_leaf
+            for i in range(0, len(attrs), 2):
+                on_leaf("@" + attrs[i], attrs[i + 1])
+        else:
+            self._held = name
+
+    def _end_fused(self, name: str) -> None:
+        """:meth:`_end` for a handler with ``leaf``: the end tag of a held
+        start around non-whitespace text sends the three as one leaf.
+        (Expat has checked the tag pair: a held start is *name*.)"""
+        held = self._held
+        if held is not None:
+            self._held = None
+            pending = self._pending
+            if pending:
+                value = pending[0] if len(pending) == 1 else "".join(pending)
+                if value.strip():
+                    pending.clear()
+                    self._depth -= 1
+                    self._on_leaf(name, value)
+                    if self._depth == 0:
+                        self._on_end_document()
+                    return
+            self._on_start(held)
+        self._end(name)
 
     # ------------------------------------------------------------------
     # Push protocol

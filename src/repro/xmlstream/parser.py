@@ -40,7 +40,12 @@ Scope (deliberately matched to the paper's data model):
 
 Attributes are emitted as ``@name`` pseudo-elements in source order,
 immediately after the owning ``startElement`` — the paper's modified
-SAX convention.
+SAX convention.  To a handler that defines the optional ``leaf``
+callback (:mod:`repro.xmlstream.events`) an attribute goes as one
+``leaf("@name", value)``, and so does an element holding only
+non-whitespace text: its start tag, when it has no attributes, is held
+back until the next callback, and sent as one ``leaf`` if that
+callback turns out to be its own end tag.
 """
 
 from __future__ import annotations
@@ -139,6 +144,10 @@ class PushScanner:
     The scanner only retains unconsumed input: memory is bounded by the
     chunk size plus the largest single token/text node, and the open
     element stack (O(depth)).
+
+    A handler with a ``leaf`` method gets leaves fused (module
+    docstring); ``_held`` is the start tag waiting to learn whether it
+    opens one.
     """
 
     __slots__ = (
@@ -147,6 +156,8 @@ class PushScanner:
         "_on_text",
         "_on_end",
         "_on_end_document",
+        "_on_leaf",
+        "_held",
         "_data",
         "_pos",
         "_eof",
@@ -162,6 +173,8 @@ class PushScanner:
         self._on_text = handler.text
         self._on_end = handler.end_element
         self._on_end_document = handler.end_document
+        self._on_leaf = getattr(handler, "leaf", None)
+        self._held: str | None = None
         self._data = ""
         self._pos = 0
         self._eof = False
@@ -194,7 +207,10 @@ class PushScanner:
         self._closed = True
         self._eof = True
         self._run()
-        self._flush_text()
+        if self._held is not None:
+            self._release()
+        if self._pending:
+            self._flush_text()
         if self._stack:
             raise XMLSyntaxError(
                 f"unclosed element <{self._stack[-1]}> at end of input", self.line
@@ -225,6 +241,8 @@ class PushScanner:
                     run = data[pos:lt]
                     pos = lt
                 self.line += run.count("\n")
+                if "]]>" in run:
+                    raise XMLSyntaxError("']]>' in character data", self.line)
                 if "&" in run:
                     run = decode_entities(run)
                 pending.append(run)
@@ -332,8 +350,23 @@ class PushScanner:
             raise XMLSyntaxError(f"expected '>' in </{name}>", self.line)
         end = j + 1
         self.line += data.count("\n", pos, end)
-        self._flush_text()
         stack = self._stack
+        held = self._held
+        if held is not None:
+            self._held = None
+            pending = self._pending
+            if held == name and pending:
+                value = pending[0] if len(pending) == 1 else "".join(pending)
+                if value.strip():
+                    pending.clear()
+                    stack.pop()
+                    self._on_leaf(name, value)
+                    if not stack:
+                        self._on_end_document()
+                    return end
+            self._on_start(held)
+        if self._pending:
+            self._flush_text()
         if not stack or stack[-1] != name:
             opened = stack[-1] if stack else None
             raise XMLSyntaxError(f"</{name}> does not match <{opened}>", self.line)
@@ -351,10 +384,16 @@ class PushScanner:
         ch = data[j]
         if ch == ">":
             # Fast path: no attributes, no whitespace.
-            self._flush_text()
+            if self._held is not None:
+                self._release()
+            if self._pending:
+                self._flush_text()
             if not stack:
                 self._on_start_document()
-            self._on_start(name)
+            if self._on_leaf is None:
+                self._on_start(name)
+            else:
+                self._held = name
             stack.append(name)
             return j + 1
         attributes: list[tuple[str, str]] | None = None
@@ -398,11 +437,19 @@ class PushScanner:
             if endq < 0:
                 raise _Underflow
             value = data[j + 1 : endq]
+            if "<" in value:
+                raise XMLSyntaxError(
+                    f"'<' in the value of attribute {attr_name!r}", self.line
+                )
             if "&" in value:
                 value = decode_entities(value)
             if attributes is None:
                 attributes = [(attr_name, value)]
             else:
+                if any(seen == attr_name for seen, _value in attributes):
+                    raise XMLSyntaxError(
+                        f"duplicate attribute {attr_name!r} in <{name}>", self.line
+                    )
                 attributes.append((attr_name, value))
             j = endq + 1
             if j >= n:
@@ -410,19 +457,31 @@ class PushScanner:
             ch = data[j]
         # Committed: the whole tag is in the buffer.  Emit.
         self.line += data.count("\n", pos, j)
-        self._flush_text()
+        if self._held is not None:
+            self._release()
+        if self._pending:
+            self._flush_text()
         if not stack:
             self._on_start_document()
+        on_leaf = self._on_leaf
+        if on_leaf is not None and attributes is None and not empty:
+            self._held = name
+            stack.append(name)
+            return j
         self._on_start(name)
         if attributes is not None:
-            on_start = self._on_start
-            on_text = self._on_text
-            on_end = self._on_end
-            for attr_name, value in attributes:
-                label = "@" + attr_name
-                on_start(label)
-                on_text(value)
-                on_end(label)
+            if on_leaf is not None:
+                for attr_name, value in attributes:
+                    on_leaf("@" + attr_name, value)
+            else:
+                on_start = self._on_start
+                on_text = self._on_text
+                on_end = self._on_end
+                for attr_name, value in attributes:
+                    label = "@" + attr_name
+                    on_start(label)
+                    on_text(value)
+                    on_end(label)
         if empty:
             self._on_end(name)
             if not stack:
@@ -431,10 +490,16 @@ class PushScanner:
             stack.append(name)
         return j
 
+    def _release(self) -> None:
+        """Send the held start tag as the ``start_element`` it is: the
+        next callback is not its own end tag around text."""
+        self._on_start(self._held)
+        self._held = None
+
     def _flush_text(self) -> None:
+        """Send the pending text, unless it is whitespace only; callers
+        check that text is pending."""
         pending = self._pending
-        if not pending:
-            return
         value = pending[0] if len(pending) == 1 else "".join(pending)
         pending.clear()
         if value.strip():

@@ -34,26 +34,36 @@ def element_to_xml(element: Element, indent: int | None = None, _level: int = 0)
 
 
 def _write_element(element: Element, out: list[str], indent: int | None, level: int) -> None:
-    pad = "" if indent is None else " " * (indent * level)
     newline = "" if indent is None else "\n"
-    out.append(pad)
-    out.append(f"<{element.label}")
-    for name, value in element.attributes:
-        out.append(f' {name}="{escape_attribute(value)}"')
-    if element.text is None and not element.children:
-        out.append("/>")
-        out.append(newline)
-        return
-    out.append(">")
-    if element.text is not None:
-        out.append(escape_text(element.text))
-    if element.children:
-        out.append(newline)
-        for child in element.children:
-            _write_element(child, out, indent, level + 1)
+    # An explicit stack (depth is bounded by memory, not the recursion
+    # limit): an element is written when popped, and its end tag, pushed
+    # beneath its children, when they are done.
+    pending: list[tuple[Element, int] | str] = [(element, level)]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        element, level = item
+        pad = "" if indent is None else " " * (indent * level)
         out.append(pad)
-    out.append(f"</{element.label}>")
-    out.append(newline)
+        out.append(f"<{element.label}")
+        for name, value in element.attributes:
+            out.append(f' {name}="{escape_attribute(value)}"')
+        if element.text is None and not element.children:
+            out.append("/>")
+            out.append(newline)
+            continue
+        out.append(">")
+        if element.text is not None:
+            out.append(escape_text(element.text))
+        end_tag = f"</{element.label}>{newline}"
+        if element.children:
+            out.append(newline)
+            pending.append(pad + end_tag)
+            pending.extend((child, level + 1) for child in reversed(element.children))
+        else:
+            out.append(end_tag)
 
 
 def document_to_xml(document: Document, indent: int | None = None) -> str:

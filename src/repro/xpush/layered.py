@@ -131,9 +131,10 @@ class _LayerFanout(EventHandler):
     """Drives the layer machines of one filter call from one pass over
     its event stream.
 
-    The machines' SAX callbacks are invoked directly — no per-layer
-    event buffering, so an unbounded stream is processed in bounded
-    memory.  An engine with one layer does not come through here (the
+    The machines' SAX callbacks, ``leaf`` included, are invoked
+    directly — no per-layer event buffering, so an unbounded stream is
+    processed in bounded memory.  An engine with one layer does not
+    come through here (the
     parser drives that machine itself); one with none gets the empty
     answer per document.
     """
@@ -160,6 +161,10 @@ class _LayerFanout(EventHandler):
     def end_element(self, label: str) -> None:
         for machine in self.layers:
             machine.end_element(label)
+
+    def leaf(self, label: str, value: str) -> None:
+        for machine in self.layers:
+            machine.leaf(label, value)
 
     def end_document(self) -> None:
         self.answers.append(

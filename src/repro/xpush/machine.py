@@ -17,6 +17,15 @@ interned states (Sec. 4): the first time a (state, event) pair occurs
 there is "a relatively high cost", recovered on every reuse; the hit
 counters quantify it (Fig. 8).
 
+A seventh memo composes four of them.  An element that holds only
+text, and every attribute, reaches the machine from the scanners as
+one ``leaf(label, value)`` call (:mod:`repro.xmlstream.events`), and
+the machine answers it from the parent's top-down state alone: the
+t_pop entry that ``startElement``, ``text`` and ``endElement`` end in
+is a function of that state, the label and the value's index key, so
+it is stored there once (``leaf_table``) and a warm leaf costs one
+probe instead of four.
+
 The machine owns what no runtime disagrees about, once: the stack and
 registers, the SAX callbacks with their memoised hit path, state
 interning (:mod:`repro.xpush.state` — every state set is one int mask),
@@ -466,20 +475,7 @@ class XPushMachine:
             entry[0].ref = True
         lifted, notified = entry
         if notified:
-            hook = self.on_match
-            if hook is None or self._training:
-                self._early.update(notified)
-            else:
-                # Memoised pop entries re-deliver their notification set
-                # on every hit; the _early membership check dedupes so
-                # each oid fires at the first deciding event only.
-                early = self._early
-                seq = self._doc_seq
-                event_index = self._event_index
-                for oid in notified:
-                    if oid not in early:
-                        early.add(oid)
-                        hook(oid, seq, event_index)
+            self._notify(notified)
         self._qt = parent_qt
         self._content = parent_content
         if lifted.size:
@@ -495,6 +491,67 @@ class XPushMachine:
             self._qb = out
         else:
             self._qb = parent_qb
+
+    def leaf(self, label: str, value: str) -> None:
+        """``start_element(label); text(value); end_element(label)`` in
+        one call and, warm, one probe: the leaf memo of the current
+        (parent) top-down state holds the t_pop entry those three
+        events end in.  What is left is what the parent's own registers
+        decide: the mixed-content rule, early notification at the end
+        event's index, and the t_badd of the lifted state into the
+        parent's bottom-up state."""
+        stats = self.stats
+        stats.events += 3
+        if label[0] != "@":
+            if self._content == 1:
+                raise MixedContentError(
+                    f"element <{label}> opened after text in the same parent"
+                )
+            self._content = 2
+        qt = self._qt
+        qt.ref = True
+        key = self.index.key_of(value)
+        stats.lookups += 1
+        row = qt.leaf_table.get(label)
+        entry = None if row is None else row.get(key)
+        if entry is None:
+            entry = self._compute_leaf(qt, label, key, value)
+        else:
+            stats.hits += 1
+            entry[0].ref = True
+        self._event_index += 3
+        lifted, notified = entry
+        if notified:
+            self._notify(notified)
+        if lifted.size:
+            qb = self._qb
+            qb.ref = True
+            stats.lookups += 1
+            out = qb.add_table.get(lifted.uid)
+            if out is None:
+                out = self._badd(qb, lifted)
+            else:
+                stats.hits += 1
+                out.ref = True
+            self._qb = out
+
+    def _notify(self, notified: frozenset[str]) -> None:
+        """Early notification (Sec. 5) of a pop entry's oids, at the
+        current event."""
+        hook = self.on_match
+        if hook is None or self._training:
+            self._early.update(notified)
+            return
+        # Memoised pop entries re-deliver their notification set on
+        # every hit; the _early membership check dedupes so each oid
+        # fires at the first deciding event only.
+        early = self._early
+        seq = self._doc_seq
+        event_index = self._event_index
+        for oid in notified:
+            if oid not in early:
+                early.add(oid)
+                hook(oid, seq, event_index)
 
     def end_document(self) -> frozenset[str]:
         stats = self.stats
@@ -674,6 +731,36 @@ class XPushMachine:
         qbs.add_table[qaux.uid] = out
         self.store.note_entries(1)
         return out
+
+    def _compute_leaf(
+        self, qt: XPushTopState, label: str, key: Hashable, value: str
+    ) -> tuple[XPushState, frozenset[str]]:
+        """A leaf memo miss: Fig. 2's three steps from *qt* — t_push,
+        t_value merged into the empty state with t_badd, t_pop — each
+        through its own memo and miss path (the predecessor carry
+        included), so the states interned are the ones the three
+        events would intern.  The pop entry they end in is the leaf
+        entry, equal by construction."""
+        nxt = qt.push_table.get(label)
+        if nxt is None:
+            nxt = self._compute_push(qt, label)
+        terminal_state = nxt.value_table.get(key)
+        if terminal_state is None:
+            terminal_state = self._compute_value(nxt, key, value)
+        qb = self.store.empty
+        if terminal_state.size:
+            out = qb.add_table.get(terminal_state.uid)
+            qb = self._badd(qb, terminal_state) if out is None else out
+        pop_key: Hashable = (label, nxt.uid, qt.uid) if self._early_keys else label
+        entry = qb.pop_table.get(pop_key)
+        if entry is None:
+            entry = self._compute_pop(qb, label, nxt, qt, pop_key)
+        row = qt.leaf_table.get(label)
+        if row is None:
+            row = qt.leaf_table[label] = {}
+        row[key] = entry
+        self.store.note_entries(1)
+        return entry
 
     def _stamp_codegen_gauges(self) -> None:
         """Mirror the compiled-handler gauges into the stats (stats

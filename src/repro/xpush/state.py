@@ -17,7 +17,9 @@ repr, tracing, dot export and the differential tests.
   early-notification payload;
 - a top-down state (:class:`XPushTopState`) carries its ``t_push`` and
   ``t_value`` memo tables (without top-down pruning there is exactly
-  one, matching the paper's single-``qt0`` bottom-up machine);
+  one, matching the paper's single-``qt0`` bottom-up machine), and the
+  *leaf* memo: for a child that holds only text, the pop entry the
+  child's three events end in, keyed by label and value key;
 - :class:`StateStore` is the signature-indexed intern table; it also
   carries the counters (states created, sizes) behind Figs. 6/7/10/11
   and the byte-level memory accounting behind the Sec. 6 memory
@@ -140,9 +142,15 @@ class XPushTopState:
     ``mask`` (and so ``sids``) is None in the unpruned machine — the
     single top-down state ``qt0`` of Sec. 3.2, where every AFA state
     counts as enabled.
+
+    ``leaf_table[label][key]`` is what ``start_element(label);
+    text(v); end_element(label)`` computes under this state, for a
+    value *v* with index key *key*: the t_pop entry ``(lifted,
+    notified)`` of Fig. 2's three steps, stored once (``XPushMachine.leaf``).
+    Each inner entry counts as one memo entry.
     """
 
-    __slots__ = ("uid", "mask", "ref", "_sids", "push_table", "value_table")
+    __slots__ = ("uid", "mask", "ref", "_sids", "push_table", "value_table", "leaf_table")
 
     def __init__(self, uid: int, mask: int | None):
         self.uid = uid
@@ -151,6 +159,11 @@ class XPushTopState:
         self.ref = True  # CLOCK reference bit (second-chance eviction)
         self.push_table: dict[str, "XPushTopState"] = {}  # t_push memo
         self.value_table: dict[Hashable, "XPushState"] = {}  # t_value memo
+        self.leaf_table: dict[str, dict[Hashable, tuple["XPushState", frozenset[str]]]] = {}
+
+    @property
+    def leaf_entries(self) -> int:
+        return sum(map(len, self.leaf_table.values()))
 
     @property
     def sids(self) -> frozenset[int] | None:
@@ -169,9 +182,9 @@ class XPushTopState:
         return f"<Qt#{self.uid} |{self.size}|>"
 
 
-#: Calibrated per-object base costs (slotted instance + two tables).
+#: Calibrated per-object base costs (slotted instance + its tables).
 BOTTOM_STATE_BYTES = sys.getsizeof(object.__new__(XPushState)) + 2 * sys.getsizeof({})
-TOP_STATE_BYTES = sys.getsizeof(XPushTopState(0, None)) + 2 * sys.getsizeof({})
+TOP_STATE_BYTES = sys.getsizeof(XPushTopState(0, None)) + 3 * sys.getsizeof({})
 
 
 def _bottom_cost(state: XPushState) -> int:
@@ -228,9 +241,10 @@ class StateStore:
             state.pop_table.clear()
             state.add_table.clear()
         else:
-            dropped = len(state.push_table) + len(state.value_table)
+            dropped = len(state.push_table) + len(state.value_table) + state.leaf_entries
             state.push_table.clear()
             state.value_table.clear()
+            state.leaf_table.clear()
         if dropped:
             self.drop_entries(dropped)
         return dropped
@@ -266,6 +280,13 @@ class StateStore:
             for key in stale:
                 del value[key]
             dropped += len(stale)
+            for label, row in list(state.leaf_table.items()):
+                stale = [key for key, (target, _n) in row.items() if id(target) in removed]
+                for key in stale:
+                    del row[key]
+                dropped += len(stale)
+                if not row:
+                    del state.leaf_table[label]
         if dropped:
             self.drop_entries(dropped)
         return dropped
@@ -371,6 +392,8 @@ class StateStore:
             else:
                 stack.extend(state.push_table.values())
                 stack.extend(state.value_table.values())
+                for row in state.leaf_table.values():
+                    stack.extend(target for target, _notified in row.values())
         removed = 0
         for key, state in list(self._bottom.items()):
             if id(state) not in marked:
@@ -396,7 +419,7 @@ class StateStore:
             entries += len(state.pop_table) + len(state.add_table)
             bytes_ += _bottom_cost(state)
         for state in self._top.values():
-            entries += len(state.push_table) + len(state.value_table)
+            entries += len(state.push_table) + len(state.value_table) + state.leaf_entries
             bytes_ += _top_cost(state)
         return entries, bytes_ + entries * ENTRY_BYTES
 
@@ -465,10 +488,10 @@ class StateStore:
 
     def demote(self) -> None:
         """Shrink to what a predecessor is asked.  Only t_pop and
-        t_push memos are carried, so t_badd and t_value entries go, and
-        with them every bottom-up state that neither holds a t_pop memo
-        nor is named by one — on a warmed store most states are
-        intermediate t_badd unions."""
+        t_push memos are carried, so t_badd, t_value and leaf entries
+        go, and with them every bottom-up state that neither holds a
+        t_pop memo nor is named by one — on a warmed store most states
+        are intermediate t_badd unions."""
         named = {
             id(target)
             for state in self._bottom.values()
@@ -482,6 +505,7 @@ class StateStore:
         self._bottom = kept
         for top in self._top.values():
             top.value_table.clear()
+            top.leaf_table.clear()
         self.bottom_size_total = sum(state.size for state in kept.values())
         self.table_entries, self.resident_bytes = self.recount()
 
@@ -497,6 +521,7 @@ class StateStore:
         for top in self._top.values():
             top.push_table.clear()
             top.value_table.clear()
+            top.leaf_table.clear()
         self._bottom.clear()
         self._top.clear()
         self.bottom_size_total = 0

@@ -30,7 +30,7 @@ class MachineStats:
     events: int = 0
     documents: int = 0
     bytes_processed: int = 0
-    lookups: int = 0  # probes of t_push/t_value/t_pop/t_badd tables
+    lookups: int = 0  # probes of t_push/t_value/t_pop/t_badd and leaf tables
     hits: int = 0  # probes answered from an existing entry
     pop_computed: int = 0
     add_computed: int = 0

@@ -4,7 +4,10 @@ filtering with no update included, so deltas idle out) always
 answers like the reference evaluator over its *current* filter set —
 which is what a brute-force rebuild at that step would answer — in
 every machine variant and on both the production and the reference
-kernel, at ``end_document`` and through ``on_match`` alike.
+kernel, at ``end_document`` and through ``on_match`` alike.  Streamed
+steps sample the parser backend, so both scanners' fused ``leaf``
+delivery meets generated schedules, against references that replay the
+classic start/text/end triples.
 
 An engine has three layer states — a base alone, a delta alone (grown
 by ``subscribe`` from empty), both — and two ways to drive them: the
@@ -99,6 +102,9 @@ RUNTIMES = ("bitmask", "sets")
 #: frequent, and below ``len(DOC_POOL)``, so a check of every document
 #: idles a delta out.
 THRESHOLD = 3
+#: How a check feeds the documents: as event objects (``None``), or as
+#: text through ``filter_stream`` on that parser backend.
+FEEDS = (None, "python", "expat")
 
 
 def seeded_engines():
@@ -146,9 +152,9 @@ def reference_emissions(options, live, documents):
     return sorted(emitted)
 
 
-def check_answers(engines, live, indexes, stream=False):
+def check_answers(engines, live, indexes, feed=None):
     """In one filter call over the documents at *indexes* (parsed from
-    text when *stream*), every engine answers like the reference
+    text by the *feed* backend, when one is named), every engine answers like the reference
     evaluator over *live* (oid -> xpath) and emits exactly that through
     ``on_match``: each oid once, at the document and event a bare
     machine over the live filters decides it."""
@@ -162,8 +168,9 @@ def check_answers(engines, live, indexes, stream=False):
         LAYER_STATES.add((engine._base is not None, engine._delta is not None))
         emitted = []
         engine.on_match = lambda oid, doc, event: emitted.append((doc, event, oid))
-        if stream:
-            answers = engine.filter_stream("".join(DOC_POOL[index] for index in indexes))
+        if feed is not None:
+            text = "".join(DOC_POOL[index] for index in indexes)
+            answers = engine.filter_stream(text, backend=feed)
         else:
             answers = engine.filter_events(
                 e for document in documents for e in events_of_document(document)
@@ -186,7 +193,7 @@ def run_seeded_schedule():
     engines.update(grown_engines(lambda grown, live: check_answers(grown, live, ALL_DOCUMENTS)))
     live = dict(SEED_FILTERS)
     peaks = {key: {"carried": 0, "retired_filters": 0} for key in engines}
-    streams = itertools.cycle((True, False))
+    feeds = itertools.cycle(("python", None, "expat", None))
 
     def step(*updates):
         for verb, *args in updates:
@@ -200,7 +207,7 @@ def run_seeded_schedule():
         # first; the one-document calls after it find the delta idle
         # and fold it, so updates that must meet in one delta share a
         # step.
-        check_answers(engines, live, ALL_DOCUMENTS, stream=next(streams))
+        check_answers(engines, live, ALL_DOCUMENTS, feed=next(feeds))
         for index in ALL_DOCUMENTS:
             check_answers(engines, live, [index])
         for key, engine in engines.items():
@@ -248,7 +255,7 @@ class LayeredEngineMachine(RuleBasedStateMachine):
         super().__init__()
         self.engines = seeded_engines()
         self.engines.update(
-            grown_engines(lambda grown, live: check_answers(grown, live, [0, 4], stream=True))
+            grown_engines(lambda grown, live: check_answers(grown, live, [0, 4], feed="expat"))
         )
         self.live: dict[str, str] = dict(SEED_FILTERS)  # oid -> xpath
         self.removed: list[str] = []
@@ -287,21 +294,21 @@ class LayeredEngineMachine(RuleBasedStateMachine):
         for engine in self.engines.values():
             engine.compact()
 
-    @rule(stream=st.booleans())
-    def filter_documents_with_no_update(self, stream):
+    @rule(feed=st.sampled_from(FEEDS))
+    def filter_documents_with_no_update(self, feed):
         """One call a document, one more than the threshold: a delta
         left beside the base idles out before the last call."""
         for index in range(THRESHOLD + 1):
-            check_answers(self.engines, self.live, [index], stream)
+            check_answers(self.engines, self.live, [index], feed)
         for key, engine in self.engines.items():
             assert engine._base is None or engine._delta is None, key
 
     @rule(
         indexes=st.lists(st.sampled_from(ALL_DOCUMENTS), min_size=1, max_size=3),
-        stream=st.booleans(),
+        feed=st.sampled_from(FEEDS),
     )
-    def filter_matches_reference(self, indexes, stream):
-        check_answers(self.engines, self.live, indexes, stream)
+    def filter_matches_reference(self, indexes, feed):
+        check_answers(self.engines, self.live, indexes, feed)
 
     @invariant()
     def count_is_consistent(self):

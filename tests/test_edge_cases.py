@@ -4,7 +4,7 @@ import pytest
 
 from repro import EngineConfig, create_engine
 from repro.errors import MixedContentError
-from repro.xmlstream.dom import parse_document
+from repro.xmlstream.dom import parse_document, parse_forest
 from repro.xmlstream.writer import document_to_xml
 from repro.xpath.parser import parse_xpath
 from repro.xpath.semantics import evaluate_filter, matching_oids
@@ -90,6 +90,35 @@ def test_very_deep_document():
     depth = 300
     xml = "<a>" * depth + "<leaf>1</leaf>" + "</a>" * depth
     assert check(["//leaf[text() = 1]"], xml) == {"q0"}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        EngineConfig(engine="layered"),
+        EngineConfig(engine="sharded", shards=2, parallel=False),
+        EngineConfig(engine="xfilter"),
+    ],
+    ids=lambda config: config.engine,
+)
+def test_document_past_the_recursion_limit(config):
+    """Nesting far past the interpreter's recursion limit: the DOM walks,
+    the event lowering and the serialiser are iterative, so
+    ``filter_document`` (the sharded one serialises) answers what the
+    streaming path answers."""
+    depth = 5_000
+    xml = "<a>" * depth + '<leaf k="v">1</leaf>' + "</a>" * depth
+    (document,) = parse_forest(xml)
+    assert (document.depth(), document.size()) == (depth + 1, depth + 1)
+    assert document_to_xml(document) == xml
+    sources = {"q0": "//leaf[text() = 1]", "q1": "/a/a/leaf", "q2": "//a[leaf/@k = 'v']"}
+    engine = create_engine(config, sources)
+    try:
+        expected = engine.filter_stream(xml)
+        assert expected == [frozenset({"q0", "q2"})]
+        assert engine.filter_document(document) == expected[0]
+    finally:
+        engine.close()
 
 
 def test_wide_document():

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import MixedContentError
+from repro.errors import MixedContentError, XMLSyntaxError
 from repro.service.engine import ShardedFilterEngine
 from repro.xmlstream.parser import expat_events, parse_events
 from repro.xmlstream.writer import document_to_xml, stream_to_xml
@@ -53,9 +53,24 @@ CORPUS = [
 ]
 
 
+#: Not well-formed, and rejected by both backends.
+REJECTED = [
+    '<a b="1" b="2"/>',  # duplicate attribute
+    '<a x="<"/>',  # '<' in an attribute value
+    "<a>]]></a>",  # ']]>' in character data
+]
+
+
 @pytest.mark.parametrize("text", CORPUS, ids=range(len(CORPUS)))
 def test_corpus_event_streams_identical(text):
     assert parse_events(text) == expat_events(text)
+
+
+@pytest.mark.parametrize("text", REJECTED)
+@pytest.mark.parametrize("backend", ["python", "expat"])
+def test_not_well_formed_rejected_by_both_backends(backend, text):
+    with pytest.raises(XMLSyntaxError):
+        parse_events(text, backend=backend)
 
 
 def _dataset_corpus(docs, extra=()):

@@ -54,8 +54,31 @@ class Recorder(EventHandler):
         self.calls.append(("endDocument",))
 
 
-def calls_of(text, scanner_class, splits):
-    recorder = Recorder()
+#: Leaf candidates of every shape: text split by a comment or entity,
+#: CDATA, whitespace only, empty, with children, whitespace in the tag,
+#: a root that is a leaf.
+LEAVES = (
+    "<r><c>1<!-- x -->2</c><c><![CDATA[v]]></c><c> </c><c></c>"
+    "<c><d>1</d></c><c >v</c><c>&amp;</c><c><!-- only --></c></r>"
+    "<r>v</r><r><c x=''>t</c></r>"
+)
+
+
+class LeafRecorder(Recorder):
+    """A :class:`Recorder` that also takes fused leaves, and records them
+    as the triples they stand for."""
+
+    def __init__(self):
+        super().__init__()
+        self.leaves = 0
+
+    def leaf(self, label, value):
+        self.leaves += 1
+        self.calls += [("startElement", label), ("text", value), ("endElement", label)]
+
+
+def calls_of(text, scanner_class, splits, recorder_class=None):
+    recorder = (recorder_class or Recorder)()
     scanner = scanner_class(recorder)
     last = 0
     for split in splits:
@@ -73,6 +96,28 @@ def test_every_split_point_is_equivalent(scanner_class):
     assert whole  # sanity: the tricky input produces events
     for split in range(len(TRICKY) + 1):
         assert calls_of(TRICKY, scanner_class, [split]) == whole, split
+
+
+@pytest.mark.parametrize("text", [TRICKY, LEAVES], ids=["tricky", "leaves"])
+@pytest.mark.parametrize("scanner_class", [PushScanner, ExpatScanner])
+def test_leaf_stream_expands_to_the_classic_stream(scanner_class, text):
+    """A handler with ``leaf`` gets fused leaves; expanded to triples
+    they are the classic stream, at every split point."""
+    whole = calls_of(text, scanner_class, [])
+    for split in range(len(text) + 1):
+        assert calls_of(text, scanner_class, [split], LeafRecorder) == whole, split
+
+
+@pytest.mark.parametrize("scanner_class", [PushScanner, ExpatScanner])
+def test_leaves_sent_for_attributes_and_text_only_elements(scanner_class):
+    recorder = LeafRecorder()
+    scanner = scanner_class(recorder)
+    scanner.feed(LEAVES)
+    scanner.close()
+    # <c>1..2</c>, CDATA, <c >v</c>, &amp;, <d>1</d>, <r>v</r> and @x; not
+    # the whitespace-only, empty, comment-only or parent elements, nor an
+    # element with attributes (its start tag is not held back).
+    assert recorder.leaves == 7
 
 
 @pytest.mark.parametrize("scanner_class", [PushScanner, ExpatScanner])

@@ -91,6 +91,35 @@ def test_stream_and_document_paths_agree(protein):
     assert via_documents == via_stream
 
 
+@pytest.mark.parametrize("backend", ["python", "expat"])
+@pytest.mark.parametrize("options", ALL_OPTION_COMBOS, ids=lambda o: o.describe())
+def test_leaf_calls_equal_classic_triples(options, backend, protein, protein_docs):
+    """The scanners send ``leaf`` to a machine; answered from the leaf
+    memo it must equal the three classic events it stands for: the
+    answers, every on_match emission, the states interned and the
+    event count.  A second pass runs on warm leaf entries."""
+    from repro.xmlstream.events import events_of_document
+    from repro.xmlstream.writer import document_to_xml
+
+    filters = make_workload(protein, 40, seed=21)
+    stream = "".join(document_to_xml(doc) for doc in protein_docs)
+    events = [event for doc in protein_docs for event in events_of_document(doc)]
+    runs, lookups = [], []
+    for drive in ("leaf", "triples"):
+        machine = XPushMachine(build_workload_automata(filters), options, dtd=protein.dtd)
+        emitted = []
+        machine.on_match = lambda oid, doc, event: emitted.append((doc, event, oid))
+        for _ in range(2):
+            if drive == "leaf":
+                answers = machine.filter_stream(stream, backend=backend)
+            else:
+                answers = machine.process_events(events)
+        runs.append((answers, sorted(emitted), machine.state_count, machine.stats.events))
+        lookups.append(machine.stats.lookups)
+    assert runs[0] == runs[1]
+    assert lookups[0] < lookups[1]  # a leaf is one probe, its triple up to four
+
+
 def test_shared_machine_vs_fresh_machines(protein, protein_docs):
     """Processing documents through one long-lived machine equals
     processing each with a fresh machine (state reuse is sound)."""

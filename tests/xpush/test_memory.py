@@ -200,6 +200,54 @@ def test_sweep_epoch_stops_at_the_low_watermark():
     assert 0 < removed < len(machine.store.bottom_states()) + removed
 
 
+def _leaf_targets(store):
+    return [
+        target
+        for top in store.top_states()
+        for row in top.leaf_table.values()
+        for target, _notified in row.values()
+    ]
+
+
+def test_leaf_entries_are_counted_evicted_and_collected():
+    """Leaf memo entries are memo entries: in the books, pruned with
+    their deported targets, dropped with their owner's tables, and
+    edges the mark-and-sweep follows."""
+    machine = _warmed_machine()
+    store = machine.store
+    assert _leaf_targets(store)  # @c, <b> and <d> came as leaves
+    assert store.recount() == (store.table_entries, store.resident_bytes)
+
+    # Only the leaf entries are left pointing at lifted states: GC keeps
+    # those states, and the books stay balanced.
+    for state in store.bottom_states():
+        store.evict_state_tables(state)
+    store.collect_garbage([store.empty, machine.qt0])
+    interned = {id(state) for state in store.bottom_states()}
+    assert all(id(target) in interned for target in _leaf_targets(store))
+    assert store.recount() == (store.table_entries, store.resident_bytes)
+
+    # Deported targets take their leaf entries with them; the owners,
+    # referenced, survive.
+    for state in store.bottom_states():
+        state.ref = False
+    for top in store.top_states():
+        top.ref = True
+    assert any(target is not store.empty for target in _leaf_targets(store))
+    store.sweep_epoch([store.empty, machine.qt0], 0, -1, -1)
+    assert _leaf_targets(store)
+    assert all(target is store.empty for target in _leaf_targets(store))
+    assert store.recount() == (store.table_entries, store.resident_bytes)
+
+    # Evicting an owner's tables drops its leaf entries and says so.
+    machine.filter_stream('<a c="3"><b>1</b><d>0</d></a>')
+    owner = next(top for top in store.top_states() if top.leaf_table)
+    entries = owner.leaf_entries + len(owner.push_table) + len(owner.value_table)
+    assert store.evict_state_tables(owner) == entries
+    assert not owner.leaf_table
+    assert store.recount() == (store.table_entries, store.resident_bytes)
+
+
 def test_precomputed_value_seeds_survive_eviction(protein, protein_docs):
     """Sec. 4 precomputed t_value states are part of the permanent
     working set: any the sweep takes must be re-seeded."""
