@@ -28,7 +28,10 @@ Entry points:
   the CI smoke test.  ``--quick`` shrinks the stream and **fails** if
   push-mode python throughput drops below the pull path on the same
   run, or if either scanner's leaf path answers differently from, or
-  runs slower than, its triple path (host-independent relative gates).
+  runs slower than, its triple path (host-independent relative gates),
+  or if a warm pass of the machine, fed leaves or fed triples, misses
+  a memo entry or makes more probes per event than
+  :data:`MAX_LOOKUPS_PER_EVENT` records (counts, not times).
 - ``pytest benchmarks/bench_event_path.py`` — pytest-benchmark harness
   at ``REPRO_BENCH_SCALE`` size.
 """
@@ -60,6 +63,12 @@ from repro.xpush.machine import XPushMachine
 from repro.xpush.options import XPushOptions
 
 TD = XPushOptions(top_down=True, precompute_values=False)
+
+#: Memo probes per event of a warm pass over the ``--quick`` stream:
+#: 9 231 / 13 842 fed leaves, 15 643 / 13 842 fed triples.  A warm
+#: event's cost is its probes; one more per event is a regression the
+#: timing gates can miss on a noisy host.
+MAX_LOOKUPS_PER_EVENT = {"leaves": 0.667, "triples": 1.131}
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +440,36 @@ def run(queries: int, stream_bytes: int, repeats: int, out=sys.stdout) -> dict:
         for backend in ("python", "expat")
     )
     machine.clear_results()
+    results["filter"]["counts"] = {
+        "leaves": _pass_counts(machine, lambda: machine.filter_stream(stream, backend="expat")),
+        "triples": _pass_counts(machine, _triples(machine, stream, "expat")),
+    }
     return results
+
+
+def _pass_counts(machine: XPushMachine, feed) -> dict[str, int]:
+    """The machine's counters over one *feed* pass."""
+    stats = machine.stats
+    before = (stats.lookups, stats.misses, stats.hits, stats.events)
+    feed()
+    machine.clear_results()
+    after = (stats.lookups, stats.misses, stats.hits, stats.events)
+    return dict(zip(("lookups", "misses", "hits", "events"), (b - a for a, b in zip(before, after))))
+
+
+def _count_gate(counts: dict[str, dict[str, int]]) -> list[str]:
+    """What is wrong with a warm pass's counts, per feed (empty: ok)."""
+    failures = []
+    for feed, bound in MAX_LOOKUPS_PER_EVENT.items():
+        row = counts[feed]
+        per_event = row["lookups"] / row["events"]
+        if row["misses"]:
+            failures.append(f"{feed}: {row['misses']} misses on a warm pass")
+        if row["hits"] != row["lookups"] - row["misses"]:
+            failures.append(f"{feed}: hits {row['hits']} != lookups - misses")
+        if per_event > bound:
+            failures.append(f"{feed}: {per_event:.4f} lookups per event > {bound}")
+    return failures
 
 
 def main(argv=None) -> int:
@@ -488,6 +526,16 @@ def main(argv=None) -> int:
                 )
                 return 1
             print(f"gate ok: push-{backend} leaves {leaf}/s >= triples {triples}/s")
+        failures = _count_gate(results["filter"]["counts"])
+        for failure in failures:
+            print(f"FAIL: {failure}", file=sys.stderr)
+        if failures:
+            return 1
+        print("gate ok: warm passes miss nothing; lookups per event "
+              + ", ".join(
+                  f"{feed} {row['lookups'] / row['events']:.3f}"
+                  for feed, row in results["filter"]["counts"].items()
+              ))
     return 0
 
 

@@ -29,14 +29,20 @@ Table layout, built once by :meth:`AtomicPredicateIndex.freeze`:
 
 Numeric predicates are false on values that do not parse as numbers.
 ``nan`` does parse, compares unequal to everything, and so satisfies
-exactly the numeric ``!=`` predicates; it is ordered against nothing
-and gets a numeric key of its own (:data:`NAN_KEY`).
+exactly the numeric ``!=`` predicates; it is ordered against nothing,
+so no elementary interval holds it.
 
-Two values with equal keys (:meth:`AtomicPredicateIndex.key_of`)
-satisfy exactly the same predicates, so answers are memoised per key:
-the one memo holds ``key → mask``, is filled on first touch (lazily,
-like XPush states) and can be filled eagerly for every elementary
-interval (Sec. 4, "State Precomputation") in O(m log m).
+The key of a value (:meth:`AtomicPredicateIndex.key_of`) is a small
+int naming its *answer*: two values get equal ids exactly when the same
+predicates are true on them.  That is the coarsest exact key, so a memo
+keyed on it (the machine's ``t_value`` and leaf rows) holds one entry
+per distinct answer, however many elementary intervals share it, and
+an int hashes and compares in one step.  Ids are issued on first touch
+(lazily, like XPush states), or eagerly for every elementary interval
+(Sec. 4, "State Precomputation") in O(m log m), and are never reused:
+every table behind them is bounded, and once one is cleared a known
+answer gets a fresh id, so a memo entry keyed on an old id goes cold
+but never aliases.
 """
 
 from __future__ import annotations
@@ -53,25 +59,12 @@ from repro.afa.predicates import (
     parse_number,
 )
 
-#: ``key_of`` memoises raw value -> key up to this many distinct values;
-#: past it the memo is cleared (stream values are unbounded, keys are not).
+#: Bound of each table behind the answer ids: raw value -> id, and
+#: answer mask <-> id.  Past it the table is cleared (stream values are
+#: unbounded, and so are answers once substring predicates combine).
 KEY_CACHE_LIMIT = 16_384
 
-#: Numeric key of ``nan``: no elementary interval contains it.
-NAN_KEY = (-1, False)
-
 C = TypeVar("C", float, str)
-
-#: (insertion point among a domain's constants, exactly on a constant).
-IntervalKey = tuple[int, bool]
-#: (numeric interval, string interval, (``contains`` pattern ids,
-#: ``starts-with`` prefixes) matched); a part is None when its tables
-#: have nothing to say about the value.
-Key = tuple[
-    IntervalKey | None,
-    IntervalKey | None,
-    tuple[frozenset[int], tuple[str, ...]] | None,
-]
 
 
 class _OrderedDomain(Generic[C]):
@@ -103,7 +96,7 @@ class _OrderedDomain(Generic[C]):
                     inclusive[constant] = inclusive.get(constant, 0) | 1 << bit
         self._ordering: list[C] = sorted(above.keys() | below.keys())
         #: Every distinct constant, sorted: the elementary intervals
-        #: behind :meth:`key`.
+        #: :meth:`AtomicPredicateIndex.precompute` visits.
         self.constants: list[C] = sorted(
             self._eq.keys() | self._ne.keys() | set(self._ordering)
         )
@@ -118,16 +111,6 @@ class _OrderedDomain(Generic[C]):
             self._on.append(prefix | suffix[i + 1] | inclusive.get(constant, 0))
             prefix |= below.get(constant, 0)
         self._gap.append(prefix)
-
-    def key(self, value: C) -> IntervalKey | None:
-        """The elementary interval *value* falls in."""
-        constants = self.constants
-        if not constants:
-            return None
-        if value != value:
-            return NAN_KEY
-        position = bisect_left(constants, value)
-        return (position, position < len(constants) and constants[position] == value)
 
     def mask(self, value: C) -> int:
         """The predicates of this domain that are true on *value*."""
@@ -166,8 +149,11 @@ class AtomicPredicateIndex:
         self._matcher: AhoCorasick | None = None
         self._prefixes: dict[str, list[int]] = {}
         self._prefix_lengths: list[int] = []
-        self._cache: dict[Key, int] = {}
-        self._key_cache: dict[str, Key] = {}
+        # The answer ids: raw value -> id, and answer mask <-> id.
+        self._key_cache: dict[str, int] = {}
+        self._ids: dict[int, int] = {}
+        self._masks: dict[int, int] = {}
+        self._next_id = 0
         self.lookups = 0
         self.hits = 0
 
@@ -215,63 +201,83 @@ class AtomicPredicateIndex:
 
     # ------------------------------------------------------------------
 
-    def key_of(self, raw_value: str) -> Key:
-        """Canonical key: values with equal keys satisfy the same
-        predicates.  The key is cheap — O(log m) bisections plus one
-        Aho–Corasick scan when ``contains`` predicates exist — and
-        memoised per raw value: the machine asks once per text event,
-        and stream values repeat far more often than keys change."""
-        cached = self._key_cache.get(raw_value)
-        if cached is not None:
-            return cached
+    def key_of(self, raw_value: str) -> int:
+        """The id of *raw_value*'s answer: equal ids exactly when the
+        same predicates are true on the two values.  Memoised per raw
+        value — the machine asks once per text event, and stream values
+        repeat far more often than answers change — so a miss pays one
+        answer computation (:meth:`_answer`) and a hit one dict probe."""
+        key = self._key_cache.get(raw_value)
+        if key is None:
+            key = self._identify(raw_value)
+        return key
+
+    def _identify(self, raw_value: str) -> int:
+        """:meth:`key_of` on a raw-value miss: compute the answer, and
+        issue it an id if it has none."""
         if not self._frozen:
             raise RuntimeError("freeze() the index before lookups")
-        value = canonical_value(raw_value)
-        number = parse_number(value)
-        numeric_key = self._numbers.key(number) if number is not None else None
-        string_key = self._strings.key(value)
-        substring_key = None
-        if self._matcher is not None or self._prefixes:
-            matched = self._matcher.match_set(value) if self._matcher else frozenset()
-            prefixes = tuple(
-                value[:length]
-                for length in self._prefix_lengths
-                if length <= len(value) and value[:length] in self._prefixes
-            )
-            substring_key = (matched, prefixes)
-        key: Key = (numeric_key, string_key, substring_key)
+        mask = self._answer(canonical_value(raw_value))
+        key = self._ids.get(mask)
+        if key is None:
+            if len(self._ids) >= KEY_CACHE_LIMIT:
+                # Raw values name ids through the answer table: all go.
+                self._ids.clear()
+                self._masks.clear()
+                self._key_cache.clear()
+            key = self._next_id
+            self._next_id = key + 1
+            self._ids[mask] = key
+            self._masks[key] = mask
         if len(self._key_cache) >= KEY_CACHE_LIMIT:
             self._key_cache.clear()
         self._key_cache[raw_value] = key
         return key
 
+    def _answer(self, value: str) -> int:
+        """The mask of every predicate true on the canonical *value*:
+        one bisection per ordered domain that has constants, one
+        Aho–Corasick scan when ``contains`` predicates exist, one probe
+        per distinct ``starts-with`` prefix length."""
+        mask = self._always
+        if self._numbers.constants:
+            number = parse_number(value)
+            if number is not None:
+                mask |= self._numbers.mask(number)
+        if self._strings.constants:
+            mask |= self._strings.mask(value)
+        if self._matcher is not None:
+            contains = self._contains
+            for pattern_id in self._matcher.match_set(value):
+                for bit in contains[pattern_id]:
+                    mask |= 1 << bit
+        for length in self._prefix_lengths:
+            if length > len(value):
+                break  # the lengths are sorted
+            bits = self._prefixes.get(value[:length])
+            if bits is not None:
+                for bit in bits:
+                    mask |= 1 << bit
+        return mask
+
+    def mask_of(self, key: int) -> int:
+        """The answer *key* names.  Only ids :meth:`key_of` returned
+        since the tables last cleared are known: ask right after it."""
+        return self._masks[key]
+
     def lookup_mask(self, raw_value: str) -> int:
         """The mask of all payloads whose predicate is true on
-        *raw_value*, memoised per key."""
-        key = self.key_of(raw_value)
+        *raw_value*; a hit is a lookup whose answer already had an id."""
         self.lookups += 1
-        cached = self._cache.get(key)
-        if cached is not None:
+        key = self._key_cache.get(raw_value)
+        if key is None:
+            issued = self._next_id
+            key = self._identify(raw_value)
+            if key < issued:
+                self.hits += 1
+        else:
             self.hits += 1
-            return cached
-        # A None key part says its tables have nothing for this value.
-        numeric_key, string_key, substring_key = key
-        value = canonical_value(raw_value)
-        mask = self._always
-        if numeric_key is not None:
-            mask |= self._numbers.mask(float(value))
-        if string_key is not None:
-            mask |= self._strings.mask(value)
-        if substring_key is not None:
-            matched, prefixes = substring_key
-            for pattern_id in matched:
-                for bit in self._contains[pattern_id]:
-                    mask |= 1 << bit
-            for prefix in prefixes:
-                for bit in self._prefixes[prefix]:
-                    mask |= 1 << bit
-        self._cache[key] = mask
-        return mask
+        return self._masks[key]
 
     def lookup(self, raw_value: str) -> frozenset[int]:
         """:meth:`lookup_mask` as a set of payloads, for set-based callers."""
@@ -280,31 +286,32 @@ class AtomicPredicateIndex:
     # ------------------------------------------------------------------
 
     def precompute(self) -> int:
-        """Eagerly materialise the answer for every elementary interval
-        (Sec. 4 "State Precomputation"), O(m log m).  Only exact for
-        workloads without substring predicates; returns the number of
-        cached keys.
+        """Eagerly issue an id to the answer of every elementary
+        interval (Sec. 4 "State Precomputation"), O(m log m).  Only
+        exhaustive for workloads without substring predicates; returns
+        the number of answers with an id.
         """
         if not self._frozen:
             raise RuntimeError("freeze() the index before precompute()")
         if self._matcher is not None or self._prefixes:
-            return len(self._cache)  # substring keys are data-dependent
+            return len(self._ids)  # substring answers are data-dependent
         for representative in self._representatives(self._numbers.constants, numeric=True):
-            self.lookup_mask(representative)
+            self.key_of(representative)
         for representative in self._representatives(self._strings.constants, numeric=False):
-            self.lookup_mask(representative)
-        # The "matches nothing" key for non-numeric values.
-        self.lookup_mask("\x00repro-no-such-value\x00")
-        return len(self._cache)
+            self.key_of(representative)
+        # A value below or between every constant that is no number.
+        self.key_of("\x00repro-no-such-value\x00")
+        return len(self._ids)
 
-    def precomputed_items(self) -> list[tuple[Key, int]]:
-        """Snapshot of the materialised (key, mask) answers.
+    def precomputed_items(self) -> list[tuple[int, int]]:
+        """Snapshot of the ``(id, mask)`` answers that hold an id.
 
-        This is the supported way to enumerate the cache — e.g. to seed
+        This is the supported way to enumerate them — e.g. to seed
         ``t_value`` states after :meth:`precompute` or after a machine
-        table flush — without reaching into the private ``_cache``.
+        table flush; the ids are the ones later :meth:`key_of` calls
+        return for values with those answers.
         """
-        return list(self._cache.items())
+        return list(self._masks.items())
 
     @staticmethod
     def _representatives(constants: list[Any], numeric: bool) -> Iterable[str]:

@@ -30,8 +30,9 @@ no event objects are allocated on this path, and the tokenisation
 itself runs in C.  So are the python scanner's leaf rules: a handler
 that defines ``leaf`` (:mod:`repro.xmlstream.events`) gets each
 attribute, and each element holding only non-whitespace text, as one
-``leaf`` call; expat is then given the ``_start_fused`` /
-``_end_fused`` pair, every other handler the classic one.
+``leaf`` call; expat is then given the fused pair
+(:meth:`ExpatScanner._fused_handlers`), every other handler the
+classic ``_start`` / ``_end`` one.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ class ExpatScanner:
         "_on_end",
         "_on_end_document",
         "_on_leaf",
-        "_held",
         "_parser",
         "_pending",
         "_depth",
@@ -80,9 +80,6 @@ class ExpatScanner:
         self._on_end = handler.end_element
         self._on_end_document = handler.end_document
         self._on_leaf = getattr(handler, "leaf", None)
-        #: A start tag without attributes, held back until the next
-        #: callback says whether it opens a leaf (fused path only).
-        self._held: str | None = None
         self._pending: list[str] = []
         self._depth = 0
         self._closed = False
@@ -100,10 +97,13 @@ class ExpatScanner:
         if self._on_leaf is None:
             parser.StartElementHandler = self._start
             parser.EndElementHandler = self._end
+            parser.CharacterDataHandler = self._pending.append
         else:
-            parser.StartElementHandler = self._start_fused
-            parser.EndElementHandler = self._end_fused
-        parser.CharacterDataHandler = self._pending.append
+            (
+                parser.StartElementHandler,
+                parser.EndElementHandler,
+                parser.CharacterDataHandler,
+            ) = self._fused_handlers()
         self._parser = parser
         self._any_element = False
         self._fed = 0
@@ -146,46 +146,73 @@ class ExpatScanner:
         if self._depth == 0:
             self._on_end_document()
 
-    def _start_fused(self, name: str, attrs: list[str]) -> None:
-        """:meth:`_start` for a handler with ``leaf``: attributes go as
-        leaves, and a start tag without them is held back."""
-        held = self._held
-        if held is not None:
-            self._held = None
-            self._on_start(held)
-        if self._pending:
-            self._flush_text()
-        if self._depth == 0:
-            self._any_element = True
-            self._on_start_document()
-        self._depth += 1
-        if attrs:
-            self._on_start(name)
-            on_leaf = self._on_leaf
-            for i in range(0, len(attrs), 2):
-                on_leaf("@" + attrs[i], attrs[i + 1])
-        else:
-            self._held = name
+    def _fused_handlers(self):
+        """The start, end and character-data handlers of one parser for
+        a handler with ``leaf``: :meth:`_start` / :meth:`_end` with
+        attributes sent as leaves and a start tag without them held
+        back, so that its end tag around non-whitespace text sends the
+        three as one leaf.  The held tag, the depth and the pending text
+        live in closure cells, not scanner slots, and the handler's
+        callbacks are bound once per parser; a restart on the next
+        document binds a fresh set, as it starts at depth 0 with
+        nothing held or pending."""
+        on_start_document = self._on_start_document
+        on_start = self._on_start
+        on_text = self._on_text
+        on_end = self._on_end
+        on_end_document = self._on_end_document
+        on_leaf = self._on_leaf
+        pending: list[str] = []
+        held: str | None = None
+        depth = 0
 
-    def _end_fused(self, name: str) -> None:
-        """:meth:`_end` for a handler with ``leaf``: the end tag of a held
-        start around non-whitespace text sends the three as one leaf.
-        (Expat has checked the tag pair: a held start is *name*.)"""
-        held = self._held
-        if held is not None:
-            self._held = None
-            pending = self._pending
+        def flush() -> None:  # :meth:`_flush_text` on the closure's list
+            value = pending[0] if len(pending) == 1 else "".join(pending)
+            pending.clear()
+            if value.strip():
+                on_text(value)
+
+        def start(name: str, attrs: list[str]) -> None:
+            nonlocal held, depth
+            if held is not None:
+                label, held = held, None
+                on_start(label)
             if pending:
-                value = pending[0] if len(pending) == 1 else "".join(pending)
-                if value.strip():
-                    pending.clear()
-                    self._depth -= 1
-                    self._on_leaf(name, value)
-                    if self._depth == 0:
-                        self._on_end_document()
-                    return
-            self._on_start(held)
-        self._end(name)
+                flush()
+            if not depth:
+                self._any_element = True
+                on_start_document()
+            depth += 1
+            if attrs:
+                on_start(name)
+                for i in range(0, len(attrs), 2):
+                    on_leaf("@" + attrs[i], attrs[i + 1])
+            else:
+                held = name
+
+        def end(name: str) -> None:
+            # Expat has checked the tag pair: a held start is *name*.
+            nonlocal held, depth
+            if held is not None:
+                held = None
+                if pending:
+                    value = pending[0] if len(pending) == 1 else "".join(pending)
+                    if value.strip():
+                        pending.clear()
+                        depth -= 1
+                        on_leaf(name, value)
+                        if not depth:
+                            on_end_document()
+                        return
+                on_start(name)
+            if pending:
+                flush()
+            depth -= 1
+            on_end(name)
+            if not depth:
+                on_end_document()
+
+        return start, end, pending.append
 
     # ------------------------------------------------------------------
     # Push protocol

@@ -148,6 +148,11 @@ class PushScanner:
     A handler with a ``leaf`` method gets leaves fused (module
     docstring); ``_held`` is the start tag waiting to learn whether it
     opens one.
+
+    One U+FEFF at the very start of the stream is a byte-order mark
+    (XML 1.0, Appendix F) and is skipped, as expat skips it; anywhere
+    else it is a character like any other.  ``_fresh`` says no input
+    has arrived yet.
     """
 
     __slots__ = (
@@ -164,6 +169,7 @@ class PushScanner:
         "_closed",
         "_stack",
         "_pending",
+        "_fresh",
         "line",
     )
 
@@ -181,6 +187,7 @@ class PushScanner:
         self._closed = False
         self._stack: list[str] = []
         self._pending: list[str] = []
+        self._fresh = True
         self.line = 1
 
     # ------------------------------------------------------------------
@@ -198,6 +205,11 @@ class PushScanner:
             self._data += chunk
         else:
             self._data = chunk
+        if self._fresh and chunk:
+            self._fresh = False
+            if chunk[0] == "\ufeff":
+                # Step over it, so buffer offsets stay source offsets.
+                self._pos = 1
         self._run()
 
     def close(self) -> None:

@@ -71,9 +71,9 @@ class EagerXPushMachine:
         self._other_element = "\x00other"
         self._other_attribute = "@\x00other"
 
-        # t_value: one entry per elementary value class.
+        # t_value: one entry per answer of an elementary value class.
         self.index.precompute()
-        self.value_states: dict = {}
+        self.value_states: dict[int, int] = {}
         for key, mask in self.index.precomputed_items():
             self.value_states[key] = self._intern(bits_of(mask))
 
@@ -156,7 +156,7 @@ class EagerXPushMachine:
         key = self.index.key_of(raw)
         uid = self.value_states.get(key)
         if uid is None:
-            uid = self._intern(self.index.lookup(raw))
+            uid = self._intern(bits_of(self.index.mask_of(key)))
             self.value_states[key] = uid
         return uid
 

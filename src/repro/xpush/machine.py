@@ -22,7 +22,7 @@ text, and every attribute, reaches the machine from the scanners as
 one ``leaf(label, value)`` call (:mod:`repro.xmlstream.events`), and
 the machine answers it from the parent's top-down state alone: the
 t_pop entry that ``startElement``, ``text`` and ``endElement`` end in
-is a function of that state, the label and the value's index key, so
+is a function of that state, the label and the value's answer id, so
 it is stored there once (``leaf_table``) and a warm leaf costs one
 probe instead of four.
 
@@ -198,8 +198,11 @@ class XPushMachine:
         #: monotonic number ``on_result`` will carry for the document.
         self.on_match: Callable[[str, int, int], None] | None = None
         # Event counter behind ``on_match``'s event_index: startDocument
-        # is event 0, each subsequent SAX event pre-increments.
-        self._event_index = 0
+        # is event 0, each subsequent SAX event pre-increments.  It is
+        # also the one per-event count: ``_counted`` says how many of
+        # the current document's events ``stats.events`` already holds.
+        self._event_index = -1
+        self._counted = 0
 
         if self.options.train:
             self.warm_up(seed=training_seed)
@@ -374,17 +377,22 @@ class XPushMachine:
     # ------------------------------------------------------------------
 
     def start_document(self) -> None:
-        self.stats.events += 1
+        self._settle_events()  # a document abandoned mid-way, if any
         self._qt = self.qt0
         self._qb = self.store.empty
         self._sp = 0
         self._content = 0
         self._early = set()
         self._event_index = 0
+        self._counted = 0
+
+    # The callbacks below keep the hit path to its probes: ``events`` is
+    # settled per document from ``_event_index``, a hit is a lookup that
+    # did not miss, and a reference bit is set on what a probe returns
+    # only — the table owners are registers, marked when they became one
+    # (see the CLOCK invariant in repro.xpush.state).
 
     def start_element(self, label: str) -> None:
-        stats = self.stats
-        stats.events += 1
         self._event_index += 1
         is_attribute = label.startswith("@")
         if not is_attribute and self._content == 1:
@@ -401,58 +409,52 @@ class XPushMachine:
             stack[sp] = frame
         self._sp = sp + 1
         self._content = 0
-        qt.ref = True  # the probed table's owner is hot (CLOCK bit)
-        stats.lookups += 1
+        self.stats.lookups += 1
         nxt = qt.push_table.get(label)
         if nxt is None:
+            self.stats.misses += 1
             nxt = self._compute_push(qt, label)
         else:
-            stats.hits += 1
             nxt.ref = True  # a used memo entry keeps its target hot
         self._qt = nxt
         self._qb = self.store.empty
 
     def text(self, value: str) -> None:
-        stats = self.stats
-        stats.events += 1
         self._event_index += 1
         if self._content == 2:
             raise MixedContentError("text after element children in the same parent")
         self._content = 1
         qt = self._qt
-        qt.ref = True
+        stats = self.stats
         key = self.index.key_of(value)
         stats.lookups += 1
         terminal_state = qt.value_table.get(key)
         if terminal_state is None:
-            terminal_state = self._compute_value(qt, key, value)
+            stats.misses += 1
+            terminal_state = self._compute_value(qt, key)
         else:
-            stats.hits += 1
             terminal_state.ref = True
         if terminal_state.size:
-            # t_badd hit path, inlined (see _badd_* for the miss).
+            # t_badd hit path, inlined (see _badd for the miss).
             qb = self._qb
-            qb.ref = True
             stats.lookups += 1
             out = qb.add_table.get(terminal_state.uid)
             if out is None:
+                stats.misses += 1
                 out = self._badd(qb, terminal_state)
             else:
-                stats.hits += 1
                 out.ref = True  # a used memo entry keeps its target hot
             self._qb = out
 
     def end_element(self, label: str) -> None:
-        stats = self.stats
-        stats.events += 1
         self._event_index += 1
         sp = self._sp - 1
         if sp < 0:
             raise EventStreamError(
                 f"endElement({label}) with no open element: unbalanced event stream"
             )
+        stats = self.stats
         qb = self._qb
-        qb.ref = True
         qt = self._qt
         stack = self._stack
         frame = stack[sp]
@@ -467,9 +469,9 @@ class XPushMachine:
         stats.lookups += 1
         entry = qb.pop_table.get(pop_key)
         if entry is None:
+            stats.misses += 1
             entry = self._compute_pop(qb, label, qt, parent_qt, pop_key)
         else:
-            stats.hits += 1
             # The lifted state is consumed by _badd below, never probed
             # as a register — a hit here is its only recency signal.
             entry[0].ref = True
@@ -479,14 +481,13 @@ class XPushMachine:
         self._qt = parent_qt
         self._content = parent_content
         if lifted.size:
-            # t_badd hit path, inlined (see _badd_* for the miss).
-            parent_qb.ref = True
+            # t_badd hit path, inlined (see _badd for the miss).
             stats.lookups += 1
             out = parent_qb.add_table.get(lifted.uid)
             if out is None:
+                stats.misses += 1
                 out = self._badd(parent_qb, lifted)
             else:
-                stats.hits += 1
                 out.ref = True  # a used memo entry keeps its target hot
             self._qb = out
         else:
@@ -500,24 +501,23 @@ class XPushMachine:
         decide: the mixed-content rule, early notification at the end
         event's index, and the t_badd of the lifted state into the
         parent's bottom-up state."""
-        stats = self.stats
-        stats.events += 3
         if label[0] != "@":
             if self._content == 1:
+                self._event_index += 1  # the start event is the one refused
                 raise MixedContentError(
                     f"element <{label}> opened after text in the same parent"
                 )
             self._content = 2
+        stats = self.stats
         qt = self._qt
-        qt.ref = True
         key = self.index.key_of(value)
         stats.lookups += 1
         row = qt.leaf_table.get(label)
         entry = None if row is None else row.get(key)
         if entry is None:
-            entry = self._compute_leaf(qt, label, key, value)
+            stats.misses += 1
+            entry = self._compute_leaf(qt, label, key)
         else:
-            stats.hits += 1
             entry[0].ref = True
         self._event_index += 3
         lifted, notified = entry
@@ -525,13 +525,12 @@ class XPushMachine:
             self._notify(notified)
         if lifted.size:
             qb = self._qb
-            qb.ref = True
             stats.lookups += 1
             out = qb.add_table.get(lifted.uid)
             if out is None:
+                stats.misses += 1
                 out = self._badd(qb, lifted)
             else:
-                stats.hits += 1
                 out.ref = True
             self._qb = out
 
@@ -554,14 +553,13 @@ class XPushMachine:
                 hook(oid, seq, event_index)
 
     def end_document(self) -> frozenset[str]:
-        stats = self.stats
-        stats.events += 1
         self._event_index += 1
+        self._settle_events()
         if self._sp:
             raise EventStreamError(
                 f"endDocument with {self._sp} unclosed element(s)"
             )
-        stats.documents += 1
+        self.stats.documents += 1
         accepted = self._qb.accepts
         if self._early:
             accepted = accepted | frozenset(self._early)
@@ -577,6 +575,14 @@ class XPushMachine:
                 if oid not in early:
                     hook(oid, seq, event_index)
         return self._record_result(accepted)
+
+    def _settle_events(self) -> None:
+        """Count the current document's events into ``stats.events``:
+        at ``end_document``, or what a document abandoned mid-way
+        consumed, when the next one starts or the driving call ends."""
+        consumed = self._event_index + 1
+        self.stats.events += consumed - self._counted
+        self._counted = consumed
 
     def _record_result(self, accepted: frozenset[str]) -> frozenset[str]:
         """Route one finished document's answer through the result
@@ -633,13 +639,13 @@ class XPushMachine:
         self.store.note_entries(1)
         return nxt
 
-    def _compute_value(self, qt: XPushTopState, key: Hashable, value: str) -> XPushState:
-        """t_value has no runtime-specific part: the index answers with
-        a state-set mask (memoised per key, so a key another top-down
-        state already asked about costs one probe), the top-down state
-        restricts the answer to its enabled set."""
+    def _compute_value(self, qt: XPushTopState, key: int) -> XPushState:
+        """t_value has no runtime-specific part: *key* names the index's
+        answer, a state-set mask (computed once, when :meth:`key_of`
+        issued the id), and the top-down state restricts it to its
+        enabled set."""
         self.stats.value_computed += 1
-        mask = self.index.lookup_mask(value)
+        mask = self.index.mask_of(key)
         if qt.mask is not None:
             mask &= qt.mask
         state = self.store.intern_bottom(mask)
@@ -733,7 +739,7 @@ class XPushMachine:
         return out
 
     def _compute_leaf(
-        self, qt: XPushTopState, label: str, key: Hashable, value: str
+        self, qt: XPushTopState, label: str, key: int
     ) -> tuple[XPushState, frozenset[str]]:
         """A leaf memo miss: Fig. 2's three steps from *qt* — t_push,
         t_value merged into the empty state with t_badd, t_pop — each
@@ -746,7 +752,7 @@ class XPushMachine:
             nxt = self._compute_push(qt, label)
         terminal_state = nxt.value_table.get(key)
         if terminal_state is None:
-            terminal_state = self._compute_value(nxt, key, value)
+            terminal_state = self._compute_value(nxt, key)
         qb = self.store.empty
         if terminal_state.size:
             out = qb.add_table.get(terminal_state.uid)
@@ -793,6 +799,7 @@ class XPushMachine:
             dispatch(events, self)
         finally:
             self._collect = previous
+            self._settle_events()
         return collected
 
     def filter_stream(
@@ -816,6 +823,7 @@ class XPushMachine:
             self.stats.bytes_processed += parse_into(source, self, backend=backend)
         finally:
             self._collect = previous
+            self._settle_events()
         return collected
 
     def filter_document(self, document: Document) -> frozenset[str]:

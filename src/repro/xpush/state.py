@@ -19,7 +19,7 @@ repr, tracing, dot export and the differential tests.
   ``t_value`` memo tables (without top-down pruning there is exactly
   one, matching the paper's single-``qt0`` bottom-up machine), and the
   *leaf* memo: for a child that holds only text, the pop entry the
-  child's three events end in, keyed by label and value key;
+  child's three events end in, keyed by label and the value's answer id;
 - :class:`StateStore` is the signature-indexed intern table; it also
   carries the counters (states created, sizes) behind Figs. 6/7/10/11
   and the byte-level memory accounting behind the Sec. 6 memory
@@ -31,6 +31,17 @@ dict probes once the relevant states exist, which is the O(1) per-event
 claim of Sec. 3.1.  Uids are drawn from monotonic counters (never
 reused), so a memo entry keyed on an evicted state's uid can go stale
 but can never alias a later state.
+
+CLOCK reference bits (``ref``, read by :meth:`StateStore.sweep_epoch`)
+are set where a state is *returned*, never where its table is probed:
+by an intern (:meth:`StateStore.intern_bottom` / ``intern_top``) and by
+the machine on every memo hit's target.  That is enough because of one
+invariant.  Within a document every register and stack state —
+everything whose tables the machine probes — is one of those, or a
+sweep root (``empty``, ``qt0``, the registers ``_qb`` / ``_qt``), and
+sweeps run only at document boundaries.  So a probed table's owner was
+marked in the current epoch when it became a register, and marking it
+again on each probe would change nothing.
 
 Memory accounting is an estimate, deliberately cheap: interning a state
 adds a calibrated per-object cost plus 8 bytes per member sid, and
@@ -145,7 +156,7 @@ class XPushTopState:
 
     ``leaf_table[label][key]`` is what ``start_element(label);
     text(v); end_element(label)`` computes under this state, for a
-    value *v* with index key *key*: the t_pop entry ``(lifted,
+    value *v* whose answer id is *key*: the t_pop entry ``(lifted,
     notified)`` of Fig. 2's three steps, stored once (``XPushMachine.leaf``).
     Each inner entry counts as one memo entry.
     """
@@ -158,8 +169,8 @@ class XPushTopState:
         self._sids: frozenset[int] | None = None  # lazy view of the mask
         self.ref = True  # CLOCK reference bit (second-chance eviction)
         self.push_table: dict[str, "XPushTopState"] = {}  # t_push memo
-        self.value_table: dict[Hashable, "XPushState"] = {}  # t_value memo
-        self.leaf_table: dict[str, dict[Hashable, tuple["XPushState", frozenset[str]]]] = {}
+        self.value_table: dict[int, "XPushState"] = {}  # t_value memo, by answer id
+        self.leaf_table: dict[str, dict[int, tuple["XPushState", frozenset[str]]]] = {}
 
     @property
     def leaf_entries(self) -> int:

@@ -19,6 +19,13 @@ from dataclasses import dataclass
 class MachineStats:
     """Mutable counters updated on the machine's hot path.
 
+    The machine keeps the per-event cost of its books to one write per
+    probe (``lookups``): ``misses`` is counted on the miss path only,
+    ``hits`` is derived from the two, and ``events`` is settled once per
+    document, at ``endDocument`` — a document abandoned mid-way is
+    settled when the next one starts, or when the machine's own
+    ``filter_stream`` / ``process_events`` call ends.
+
     ``resident_bytes`` and ``table_entries`` are *gauges* mirrored from
     the machine's :class:`~repro.xpush.state.StateStore` at every
     document boundary; ``codegen_compile_ms`` and ``codegen_handlers``
@@ -31,7 +38,7 @@ class MachineStats:
     documents: int = 0
     bytes_processed: int = 0
     lookups: int = 0  # probes of t_push/t_value/t_pop/t_badd and leaf tables
-    hits: int = 0  # probes answered from an existing entry
+    misses: int = 0  # probes that found no entry and computed one
     pop_computed: int = 0
     add_computed: int = 0
     value_computed: int = 0
@@ -46,6 +53,11 @@ class MachineStats:
     table_entries: int = 0  # gauge: live memo-table entries
 
     @property
+    def hits(self) -> int:
+        """Probes answered from an existing entry."""
+        return self.lookups - self.misses
+
+    @property
     def hit_ratio(self) -> float:
         """Successful lookups / total lookups (Fig. 8)."""
         return self.hits / self.lookups if self.lookups else 0.0
@@ -55,6 +67,7 @@ class MachineStats:
             field.name: getattr(self, field.name)
             for field in dataclasses.fields(self)
         }
+        out["hits"] = self.hits
         out["hit_ratio"] = self.hit_ratio
         # Historical alias: early consumers read "bytes"; keep it in
         # step with the attribute's real name.

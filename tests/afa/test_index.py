@@ -1,9 +1,13 @@
 """Tests for the atomic predicate index (vs. brute-force scans)."""
 
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.afa import index as index_module
 from repro.afa.index import AtomicPredicateIndex
 from repro.afa.predicates import AtomicPredicate
 
@@ -98,7 +102,9 @@ def test_precompute_covers_all_intervals():
         [AtomicPredicate("=", 1), AtomicPredicate(">", 2), AtomicPredicate("=", "abc")]
     )
     cached = index.precompute()
-    assert cached >= 5
+    # Eight elementary intervals, four distinct answers: {}, {=1},
+    # {>2}, {="abc"}; an id names an answer, not an interval.
+    assert cached == 4
     # Lookups after precompute are all hits for in-range values.
     before = index.hits
     index.lookup("1")
@@ -164,7 +170,11 @@ def test_lookup_mask_is_the_memoised_answer():
     assert index.lookup_mask("x") == 0b100
     assert index.lookup("7") == {1, 2}  # the set view of the same memo
     assert (index.lookups, index.hits) == (4, 1)
-    assert dict(index.precomputed_items())[index.key_of("7")] == 0b110
+    # The key is the answer's id: a small int, one per answer.
+    key = index.key_of("7")
+    assert isinstance(key, int) and index.key_of("8") == key != index.key_of("1")
+    assert index.mask_of(key) == 0b110
+    assert dict(index.precomputed_items())[key] == 0b110
 
 
 def test_empty_substring_patterns_are_always_true():
@@ -181,3 +191,87 @@ def test_empty_substring_patterns_are_always_true():
     )
     for value in ["", "a", "ab", "abc", "abcd", "xy", "xbc", "bcx"]:
         assert index.lookup(value) == brute(predicates, value), value
+
+
+# -- answer ids ------------------------------------------------------------
+
+ANSWER_PREDICATES = st.one_of(
+    st.builds(
+        AtomicPredicate,
+        st.sampled_from(["=", "!=", "<", "<=", ">", ">="]),
+        st.sampled_from([-2, 0, 1, 2.5, float("inf"), "1", "a", "ab", "b", "nan", "inf"]),
+    ),
+    st.builds(
+        AtomicPredicate,
+        st.sampled_from(["contains", "starts-with"]),
+        st.sampled_from(["a", "ab", "b", "1", "n", " a"]),
+    ),
+)
+ANSWER_VALUES = [
+    "nan", " nan ", "NaN", "inf", " inf", "-inf", "0", " 0 ", "-0", "1", "1.0",
+    " 1 ", "2.5", "3", "-2", "a", " a", "ab", "abc", "b", "ba", "x a", "", "   ",
+]  # fmt: skip
+
+
+def _oracle(predicates, value):
+    return sum(1 << i for i, predicate in enumerate(predicates) if predicate.test(value))
+
+
+@given(st.lists(ANSWER_PREDICATES, max_size=12), st.permutations(ANSWER_VALUES))
+@settings(max_examples=200, deadline=None)
+def test_answer_ids_are_equal_exactly_when_answers_are(predicates, values):
+    index, _ = build_index(predicates)
+    ids = {value: index.key_of(value) for value in values}
+    masks = {value: index.lookup_mask(value) for value in values}
+    for a in values:
+        assert masks[a] == _oracle(predicates, a), a
+        assert index.mask_of(ids[a]) == masks[a]
+        for b in values:
+            assert (ids[a] == ids[b]) == (masks[a] == masks[b]), (a, b)
+
+
+@given(
+    st.lists(ANSWER_PREDICATES, min_size=1, max_size=12),
+    st.lists(st.sampled_from(ANSWER_VALUES), min_size=1, max_size=60),
+    st.integers(1, 4),
+)
+@settings(max_examples=150, deadline=None)
+def test_answer_ids_are_never_reused_across_clears(predicates, values, limit):
+    index, _ = build_index(predicates)
+    named: dict[int, int] = {}  # every id ever issued -> its answer
+    with mock.patch.object(index_module, "KEY_CACHE_LIMIT", limit):
+        for value in values:
+            key = index.key_of(value)
+            mask = index.mask_of(key)
+            assert named.setdefault(key, mask) == mask == _oracle(predicates, value)
+            assert len(index.precomputed_items()) <= limit  # the tables stay bounded
+
+
+def test_a_known_answer_gets_a_fresh_id_after_a_clear():
+    index, _ = build_index([AtomicPredicate("=", 1), AtomicPredicate("=", 2)])
+    with mock.patch.object(index_module, "KEY_CACHE_LIMIT", 2):
+        first = index.key_of("1")
+        assert index.key_of(" 1 ") == first  # same answer, same id
+        issued = {first, index.key_of("2"), index.key_of("x")}  # "x": the tables clear
+        again = index.key_of("1")
+    assert len(issued) == 3 and again not in issued
+    assert index.mask_of(again) == 0b01
+
+
+@given(st.lists(ANSWER_PREDICATES.filter(lambda p: p.op not in ("contains", "starts-with")),
+                max_size=12), st.permutations(ANSWER_VALUES))
+@settings(max_examples=150, deadline=None)
+def test_precomputed_ids_are_the_ones_lookups_return(predicates, values):
+    index, _ = build_index(predicates)
+    index.precompute()
+    precomputed = dict(index.precomputed_items())
+    by_answer = {mask: key for key, mask in precomputed.items()}
+    assert len(by_answer) == len(precomputed)  # one id per answer
+    for value in values:
+        mask = _oracle(predicates, value)
+        key = index.key_of(value)
+        assert index.lookup_mask(value) == mask
+        if mask in by_answer:
+            assert key == by_answer[mask], value
+        else:
+            assert key not in precomputed

@@ -11,6 +11,7 @@ attribute values.
 
 from __future__ import annotations
 
+import io
 import string
 
 import pytest
@@ -19,7 +20,8 @@ from hypothesis import strategies as st
 
 from repro.errors import MixedContentError, XMLSyntaxError
 from repro.service.engine import ShardedFilterEngine
-from repro.xmlstream.parser import expat_events, parse_events
+from repro.xmlstream.parser import expat_events, iterparse, parse_events
+from repro.xmlstream.split import split_documents
 from repro.xmlstream.writer import document_to_xml, stream_to_xml
 from repro.xpath.parser import parse_xpath
 from repro.xpush.machine import XPushMachine
@@ -71,6 +73,44 @@ def test_corpus_event_streams_identical(text):
 def test_not_well_formed_rejected_by_both_backends(backend, text):
     with pytest.raises(XMLSyntaxError):
         parse_events(text, backend=backend)
+
+
+BOM = "\ufeff"
+
+
+@pytest.mark.parametrize("backend", ["python", "expat"])
+def test_leading_byte_order_mark_accepted_by_both_backends(backend):
+    # XML 1.0 lets a UTF-8 entity open with a byte-order mark.
+    stream = "<r><c>1</c></r><s/>"
+    events = parse_events(stream, backend="python")
+    encoded = (BOM + stream).encode("utf-8")
+    assert parse_events(BOM + stream, backend=backend) == events
+    assert parse_events(encoded, backend=backend) == events
+    # One byte per read: the mark's three bytes straddle every boundary.
+    assert list(iterparse(io.BytesIO(encoded), chunk_size=1, backend=backend)) == events
+    machine = XPushMachine.from_xpath({"r": "//r[c = 1]", "s": "/s"})
+    answers = [frozenset({"r"}), frozenset({"s"})]
+    assert machine.filter_stream(encoded, backend=backend) == answers
+    assert machine.filter_stream(io.BytesIO(encoded), backend=backend) == answers
+    # The mark travels with the first document, which parses alone.
+    slices = split_documents(encoded, backend)
+    assert [parse_events(piece, backend=backend) for piece in slices] == [
+        events[:7],
+        events[7:],
+    ]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [BOM + BOM + "<r/>", " " + BOM + "<r/>", "<r/>" + BOM + "<s/>", "<!-- c -->" + BOM + "<r/>"],
+    ids=["twice", "after-space", "between-documents", "after-comment"],
+)
+@pytest.mark.parametrize("backend", ["python", "expat"])
+def test_byte_order_mark_elsewhere_rejected_by_both_backends(backend, text):
+    with pytest.raises(XMLSyntaxError):
+        parse_events(text, backend=backend)
+    with pytest.raises(XMLSyntaxError):
+        split_documents(text.encode("utf-8"), backend)
 
 
 def _dataset_corpus(docs, extra=()):

@@ -132,6 +132,36 @@ def test_soak_resident_bytes_stay_under_bound():
     assert machine.stats.resident_bytes == resident
 
 
+@pytest.mark.parametrize(
+    "options",
+    [replace(TD, early=True), XPushOptions(top_down=True), XPushOptions()],
+    ids=lambda o: o.describe(),
+)
+def test_a_sweep_after_every_document_changes_no_emission(
+    options, memory_workload, memory_stream, protein
+):
+    """CLOCK marks only what probes return: at a bound every document
+    boundary sweeps under, answers and every ``on_match`` emission are
+    the unbounded machine's, and the books balance."""
+    workload = build_workload_automata(memory_workload)
+
+    def run(machine):
+        emitted = []
+        machine.on_match = lambda oid, doc, event: emitted.append((doc, event, oid))
+        return machine.filter_stream(memory_stream), sorted(emitted)
+
+    expected = run(XPushMachine(workload, options, dtd=protein.dtd))
+    machine = XPushMachine(workload, replace(options, max_memory_bytes=1), dtd=protein.dtd)
+    swept = []
+    machine.on_result = lambda index, oids: swept.append(machine.stats.gc_states)
+    assert run(machine) == expected
+    # on_result runs before its document's sweep: each sample is one
+    # sweep later than the last, and every sweep collects states.
+    assert all(later > earlier for earlier, later in zip(swept, swept[1:]))
+    entries, resident = machine.store.recount()
+    assert (machine.store.table_entries, machine.store.resident_bytes) == (entries, resident)
+
+
 def test_clock_survives_bound_below_working_set(memory_workload, memory_stream):
     """A bound smaller than the working set cannot be honoured by the
     epoch sweep alone — the forced cycle must still terminate, keep the
