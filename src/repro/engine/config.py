@@ -71,14 +71,18 @@ class EngineConfig:
         rebalance_interval: under ``placement="cost"``, check the
             imbalance gauge and auto-rebalance every N processed
             batches (0 = manual rebalancing only).
-        batch_size: documents per work item fanned out to the shards.
+        batch_size: documents per work item fanned out to the shards
+            by ``filter_batch`` / ``filter_events``, whose documents the
+            parent holds; a ``filter_stream`` call is one item whatever
+            its size (its source is shipped whole).
         queue_depth: max in-flight work items (backpressure bound).
         parallel: force worker processes on (True), off (False) or
             auto (None = processes when ``shards > 1``).
         warm: warm each shard machine via ``warm_up()`` at boot.
         training_seed: seed for the warm-up document generator.
         result_timeout: seconds of no shard progress before a batch is
-            declared stuck.
+            declared stuck — for ``filter_stream``, one call's whole
+            filtering on a shard.
     """
 
     engine: str = "layered"

@@ -35,25 +35,29 @@ every batch is answered entirely pre-update or entirely post-update.
 Batch replies carry the shard's ``applied_epoch``, so answers are
 attributable to a workload version.
 
-**Data plane** — one for both kinds of shard.  ``filter_stream`` runs
-one boundary scan over the source
-(:func:`~repro.xmlstream.split.split_documents`: well-formed or
-:class:`~repro.errors.XMLSyntaxError`, before anything is shipped) and
-submits every shard the source's own UTF-8 slice per document;
-``filter_batch`` submits ``document_to_xml`` texts.  The parent builds
-no DOM.  Every shard answers in :func:`~repro.service.worker.run_batch`'s
-messages and ``_fold`` alone reads them: match dedupe, epoch tags and a
-failed batch (:class:`ServiceError`) work alike for both.  ``parallel``
-decides only where a reply is read and what the critical path records.
-An in-process shard answers inside ``submit`` (its ``on_match`` calls
-arrive as it finishes the batch) and the path is modelled as the
-slowest shard's ``batch_s``; a worker's replies are awaited with
-``multiprocessing.connection.wait`` on every result pipe and process
-sentinel, and the path is the wall time to the last reply.  In-flight
-batches are capped at ``queue_depth``.  A dead worker is restarted,
-every batch it had not answered is resubmitted (re-answered at the
-*current* epoch), and duplicates from the pre-crash incarnation are
-discarded idempotently.
+**Data plane** — one for both kinds of shard.  The parent parses
+nothing.  ``filter_stream`` submits the publisher's UTF-8 bytes whole,
+as one work item, to every shard: each shard's parse is the source's
+only parse, its well-formedness check and its document count (the first
+complete reply fixes the count; every other shard must agree).
+``filter_batch`` submits ``document_to_xml`` texts cut into
+``batch_size`` items; ``queue_depth`` caps the items in flight.  Every
+shard answers in :func:`~repro.service.worker.run_batch`'s messages and
+``_fold`` alone reads them: match dedupe, epoch tags and a failed item
+work alike for both.  A shard that refuses an item reports its error's
+class and text, and the parent re-raises a library error as itself — a
+malformed source is the serial engine's
+:class:`~repro.errors.XMLSyntaxError`, word for word — and anything
+else as :class:`ServiceError`.  ``parallel`` decides only where a reply
+is read and what the critical path records.  An in-process shard
+answers inside ``submit`` (its ``on_match`` calls arrive as it finishes
+the item) and the path is modelled as the slowest shard's ``batch_s``;
+a worker's replies are awaited with ``multiprocessing.connection.wait``
+on every result pipe and process sentinel, and the path is the wall
+time to the last reply.  A dead worker is restarted, every item it had
+not answered — a whole ``filter_stream`` source included — is
+resubmitted (re-answered at the *current* epoch), and duplicates from
+the pre-crash incarnation are discarded idempotently.
 """
 
 from __future__ import annotations
@@ -63,10 +67,11 @@ from dataclasses import replace
 from functools import partial
 from typing import IO, Any, Iterable, Mapping, Sequence, Union, cast
 
+from repro import errors
 from repro.engine.config import EngineConfig
 from repro.engine.factory import engine_names
 from repro.engine.protocol import MatchHook
-from repro.errors import WorkloadError
+from repro.errors import ReproError, WorkloadError
 from repro.service.latency import LatencyTracker
 from repro.service.placement import (
     CostModel,
@@ -82,13 +87,18 @@ from repro.service.shard import DocumentText, LocalShard, ServiceError, WorkerSh
 from repro.service.worker import build_payload
 from repro.xmlstream.dom import Document, documents_of_events
 from repro.xmlstream.events import EndDocument, Event
-from repro.xmlstream.split import split_documents
+from repro.xmlstream.parser import _encode_utf8
 from repro.xmlstream.writer import document_to_xml
 from repro.xpath.ast import XPathFilter
 from repro.xpath.parser import parse_workload, parse_xpath
 from repro.xpush.options import XPushOptions
 
 __all__ = ["ServiceError", "ShardedFilterEngine"]
+
+#: One work item: the texts every shard filters, and their document
+#: count — ``None`` for a ``filter_stream`` source, whose count only
+#: the shards' parse can tell.
+WorkItem = tuple[list[DocumentText], Union[int, None]]
 
 #: ``snapshot()`` format tag of the sharded engine itself.
 SNAPSHOT_FORMAT = "repro-sharded-engine"
@@ -137,6 +147,23 @@ def _known_inner(inner: str) -> str:
     if inner not in engine_names():
         raise WorkloadError(f"unknown inner engine {inner!r}; known: {engine_names()}")
     return inner
+
+
+def _shard_error(shard_id: int, batch_id: int | None, name: str, text: str) -> ReproError:
+    """A shard's failure as the parent raises it.  Every shard parses
+    the same bytes with the same backend, so an item one refuses with a
+    library error (``XMLSyntaxError``, ``MixedContentError``, …) is
+    re-raised as that error with the same text — what the serial engine
+    raises on the source.  Anything else — an inner engine's internal
+    error, a failed boot or update — is a :class:`ServiceError`."""
+    error_type = getattr(errors, name, None)
+    if (
+        batch_id is not None
+        and isinstance(error_type, type)
+        and issubclass(error_type, ReproError)
+    ):
+        return error_type(text)
+    return ServiceError(f"shard {shard_id} failed on batch {batch_id}: {name}: {text}")
 
 
 def _snapshot_sources(snap: dict | None) -> dict[str, str]:
@@ -491,22 +518,20 @@ class ShardedFilterEngine:
 
     def filter_batch(self, documents: Iterable[Document]) -> list[frozenset[str]]:
         """Filter *documents*; one oid-set per document, serial-identical.
-        Each shard parses its own serialised copy of every document."""
-        return self._filter([document_to_xml(doc) for doc in documents])
+        Each shard parses its own serialised copy of every document; the
+        call is cut into ``batch_size``-document work items."""
+        texts = [document_to_xml(doc) for doc in documents]
+        size = self.config.batch_size
+        chunks = [texts[offset : offset + size] for offset in range(0, len(texts), size)]
+        return self._filter([(chunk, len(chunk)) for chunk in chunks])
 
-    def _filter(self, texts: Sequence[DocumentText]) -> list[frozenset[str]]:
-        """The one data path: single-document *texts* fanned out to
-        every shard, plus the bookkeeping every filter call shares."""
+    def _filter(self, items: Sequence[WorkItem]) -> list[frozenset[str]]:
+        """The one data path: *items* fanned out to every shard, plus
+        the bookkeeping every filter call shares."""
         self._check_open()
-        if not texts:
+        if not items:
             return []
-        self.documents += len(texts)
-        if not self._routing:
-            # No live filter can match; tombstoned machines would only
-            # produce answers the merge drops anyway.
-            self.batches += 1
-            return [frozenset()] * len(texts)
-        results = self._fan_out(texts)
+        results = self._fan_out(items)
         # Live selectivity feedback: fold the answered match rates into
         # the cost model, then let hot-shard detection act on them.
         self._cost.observe(results)
@@ -520,45 +545,50 @@ class ShardedFilterEngine:
             self.maybe_rebalance()
         return results
 
-    def _fan_out(self, texts: Sequence[DocumentText]) -> list[frozenset[str]]:
-        merged: list[set[str]] = [set() for _ in texts]
+    def _fan_out(self, items: Sequence[WorkItem]) -> list[frozenset[str]]:
         outstanding: dict[int, dict] = {}
+        entries: list[dict] = []
         emit = self.on_match is not None
-        batch_size, queue_depth = self.config.batch_size, self.config.queue_depth
+        offset = 0  # an item of unknown size is a call's only item
         try:
-            for offset in range(0, len(texts), batch_size):
-                while len(outstanding) >= queue_depth:
-                    self._fold(self._receive(outstanding), outstanding, merged)
-                chunk = texts[offset : offset + batch_size]
+            for texts, size in items:
+                while len(outstanding) >= self.config.queue_depth:
+                    self._fold(self._receive(outstanding), outstanding)
                 self._batch_counter += 1
                 batch_id = self._batch_counter
-                outstanding[batch_id] = {
+                entry = {
                     "offset": offset,
-                    "size": len(chunk),
+                    # The item's document count: None until the first
+                    # complete reply fixes it.
+                    "size": size,
+                    "merged": [],
                     "waiting": set(self._shards),
                     "started": time.perf_counter(),
                     # The slowest shard's own batch seconds so far.
                     "slowest": 0.0,
                     # Event-time delivery bookkeeping: (doc_offset, oid)
-                    # pairs already delivered (resubmitted batches
+                    # pairs already delivered (resubmitted items
                     # re-stream their matches), and doc offsets whose
                     # first match has been latency-recorded.
                     "emitted": set(),
                     "firsts": set(),
                 }
+                offset += size or 0
+                entries.append(entry)
+                outstanding[batch_id] = entry
                 for shard in self._shards.values():
-                    shard.submit(batch_id, chunk, emit)
+                    shard.submit(batch_id, texts, emit)
             while outstanding:
-                self._fold(self._receive(outstanding), outstanding, merged)
+                self._fold(self._receive(outstanding), outstanding)
         finally:
             # A call that gave up (a shard reported an error, nothing
-            # moved for result_timeout) abandons its batches: a later
+            # moved for result_timeout) abandons its items: a later
             # restart must not resubmit them, and _fold drops whatever
             # of theirs is still queued.  Empty on success.
             for batch_id in outstanding:
                 for shard in self._workers.values():
                     shard.pending.pop(batch_id, None)
-        return [frozenset(s) for s in merged]
+        return [frozenset(oids) for entry in entries for oids in entry["merged"]]
 
     def _receive(self, outstanding: dict[int, dict]) -> tuple:
         """The next shard message, restarting workers that die first.
@@ -611,7 +641,7 @@ class ShardedFilterEngine:
                 if shard.dead:
                     shard.restart()
 
-    def _fold(self, message: tuple, outstanding: dict[int, dict], merged: list[set[str]]) -> None:
+    def _fold(self, message: tuple, outstanding: dict[int, dict]) -> None:
         """Apply one shard message to the call's in-flight state."""
         kind = message[0]
         if kind == "ready":
@@ -646,10 +676,10 @@ class ShardedFilterEngine:
                 )
             return
         if kind == "error":
-            _, shard_id, batch_id, text = message
+            _, shard_id, batch_id, name, text = message
             if batch_id is not None and batch_id not in outstanding:
                 return  # the other shards' word on a batch already given up on
-            raise ServiceError(f"shard {shard_id} failed on batch {batch_id}: {text}")
+            raise _shard_error(shard_id, batch_id, name, text)
         _, shard_id, batch_id, answers, info = message
         shard = self._workers.get(shard_id)
         info_entry = outstanding.get(batch_id)
@@ -658,18 +688,24 @@ class ShardedFilterEngine:
             shard.pending.pop(batch_id, None)
         if info_entry is None or shard_id not in info_entry["waiting"]:
             return  # duplicate from a pre-crash incarnation
-        if len(answers) != info_entry["size"]:
+        size = info_entry["size"]
+        if size is None:  # the first complete reply fixes the count
+            size = info_entry["size"] = len(answers)
+        if len(answers) != size:
             raise ServiceError(
-                f"shard {shard_id} returned {len(answers)} answers for a "
-                f"batch of {info_entry['size']} documents"
+                f"shard {shard_id} returned {len(answers)} answers for an "
+                f"item of {size} documents"
             )
         info_entry["waiting"].discard(shard_id)
         info_entry["slowest"] = max(info_entry["slowest"], info["batch_s"])
-        offset = info_entry["offset"]
-        for index, oids in enumerate(answers):
-            merged[offset + index] |= oids
+        merged = info_entry["merged"]
+        if not merged:
+            merged.extend(set() for _ in range(size))
+        for mine, oids in zip(merged, answers):
+            mine |= oids
         if not info_entry["waiting"]:
             self.batches += 1
+            self.documents += size
             elapsed = time.perf_counter() - info_entry["started"]
             self.latency.record(elapsed)
             # In-process shards run one after another: model the path.
@@ -714,11 +750,20 @@ class ShardedFilterEngine:
     ) -> list[frozenset[str]]:
         """Filter a (possibly multi-document) XML source.
 
-        The parent only finds the document boundaries and forwards the
-        source's own bytes; a source that is not well-formed raises
-        :class:`~repro.errors.XMLSyntaxError` here, before anything is
-        shipped."""
-        return self._filter(split_documents(source, self.config.backend))
+        The parent parses nothing: it reads a file-like *source* into
+        memory and ships the publisher's UTF-8 bytes whole, as one work
+        item, to every shard, whose parse is the only one.  A source
+        that is not well-formed raises the serial engine's
+        :class:`~repro.errors.XMLSyntaxError`, word for word; the
+        documents ahead of the fault were filtered and may already have
+        fired ``on_match``, as on the layered engine.  ``batch_size``
+        and ``queue_depth`` do not cut a call; ``result_timeout``
+        bounds its filtering on a shard."""
+        if not isinstance(source, (str, bytes)):
+            source = source.read()
+        if isinstance(source, str):
+            source = _encode_utf8(source)
+        return self._filter([([source], None)])
 
     # ------------------------------------------------------------------
     # Persistence

@@ -49,8 +49,8 @@ class ServiceError(ReproError):
     """Raised when the sharded service cannot complete a batch."""
 
 
-#: One document on the wire: a UTF-8 slice of the publisher's source
-#: (``filter_stream``) or a serialised DOM (``filter_batch``).
+#: One text on the wire: the publisher's whole source as UTF-8
+#: (``filter_stream``) or one serialised DOM (``filter_batch``).
 DocumentText = Union[str, bytes]
 
 #: ``boot(epoch)`` → the shard's boot payload, derived by the

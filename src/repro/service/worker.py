@@ -18,12 +18,12 @@ Protocol (plain picklable tuples):
 
 parent → worker, on the shard's task queue:
 
-- ``("batch", batch_id, [text, ...], emit)`` — filter each
-  single-document text, reply with one oid-set per text.  A text is a
-  UTF-8 ``bytes`` slice of the publisher's source, cut by the parent's
-  boundary scan and otherwise untouched (``filter_stream``), or a
+- ``("batch", batch_id, [text, ...], emit)`` — filter each text as a
+  (possibly multi-document) stream, reply with one oid-set per document
+  in text order.  A text is the publisher's whole source as UTF-8
+  ``bytes``, untouched (``filter_stream``: one text per batch), or one
   ``str`` serialised from a DOM (``filter_batch``); either way this
-  worker's parse is the document's only full parse on this shard.
+  worker's parse is the document's only parse on this shard.
   When ``emit`` is true, the worker additionally streams one
   ``("match", ...)`` message per decided match *while the batch is
   still running* (event-time earliest answering), ahead of the final
@@ -48,14 +48,17 @@ dying — even halfway through a frame — reads as end-of-file there):
 - ``("ready", shard_id, info)`` — engine built and warmed;
 - ``("match", shard_id, batch_id, doc_offset, oid, event_index)`` —
   one event-time match decision (``doc_offset`` is the document's
-  position within the batch).  Always precedes the batch reply on the
-  pipe, so the parent has folded every match in by the time the batch
-  completes; resubmitted batches re-stream their matches and the
-  parent dedupes on ``(doc_offset, oid)``;
+  position within the batch's answers).  Always precedes the batch
+  reply on the pipe, so the parent has folded every match in by the
+  time the batch completes; resubmitted batches re-stream their
+  matches and the parent dedupes on ``(doc_offset, oid)``;
 - ``("batch", shard_id, batch_id, [frozenset, ...], info)`` — ``info``
   also carries ``batch_s``, the seconds this batch took on this shard;
-- ``("error", shard_id, batch_id, message)`` — a batch or control
-  failed (bad document, internal error); the parent raises it.
+- ``("error", shard_id, batch_id, name, text)`` — a batch or control
+  failed (bad document, internal error): the class name of the error
+  and its text.  The parent re-raises a failed batch's library error
+  (``XMLSyntaxError``, ``MixedContentError``, …) as itself, anything
+  else as ``ServiceError``.
 
 ``info`` is the inner engine's ``stats()`` plus ``applied_epoch`` — the
 epoch this worker booted at or of the last control message it applied.
@@ -120,7 +123,8 @@ def worker_main(shard_id: int, payload: dict, tasks, results) -> None:
     try:
         engine = build_engine(payload)
     except Exception as error:  # noqa: BLE001 - forwarded to the parent
-        results.send(("error", shard_id, None, f"worker init failed: {error!r}"))
+        text = f"worker init failed: {error}"
+        results.send(("error", shard_id, None, type(error).__name__, text))
         return
     applied_epoch = payload["epoch"]
     busy_s = 0.0
@@ -139,10 +143,11 @@ def worker_main(shard_id: int, payload: dict, tasks, results) -> None:
                 apply_control(engine, op, *args)
                 applied_epoch = epoch
             except Exception as error:  # noqa: BLE001 - forwarded
-                results.send(("error", shard_id, None, f"control {op} failed: {error!r}"))
+                text = f"control {op} failed: {error}"
+                results.send(("error", shard_id, None, type(error).__name__, text))
             continue
         if kind != "batch":
-            results.send(("error", shard_id, None, f"unknown task {kind!r}"))
+            results.send(("error", shard_id, None, "ValueError", f"unknown task {kind!r}"))
             continue
         busy_s = run_batch(engine, shard_id, task, applied_epoch, busy_s, results.send)
 
@@ -169,8 +174,11 @@ def run_batch(
     send: Callable[[tuple], Any],
 ) -> float:
     """Answer one ``("batch", batch_id, texts, emit)`` *task* on
-    *engine* as messages to *send*; returns *busy_s* plus the batch's
-    own seconds, which its reply carries as ``info["batch_s"]``."""
+    *engine* as messages to *send*: each text is filtered as a
+    multi-document stream and the answers are concatenated, so the
+    reply is also the batch's document count.  Returns *busy_s* plus
+    the batch's own seconds, which its reply carries as
+    ``info["batch_s"]``."""
     _, batch_id, texts, emit = task
     doc_base = 0  # the batch offset of the engine's call-relative doc_index
 
@@ -187,7 +195,7 @@ def run_batch(
             doc_base = len(answers)
             answers.extend(engine.filter_stream(text))
     except Exception as error:  # noqa: BLE001 - forwarded to the parent
-        send(("error", shard_id, batch_id, repr(error)))
+        send(("error", shard_id, batch_id, type(error).__name__, str(error)))
         answers = None
     finally:
         engine.on_match = None

@@ -27,6 +27,8 @@ import json
 from typing import TYPE_CHECKING, Any
 from urllib.parse import parse_qs, urlsplit
 
+from repro.serving.protocol import decode_json
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.serving.server import FilterServer
 
@@ -146,7 +148,7 @@ async def _route(
             return 405, {"ok": False, "error": f"{path} is POST"}
         if body:
             try:
-                decoded = json.loads(body.decode("utf-8"))
+                decoded = decode_json(body.decode("utf-8"))
             except (UnicodeDecodeError, ValueError) as error:
                 return 400, {"ok": False, "error": f"bad JSON body: {error}"}
             if not isinstance(decoded, dict):

@@ -13,7 +13,8 @@ Design points, each pinned by ``tests/serving/test_protocol.py``:
   including in the middle of a multi-byte UTF-8 sequence — the decoder
   buffers raw bytes and decodes only complete frames.
 - **Error containment**: a frame whose *body* is malformed (bad JSON,
-  bad UTF-8, or a non-object payload) raises a *recoverable*
+  bad UTF-8, a ``\\uD800``–``\\uDFFF`` escape left unpaired, or a
+  non-object payload) raises a *recoverable*
   :class:`~repro.errors.ProtocolError` — the frame boundary is still
   trustworthy, so the connection skips the bad frame and keeps
   decoding.  A broken *length prefix* (larger than ``max_frame``)
@@ -57,6 +58,40 @@ def encode_frame(payload: Frame) -> bytes:
     return _PREFIX.pack(len(body)) + body
 
 
+def _has_lone_surrogate(value: Any) -> bool:
+    """True when a string anywhere in *value* holds an unpaired UTF-16
+    surrogate, which no UTF-8 encodes."""
+    if isinstance(value, str):
+        if value.isascii():
+            return False
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            return True
+        return False
+    if isinstance(value, dict):
+        return any(
+            _has_lone_surrogate(key) or _has_lone_surrogate(item)
+            for key, item in value.items()
+        )
+    if isinstance(value, list):
+        return any(_has_lone_surrogate(item) for item in value)
+    return False
+
+
+def decode_json(text: str) -> Any:
+    """*text* as JSON, refusing an unpaired ``\\uD800``–``\\uDFFF``
+    escape: JSON lets a string hold one, but a string holding one can
+    never be encoded again — not in a reply, not into a document — so
+    it is refused here, at the wire, rather than wherever it is next
+    encoded (raises ``ValueError``)."""
+    payload = json.loads(text)
+    # Valid UTF-8 never decodes to a surrogate: only an escape can.
+    if "\\u" in text and _has_lone_surrogate(payload):
+        raise ValueError("unpaired UTF-16 surrogate escape")
+    return payload
+
+
 def decode_body(body: bytes) -> Frame:
     """One frame body back into its payload object.
 
@@ -65,7 +100,7 @@ def decode_body(body: bytes) -> Frame:
     frame and continue with the next one.
     """
     try:
-        payload = json.loads(body.decode("utf-8"))
+        payload = decode_json(body.decode("utf-8"))
     except (UnicodeDecodeError, ValueError) as error:
         raise ProtocolError(f"malformed frame body: {error}", recoverable=True) from None
     if not isinstance(payload, dict):

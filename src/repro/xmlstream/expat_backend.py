@@ -42,6 +42,7 @@ from xml.parsers.expat import errors as _expat_errors
 
 from repro.errors import XMLSyntaxError
 from repro.xmlstream.events import EventHandler
+from repro.xmlstream.parser import _encode_utf8
 
 _JUNK_AFTER_DOC = _expat_errors.codes[_expat_errors.XML_ERROR_JUNK_AFTER_DOC_ELEMENT]
 _NO_ELEMENTS = _expat_errors.codes[_expat_errors.XML_ERROR_NO_ELEMENTS]
@@ -222,7 +223,7 @@ class ExpatScanner:
         if self._closed:
             raise XMLSyntaxError("feed() after close()")
         if isinstance(chunk, str):
-            chunk = chunk.encode("utf-8")
+            chunk = _encode_utf8(chunk)
         data = chunk
         while data:
             parser = self._parser

@@ -578,10 +578,22 @@ def _decode_utf8(
         raise _not_utf8(error, offset - held) from None
 
 
-def _utf8_length(chunk: str) -> int:
+def _encode_utf8(text: str, offset: int = 0) -> bytes:
+    """*text* as UTF-8 bytes; a lone surrogate — which a ``str`` can
+    hold and UTF-8 cannot encode — is a syntax error at its character
+    offset in the source (*offset*: where *text* starts there)."""
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as error:
+        raise XMLSyntaxError(
+            f"not encodable as UTF-8 ({error.reason}) at character {offset + error.start}"
+        ) from None
+
+
+def _utf8_length(chunk: str, offset: int = 0) -> int:
     # Pure-ASCII strings (the overwhelmingly common chunk) are free to
     # measure; only genuinely non-ASCII chunks pay for an encode.
-    return len(chunk) if chunk.isascii() else len(chunk.encode("utf-8"))
+    return len(chunk) if chunk.isascii() else len(_encode_utf8(chunk, offset))
 
 
 def parse_into(
@@ -609,6 +621,7 @@ def parse_into(
         scanner.close()
         return total
     total = 0
+    chars = 0  # characters read so far from a text-mode source
     decoder = None
     while True:
         chunk = source.read(chunk_size)
@@ -622,7 +635,8 @@ def parse_into(
             if not chunk:
                 continue
         else:
-            total += _utf8_length(chunk)
+            total += _utf8_length(chunk, chars)
+            chars += len(chunk)
         scanner.feed(chunk)
     if decoder is not None:
         tail = _decode_utf8(b"", total, decoder, final=True)

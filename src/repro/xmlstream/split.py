@@ -1,13 +1,17 @@
 """Cut a concatenated XML source into one UTF-8 slice per document.
 
 A stage should materialise only what it needs (Koch et al., PAPERS.md):
-the parent of the sharded service needs document *boundaries*, not
-trees, so it runs a handler-light boundary scan and forwards the
-publisher's own bytes.  Each slice, parsed on its own by the backend
-that cut it, yields exactly the events that document yields inside the
-whole source; anything that is not well-formed raises
-:class:`~repro.errors.XMLSyntaxError` here, where
-:func:`~repro.xmlstream.dom.parse_forest` raises it.
+a caller that wants each document's own text needs document
+*boundaries*, not trees, so this is a handler-light boundary scan over
+the publisher's own bytes.  Its one production caller is the serving
+tier, which cuts a publish into per-document payloads for the consumers
+that asked for them, after the engine has accepted the source (the
+sharded engine ships a source whole: each shard's own parse is the
+only one).  Each slice, parsed on its own by the backend that cut it,
+yields exactly the events that document yields inside the whole
+source; anything that is not well-formed — a ``str`` holding a lone
+surrogate included — raises :class:`~repro.errors.XMLSyntaxError`
+here, where :func:`~repro.xmlstream.dom.parse_forest` raises it.
 
 Where a cut falls differs per backend, mirroring how each scanner
 itself finds the next document:
@@ -29,7 +33,12 @@ from typing import IO, Union
 
 from repro.errors import XMLSyntaxError
 from repro.xmlstream.events import EventHandler
-from repro.xmlstream.parser import PushScanner, _decode_utf8, resolve_backend
+from repro.xmlstream.parser import (
+    PushScanner,
+    _decode_utf8,
+    _encode_utf8,
+    resolve_backend,
+)
 
 __all__ = ["split_documents"]
 
@@ -40,13 +49,11 @@ def split_documents(
     """The UTF-8 bytes of each document in *source*, in order."""
     if not isinstance(source, (str, bytes)):
         source = source.read()
+    if isinstance(source, str):
+        source = _encode_utf8(source)
     if resolve_backend(backend) == "expat":
-        if isinstance(source, str):
-            source = source.encode("utf-8")
         return _split_expat(source)
-    if isinstance(source, bytes):
-        source = _decode_utf8(source)
-    return _split_python(source)
+    return _split_python(_decode_utf8(source))
 
 
 def _split_expat(data: bytes, block: int = 1 << 16) -> list[bytes]:

@@ -91,7 +91,6 @@ class XPushState:
         "add_table",
         "_accepts",
         "_masks",
-        "contains_terminal",
     )
 
     def __init__(self, uid: int, mask: int, masks: CompiledMasks):
@@ -111,8 +110,6 @@ class XPushState:
         # cold-path work.
         self._accepts: frozenset[str] | None = None
         self._masks = masks
-        # Predicate terminals present (the no-mixed-content rule).
-        self.contains_terminal = bool(mask & masks.terminal_mask)
 
     @property
     def accepts(self) -> frozenset[str]:

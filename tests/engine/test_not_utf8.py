@@ -1,10 +1,13 @@
-"""Bytes that are not UTF-8 are malformed XML, on every engine and backend.
+"""Text that is not UTF-8 is malformed XML, on every engine and backend.
 
-Each engine meets the bytes somewhere else: the layered engine decodes
-them in its parser, a sharded engine in the boundary scan before
-anything reaches a shard.  Every one of them must answer
-:class:`~repro.errors.XMLSyntaxError`, never a bare
-``UnicodeDecodeError``, and the CLI must turn that into exit 2.
+Bytes that do not decode, and a ``str`` holding a lone surrogate (which
+no UTF-8 encodes), meet each engine somewhere else: the layered engine
+decodes or encodes them in its parser; a sharded engine encodes a
+``str`` in the parent and ships bytes, which each shard decodes in its
+own parse.  Every one of them must answer
+:class:`~repro.errors.XMLSyntaxError` — with the layered engine's text
+— never a bare ``UnicodeDecodeError`` or ``UnicodeEncodeError``, and
+the CLI must turn that into exit 2.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from repro.cli import main
 from repro.engine import EngineConfig, create_engine
 from repro.errors import XMLSyntaxError
 from repro.service.engine import ShardedFilterEngine, _mp_context
+from repro.xmlstream.split import split_documents
 
 FILTERS = {"q0": "//a", "q1": "/a[b = 1]"}
 
@@ -22,6 +26,9 @@ NOT_UTF8 = {
     "invalid-start-byte": b"<a>\xff</a>",
     "truncated": b"<a>caf\xc3</a>",
 }
+
+#: A well-formed document ahead of one holding an unpaired surrogate.
+LONE_SURROGATE = "<a><b>1</b></a><a>x\ud800</a>"
 
 
 def _engine(kind: str, backend: str):
@@ -34,18 +41,38 @@ def _engine(kind: str, backend: str):
     )
 
 
-@pytest.mark.parametrize("data", NOT_UTF8.values(), ids=list(NOT_UTF8))
-@pytest.mark.parametrize("kind", ["layered", "sharded-inprocess", "sharded-workers"])
-@pytest.mark.parametrize("backend", ["python", "expat"])
-def test_bytes_that_are_not_utf8_are_a_syntax_error(backend, kind, data):
+def _refuses_like_the_layered_engine(kind: str, backend: str, data) -> None:
+    layered = _engine("layered", backend)
+    with pytest.raises(XMLSyntaxError) as reference:
+        layered.filter_stream(data)
+    layered.close()
     engine = _engine(kind, backend)
     try:
-        with pytest.raises(XMLSyntaxError):
+        with pytest.raises(XMLSyntaxError) as raised:
             engine.filter_stream(data)
-        # Refused before anything was half-applied: the engine serves on.
+        assert str(raised.value) == str(reference.value)
+        # Nothing was half-applied: the engine serves on.
         assert engine.filter_stream(b"<a><b>1</b></a>") == [frozenset({"q0", "q1"})]
     finally:
         engine.close()
+
+
+KINDS = ["layered", "sharded-inprocess", "sharded-workers"]
+
+
+@pytest.mark.parametrize("data", NOT_UTF8.values(), ids=list(NOT_UTF8))
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("backend", ["python", "expat"])
+def test_bytes_that_are_not_utf8_are_a_syntax_error(backend, kind, data):
+    _refuses_like_the_layered_engine(kind, backend, data)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("backend", ["python", "expat"])
+def test_a_str_with_a_lone_surrogate_is_a_syntax_error(backend, kind):
+    _refuses_like_the_layered_engine(kind, backend, LONE_SURROGATE)
+    with pytest.raises(XMLSyntaxError, match="at character 19"):
+        split_documents(LONE_SURROGATE, backend)
 
 
 def test_cli_reports_input_that_is_not_utf8(tmp_path, capsys):

@@ -88,9 +88,11 @@ def test_killed_worker_wakes_the_waiting_parent():
         assert recovered_in < 0.8
         after = engine.stats()
         assert after["worker_restarts"] - before["worker_restarts"] == 1
-        # Answered exactly once: counted once, every match delivered once.
+        # Answered exactly once: counted once, every match delivered once,
+        # though the restarted worker was handed the whole source again
+        # (a filter_stream call is one item).
         assert after["documents"] - before["documents"] == len(EXPECTED)
-        assert after["batches"] - before["batches"] == 3
+        assert after["batches"] - before["batches"] == 1
         assert sorted(fired) == sorted(
             (doc, oid) for doc, oids in enumerate(EXPECTED) for oid in oids
         )

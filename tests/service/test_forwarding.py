@@ -1,23 +1,28 @@
 """Differential wall for the text-forwarding data plane.
 
-In parallel mode ``filter_stream`` never builds a tree: the parent cuts
-the source at document boundaries and every worker parses the
-publisher's own bytes.  Whatever the source looks like, the answers
-must be the serial ``xpush`` engine's on the same source with the same
-parser backend — and a source the serial engine rejects must be
-rejected here too, by the parent, before anything is shipped.
+``filter_stream`` parses nothing in the parent: it ships the
+publisher's bytes whole, and every shard's parse is the only one.
+Whatever the source looks like, the answers must be the serial
+``xpush`` engine's on the same source with the same parser backend —
+and a source the serial engine rejects must be rejected here with the
+serial engine's own error, raised from the shards' report.
 """
 
 from __future__ import annotations
 
 import io
+import xml.parsers.expat
 
 import pytest
 
+import repro.xmlstream.parser
+import repro.xmlstream.split
 from repro.engine.config import EngineConfig
 from repro.engine.factory import create_engine
-from repro.errors import ReproError, XMLSyntaxError
-from repro.service.engine import ServiceError
+from repro.errors import MixedContentError, XMLSyntaxError
+from repro.service import worker
+from repro.service.engine import ServiceError, ShardedFilterEngine
+from repro.xmlstream.dom import parse_forest
 
 BATCH_SIZE = 3
 
@@ -127,18 +132,54 @@ def test_the_sources_exercise_every_filter(engines):
     assert matched == set(FILTERS)
 
 
-def test_large_call_is_cut_into_batches(engines):
+def test_a_stream_call_is_one_item_whatever_its_size(engines):
     serial, sharded = engines
-    before = sharded.stats()["batches"]
     source = SOURCES["more-than-a-batch"]
-    answers = sharded.filter_stream(source)
+    for text in (PLAIN, source):
+        before = sharded.stats()
+        answers = sharded.filter_stream(text)
+        assert answers == serial.filter_stream(text)
+        after = sharded.stats()
+        assert after["batches"] - before["batches"] == 1
+        assert after["documents"] - before["documents"] == len(answers)
+    assert len(answers) == 5 * (BATCH_SIZE + 1)
+
+
+def test_large_call_is_cut_into_batches(engines):
+    """``filter_batch``, whose documents the parent holds, still cuts
+    at ``batch_size``."""
+    serial, sharded = engines
+    source = SOURCES["more-than-a-batch"]
+    before = sharded.stats()["batches"]
+    answers = sharded.filter_batch(parse_forest(source))
     assert answers == serial.filter_stream(source)
     assert len(answers) == 5 * (BATCH_SIZE + 1)
     assert sharded.stats()["batches"] - before == -(-len(answers) // BATCH_SIZE)
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("the parent parsed")
+
+
+def test_the_parent_makes_no_parse_call(engines, monkeypatch):
+    """Worker mode only: in-process shards parse in the parent by
+    design.  The shards are already booted, and forked workers keep
+    the entry points they had, so only the parent is held to this.
+    Every python-scanner parse runs ``PushScanner.feed``, every expat
+    one a ``ParserCreate``."""
+    serial, sharded = engines
+    expected = {name: serial.filter_stream(text) for name, text in SOURCES.items()}
+    monkeypatch.setattr(repro.xmlstream.parser, "parse_into", _refuse)
+    monkeypatch.setattr(repro.xmlstream.parser.PushScanner, "feed", _refuse)
+    monkeypatch.setattr(repro.xmlstream.split, "split_documents", _refuse)
+    monkeypatch.setattr(xml.parsers.expat, "ParserCreate", _refuse)
+    for name, text in SOURCES.items():
+        for kind in SOURCE_KINDS:
+            assert sharded.filter_stream(kind(text)) == expected[name], (name, kind)
+
+
 @pytest.mark.parametrize("name", sorted(MALFORMED))
-def test_malformed_source_raises_in_the_parent_before_shipping(engines, name):
+def test_malformed_source_raises_the_serial_engines_syntax_error(engines, name):
     serial, sharded = engines
     with pytest.raises(XMLSyntaxError) as reference:
         serial.filter_stream(MALFORMED[name])
@@ -150,26 +191,51 @@ def test_malformed_source_raises_in_the_parent_before_shipping(engines, name):
     after = sharded.stats()
     assert (after["batches"], after["documents"]) == (before["batches"], before["documents"])
     assert after["worker_restarts"] == 0
-    # Nothing was shipped, so nothing is left over to confuse the next call.
+    # The other shard's report of the same fault is dropped, so nothing
+    # is left over to confuse the next call.
     assert sharded.filter_stream(PLAIN) == serial.filter_stream(PLAIN)
 
 
 def test_mixed_content_is_reported_as_the_serial_engine_reports_it(engines):
     """The document reaches the workers as written, so they see the
     text *after* the element child — the DOM round trip used to move it
-    in front and report "element <b> opened after text" instead."""
+    in front and report "element <b> opened after text" instead — and
+    the parent re-raises the machine's own error type."""
     serial, sharded = engines
-    with pytest.raises(ReproError, match="text after element children"):
+    with pytest.raises(MixedContentError, match="text after element children") as reference:
         serial.filter_stream("<a><b/>y</a>")
-    with pytest.raises(ServiceError, match="text after element children"):
+    with pytest.raises(MixedContentError) as raised:
         sharded.filter_stream("<a><b/>y</a>")
+    assert str(raised.value) == str(reference.value)
     assert sharded.filter_stream(PLAIN) == serial.filter_stream(PLAIN)
 
 
 def test_filter_batch_shares_the_text_path(engines):
-    from repro.xmlstream.dom import parse_forest
-
     serial, sharded = engines
     source = SOURCES["more-than-a-batch"]
     documents = parse_forest(source)
     assert sharded.filter_batch(documents) == serial.filter_stream(source)
+
+
+def test_shards_that_disagree_on_the_document_count_fail_the_call(monkeypatch):
+    """The first complete reply fixes a stream item's document count;
+    a shard answering for a different number of documents is a
+    ``ServiceError``, never a silently misaligned merge."""
+    run_batch = worker.run_batch
+
+    def _one_document_short(engine, shard_id, task, applied_epoch, busy_s, send):
+        def _send(message):
+            if message[0] == "batch" and shard_id == 1:
+                message = (*message[:3], message[3][:-1], message[4])
+            send(message)
+
+        return run_batch(engine, shard_id, task, applied_epoch, busy_s, _send)
+
+    monkeypatch.setattr(worker, "run_batch", _one_document_short)
+    engine = ShardedFilterEngine(FILTERS, 2, parallel=False, warm=False)
+    try:
+        with pytest.raises(ServiceError, match="returned 1 answers for an item of 2"):
+            engine.filter_stream(PLAIN + OTHER)
+        assert engine.stats()["documents"] == 0
+    finally:
+        engine.close()

@@ -16,6 +16,7 @@ import pytest
 
 from repro.service.engine import ShardedFilterEngine
 from repro.service.latency import LatencyTracker
+from repro.xmlstream.dom import parse_forest
 
 
 def test_empty_snapshot_is_all_zero():
@@ -95,10 +96,10 @@ def test_inprocess_critical_path_is_the_slowest_shards_batch(monkeypatch):
     shares: dict[int, list[float]] = defaultdict(list)
     fold = engine._fold
 
-    def spy(message, outstanding, merged):
+    def spy(message, outstanding):
         if message[0] == "batch":
             shares[message[2]].append(message[4]["batch_s"])
-        fold(message, outstanding, merged)
+        fold(message, outstanding)
 
     samples: list[float] = []
     walls: list[float] = []
@@ -106,7 +107,8 @@ def test_inprocess_critical_path_is_the_slowest_shards_batch(monkeypatch):
     monkeypatch.setattr(engine.critical_path, "record", samples.append)
     monkeypatch.setattr(engine.latency, "record", walls.append)
     try:
-        engine.filter_stream("".join(f"<a><b>{i}</b></a>" for i in range(6)))
+        # filter_batch cuts six documents into three fan-outs.
+        engine.filter_batch(parse_forest("".join(f"<a><b>{i}</b></a>" for i in range(6))))
     finally:
         engine.close()
     per_fan_out = [shares[batch_id] for batch_id in sorted(shares)]

@@ -127,6 +127,9 @@ def _drive(schedule, engine, live):
             serial = create_engine(EngineConfig(engine="xpush"), dict(live))
             assert serial.filter_stream(stream) == expected
             assert engine.filter_stream(stream) == expected, op
+            # A filter_stream call is one work item; filter_batch still
+            # cuts the documents into batch_size items.
+            assert engine.filter_batch(parse_forest(stream)) == expected, op
             assert engine.filter_count == len(live)
             _check_routing_invariants(engine)
 

@@ -128,6 +128,9 @@ def _drive(schedule, engines, live):
             for engine in engines:
                 assert engine.filter_stream(stream) == expected, op
                 assert engine.filter_count == len(live)
+            # A filter_stream call is one work item; filter_batch still
+            # cuts the documents into batch_size items.
+            assert engines[0].filter_batch(parse_forest(stream)) == expected, op
 
 
 @pytest.mark.parametrize("schedule", SCHEDULES, ids=["inserts", "reinsert", "drain"])

@@ -11,6 +11,8 @@ every environment.
 
 from __future__ import annotations
 
+import asyncio
+import gc
 import signal
 
 import pytest
@@ -95,17 +97,38 @@ def serve():
     """Start servers on background threads; stop them all at teardown.
 
     Usage: ``handle = serve(config, filters, **server_kwargs)``.
+
+    asyncio only *logs* an exception that escapes a connection callback
+    or a push pump, so each server loop gets an exception handler that
+    records it, and a test whose server recorded one fails at teardown.
     """
     handles: list[ServerThread] = []
+    escaped: list[dict] = []
+
+    def _record(loop: asyncio.AbstractEventLoop, context: dict) -> None:
+        escaped.append(context)
+
+    async def _install() -> None:
+        asyncio.get_running_loop().set_exception_handler(_record)
 
     def _serve(
         config: EngineConfig | None = None, filters=None, **kwargs
     ) -> ServerThread:
         server = FilterServer(config=config, filters=filters, **kwargs)
         handle = ServerThread(server).start()
+        handle.run_coroutine(_install())
         handles.append(handle)
         return handle
 
     yield _serve
     for handle in handles:
         handle.stop()
+    gc.collect()  # a task that died unobserved reports when collected
+    if escaped:
+        pytest.fail(
+            "an exception escaped a server task: "
+            + "; ".join(
+                f"{context.get('message')}: {context.get('exception')!r}"
+                for context in escaped
+            )
+        )

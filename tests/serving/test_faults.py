@@ -187,6 +187,36 @@ def test_malformed_frame_keeps_the_connection(serve):
         assert client.stats()["protocol_errors"] == 1
 
 
+#: JSON bodies whose strings hold an unpaired surrogate escape.  Had
+#: the subscribe been accepted, every ack naming its oid would fail to
+#: encode and cut the publisher's connection off; the publish would
+#: fail to encode its own document.
+LONE_SURROGATE_FRAMES = {
+    "subscribe-oid": b'{"op":"subscribe","oid":"bad\\ud800","xpath":"//a"}',
+    "publish-xml": b'{"op":"publish","xml":"<a>x\\udfff</a>"}',
+}
+
+
+@pytest.mark.parametrize(
+    "body", LONE_SURROGATE_FRAMES.values(), ids=list(LONE_SURROGATE_FRAMES)
+)
+def test_a_lone_surrogate_escape_is_refused_in_band(serve, body):
+    handle = serve(EngineConfig(engine="layered"), {"q0": "//a"})
+    with ServingClient(*handle.address) as client, ServingClient(
+        *handle.address
+    ) as other:
+        client.send_raw(struct.pack("!I", len(body)) + body)
+        reply = client.read_reply()
+        assert reply["ok"] is False and reply["fatal"] is False
+        assert reply["kind"] == "ProtocolError" and "surrogate" in reply["error"]
+        # The same connection publishes on, and so does everybody else.
+        assert client.publish("<a/>") == [frozenset({"q0"})]
+        assert other.publish("<a/>") == [frozenset({"q0"})]
+        stats = other.stats()
+        assert (stats["protocol_errors"], stats["publish_errors"]) == (1, 0)
+        assert stats["engine"]["filters"] == 1
+
+
 @pytest.mark.parametrize(
     "shape, kind", [("steps", "WorkloadError"), ("predicates", "XPathSyntaxError")]
 )

@@ -113,6 +113,15 @@ def test_http_error_statuses(base):
     assert excinfo.value.code == 400
 
 
+def test_http_json_body_with_a_lone_surrogate_is_a_client_error(base):
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        _post(base, "/subscribe", b'{"oid": "bad\\ud800", "xpath": "//a"}')
+    assert excinfo.value.code == 400
+    assert "surrogate" in json.loads(excinfo.value.read())["error"]
+    assert _get(base, "/stats")["stats"]["engine"]["filters"] == len(FILTER_POOL)
+    assert _post(base, "/publish", b"<a/>")["ok"]
+
+
 def test_http_bad_xml_is_a_client_error_not_a_crash(base):
     with pytest.raises(urllib.error.HTTPError) as excinfo:
         _post(base, "/publish", b"<a><unclosed>")

@@ -34,15 +34,6 @@ def test_empty_state(masks):
     assert s.intern_bottom(0) is s.empty
 
 
-def test_contains_terminal_flag(masks):
-    s = StateStore(masks)
-    terminal = masks.terminal_mask & -masks.terminal_mask  # lowest terminal bit
-    other = 1 if terminal != 1 else 2
-    assert not other & masks.terminal_mask
-    assert s.intern_bottom(terminal | other).contains_terminal
-    assert not s.intern_bottom(other).contains_terminal
-
-
 def test_average_size_accounting(masks):
     s = StateStore(masks)
     s.intern_bottom(mask_of([1]))
@@ -58,8 +49,6 @@ def test_average_size_accounting(masks):
 
 def test_accepts_computed_lazily_and_once():
     class SpyMasks:
-        terminal_mask = 0
-
         def __init__(self):
             self.calls = []
 
