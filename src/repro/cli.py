@@ -210,14 +210,21 @@ def _engine_kind_of(snapshot: dict) -> str:
     raise ReproError(f"unrecognised engine state format {fmt!r}")
 
 
-def _load_state(path: str, engine_kind: str | None = None):
+def _load_state(
+    path: str, engine_kind: str | None = None, config: EngineConfig | None = None
+):
     """An engine restored from *path*, or a fresh empty one when the
     file does not exist yet (``engine_kind`` picks the kind, default
-    layered — the engine whose updates never flush warmed tables)."""
+    layered — the engine whose updates never flush warmed tables).
+
+    The file holds the workload; *config* (the engine flags, default
+    ``EngineConfig()``) holds everything else, with the kind and
+    ``parallel`` replaced in."""
     import os
 
     from repro.xpush.persist import load_engine_snapshot
 
+    config = config or EngineConfig()
     if os.path.exists(path):
         snapshot = load_engine_snapshot(path)
         kind = _engine_kind_of(snapshot)
@@ -227,8 +234,8 @@ def _load_state(path: str, engine_kind: str | None = None):
             )
         # CLI invocations are one-shot: stay in-process even for a
         # sharded state (answers are mode-independent by contract).
-        return create_engine(EngineConfig(engine=kind, parallel=False), snapshot=snapshot)
-    return create_engine(EngineConfig(engine=engine_kind or "layered", parallel=False))
+        return create_engine(replace(config, engine=kind, parallel=False), snapshot=snapshot)
+    return create_engine(replace(config, engine=engine_kind or "layered", parallel=False))
 
 
 @contextmanager
@@ -300,21 +307,14 @@ def cmd_rebalance(args) -> int:
 def cmd_filter(args) -> int:
     dtd = parse_dtd_file(args.dtd) if args.dtd else None
     config = _engine_config(args, dtd)
-    if sum(bool(source) for source in (args.queries, args.compiled, args.state)) > 1:
-        raise ReproError("pass exactly one of --queries, --compiled or --state")
+    if args.queries and args.state:
+        raise ReproError("pass exactly one of --queries and --state")
     if args.state:
-        engine = _load_state(args.state)
-    elif args.compiled:
-        from repro.xpush.persist import load_workload as load_compiled
-
-        workload = load_compiled(args.compiled)
-        engine = create_engine(
-            config, [parse_xpath(afa.source, afa.oid) for afa in workload.afas]
-        )
+        engine = _load_state(args.state, config=config)
     elif args.queries:
         engine = create_engine(config, _load_queries(args.queries))
     else:
-        raise ReproError("filter requires --queries or --compiled")
+        raise ReproError("filter requires --queries or --state")
     try:
         text = _read_input(args.input)
         start = time.perf_counter()
@@ -375,7 +375,7 @@ def cmd_serve(args) -> int:
     )
     borrowed_engine = None
     if args.state:
-        borrowed_engine = _load_state(args.state, args.engine)
+        borrowed_engine = _load_state(args.state, args.engine, config)
         server = FilterServer(borrowed_engine, **serving)
     else:
         filters = _load_queries(args.queries) if args.queries else None
@@ -576,20 +576,6 @@ def cmd_explain(args) -> int:
     return 0
 
 
-def cmd_compile(args) -> int:
-    from repro.xpush.persist import save_workload
-
-    filters = _load_queries(args.queries)
-    workload = build_workload_automata(filters)
-    save_workload(workload, args.out)
-    print(
-        f"# compiled {len(workload.afas)} filters "
-        f"({workload.state_count} AFA states) to {args.out}",
-        file=sys.stderr,
-    )
-    return 0
-
-
 def cmd_analyze(args) -> int:
     from repro.xpath.analysis import most_shared_predicates, profile_workload
     from repro.xpath.dedupe import DeduplicatedWorkload
@@ -703,18 +689,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("filter", help="filter an XML stream with a query file")
     p.add_argument("--queries", help="query file (oid<TAB>xpath per line)")
-    p.add_argument("--compiled", help="compiled workload (see `compile`) instead of --queries")
     p.add_argument("--state", help="engine state file maintained by "
                    "`subscribe`/`unsubscribe`/`compact` instead of --queries")
     p.add_argument("--input", default="-", help="XML stream file, or - for stdin")
     p.add_argument("--variant", default="TD", choices=sorted(VARIANTS))
     _add_engine_flags(p, shards=1)
     p.set_defaults(func=cmd_filter)
-
-    p = sub.add_parser("compile", help="pre-compile a query file to a workload JSON")
-    p.add_argument("--queries", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser(
         "subscribe",

@@ -78,8 +78,8 @@ class EngineConfig:
         queue_depth: max in-flight work items (backpressure bound).
         parallel: force worker processes on (True), off (False) or
             auto (None = processes when ``shards > 1``).
-        warm: warm each shard machine via ``warm_up()`` at boot.
-        training_seed: seed for the warm-up document generator.
+        training_seed: seed of the training-document generator
+            (``options.train``), in every engine that trains.
         result_timeout: seconds of no shard progress before a batch is
             declared stuck — for ``filter_stream``, one call's whole
             filtering on a shard.
@@ -98,7 +98,6 @@ class EngineConfig:
     batch_size: int = 16
     queue_depth: int = 4
     parallel: bool | None = None
-    warm: bool = True
     training_seed: int = 0
     result_timeout: float = 60.0
 

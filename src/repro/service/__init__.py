@@ -23,8 +23,8 @@ schema-based event-processor scheduling):
   a crashed worker rebuilt — from the orchestrator's routing table and
   XPath sources, the only durable state the service has;
 - :mod:`repro.service.worker` — the worker-process main loop: boots an
-  inner engine from ``{config, filters}``, warms it via ``warm_up()``,
-  then answers batches and applies control messages in FIFO order;
+  inner engine from ``{config, filters, epoch}``, then answers batches
+  and applies control messages in FIFO order;
 - :mod:`repro.service.engine` — :class:`ShardedFilterEngine`, the
   parent-side orchestrator: routing table + sources, every control
   verb written once, batched publish over bounded work queues with

@@ -306,17 +306,12 @@ class ShardedFilterEngine:
         }
 
     def _boot_payload(self, shard_id: int, config: EngineConfig, epoch: int) -> dict:
-        return build_payload(
-            config,
-            self._projection(shard_id),
-            epoch=epoch,
-            warm=self.config.warm,
-            training_seed=self.config.training_seed,
-        )
+        return build_payload(config, self._projection(shard_id), epoch)
 
     def _make_shard(self, shard_id: int) -> LocalShard | WorkerShard:
         # The per-shard config is fixed for the shard's life: restore()
-        # — the one thing that changes it — rebuilds every shard.
+        # — the one thing that changes it, through the inner kind —
+        # rebuilds every shard.
         config = replace(self.config, engine=self.inner, shards=1, parallel=False)
         if not self.parallel:
             boot = partial(self._boot_payload, shard_id, config)
@@ -810,12 +805,12 @@ class ShardedFilterEngine:
 
     def restore(self, snapshot: dict[str, Any]) -> None:
         """Replace the workload with a :meth:`snapshot` capture; every
-        shard is rebuilt from the captured routing table and sources."""
-        from repro.xpush.persist import PersistError, restored_options
+        shard is rebuilt from the captured routing table and sources,
+        under this engine's own config."""
+        from repro.xpush.persist import PersistError
 
         if snapshot.get("format") != SNAPSHOT_FORMAT:
             raise PersistError("not a persisted sharded engine snapshot")
-        options = restored_options(snapshot, self.options)
         sources = self._snapshot_filters(snapshot)
         routing = {
             str(oid): int(shard) for oid, shard in snapshot.get("routing", {}).items()
@@ -826,7 +821,6 @@ class ShardedFilterEngine:
         if not routing.keys() <= sources.keys():
             raise PersistError("malformed sharded snapshot: routed oid without a filter")
         inner = _known_inner(str(snapshot.get("inner", self.inner)))
-        self.config = replace(self.config, options=options)
         self._stop_shards()
         self.shards = shards
         self.inner = inner

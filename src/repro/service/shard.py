@@ -41,6 +41,7 @@ import time
 from collections import deque
 from typing import Any, Callable, Sequence, Union
 
+from repro.engine.factory import create_engine
 from repro.errors import ReproError
 from repro.service import worker
 
@@ -86,7 +87,8 @@ class LocalShard(_Shard):
         self.busy_s = 0.0
         #: Batch replies (worker protocol), oldest first, until read.
         self.replies: deque[tuple] = deque()
-        self.engine = worker.build_engine(boot(epoch))
+        payload = boot(epoch)
+        self.engine = create_engine(payload["config"], payload["filters"])
 
     def submit(self, batch_id: int, texts: Sequence[DocumentText], emit: bool) -> None:
         """Answer one batch now; its messages wait in ``replies``."""

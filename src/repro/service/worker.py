@@ -6,9 +6,10 @@ Each worker owns one shard: it boots an inner
 (:func:`build_payload`): the inner engine's
 :class:`~repro.engine.config.EngineConfig` plus the shard's filters as
 ``oid → XPath`` sources — the parent's routing projection at the moment
-of the (re)spawn.  The worker parses and compiles its own filters, then
-warms its machine with ``warm_up()``; nothing about an engine's
-internal state ever lives outside it.
+of the (re)spawn.  The worker parses and compiles its own filters (and
+trains its machine exactly when ``config.options.train`` says so, as
+any engine of that config would); nothing about an engine's internal
+state ever lives outside it.
 
 :func:`run_batch` answers a batch in the messages below, and
 :func:`apply_control` applies an update, for a worker and an
@@ -45,7 +46,7 @@ worker → parent, on this incarnation's own result pipe (the write end
 of a one-way ``Pipe``; the parent closed its copy, so this process
 dying — even halfway through a frame — reads as end-of-file there):
 
-- ``("ready", shard_id, info)`` — engine built and warmed;
+- ``("ready", shard_id, info)`` — engine built;
 - ``("match", shard_id, batch_id, doc_offset, oid, event_index)`` —
   one event-time match decision (``doc_offset`` is the document's
   position within the batch's answers).  Always precedes the batch
@@ -74,41 +75,17 @@ import os
 import time
 from typing import Any, Callable, Mapping
 
+from repro.engine.factory import create_engine
 
-def build_payload(
-    config: Any,
-    filters: Mapping[str, str],
-    epoch: int = 0,
-    warm: bool = True,
-    training_seed: int = 0,
-) -> dict:
+
+def build_payload(config: Any, filters: Mapping[str, str], epoch: int = 0) -> dict:
     """The picklable description of one shard an engine boots from.
 
     *config* is the inner engine's :class:`EngineConfig`; *filters* is
     the shard's live workload as ``oid → XPath`` sources; *epoch* is
     the workload version those filters represent.
     """
-    return {
-        "config": config,
-        "filters": dict(filters),
-        "epoch": epoch,
-        "warm": warm,
-        "training_seed": training_seed,
-    }
-
-
-def build_engine(payload: dict) -> Any:
-    """The inner engine *payload* describes, warmed when asked to —
-    the one boot path of in-process and worker shards alike."""
-    from repro.engine.factory import create_engine
-
-    config = payload["config"]
-    engine = create_engine(config, payload["filters"])
-    if payload["warm"] and not config.options.train:
-        warm_up = getattr(engine, "warm_up", None)
-        if warm_up is not None:
-            warm_up(seed=payload["training_seed"])
-    return engine
+    return {"config": config, "filters": dict(filters), "epoch": epoch}
 
 
 def engine_info(engine: Any, applied_epoch: int, busy_s: float = 0.0) -> dict[str, Any]:
@@ -121,7 +98,7 @@ def engine_info(engine: Any, applied_epoch: int, busy_s: float = 0.0) -> dict[st
 def worker_main(shard_id: int, payload: dict, tasks, results) -> None:
     """Run one shard worker until a ``stop`` task (or a crash hook)."""
     try:
-        engine = build_engine(payload)
+        engine = create_engine(payload["config"], payload["filters"])
     except Exception as error:  # noqa: BLE001 - forwarded to the parent
         text = f"worker init failed: {error}"
         results.send(("error", shard_id, None, type(error).__name__, text))

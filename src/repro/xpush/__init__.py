@@ -20,16 +20,13 @@ work across common subexpressions **and common predicates**.
 from repro.xpush.layered import LayeredFilterEngine
 from repro.xpush.machine import XPushMachine
 from repro.xpush.options import XPushOptions, VARIANTS, variant_options
-from repro.xpush.persist import load_workload, save_workload
 from repro.xpush.stats import MachineStats
 from repro.xpush.trace import render_trace, trace_document
 from repro.xpush.training import training_documents, training_stream
 
 __all__ = [
     "LayeredFilterEngine",
-    "load_workload",
     "render_trace",
-    "save_workload",
     "trace_document",
     "MachineStats",
     "VARIANTS",

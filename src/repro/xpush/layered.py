@@ -81,7 +81,7 @@ from repro.xpath.ast import XPathFilter
 from repro.xpath.parser import parse_workload, parse_xpath
 from repro.xpush.machine import XPushMachine
 from repro.xpush.options import XPushOptions
-from repro.xpush.persist import PersistError, restored_options
+from repro.xpush.persist import PersistError
 
 log = logging.getLogger(__name__)
 
@@ -494,15 +494,12 @@ class LayeredFilterEngine:
         restarted from this snapshot resumes the exact workload
         version, unfolded updates and all); retired passengers are not
         definitions and are never written.  Restoring recompiles, and
-        so renumbers, both layers.
+        so renumbers, both layers, under the restoring engine's own
+        options.
         """
         return {
             "format": SNAPSHOT_FORMAT,
             "version": SNAPSHOT_VERSION,
-            # Compiled handlers (codegen) and bitmask tables are derived
-            # data, rebuilt on restore; recording the runtime is enough
-            # to resume the same machine shape.
-            "runtime": self.options.runtime,
             "base": {oid: f.source for oid, f in self._base_filters.items()},
             "delta": {oid: f.source for oid, f in self._delta_filters.items()},
             "tombstones": sorted(self._tombstones),
@@ -513,13 +510,11 @@ class LayeredFilterEngine:
         (or a ``repro-engine-workload`` one: the serial ``xpush`` engine
         wrote those, and every filter of one goes to the base)."""
         base_data, delta_data, tombstones = snapshot_layers(snapshot)
-        options = restored_options(snapshot, self.options)
         stale = [oid for oid in tombstones if oid not in base_data and oid not in delta_data]
         if stale:
             raise PersistError(f"tombstones for unknown oids: {stale[:8]}")
         base_filters = {oid: parse_xpath(source, oid) for oid, source in base_data.items()}
         delta_filters = {oid: parse_xpath(source, oid) for oid, source in delta_data.items()}
-        self.options = options
         base = self._build(list(base_filters.values()))
         delta = self._build(list(delta_filters.values()))
         self.close()
@@ -530,13 +525,8 @@ class LayeredFilterEngine:
         self._delta = delta
 
     # ------------------------------------------------------------------
-    # Warm-up, stats, lifecycle
+    # Stats, lifecycle
     # ------------------------------------------------------------------
-
-    def warm_up(self, seed: int = 0) -> int:
-        """Warm the layers over workload-derived training documents
-        (Sec. 5); returns the number of training documents processed."""
-        return sum(m.warm_up(seed=seed) for m in (self._base, self._delta) if m is not None)
 
     def stats(self) -> dict[str, Any]:
         base, delta = self._base, self._delta

@@ -123,13 +123,14 @@ def test_snapshot_restore_round_trip(kind):
         restored.close()
 
 
-#: The names whose snapshots record machine options ("xpush" and
-#: "layered" name one engine class).
+#: The names of the XPush-based engines ("xpush" and "layered" name one
+#: engine class).
 XPUSH_KINDS = ("xpush", "layered", "sharded")
 
 #: Snapshots as older trees wrote them: "xpush" is the sources format
 #: of the serial engine that name once built, the others are today's
-#: formats; the tests add the two keys of the deleted schema axis.
+#: formats, with the "runtime" key the in-process ones used to record;
+#: the tests add the two keys of the deleted schema axis.
 LEGACY_SNAPSHOTS = {
     "xpush": {
         "format": "repro-engine-workload",
@@ -180,16 +181,24 @@ def test_xpush_and_layered_name_one_engine_class():
 @pytest.mark.parametrize("mode", ["trust", "validate"])
 @pytest.mark.parametrize("fmt, kind", FILE_UNDER_NAME)
 def test_snapshots_with_the_legacy_schema_keys_still_load(fmt, kind, mode):
-    """The keys are dropped on read: an engine with no DTD loads the
-    snapshot, answers like the reference, and never writes them back —
-    it writes its own format, whichever it read."""
-    legacy = {**LEGACY_SNAPSHOTS[fmt], "schema_mode": mode, "schema_fingerprint": "9f2c" * 16}
+    """The keys are dropped on read — the schema keys and a recorded
+    runtime, even one no tree ever had: an engine with no DTD loads the
+    snapshot under its own options, answers like the reference, and
+    never writes them back — it writes its own format, whichever it
+    read."""
+    legacy = {
+        **LEGACY_SNAPSHOTS[fmt],
+        "schema_mode": mode,
+        "schema_fingerprint": "9f2c" * 16,
+        "runtime": "bogus",
+    }
     restored = create_engine(_config(kind), snapshot=legacy)
     try:
         for xml in DOCS + ["<e/>"]:
             assert restored.filter_stream(xml)[0] == _expected(LEGACY_LIVE, xml)
+        assert restored.stats()["runtime"] == _config(kind).options.runtime
         written = "layered" if kind == "xpush" else kind
-        assert restored.snapshot().keys() == LEGACY_SNAPSHOTS[written].keys()
+        assert restored.snapshot().keys() == LEGACY_SNAPSHOTS[written].keys() - {"runtime"}
     finally:
         restored.close()
 
@@ -218,12 +227,21 @@ def test_restored_legacy_snapshot_takes_updates_and_round_trips(fmt, kind):
         engine.close()
 
 
+#: Per format, a field its reader checks, made inconsistent: a tombstone
+#: or a routed oid that names no filter.
+UNKNOWN_OID = {
+    "xpush": {"tombstones": ["ghost"]},
+    "layered": {"tombstones": ["ghost"]},
+    "sharded": {"routing": {**LEGACY_SNAPSHOTS["sharded"]["routing"], "ghost": 0}},
+}
+
+
 @pytest.mark.parametrize("fmt, kind", FILE_UNDER_NAME)
 def test_rejected_snapshot_leaves_the_engine_as_it_was(fmt, kind):
     engine = create_engine(_config(kind), {"z": "//z"})
     try:
         with pytest.raises(PersistError):
-            engine.restore({**LEGACY_SNAPSHOTS[fmt], "runtime": "bogus"})
+            engine.restore({**LEGACY_SNAPSHOTS[fmt], **UNKNOWN_OID[fmt]})
         assert engine.filter_count == 1
         assert engine.filter_stream("<z/>") == [frozenset({"z"})]
         assert engine.filter_stream(DOCS[0]) == [frozenset()]

@@ -1,8 +1,10 @@
-"""``EngineConfig.training_seed`` must reach the warm-up generator.
+"""``EngineConfig.training_seed`` must reach the warm-up generator, and
+training runs exactly when ``options.train`` asks, in every engine kind.
 
-The sharded workers always honoured it; the serial ``xpush`` engine,
-the ``layered`` engine and ``XPushMachine.clone()`` used to drop it
-and train on seed 0.
+The serial ``xpush`` engine, the ``layered`` engine and
+``XPushMachine.clone()`` used to drop the seed and train on seed 0;
+the sharded engine used to warm every shard at boot whatever the
+options said.
 """
 
 from __future__ import annotations
@@ -41,6 +43,19 @@ def test_engines_train_on_the_configured_seed(engine, seeds_seen):
     built = create_engine(config, SOURCES)
     assert built.filter_stream("<a><b>1</b></a>") == [frozenset({"q0"})]
     assert seeds_seen and set(seeds_seen) == {random.Random(SEED).getstate()}
+
+
+@pytest.mark.parametrize("options", [TRAINED, XPushOptions(top_down=True)], ids=["train", "no-train"])
+def test_shards_train_exactly_when_the_options_ask(options, seeds_seen):
+    config = EngineConfig(
+        engine="sharded", shards=2, parallel=False, options=options, training_seed=SEED
+    )
+    with create_engine(config, SOURCES) as built:
+        assert built.filter_stream("<a><b>1</b></a>") == [frozenset({"q0"})]
+    if options.train:
+        assert seeds_seen and set(seeds_seen) == {random.Random(SEED).getstate()}
+    else:
+        assert seeds_seen == []
 
 
 def test_clone_trains_on_the_original_seed(seeds_seen):

@@ -101,7 +101,6 @@ def test_crash_at_the_control_message_boundary(verb, inner, when):
         SHARDS,
         inner=inner,
         batch_size=2,
-        warm=False,
         result_timeout=30.0,
         rebalance_threshold=1.0,  # so split() always has moves to make
     )

@@ -27,7 +27,7 @@ def engine_and_truth(protein, protein_docs):
     serial = XPushMachine(build_workload_automata(filters), TD)
     expected = [serial.filter_document(doc) for doc in docs]
     engine = ShardedFilterEngine(
-        filters, 2, options=TD, batch_size=2, warm=False, result_timeout=30.0
+        filters, 2, options=TD, batch_size=2, result_timeout=30.0
     )
     if not engine.parallel:
         engine.close()

@@ -42,7 +42,6 @@ def _engine(result_timeout: float):
             shards=2,
             parallel=True,
             batch_size=4,
-            warm=False,
             result_timeout=result_timeout,
         ),
         FILTERS,

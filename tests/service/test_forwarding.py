@@ -83,7 +83,6 @@ def engines(request):
             shards=2,
             parallel=True,
             batch_size=BATCH_SIZE,
-            warm=False,
             backend=backend,
             result_timeout=30.0,
         ),
@@ -232,7 +231,7 @@ def test_shards_that_disagree_on_the_document_count_fail_the_call(monkeypatch):
         return run_batch(engine, shard_id, task, applied_epoch, busy_s, _send)
 
     monkeypatch.setattr(worker, "run_batch", _one_document_short)
-    engine = ShardedFilterEngine(FILTERS, 2, parallel=False, warm=False)
+    engine = ShardedFilterEngine(FILTERS, 2, parallel=False)
     try:
         with pytest.raises(ServiceError, match="returned 1 answers for an item of 2"):
             engine.filter_stream(PLAIN + OTHER)

@@ -1,25 +1,29 @@
 """Determinism of the shard boot path and of workload persistence.
 
 Shards boot from XPath *sources* (the routing projection) rather than
-the parent's in-memory automata, and compiled workloads round-trip
-through :mod:`repro.xpush.persist`.  For either to be sound the result
-must be *behaviourally* identical, not merely answer-identical: a
-machine built the other way, warmed with the same seed and replayed
-over the same stream, must make the same lazy-table decisions — same
-hit ratio, same state counts, same everything the stats record.
+the parent's in-memory automata, and engine snapshots persist those
+sources and nothing compiled.  For either to be sound the result must
+be *behaviourally* identical, not merely answer-identical: a machine
+built the other way, trained with the same seed and replayed over the
+same stream, must make the same lazy-table decisions — same hit ratio,
+same state counts, same everything the stats record.
 """
 
 from __future__ import annotations
 
+import json
+from dataclasses import replace
+
 from repro.afa.build import build_workload_automata
-from repro.engine import EngineConfig
-from repro.service.worker import build_engine, build_payload
+from repro.engine import EngineConfig, create_engine
+from repro.service.worker import build_payload
+from repro.xpush.layered import LayeredFilterEngine
 from repro.xpush.machine import XPushMachine
 from repro.xpush.options import XPushOptions
-from repro.xpush.persist import workload_from_json, workload_to_json
 from tests.conftest import make_workload
 
 TD = XPushOptions(top_down=True, precompute_values=False)
+TRAINED = replace(TD, train=True)
 
 
 def _replay(machine, stream):
@@ -30,20 +34,16 @@ def _replay(machine, stream):
 def test_snapshot_round_trip_replays_identically(protein):
     filters = make_workload(protein, 20, seed=29)
     stream = protein.stream_text(12)
-    original = build_workload_automata(filters)
-    snapshot = workload_to_json(original)
-    restored = workload_from_json(snapshot)
+    original = LayeredFilterEngine(filters, TRAINED, dtd=protein.dtd)
+    snapshot = json.loads(json.dumps(original.snapshot()))
+    restored = LayeredFilterEngine([], TRAINED, dtd=protein.dtd)
+    restored.restore(snapshot)
 
-    parent = XPushMachine(original, TD, dtd=protein.dtd)
-    parent.warm_up(seed=0)
-    child = XPushMachine(restored, TD, dtd=protein.dtd)
-    child.warm_up(seed=0)
-
-    parent_results, parent_stats = _replay(parent, stream)
-    child_results, child_stats = _replay(child, stream)
+    parent_results, parent_stats = _replay(original._base, stream)
+    child_results, child_stats = _replay(restored._base, stream)
     assert parent_results == child_results
     assert parent_stats == child_stats  # includes lookups, hits, hit_ratio
-    assert parent.state_count == child.state_count
+    assert original._base.state_count == restored._base.state_count
     assert parent_stats["hit_ratio"] == child_stats["hit_ratio"]
 
 
@@ -51,19 +51,17 @@ def test_worker_boot_path_matches_parent_machine(protein):
     """The exact code path a shard runs (payload → engine): the engine
     booted from the shipped sources must replay *behaviourally*
     identically to a machine built from the parent's in-memory
-    automata — same answers, same lazy-table decisions."""
+    automata — same answers, same lazy-table decisions — and trains
+    exactly when ``options.train`` says so, as the parent does."""
     filters = make_workload(protein, 14, seed=5)
     stream = protein.stream_text(10)
     workload = build_workload_automata(filters)
 
-    parent = XPushMachine(workload, TD, dtd=protein.dtd)
-    parent.warm_up(seed=0)
-    config = EngineConfig(engine="layered", options=TD, dtd=protein.dtd)
-    worker_engine = build_engine(
-        build_payload(
-            config, {f.oid: f.source for f in filters}, warm=True, training_seed=0
-        )
-    )
+    parent = XPushMachine(workload, TRAINED, dtd=protein.dtd)
+    assert parent.state_count > 1  # training ran at construction
+    config = EngineConfig(engine="layered", options=TRAINED, dtd=protein.dtd)
+    payload = build_payload(config, {f.oid: f.source for f in filters})
+    worker_engine = create_engine(payload["config"], payload["filters"])
 
     parent_results, parent_stats = _replay(parent, stream)
     worker_results = worker_engine.filter_stream(stream)
@@ -81,7 +79,11 @@ def test_worker_boot_path_matches_parent_machine(protein):
 
 def test_snapshot_is_idempotent(protein):
     filters = make_workload(protein, 10, seed=41)
-    workload = build_workload_automata(filters)
-    once = workload_to_json(workload)
-    twice = workload_to_json(workload_from_json(once))
-    assert once == twice
+    engine = LayeredFilterEngine(filters[:8], TD, compact_threshold=1_000)
+    for f in filters[8:]:
+        engine.insert(f.oid, f.source)
+    engine.remove(filters[0].oid)
+    once = engine.snapshot()
+    restored = LayeredFilterEngine([], TD)
+    restored.restore(json.loads(json.dumps(once)))
+    assert restored.snapshot() == once

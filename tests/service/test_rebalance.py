@@ -170,7 +170,6 @@ def test_worker_placement_schedules_match_rebuild(schedule):
         2,
         options=TD,
         batch_size=2,
-        warm=False,
         result_timeout=30.0,
         placement="cost",
     )
@@ -308,7 +307,7 @@ def test_crash_during_rebalance_recovers_migrated_workload():
     workers must boot the *migrated* workload and answer identically."""
     oids = {f"h{i}": FILTER_POOL[i % len(FILTER_POOL)] for i in range(8)}
     engine = ShardedFilterEngine(
-        oids, 2, options=TD, batch_size=2, warm=False, result_timeout=30.0
+        oids, 2, options=TD, batch_size=2, result_timeout=30.0
     )
     if not engine.parallel:
         engine.close()

@@ -52,7 +52,7 @@ def _make(kind, inner, live):
     config = EngineConfig(engine=inner)
 
     def boot(epoch):
-        return build_payload(config, live, epoch=epoch, warm=False)
+        return build_payload(config, live, epoch=epoch)
 
     if kind == "local":
         return LocalShard(0, boot)

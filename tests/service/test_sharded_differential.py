@@ -58,7 +58,7 @@ def test_sharded_equals_serial_equals_naive(
 @pytest.mark.parametrize("shards", [2, 4])
 def test_worker_processes_match_serial(workload, documents, ground_truth, shards):
     with ShardedFilterEngine(
-        workload, shards, options=TD, batch_size=4, warm=False
+        workload, shards, options=TD, batch_size=4
     ) as engine:
         if not engine.parallel:
             pytest.skip("multiprocessing unavailable on this platform")

@@ -151,7 +151,7 @@ def test_serial_sharded_matches_layered_and_rebuild(schedule, shards):
 @pytest.mark.parametrize("schedule", SCHEDULES, ids=["inserts", "reinsert", "drain"])
 def test_worker_processes_match_rebuild_at_each_epoch(schedule):
     engine = ShardedFilterEngine(
-        dict(SEED), 2, options=TD, batch_size=2, warm=False, result_timeout=30.0
+        dict(SEED), 2, options=TD, batch_size=2, result_timeout=30.0
     )
     if not engine.parallel:
         engine.close()
@@ -186,7 +186,7 @@ def test_insertions_never_flush_the_base(parallel):
     insertion the warmed base layer's states survive — only the small
     delta machine is (re)built."""
     engine = ShardedFilterEngine(
-        dict(SEED), 2, options=TD, parallel=parallel, batch_size=2, warm=False
+        dict(SEED), 2, options=TD, parallel=parallel, batch_size=2
     )
     if parallel and not engine.parallel:
         engine.close()
@@ -221,7 +221,7 @@ def test_crash_with_uncompacted_deltas_recovers_updated_workload(protein, protei
     extra = make_workload(protein, 12, seed=77)[8:]
     docs = protein_docs[:6]
     engine = ShardedFilterEngine(
-        filters, 2, options=TD, batch_size=2, warm=False, result_timeout=30.0
+        filters, 2, options=TD, batch_size=2, result_timeout=30.0
     )
     if not engine.parallel:
         engine.close()

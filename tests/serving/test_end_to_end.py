@@ -124,7 +124,7 @@ def test_concurrent_publishers_match_serial_machine(serve, kind):
 
 
 def test_sharded_worker_processes_match_serial_machine(serve):
-    config = EngineConfig(engine="sharded", shards=2, warm=False, batch_size=4)
+    config = EngineConfig(engine="sharded", shards=2, batch_size=4)
     handle = serve(config, dict(FILTER_POOL))
     if not handle.server.engine.parallel:  # type: ignore[attr-defined]
         pytest.skip("multiprocessing unavailable on this platform")

@@ -24,7 +24,7 @@ pytestmark = pytest.mark.slow
     "config",
     [
         EngineConfig(engine="layered"),
-        EngineConfig(engine="sharded", shards=2, warm=False, batch_size=4),
+        EngineConfig(engine="sharded", shards=2, batch_size=4),
     ],
     ids=["layered", "sharded"],
 )

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -46,19 +48,6 @@ def test_filter_sharded_matches_serial(query_file, stream_file, capsys):
     captured = capsys.readouterr()
     assert captured.out == serial
     assert "3 shards" in captured.err
-
-
-def test_filter_sharded_from_compiled_workload(query_file, stream_file, tmp_path, capsys):
-    compiled = str(tmp_path / "workload.json")
-    assert main(["compile", "--queries", query_file, "--out", compiled]) == 0
-    capsys.readouterr()
-    assert main(["filter", "--queries", query_file, "--input", stream_file]) == 0
-    serial = capsys.readouterr().out
-    assert (
-        main(["filter", "--compiled", compiled, "--input", stream_file, "--shards", "2"])
-        == 0
-    )
-    assert capsys.readouterr().out == serial
 
 
 def test_filter_rejects_bad_shard_count(query_file, stream_file, capsys):
@@ -167,17 +156,6 @@ def test_inspect(capsys):
     assert "--ε-->" in out
 
 
-def test_compile_then_filter_compiled(tmp_path, query_file, stream_file, capsys):
-    compiled = tmp_path / "workload.json"
-    assert main(["compile", "--queries", query_file, "--out", str(compiled)]) == 0
-    assert "compiled 2 filters" in capsys.readouterr().err
-    code = main(["filter", "--compiled", str(compiled), "--input", stream_file])
-    assert code == 0
-    out = capsys.readouterr().out.strip().splitlines()
-    assert out[0] == "0\talpha"
-    assert out[1] == "1\tq0"
-
-
 def test_filter_requires_exactly_one_source(query_file, stream_file, capsys):
     assert main(["filter", "--input", stream_file]) == 2
     assert "requires" in capsys.readouterr().err
@@ -187,7 +165,7 @@ def test_filter_requires_exactly_one_source(query_file, stream_file, capsys):
                 "filter",
                 "--queries",
                 query_file,
-                "--compiled",
+                "--state",
                 "x.json",
                 "--input",
                 stream_file,
@@ -292,6 +270,71 @@ def test_subscribe_errors(tmp_path, capsys):
     # unknown oid on unsubscribe
     assert main(["unsubscribe", "--state", state, "--oid", "ghost"]) == 2
     assert "ghost" in capsys.readouterr().err
+
+
+@pytest.fixture
+def spied_engines(monkeypatch):
+    """Every engine the CLI builds, in order."""
+    import repro.cli as cli
+
+    built = []
+    real = cli.create_engine
+
+    def spy(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "create_engine", spy)
+    return built
+
+
+def test_filter_state_honours_the_engine_flags(tmp_path, stream_file, capsys, spied_engines):
+    """The state file holds the workload, the flags the configuration —
+    as with ``--queries``."""
+    state = str(tmp_path / "engine.json")
+    for oid, xpath in (("s0", "//a[b = 1]"), ("s1", "//c")):
+        assert main(["subscribe", "--state", state, "--oid", oid, "--xpath", xpath]) == 0
+    capsys.readouterr()
+    spied_engines.clear()
+    assert main(["filter", "--state", state, "--input", stream_file,
+                 "--backend", "python", "--max-memory", "1K", "--runtime", "sets",
+                 "--variant", "TD-train", "--early"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.strip().splitlines() == ["0\ts0", "1\ts1", "2\t-"]
+    assert "backend=python" in captured.err
+    assert int(re.search(r"(\d+) evictions", captured.err).group(1)) > 0
+    (engine,) = spied_engines
+    options = engine.options
+    assert (options.runtime, options.max_memory_bytes) == ("sets", 1024)
+    assert options.top_down and options.train and options.early
+
+
+def test_serve_state_honours_the_engine_flags(tmp_path, capsys, monkeypatch):
+    import repro.serving
+
+    state = str(tmp_path / "engine.json")
+    assert main(["subscribe", "--state", state, "--oid", "s0", "--xpath", "//a"]) == 0
+    served = {}
+
+    class _Server:
+        host, port = "127.0.0.1", 0
+
+        def __init__(self, engine=None, **kwargs):
+            served.update(backend=engine.backend, early=engine.options.early)
+
+        async def start(self):
+            pass
+
+        async def stop(self):
+            pass
+
+        def stats_nowait(self):
+            return dict(publishes=0, published_docs=0, deliveries=0, epoch=0)
+
+    monkeypatch.setattr(repro.serving, "FilterServer", _Server)
+    assert main(["serve", "--state", state, "--backend", "python", "--early",
+                 "--duration", "0.01"]) == 0
+    assert served == {"backend": "python", "early": True}
 
 
 @pytest.mark.parametrize("written, asked", [("xpush", "layered"), ("layered", "xpush")])

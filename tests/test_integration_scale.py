@@ -7,14 +7,16 @@ in the automata layer cannot hide) — and across machine restarts via
 the persistence layer.
 """
 
+import json
+
 import pytest
 
 from repro.afa.build import build_workload_automata
 from repro.baselines import SharedPathEngine
 from repro.xmlstream.writer import document_to_xml
+from repro.xpush.layered import LayeredFilterEngine
 from repro.xpush.machine import XPushMachine
 from repro.xpush.options import variant_options
-from repro.xpush.persist import workload_from_json, workload_to_json
 
 from tests.conftest import make_workload
 
@@ -39,11 +41,11 @@ def test_medium_scale_consistency(protein):
     expected = [shared.filter_document(d) for d in documents]
     assert via_stream == expected
 
-    # Restart from the persisted workload: identical answers again.
-    restarted = XPushMachine(
-        workload_from_json(workload_to_json(workload)),
-        variant_options("TD"),
-    )
+    # Restart from the persisted workload — an engine snapshot, which
+    # holds the sources: identical answers again.
+    original = LayeredFilterEngine(filters, variant_options("TD"))
+    restarted = LayeredFilterEngine([], variant_options("TD"))
+    restarted.restore(json.loads(json.dumps(original.snapshot())))
     assert restarted.filter_stream(stream) == expected
 
     # The stream matched a healthy number of (query, document) pairs —

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.xmlstream.dom import parse_document
-from repro.xpath.parser import parse_workload
 from repro.xpath.semantics import matching_oids
 from repro.xpush.layered import LayeredFilterEngine
 
@@ -338,21 +337,36 @@ def test_snapshot_never_resurrects_a_passenger():
     assert restored.filter_text(stream) == [frozenset(), frozenset(), {"a"}, {"c"}, {"d"}]
 
 
-def test_version_1_snapshot_still_restores():
-    from repro.afa.build import build_workload_automata
-    from repro.xpush.persist import workload_to_json
+#: The compiled ``{"a": "//x", "b": "//y"}`` base a version-1 snapshot
+#: carried, as the deleted compiled-workload format wrote it; a restore
+#: reads each AFA's oid and source and nothing else.
+VERSION_1_BASE = {
+    "format": "repro-workload",
+    "version": 1,
+    "states": [
+        {"kind": "OR", "predicate": None, "edges": {"*": [0]}, "eps": [], "top": ["x"]},
+        {"kind": "OR", "predicate": None, "edges": {"*": [1]}, "eps": [], "top": ["y"]},
+    ],
+    "afas": [
+        {"oid": "a", "initial": 0, "source": "//x", "states": [0], "notification": 0},
+        {"oid": "b", "initial": 1, "source": "//y", "states": [1], "notification": 1},
+    ],
+}
 
-    base = build_workload_automata(parse_workload({"a": "//x", "b": "//y"}))
+
+def test_version_1_snapshot_still_restores():
     engine = LayeredFilterEngine([])
     engine.restore(
         {
             "format": "repro-layered-engine",
             "version": 1,
-            "base": workload_to_json(base),
+            "runtime": "codegen",
+            "base": VERSION_1_BASE,
             "delta": {"c": "//z"},
             "tombstones": ["b"],
         }
     )
+    assert engine.stats()["runtime"] == "bitmask"  # the recorded runtime is not read
     assert engine.filter_text("<x/><y/><z/>") == [{"a"}, frozenset(), {"c"}]
 
 

@@ -14,7 +14,6 @@ regression.
 from __future__ import annotations
 
 import dataclasses
-import io
 from dataclasses import replace
 
 import pytest
@@ -22,9 +21,9 @@ import pytest
 from repro.afa.build import build_workload_automata
 from repro.bench.workloads import locality_stream, standard_workload
 from repro.xmlstream.writer import document_to_xml
+from repro.xpath.parser import parse_workload
 from repro.xpush.machine import LOW_WATERMARK_RATIO, XPushMachine
 from repro.xpush.options import XPushOptions
-from repro.xpush.persist import load_workload, save_workload
 from repro.xpush.stats import MachineStats
 
 from tests.conftest import make_workload
@@ -87,14 +86,14 @@ def test_bounded_answers_equal_unbounded_both_runtimes(
 
 
 def test_bounded_answers_from_persisted_workload(memory_workload, memory_stream):
-    """A workload round-tripped through persist answers identically
-    under a memory bound (manager state is per-machine, not persisted)."""
+    """A workload rebuilt from its persisted form — its XPath sources —
+    answers identically under a memory bound (manager state is
+    per-machine, not persisted)."""
     workload = build_workload_automata(memory_workload)
     expected = XPushMachine(workload, TD).filter_stream(memory_stream)
-    buffer = io.StringIO()
-    save_workload(workload, buffer)
-    buffer.seek(0)
-    reloaded = load_workload(buffer)
+    reloaded = build_workload_automata(
+        parse_workload({afa.oid: afa.source for afa in workload.afas})
+    )
     machine = XPushMachine(reloaded, replace(TD, max_memory_bytes=64 * 1024))
     assert machine.filter_stream(memory_stream) == expected
 

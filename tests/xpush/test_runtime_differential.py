@@ -182,20 +182,18 @@ def test_memory_bounded_eviction_agrees_across_runtimes(protein, protein_docs):
     assert machine.stats.evictions > 0
 
 
-def test_persist_round_trip_under_every_runtime(protein, protein_docs, tmp_path):
-    """Snapshots carry no compiled tables and no generated code;
-    ``finalize()`` on load must rebuild masks — and the codegen machine
-    must recompile handlers — that behave identically to the originals."""
-    import io
-
-    from repro.xpush.persist import load_workload, save_workload
+def test_persist_round_trip_under_every_runtime(protein, protein_docs):
+    """A workload persists as its XPath sources, with no compiled tables
+    and no generated code; the workload compiled again from them must
+    rebuild masks — and the codegen machine must recompile handlers —
+    that behave identically to the originals."""
+    from repro.xpath.parser import parse_workload
 
     filters = make_workload(protein, 25, seed=44)
     original = build_workload_automata(filters)
-    buffer = io.StringIO()
-    save_workload(original, buffer)
-    buffer.seek(0)
-    reloaded = load_workload(buffer)
+    reloaded = build_workload_automata(
+        parse_workload({afa.oid: afa.source for afa in original.afas})
+    )
     assert reloaded.masks is not None
     for options in all_runtimes(XPushOptions(top_down=True, precompute_values=False)):
         a = XPushMachine(original, options)
@@ -204,9 +202,10 @@ def test_persist_round_trip_under_every_runtime(protein, protein_docs, tmp_path)
             assert a.filter_document(doc) == b.filter_document(doc)
 
 
-def test_engine_snapshot_restores_codegen_runtime(protein, protein_docs, tmp_path):
-    """Engine snapshots record the runtime; a restored engine rebuilds
-    (and recompiles) under the same runtime it was captured with."""
+def test_engine_snapshot_restores_codegen_runtime(protein, protein_docs):
+    """Engine snapshots record no runtime; an engine configured for
+    ``codegen`` restores a capture, recompiles its handlers and answers
+    as the engine the capture came from."""
     from repro.engine import EngineConfig, create_engine
 
     filters = make_workload(protein, 15, seed=6)
@@ -214,9 +213,9 @@ def test_engine_snapshot_restores_codegen_runtime(protein, protein_docs, tmp_pat
     engine = create_engine(config, filters)
     expected = [engine.filter_document(doc) for doc in protein_docs[:5]]
     snapshot = engine.snapshot()
-    assert snapshot["runtime"] == "codegen"
+    assert "runtime" not in snapshot
 
-    restored = create_engine(EngineConfig(engine="xpush"))
+    restored = create_engine(config)
     restored.restore(snapshot)
     assert restored.options.runtime == "codegen"
     assert [restored.filter_document(d) for d in protein_docs[:5]] == expected
@@ -272,6 +271,9 @@ def test_layered_updates_agree_at_every_epoch(protein, protein_docs):
 
 
 def test_layered_snapshot_round_trip_under_codegen(protein, protein_docs):
+    """A snapshot is sources and layering only: one captured under
+    ``codegen`` restores into a ``bitmask`` engine, which keeps its own
+    runtime and answers alike."""
     from repro.xpush.layered import LayeredFilterEngine
 
     filters = make_workload(protein, 16, seed=29)
@@ -285,12 +287,15 @@ def test_layered_snapshot_round_trip_under_codegen(protein, protein_docs):
     docs = protein_docs[:5]
     expected = [engine.filter_document(doc) for doc in docs]
     snapshot = engine.snapshot()
-    assert snapshot["runtime"] == "codegen"
+    assert "runtime" not in snapshot
 
-    restored = LayeredFilterEngine([], options=XPushOptions())
+    restored = LayeredFilterEngine([], options=XPushOptions(runtime="bitmask"))
     restored.restore(snapshot)
-    assert restored.options.runtime == "codegen"
     assert [restored.filter_document(doc) for doc in docs] == expected
+    stats = restored.stats()
+    assert stats["runtime"] == "bitmask"
+    assert (stats["base_filters"], stats["delta_filters"]) == (10, 6)
+    assert stats["codegen_handlers"] == 0
 
 
 @pytest.mark.parametrize("shards", [2, 3, 4])
@@ -322,7 +327,7 @@ def test_sharded_worker_processes_under_codegen(protein, protein_docs):
     with ShardedFilterEngine(
         filters, 2,
         options=XPushOptions(top_down=True, precompute_values=False, runtime="codegen"),
-        batch_size=3, warm=False,
+        batch_size=3,
     ) as engine:
         if not engine.parallel:
             pytest.skip("multiprocessing unavailable on this platform")
