@@ -170,25 +170,12 @@ class MessageBroker:
         for key in ("worker_restarts", "epoch"):
             if key in engine_stats:
                 out[key] = engine_stats[key]
-        # Uniform placement gauge block, whatever the engine kind.
+        # Uniform load gauge block, whatever the engine kind.
         out["shard_load"] = engine_stats.get(
             "shard_load", [float(len(self._subscriptions))]
         )
         out["imbalance"] = engine_stats.get("imbalance", 1.0)
         return out
-
-    def rebalance(self) -> list:
-        """Migrate filters between shards until balanced (the sharded
-        engine's placement verb); raises
-        :class:`~repro.errors.WorkloadError` on engines without one."""
-        rebalance = getattr(self._engine(), "rebalance", None)
-        if rebalance is None:
-            raise WorkloadError(
-                f"engine {self.config.engine!r} does not support rebalance"
-            )
-        moves = rebalance()
-        assert isinstance(moves, list)
-        return moves
 
     def serve(
         self,

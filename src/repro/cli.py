@@ -35,7 +35,6 @@ from dataclasses import replace
 from repro.afa.build import build_workload_automata
 from repro.engine import BACKENDS, EngineConfig, create_engine
 from repro.errors import ReproError
-from repro.service.placement import PLACEMENT_POLICIES
 from repro.xmlstream.dtdparser import parse_dtd_file
 from repro.xmlstream.parser import _not_utf8
 from repro.xpath.ast import count_atomic_predicates, is_linear
@@ -116,12 +115,6 @@ _ENGINE_FLAGS: dict[str, dict] = {
     "--batch-size": dict(
         type=int, default=16, help="documents per work item in sharded mode",
     ),
-    "--placement": dict(
-        default="hash", choices=list(PLACEMENT_POLICIES),
-        help="where filters live in sharded mode (hash = CRC-32 of the oid, "
-             "cost = selectivity-weighted LPT at boot and lightest-shard "
-             "routing for live subscribes, docs/scaling.md)",
-    ),
     "--backend": dict(
         default="auto", choices=list(BACKENDS),
         help="parser backend for the push-mode event path "
@@ -182,7 +175,6 @@ def _engine_config(args, dtd) -> EngineConfig:
         dtd=dtd,
         backend=args.backend,
         shards=args.shards,
-        placement=args.placement,
         batch_size=args.batch_size,
     )
 
@@ -285,20 +277,6 @@ def cmd_compact(args) -> int:
     return 0
 
 
-def cmd_rebalance(args) -> int:
-    with _updating_state(args.state, "sharded") as engine:
-        moves = engine.rebalance()
-        stats = engine.stats()
-    for move in moves:
-        print(f"  {move.oid}: shard {move.source} -> {move.target}", file=sys.stderr)
-    print(
-        f"# rebalanced {args.state}: {len(moves)} moves, "
-        f"imbalance {stats['imbalance']:.3f} over {stats['shards']} shards",
-        file=sys.stderr,
-    )
-    return 0
-
-
 # ----------------------------------------------------------------------
 # Commands
 # ----------------------------------------------------------------------
@@ -342,9 +320,8 @@ def _engine_footer(stats: dict, bounded: bool) -> str:
     (*bounded*: a memory bound was set, so report what it cost)."""
     parts = []
     if "per_shard" in stats:
-        placement = "" if stats["placement"] == "hash" else f", {stats['placement']} placement"
         fallback = ", serial fallback" if stats["serial_fallback"] else ""
-        parts.append(f"{stats['shards']} shards ({stats['inner']}{placement}{fallback})")
+        parts.append(f"{stats['shards']} shards ({stats['inner']}{fallback})")
     parts.append(f"{stats.get('xpush_states', 0)} states")
     if "hit_ratio" in stats:
         parts.append(f"hit ratio {stats['hit_ratio']:.1%}")
@@ -498,46 +475,9 @@ def cmd_inspect(args) -> int:
     return 0
 
 
-def _explain_placement(args, filters) -> int:
-    """Dump the placement cost table and compare hash vs cost shard
-    loads (``repro explain --placement``)."""
-    from repro.service.placement import CostModel, imbalance, place_filters, shard_loads
-
-    model = CostModel()
-    for xpath_filter in filters:
-        model.add(xpath_filter)
-    if args.sample > 0:
-        dataset = _dataset(args.dataset, args.seed)
-        model.seed(filters, list(dataset.documents(args.sample)))
-        print(
-            f"# selectivity sampled over {args.sample} {args.dataset} documents",
-            file=sys.stderr,
-        )
-    print(f"{'oid':<24} {'states':>6} {'sigma':>7} {'cost':>9}")
-    for row in model.table():
-        print(f"{row.oid:<24} {row.states:>6} {row.selectivity:>7.3f} {row.cost:>9.2f}")
-    shards = max(args.shards, 1)
-    costs = model.costs()
-    print()
-    for policy in PLACEMENT_POLICIES:
-        routing = {
-            f.oid: shard
-            for shard, placed in enumerate(place_filters(filters, shards, model, policy))
-            for f in placed
-        }
-        loads = shard_loads(routing, costs, shards)
-        rendered = ", ".join(f"{load:.1f}" for load in loads)
-        print(
-            f"{policy:<5} placement over {shards} shards: "
-            f"loads [{rendered}], imbalance {imbalance(loads):.3f}"
-        )
-    return 0
-
-
 def cmd_explain(args) -> int:
     """Show the compiled form of a whole workload — counts by default,
-    the generated straight-line Python with ``--codegen``, the
-    placement cost table with ``--placement``."""
+    the generated straight-line Python with ``--codegen``."""
     from repro.xpush.options import XPushOptions
 
     if not args.query and not args.queries:
@@ -545,8 +485,6 @@ def cmd_explain(args) -> int:
     filters = (
         [parse_xpath(args.query, "q")] if args.query else _load_queries(args.queries)
     )
-    if args.placement:
-        return _explain_placement(args, filters)
     workload = build_workload_automata(filters)
     print(f"filters     : {len(workload.afas)}")
     print(f"AFA states  : {workload.state_count}")
@@ -721,13 +659,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compact)
 
     p = sub.add_parser(
-        "rebalance",
-        help="migrate filters between a sharded state file's shards until balanced",
-    )
-    p.add_argument("--state", required=True, help="sharded engine state file (JSON)")
-    p.set_defaults(func=cmd_rebalance)
-
-    p = sub.add_parser(
         "serve",
         help="run the network serving tier (TCP frames + HTTP on one port)",
     )
@@ -797,19 +728,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-handlers", type=int, default=None,
                    help="override the codegen handler bound "
                         "(XPushOptions.codegen_max_handlers)")
-    p.add_argument("--placement", action="store_true",
-                   help="dump the placement cost table (AFA states × σ̂) and "
-                        "compare hash vs cost shard loads")
-    p.add_argument("--shards", type=int, default=4,
-                   help="shard count the --placement comparison partitions over")
-    p.add_argument("--dataset", default="protein",
-                   choices=["protein", "nasa", "auction"],
-                   help="document pool --placement samples σ from")
-    p.add_argument("--sample", type=int, default=0,
-                   help="documents to sample for σ estimation (0 = skip "
-                        "sampling, costs reduce to AFA state counts)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="sample-pool seed for --placement")
     p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser("bench", help="one-shot throughput measurement")

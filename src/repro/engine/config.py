@@ -60,17 +60,6 @@ class EngineConfig:
         shards: shard count for the sharded service (>= 1).
         inner: engine kind the sharded service hosts per shard — any
             registry name but ``"sharded"``.
-        placement: placement policy of the sharded service
-            (:mod:`repro.service.placement`), at boot and afterwards:
-            ``"hash"`` routes every oid by CRC-32; ``"cost"`` boots via
-            cost-model LPT and routes new subscribes to the lightest
-            shard.
-        rebalance_threshold: load imbalance (hottest shard over mean,
-            >= 1.0) above which ``rebalance()``/``maybe_rebalance()``
-            plan filter migrations.
-        rebalance_interval: under ``placement="cost"``, check the
-            imbalance gauge and auto-rebalance every N processed
-            batches (0 = manual rebalancing only).
         batch_size: documents per work item fanned out to the shards
             by ``filter_batch`` / ``filter_events``, whose documents the
             parent holds; a ``filter_stream`` call is one item whatever
@@ -92,9 +81,6 @@ class EngineConfig:
     compact_threshold: int = 64
     shards: int = 1
     inner: str = "layered"
-    placement: str = "hash"
-    rebalance_threshold: float = 1.5
-    rebalance_interval: int = 0
     batch_size: int = 16
     queue_depth: int = 4
     parallel: bool | None = None
@@ -120,23 +106,6 @@ class EngineConfig:
             raise WorkloadError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.queue_depth < 1:
             raise WorkloadError(f"queue_depth must be >= 1, got {self.queue_depth}")
-        # Deferred import: importing repro.service at module level would
-        # pull its __init__ (which imports the engine package) into a cycle.
-        from repro.service.placement import PLACEMENT_POLICIES
-
-        if self.placement not in PLACEMENT_POLICIES:
-            raise WorkloadError(
-                f"unknown placement policy {self.placement!r}; "
-                f"known: {sorted(PLACEMENT_POLICIES)}"
-            )
-        if self.rebalance_threshold < 1.0:
-            raise WorkloadError(
-                f"rebalance_threshold must be >= 1.0, got {self.rebalance_threshold}"
-            )
-        if self.rebalance_interval < 0:
-            raise WorkloadError(
-                f"rebalance_interval must be >= 0, got {self.rebalance_interval}"
-            )
         if self.result_timeout <= 0:
             raise WorkloadError(
                 f"result_timeout must be > 0 seconds, got {self.result_timeout}"

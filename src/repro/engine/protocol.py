@@ -30,9 +30,7 @@ The contract, in paper terms:
 Beyond the required surface, engines may expose **optional control
 verbs** that callers discover with ``getattr`` — the serving tier and
 broker forward them over the wire only when present: ``compact()``
-(fold the layered delta into the base, PR 5's update plane) and, on
-the sharded service, the placement verbs ``rebalance()`` /
-``split()`` / ``merge()`` (:mod:`repro.service.placement`).  Engines
+(fold the layered delta into the base, PR 5's update plane).  Engines
 without a verb simply do not grow stubs for it; absence is the
 capability signal.
 
@@ -124,8 +122,8 @@ class FilterEngine(Protocol):
     def stats(self) -> dict[str, Any]:
         """Engine counters; every engine includes at least ``engine``
         (its registry name), ``filters`` (the live filter count) and
-        the uniform placement gauge block — ``shard_load`` (per-shard
-        cost list; length 1 on in-process engines) and ``imbalance``
+        the uniform load gauge block — ``shard_load`` (per-shard
+        load list; length 1 on in-process engines) and ``imbalance``
         (hottest shard over mean, 1.0 when balanced) — so dashboards
         never special-case engine kinds."""
         ...

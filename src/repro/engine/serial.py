@@ -190,7 +190,7 @@ class BaselineEngine:
             "filters": len(self._filters),
             "rebuilds": self.rebuilds,
             "stale": self._inner is None,
-            # Uniform placement gauge block: an in-process engine is
+            # Uniform load gauge block: an in-process engine is
             # one "shard", here weighed by its filter count.
             "shard_load": [float(len(self._filters))],
             "imbalance": 1.0,

@@ -3,15 +3,15 @@
 Scaling model (see ``docs/scaling.md``): the *workload* is partitioned
 into N shards; every document batch fans out to all shards and the
 per-shard oid sets are unioned, so the engine's answers are exactly
-the serial machine's answers regardless of N or placement policy.
+the serial machine's answers regardless of N.
 
 **What the orchestrator owns.**  The XPush machine is a cache over the
 workload (Sec. 7-8: it "can be deleted ... and recomputed later"), so
-the only durable state here is *which filter lives where*: the oid →
-shard **routing table** and the oid → XPath **sources**.  Everything a
-shard needs — at boot, after a crash, after ``restore()`` — is projected
-from those two at that moment (``_boot_payload``); ``snapshot()`` is
-those two plus the epoch.  A shard itself is an inner
+the only durable state here is the oid → XPath **sources**.  A filter's
+shard is a pure function of its oid, :func:`shard_of_oid` (CRC-32), so
+everything a shard needs — at boot, after a crash, after ``restore()``
+— is projected from the sources at that moment (``_boot_payload``);
+``snapshot()`` is the sources plus the epoch.  A shard itself is an inner
 :class:`~repro.engine.protocol.FilterEngine` (``config.inner`` names
 the kind; the default ``"layered"`` keeps updates from flushing a
 warmed base table) behind the seam in :mod:`repro.service.shard`:
@@ -20,20 +20,16 @@ in-process when ``shards == 1``, ``parallel=False`` or
 worker process otherwise — same API, same batch path, same answers.
 
 **Update control plane.**  ``subscribe`` / ``unsubscribe`` / ``compact``
-and the placement verbs ``rebalance`` / ``split`` / ``merge``
-(:mod:`repro.service.placement`) are each written once: validate in the
-parent (bad XPath or duplicate oid never reaches a shard), bump the
-*epoch*, update routing + sources, *then* call the shard verb.  That
+are each written once: validate in the parent (a bad XPath, a filter
+the AFA build refuses or a duplicate oid never reaches a shard), bump
+the *epoch*, update the sources, *then* call the shard verb.  That
 order is the whole crash story: a worker that dies at any point is
 respawned from the current projection, so every update is applied
-exactly once and no control message is ever replayed.  A migration is a
-subscribe on the target plus an unsubscribe on the source (add before
-remove — transient double-residency is benign because answers are
-unioned, a gap would drop matches).  Verbs run between batch fan-outs
-and ``filter_batch`` drains its in-flight work before returning, so
-every batch is answered entirely pre-update or entirely post-update.
-Batch replies carry the shard's ``applied_epoch``, so answers are
-attributable to a workload version.
+exactly once and no control message is ever replayed.  Verbs run
+between batch fan-outs and ``filter_batch`` drains its in-flight work
+before returning, so every batch is answered entirely pre-update or
+entirely post-update.  Batch replies carry the shard's
+``applied_epoch``, so answers are attributable to a workload version.
 
 **Data plane** — one for both kinds of shard.  The parent parses
 nothing.  ``filter_stream`` submits the publisher's UTF-8 bytes whole,
@@ -63,6 +59,7 @@ the pre-crash incarnation are discarded idempotently.
 from __future__ import annotations
 
 import time
+import zlib
 from dataclasses import replace
 from functools import partial
 from typing import IO, Any, Iterable, Mapping, Sequence, Union, cast
@@ -73,16 +70,6 @@ from repro.engine.factory import engine_names
 from repro.engine.protocol import MatchHook
 from repro.errors import ReproError, WorkloadError
 from repro.service.latency import LatencyTracker
-from repro.service.placement import (
-    CostModel,
-    Move,
-    imbalance,
-    place_filters,
-    plan_drain,
-    plan_rebalance,
-    route_new,
-    shard_loads,
-)
 from repro.service.shard import DocumentText, LocalShard, ServiceError, WorkerShard
 from repro.service.worker import build_payload
 from repro.xmlstream.dom import Document, documents_of_events
@@ -102,7 +89,41 @@ WorkItem = tuple[list[DocumentText], Union[int, None]]
 
 #: ``snapshot()`` format tag of the sharded engine itself.
 SNAPSHOT_FORMAT = "repro-sharded-engine"
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
+
+
+def shard_of_oid(oid: str, shards: int) -> int:
+    """The shard that owns *oid*: CRC-32 of its UTF-8 bytes — identical
+    across processes and restarts, unlike the salted builtin ``hash``,
+    and independent of subscription order."""
+    return zlib.crc32(oid.encode("utf-8")) % shards
+
+
+def imbalance(loads: Sequence[float]) -> float:
+    """Hottest-shard load over mean load; 1.0 is perfectly balanced
+    (and the degenerate empty / all-idle answer)."""
+    total = sum(loads)
+    if total <= 0.0:
+        return 1.0
+    return max(loads) / (total / len(loads))
+
+
+#: Normalised path forms the AFA build has accepted.  Whether a filter
+#: compiles depends only on its structure, never its oid, so a
+#: deduplicated workload compiles each distinct filter once per process.
+_COMPILES: set[str] = set()
+
+
+def _check_compiles(xpath_filter: XPathFilter) -> None:
+    """Raise what the AFA build raises on *xpath_filter* (a filter too
+    deep to compile), in the parent, before any shard or epoch changes
+    — the shards trust the parent and would only fail a boot."""
+    key = str(xpath_filter.path)
+    if key not in _COMPILES:
+        from repro.afa.build import build_workload_automata
+
+        build_workload_automata([xpath_filter])
+        _COMPILES.add(key)
 
 
 def _mp_context() -> Any:
@@ -192,8 +213,6 @@ class ShardedFilterEngine:
         config: the consolidated :class:`~repro.engine.config.EngineConfig`
             (default ``EngineConfig(engine="sharded")``) — every knob and
             every default lives there.
-        sample_documents: optional document sample seeding the cost
-            model's σ̂ before the boot placement.
         **overrides: ``EngineConfig`` fields replaced on *config*
             (``options=``, ``batch_size=``, ``parallel=``, …); anything
             that is not a field is a ``TypeError``.
@@ -207,7 +226,6 @@ class ShardedFilterEngine:
         shards: int | None = None,
         *,
         config: EngineConfig | None = None,
-        sample_documents: Sequence[Document] | None = None,
         **overrides: Any,
     ):
         config = config or EngineConfig(engine="sharded")
@@ -216,11 +234,9 @@ class ShardedFilterEngine:
         if overrides:
             config = replace(config, **overrides)
         self.config = config
-        # Workload-level facts a restore / split / merge may change.
+        # Workload-level facts a restore may change.
         self.shards = config.shards
         self.inner = _known_inner(config.inner)
-        self.placement = config.placement
-        self.rebalance_threshold = config.rebalance_threshold
 
         if filters and not isinstance(next(iter(filters)), XPathFilter):
             filters = parse_workload(filters)  # type: ignore[arg-type]
@@ -228,15 +244,11 @@ class ShardedFilterEngine:
 
         self.documents = 0
         self.batches = 0
-        self.rebalances = 0
-        self.splits = 0
-        self.merges = 0
-        self.migrations = 0
         self.latency = LatencyTracker()
         #: Per-fan-out critical path: the wall time to the last worker
         #: reply, or in-process the slowest shard's ``batch_s`` —
-        #: *modelled*, what an ideally parallel run of this placement
-        #: would pay, which is what the placement benchmarks gate on.
+        #: *modelled*, what an ideally parallel run of these shards
+        #: would pay.
         self.critical_path = LatencyTracker()
         #: Submit → first delivered match, per document that matched
         #: anything (populated while an ``on_match`` sink is attached).
@@ -257,26 +269,16 @@ class ShardedFilterEngine:
         self._closed = False
         #: shard id → shard handle (all local or all workers).
         self._shards: dict[int, LocalShard | WorkerShard] = {}
-        # Restarts of workers since retired by merge() / restore().
+        # Restarts of workers since retired by restore().
         self._retired_restarts = 0
-        #: The routing table: oid → owning shard for every *live*
-        #: subscription.  With ``_sources`` it is the single source of
-        #: truth: snapshots carry it and shards boot from its projection.
-        self._routing: dict[str, int] = {}
-        #: oid → XPath source of every live subscription.
+        #: oid → XPath source of every live subscription: the single
+        #: source of truth, which snapshots carry and shards boot from.
         self._sources: dict[str, str] = {}
-        #: Per-filter cost model (AFA states × σ̂); maintained under
-        #: both policies so the load gauges never go dark.
-        self._cost = CostModel()
-        # Batch count at the last auto-rebalance check.
-        self._auto_marker = 0
         for xpath_filter in parsed:
-            self._cost.add(xpath_filter)
+            _check_compiles(xpath_filter)
             self._sources[xpath_filter.oid] = xpath_filter.source or str(
                 xpath_filter.path
             )
-        if sample_documents:
-            self._cost.seed(parsed, list(sample_documents))
 
         self._ctx = None
         parallel = config.parallel
@@ -285,24 +287,19 @@ class ShardedFilterEngine:
         if parallel and self.shards > 1:
             self._ctx = _mp_context()
         self.parallel = self._ctx is not None
-
-        placed = place_filters(parsed, self.shards, self._cost, self.placement)
-        for shard_id, shard_filters in enumerate(placed):
-            for xpath_filter in shard_filters:
-                self._routing[xpath_filter.oid] = shard_id
         self._boot_shards()
 
     # ------------------------------------------------------------------
-    # Shards: built from the routing projection, whenever one is needed
+    # Shards: built from the sources' projection, whenever one is needed
     # ------------------------------------------------------------------
 
     def _projection(self, shard_id: int) -> dict[str, str]:
-        """Shard *shard_id*'s workload (oid → XPath) as the routing
-        table and sources have it right now."""
+        """Shard *shard_id*'s workload (oid → XPath) as the sources
+        have it right now."""
         return {
-            oid: self._sources[oid]
-            for oid, shard in self._routing.items()
-            if shard == shard_id
+            oid: source
+            for oid, source in self._sources.items()
+            if shard_of_oid(oid, self.shards) == shard_id
         }
 
     def _boot_payload(self, shard_id: int, config: EngineConfig, epoch: int) -> dict:
@@ -347,58 +344,44 @@ class ShardedFilterEngine:
 
     @property
     def options(self) -> XPushOptions:
-        """The machine options every shard runs (a restore may change
-        their runtime)."""
+        """The machine options every shard runs."""
         return self.config.options
 
     @property
     def filter_count(self) -> int:
-        return len(self._routing)
+        return len(self._sources)
 
     @property
     def epoch(self) -> int:
         """The workload version: bumped by every update."""
         return self._epoch
 
-    @property
-    def routing(self) -> dict[str, int]:
-        """A copy of the oid → shard routing table."""
-        return dict(self._routing)
-
     def _check_open(self) -> None:
         if self._closed:
             raise ServiceError("engine is closed")
 
     def subscribe(self, oid: str, xpath: str) -> None:
-        """Add a filter while serving.  Validated here, applied on the
-        shard the placement policy picks (CRC-32 under ``hash``, the
-        lightest shard under ``cost``) without flushing its warmed base
-        tables."""
+        """Add a filter while serving.  Validated here — parsed and
+        compiled, so a filter the AFA build refuses stops before the
+        epoch moves — and applied on its CRC-32 shard without flushing
+        that shard's warmed base tables."""
         self._check_open()
-        if oid in self._routing:
+        if oid in self._sources:
             raise WorkloadError(f"oid {oid!r} already subscribed")
-        parsed = parse_xpath(xpath, oid)  # eager; shards trust the parent
-        loads = self.shard_load() if self.placement == "cost" else ()
-        shard_id = route_new(oid, loads, self.placement, self.shards)
-        # Costing compiles the filter; one the AFA build refuses must
-        # stop here, before the routing table names it.
-        self._cost.add(parsed)
+        _check_compiles(parse_xpath(xpath, oid))  # eager; shards trust the parent
         self._epoch += 1
-        self._routing[oid] = shard_id
         self._sources[oid] = xpath
-        self._shards[shard_id].subscribe(oid, xpath, self._epoch)
+        self._shards[shard_of_oid(oid, self.shards)].subscribe(oid, xpath, self._epoch)
 
     def unsubscribe(self, oid: str) -> None:
         """Drop a filter while serving; a tombstone on its shard until
         the next compaction."""
         self._check_open()
-        if oid not in self._routing:
+        if oid not in self._sources:
             raise WorkloadError(f"unknown oid {oid!r}")
-        shard_id = self._routing.pop(oid)
         del self._sources[oid]
-        self._cost.drop(oid)
         self._epoch += 1
-        self._shards[shard_id].unsubscribe(oid, self._epoch)
+        self._shards[shard_of_oid(oid, self.shards)].unsubscribe(oid, self._epoch)
 
     def compact(self) -> None:
         """Fold every shard's delta and tombstones into its base (a
@@ -408,104 +391,6 @@ class ShardedFilterEngine:
         self._epoch += 1
         for shard in self._shards.values():
             shard.compact(self._epoch)
-
-    # Placement verbs — hot-shard management on the same control plane.
-    # Each verb runs between batch fan-outs (filter_batch drains its
-    # in-flight work before returning), so every batch is answered
-    # entirely pre-move or entirely post-move and answers stay exactly
-    # the serial machine's at every epoch.
-
-    def shard_load(self) -> list[float]:
-        """Per-shard cost totals under the current routing table."""
-        return shard_loads(self._routing, self._cost.costs(), self.shards)
-
-    def imbalance(self) -> float:
-        """Hottest-shard load over mean load (1.0 = balanced)."""
-        return imbalance(self.shard_load())
-
-    def seed_placement(self, documents: Sequence[Document]) -> None:
-        """Seed the cost model's σ̂ for the *live* workload from a
-        document sample (the live match-rate feedback keeps refining it
-        afterwards)."""
-        live = [parse_xpath(source, oid) for oid, source in self._sources.items()]
-        self._cost.seed(live, list(documents))
-
-    def _plan_rebalance(self) -> list[Move]:
-        return plan_rebalance(
-            self._routing, self._cost.costs(), self.shards, self.rebalance_threshold
-        )
-
-    def rebalance(self) -> list[Move]:
-        """Migrate filters between shards until the cost-model
-        imbalance is within ``rebalance_threshold`` (or no single move
-        improves it); returns the executed moves.  One epoch bump for
-        the whole plan."""
-        self._check_open()
-        moves = self._plan_rebalance()
-        if moves:
-            self._apply_moves(moves)
-            self.rebalances += 1
-        return moves
-
-    def maybe_rebalance(self) -> bool:
-        """Hot-shard detection: rebalance iff the imbalance gauge
-        exceeds ``rebalance_threshold``.  True when moves executed."""
-        if self.imbalance() <= self.rebalance_threshold:
-            return False
-        return bool(self.rebalance())
-
-    def split(self) -> int:
-        """Add one shard (empty) and rebalance filters onto it; returns
-        the new shard count."""
-        self._check_open()
-        new_id = self.shards
-        self.shards += 1
-        self._epoch += 1
-        self._shards[new_id] = self._make_shard(new_id)
-        self.splits += 1
-        moves = self._plan_rebalance()
-        if moves:
-            self._apply_moves(moves)
-        return self.shards
-
-    def merge(self) -> int:
-        """Drain the last shard onto the others and retire it; returns
-        the new shard count."""
-        self._check_open()
-        if self.shards <= 1:
-            raise ServiceError("cannot merge a single-shard engine")
-        victim = self.shards - 1
-        moves = plan_drain(victim, self._routing, self._cost.costs(), self.shards)
-        self._epoch += 1
-        self.migrations += len(moves)
-        for move in moves:
-            self._routing[move.oid] = move.target
-            self._shards[move.target].subscribe(
-                move.oid, self._sources[move.oid], self._epoch
-            )
-        # The victim needs no per-filter unsubscribes — the whole shard
-        # is retired with its state.
-        self._retire(self._shards.pop(victim))
-        self.shards -= 1
-        self.merges += 1
-        return self.shards
-
-    def _apply_moves(self, moves: Sequence[Move]) -> None:
-        """Execute a migration plan as one epoch of control messages.
-
-        Add before remove: if a crash interleaves, the filter is
-        transiently live on both shards — benign, because per-document
-        answers are unioned — whereas remove-first would open a window
-        where neither shard answers for it.
-        """
-        self._epoch += 1
-        self.migrations += len(moves)
-        for move in moves:
-            self._routing[move.oid] = move.target
-            self._shards[move.target].subscribe(
-                move.oid, self._sources[move.oid], self._epoch
-            )
-            self._shards[move.source].unsubscribe(move.oid, self._epoch)
 
     # ------------------------------------------------------------------
     # Filtering
@@ -521,26 +406,8 @@ class ShardedFilterEngine:
         return self._filter([(chunk, len(chunk)) for chunk in chunks])
 
     def _filter(self, items: Sequence[WorkItem]) -> list[frozenset[str]]:
-        """The one data path: *items* fanned out to every shard, plus
-        the bookkeeping every filter call shares."""
+        """The one data path: *items* fanned out to every shard."""
         self._check_open()
-        if not items:
-            return []
-        results = self._fan_out(items)
-        # Live selectivity feedback: fold the answered match rates into
-        # the cost model, then let hot-shard detection act on them.
-        self._cost.observe(results)
-        interval = self.config.rebalance_interval
-        if (
-            self.placement == "cost"
-            and interval > 0
-            and self.batches - self._auto_marker >= interval
-        ):
-            self._auto_marker = self.batches
-            self.maybe_rebalance()
-        return results
-
-    def _fan_out(self, items: Sequence[WorkItem]) -> list[frozenset[str]]:
         outstanding: dict[int, dict] = {}
         entries: list[dict] = []
         emit = self.on_match is not None
@@ -765,27 +632,28 @@ class ShardedFilterEngine:
     # ------------------------------------------------------------------
 
     def snapshot(self) -> dict[str, Any]:
-        """Capture the sharded workload — routing table, sources, epoch
-        — the same flat thing in both modes, and authoritative even
-        while workers are mid-update (it never asks them)."""
+        """Capture the sharded workload — sources and epoch — the same
+        flat thing in both modes, and authoritative even while workers
+        are mid-update (it never asks them)."""
         return {
             "format": SNAPSHOT_FORMAT,
             "version": SNAPSHOT_VERSION,
             "shards": self.shards,
             "inner": self.inner,
-            "placement": self.placement,
             "epoch": self._epoch,
-            "routing": dict(self._routing),
             "filters": dict(self._sources),
         }
 
     @staticmethod
     def _snapshot_filters(snapshot: Mapping[str, Any]) -> dict[str, str]:
-        """The oid → XPath sources of a version-2 or version-1 capture."""
+        """The oid → XPath sources of a capture of any version.  A
+        version-2 capture's ``routing`` and ``placement`` are not read:
+        every filter lives on its CRC-32 shard, whatever it was written
+        with, and the answers are the same."""
         from repro.xpush.persist import PersistError
 
         version = snapshot.get("version")
-        if version == SNAPSHOT_VERSION:
+        if version in (2, SNAPSHOT_VERSION):
             filters = snapshot.get("filters")
             if not isinstance(filters, Mapping):
                 raise PersistError("malformed sharded snapshot: filters")
@@ -805,34 +673,27 @@ class ShardedFilterEngine:
 
     def restore(self, snapshot: dict[str, Any]) -> None:
         """Replace the workload with a :meth:`snapshot` capture; every
-        shard is rebuilt from the captured routing table and sources,
-        under this engine's own config."""
+        shard is rebuilt from the captured sources, under this engine's
+        own config.  A capture that is refused — malformed, or naming a
+        filter that does not parse or compile — leaves the engine as it
+        was: everything is checked before a shard is stopped."""
         from repro.xpush.persist import PersistError
 
         if snapshot.get("format") != SNAPSHOT_FORMAT:
             raise PersistError("not a persisted sharded engine snapshot")
         sources = self._snapshot_filters(snapshot)
-        routing = {
-            str(oid): int(shard) for oid, shard in snapshot.get("routing", {}).items()
-        }
         shards = int(snapshot.get("shards", 0))
-        if shards < 1 or not all(0 <= shard < shards for shard in routing.values()):
-            raise PersistError("malformed sharded snapshot: shards / routing")
-        if not routing.keys() <= sources.keys():
-            raise PersistError("malformed sharded snapshot: routed oid without a filter")
+        if shards < 1:
+            raise PersistError("malformed sharded snapshot: shards")
         inner = _known_inner(str(snapshot.get("inner", self.inner)))
+        epoch = int(snapshot.get("epoch", 0))
+        for oid, source in sources.items():
+            _check_compiles(parse_xpath(source, oid))
         self._stop_shards()
         self.shards = shards
         self.inner = inner
-        self.placement = str(snapshot.get("placement", self.placement))
-        self._epoch = int(snapshot.get("epoch", 0))
-        self._routing = routing
-        self._sources = {oid: sources[oid] for oid in routing}
-        # σ̂ restarts from zero — live match rates are runtime state,
-        # re-earned from traffic.
-        self._cost = CostModel()
-        for oid, source in self._sources.items():
-            self._cost.add_source(oid, source)
+        self._epoch = epoch
+        self._sources = sources
         self._boot_shards()
 
     # ------------------------------------------------------------------
@@ -866,17 +727,13 @@ class ShardedFilterEngine:
     )
 
     def stats(self) -> dict:
-        loads = self.shard_load()
         counts = [0] * self.shards
-        for shard_id in self._routing.values():
-            counts[shard_id] += 1
+        for oid in self._sources:
+            counts[shard_of_oid(oid, self.shards)] += 1
+        loads = [float(count) for count in counts]
         per_shard = []
         for shard_id in range(self.shards):
-            entry: dict = {
-                "shard": shard_id,
-                "filters": counts[shard_id],
-                "load": loads[shard_id],
-            }
+            entry: dict = {"shard": shard_id, "filters": counts[shard_id]}
             info = self._shards[shard_id].info()
             for key in self._INFO_KEYS:
                 entry[key] = info.get(key, 0)
@@ -893,7 +750,6 @@ class ShardedFilterEngine:
             "epoch": self._epoch,
             "inner": self.inner,
             "shards": self.shards,
-            "placement": self.placement,
             "backend": self.config.backend,
             "runtime": self.options.runtime,
             "parallel": self.parallel,
@@ -910,10 +766,6 @@ class ShardedFilterEngine:
             "per_shard": per_shard,
             "shard_load": loads,
             "imbalance": imbalance(loads),
-            "rebalances": self.rebalances,
-            "splits": self.splits,
-            "merges": self.merges,
-            "migrations": self.migrations,
             "batch_latency": self.latency.snapshot(),
             "first_match_latency": self.first_match.snapshot(),
             "critical_path_latency": self.critical_path.snapshot(),

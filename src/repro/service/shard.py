@@ -13,13 +13,13 @@ Both kinds answer a batch in :func:`~repro.service.worker.run_batch`'s
 messages — a worker down its result pipe, a local shard into ``replies``
 inside ``submit`` — and the orchestrator folds them alike.
 
-Who owns what: the orchestrator owns the *workload* — the routing table
-and the XPath sources — and nothing else is durable.  A shard owns an
-engine built from that: it is handed ``boot``, a callable returning the
-shard's boot payload (:func:`~repro.service.worker.build_payload`) as
-projected from routing + sources *at the moment of the call*, and calls
-it whenever it needs an engine — once for a local shard, on every
-(re)spawn for a worker.  :class:`WorkerShard` alone owns the process,
+Who owns what: the orchestrator owns the *workload* — the XPath
+sources — and nothing else is durable.  A shard owns an engine built
+from that: it is handed ``boot``, a callable returning the shard's boot
+payload (:func:`~repro.service.worker.build_payload`) as projected from
+the sources *at the moment of the call*, and calls it whenever it needs
+an engine — once for a local shard, on every (re)spawn for a worker.
+:class:`WorkerShard` alone owns the process,
 its task queue, its per-incarnation result pipe and the batches it has
 not answered yet (``pending``).
 
@@ -27,7 +27,7 @@ Crash recovery is therefore true by construction: a respawned worker
 boots the *current* workload, the stale queue dies with the old process,
 and a control message lost with it is deliberately not re-sent — its
 effect is already in the projection.  The one invariant callers keep:
-update routing and sources **before** calling a control verb.
+update the sources **before** calling a control verb.
 
 ``epoch`` on a shard is the epoch of the last update routed to it (or
 the one it was created at); a worker boots at that epoch, and both kinds
@@ -55,7 +55,7 @@ class ServiceError(ReproError):
 DocumentText = Union[str, bytes]
 
 #: ``boot(epoch)`` → the shard's boot payload, derived by the
-#: orchestrator from its routing table and sources when called.
+#: orchestrator from its sources when called.
 Boot = Callable[[int], dict]
 
 

@@ -5,7 +5,7 @@ Each worker owns one shard: it boots an inner
 :func:`~repro.engine.factory.create_engine` from a picklable payload
 (:func:`build_payload`): the inner engine's
 :class:`~repro.engine.config.EngineConfig` plus the shard's filters as
-``oid → XPath`` sources — the parent's routing projection at the moment
+``oid → XPath`` sources — the parent's projection at the moment
 of the (re)spawn.  The worker parses and compiles its own filters (and
 trains its machine exactly when ``config.options.train`` says so, as
 any engine of that config would); nothing about an engine's internal
@@ -34,8 +34,8 @@ parent → worker, on the shard's task queue:
   ``("control", e, "unsubscribe", oid)`` or
   ``("control", e, "compact")``.  Applied in FIFO order with batches,
   so a batch submitted after an update is always answered under it.
-  No ack is sent and none is needed: the parent updated its routing
-  table and sources *before* enqueuing the message, and a respawned
+  No ack is sent and none is needed: the parent updated its sources
+  *before* enqueuing the message, and a respawned
   worker boots from exactly those, so a crash between enqueue and
   apply loses nothing (the stale queue dies with the old process);
 - ``("crash", exit_code)`` — die immediately (test hook for the

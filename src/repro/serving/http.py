@@ -13,7 +13,6 @@ path for clients that cannot keep a framed socket.
 | ``POST /subscribe`` (JSON body: oid, xpath, consumer?) | ``subscribe`` |
 | ``POST /unsubscribe`` (JSON body: oid) | ``unsubscribe`` |
 | ``POST /compact`` | ``compact`` |
-| ``POST /rebalance`` | ``rebalance`` (sharded engine only) |
 | ``POST /consumers`` (JSON body: consumer, policy?, …) | ``consume`` |
 | ``GET /poll?consumer=&timeout=&max=`` | ``poll`` (long-poll) |
 | ``GET /stats`` | ``stats`` |
@@ -143,7 +142,7 @@ async def _route(
         except UnicodeDecodeError as error:
             return 400, {"ok": False, "error": f"body is not UTF-8: {error}"}
         frame["op"] = "publish"
-    elif path in ("/subscribe", "/unsubscribe", "/compact", "/rebalance", "/consumers"):
+    elif path in ("/subscribe", "/unsubscribe", "/compact", "/consumers"):
         if method != "POST":
             return 405, {"ok": False, "error": f"{path} is POST"}
         if body:

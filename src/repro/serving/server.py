@@ -474,23 +474,6 @@ class FilterServer:
         epoch, _ = await self._run_engine(lambda: self._control_job(compact))
         return {"ok": True, "epoch": epoch}
 
-    async def _op_rebalance(self, frame: Frame, conn: _Connection | None) -> Frame:
-        rebalance = getattr(self.engine, "rebalance", None)
-        if rebalance is None:
-            raise ServingError(
-                f"engine {self.engine.stats().get('engine')!r} has no rebalance verb"
-            )
-
-        def job() -> tuple[int, int, float]:
-            moves = rebalance()
-            epoch, _ = self._control_job(lambda: None)
-            stats = self.engine.stats()
-            imbalance = stats.get("imbalance", 1.0)
-            return epoch, len(moves), float(imbalance)
-
-        epoch, moves, imbalance = await self._run_engine(job)
-        return {"ok": True, "epoch": epoch, "moves": moves, "imbalance": imbalance}
-
     def _ensure_consumer(self, name: str, frame: Frame) -> Consumer:
         existing = self._consumers.get(name)
         if existing is not None:
@@ -572,7 +555,6 @@ class FilterServer:
         "subscribe": _op_subscribe,
         "unsubscribe": _op_unsubscribe,
         "compact": _op_compact,
-        "rebalance": _op_rebalance,
         "consume": _op_consume,
         "poll": _op_poll,
         "stats": _op_stats,
@@ -727,7 +709,7 @@ class FilterServer:
             name: consumer.stats() for name, consumer in sorted(self._consumers.items())
         }
         out["attached"] = sorted(self._attachments)
-        # Uniform placement gauge block: mirror the engine's gauges at
+        # Uniform load gauge block: mirror the engine's gauges at
         # the top level so dashboards read one shape from every tier.
         out["shard_load"] = []
         out["imbalance"] = 1.0

@@ -551,7 +551,7 @@ class LayeredFilterEngine:
             "hit_ratio": sum(m.stats.hits for m in layers) / lookups if lookups else 0.0,
             "afa_states": afa_states,
             "xpush_states": sum(m.state_count for m in layers),
-            # Uniform placement gauge block: an in-process engine is one
+            # Uniform load gauge block: an in-process engine is one
             # "shard" carrying its whole automaton weight.
             "shard_load": [float(afa_states)],
             "imbalance": 1.0,

@@ -17,37 +17,11 @@ import pytest
 from repro.engine import engine_names
 from repro.engine.config import EngineConfig
 from repro.errors import WorkloadError
-from repro.service.placement import PLACEMENT_POLICIES
 from repro.xpush.options import XPushOptions
 
 
 def test_default_config_is_valid():
     EngineConfig()
-
-
-@pytest.mark.parametrize("placement", sorted(PLACEMENT_POLICIES))
-def test_known_placements_accepted(placement):
-    EngineConfig(placement=placement)
-
-
-def test_unknown_placement_rejected():
-    with pytest.raises(WorkloadError, match="unknown placement policy"):
-        EngineConfig(placement="cheapest")
-
-
-@pytest.mark.parametrize("threshold", [0.99, 0.0, -1.0])
-def test_rebalance_threshold_floor(threshold):
-    with pytest.raises(WorkloadError, match="rebalance_threshold"):
-        EngineConfig(rebalance_threshold=threshold)
-
-
-def test_rebalance_threshold_of_one_accepted():
-    EngineConfig(rebalance_threshold=1.0)
-
-
-def test_negative_rebalance_interval_rejected():
-    with pytest.raises(WorkloadError, match="rebalance_interval"):
-        EngineConfig(rebalance_interval=-1)
 
 
 @pytest.mark.parametrize("timeout", [0, 0.0, -1, -0.5])

@@ -19,12 +19,11 @@ from repro.engine import (
     engine_names,
     register_engine,
 )
-from repro.errors import WorkloadError, XPathSyntaxError
+from repro.errors import ReproError, WorkloadError, XPathSyntaxError
 from repro.xmlstream.dom import parse_document
 from repro.xmlstream.events import events_of_document
 from repro.xpath.parser import parse_xpath
 from repro.xpath.semantics import matching_oids
-from repro.xpush.persist import PersistError
 
 WORKLOAD = {
     "q0": "//a[b = 1]",
@@ -198,7 +197,9 @@ def test_snapshots_with_the_legacy_schema_keys_still_load(fmt, kind, mode):
             assert restored.filter_stream(xml)[0] == _expected(LEGACY_LIVE, xml)
         assert restored.stats()["runtime"] == _config(kind).options.runtime
         written = "layered" if kind == "xpush" else kind
-        assert restored.snapshot().keys() == LEGACY_SNAPSHOTS[written].keys() - {"runtime"}
+        # A version-2 sharded capture's placement and routing go too.
+        dropped = {"runtime", "placement", "routing"}
+        assert restored.snapshot().keys() == LEGACY_SNAPSHOTS[written].keys() - dropped
     finally:
         restored.close()
 
@@ -227,12 +228,19 @@ def test_restored_legacy_snapshot_takes_updates_and_round_trips(fmt, kind):
         engine.close()
 
 
-#: Per format, a field its reader checks, made inconsistent: a tombstone
-#: or a routed oid that names no filter.
-UNKNOWN_OID = {
-    "xpush": {"tombstones": ["ghost"]},
-    "layered": {"tombstones": ["ghost"]},
-    "sharded": {"routing": {**LEGACY_SNAPSHOTS["sharded"]["routing"], "ghost": 0}},
+#: Per format, the fields that make its reader refuse a capture: a
+#: tombstone that names no filter, malformed ``filters``, or a filter
+#: that does not compile (``text()`` must end a path) or parse — routed,
+#: as a version-2 writer would have, though the table is not read.
+_BAD_ROUTING = {**LEGACY_SNAPSHOTS["sharded"]["routing"], "bad": 0}
+REJECTED = {
+    "xpush": [{"tombstones": ["ghost"]}],
+    "layered": [{"tombstones": ["ghost"]}],
+    "sharded": [
+        {"filters": []},
+        {"filters": {**LEGACY_LIVE, "bad": "/a/text()/b"}, "routing": _BAD_ROUTING},
+        {"filters": {**LEGACY_LIVE, "bad": "//a["}, "routing": _BAD_ROUTING},
+    ],
 }
 
 
@@ -240,11 +248,12 @@ UNKNOWN_OID = {
 def test_rejected_snapshot_leaves_the_engine_as_it_was(fmt, kind):
     engine = create_engine(_config(kind), {"z": "//z"})
     try:
-        with pytest.raises(PersistError):
-            engine.restore({**LEGACY_SNAPSHOTS[fmt], **UNKNOWN_OID[fmt]})
-        assert engine.filter_count == 1
-        assert engine.filter_stream("<z/>") == [frozenset({"z"})]
-        assert engine.filter_stream(DOCS[0]) == [frozenset()]
+        for fields in REJECTED[fmt]:
+            with pytest.raises(ReproError):
+                engine.restore({**LEGACY_SNAPSHOTS[fmt], **fields})
+            assert engine.filter_count == 1
+            assert engine.filter_stream("<z/>") == [frozenset({"z"})]
+            assert engine.filter_stream(DOCS[0]) == [frozenset()]
     finally:
         engine.close()
 

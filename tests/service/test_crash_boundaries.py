@@ -23,8 +23,8 @@ import signal
 
 import pytest
 
-from repro.service import Move, ShardedFilterEngine
-from repro.service.placement import shard_of_oid
+from repro.service import ShardedFilterEngine
+from repro.service.engine import shard_of_oid
 from repro.xmlstream.dom import parse_forest
 from repro.xpath.parser import parse_xpath
 from repro.xpath.semantics import matching_oids
@@ -58,36 +58,18 @@ def _subscribe(engine, live):
 
 
 def _unsubscribe(engine, live):
-    shard = engine.routing["q2"]
     del live["q2"]
-    return [shard], lambda: engine.unsubscribe("q2")
+    return [shard_of_oid("q2", SHARDS)], lambda: engine.unsubscribe("q2")
 
 
 def _compact(engine, live):
     return list(range(SHARDS)), engine.compact
 
 
-def _move(engine, live):
-    source = engine.routing["q0"]
-    move = Move("q0", source, (source + 1) % SHARDS)
-    return [move.source, move.target], lambda: engine._apply_moves([move])
-
-
-def _split(engine, live):
-    return list(range(SHARDS)), engine.split  # the shards filters leave
-
-
-def _merge(engine, live):
-    return list(range(SHARDS - 1)), engine.merge  # the shards that stay
-
-
 VERBS = {
     "subscribe": _subscribe,
     "unsubscribe": _unsubscribe,
     "compact": _compact,
-    "rebalance-move": _move,
-    "split": _split,
-    "merge": _merge,
 }
 
 
@@ -102,7 +84,6 @@ def test_crash_at_the_control_message_boundary(verb, inner, when):
         inner=inner,
         batch_size=2,
         result_timeout=30.0,
-        rebalance_threshold=1.0,  # so split() always has moves to make
     )
     if not engine.parallel:
         engine.close()
@@ -131,7 +112,7 @@ def test_crash_at_the_control_message_boundary(verb, inner, when):
         assert engine.filter_stream(STREAM) == _truth(live)
         stats = engine.stats()
         assert stats["worker_restarts"] == len(touched)
-        assert stats["filters"] == len(live) == len(engine.routing)
+        assert stats["filters"] == len(live) == engine.filter_count
         for shard_id in touched:
             entry = stats["per_shard"][shard_id]
             assert engine._shards[shard_id].restarts == 1
@@ -139,9 +120,8 @@ def test_crash_at_the_control_message_boundary(verb, inner, when):
             assert entry["applied_epoch"] == engine._shards[shard_id].epoch
             worker_view = engine._shards[shard_id].info()["filters"]
             assert worker_view == entry["filters"] == len(engine._projection(shard_id))
-        if verb in ("subscribe", "unsubscribe", "compact", "rebalance-move"):
-            # One epoch, routed to exactly the touched shards.
-            assert all(engine._shards[s].epoch == engine.epoch for s in touched)
+        # One epoch, routed to exactly the touched shards.
+        assert all(engine._shards[s].epoch == engine.epoch for s in touched)
         # The control plane stays live, and nothing is applied twice.
         engine.subscribe("post", "//r")
         live["post"] = "//r"

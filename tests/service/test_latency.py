@@ -5,7 +5,8 @@ The tracker backs every latency stat in the service and serving tiers
 use the nearest-rank (ceiling) definition — ``p50`` of an even-sized
 window is the lower median sample, never an interpolated value and
 never subject to banker's rounding.  The sharded engine's modelled
-critical path, which the placement gate reads, is checked here too.
+critical path, which the e2e harness's ``service.critical_path_p50_ms``
+reads, is checked here too.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ def test_extreme_fractions_clamp_to_the_window():
 
 def test_inprocess_critical_path_is_the_slowest_shards_batch(monkeypatch):
     """In-process shards run one after another, so the critical path
-    the placement gate reads is modelled: each sample is the largest
+    the harness reads is modelled: each sample is the largest
     per-shard ``batch_s`` of its fan-out — not their sum, not the wall
     time the fan-out took."""
     workload = {f"q{i}": f"//a[b = {i}]" for i in range(30)}

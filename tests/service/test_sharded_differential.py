@@ -3,8 +3,8 @@
 For random workloads (the Sec. 7 query generator) and random documents
 (the synthetic dataset generators), the sharded engine must produce
 *exactly* the serial XPush machine's answers, which in turn must equal
-the naive per-filter ground truth — for every shard count 1-4 and
-both placement policies.  Partitioning is over filters, so any
+the naive per-filter ground truth — for every shard count 1-4.
+Partitioning is over filters, so any
 discrepancy means a filter was lost, duplicated or mis-merged.
 """
 
@@ -14,7 +14,7 @@ import pytest
 
 from repro.afa.build import build_workload_automata
 from repro.baselines.naive import NaiveEngine
-from repro.service import PLACEMENT_POLICIES, ShardedFilterEngine
+from repro.service import ShardedFilterEngine
 from repro.xpush.machine import XPushMachine
 from repro.xpush.options import XPushOptions
 from tests.conftest import make_workload
@@ -41,13 +41,10 @@ def ground_truth(workload, documents):
     return expected
 
 
-@pytest.mark.parametrize("placement", PLACEMENT_POLICIES)
 @pytest.mark.parametrize("shards", [1, 2, 3, 4])
-def test_sharded_equals_serial_equals_naive(
-    workload, documents, ground_truth, shards, placement
-):
+def test_sharded_equals_serial_equals_naive(workload, documents, ground_truth, shards):
     with ShardedFilterEngine(
-        workload, shards, options=TD, placement=placement, parallel=False, batch_size=3
+        workload, shards, options=TD, parallel=False, batch_size=3
     ) as engine:
         assert engine.filter_batch(documents) == ground_truth
         stats = engine.stats()
@@ -75,11 +72,8 @@ def test_nasa_recursive_dtd_differential(nasa, nasa_docs):
     docs = nasa_docs[:8]
     naive = NaiveEngine(filters)
     expected = [naive.filter_document(doc) for doc in docs]
-    for placement in PLACEMENT_POLICIES:
-        with ShardedFilterEngine(
-            filters, 3, options=TD, placement=placement, parallel=False
-        ) as engine:
-            assert engine.filter_batch(docs) == expected
+    with ShardedFilterEngine(filters, 3, options=TD, parallel=False) as engine:
+        assert engine.filter_batch(docs) == expected
 
 
 def test_more_shards_than_filters(protein, protein_docs):
@@ -87,11 +81,8 @@ def test_more_shards_than_filters(protein, protein_docs):
     docs = protein_docs[:5]
     serial = XPushMachine(build_workload_automata(filters), TD)
     expected = [serial.filter_document(doc) for doc in docs]
-    for placement in PLACEMENT_POLICIES:
-        with ShardedFilterEngine(
-            filters, 4, options=TD, placement=placement, parallel=False
-        ) as engine:
-            assert engine.filter_batch(docs) == expected
+    with ShardedFilterEngine(filters, 4, options=TD, parallel=False) as engine:
+        assert engine.filter_batch(docs) == expected
 
 
 def test_empty_workload_and_empty_batch(protein_docs):

@@ -6,8 +6,10 @@ identical to (a) a serial :class:`LayeredFilterEngine` fed the same
 update schedule and (b) a brute-force engine freshly rebuilt from the
 live filter set — and insertions must never flush a shard's warmed
 base tables.  Updates ride the worker task queues as epoch-stamped
-control messages after the routing table and sources are updated, so a
-crashed worker — respawned from those — resumes the *updated* workload.
+control messages after the sources are updated, so a crashed worker —
+respawned from those — resumes the *updated* workload.  Every filter
+lives on the shard the CRC-32 of its oid names, at boot, after a live
+subscribe and after a restore, whatever a capture recorded.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from hypothesis import strategies as st
 
 from repro.engine import EngineConfig, create_engine
 from repro.service import ShardedFilterEngine
+from repro.service import engine as sharded_module
+from repro.service.engine import shard_of_oid
 from repro.xmlstream.dom import parse_forest
 from repro.xpath.parser import parse_xpath
 from repro.xpath.semantics import matching_oids
@@ -216,7 +220,7 @@ def test_insertions_never_flush_the_base(parallel):
 def test_crash_with_uncompacted_deltas_recovers_updated_workload(protein, protein_docs):
     """A worker dying with deltas and tombstones that were never
     compacted must come back serving the *updated* workload: the parent
-    updates routing + sources before it sends a control message."""
+    updates its sources before it sends a control message."""
     filters = make_workload(protein, 8, seed=13)
     extra = make_workload(protein, 12, seed=77)[8:]
     docs = protein_docs[:6]
@@ -249,7 +253,7 @@ def test_crash_with_uncompacted_deltas_recovers_updated_workload(protein, protei
         assert engine.filter_batch(docs) == expected
         stats = engine.stats()
         assert stats["worker_restarts"] == len(stats["per_shard"])
-        # The respawned workers booted the routing projection: each
+        # The respawned workers booted the sources' projection: each
         # answers at the epoch of the last update routed to it without
         # replaying any control message (the stale queue died with the
         # old process).
@@ -342,13 +346,84 @@ def test_version_1_snapshot_restores_the_live_workload():
     )
     try:
         assert restored.filter_stream(stream) == brute_truth(live, stream)
-        assert restored.routing == VERSION_1_SNAPSHOT["routing"]
+        _assert_on_crc32_shards(restored, live)
         assert restored.stats()["epoch"] == 9
         again = restored.snapshot()  # re-saved in the current format
-        assert again["version"] == 2 and again["filters"] == live
-        assert "shard_snapshots" not in again and "strategy" not in again
+        assert again["version"] == 3 and again["filters"] == live
+        for key in ("shard_snapshots", "strategy", "placement", "routing"):
+            assert key not in again
     finally:
         restored.close()
+
+
+def _assert_on_crc32_shards(engine, live):
+    """Each shard holds — and reports — exactly the live oids whose
+    CRC-32 names it."""
+    shards = engine.shards
+    stats = engine.stats()
+    for shard_id in range(shards):
+        expected = {oid for oid in live if shard_of_oid(oid, shards) == shard_id}
+        assert set(engine._projection(shard_id)) == expected
+        assert engine._shards[shard_id].info()["filters"] == len(expected)
+        assert stats["per_shard"][shard_id]["filters"] == len(expected)
+        assert stats["shard_load"][shard_id] == float(len(expected))
+
+
+def test_a_version_2_routing_table_is_not_read():
+    """A version-2 capture carried a routing table, and ``placement=
+    "cost"`` could route a filter anywhere.  The table is accepted and
+    ignored: every filter comes back on its CRC-32 shard, with the same
+    answers."""
+    live = dict(SEED)
+    stream = "".join(DOC_POOL)
+    capture = {
+        "format": "repro-sharded-engine",
+        "version": 2,
+        "shards": 2,
+        "inner": "layered",
+        "placement": "cost",
+        "epoch": 4,
+        # Every oid on the shard its CRC-32 does not name.
+        "routing": {oid: 1 - shard_of_oid(oid, 2) for oid in live},
+        "filters": live,
+    }
+    restored = create_engine(
+        EngineConfig(engine="sharded", parallel=False), snapshot=capture
+    )
+    try:
+        assert restored.filter_stream(stream) == brute_truth(live, stream)
+        _assert_on_crc32_shards(restored, live)
+        assert restored.stats()["epoch"] == 4
+    finally:
+        restored.close()
+
+
+def test_a_live_subscribe_lands_on_the_crc32_shard_of_its_oid():
+    engine = ShardedFilterEngine(dict(SEED), 3, options=TD, parallel=False)
+    try:
+        engine.subscribe("fresh", "//a")
+        _assert_on_crc32_shards(engine, {**SEED, "fresh": "//a"})
+    finally:
+        engine.close()
+
+
+def test_the_parent_compiles_each_filter_structure_once(monkeypatch):
+    """The parent's compile check (the refusal of a filter the AFA build
+    refuses) is memoised on the filter's structure, not its oid."""
+    import repro.afa.build as build
+
+    compiled = []
+    real = build.build_workload_automata
+
+    def counting(filters):
+        compiled.append(filters[0].oid)
+        return real(filters)
+
+    monkeypatch.setattr(sharded_module, "_COMPILES", set())
+    monkeypatch.setattr(build, "build_workload_automata", counting)
+    for oid, source in [("x0", "/a/b[c = 1]"), ("x1", "/a/b[c = 1]"), ("x2", "//d")]:
+        sharded_module._check_compiles(parse_xpath(source, oid))
+    assert compiled == ["x0", "x2"]
 
 
 class UpdatePlaneMachine(RuleBasedStateMachine):

@@ -368,63 +368,6 @@ def test_state_files_load_under_either_name_of_the_xpush_engine(
     assert "'layered' engine, not 'sharded'" in capsys.readouterr().err
 
 
-# -- the placement layer: rebalance / explain --placement ----------------
-
-
-def test_rebalance_preserves_answers(tmp_path, stream_file, capsys):
-    from repro.engine import EngineConfig, create_engine
-    from repro.xpush.persist import save_engine_snapshot
-
-    state = str(tmp_path / "engine.json")
-    engine = create_engine(EngineConfig(engine="sharded", shards=3, parallel=False))
-    try:
-        for i, xpath in enumerate(
-            ["//a[b = 1]", "//c", "//a[b = 2]", "//zzz", "//a", "/a/b"]
-        ):
-            engine.subscribe(f"s{i}", xpath)
-        save_engine_snapshot(engine.snapshot(), state)
-    finally:
-        engine.close()
-    assert main(["filter", "--state", state, "--input", stream_file]) == 0
-    before = capsys.readouterr().out
-    assert main(["rebalance", "--state", state]) == 0
-    err = capsys.readouterr().err
-    assert "# rebalanced" in err and "3 shards" in err
-    assert main(["filter", "--state", state, "--input", stream_file]) == 0
-    assert capsys.readouterr().out == before
-
-
-def test_rebalance_rejects_non_sharded_state(tmp_path, capsys):
-    state = str(tmp_path / "engine.json")
-    assert main(["subscribe", "--state", state, "--oid", "s0",
-                 "--xpath", "//a"]) == 0
-    capsys.readouterr()
-    assert main(["rebalance", "--state", state]) == 2
-    assert "holds a 'layered' engine" in capsys.readouterr().err
-
-
-def test_explain_placement_cost_table(query_file, capsys):
-    assert main(
-        ["explain", "--queries", query_file, "--placement", "--shards", "2"]
-    ) == 0
-    out = capsys.readouterr().out
-    lines = out.splitlines()
-    assert lines[0].split() == ["oid", "states", "sigma", "cost"]
-    assert any(line.startswith("alpha") for line in lines)
-    assert "placement over 2 shards" in out
-    assert out.count("imbalance") == 2  # one line per policy
-
-
-def test_explain_placement_with_sampled_selectivity(query_file, capsys):
-    assert main(
-        ["explain", "--queries", query_file, "--placement",
-         "--shards", "2", "--sample", "5"]
-    ) == 0
-    captured = capsys.readouterr()
-    assert "selectivity sampled over 5 protein documents" in captured.err
-    assert "placement over 2 shards" in captured.out
-
-
 def test_filter_rejects_multiple_workload_sources(query_file, tmp_path, capsys):
     state = str(tmp_path / "engine.json")
     assert main(["subscribe", "--state", state, "--oid", "s0",

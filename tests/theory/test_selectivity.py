@@ -95,24 +95,6 @@ def test_heterogeneous_corpus_hand_computed():
     assert report.median_selectivity == pytest.approx(1 / 6)
 
 
-def test_filter_selectivities_aggregates_per_filter():
-    """The placement layer's per-filter view: the mean over the
-    filter's own atoms, 0.0 for predicate-free filters."""
-    from repro.service.placement import filter_selectivities
-    from repro.xpath.parser import parse_xpath
-
-    filters = [
-        parse_xpath("/r[a = 1]", "one"),
-        parse_xpath("/r[a = 1 and b = 2]", "two"),
-        parse_xpath("/r/a", "plain"),
-    ]
-    sample = docs("<r><a>1</a></r>", "<r><a>1</a><b>2</b></r>", "<r/>", "<r/>")
-    sigmas = filter_selectivities(filters, sample)
-    assert sigmas["one"] == pytest.approx(2 / 4)
-    assert sigmas["two"] == pytest.approx((2 / 4 + 1 / 4) / 2)
-    assert sigmas["plain"] == 0.0
-
-
 def _doc_strategy():
     """Small documents over a tiny closed vocabulary, so predicates
     drawn from the same vocabulary have non-trivial selectivities."""
