@@ -291,16 +291,16 @@ class WorkloadAutomata:
         ``afa_states_of`` and the compiled per-filter owner masks both
         resolve a state's filter through ``state.owner``, and an
         ownerless state would silently strip the wrong filter under
-        early notification.
+        early notification.  Each AFA must be one contiguous run of the
+        sids it owns, with no edge or ε-arc leaving it: the compiled
+        rows are stored relative to the run's first sid.
         """
         states = self.states
         fresh = states[self._finalized_states :]
         fresh_afas = self.afas[self._finalized_afas :]
         if self.masks is not None and not fresh and not fresh_afas:
             return self
-        orphans = [state.sid for state in fresh if state.owner < 0]
-        if orphans:
-            raise WorkloadError(f"states without an owning AFA: {orphans[:8]}")
+        self._check_layout(fresh_afas)
         top_by_label: dict[str, list[int]] = {}
         rev: dict[int, dict[str, list[int]]] = {}
         for state in fresh:
@@ -335,6 +335,32 @@ class WorkloadAutomata:
         self._finalized_afas = len(self.afas)
         self._codegen_cache.clear()
         return self
+
+    def _check_layout(self, fresh_afas: list[AFA]) -> None:
+        """The layout :class:`CompiledMasks` stores its rows in: the
+        fresh AFAs tile the fresh sids in order, each one contiguous run
+        of the states it owns, and no edge or ε-arc leaves its run."""
+        states = self.states
+        low = self._finalized_states
+        for index, afa in enumerate(fresh_afas, self._finalized_afas):
+            high = low + len(afa.state_sids)
+            if afa.state_sids != tuple(range(low, high)):
+                raise WorkloadError(
+                    f"AFA {afa.oid!r} does not own one contiguous run of sids from {low}"
+                )
+            for state in states[low:high]:
+                if state.owner != index:
+                    raise WorkloadError(f"AFA {afa.oid!r} lists s{state.sid}, which it does not own")
+                for target in (*state.eps, *(t for ts in state.edges.values() for t in ts)):
+                    if not low <= target < high:
+                        raise WorkloadError(
+                            f"state {state.sid} of AFA {afa.oid!r} reaches s{target} outside it"
+                        )
+            low = high
+        if low != len(states):
+            raise WorkloadError(
+                f"states without an owning AFA: {list(range(low, len(states)))[:8]}"
+            )
 
     def _compute_ranks(self, fresh: list[AfaState]) -> None:
         """Topological rank over the ε-DAG: a connective's rank exceeds
@@ -548,6 +574,17 @@ class CompiledMasks:
     `tests/xpush/test_kernels`) enforce that; the set versions are the
     executable spec.
 
+    Layout: each AFA is one contiguous run of sids (``finalize()``
+    refuses any other), and every ε-arc, label edge and owner of a
+    state stays inside its AFA.  So the per-sid rows — ε-successors,
+    both ε-closures, the owner mask, the δ⁻¹ sources and the ε-closed
+    t_push targets — are stored *AFA-local*: shifted down to the AFA's
+    first sid (``_bases[sid]``), an int as wide as one AFA (≤ 18 bits on
+    the bundled workloads) rather than as the workload, so the tables
+    grow linearly with the workload.  Argument and result masks, lanes,
+    rank buckets and the whole-workload masks (terminal, initial,
+    notification, ⊤-edge, ``not_up_mask``) stay whole-width.
+
     Cost model: ``eval`` and δ⁻¹ — the two halves of a ``t_pop`` miss —
     cost O(min(lanes, set bits) × words).  :mod:`repro.afa.build`
     numbers each filter's states in recursion order, so the transition
@@ -564,12 +601,14 @@ class CompiledMasks:
     of differently shaped predicates — can have more lanes than a
     state has bits; then the *sweep* is cheaper: enumerate the argument
     with :func:`bits_of` (one word slice per call, then small-int work
-    per set bit) and OR one precomputed table row per bit, O(words ×
-    set bits).  Which of the two a call takes is one comparison of the
-    argument's popcount with the lane count (``_LANES_PER_BIT``), read
-    from the mask and the tables alone; :meth:`lane_profile` reports
-    both sides of it.  Every other method is a sweep.  Negative masks
-    are rejected on either path.
+    per set bit), OR the local rows of the bits that fall within
+    ``_SPAN`` sids of each other at their offsets into one small int,
+    and shift that into the result once — O(words × (set bits / bits
+    per span)) plus small-int work per bit.  Which of the two a call
+    takes is one comparison of the argument's popcount with the lane
+    count (``_LANES_PER_BIT``), read from the mask and the tables
+    alone; :meth:`lane_profile` reports both sides of it.  Every other
+    method is a sweep.  Negative masks are rejected on either path.
     """
 
     __slots__ = (
@@ -581,13 +620,15 @@ class CompiledMasks:
         "notification_mask",
         "not_up_mask",
         "_afa_count",
+        "_bases",
+        "_view",
         "_eps_masks",
         "_closure_masks",
         "_up_masks",
         "_rank_buckets",
         "_eps_lanes",
         "_eps_lane_count",
-        "_rev_masks",
+        "_rev_sources",
         "_rev_targets_by_label",
         "_rev_lanes",
         "_push_by_label",
@@ -607,13 +648,15 @@ class CompiledMasks:
         self.all_mask = 0
         self.terminal_mask = self.not_mask = 0
         self.initial_mask = self.notification_mask = self.not_up_mask = 0
+        self._bases: list[int] = []
+        self._view = (1 << _SPAN) - 1
         self._eps_masks: list[int] = []
         self._closure_masks: list[int] = []
         self._up_masks: list[int] = []
         self._rank_buckets: list[list[int]] = []
         self._eps_lanes: list[dict[int, list[int]]] = []
         self._eps_lane_count = 0
-        self._rev_masks: list[dict[str, int]] = []
+        self._rev_sources: dict[str, dict[int, int]] = {}
         self._rev_targets_by_label: dict[str, int] = {}
         self._rev_lanes: dict[str, dict[int, int]] = {}
         self._push_by_label: dict[str, tuple[int, dict[int, int], int]] = {}
@@ -638,38 +681,73 @@ class CompiledMasks:
         self.state_count = n
         self.all_mask = (1 << n) - 1
 
+        # Where each fresh sid's AFA starts, its owner row (the whole
+        # AFA, early notification strips a notified filter's automaton),
+        # and the accept / notification bits.  A retired AFA keeps its
+        # initial and notification bits: the transitions must not notice.
+        afa_start = self._afa_count
+        fresh_afas = workload.afas[afa_start:]
+        self._afa_count = len(workload.afas)
+        bases, widest = self._bases, 0
+        for afa in fresh_afas:
+            base, width = afa.state_sids[0], len(afa.state_sids)
+            bases.extend([base] * width)
+            self._owner_masks.extend([(1 << width) - 1] * width)
+            widest = max(widest, width)
+            self.initial_mask |= 1 << afa.initial
+            if afa.notification >= 0:
+                self.notification_mask |= 1 << afa.notification
+        self._view |= (1 << (_SPAN + widest)) - 1
+        # The oid maps behind t_accept / notification answers are the
+        # workload's own, so retiring an oid there is retiring it here.
+        self._oid_by_initial = workload._oid_by_initial
+        self._oid_by_notification = workload._oid_by_notification
+
+        # Most rows are a single local bit or a copy of another row:
+        # build each such int once and let the rows share it (_or_all).
+        local_bits = [1 << offset for offset in range(widest)]
         not_mask = 0
-        eps_masks, rev_masks = self._eps_masks, self._rev_masks
+        eps_masks, rev_sources = self._eps_masks, self._rev_sources
         rev_lanes, top_masks = self._rev_lanes, self._top_masks
-        # A row is an int as wide as its sid is high, and most rows are
-        # a single bit or a copy of another row: build each such int
-        # once and let the rows share it (see _or_all).
-        bits = [1 << state.sid for state in fresh]
-        for state, bit in zip(fresh, bits):
+        # Rank-bucketed eval structures: per ε-rank ≥ 1, one candidate
+        # mask per connective kind, so eval_closure is a rank-by-rank
+        # sweep over (candidates ∩ bucket) with one subset/overlap test
+        # per fired state — no sorting, no frozenset allocation.  (A
+        # rank-r connective has a rank r-1 ε-successor, so no bucket
+        # below the highest is empty.)
+        # Beside each bucket, the rank's ε-lanes: ``child − parent`` ->
+        # (AND, NOT, OR) masks of the parents with a child that far off.
+        buckets, eps_lanes = self._rank_buckets, self._eps_lanes
+        for state in fresh:
+            sid, base = state.sid, bases[state.sid]
+            bit = 1 << sid
             if state.is_terminal:
                 self.terminal_mask |= bit
             if state.kind is StateKind.NOT:
                 not_mask |= bit
-            mask = 0
-            for child in state.eps:
-                mask |= 1 << child
-            eps_masks.append(mask)
-            # States without reverse edges share one empty row, never written.
-            rev_masks.append(
-                {
-                    label: _or_all(bits[source - start] for source in sources)
-                    for label, sources in state.rev.items()
-                }
-                if state.rev
-                else _NO_ROW
-            )
+            eps_masks.append(_or_all(local_bits[child - base] for child in state.eps))
             for label, sources in state.rev.items():
+                rev_sources.setdefault(label, {})[sid] = _or_all(
+                    local_bits[source - base] for source in sources
+                )
                 lanes = rev_lanes.setdefault(label, {})
                 for source in sources:
-                    offset = state.sid - source
+                    offset = sid - source
                     lanes[offset] = lanes.get(offset, 0) | bit
             for label in state.top_labels:
                 top_masks[label] = top_masks.get(label, 0) | bit
+            if state.eps:
+                while len(buckets) < state.rank:
+                    buckets.append([0, 0, 0])
+                    eps_lanes.append({})
+                kind = 0 if state.kind is StateKind.AND else 1 if state.kind is StateKind.NOT else 2
+                buckets[state.rank - 1][kind] |= bit
+                lanes = eps_lanes[state.rank - 1]
+                for child in state.eps:
+                    lane = lanes.setdefault(child - sid, [0, 0, 0])
+                    if not lane[kind]:
+                        self._eps_lane_count += 1
+                    lane[kind] |= bit
         for label, lanes in rev_lanes.items():  # a label's targets: its lanes' union
             self._rev_targets_by_label[label] = _or_all(lanes.values())
         self.not_mask |= not_mask
@@ -680,83 +758,43 @@ class CompiledMasks:
         # is a DAG (finalize() computed topological ranks over it), so
         # one pass in rank order suffices: a state's closure is itself
         # plus the union of its ε-children's closures, and its upward
-        # closure is itself plus its ε-parents' upward closures.  These
-        # tables turn every runtime closure into a single OR-sweep over
-        # the argument's bits — no frontier loop, no revisits.
+        # closure is itself plus its ε-parents' upward closures — all
+        # inside one AFA, so all local to its first sid.  These tables
+        # turn every runtime closure into a single OR-sweep over the
+        # argument's bits — no frontier loop, no revisits.
         by_rank = sorted(fresh, key=lambda s: s.rank)
         closure_masks, up_masks = self._closure_masks, self._up_masks
         closure_masks.extend([0] * len(fresh))
         up_masks.extend([0] * len(fresh))
         for state in by_rank:  # children (lower rank) first
-            mask = bits[state.sid - start]
+            mask = local_bits[state.sid - bases[state.sid]]
             for child in state.eps:
                 mask |= closure_masks[child]
             closure_masks[state.sid] = mask
         for state in reversed(by_rank):  # parents (higher rank) first
-            mask = bits[state.sid - start]
+            mask = local_bits[state.sid - bases[state.sid]]
             for parent in state.eps_parents:
                 mask |= up_masks[parent]
             up_masks[state.sid] = mask
-        self.not_up_mask = _or_rows(up_masks, not_mask, self.not_up_mask)
+        self.not_up_mask = _or_rows(up_masks, bases, not_mask, self.not_up_mask)
 
         self._extend_push_rows(fresh)
-
-        # Rank-bucketed eval structures: per ε-rank ≥ 1, one candidate
-        # mask per connective kind, so eval_closure is a rank-by-rank
-        # sweep over (candidates ∩ bucket) with one subset/overlap test
-        # per fired state — no sorting, no frozenset allocation.  (A
-        # rank-r connective has a rank r-1 ε-successor, so no bucket
-        # below the highest is empty.)
-        # Beside each bucket, the rank's ε-lanes: ``child − parent`` ->
-        # (AND, NOT, OR) masks of the parents with a child that far off.
-        buckets, eps_lanes = self._rank_buckets, self._eps_lanes
-        for state, bit in zip(fresh, bits):
-            if not state.eps:
-                continue
-            while len(buckets) < state.rank:
-                buckets.append([0, 0, 0])
-                eps_lanes.append({})
-            kind = 0 if state.kind is StateKind.AND else 1 if state.kind is StateKind.NOT else 2
-            buckets[state.rank - 1][kind] |= bit
-            lanes = eps_lanes[state.rank - 1]
-            for child in state.eps:
-                lane = lanes.setdefault(child - state.sid, [0, 0, 0])
-                if not lane[kind]:
-                    self._eps_lane_count += 1
-                lane[kind] |= bit
-
-        # Per-sid mask of the owning AFA's states (early notification
-        # strips a notified filter's whole automaton) and the oid maps
-        # behind t_accept / notification answers — the workload's own,
-        # so retiring an oid there is retiring it here.  A retired AFA
-        # keeps its initial and notification bits: the transitions must
-        # not notice.
-        afa_start = self._afa_count
-        fresh_afas = workload.afas[afa_start:]
-        self._afa_count = len(workload.afas)
-        afa_masks = [_mask_of(afa.state_sids) for afa in fresh_afas]
-        self._owner_masks.extend(afa_masks[state.owner - afa_start] for state in fresh)
-        for afa in fresh_afas:
-            self.initial_mask |= 1 << afa.initial
-            if afa.notification >= 0:
-                self.notification_mask |= 1 << afa.notification
-        self._oid_by_initial = workload._oid_by_initial
-        self._oid_by_notification = workload._oid_by_notification
 
     def _extend_push_rows(self, fresh: list[AfaState]) -> None:
         """Label-edge index for t_push, with the targets' ε-closure
         baked in: per label, the mask of source states carrying that
-        label, a per-source table of the already-closed target sets,
-        and the union of all of them — t_push is one AND, a sweep over
-        the (few) enabled sources and zero closure calls, and when
-        every source for the label is enabled (the common case at
-        shallow depths under top-down evaluation) the sweep collapses
-        to returning the precomputed union.
+        label, a per-source table of the already-closed target sets
+        (local to the source's AFA, like every row), and the union of
+        all of them — t_push is one AND, a sweep over the (few) enabled
+        sources and zero closure calls, and when every source for the
+        label is enabled (the common case at shallow depths under
+        top-down evaluation) the sweep collapses to returning the
+        precomputed union.
 
         The matching wildcard row is folded into every concrete label
         so t_push is a single lookup; the bare wildcard rows stay in
         the table as the fallback for labels with no concrete edge."""
-        closure_masks = self._closure_masks
+        closure_masks, bases = self._closure_masks, self._bases
         fresh_rows: dict[str, dict[int, int]] = {}
         for state in fresh:
             for label, targets in state.edges.items():
@@ -782,10 +820,10 @@ class CompiledMasks:
             if entry is None and wild in table:
                 sources_mask, by_source, union = table[wild]
                 entry = (sources_mask, dict(by_source), union)
-            table[label] = _with_sources(entry, added)
+            table[label] = _with_sources(entry, added, bases)
         for wild in wildcards:
             if wild in fresh_rows:
-                table[wild] = _with_sources(table.get(wild), fresh_rows[wild])
+                table[wild] = _with_sources(table.get(wild), fresh_rows[wild], bases)
         self._push_elem_wild = table.get(WILDCARD)
         self._push_attr_wild = table.get(ATTRIBUTE_WILDCARD)
 
@@ -802,23 +840,28 @@ class CompiledMasks:
         return bits_of(mask)
 
     # -- emit-ready table exports (consumed by repro.afa.codegen) ---------
+    # The rows are AFA-local; every export shifts them back to whole
+    # width, so its consumer sees the sid space unchanged.
 
     def rev_rows(self) -> dict[str, dict[int, int]]:
         """δ⁻¹ regrouped by label: ``label -> {target sid -> mask of
         source states}`` — the per-label view the code generator
         specializes pop handlers from."""
-        rows: dict[str, dict[int, int]] = {}
-        for sid, by_label in enumerate(self._rev_masks):
-            if by_label:
-                for label, sources in by_label.items():
-                    rows.setdefault(label, {})[sid] = sources
-        return rows
+        bases = self._bases
+        return {
+            label: {sid: row << bases[sid] for sid, row in rows.items()}
+            for label, rows in self._rev_sources.items()
+        }
 
     def push_rows(self) -> dict[str, tuple[int, dict[int, int], int]]:
         """The t_push label index: ``label -> (sources mask, {source
         sid -> ε-closed targets mask}, union of all target closures)``,
         wildcard rows already folded into concrete labels."""
-        return dict(self._push_by_label)
+        bases = self._bases
+        return {
+            label: (sources_mask, {sid: row << bases[sid] for sid, row in by_source.items()}, union)
+            for label, (sources_mask, by_source, union) in self._push_by_label.items()
+        }
 
     def top_rows(self) -> dict[str, int]:
         """⊤-edge owners per label (owners of ``s --a--> ⊤``)."""
@@ -826,11 +869,11 @@ class CompiledMasks:
 
     def eps_rows(self) -> list[int]:
         """Per-sid mask of direct ε-successors."""
-        return list(self._eps_masks)
+        return [row << base for row, base in zip(self._eps_masks, self._bases)]
 
     def up_rows(self) -> list[int]:
         """Per-sid transitive upward ε-closure masks."""
-        return list(self._up_masks)
+        return [row << base for row, base in zip(self._up_masks, self._bases)]
 
     def rank_bucket_rows(self) -> tuple[tuple[int, int, int], ...]:
         """Per ε-rank ≥ 1: (AND, NOT, OR) connective masks."""
@@ -884,28 +927,23 @@ class CompiledMasks:
         """Rank by rank, one subset/overlap test per candidate
         connective against its own row of ε-successors."""
         result = qb_mask
+        bases, eps, view = self._bases, self._eps_masks, self._view
         # Candidate connectives: every NOT state plus the upward
         # ε-closure of the present states and of the NOTs (the NOT part
         # is the precomputed ``not_up_mask``).
-        seen = _or_rows(self._up_masks, qb_mask, self.not_up_mask)
-        eps = self._eps_masks
-        for and_bucket, not_bucket, or_bucket in self._rank_buckets:
+        seen = _or_rows(self._up_masks, bases, qb_mask, self.not_up_mask)
+        for buckets in self._rank_buckets:
             # States of one rank never feed each other, so the rank's
-            # candidates are fixed before any of them fires; with none
-            # left, no higher rank can fire either.
+            # candidates are tested against *result* as the rank found
+            # it; with none left, no higher rank can fire either.
             pending = seen & ~result
             if not pending:
                 break
-            for sid in bits_of(and_bucket & pending):
-                mask = eps[sid]
-                if mask & result == mask:
-                    result |= 1 << sid
-            for sid in bits_of(not_bucket & pending):
-                if not eps[sid] & result:
-                    result |= 1 << sid
-            for sid in bits_of(or_bucket & pending):
-                if eps[sid] & result:
-                    result |= 1 << sid
+            fired = 0
+            for kind, bucket in enumerate(buckets):
+                if bucket & pending:
+                    fired = _fire(kind, bucket & pending, eps, bases, view, result, fired)
+            result |= fired
         return result
 
     def delta_inverse(self, evaluated_mask: int, label: str, is_attribute: bool) -> int:
@@ -921,7 +959,7 @@ class CompiledMasks:
                 if hits.bit_count() * _LANES_PER_BIT >= len(lanes):
                     out = _lift_by_lanes(lanes, hits, out)
                 else:
-                    out = _lift_by_sweep(self._rev_masks, edge, hits, out)
+                    out = _or_rows(self._rev_sources[edge], self._bases, hits, out)
         return out
 
     def push_targets_closure(
@@ -938,11 +976,11 @@ class CompiledMasks:
                 return 0
         sources_mask, by_source, full_union = entry
         m = enabled_mask & sources_mask
-        return full_union if m == sources_mask else _or_rows(by_source, m)
+        return full_union if m == sources_mask else _or_rows(by_source, self._bases, m)
 
     def epsilon_closure(self, mask: int) -> int:
         """Mask twin of :meth:`WorkloadAutomata.epsilon_closure`."""
-        return _or_rows(self._closure_masks, mask, mask)
+        return _or_rows(self._closure_masks, self._bases, mask, mask)
 
     def accepted_oids(self, qb_mask: int) -> frozenset[str]:
         """Mask twin of :meth:`WorkloadAutomata.accepted_oids`."""
@@ -963,14 +1001,31 @@ class CompiledMasks:
 
     def afa_states(self, noted_mask: int) -> int:
         """Mask twin of :meth:`WorkloadAutomata.afa_states_of`."""
-        return _or_rows(self._owner_masks, noted_mask)
+        return _or_rows(self._owner_masks, self._bases, noted_mask)
 
 
-def _or_rows(rows: Sequence[int] | Mapping[int, int], mask: int, out: int = 0) -> int:
-    """*out* OR-ed with ``rows[sid]`` for every sid in *mask*."""
+#: The sweeps gather the AFA-local rows of set bits whose AFAs start
+#: within this many sids of the first one into one small int, and
+#: shift that into the whole-width result once (see CompiledMasks).
+_SPAN = 1024
+
+
+def _or_rows(
+    rows: Sequence[int] | Mapping[int, int], bases: Sequence[int], mask: int, out: int = 0
+) -> int:
+    """*out* OR-ed with ``rows[sid] << bases[sid]`` for every sid in
+    *mask*: rows within ``_SPAN`` sids of each other are OR-ed at their
+    offsets into one small int, which is shifted into *out* once."""
+    low = acc = 0
     for sid in bits_of(mask):
-        out |= rows[sid]
-    return out
+        at = bases[sid] - low
+        if at <= _SPAN:
+            acc |= rows[sid] << at
+        else:
+            out |= acc << low
+            low = bases[sid]
+            acc = rows[sid]
+    return out | acc << low
 
 
 def _lift_by_lanes(lanes: Mapping[int, int], hits: int, out: int) -> int:
@@ -981,11 +1036,34 @@ def _lift_by_lanes(lanes: Mapping[int, int], hits: int, out: int) -> int:
     return out
 
 
-def _lift_by_sweep(rev: Sequence[Mapping[str, int]], edge: str, hits: int, out: int) -> int:
-    """*out* OR-ed with the *edge* source row of every target in *hits*."""
-    for sid in bits_of(hits):
-        out |= rev[sid][edge]
-    return out
+def _fire(
+    kind: int,
+    candidates: int,
+    eps: Sequence[int],
+    bases: Sequence[int],
+    view: int,
+    result: int,
+    out: int,
+) -> int:
+    """*out* OR-ed with the connectives in *candidates*, all of one
+    *kind* (0 AND, 1 NOT, 2 OR), that fire on *result*: an AND when its
+    ε-row lies inside *result*, a NOT when the row misses it, an OR when
+    the row meets it.  *result* is cut once per span into a small
+    *view*-wide window that every candidate of the span tests its
+    AFA-local row against."""
+    low, high = 0, -1
+    fired = window = 0
+    for sid in bits_of(candidates):
+        at = bases[sid]
+        if at > high:
+            out |= fired << low
+            low, high, fired = at, at + _SPAN, 0
+            window = result >> at & view
+        row = eps[sid]
+        hit = window >> (at - low) & row
+        if hit == row if kind == 0 else not hit if kind == 1 else hit:
+            fired |= 1 << (sid - low)
+    return out | fired << low
 
 
 def _mask_of(sids: Iterable[int]) -> int:
@@ -996,8 +1074,8 @@ def _mask_of(sids: Iterable[int]) -> int:
 
 
 def _or_all(masks: Iterable[int]) -> int:
-    """The OR of *masks*; of exactly one, that very object — table
-    rows are wide ints, and a shared one is stored once."""
+    """The OR of *masks*; of exactly one, that very object — a shared
+    row is stored once."""
     out = None
     for mask in masks:
         out = mask if out is None else out | mask
@@ -1005,17 +1083,18 @@ def _or_all(masks: Iterable[int]) -> int:
 
 
 def _with_sources(
-    entry: tuple[int, dict[int, int], int] | None, added: Mapping[int, int]
+    entry: tuple[int, dict[int, int], int] | None,
+    added: Mapping[int, int],
+    bases: Sequence[int],
 ) -> tuple[int, dict[int, int], int]:
-    """A ``_push_by_label`` entry grown by the *added* source rows."""
+    """A ``_push_by_label`` entry grown by the *added* (AFA-local)
+    source rows; its sources mask and union are whole-width."""
     sources_mask, by_source, union = entry or (0, {}, 0)
     for sid, closed in added.items():
         by_source[sid] = closed
         sources_mask |= 1 << sid
-        union |= closed
+        union |= closed << bases[sid]
     return sources_mask, by_source, union
 
-
-_NO_ROW: dict[str, int] = {}
 
 _EMPTY_OIDS: frozenset[str] = frozenset()

@@ -48,9 +48,10 @@ class MaskKernel:
 
     def __init__(self, masks: CompiledMasks, prec: Precedence | None = None):
         self.masks = masks
-        # Order optimisation: sid -> mask of the siblings that must
-        # already have matched before sid may be merged in.
-        self._prec = {sid: mask_of(required) for sid, required in (prec or {}).items()}
+        # Order optimisation: sid -> the siblings that must already have
+        # matched before sid may be merged in, as (lowest sid, their mask
+        # shifted down to it) — siblings share an AFA, so the mask is small.
+        self._prec = {sid: _shifted(required) for sid, required in (prec or {}).items()}
 
     def initial_enabled(self) -> int:
         return self.masks.epsilon_closure(self.masks.initial_mask)
@@ -95,9 +96,17 @@ class MaskKernel:
         if prec:
             for sid in bits_of(aux & ~parent):
                 required = prec.get(sid)
-                if required is not None and required & parent != required:
-                    merged ^= 1 << sid  # a mandated preceding sibling is missing
+                if required is not None:
+                    low, siblings = required
+                    if parent >> low & siblings != siblings:
+                        merged ^= 1 << sid  # a mandated preceding sibling is missing
         return merged
+
+
+def _shifted(sids: frozenset[int]) -> tuple[int, int]:
+    """``(low, mask)``: the mask of *sids* shifted down to their lowest."""
+    low = min(sids)
+    return low, mask_of(sid - low for sid in sids)
 
 
 def _resolve(

@@ -315,9 +315,10 @@ class LayeredFilterEngine:
         merged.update((f.oid, f) for f in arriving)
         base = self._base
         workload = base.workload if base is not None else None
-        # Passengers cost mask width — every table row and interned
-        # state is an int as wide as the sid space — so the base is
-        # renumbered once they outnumber half its live AFA states.
+        # Passengers cost mask width — every interned state and lane is
+        # an int as wide as the sid space, and every row table a row
+        # per sid — so the base is renumbered once they outnumber half
+        # its live AFA states.
         renumber = (
             workload is not None
             and 2 * workload.retired_states > workload.state_count - workload.retired_states

@@ -5,6 +5,8 @@ bit sweep — to each other and to the frozenset spec."""
 
 import random
 import signal
+import sys
+import tracemalloc
 from contextlib import contextmanager
 
 import pytest
@@ -20,6 +22,7 @@ from repro.afa.automaton import (
 )
 from repro.afa.build import build_workload_automata
 from repro.afa.predicates import AtomicPredicate
+from repro.bench.workloads import standard_workload
 from repro.errors import WorkloadError
 from repro.xmlstream.dom import parse_document
 from repro.xpath.parser import parse_workload, parse_xpath
@@ -479,3 +482,207 @@ def test_a_filter_too_deep_to_compile_leaves_the_workload_as_it_was(lane_workloa
     assert workload.masks.lane_profile() == lane_workload.masks.lane_profile()
     workload.extend([parse_xpath("//e", "fine")])
     assert workload.accepted_oids([workload.afas[-1].initial]) == {"fine"}
+
+
+# -- AFA-local rows ----------------------------------------------------------
+
+
+def afa_workload(*afas, edges=()):
+    """A hand-laid workload: one terminal state per sid, *afas* as
+    ``(oid, state sids)`` and *edges* as ``(source, label, target)``."""
+    workload = WorkloadAutomata()
+    for sid in range(sum(len(sids) for _, sids in afas)):
+        workload.new_state(StateKind.OR, AtomicPredicate("=", sid))
+    for index, (oid, sids) in enumerate(afas):
+        workload.afas.append(automaton.AFA(oid, sids[0], state_sids=tuple(sids)))
+        for sid in sids:
+            workload.states[sid].owner = index
+    for source, label, target in edges:
+        workload.states[source].add_edge(label, target)
+    return workload
+
+
+@pytest.mark.parametrize(
+    "afas, edges, reason",
+    [
+        ((("x", (0, 2)), ("y", (1,))), (), "contiguous"),
+        ((("x", (1, 0)), ("y", (2,))), (), "contiguous"),
+        ((("x", (1, 2)), ("y", (0,))), (), "contiguous"),
+        ((("x", (0, 1)), ("y", (2,))), ((1, "a", 2),), "outside"),
+    ],
+)
+def test_finalize_refuses_an_afa_that_is_not_one_run_of_its_own_sids(afas, edges, reason):
+    """The compiled rows are stored relative to each AFA's first sid:
+    that layout is checked before anything is indexed."""
+    workload = afa_workload(*afas, edges=edges)
+    with pytest.raises(WorkloadError, match=reason):
+        workload.finalize()
+    assert workload.masks is None and not workload.terminals
+    laid_out = afa_workload(("x", (0, 1)), ("y", (2,)), edges=((0, "a", 1),)).finalize()
+    assert laid_out.masks.state_count == 3
+
+
+def test_finalize_refuses_a_state_no_afa_owns():
+    workload = afa_workload(("x", (0, 1)))
+    workload.new_state(StateKind.OR, AtomicPredicate("=", 2))
+    with pytest.raises(WorkloadError, match="without an owning AFA: \\[2\\]"):
+        workload.finalize()
+
+
+def reconstructed_rows(workload):
+    """``eps_rows`` / ``up_rows`` / ``rev_rows`` / ``push_rows``, rebuilt
+    whole-width from ``AfaState.eps`` / ``edges`` / ``rev`` alone."""
+    states = workload.states
+    parents = {state.sid: [] for state in states}
+    for state in states:
+        for child in state.eps:
+            parents[child].append(state.sid)
+    up = []
+    for state in states:
+        closure, stack = {state.sid}, [state.sid]
+        while stack:
+            for parent in parents[stack.pop()]:
+                if parent not in closure:
+                    closure.add(parent)
+                    stack.append(parent)
+        up.append(naive_mask(closure))
+    rev = {}
+    for state in states:
+        for label, sources in state.rev.items():
+            rev.setdefault(label, {})[state.sid] = naive_mask(sources)
+    push = {}
+    labels = {label for state in states for label in state.edges}
+    for label in labels:
+        wildcard = label if label in ("*", "@*") else "@*" if label.startswith("@") else "*"
+        by_source = {
+            state.sid: naive_mask(
+                workload.epsilon_closure(
+                    set(state.edges.get(label, ())) | set(state.edges.get(wildcard, ()))
+                )
+            )
+            for state in states
+            if label in state.edges or wildcard in state.edges
+        }
+        union = 0
+        for row in by_source.values():
+            union |= row
+        push[label] = (naive_mask(by_source), by_source, union)
+    return [naive_mask(state.eps) for state in states], up, rev, push
+
+
+def exported_rows(masks):
+    return masks.eps_rows(), masks.up_rows(), masks.rev_rows(), masks.push_rows()
+
+
+def test_exported_rows_are_whole_width_whether_built_at_once_or_appended():
+    filters = parse_workload(
+        {f"{oid}{i}": x for i in range(3) for oid, x in LANE_SOURCES.items()}
+    )
+    whole = WorkloadAutomata().extend(filters)
+    grown = WorkloadAutomata()
+    for cut in range(0, len(filters), 5):
+        grown.extend(filters[cut : cut + 5])
+    want = reconstructed_rows(whole)
+    assert exported_rows(whole.masks) == want
+    assert reconstructed_rows(grown) == want
+    assert exported_rows(grown.masks) == want
+
+
+def scattered_masks(workload, rng, count=6):
+    """One bit in every AFA, then one in every other one, …"""
+    return [
+        naive_mask(rng.choice(afa.state_sids) for afa in workload.afas[::stride])
+        for stride in range(1, count + 1)
+    ]
+
+
+def clustered_masks(workload, rng, count=6):
+    """A few AFAs, far apart, each bringing several of its bits."""
+    out = []
+    for _ in range(count):
+        afas = rng.sample(workload.afas, 3)
+        out.append(
+            naive_mask(sid for afa in afas for sid in afa.state_sids if rng.random() < 0.6)
+        )
+    return out + [naive_mask(workload.afas[0].state_sids + workload.afas[-1].state_sids)]
+
+
+@pytest.fixture(scope="module")
+def wide_lane_workload():
+    copies = 4100 // build_workload_automata(parse_workload(LANE_SOURCES)).state_count + 1
+    return build_workload_automata(
+        parse_workload({f"{oid}{i}": x for i in range(copies) for oid, x in LANE_SOURCES.items()})
+    )
+
+
+@pytest.mark.parametrize("span", [0, 5, automaton._SPAN])
+@pytest.mark.parametrize("shape", ["scattered", "clustered"])
+def test_sweeps_over_local_rows_equal_their_frozenset_twins(
+    wide_lane_workload, monkeypatch, span, shape
+):
+    """Every sweep gathers local rows span by span and shifts them into
+    place; a span of 0 shifts once per AFA.  Each must equal its spec."""
+    monkeypatch.setattr(automaton, "_SPAN", span)
+    workload, compiled = wide_lane_workload, wide_lane_workload.masks
+    rng = random.Random(span * 7 + len(shape))
+    masks = (scattered_masks if shape == "scattered" else clustered_masks)(workload, rng)
+    masks.append(compiled.all_mask)
+    for mask in masks:
+        sids = set(naive_bits(mask))
+        assert compiled.epsilon_closure(mask) == naive_mask(workload.epsilon_closure(sids))
+        assert compiled.afa_states(mask) == naive_mask(workload.afa_states_of(sids))
+        for label in LANE_LABELS:
+            attr = label.startswith("@")
+            targets = workload.push_targets(sids, label, attr)
+            assert compiled.push_targets_closure(mask, label, attr) == naive_mask(
+                workload.epsilon_closure(targets)
+            ), (label, mask)
+    check_transition_paths(workload, masks, LANE_LABELS)
+
+
+def row_table_bytes(masks):
+    """Python bytes of the per-sid row tables, each shared object once."""
+    seen, total = set(), 0
+
+    def count(obj):
+        nonlocal total
+        if id(obj) not in seen:
+            seen.add(id(obj))
+            total += sys.getsizeof(obj)
+
+    rows = (masks._bases, masks._eps_masks, masks._closure_masks, masks._up_masks)
+    tables = [*rows, masks._owner_masks, *masks._rev_sources.values()]
+    tables += [by_source for _, by_source, _ in masks._push_by_label.values()]
+    for table in tables:
+        count(table)
+        for row in table.values() if isinstance(table, dict) else table:
+            count(row)
+    return total
+
+
+def test_the_row_tables_grow_linearly_with_the_workload():
+    """Every row is as wide as one AFA, not as the workload: the bytes
+    per AFA state stay flat from 500 to 2 000 filters (whole-width rows
+    read ×2.7 here, 16.7 MB at 2 000)."""
+    per_state = []
+    for queries in (500, 2000):
+        workload = build_workload_automata(standard_workload(queries)[0])
+        per_state.append(row_table_bytes(workload.masks) / workload.state_count)
+    assert per_state[1] <= per_state[0] * 1.25, per_state
+
+
+@pytest.mark.slow
+def test_the_compiled_workload_grows_linearly_at_paper_scale():
+    """The paper runs 50k-200k queries.  A doubling from 5 000 to
+    10 000 filters may at most ×2.2 the build's Python allocations
+    (whole-width rows read ×3.2-3.5 in RSS)."""
+    peaks = []
+    for queries in (5000, 10000):
+        filters = standard_workload(queries)[0]
+        tracemalloc.start()
+        try:
+            build_workload_automata(filters)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] * 2.2, peaks
