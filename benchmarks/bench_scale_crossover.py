@@ -1,15 +1,17 @@
-"""The basic-vs-optimised crossover is scale-dependent.
+"""The basic-vs-optimised gap widens with scale; it does not flip.
 
-EXPERIMENTS.md documents one Fig. 5 deviation at the default 1/100
-scale: the *basic* machine is fastest there, while the paper's basic
-machine is slowest at 50k-200k queries.  The mechanism is state size —
-basic's states bloat with workload scale (the paper's Fig. 7(a) shows
-averages above 1000 AFA states) until computing new states dominates.
-This bench measures the trend directly: as workload and data grow
-together (the REPRO_BENCH_SCALE axis), basic's average state size
-explodes and the optimised variants' relative time gap narrows; the
-actual flip lies beyond the scales CPython can run in benchmark time
-(the paper's machine flips somewhere in its 50k-200k-query regime).
+EXPERIMENTS.md documents one Fig. 5 deviation: the *basic* machine is
+fastest on this implementation, while the paper's basic machine is
+slowest at 50k-200k queries.  The paper's mechanism is state size —
+basic's states bloat with workload scale (its Fig. 7(a) shows averages
+above 1000 AFA states) until computing new states dominates.  This
+bench measures both along the REPRO_BENCH_SCALE axis, workload and data
+growing together 1x -> 4x: basic's average state size does grow
+steeply (61 -> 224 AFA states at the default scale, 2 000 -> 8 000
+queries), but TD-order-early-train's filter time grows faster still,
+so its ratio to basic's *rises* (x0.6-0.7 -> x1.3-1.5 over three runs
+on a 2-vCPU host).  The same holds at the paper's own points:
+EXPERIMENTS.md reads x2.20 at 50 000 queries.
 """
 
 from repro.bench.figdata import sweep_point
@@ -51,13 +53,14 @@ def test_crossover_trend(benchmark):
 
     basic_sizes = [row[2 + VARIANTS.index("basic") * 2 + 1] for row in rows]
     # Basic's average state size grows steeply with scale — the
-    # mechanism that eventually makes it the slowest variant (paper
-    # Fig. 7(a): averages above 1000 at 200k queries).
+    # paper's reason for its basic machine being the slowest (Fig.
+    # 7(a): averages above 1000 at 200k queries).
     assert basic_sizes[-1] > basic_sizes[0] * 1.5
-    # The relative time gap (basic ahead at tiny scale) narrows with
-    # scale; at ≥5× the default it flips (EXPERIMENTS.md).
+    # TD-order-early-train's time over basic's grows with scale: the
+    # bloat does not make basic the slowest variant here (EXPERIMENTS.md,
+    # Fig. 5).
     gap_small = results[(multipliers[0], "TD-order-early-train")].filtering_seconds / \
         results[(multipliers[0], "basic")].filtering_seconds
     gap_large = results[(multipliers[-1], "TD-order-early-train")].filtering_seconds / \
         results[(multipliers[-1], "basic")].filtering_seconds
-    assert gap_large < gap_small * 1.05
+    assert gap_large > gap_small

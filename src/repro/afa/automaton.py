@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import enum
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
@@ -55,7 +56,7 @@ from repro.errors import WorkloadError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.afa.codegen import CompiledHandlers
-    from repro.xpath.ast import XPathFilter
+    from repro.xpath.ast import LocationPath, XPathFilter
 
 WILDCARD = "*"
 ATTRIBUTE_WILDCARD = "@*"
@@ -176,7 +177,12 @@ class AfaState:
 
 @dataclass
 class AFA:
-    """One filter's automaton: its initial state, oid and metadata."""
+    """One filter's automaton: its initial state, oid and metadata.
+
+    Filters with the same source share one AFA
+    (:meth:`WorkloadAutomata.extend`): ``oid`` is the first one, the one
+    it was compiled for; the oids it answers to are the workload's
+    accept row of ``initial``."""
 
     oid: str
     initial: int
@@ -197,10 +203,11 @@ class WorkloadAutomata:
     A workload only ever *grows*: :meth:`extend` compiles new filters
     at the top of the sid space and :meth:`finalize` folds whatever was
     added since its last call into the indexes — the first call is
-    simply the one that starts from empty.  Because the AFAs of
-    different filters share no state, nothing recorded about an
-    already-finalised state changes, so a set of AFA states restricted
-    to an older block of sids is still a correct state of that block.
+    simply the one that starts from empty.  Because different AFAs
+    share no state, nothing recorded about an already-finalised state
+    changes, so a set of AFA states restricted to an older block of
+    sids is still a correct state of that block; only the oids an AFA
+    of that block answers to may change.
     """
 
     def __init__(self) -> None:
@@ -217,6 +224,9 @@ class WorkloadAutomata:
         self.masks: CompiledMasks | None = None  # built by finalize()
         #: oid -> index in ``afas`` of the one AFA answering to it.
         self._live: dict[str, int] = {}
+        #: source -> (its parsed path, index in ``afas``) of a live AFA a
+        #: copy of that filter answers through (see :meth:`extend`).
+        self._sharing: dict[str, tuple["LocationPath", int]] = {}
         #: Retired passengers (see :meth:`extend`): how many AFAs, and
         #: how many of ``states`` they own.
         self.retired_filters = 0
@@ -244,13 +254,21 @@ class WorkloadAutomata:
         the sid space, finalise only the new states, and *retire* the
         given live oids.
 
-        A retired AFA stays in the sid space as an inert passenger —
-        its states, edges, initial and notification bits are untouched,
-        so every state set over the older block stays bit-identical —
-        but it is dropped from the accept and notification maps, so no
-        answer names it again.  The same call may retire an oid and
-        define it anew.  Machines that share this workload see it
-        change under them; callers that grow a workload own it.
+        Copies compile once.  A filter with the source text and path of
+        a live AFA gets no states of its own: its oid joins that AFA's
+        accept and notification rows, so N copies answer as N automata
+        would at the mask width of one.  An AFA takes a copy only while
+        it keeps an oid outside *retire*; a filter without a source is
+        never shared.
+
+        An AFA whose last oid is retired stays in the sid space as an
+        inert passenger — its states, edges, initial and notification
+        bits are untouched, so every state set over the older block
+        stays bit-identical — but it is dropped from the accept and
+        notification maps, so no answer names it again.  The same call
+        may retire an oid and define it anew.  Machines that share this
+        workload see it change under them; callers that grow a workload
+        own it.
         """
         from repro.afa.build import build_afa
 
@@ -262,25 +280,79 @@ class WorkloadAutomata:
         taken = self._live.keys() - set(retire)
         if len(set(oids)) != len(oids) or not taken.isdisjoint(oids):
             raise WorkloadError("duplicate oids in workload")
+        leaving = Counter(self._live[oid] for oid in retire)
+        compiled: dict[str, tuple["LocationPath", int]] = {}
+        joins: list[tuple[int, str]] = []
         try:
             for xpath_filter in filters:
+                index = self._share(xpath_filter, leaving, compiled)
+                if index is not None:
+                    joins.append((index, xpath_filter.oid))
+                    continue
                 build_afa(self, xpath_filter)
+                if xpath_filter.source:
+                    compiled.setdefault(
+                        xpath_filter.source, (xpath_filter.path, len(self.afas) - 1)
+                    )
         except Exception:
-            # A filter that does not compile leaves no half-built AFA.
+            # A filter that does not compile leaves no half-built AFA,
+            # and no copy has joined an AFA yet.
             del self.states[self._finalized_states :]
             del self.afas[self._finalized_afas :]
             raise
         for oid in retire:
-            afa = self.afas[self._live.pop(oid)]
-            afa.retired = True
-            self.retired_filters += 1
-            self.retired_states += len(afa.state_sids)
-            self._oid_by_initial[afa.initial].remove(oid)
+            index = self._live.pop(oid)
+            afa = self.afas[index]
+            answering = self._oid_by_initial[afa.initial]
+            answering.remove(oid)
             if afa.notification >= 0:
                 self._oid_by_notification[afa.notification].remove(oid)
+            if not answering:
+                afa.retired = True
+                self.retired_filters += 1
+                self.retired_states += len(afa.state_sids)
+                if self._sharing.get(afa.source, (None, -1))[1] == index:
+                    del self._sharing[afa.source]
         if retire:
             self._codegen_cache.clear()
-        return self.finalize()
+        self._sharing.update(compiled)
+        self.finalize()
+        for index, oid in joins:
+            self._answer(index, oid)
+        return self
+
+    def _share(
+        self,
+        xpath_filter: "XPathFilter",
+        leaving: Mapping[int, int],
+        compiled: Mapping[str, tuple["LocationPath", int]],
+    ) -> int | None:
+        """The index of the AFA *xpath_filter* answers through instead
+        of compiling its own: a live one with its source and path that
+        keeps an oid outside this call's *leaving* counts, or one this
+        call *compiled*.  The key is the source text, hashed once; the
+        paths compare by identity when one parse made them both
+        (:func:`repro.xpath.parser.parse_workload`)."""
+        source = xpath_filter.source
+        if not source:
+            return None
+        held = self._sharing.get(source)
+        if held is not None and held[0] == xpath_filter.path:
+            index = held[1]
+            if len(self._oid_by_initial[self.afas[index].initial]) > leaving[index]:
+                return index
+        held = compiled.get(source)
+        if held is not None and held[0] == xpath_filter.path:
+            return held[1]
+        return None
+
+    def _answer(self, index: int, oid: str) -> None:
+        """Make the AFA at *index* answer to *oid* too."""
+        afa = self.afas[index]
+        self._live[oid] = index
+        self._oid_by_initial.setdefault(afa.initial, []).append(oid)
+        if afa.notification >= 0:
+            self._oid_by_notification.setdefault(afa.notification, []).append(oid)
 
     def finalize(self) -> "WorkloadAutomata":
         """Fold the states and AFAs added since the last call into the
@@ -323,10 +395,7 @@ class WorkloadAutomata:
         self.terminals += tuple(s.sid for s in fresh if s.is_terminal)
         self.initial_sids |= {afa.initial for afa in fresh_afas}
         for index, afa in enumerate(fresh_afas, self._finalized_afas):
-            self._live[afa.oid] = index
-            self._oid_by_initial.setdefault(afa.initial, []).append(afa.oid)
-            if afa.notification >= 0:
-                self._oid_by_notification.setdefault(afa.notification, []).append(afa.oid)
+            self._answer(index, afa.oid)
         self._compute_ranks(fresh)
         if self.masks is None:
             self.masks = CompiledMasks()

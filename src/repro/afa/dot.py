@@ -15,7 +15,9 @@ def _quote(text: str) -> str:
 
 
 def afa_to_dot(workload: WorkloadAutomata, title: str = "workload") -> str:
-    """The workload's AFAs as one dot digraph, clustered per filter."""
+    """The workload's AFAs as one dot digraph, one cluster per AFA,
+    labelled with the oids it answers to (copies of a filter share one
+    AFA; a retired one shows the oid it was compiled for)."""
     lines = [
         f"digraph {_quote(title)} {{",
         "  rankdir=TB;",
@@ -23,7 +25,8 @@ def afa_to_dot(workload: WorkloadAutomata, title: str = "workload") -> str:
     ]
     for index, afa in enumerate(workload.afas):
         lines.append(f"  subgraph cluster_{index} {{")
-        lines.append(f"    label={_quote(f'{afa.oid}: {afa.source}')};")
+        oids = ", ".join(sorted(workload.accepted_oids((afa.initial,)))) or afa.oid
+        lines.append(f"    label={_quote(f'{oids}: {afa.source}')};")
         for sid in afa.state_sids:
             state = workload.states[sid]
             label = f"s{sid}"

@@ -104,7 +104,7 @@ def run_variant(
         _, warm_seconds = timed(machine.filter_stream, stream_text)
     return VariantResult(
         variant=variant,
-        queries=len(workload.afas),
+        queries=len(workload.accepted_oids(workload.initial_sids)),
         filtering_seconds=filter_seconds,
         states=machine.state_count,
         average_state_size=machine.average_state_size,

@@ -486,7 +486,7 @@ def cmd_explain(args) -> int:
         [parse_xpath(args.query, "q")] if args.query else _load_queries(args.queries)
     )
     workload = build_workload_automata(filters)
-    print(f"filters     : {len(workload.afas)}")
+    print(f"filters     : {len(filters)}")
     print(f"AFA states  : {workload.state_count}")
     if not args.codegen:
         return 0

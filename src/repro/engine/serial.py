@@ -24,7 +24,7 @@ from repro.xmlstream.dom import Document, documents_of_events, parse_forest
 from repro.xmlstream.events import Event
 from repro.xmlstream.parser import _decode_utf8
 from repro.xpath.ast import XPathFilter
-from repro.xpath.parser import parse_xpath
+from repro.xpath.parser import parse_workload, parse_xpath
 
 #: ``snapshot()`` format tag shared by the source-level engines.
 SNAPSHOT_FORMAT = "repro-engine-workload"
@@ -35,18 +35,16 @@ def normalize_filters(
     filters: Sequence[XPathFilter] | Mapping[str, str] | Iterable[str] | None,
 ) -> list[XPathFilter]:
     """Accept the workload spellings used across the library — parsed
-    filters, an oid→xpath mapping, or bare source strings."""
+    filters, an oid→xpath mapping, or bare source strings.  Each
+    distinct source is parsed once (:func:`parse_workload`)."""
     if filters is None:
         return []
     if isinstance(filters, Mapping):
-        return [parse_xpath(source, oid) for oid, source in filters.items()]
-    out: list[XPathFilter] = []
-    for index, item in enumerate(filters):
-        if isinstance(item, XPathFilter):
-            out.append(item)
-        else:
-            out.append(parse_xpath(item, f"q{index}"))
-    return out
+        return parse_workload(dict(filters))
+    items = list(filters)
+    sources = {f"q{i}": item for i, item in enumerate(items) if not isinstance(item, XPathFilter)}
+    parsed = iter(parse_workload(sources))
+    return [item if isinstance(item, XPathFilter) else next(parsed) for item in items]
 
 
 def sources_snapshot(name: str, filters: Mapping[str, XPathFilter]) -> dict[str, Any]:
@@ -70,7 +68,7 @@ def sources_from_snapshot(snapshot: Mapping[str, Any]) -> dict[str, XPathFilter]
     filters = snapshot.get("filters")
     if not isinstance(filters, Mapping):
         raise WorkloadError("malformed engine snapshot: no filters mapping")
-    return {oid: parse_xpath(source, oid) for oid, source in filters.items()}
+    return {f.oid: f for f in parse_workload(dict(filters))}
 
 
 class _DocumentEvaluator(Protocol):

@@ -214,7 +214,21 @@ def parse_xpath(source: str, oid: str = "") -> XPathFilter:
 
 
 def parse_workload(sources: dict[str, str] | list[str]) -> list[XPathFilter]:
-    """Parse a workload; a list gets oids ``q0, q1, …`` assigned."""
+    """Parse a workload; a list gets oids ``q0, q1, …`` assigned.  Each
+    distinct source is parsed once and its copies share that one
+    :class:`LocationPath`, so the workload compiler's check that a copy
+    may share an automaton (``path ==``) is an identity check."""
     if isinstance(sources, dict):
-        return [parse_xpath(text, oid) for oid, text in sources.items()]
-    return [parse_xpath(text, f"q{i}") for i, text in enumerate(sources)]
+        pairs = list(sources.items())
+    else:
+        pairs = [(f"q{i}", text) for i, text in enumerate(sources)]
+    parsed: dict[str, LocationPath] = {}
+    out: list[XPathFilter] = []
+    for oid, text in pairs:
+        path = parsed.get(text)
+        if path is None:
+            out.append(parse_xpath(text, oid))
+            parsed[text] = out[-1].path
+        else:
+            out.append(XPathFilter(path, oid=oid, source=text))
+    return out

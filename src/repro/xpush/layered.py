@@ -239,8 +239,9 @@ class LayeredFilterEngine:
     def insert(self, oid: str, xpath: str) -> None:
         """Add a filter: one AFA is compiled, at the top of the delta
         layer (or, when this insertion fills the delta, of the base it
-        is folded into); the warmed base machine and all its states
-        survive untouched.
+        is folded into), unless the filter copies the source of a live
+        filter of that layer, whose AFA then answers to it as well; the
+        warmed base machine and all its states survive untouched.
 
         Re-inserting a previously removed oid is allowed.  If its old
         definition sits in the base layer it is *shadowed* — the new
@@ -514,8 +515,8 @@ class LayeredFilterEngine:
         stale = [oid for oid in tombstones if oid not in base_data and oid not in delta_data]
         if stale:
             raise PersistError(f"tombstones for unknown oids: {stale[:8]}")
-        base_filters = {oid: parse_xpath(source, oid) for oid, source in base_data.items()}
-        delta_filters = {oid: parse_xpath(source, oid) for oid, source in delta_data.items()}
+        base_filters = {f.oid: f for f in parse_workload(base_data)}
+        delta_filters = {f.oid: f for f in parse_workload(delta_data)}
         base = self._build(list(base_filters.values()))
         delta = self._build(list(delta_filters.values()))
         self.close()

@@ -120,6 +120,24 @@ def compute_precedence(workload: WorkloadAutomata, dtd: DTD) -> dict[int, frozen
     return {sid: frozenset(sources) for sid, sources in prec.items()}
 
 
+def _joined_oids(
+    workload: WorkloadAutomata, count: int, filters: Sequence[XPathFilter]
+) -> dict[str, frozenset[str]]:
+    """The oids of *filters* that :meth:`WorkloadAutomata.extend` made
+    one of the first *count* AFAs answer to (a copy of its source),
+    keyed by an oid that AFA answered to before."""
+    arrived = frozenset(f.oid for f in filters)
+    out: dict[str, frozenset[str]] = {}
+    for afa in workload.afas[:count]:
+        if afa.retired:
+            continue
+        answering = workload.accepted_oids((afa.initial,))
+        joined = answering & arrived
+        if joined:
+            out[min(answering - joined)] = joined
+    return out
+
+
 class XPushMachine:
     """Evaluate a workload of XPath filters over XML streams.
 
@@ -154,10 +172,14 @@ class XPushMachine:
         #: The store this one replaced at the last :meth:`extend`, kept
         #: read-only: its memo answers the old block ``_covered`` of a
         #: t_pop / t_push miss.  ``_retired`` holds the oids that extend
-        #: retired — a notification set memoised before must not name them.
+        #: retired — a notification set memoised before must not name
+        #: them — and ``_joined`` the oids it added to an AFA of the old
+        #: block, keyed by an oid that AFA answered to before, which
+        #: such a set does name.
         self._predecessor: StateStore | None = None
         self._covered = 0
         self._retired: frozenset[str] = frozenset()
+        self._joined: dict[str, frozenset[str]] = {}
         self._open_store(self._bind_workload())
 
         # Per-document registers (Fig. 2; ``_qt`` / ``_qb`` start with
@@ -341,6 +363,7 @@ class XPushMachine:
         workload = self.workload
         assert workload.masks is not None
         covered = workload.masks.all_mask
+        afas_before = len(workload.afas)
         workload.extend(filters, retire)
         masks = self._bind_workload()
         replaced = self.store
@@ -350,6 +373,8 @@ class XPushMachine:
             self._predecessor = replaced
             self._covered = covered
             self._retired = retire
+            if len(filters) > len(workload.afas) - afas_before:  # some copy shared
+                self._joined = _joined_oids(workload, afas_before, filters)
         else:
             replaced.close()  # an empty workload memoised nothing
         self._open_store(masks)
@@ -362,6 +387,7 @@ class XPushMachine:
             self._predecessor = None
             self._covered = 0
             self._retired = frozenset()
+            self._joined = {}
 
     def close(self) -> None:
         """Release the state stores, tables cleared, so a replaced
@@ -726,6 +752,9 @@ class XPushMachine:
         lifted, notified = entry
         if notified and self._retired:
             notified = notified - self._retired
+        if notified and self._joined:
+            joined = self._joined
+            notified = notified.union(*(joined[oid] for oid in notified & joined.keys()))
         return lifted.mask, notified
 
     def _badd(self, qbs: XPushState, qaux: XPushState) -> XPushState:
@@ -1038,7 +1067,7 @@ class XPushMachine:
     def describe(self) -> str:
         return (
             f"XPushMachine[{self.options.describe()}]: "
-            f"{len(self.workload.afas)} filters, "
+            f"{len(self.workload.accepted_oids(self.workload.initial_sids))} filters, "
             f"{self.workload.state_count} AFA states, "
             f"{self.store.bottom_count} XPush states"
         )

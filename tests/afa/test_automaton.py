@@ -25,6 +25,7 @@ from repro.afa.predicates import AtomicPredicate
 from repro.bench.workloads import standard_workload
 from repro.errors import WorkloadError
 from repro.xmlstream.dom import parse_document
+from repro.xpath.ast import XPathFilter
 from repro.xpath.parser import parse_workload, parse_xpath
 from repro.xpath.semantics import matching_oids
 from repro.xpush.machine import XPushMachine
@@ -297,10 +298,26 @@ def naive_mask(sids):
     return sum(1 << sid for sid in set(sids))
 
 
+def replicas(sources, copies):
+    """*copies* replicas of *sources* (oid -> xpath) under distinct
+    oids, replica *i* spelled with *i* trailing blanks: the same paths,
+    but no two sources alike, so each compiles its own AFA (copies of
+    one source text share one)."""
+    return parse_workload(
+        {f"{oid}{i}": xpath + " " * i for i in range(copies) for oid, xpath in sources.items()}
+    )
+
+
 def reached_masks(workload, docs):
     """The bottom-up states basic, TD and TD+early machines intern on
     *docs*, each machine held to the oracle's answers on the way."""
-    filters = parse_workload({afa.oid: afa.source for afa in workload.afas if not afa.retired})
+    filters = parse_workload(
+        {
+            oid: afa.source
+            for afa in workload.afas
+            for oid in workload.accepted_oids((afa.initial,))
+        }
+    )
     masks = set()
     for options in VARIANTS:
         machine = XPushMachine(workload, options)
@@ -381,9 +398,7 @@ def test_multi_source_rows_and_self_loops_are_lanes_too(lane_workload):
 def test_wide_masks_take_the_same_answers_down_both_paths(lane_workload, lane_docs):
     """4 100 states: lanes and shifted results cross many words."""
     copies = 4100 // lane_workload.state_count + 1
-    wide = build_workload_automata(
-        parse_workload({f"{oid}{i}": x for i in range(copies) for oid, x in LANE_SOURCES.items()})
-    )
+    wide = build_workload_automata(replicas(LANE_SOURCES, copies))
     assert wide.state_count >= 4100
     rng = random.Random(41)
     masks = with_submasks(rng.sample(reached_masks(wide, lane_docs), 12), wide.state_count, rng)
@@ -413,6 +428,120 @@ def test_lanes_of_a_grown_workload_equal_those_built_at_once(lane_docs):
     assert grown.masks.lane_profile() == whole.masks.lane_profile()
     masks = with_submasks(reached_masks(grown, lane_docs), grown.state_count, random.Random(5))
     check_transition_paths(grown, masks)
+
+
+# -- copies of one source share one AFA ----------------------------------------
+
+SHARED = "//a[b = 1 and not(c)]"
+OTHER = "/a/c"
+
+
+def answering(workload, afa):
+    """The oids *afa* accepts and notifies for."""
+    return workload.accepted_oids((afa.initial,)), workload.notified_oids((afa.notification,))
+
+
+def oid_maps(workload):
+    return (
+        dict(workload._live),
+        {sid: list(oids) for sid, oids in workload._oid_by_initial.items()},
+        {sid: list(oids) for sid, oids in workload._oid_by_notification.items()},
+    )
+
+
+def test_copies_of_a_source_share_one_afa():
+    workload = WorkloadAutomata().extend(
+        parse_workload({"x": SHARED, "y": OTHER, "x2": SHARED, "x3": SHARED})
+    )
+    alone = build_workload_automata(parse_workload({"x": SHARED, "y": OTHER}))
+    assert (len(workload.afas), workload.state_count) == (2, alone.state_count)
+    shared, other = workload.afas
+    assert answering(workload, shared) == ({"x", "x2", "x3"},) * 2
+    assert answering(workload, other) == ({"y"},) * 2
+    # A later call shares too.  A filter without a source, or whose path
+    # is not the one its source parsed to, compiles its own.
+    path = parse_xpath(SHARED).path
+    workload.extend(
+        [
+            parse_xpath(SHARED, "x4"),
+            XPathFilter(path, oid="anonymous"),
+            XPathFilter(parse_xpath(OTHER).path, oid="impostor", source=SHARED),
+        ]
+    )
+    assert len(workload.afas) == 4
+    assert workload.accepted_oids((shared.initial,)) == {"x", "x2", "x3", "x4"}
+    assert [workload.accepted_oids((afa.initial,)) for afa in workload.afas[2:]] == [
+        {"anonymous"},
+        {"impostor"},
+    ]
+
+
+def test_an_afa_becomes_a_passenger_with_its_last_oid():
+    workload = WorkloadAutomata().extend(
+        parse_workload({"x": SHARED, "x2": SHARED, "x3": SHARED})
+    )
+    (afa,) = workload.afas
+    workload.extend(retire=["x"])
+    assert workload.retired_filters == 0 and not afa.retired
+    assert answering(workload, afa) == ({"x2", "x3"},) * 2
+    workload.extend(retire=["x2", "x3"])
+    assert (workload.retired_filters, workload.retired_states) == (1, workload.state_count)
+    assert afa.retired and answering(workload, afa) == (frozenset(),) * 2
+    # A passenger takes no copy: its source compiles anew.
+    workload.extend([parse_xpath(SHARED, "x")])
+    assert len(workload.afas) == 2 and workload.state_count == 2 * len(afa.state_sids)
+    assert answering(workload, workload.afas[1]) == ({"x"},) * 2
+
+
+@pytest.mark.parametrize("copies", [1, 2])
+def test_an_oid_retired_and_defined_anew_with_its_own_source(copies):
+    """With one copy the AFA keeps no oid outside *retire*: it becomes a
+    passenger and the oid compiles anew, and a second new copy in the
+    same call shares that.  With two the other copy keeps it live and
+    the oid rejoins it: nothing compiles, nothing retires."""
+    sources = {f"x{i}": SHARED for i in range(copies)}
+    workload = WorkloadAutomata().extend(parse_workload(sources))
+    states = workload.state_count
+    workload.extend(parse_workload({"x0": SHARED, "z": SHARED}), retire=["x0"])
+    assert workload.retired_filters == (copies == 1)
+    assert workload.state_count == states * (2 if copies == 1 else 1)
+    assert answering(workload, workload.afas[-1]) == ({*sources, "z"},) * 2
+    assert not workload.afas[-1].retired
+
+
+def test_an_oid_retired_and_defined_anew_with_another_source():
+    workload = WorkloadAutomata().extend(
+        parse_workload({"x0": SHARED, "x1": SHARED, "y": OTHER})
+    )
+    shared, other = workload.afas
+    states = workload.state_count
+    workload.extend([parse_xpath(OTHER, "x0")], retire=["x0"])
+    assert (len(workload.afas), workload.state_count, workload.retired_filters) == (2, states, 0)
+    assert answering(workload, shared) == ({"x1"},) * 2
+    assert answering(workload, other) == ({"y", "x0"},) * 2
+
+
+def test_a_filter_that_does_not_compile_leaves_the_oid_maps_as_they_were():
+    """The copies in a failing call join nothing, the retirements in it
+    happen not, and the next call shares as if it never ran."""
+    workload = WorkloadAutomata().extend(parse_workload({"x": SHARED, "y": OTHER}))
+    before = oid_maps(workload)
+    states, afas = workload.state_count, len(workload.afas)
+    failing = parse_workload(
+        {"x2": SHARED, "z": "//z", "z2": "//z", "y2": OTHER, "bad": "/a/text()/b"}
+    )
+    with pytest.raises(WorkloadError):
+        workload.extend(failing, retire=["y"])
+    assert oid_maps(workload) == before
+    assert (workload.state_count, len(workload.afas), workload.retired_filters) == (states, afas, 0)
+    workload.extend(failing[:4], retire=["y"])
+    assert workload.retired_filters == 1  # "y" was its AFA's only oid
+    assert [workload.accepted_oids((afa.initial,)) for afa in workload.afas] == [
+        {"x", "x2"},
+        frozenset(),
+        {"z", "z2"},
+        {"y2"},
+    ]
 
 
 def irregular_workload(shapes=200):
@@ -610,9 +739,7 @@ def clustered_masks(workload, rng, count=6):
 @pytest.fixture(scope="module")
 def wide_lane_workload():
     copies = 4100 // build_workload_automata(parse_workload(LANE_SOURCES)).state_count + 1
-    return build_workload_automata(
-        parse_workload({f"{oid}{i}": x for i in range(copies) for oid, x in LANE_SOURCES.items()})
-    )
+    return build_workload_automata(replicas(LANE_SOURCES, copies))
 
 
 @pytest.mark.parametrize("span", [0, 5, automaton._SPAN])

@@ -20,6 +20,10 @@ Layers grow in place (``XPushMachine.extend``) and answer memo misses
 partly from the store they had before, so the pools put ``not(...)``,
 ``//``, ``*`` and existence tests into the carried block: those are the
 states that fire spuriously when the kernel sweeps only the remainder.
+Copies of a source share one AFA per layer, so schedules subscribe
+copies of live filters too, and unsubscribe and re-subscribe them: a
+copy that joins a carried AFA must be named by the notification sets
+the old store memoised for the original.
 """
 
 import itertools
@@ -186,13 +190,15 @@ def run_seeded_schedule():
     """A fixed schedule over the seeded engines, every document checked
     after every step: grow the delta, fold, retire a carried ``not``
     filter, bring its oid back under another definition (a passenger
-    and a live AFA then share the oid), fold again.  Returns, per
-    engine, the most carried hits and passengers its stats ever showed
-    (a renumbering starts both from zero)."""
+    and a live AFA then share the oid), fold again, and subscribe and
+    unsubscribe copies of a carried filter.  Returns, per engine, the
+    most carried hits, passengers and copies sharing an AFA its stats
+    and layers ever showed (a renumbering starts the first two from
+    zero)."""
     engines = seeded_engines()
     engines.update(grown_engines(lambda grown, live: check_answers(grown, live, ALL_DOCUMENTS)))
     live = dict(SEED_FILTERS)
-    peaks = {key: {"carried": 0, "retired_filters": 0} for key in engines}
+    peaks = {key: {"carried": 0, "retired_filters": 0, "copies": 0} for key in engines}
     feeds = itertools.cycle(("python", None, "expat", None))
 
     def step(*updates):
@@ -212,7 +218,7 @@ def run_seeded_schedule():
             check_answers(engines, live, [index])
         for key, engine in engines.items():
             assert engine._base is None or engine._delta is None, key
-            stats = engine.stats()
+            stats = {**engine.stats(), "copies": copies(engine)}
             for name, peak in peaks[key].items():
                 peaks[key][name] = max(peak, stats[name])
 
@@ -236,7 +242,24 @@ def run_seeded_schedule():
     step(("remove", "s0"))
     step(("insert", "s0", "/r/a[not(b = 1)]"))  # two retired s0 AFAs ride in the base
     step(("compact",))
+    # Copies of the carried n0: two share one delta AFA, the fold joins
+    # them to n0's, and the AFA outlives the original.
+    step(("insert", "n5", "//a[b = 1]"), ("insert", "n6", "//a[b = 1]"))
+    step(("remove", "n0"), ("remove", "n5"))
+    step(("compact",))
     return peaks
+
+
+def copies(engine):
+    """How many oids of the engine's layers answer through an AFA that
+    another oid of the layer answers through too."""
+    count = 0
+    for machine in (engine._base, engine._delta):
+        if machine is not None:
+            workload = machine.workload
+            rows = [workload.accepted_oids((afa.initial,)) for afa in workload.afas]
+            count += sum(len(oids) - 1 for oids in rows if oids)
+    return count
 
 
 def test_seeded_schedule_matches_reference_at_every_step():
@@ -246,7 +269,7 @@ def test_seeded_schedule_matches_reference_at_every_step():
     # both (the first two are the direct path, the last the fan-out).
     LAYER_STATES.clear()
     for key, peak in run_seeded_schedule().items():
-        assert peak["carried"] > 0 and peak["retired_filters"] > 0, key
+        assert peak["carried"] > 0 and peak["retired_filters"] > 0 and peak["copies"] > 0, key
     assert LAYER_STATES == {(False, False), (True, False), (False, True), (True, True)}
 
 
@@ -279,6 +302,15 @@ class LayeredEngineMachine(RuleBasedStateMachine):
             engine.remove(oid)
         del self.live[oid]
         self.removed.append(oid)
+
+    @precondition(lambda self: self.live)
+    @rule(data=st.data())
+    def subscribe_copy(self, data):
+        """A new oid on a live filter's source: it shares that filter's
+        AFA in the layer holding it, or from the next fold."""
+        self.counter += 1
+        source = data.draw(st.sampled_from(sorted(set(self.live.values()))))
+        self._subscribe(f"f{self.counter}", source)
 
     @precondition(lambda self: self.removed)
     @rule(data=st.data(), source=st.sampled_from(FILTER_POOL))

@@ -37,7 +37,7 @@ from repro.xpush.kernels import CodegenKernel, MaskKernel, SetsKernel
 from repro.xpush.machine import XPushMachine, compute_precedence
 from repro.xpush.options import XPushOptions
 
-from tests.afa.test_automaton import naive_bits
+from tests.afa.test_automaton import naive_bits, replicas
 from tests.property.test_machine_properties import documents as gen_documents
 
 #: ``//``, ``*``, ``@*``, ``not()``, ``or``, nested predicates — over the
@@ -194,14 +194,10 @@ def naive_mask(sids) -> int:
 
 @pytest.fixture(scope="module")
 def wide_workload(workload):
-    """``SOURCES`` replicated under distinct oids until the state masks
-    are wider than 4 096 bits."""
+    """``SOURCES`` replicated under distinct oids and spellings until
+    the state masks are wider than 4 096 bits."""
     copies = 2 * _PEEL_WIDTH // workload.state_count + 1
-    wide = build_workload_automata(
-        parse_workload(
-            {f"{oid}{i}": xpath for i in range(copies) for oid, xpath in SOURCES.items()}
-        )
-    )
+    wide = build_workload_automata(replicas(SOURCES, copies))
     assert wide.state_count > 4096
     return wide
 

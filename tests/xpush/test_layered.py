@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.xmlstream.dom import parse_document
+from repro.xpath.parser import parse_workload
 from repro.xpath.semantics import matching_oids
 from repro.xpush.layered import LayeredFilterEngine
 
@@ -311,6 +312,101 @@ def test_passenger_and_live_definition_share_an_oid_in_one_layer(options):
     assert (answers(old), answers(new)) == (frozenset(), {"a", "d"})
     engine.compact()
     assert (answers(old), answers(new)) == (frozenset(), {"a", "d"})
+
+
+# ----------------------------------------------------------------------
+# Copies of one source share one AFA
+# ----------------------------------------------------------------------
+
+COPIED = "/r/a[b = 1 and not(d)]"
+COPY_DOCS = [
+    "<r><a><b>1</b></a></r>",
+    "<r><a><b>1</b><d/></a></r>",
+    "<r><a><b>2</b></a><a><b>1</b></a></r>",
+]
+
+
+def emissions(engine, call):
+    """*call*'s answers and the ``(doc, event, oid)`` on_match saw."""
+    emitted = []
+    engine.on_match = lambda oid, doc_index, event: emitted.append((doc_index, event, oid))
+    try:
+        return call(), sorted(emitted)
+    finally:
+        engine.on_match = None
+
+
+def stream_emissions(engine):
+    return emissions(engine, lambda: engine.filter_stream("".join(COPY_DOCS)))
+
+
+def expected_answers(live):
+    filters = parse_workload(live)
+    return [matching_oids(filters, doc(xml)) for xml in COPY_DOCS]
+
+
+@pytest.mark.parametrize("options", [{}, EARLY], ids=["default", "early"])
+def test_copies_answer_as_distinct_afas_would(options):
+    """N oids on one source answer — at the end of a document and
+    through ``on_match``, at the same event — exactly as N automata of
+    their own: the same filters spelled apart (trailing blanks)."""
+    from repro.xpush.options import XPushOptions
+
+    live = {"c0": COPIED, "u": "/r/a/b", "c1": COPIED, "w": "//a[d]", "c2": COPIED}
+    apart = {oid: xpath + " " * i for i, (oid, xpath) in enumerate(live.items())}
+    shared, distinct = (
+        LayeredFilterEngine.from_xpath(sources, XPushOptions(**options))
+        for sources in (live, apart)
+    )
+    assert shared.stats()["afa_states"] < distinct.stats()["afa_states"]
+    answers, emitted = stream_emissions(shared)
+    assert (answers, emitted) == stream_emissions(distinct)
+    assert answers == expected_answers(live) and {"c0", "c1", "c2"} <= answers[0]
+    for xml in COPY_DOCS:
+        document = doc(xml)
+        assert emissions(shared, lambda: shared.filter_document(document)) == emissions(
+            distinct, lambda: distinct.filter_document(document)
+        )
+
+
+@pytest.mark.parametrize("options", [{}, EARLY], ids=["default", "early"])
+def test_unsubscribing_copies_retires_their_afa_with_the_last(options):
+    from repro.xpush.options import XPushOptions
+
+    live = {"c0": COPIED, "c1": COPIED, "c2": COPIED, "u": "/r/a/b"}
+    engine = LayeredFilterEngine.from_xpath(live, XPushOptions(**options))
+    stream_emissions(engine)  # warm the base
+    for oid, retired in (("c0", 0), ("c1", 0), ("c2", 1)):
+        engine.remove(oid)
+        del live[oid]
+        engine.compact()
+        assert engine.stats()["retired_filters"] == retired, oid
+        answers, emitted = stream_emissions(engine)
+        assert answers == expected_answers(live), oid
+        assert sorted((d, o) for d, _, o in emitted) == sorted(
+            (d, o) for d, matched in enumerate(answers) for o in matched
+        ), oid
+
+
+@pytest.mark.parametrize("options", [{}, EARLY], ids=["default", "early"])
+def test_a_copy_folded_into_a_warm_base_answers_at_its_originals_event(options):
+    """The copy joins the base's AFA; under early notification the base
+    store it replaced memoised notification sets naming the original
+    only, and the carried ones must name the copy too."""
+    from repro.xpush.options import XPushOptions
+
+    engine = LayeredFilterEngine.from_xpath({"c0": COPIED, "u": "/r/a/b"}, XPushOptions(**options))
+    states = engine.stats()["afa_states"]
+    before, emitted = stream_emissions(engine)
+    engine.insert("c1", COPIED)
+    engine.compact()
+    assert engine.stats()["afa_states"] == states
+    after, emitted_after = stream_emissions(engine)
+    assert engine.stats()["carried"] > 0
+    assert after == [m | {"c1"} if "c0" in m else m for m in before]
+    assert emitted_after == sorted(
+        emitted + [(d, event, "c1") for d, event, oid in emitted if oid == "c0"]
+    )
 
 
 def test_snapshot_never_resurrects_a_passenger():
