@@ -9,10 +9,10 @@ most events touch a state/event pair for the first time.  The codegen
 runtime specialises that same miss path further, compiling it to
 straight-line Python per label.
 
-This bench measures a baseline/contender runtime pair (``sets`` vs
-``bitmask`` by default; ``--runtime codegen`` measures ``bitmask`` vs
-``codegen``) on the same Protein stream across a sweep of workload
-sizes, in two regimes:
+This bench measures a baseline/contender pair (``sets`` vs ``bitmask``
+by default; ``--runtime codegen`` measures ``bitmask`` vs ``codegen``)
+on the same Protein stream across a sweep of workload sizes, in two
+regimes:
 
 - **cold** — ``reset_tables()`` before every document, so every
   transition is recomputed (hit ratio ≈ 0 across documents).  This
@@ -24,13 +24,18 @@ Per-run, the transition counters give a per-computed-transition cost
 (ns/transition) alongside document throughput, and the two runtimes'
 answers are asserted identical — a perf run that diverges is a bug.
 
+``sets`` is no runtime of the package: it is the frozenset reference
+kernel of ``tests/oracle.py`` — the set algebra the compiled tables
+replaced — patched into a bitmask machine, so the bench needs the repo
+root on the path (``PYTHONPATH=src:.``).
+
 Entry points:
 
-- ``python benchmarks/bench_transitions.py [--quick] [--json PATH]`` —
-  the CI smoke test.  ``--quick`` shrinks the sweep and **fails**
-  unless the bitmask runtime is at least 2x the sets runtime on the
-  cold path at the largest size (a host-independent relative gate);
-  with ``--runtime codegen`` it only reports.
+- ``PYTHONPATH=src:. python benchmarks/bench_transitions.py [--quick]
+  [--json PATH]`` — the CI smoke test.  ``--quick`` shrinks the sweep
+  and **fails** unless the bitmask runtime is at least 2x the oracle
+  (``sets``) on the cold path at the largest size (a host-independent
+  relative gate); with ``--runtime codegen`` it only reports.
 - ``pytest benchmarks/bench_transitions.py`` — pytest-benchmark
   harness at ``REPRO_BENCH_SCALE`` size.
 """
@@ -41,7 +46,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
 from functools import partial
 
 from repro.afa.build import build_workload_automata
@@ -51,13 +55,15 @@ from repro.xmlstream.dom import parse_forest
 from repro.xmlstream.parser import count_bytes
 from repro.xpush.machine import XPushMachine
 from repro.xpush.options import XPushOptions
+from tests import oracle
 
 TD = XPushOptions(top_down=True, precompute_values=False)
 
 #: The acceptance gate: cold-path bitmask throughput vs sets, largest size.
 QUICK_GATE_SPEEDUP = 2.0
 
-#: ``--runtime`` value -> (baseline runtime, contender runtime).
+#: ``--runtime`` value -> (baseline runtime, contender runtime); ``sets``
+#: is the oracle kernel.
 RUNTIME_PAIRS = {
     "bitmask": ("sets", "bitmask"),
     "codegen": ("bitmask", "codegen"),
@@ -104,7 +110,10 @@ def _pass(machine: XPushMachine, documents, answers: list, cold: bool) -> None:
 def _run_pair(workload, runtimes, documents, repeats: int) -> dict:
     """Cold and warm measurements for one workload: ``runtime ->
     measured``, the runtimes timed interleaved within each regime."""
-    machines = [XPushMachine(workload, replace(TD, runtime=r)) for r in runtimes]
+    machines = []
+    for runtime in runtimes:
+        with oracle.under(runtime):
+            machines.append(XPushMachine(workload, oracle.options_for(TD, runtime)))
     answers: list[list] = [[] for _ in machines]
     n_docs = len(documents)
     measured: dict = {runtime: {"answers": {}} for runtime in runtimes}
@@ -272,7 +281,8 @@ def test_transition_cold_path(benchmark):
         machine.clear_results()
 
     bitmask = XPushMachine(workload, TD)
-    sets_machine = XPushMachine(workload, replace(TD, runtime="sets"))
+    with oracle.oracle_kernel():
+        sets_machine = XPushMachine(workload, TD)
     cold_pass(bitmask)  # warm allocator + index
     benchmark.pedantic(lambda: cold_pass(bitmask), rounds=3, iterations=1)
     bitmask_seconds, sets_seconds = _measure(

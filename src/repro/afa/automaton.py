@@ -17,18 +17,19 @@ Two pragmatic extensions used by the compiler (:mod:`repro.afa.build`):
 
 - **⊤-edges**: a transition ``s --a--> ⊤`` means "s matches x if x has
   any child labelled a"; ⊤ is not materialised as a state — instead the
-  workload keeps, per label, the list of states with a ⊤-edge on it, so
-  ``t_pop`` can add them whenever such an element closes (this is how
-  pure existence tests like ``a[b]`` witness an *empty* ``<b/>``);
+  state lists *a* in ``top_labels`` and the compiled tables keep, per
+  label, the mask of states with a ⊤-edge on it, so ``t_pop`` can add
+  them whenever such an element closes (this is how pure existence
+  tests like ``a[b]`` witness an *empty* ``<b/>``);
 - OR states may carry both label edges and ε-successors (needed for
   ``a//text() = v`` and similar shapes).
 
 The :class:`WorkloadAutomata` aggregates all AFAs of a workload with
 the global structures the XPush machine needs: reverse transitions
 (δ⁻¹ with back-pointers, Sec. 4), the ε-DAG topological ranks that make
-``eval()`` a single ordered pass, the NOT-state list, the terminal list
-feeding the atomic predicate index, and each filter's *notification
-state* for the early-notification optimisation.
+``eval()`` a single ordered pass, the terminal list feeding the atomic
+predicate index, and each filter's *notification state* for the
+early-notification optimisation.
 
 ``finalize()`` additionally compiles the whole workload into
 :class:`CompiledMasks` — flat integer-bitmask tables where a set of AFA
@@ -38,9 +39,10 @@ signature"; following the compiled-automaton tradition (YFilter, the
 lazy-DFA line of work), the mask tables turn every set operation on the
 XPush cold path — ``eval``, δ⁻¹, ε-closures, accept/notification
 lookups — into single-int bitwise AND/OR/NOT plus popcount, with no
-frozenset churn and no ``tuple(sorted(...))`` at intern time.  The
-set-based methods below remain the executable specification the mask
-runtime is differentially tested against.
+frozenset churn and no ``tuple(sorted(...))`` at intern time.  They
+are the only transition algebra the package runs; the frozenset
+reference the differential walls hold them to lives with the tests
+(``tests/oracle.py``).
 """
 
 from __future__ import annotations
@@ -213,10 +215,6 @@ class WorkloadAutomata:
     def __init__(self) -> None:
         self.states: list[AfaState] = []
         self.afas: list[AFA] = []
-        self.top_by_label: dict[str, tuple[int, ...]] = {}
-        self.top_wild: tuple[int, ...] = ()
-        self.top_attr_wild: tuple[int, ...] = ()
-        self.not_sids: tuple[int, ...] = ()
         self.terminals: tuple[int, ...] = ()
         self.initial_sids: frozenset[int] = frozenset()
         self._oid_by_initial: dict[int, list[str]] = {}
@@ -359,13 +357,13 @@ class WorkloadAutomata:
         reverse indexes, ranks, accept maps and compiled mask tables
         (all of them, the first time).
 
-        Every state must be owned by exactly one AFA: the set-based
-        ``afa_states_of`` and the compiled per-filter owner masks both
-        resolve a state's filter through ``state.owner``, and an
-        ownerless state would silently strip the wrong filter under
-        early notification.  Each AFA must be one contiguous run of the
-        sids it owns, with no edge or ε-arc leaving it: the compiled
-        rows are stored relative to the run's first sid.
+        Every state must be owned by exactly one AFA: the compiled
+        per-filter owner masks resolve a state's filter through
+        ``state.owner``, and an ownerless state would silently strip the
+        wrong filter under early notification.  Each AFA must be one
+        contiguous run of the sids it owns, with no edge or ε-arc
+        leaving it: the compiled rows are stored relative to the run's
+        first sid.
         """
         states = self.states
         fresh = states[self._finalized_states :]
@@ -373,25 +371,17 @@ class WorkloadAutomata:
         if self.masks is not None and not fresh and not fresh_afas:
             return self
         self._check_layout(fresh_afas)
-        top_by_label: dict[str, list[int]] = {}
         rev: dict[int, dict[str, list[int]]] = {}
         for state in fresh:
             for label, targets in state.edges.items():
                 for target in targets:
                     rev.setdefault(target, {}).setdefault(label, []).append(state.sid)
-            for label in state.top_labels:
-                top_by_label.setdefault(label, []).append(state.sid)
             for child in state.eps:
                 states[child].eps_parents.append(state.sid)
         for target, by_label in rev.items():
             states[target].rev = {
                 label: tuple(sorted(sources)) for label, sources in by_label.items()
             }
-        for label, sids in top_by_label.items():  # fresh sids sort above the old
-            self.top_by_label[label] = self.top_by_label.get(label, ()) + tuple(sorted(sids))
-        self.top_wild = self.top_by_label.get(WILDCARD, ())
-        self.top_attr_wild = self.top_by_label.get(ATTRIBUTE_WILDCARD, ())
-        self.not_sids += tuple(s.sid for s in fresh if s.kind is StateKind.NOT)
         self.terminals += tuple(s.sid for s in fresh if s.is_terminal)
         self.initial_sids |= {afa.initial for afa in fresh_afas}
         for index, afa in enumerate(fresh_afas, self._finalized_afas):
@@ -488,123 +478,13 @@ class WorkloadAutomata:
         cache[max_handlers] = handlers
         return handlers
 
-    # -- run-time API (used by the XPush machine) ------------------------
-
-    def eval_closure(self, qb: Iterable[int]) -> frozenset[int]:
-        """eval(q) of Sec. 3.2: saturate *qb* with all logically implied
-        connective states.  AND fires when all ε-successors are present,
-        OR when some is, NOT when its successor is absent.  Connectives
-        are visited in ε-rank order, so nested connectives — including
-        ``not(not(Q))`` — settle in one pass.
-        """
-        result = set(qb)
-        # Candidates: every NOT state (they fire on absence), plus the
-        # upward ε-closure of the present states and of the NOTs.
-        candidates: set[int] = set()
-        stack: list[int] = list(result)
-        stack.extend(self.not_sids)
-        candidates.update(self.not_sids)
-        seen: set[int] = set(stack)
-        states = self.states
-        while stack:
-            sid = stack.pop()
-            for parent in states[sid].eps_parents:
-                if parent not in seen:
-                    seen.add(parent)
-                    candidates.add(parent)
-                    stack.append(parent)
-        for sid in sorted(candidates, key=lambda s: states[s].rank):
-            state = states[sid]
-            if sid in result:
-                continue
-            if state.kind is StateKind.AND:
-                if all(child in result for child in state.eps):
-                    result.add(sid)
-            elif state.kind is StateKind.NOT:
-                if state.eps[0] not in result:
-                    result.add(sid)
-            elif state.eps:  # OR with ε-successors
-                if any(child in result for child in state.eps):
-                    result.add(sid)
-        return frozenset(result)
-
-    def delta_inverse(self, evaluated: Iterable[int], label: str, is_attribute: bool) -> set[int]:
-        """δ⁻¹(q, a) = {s' | δ(s', a) ∩ q ≠ ∅}, plus the ⊤-edge states
-        for *label* (an element labelled *a* closing always witnesses
-        existence edges on *a*)."""
-        wildcard = ATTRIBUTE_WILDCARD if is_attribute else WILDCARD
-        out: set[int] = set()
-        states = self.states
-        for sid in evaluated:
-            rev = states[sid].rev
-            sources = rev.get(label)
-            if sources:
-                out.update(sources)
-            sources = rev.get(wildcard)
-            if sources:
-                out.update(sources)
-        top = self.top_by_label.get(label)
-        if top:
-            out.update(top)
-        top = self.top_attr_wild if is_attribute else self.top_wild
-        if top:
-            out.update(top)
-        return out
-
-    def push_targets(self, enabled: Iterable[int], label: str, is_attribute: bool) -> set[int]:
-        """Forward step for top-down pruning: states enabled on a child
-        labelled *label* given the parent's enabled set (before closure)."""
-        wildcard = ATTRIBUTE_WILDCARD if is_attribute else WILDCARD
-        out: set[int] = set()
-        states = self.states
-        for sid in enabled:
-            edges = states[sid].edges
-            targets = edges.get(label)
-            if targets:
-                out.update(targets)
-            targets = edges.get(wildcard)
-            if targets:
-                out.update(targets)
-        return out
-
-    def epsilon_closure(self, sids: set[int]) -> frozenset[int]:
-        """close(q): add ε-successors repeatedly (top-down pruning)."""
-        stack = list(sids)
-        result = set(sids)
-        states = self.states
-        while stack:
-            sid = stack.pop()
-            for child in states[sid].eps:
-                if child not in result:
-                    result.add(child)
-                    stack.append(child)
-        return frozenset(result)
-
     def accepted_oids(self, qb: Iterable[int]) -> frozenset[str]:
-        """t_accept: oids whose initial state is in *qb*."""
+        """The oids whose initial state is in *qb* (the set twin of
+        :meth:`CompiledMasks.accepted_oids`, for naming an AFA's oids)."""
         out: list[str] = []
         for sid in self.initial_sids.intersection(qb):
             out.extend(self._oid_by_initial[sid])
         return frozenset(out)
-
-    def notified_oids(self, sids: Iterable[int]) -> frozenset[str]:
-        """Oids whose notification state occurs in *sids*."""
-        out: list[str] = []
-        by_notification = self._oid_by_notification
-        for sid in sids:
-            oids = by_notification.get(sid)
-            if oids:
-                out.extend(oids)
-        return frozenset(out)
-
-    def afa_states_of(self, oid_sids: Iterable[int]) -> set[int]:
-        """All sids belonging to the AFAs owning the given sids (used to
-        strip a notified filter's states from stored XPush states)."""
-        out: set[int] = set()
-        for sid in oid_sids:
-            afa = self.afas[self.states[sid].owner]
-            out.update(afa.state_sids)
-        return out
 
     # -- statistics -------------------------------------------------------
 
@@ -637,11 +517,10 @@ class CompiledMasks:
     """Flat bitmask tables for a finalized workload (the compiled AFA
     runtime).  A *state set* is one int: bit *sid* set ⇔ sid present.
 
-    Every method here is the integer-mask twin of a set-based method on
-    :class:`WorkloadAutomata` and must agree with it exactly — the
-    differential walls (`tests/xpush/test_runtime_differential`,
-    `tests/xpush/test_kernels`) enforce that; the set versions are the
-    executable spec.
+    Every transition here must agree exactly with the frozenset
+    reference algebra of ``tests/oracle.py`` — the differential walls
+    (`tests/xpush/test_runtime_differential`, `tests/xpush/test_kernels`)
+    enforce that.
 
     Layout: each AFA is one contiguous run of sids (``finalize()``
     refuses any other), and every ε-arc, label edge and owner of a
@@ -903,11 +782,6 @@ class CompiledMasks:
         """The mask denoting the set *sids*."""
         return _mask_of(sids)
 
-    @staticmethod
-    def sids_of(mask: int) -> tuple[int, ...]:
-        """The sorted sid tuple a mask denotes."""
-        return bits_of(mask)
-
     # -- emit-ready table exports (consumed by repro.afa.codegen) ---------
     # The rows are AFA-local; every export shifts them back to whole
     # width, so its consumer sees the sid space unchanged.
@@ -964,7 +838,9 @@ class CompiledMasks:
     # -- runtime transitions ---------------------------------------------
 
     def eval_closure(self, qb_mask: int) -> int:
-        """Mask twin of :meth:`WorkloadAutomata.eval_closure`."""
+        """eval(q) of Sec. 3.2: *qb_mask* saturated with every connective
+        it implies — an AND when all its ε-successors are present, an OR
+        when some is, a NOT when its successor is absent."""
         if qb_mask < 0:
             raise ValueError("negative mask")
         # The sweep visits every present state and every NOT candidate.
@@ -1016,7 +892,9 @@ class CompiledMasks:
         return result
 
     def delta_inverse(self, evaluated_mask: int, label: str, is_attribute: bool) -> int:
-        """Mask twin of :meth:`WorkloadAutomata.delta_inverse`."""
+        """δ⁻¹(q, a) = {s' | δ(s', a) ∩ q ≠ ∅}, plus the ⊤-edge states
+        for *label* (an element labelled *a* closing always witnesses
+        existence edges on *a*)."""
         if evaluated_mask < 0:
             raise ValueError("negative mask")
         out = self._top_masks.get(label, 0)
@@ -1034,10 +912,11 @@ class CompiledMasks:
     def push_targets_closure(
         self, enabled_mask: int, label: str, is_attribute: bool
     ) -> int:
-        """ε-closed mask twin of ``epsilon_closure(push_targets(...))``:
-        the target closures are baked into the label index at build
-        time (wildcard rows pre-merged), so t_push costs at most one
-        sweep over the enabled sources for the label."""
+        """close(δ(enabled, label)), the states enabled on a child
+        labelled *label* (top-down pruning).  The target closures are
+        baked into the label index at build time (wildcard rows
+        pre-merged), so t_push costs at most one sweep over the enabled
+        sources for the label."""
         entry = self._push_by_label.get(label)
         if entry is None:
             entry = self._push_attr_wild if is_attribute else self._push_elem_wild
@@ -1048,11 +927,11 @@ class CompiledMasks:
         return full_union if m == sources_mask else _or_rows(by_source, self._bases, m)
 
     def epsilon_closure(self, mask: int) -> int:
-        """Mask twin of :meth:`WorkloadAutomata.epsilon_closure`."""
+        """close(q): *mask* plus every state its ε-successors reach."""
         return _or_rows(self._closure_masks, self._bases, mask, mask)
 
     def accepted_oids(self, qb_mask: int) -> frozenset[str]:
-        """Mask twin of :meth:`WorkloadAutomata.accepted_oids`."""
+        """t_accept: the oids whose initial state is in *qb_mask*."""
         hits = qb_mask & self.initial_mask
         if not hits:
             return _EMPTY_OIDS
@@ -1060,7 +939,7 @@ class CompiledMasks:
         return frozenset(oid for sid in bits_of(hits) for oid in by_initial[sid])
 
     def notified_oids(self, noted_mask: int) -> frozenset[str]:
-        """Mask twin of :meth:`WorkloadAutomata.notified_oids`."""
+        """The oids whose notification state is in *noted_mask*."""
         by_notification = self._oid_by_notification
         return frozenset(
             oid
@@ -1069,7 +948,8 @@ class CompiledMasks:
         )
 
     def afa_states(self, noted_mask: int) -> int:
-        """Mask twin of :meth:`WorkloadAutomata.afa_states_of`."""
+        """Every state of the AFAs owning the states in *noted_mask*
+        (early notification strips a notified filter's states)."""
         return _or_rows(self._owner_masks, self._bases, noted_mask)
 
 

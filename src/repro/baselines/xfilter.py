@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import IO, Iterable
 
-from repro.afa.automaton import WorkloadAutomata
 from repro.afa.build import build_workload_automata
 from repro.afa.index import AtomicPredicateIndex
 from repro.errors import MixedContentError
@@ -36,43 +35,43 @@ from repro.xpath.ast import XPathFilter
 
 
 class _QueryRunner:
-    """The un-memoised bottom-up algorithm for a single filter."""
+    """The un-memoised bottom-up algorithm for a single filter, over
+    its own compiled mask tables (a state set is one int)."""
 
-    __slots__ = ("workload", "index", "oid", "stack", "qb", "terminals")
+    __slots__ = ("masks", "index", "oid", "stack", "qb")
 
     def __init__(self, xpath_filter: XPathFilter):
-        self.workload: WorkloadAutomata = build_workload_automata([xpath_filter])
+        workload = build_workload_automata([xpath_filter])
+        self.masks = workload.masks
         self.oid = xpath_filter.oid
         self.index = AtomicPredicateIndex()
-        for sid in self.workload.terminals:
-            self.index.add(self.workload.states[sid].predicate, sid)
+        for sid in workload.terminals:
+            self.index.add(workload.states[sid].predicate, sid)
         self.index.freeze()
-        self.terminals = frozenset(self.workload.terminals)
-        self.stack: list[frozenset[int]] = []
-        self.qb: frozenset[int] = frozenset()
+        self.stack: list[int] = []
+        self.qb = 0
 
     def start_document(self) -> None:
         self.stack = []
-        self.qb = frozenset()
+        self.qb = 0
 
     def start_element(self, label: str) -> None:
-        if self.qb & self.terminals:
+        if self.qb & self.masks.terminal_mask:
             raise MixedContentError("mixed content")
         self.stack.append(self.qb)
-        self.qb = frozenset()
+        self.qb = 0
 
     def text(self, value: str) -> None:
-        self.qb = self.qb | self.index.lookup(value)
+        self.qb |= self.index.lookup_mask(value)
 
     def end_element(self, label: str) -> None:
-        workload = self.workload
-        evaluated = workload.eval_closure(self.qb)
-        lifted = workload.delta_inverse(evaluated, label, label.startswith("@"))
-        parent = self.stack.pop()
-        self.qb = parent | lifted
+        masks = self.masks
+        evaluated = masks.eval_closure(self.qb)
+        lifted = masks.delta_inverse(evaluated, label, label.startswith("@"))
+        self.qb = self.stack.pop() | lifted
 
     def matched(self) -> bool:
-        return bool(self.workload.initial_sids & self.qb)
+        return bool(self.qb & self.masks.initial_mask)
 
 
 class PerQueryEngine:

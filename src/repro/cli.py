@@ -122,8 +122,8 @@ _ENGINE_FLAGS: dict[str, dict] = {
     ),
     "--runtime": dict(
         default="bitmask", choices=sorted(RUNTIMES),
-        help="state-set representation for cold-path transitions "
-             "(bitmask = compiled integer masks, sets = reference)",
+        help="transition kernel for cold-path transitions "
+             "(bitmask = compiled integer masks, codegen = generated code)",
     ),
     "--max-memory": dict(
         default=None,

@@ -98,7 +98,7 @@ class EagerXPushMachine:
         return uid
 
     def _construct(self) -> None:
-        workload = self.workload
+        masks = self.workload.masks
         all_labels = (
             self.element_labels
             + self.attribute_labels
@@ -113,11 +113,9 @@ class EagerXPushMachine:
                 sids = self.state_sets[uid]
                 for label in all_labels:
                     if (uid, label) not in self.pop_table:
-                        evaluated = workload.eval_closure(sids)
-                        lifted = workload.delta_inverse(
-                            evaluated, label, label.startswith("@")
-                        )
-                        self.pop_table[(uid, label)] = self._intern(lifted)
+                        evaluated = masks.eval_closure(masks.mask_of(sids))
+                        lifted = masks.delta_inverse(evaluated, label, label.startswith("@"))
+                        self.pop_table[(uid, label)] = self._intern(bits_of(lifted))
             # t_badd for (non-leaf state, pop result); rows for states
             # containing terminals stay undefined (the Fig. 3 blanks).
             pop_results = sorted(set(self.pop_table.values()))

@@ -18,19 +18,16 @@ lives here, behind one interface:
 :class:`MaskKernel` (``runtime="bitmask"``) computes on the workload's
 :class:`~repro.afa.automaton.CompiledMasks` tables;
 :class:`CodegenKernel` (``"codegen"``) swaps in the per-label compiled
-handlers of :mod:`repro.afa.codegen` and inherits the rest;
-:class:`SetsKernel` (``"sets"``) is the executable spec — every
-transition goes through the frozenset methods of
-:class:`~repro.afa.automaton.WorkloadAutomata`, never a compiled table,
-converting int↔set at the seam — which the differential tests compare
-the other two against.
+handlers of :mod:`repro.afa.codegen` and inherits the rest.  The
+differential walls hold both to a frozenset reference kernel that lives
+with the tests (``tests/oracle.py``), behind the same interface.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Mapping
 
-from repro.afa.automaton import CompiledMasks, WorkloadAutomata, bits_of
+from repro.afa.automaton import CompiledMasks, bits_of
 
 if TYPE_CHECKING:  # pragma: no cover - keeps the code generator lazily imported
     from repro.afa.codegen import CompiledHandlers
@@ -145,62 +142,3 @@ class CodegenKernel(MaskKernel):
         # call; without early notification nothing else inspects eval().
         h = self._handlers
         return _resolve(h.pop, h.pop_elem_default, h.pop_attr_default, label)(bottom)
-
-
-class SetsKernel:
-    """The reference spec: the frozenset algebra of
-    :class:`WorkloadAutomata`, behind the same int-mask interface."""
-
-    def __init__(self, workload: WorkloadAutomata, prec: Precedence | None = None):
-        self.workload = workload
-        self._prec = prec or {}
-        self._notification_sids = frozenset(
-            afa.notification for afa in workload.afas if afa.notification >= 0
-        )
-
-    def initial_enabled(self) -> int:
-        workload = self.workload
-        return mask_of(workload.epsilon_closure({afa.initial for afa in workload.afas}))
-
-    def push(self, enabled: int, label: str) -> int:
-        workload = self.workload
-        targets = workload.push_targets(bits_of(enabled), label, label.startswith("@"))
-        return mask_of(workload.epsilon_closure(targets))
-
-    def _eval_and_lift(self, bottom: int, label: str) -> tuple[frozenset[int], set[int]]:
-        """``(eval(bottom), δ⁻¹(eval(bottom), label))``."""
-        workload = self.workload
-        evaluated = workload.eval_closure(bits_of(bottom))
-        return evaluated, workload.delta_inverse(evaluated, label, label.startswith("@"))
-
-    def pop(self, bottom: int, label: str) -> int:
-        return mask_of(self._eval_and_lift(bottom, label)[1])
-
-    def pop_early(
-        self, bottom: int, label: str, enabled: int | None, parent_enabled: int | None
-    ) -> tuple[int, frozenset[str]]:
-        workload = self.workload
-        evaluated, lifted = self._eval_and_lift(bottom, label)
-        if parent_enabled is not None:
-            lifted &= set(bits_of(parent_enabled))
-        noted = [
-            sid
-            for sid in self._notification_sids & evaluated
-            if enabled is None or enabled >> sid & 1
-        ]
-        if not noted:
-            return mask_of(lifted), EMPTY_OIDS
-        return mask_of(lifted - workload.afa_states_of(noted)), workload.notified_oids(noted)
-
-    def badd(self, parent: int, aux: int) -> int:
-        parent_set = frozenset(bits_of(parent))
-        prec = self._prec
-        kept = [
-            sid
-            for sid in bits_of(aux)
-            if sid in parent_set or prec.get(sid, frozenset()) <= parent_set
-        ]
-        return mask_of(parent_set.union(kept))
-
-
-Kernel = MaskKernel | SetsKernel

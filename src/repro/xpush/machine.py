@@ -38,9 +38,8 @@ workload's compiled :class:`~repro.afa.automaton.CompiledMasks`
 tables; ``"codegen"`` dispatches into straight-line Python generated
 per workload (:mod:`repro.afa.codegen`), running the bitmask kernel
 (with a warning and a stats counter) when the workload exceeds
-``XPushOptions.codegen_max_handlers``; ``"sets"`` is the frozenset
-algebra of :class:`~repro.afa.automaton.WorkloadAutomata`, the
-executable reference the other two are differentially tested against.
+``XPushOptions.codegen_max_handlers``.  The frozenset reference both
+are differentially tested against lives with the tests.
 The miss path matters exactly where hits are rare: low-hit-ratio
 regimes (Fig. 8) and large workloads (Figs. 6/10).
 
@@ -73,13 +72,7 @@ from repro.xmlstream.events import Event, dispatch, events_of_document
 from repro.xmlstream.parser import parse_into
 from repro.xpath.ast import XPathFilter
 from repro.xpath.parser import parse_workload
-from repro.xpush.kernels import (
-    EMPTY_OIDS,
-    CodegenKernel,
-    Kernel,
-    MaskKernel,
-    SetsKernel,
-)
+from repro.xpush.kernels import EMPTY_OIDS, CodegenKernel, MaskKernel, Precedence
 from repro.xpush.options import XPushOptions
 from repro.xpush.state import StateStore, XPushState, XPushTopState
 from repro.xpush.stats import MachineStats
@@ -260,18 +253,19 @@ class XPushMachine:
         )
         self._codegen_declined = self.runtime == "codegen" and self._handlers is None
         prec = compute_precedence(workload, dtd) if options.order else None
-        self.kernel: Kernel
-        if self.runtime == "sets":
-            self.kernel = SetsKernel(workload, prec)
-        elif self._handlers is not None:
-            self.kernel = CodegenKernel(masks, self._handlers, prec)
-        else:
-            self.kernel = MaskKernel(masks, prec)
+        self.kernel = self._make_kernel(masks, prec)
         self._stamp_codegen_gauges()
         # The enabled set behind qt0 is a workload constant; compute it
         # once so table flushes only pay the intern, not the closure.
         self._qt0_enabled = self.kernel.initial_enabled() if options.top_down else None
         return masks
+
+    def _make_kernel(self, masks: CompiledMasks, prec: Precedence | None) -> MaskKernel:
+        """The transition kernel over *masks*.  The one place a kernel
+        is built, so a test can substitute a reference kernel here."""
+        if self._handlers is not None:
+            return CodegenKernel(masks, self._handlers, prec)
+        return MaskKernel(masks, prec)
 
     def _open_store(self, masks: CompiledMasks) -> None:
         """Start from an empty state store over *masks*."""

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from repro.errors import OptionsError
 
 #: Transition kernels (:mod:`repro.xpush.kernels`) a machine can run on.
-RUNTIMES = ("bitmask", "codegen", "sets")
+RUNTIMES = ("bitmask", "codegen")
 
 
 @dataclass(frozen=True)
@@ -52,10 +52,9 @@ class XPushOptions:
             through straight-line Python compiled per workload at first
             use (:mod:`repro.afa.codegen`): per-label push/pop handlers
             with the mask tables inlined as int literals and dead
-            branches elided.  ``"sets"`` is the frozenset reference
-            algebra, kept as the executable spec the compiled runtimes
-            are differentially tested against.  Answers are identical
-            by construction (and by test); this is purely a speed knob.
+            branches elided.  Answers are identical by construction,
+            and by the tests' differential walls against a frozenset
+            reference kernel; this is purely a speed knob.
         codegen_max_handlers: upper bound on the number of functions
             the ``"codegen"`` runtime may generate for one workload
             (roughly three per distinct label).  A workload exceeding

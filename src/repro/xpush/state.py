@@ -8,9 +8,9 @@ is the Python equivalent, in one representation for every runtime: a
 state set is a single Python int *mask* with bit *sid* set ⇔ AFA state
 *sid* present — the sorted array and its signature in one value — and
 states are interned by that int, an O(1) hash with no sorting and no
-tuple allocation on the cold path.  The ``sids`` / ``sid_set`` views
-(the paper's sorted array) are materialised lazily from the mask for
-repr, tracing, dot export and the differential tests.
+tuple allocation on the cold path.  The ``sids`` view (the paper's
+sorted array) is materialised lazily from the mask for repr, tracing,
+dot export and the differential tests.
 
 - a bottom-up state (:class:`XPushState`) carries its ``t_pop`` and
   ``t_badd`` memo tables, the precomputed ``t_accept`` answer and the
@@ -44,9 +44,10 @@ marked in the current epoch when it became a register, and marking it
 again on each probe would change nothing.
 
 Memory accounting is an estimate, deliberately cheap: interning a state
-adds a calibrated per-object cost plus 8 bytes per member sid, and
-every memo-table insertion adds :data:`ENTRY_BYTES` (a dict slot plus
-the small key/value objects a typical entry owns).  The estimates are
+adds a calibrated per-object cost plus the size of its mask — an int
+as wide as the workload's highest member sid, whatever the state's
+size — and every memo-table insertion adds :data:`ENTRY_BYTES` (a dict
+slot plus the small key/value objects a typical entry owns).  The estimates are
 calibrated from ``sys.getsizeof`` at import time, and the incremental
 bookkeeping is checked against a from-scratch :meth:`StateStore.recount`
 walk by the test suite.
@@ -72,10 +73,6 @@ def _dict_slot_bytes() -> int:
 #: the (state, notified) result tuple.
 ENTRY_BYTES = _dict_slot_bytes() + 72
 
-#: Bytes per AFA sid a state contains (a tuple/frozenset slot, or the
-#: amortised share of the intern key and mask digits).
-SID_BYTES = 8
-
 
 class XPushState:
     """One interned bottom-up state: a set of matched AFA subqueries."""
@@ -86,7 +83,6 @@ class XPushState:
         "size",
         "ref",
         "_sids",
-        "_sid_set",
         "pop_table",
         "add_table",
         "_accepts",
@@ -96,8 +92,7 @@ class XPushState:
     def __init__(self, uid: int, mask: int, masks: CompiledMasks):
         self.uid = uid
         self.mask = mask
-        self._sids: tuple[int, ...] | None = None  # lazy views of the mask
-        self._sid_set: frozenset[int] | None = None
+        self._sids: tuple[int, ...] | None = None  # lazy view of the mask
         self.size = mask.bit_count()
         self.ref = True  # CLOCK reference bit (second-chance eviction)
         # t_pop memo: pop key -> (resulting state, oids notified early)
@@ -126,13 +121,6 @@ class XPushState:
         if sids is None:
             sids = self._sids = bits_of(self.mask)
         return sids
-
-    @property
-    def sid_set(self) -> frozenset[int]:
-        sid_set = self._sid_set
-        if sid_set is None:
-            sid_set = self._sid_set = frozenset(self.sids)
-        return sid_set
 
     def __len__(self) -> int:
         return self.size
@@ -196,11 +184,12 @@ TOP_STATE_BYTES = sys.getsizeof(XPushTopState(0, None)) + 3 * sys.getsizeof({})
 
 
 def _bottom_cost(state: XPushState) -> int:
-    return BOTTOM_STATE_BYTES + SID_BYTES * state.size
+    return BOTTOM_STATE_BYTES + sys.getsizeof(state.mask)
 
 
 def _top_cost(state: XPushTopState) -> int:
-    return TOP_STATE_BYTES + SID_BYTES * state.size
+    mask = state.mask
+    return TOP_STATE_BYTES + (0 if mask is None else sys.getsizeof(mask))
 
 
 class StateStore:
@@ -301,11 +290,11 @@ class StateStore:
 
     def state_cost(self, state: XPushState | XPushTopState) -> int:
         """Estimated bytes the state object itself pins (base cost plus
-        sid payload) — the share of ``resident_bytes`` that only
+        mask) — the share of ``resident_bytes`` that only
         :meth:`collect_garbage` can reclaim.  The sweep uses this to
         *project* the post-GC resident while walking the clock ring:
-        table eviction alone barely moves ``resident_bytes`` (sid
-        payloads dominate), so stopping on the raw gauge would walk the
+        table eviction alone barely moves ``resident_bytes`` (masks
+        dominate), so stopping on the raw gauge would walk the
         whole ring and degenerate into a full flush."""
         if isinstance(state, XPushState):
             return _bottom_cost(state)
@@ -322,11 +311,10 @@ class StateStore:
         previous epoch): starting after each ring's *hand* and stopping
         as soon as ``resident_bytes`` reaches *low*, a cold state loses
         its memo tables and its intern slot — where the real memory
-        lives, in the sid payloads.  The target cap and the rotating
-        hand are what make this a second-chance policy rather than a
-        purge: a cold state the target spares keeps its tables, and
-        wins them back outright if probed before the hand comes around
-        again.  *roots* (registers and the intern seeds) are never
+        lives, in the masks.  The target cap and the rotating hand are
+        what make this a second-chance policy rather than a purge: a
+        cold state the target spares keeps its tables, and wins them
+        back outright if probed before the hand comes around again.  *roots* (registers and the intern seeds) are never
         deported.
 
         Pass 2 runs only if anything was deported: it drops every

@@ -1,7 +1,7 @@
-"""Tests for WorkloadAutomata runtime operations: eval closure, δ⁻¹,
-the bit-enumeration primitive under the mask twins, and the wall that
+"""Tests for the transition algebra: the oracle's eval closure and δ⁻¹,
+the bit-enumeration primitive under the mask tables, and the wall that
 holds the two paths of a ``t_pop`` miss — word-parallel lanes and the
-bit sweep — to each other and to the frozenset spec."""
+bit sweep — to each other and to the frozenset oracle."""
 
 import random
 import signal
@@ -31,6 +31,8 @@ from repro.xpath.semantics import matching_oids
 from repro.xpush.machine import XPushMachine
 from repro.xpush.options import XPushOptions
 
+from tests import oracle
+
 
 def build(*sources):
     return build_workload_automata(
@@ -47,9 +49,9 @@ def test_eval_adds_and_state_when_all_children_present():
     workload = build("/a[b = 1 and c = 2]")
     and_state = find(workload, StateKind.AND)
     children = list(and_state.eps)
-    partial = workload.eval_closure([children[0]])
+    partial = oracle.eval_closure(workload, [children[0]])
     assert and_state.sid not in partial
-    full = workload.eval_closure(children)
+    full = oracle.eval_closure(workload, children)
     assert and_state.sid in full
 
 
@@ -58,31 +60,31 @@ def test_eval_adds_or_state_when_any_child_present():
     or_state = next(
         s for s in workload.states if s.kind is StateKind.OR and len(s.eps) == 2
     )
-    assert or_state.sid in workload.eval_closure([or_state.eps[0]])
-    assert or_state.sid in workload.eval_closure([or_state.eps[1]])
-    assert or_state.sid not in workload.eval_closure([])
+    assert or_state.sid in oracle.eval_closure(workload, [or_state.eps[0]])
+    assert or_state.sid in oracle.eval_closure(workload, [or_state.eps[1]])
+    assert or_state.sid not in oracle.eval_closure(workload, [])
 
 
 def test_eval_not_fires_on_absence():
     workload = build("/a[not(b = 1)]")
-    (not_sid,) = workload.not_sids
+    (not_sid,) = bits_of(workload.masks.not_mask)
     child = workload.states[not_sid].eps[0]
-    assert not_sid in workload.eval_closure([])
-    assert not_sid not in workload.eval_closure([child])
+    assert not_sid in oracle.eval_closure(workload, [])
+    assert not_sid not in oracle.eval_closure(workload, [child])
 
 
 def test_eval_handles_double_negation_in_one_pass():
     workload = build("/a[not(not(b = 1))]")
     outer, inner = sorted(
-        workload.not_sids, key=lambda sid: workload.states[sid].rank, reverse=True
+        bits_of(workload.masks.not_mask), key=lambda sid: workload.states[sid].rank, reverse=True
     )
     # Inner child present → inner NOT absent → outer NOT present.
     inner_child = workload.states[inner].eps[0]
-    closure = workload.eval_closure([inner_child])
+    closure = oracle.eval_closure(workload, [inner_child])
     assert inner not in closure
     assert outer in closure
     # Nothing present → inner NOT fires → outer NOT must not.
-    closure = workload.eval_closure([])
+    closure = oracle.eval_closure(workload, [])
     assert inner in closure
     assert outer not in closure
 
@@ -94,7 +96,7 @@ def test_eval_nested_connectives():
         s for s in workload.states if s.kind is StateKind.OR and len(s.eps) == 2
     )
     d_branch = next(c for c in and_state.eps if c != or_state.sid)
-    closure = workload.eval_closure([or_state.eps[0], d_branch])
+    closure = oracle.eval_closure(workload, [or_state.eps[0], d_branch])
     assert and_state.sid in closure
 
 
@@ -107,7 +109,7 @@ def test_delta_inverse_follows_labels_and_wildcards(running_filters):
         for sid in workload.terminals
         if workload.states[sid].predicate == AtomicPredicate("=", 1)
     ]
-    lifted = workload.delta_inverse(frozenset(terminals_eq1), "b", False)
+    lifted = oracle.delta_inverse(workload, frozenset(terminals_eq1), "b", False)
     assert len(lifted) == 2
     for sid in lifted:
         assert "b" in workload.states[sid].edges
@@ -117,16 +119,16 @@ def test_delta_inverse_self_loops(running_filters):
     workload = build_workload_automata(running_filters)
     init = workload.afas[0].initial
     # The *-self-loop keeps the initial state alive across any element close.
-    assert init in workload.delta_inverse(frozenset([init]), "zzz", False)
+    assert init in oracle.delta_inverse(workload, frozenset([init]), "zzz", False)
     # ... but not across an attribute close (@* vs *).
-    assert init not in workload.delta_inverse(frozenset([init]), "@zzz", True)
+    assert init not in oracle.delta_inverse(workload, frozenset([init]), "@zzz", True)
 
 
 def test_delta_inverse_includes_top_edges():
     workload = build("/a[b]")
-    lifted = workload.delta_inverse(frozenset(), "b", False)
+    lifted = oracle.delta_inverse(workload, frozenset(), "b", False)
     assert lifted  # existence edge fires even from the empty set
-    assert not workload.delta_inverse(frozenset(), "c", False)
+    assert not oracle.delta_inverse(workload, frozenset(), "c", False)
 
 
 def test_accepted_oids(running_filters):
@@ -140,7 +142,7 @@ def test_accepted_oids(running_filters):
 def test_epsilon_closure():
     workload = build("/a[b = 1 and c = 2]")
     and_state = find(workload, StateKind.AND)
-    closure = workload.epsilon_closure({and_state.sid})
+    closure = oracle.epsilon_closure(workload, {and_state.sid})
     for child in and_state.eps:
         assert child in closure
 
@@ -148,12 +150,12 @@ def test_epsilon_closure():
 def test_push_targets(running_filters):
     workload = build_workload_automata(running_filters)
     init = {afa.initial for afa in workload.afas}
-    after_a = workload.push_targets(init, "a", False)
+    after_a = oracle.push_targets(workload, init, "a", False)
     # both AND states reached, plus the self-loops keep the inits alive
     kinds = {workload.states[sid].kind for sid in after_a}
     assert StateKind.AND in kinds
     assert init <= after_a  # * self-loops
-    after_zzz = workload.push_targets(init, "zzz", False)
+    after_zzz = oracle.push_targets(workload, init, "zzz", False)
     assert after_zzz == init
 
 
@@ -238,7 +240,6 @@ def test_negative_mask_is_rejected_not_peeled_forever():
     wide_negative = -(random_mask(random.Random(3), 3 * _PEEL_WIDTH, 4 * _PEEL_BITS))
     rejecting = (
         bits_of,
-        CompiledMasks.sids_of,
         masks.epsilon_closure,
         masks.eval_closure,
         lambda mask: masks.delta_inverse(mask, "b", False),
@@ -349,7 +350,7 @@ def check_transition_paths(workload, masks, labels=LANE_LABELS):
     taken = {"lanes": 0, "sweep": 0}
     for mask in masks:
         sids = naive_bits(mask)
-        evaluated = workload.eval_closure(sids)
+        evaluated = oracle.eval_closure(workload, sids)
         want = naive_mask(evaluated)
         assert compiled._eval_by_lanes(mask) == want, ("lanes", mask)
         assert compiled._eval_by_sweep(mask) == want, ("sweep", mask)
@@ -357,7 +358,7 @@ def check_transition_paths(workload, masks, labels=LANE_LABELS):
         taken["lanes" if (mask | compiled.not_up_mask).bit_count() >= lane_bits else "sweep"] += 1
         for label in labels:
             attr = label.startswith("@")
-            lifted = naive_mask(workload.delta_inverse(evaluated, label, attr))
+            lifted = naive_mask(oracle.delta_inverse(workload, evaluated, label, attr))
             for path in ("lanes", "sweep", None):
                 with forced_path(path):
                     assert compiled.delta_inverse(want, label, attr) == lifted, (path, mask, label)
@@ -438,7 +439,7 @@ OTHER = "/a/c"
 
 def answering(workload, afa):
     """The oids *afa* accepts and notifies for."""
-    return workload.accepted_oids((afa.initial,)), workload.notified_oids((afa.notification,))
+    return workload.accepted_oids((afa.initial,)), oracle.notified_oids(workload, (afa.notification,))
 
 
 def oid_maps(workload):
@@ -685,7 +686,7 @@ def reconstructed_rows(workload):
         wildcard = label if label in ("*", "@*") else "@*" if label.startswith("@") else "*"
         by_source = {
             state.sid: naive_mask(
-                workload.epsilon_closure(
+                oracle.epsilon_closure(workload, 
                     set(state.edges.get(label, ())) | set(state.edges.get(wildcard, ()))
                 )
             )
@@ -756,13 +757,13 @@ def test_sweeps_over_local_rows_equal_their_frozenset_twins(
     masks.append(compiled.all_mask)
     for mask in masks:
         sids = set(naive_bits(mask))
-        assert compiled.epsilon_closure(mask) == naive_mask(workload.epsilon_closure(sids))
-        assert compiled.afa_states(mask) == naive_mask(workload.afa_states_of(sids))
+        assert compiled.epsilon_closure(mask) == naive_mask(oracle.epsilon_closure(workload, sids))
+        assert compiled.afa_states(mask) == naive_mask(oracle.afa_states_of(workload, sids))
         for label in LANE_LABELS:
             attr = label.startswith("@")
-            targets = workload.push_targets(sids, label, attr)
+            targets = oracle.push_targets(workload, sids, label, attr)
             assert compiled.push_targets_closure(mask, label, attr) == naive_mask(
-                workload.epsilon_closure(targets)
+                oracle.epsilon_closure(workload, targets)
             ), (label, mask)
     check_transition_paths(workload, masks, LANE_LABELS)
 

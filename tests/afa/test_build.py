@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.afa.automaton import StateKind
+from repro.afa.automaton import StateKind, bits_of
 from repro.afa.build import build_afa, build_workload_automata
 from repro.errors import WorkloadError
 from repro.xpath.parser import parse_xpath
@@ -58,7 +58,7 @@ def test_linear_path_compiles_to_top_edges():
     workload = build("//a/b")
     (afa,) = workload.afas
     assert not workload.terminals  # existence only, no predicate terminals
-    assert "b" in workload.top_by_label
+    assert "b" in workload.masks.top_rows()
     # Notification of a linear existence filter: the state owning the ⊤ edge.
     note = workload.states[afa.notification]
     assert "b" in note.top_labels
@@ -66,7 +66,7 @@ def test_linear_path_compiles_to_top_edges():
 
 def test_existence_predicate_uses_top_edge():
     workload = build("/a[b]")
-    assert "b" in workload.top_by_label
+    assert "b" in workload.masks.top_rows()
 
 
 def test_text_absorbed_into_terminal():
@@ -85,8 +85,8 @@ def test_attribute_comparison():
 
 def test_not_state_created():
     workload = build("/a[not(b = 1)]")
-    assert len(workload.not_sids) == 1
-    not_state = workload.states[workload.not_sids[0]]
+    (not_sid,) = bits_of(workload.masks.not_mask)
+    not_state = workload.states[not_sid]
     assert len(not_state.eps) == 1
 
 

@@ -2,26 +2,30 @@
 
 Every engine exposes an ``on_match`` hook that fires ``(oid,
 doc_index, event_index)`` the moment a filter is decided.  The wall
-pins the contract down across runtimes (sets / bitmask / codegen) and
-engines (serial xpush / layered / sharded, serial and parallel): the
-emitted oid set per document must equal the end-of-document answer
-set exactly, no oid may be emitted twice for one document, and — for
-the single-machine engines — emissions arrive in event order.  The sharded engine scans shards independently, so
-only the per-document *set* contract holds there, not a global event
-order.
+pins the contract down across kernels (the oracle, id ``sets``;
+bitmask; codegen) and engines (serial xpush / layered / sharded, serial
+and parallel): the emitted oid set per document must equal the
+end-of-document answer set exactly, no oid may be emitted twice for one
+document, and — for the single-machine engines — emissions arrive in
+event order.  The sharded engine scans shards independently, so only
+the per-document *set* contract holds there, not a global event order.
 """
 
 from __future__ import annotations
 
+from contextlib import closing
+
 import pytest
 
 from repro.engine import EngineConfig, create_engine
-from repro.xmlstream.dom import parse_document
+from repro.xmlstream.dom import documents_of_events, parse_document
+from repro.xmlstream.events import EndDocument, EndElement, StartElement, events_of_document
 from repro.xmlstream.writer import document_to_xml
 from repro.xpath.parser import parse_xpath
-from repro.xpath.semantics import matching_oids
+from repro.xpath.semantics import evaluate_filter, matching_oids
 from repro.xpush.options import XPushOptions
 
+from tests import oracle
 from tests.conftest import make_workload
 
 WORKLOAD = {
@@ -46,9 +50,8 @@ EVENT_TIME_ENGINES = ("xpush", "layered", "sharded")
 
 
 def _early_options(runtime: str = "sets", **kwargs) -> XPushOptions:
-    return XPushOptions(
-        top_down=True, early=True, precompute_values=False, runtime=runtime, **kwargs
-    )
+    options = XPushOptions(top_down=True, early=True, precompute_values=False, **kwargs)
+    return oracle.options_for(options, runtime)
 
 
 def _config(kind: str, options: XPushOptions, dtd=None) -> EngineConfig:
@@ -98,11 +101,9 @@ def _expected(workload, xml_docs):
 @pytest.mark.parametrize("runtime", RUNTIMES)
 @pytest.mark.parametrize("kind", EVENT_TIME_ENGINES)
 def test_emissions_equal_answers(kind, runtime):
-    engine = create_engine(_config(kind, _early_options(runtime)), WORKLOAD)
-    try:
+    config = _config(kind, _early_options(runtime))
+    with oracle.under(runtime), closing(create_engine(config, WORKLOAD)) as engine:
         answers, emissions = collect(engine, "".join(DOCS))
-    finally:
-        engine.close()
     assert answers == _expected(WORKLOAD, DOCS)
     assert_emissions_cover(answers, emissions, event_ordered=(kind != "sharded"))
     if kind != "sharded":
@@ -113,14 +114,11 @@ def test_emissions_equal_answers(kind, runtime):
 @pytest.mark.parametrize("runtime", ("sets", "codegen"))
 def test_parallel_sharded_workers_stream_matches(runtime):
     """The worker-process path: matches cross the result queue as
-    ``("match", ...)`` messages ahead of the batch reply."""
-    engine = create_engine(
-        _config("sharded-parallel", _early_options(runtime)), WORKLOAD
-    )
-    try:
+    ``("match", ...)`` messages ahead of the batch reply.  The workers
+    run the oracle only because they are forked inside its patch."""
+    config = _config("sharded-parallel", _early_options(runtime))
+    with oracle.under(runtime), closing(create_engine(config, WORKLOAD)) as engine:
         answers, emissions = collect(engine, "".join(DOCS))
-    finally:
-        engine.close()
     assert answers == _expected(WORKLOAD, DOCS)
     assert_emissions_cover(answers, emissions, event_ordered=False)
 
@@ -128,10 +126,9 @@ def test_parallel_sharded_workers_stream_matches(runtime):
 @pytest.mark.parametrize("runtime", RUNTIMES)
 def test_emissions_on_a_generated_workload(runtime, protein, protein_docs):
     filters = make_workload(protein, 20, seed=77)
-    engine = create_engine(
-        EngineConfig(engine="xpush", options=_early_options(runtime), dtd=protein.dtd),
-        filters,
-    )
+    config = EngineConfig(engine="xpush", options=_early_options(runtime), dtd=protein.dtd)
+    with oracle.under(runtime):
+        engine = create_engine(config, filters)
     xml = "".join(document_to_xml(doc) for doc in protein_docs[:8])
     try:
         answers, emissions = collect(engine, xml)
@@ -173,15 +170,36 @@ def test_rebuild_engines_emit_at_document_granularity(kind):
 def test_layered_updates_respect_emission_routing():
     """After unsubscribe/resubscribe the delta machine owns the oid:
     exactly one emission per (doc, oid) even while both layers match."""
-    engine = create_engine(_config("layered", _early_options()), WORKLOAD)
-    try:
+    config = _config("layered", _early_options())
+    with oracle.oracle_kernel(), closing(create_engine(config, WORKLOAD)) as engine:
         engine.unsubscribe("q1")
         engine.subscribe("q1", "//c")  # now lives in the delta layer
         engine.subscribe("q4", "//d")
         answers, emissions = collect(engine, "".join(DOCS))
-    finally:
-        engine.close()
     workload = dict(WORKLOAD)
     workload["q4"] = "//d"
     assert answers == _expected(workload, DOCS)
     assert_emissions_cover(answers, emissions, event_ordered=True)
+
+
+@pytest.mark.parametrize("runtime", ("sets", "bitmask"))
+def test_early_notifications_are_sound_on_positive_filters(runtime, protein, protein_docs):
+    """When a match fires, not only which: each ``on_match`` already
+    holds of the document prefix through its event, open elements
+    closed.  On ``not``-free filters TD + early never runs ahead."""
+    generated = make_workload(protein, 150, seed=3, prob_not=0.0, mean_predicates=1.15)
+    filters = {f.oid: f for f in generated}
+    with oracle.under(runtime):
+        engine = create_engine(EngineConfig(options=_early_options(runtime)), generated)
+    _, emitted = collect(engine, "".join(document_to_xml(doc) for doc in protein_docs))
+    streams = [events_of_document(doc) for doc in protein_docs]
+    assert sum(event < len(streams[doc]) - 1 for _, doc, event in emitted) > 100
+    for oid, doc, event in emitted:
+        prefix, stack = streams[doc][:-1][: event + 1], []
+        for e in prefix:
+            if type(e) is StartElement:
+                stack.append(e.label)
+            elif type(e) is EndElement:
+                stack.pop()
+        (closed,) = documents_of_events(prefix + [*map(EndElement, reversed(stack)), EndDocument()])
+        assert evaluate_filter(filters[oid], closed), (oid, doc, event)

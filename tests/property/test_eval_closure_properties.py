@@ -11,6 +11,7 @@ from repro.data.nasa import NasaDataset
 from repro.xpath.generator import GeneratorConfig, QueryGenerator
 from repro.xpath.parser import parse_workload, parse_xpath
 
+from tests import oracle
 from tests.afa.test_automaton import check_transition_paths, reached_masks, with_submasks
 
 SOURCES = [
@@ -35,16 +36,16 @@ def workload_and_subset(draw):
 @settings(max_examples=200, deadline=None)
 def test_closure_is_extensive_and_idempotent(pair):
     workload, subset = pair
-    closure = workload.eval_closure(subset)
+    closure = oracle.eval_closure(workload, subset)
     assert subset <= closure  # extensive
-    assert workload.eval_closure(closure) == closure  # idempotent
+    assert oracle.eval_closure(workload, closure) == closure  # idempotent
 
 
 @given(workload_and_subset())
 @settings(max_examples=200, deadline=None)
 def test_closure_is_a_fixpoint_of_the_rules(pair):
     workload, subset = pair
-    closure = workload.eval_closure(subset)
+    closure = oracle.eval_closure(workload, subset)
     for state in workload.states:
         if not state.eps:
             continue
@@ -63,7 +64,7 @@ def test_closure_is_a_fixpoint_of_the_rules(pair):
 @settings(max_examples=100, deadline=None)
 def test_closure_adds_only_connectives(pair):
     workload, subset = pair
-    closure = workload.eval_closure(subset)
+    closure = oracle.eval_closure(workload, subset)
     for sid in closure - subset:
         assert workload.states[sid].is_connective
 

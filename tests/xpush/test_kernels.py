@@ -2,20 +2,20 @@
 
 The whole-machine walls (``test_runtime_differential``) compare
 answers along the option diagonals a machine can be built with; this
-one compares the three kernels of :mod:`repro.xpush.kernels` directly,
-transition by transition, on masks harvested from a real run (every
-bottom/top state of a warmed machine, plus random sub-masks) — every
-(``order`` × ``early`` × ``codegen``) cell, including ``pop_early``
-without an enabled set, which no machine configuration reaches.
-``SetsKernel`` is the spec the other two must equal.
+one compares the two kernels of :mod:`repro.xpush.kernels` with the
+oracle's directly, transition by transition, on masks harvested from a
+real run (every bottom/top state of a warmed machine, plus random
+sub-masks) — every (``order`` × ``early`` × ``codegen``) cell,
+including ``pop_early`` without an enabled set, which no machine
+configuration reaches.  ``tests.oracle.OracleKernel`` is the spec the
+other two must equal.
 
 The second half repeats the comparison on a workload wider than 4 096
 AFA states — masks that cross many 64-bit word boundaries and reach
 the word-slicing path of :func:`repro.afa.automaton.bits_of` — and
 holds every :class:`~repro.afa.automaton.CompiledMasks` sweep to its
-:class:`~repro.afa.automaton.WorkloadAutomata` set twin, converting
-int↔set with a naive shift-and-test so the spec side never leans on
-the primitive under test.
+set twin in the oracle, converting int↔set with a naive shift-and-test
+so the spec side never leans on the primitive under test.
 """
 
 from __future__ import annotations
@@ -33,10 +33,11 @@ from repro.afa.build import build_workload_automata
 from repro.xmlstream.dom import parse_document
 from repro.xmlstream.dtd import DTD, PCDATA, ElementDecl, elem, seq
 from repro.xpath.parser import parse_workload
-from repro.xpush.kernels import CodegenKernel, MaskKernel, SetsKernel
+from repro.xpush.kernels import CodegenKernel, MaskKernel
 from repro.xpush.machine import XPushMachine, compute_precedence
 from repro.xpush.options import XPushOptions
 
+from tests import oracle
 from tests.afa.test_automaton import naive_bits, replicas
 from tests.property.test_machine_properties import documents as gen_documents
 
@@ -86,7 +87,7 @@ def kernel_families(workload, prec):
     assert handlers is not None
     return [
         (
-            SetsKernel(workload, p),
+            oracle.OracleKernel(workload, p),
             MaskKernel(workload.masks, p),
             CodegenKernel(workload.masks, handlers, p),
         )
@@ -206,7 +207,7 @@ def wide_workload(workload):
 def wide_kernels(wide_workload):
     prec = compute_precedence(wide_workload, ordered_dtd())
     assert prec
-    return SetsKernel(wide_workload, prec), MaskKernel(wide_workload.masks, prec)
+    return oracle.OracleKernel(wide_workload, prec), MaskKernel(wide_workload.masks, prec)
 
 
 def wide_masks(workload, docs, seed: int, count: int = 8) -> list[int]:
@@ -227,18 +228,18 @@ def check_sweeps(workload, masks: list[int], rng: random.Random) -> None:
     for mask in masks:
         sids = naive_bits(mask)
         assert bits_of(mask) == sids
-        assert compiled.eval_closure(mask) == naive_mask(workload.eval_closure(sids))
-        assert compiled.epsilon_closure(mask) == naive_mask(workload.epsilon_closure(set(sids)))
+        assert compiled.eval_closure(mask) == naive_mask(oracle.eval_closure(workload, sids))
+        assert compiled.epsilon_closure(mask) == naive_mask(oracle.epsilon_closure(workload, sids))
         assert compiled.accepted_oids(mask) == workload.accepted_oids(sids)
-        assert compiled.notified_oids(mask) == workload.notified_oids(sids)
-        assert compiled.afa_states(mask) == naive_mask(workload.afa_states_of(sids))
+        assert compiled.notified_oids(mask) == oracle.notified_oids(workload, sids)
+        assert compiled.afa_states(mask) == naive_mask(oracle.afa_states_of(workload, sids))
         for label in rng.sample(LABELS, 3):
             attr = label.startswith("@")
             assert compiled.delta_inverse(mask, label, attr) == naive_mask(
-                workload.delta_inverse(sids, label, attr)
+                oracle.delta_inverse(workload, sids, label, attr)
             ), (mask, label)
             assert compiled.push_targets_closure(mask, label, attr) == naive_mask(
-                workload.epsilon_closure(workload.push_targets(sids, label, attr))
+                oracle.epsilon_closure(workload, oracle.push_targets(workload, sids, label, attr))
             ), (mask, label)
 
 

@@ -14,18 +14,21 @@ regression.
 from __future__ import annotations
 
 import dataclasses
+import sys
 from dataclasses import replace
 
 import pytest
 
 from repro.afa.build import build_workload_automata
-from repro.bench.workloads import locality_stream, standard_workload
+from repro.bench.workloads import locality_stream, standard_stream, standard_workload
 from repro.xmlstream.writer import document_to_xml
 from repro.xpath.parser import parse_workload
 from repro.xpush.machine import LOW_WATERMARK_RATIO, XPushMachine
 from repro.xpush.options import XPushOptions
+from repro.xpush.state import BOTTOM_STATE_BYTES, ENTRY_BYTES, TOP_STATE_BYTES
 from repro.xpush.stats import MachineStats
 
+from tests import oracle
 from tests.conftest import make_workload
 from tests.xpush.test_differential import ALL_OPTION_COMBOS
 
@@ -74,13 +77,12 @@ def test_bounded_answers_equal_unbounded_all_variants(
 def test_bounded_answers_equal_unbounded_both_runtimes(
     runtime, memory_workload, memory_stream, protein
 ):
-    options = replace(TD, runtime=runtime)
+    options = oracle.options_for(TD, runtime)
     workload = build_workload_automata(memory_workload)
-    expected = XPushMachine(workload, options, dtd=protein.dtd).filter_stream(
-        memory_stream
-    )
-    bound = _tight_bound(workload, options, protein.dtd, memory_stream)
-    machine = XPushMachine(workload, replace(options, max_memory_bytes=bound), dtd=protein.dtd)
+    with oracle.under(runtime):
+        expected = XPushMachine(workload, options, dtd=protein.dtd).filter_stream(memory_stream)
+        bound = _tight_bound(workload, options, protein.dtd, memory_stream)
+        machine = XPushMachine(workload, replace(options, max_memory_bytes=bound), dtd=protein.dtd)
     assert machine.filter_stream(memory_stream) == expected
     assert machine.filter_stream(memory_stream) == expected
 
@@ -101,6 +103,18 @@ def test_bounded_answers_from_persisted_workload(memory_workload, memory_stream)
 # ----------------------------------------------------------------------
 # Soak: the watermark actually holds
 # ----------------------------------------------------------------------
+
+
+def test_state_bytes_charge_the_mask_a_state_holds():
+    """A state holds a dense mask as wide as the workload, whatever its
+    size: the masks' share of ``resident_bytes`` is their real size."""
+    machine = XPushMachine(build_workload_automata(standard_workload(2000)[0]))
+    machine.filter_stream(standard_stream(100_000))
+    store, bottoms, tops = machine.store, machine.store.bottom_states(), machine.store.top_states()
+    real = sum(sys.getsizeof(s.mask) for s in bottoms + tops if s.mask is not None)
+    bases = len(bottoms) * BOTTOM_STATE_BYTES + len(tops) * TOP_STATE_BYTES
+    charged = store.resident_bytes - store.table_entries * ENTRY_BYTES - bases
+    assert abs(charged - real) <= 0.1 * real, (charged, real)
 
 
 def test_soak_resident_bytes_stay_under_bound():

@@ -28,8 +28,9 @@ def test_validation_raises_options_error():
         XPushOptions(early=True, top_down=False)
     assert isinstance(caught.value, WorkloadError)
     assert isinstance(caught.value, ValueError)
-    with pytest.raises(OptionsError):
-        XPushOptions(runtime="quantum")
+    for runtime in ("quantum", "sets"):
+        with pytest.raises(OptionsError):
+            XPushOptions(runtime=runtime)
     with pytest.raises(OptionsError):
         variant_options("nope")
 

@@ -1,14 +1,14 @@
-"""Differential wall for the three machine runtimes (ISSUES 3, 7).
+"""Differential wall for the machine runtimes against the oracle.
 
-The ``"sets"`` runtime is the executable spec; the compiled
-``"bitmask"`` runtime and the workload-specialized ``"codegen"``
-runtime must produce byte-identical answers — same oids per document —
-for every optimisation combination, on generated workloads over both
-datasets, on hypothesis-generated workloads and documents, under
-memory-bounded eviction, after a persist round-trip, through layered
-updates at every epoch, and through the sharded engine.  Any
-divergence is a bug in the compiled tables or the generated handlers,
-never a judgement call.
+The frozenset oracle kernel (``tests/oracle.py``, id ``"sets"``) is the
+spec; the compiled ``"bitmask"`` runtime and the workload-specialized
+``"codegen"`` runtime must produce byte-identical answers — same oids
+per document — for every optimisation combination, on generated
+workloads over both datasets, on hypothesis-generated workloads and
+documents, under memory-bounded eviction, after a persist round-trip,
+through layered updates at every epoch, and through the sharded engine.
+Any divergence is a bug in the compiled tables or the generated
+handlers, never a judgement call.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from repro.xpath.semantics import matching_oids
 from repro.xpush.machine import XPushMachine
 from repro.xpush.options import VARIANTS, XPushOptions
 
+from tests import oracle
 from tests.conftest import make_workload
 from tests.property.test_machine_properties import documents as gen_documents
 from tests.property.test_machine_properties import workloads as gen_workloads
@@ -30,28 +31,33 @@ from tests.xpush.test_differential import ALL_OPTION_COMBOS
 
 import hypothesis.strategies as st
 
-#: The reference runtime first; every other runtime is diffed against it.
+#: The oracle first; every runtime is diffed against it.
 RUNTIMES_UNDER_TEST = ("sets", "bitmask", "codegen")
 
 
-def all_runtimes(options: XPushOptions) -> tuple[XPushOptions, ...]:
-    return tuple(replace(options, runtime=r) for r in RUNTIMES_UNDER_TEST)
+def all_runtimes(options: XPushOptions) -> tuple[tuple[str, XPushOptions], ...]:
+    return tuple((r, oracle.options_for(options, r)) for r in RUNTIMES_UNDER_TEST)
+
+
+def machines(workload, options, dtd=None) -> dict[str, XPushMachine]:
+    """``runtime → machine`` over *workload*, the oracle's built under its patch."""
+    out = {}
+    for runtime, opts in all_runtimes(options):
+        with oracle.under(runtime):
+            out[runtime] = XPushMachine(workload, opts, dtd=dtd)
+    return out
 
 
 def run_all(filters, options, docs, dtd=None) -> dict[str, list]:
     """``runtime → answers`` for the same workload and documents."""
-    workload = build_workload_automata(filters)
-    out = {}
-    for opts in all_runtimes(options):
-        machine = XPushMachine(workload, opts, dtd=dtd)
-        out[opts.runtime] = [machine.filter_document(doc) for doc in docs]
-    return out
+    built = machines(build_workload_automata(filters), options, dtd)
+    return {r: [m.filter_document(doc) for doc in docs] for r, m in built.items()}
 
 
 def assert_all_agree(answers: dict[str, list]) -> list:
     reference = answers["sets"]
     for runtime, got in answers.items():
-        assert got == reference, f"runtime {runtime!r} diverged from sets"
+        assert got == reference, f"runtime {runtime!r} diverged from the oracle"
     return reference
 
 
@@ -85,13 +91,12 @@ def test_runtimes_build_identical_state_structure(protein, protein_docs):
     (count and per-state sid sets), so every Fig. 6/7 measurement is
     representation-independent."""
     filters = make_workload(protein, 30, seed=77)
-    workload = build_workload_automata(filters)
-    machines = [XPushMachine(workload, opts) for opts in all_runtimes(XPushOptions())]
-    for machine in machines:
+    built = list(machines(build_workload_automata(filters), XPushOptions()).values())
+    for machine in built:
         for doc in protein_docs[:10]:
             machine.filter_document(doc)
-    reference = machines[0]
-    for machine in machines[1:]:
+    reference = built[0]
+    for machine in built[1:]:
         assert machine.state_count == reference.state_count
         assert machine.average_state_size == reference.average_state_size
         assert sorted(s.sids for s in machine.store.bottom_states()) == sorted(
@@ -102,22 +107,14 @@ def test_runtimes_build_identical_state_structure(protein, protein_docs):
 def test_stats_counters_agree_across_runtimes(protein, protein_docs):
     filters = make_workload(protein, 30, seed=31)
     options = XPushOptions(top_down=True, early=True, precompute_values=False)
-    workload = build_workload_automata(filters)
-    machines = [
-        XPushMachine(workload, opts, dtd=protein.dtd) for opts in all_runtimes(options)
-    ]
-    for machine in machines:
+    built = list(machines(build_workload_automata(filters), options, protein.dtd).values())
+    for machine in built:
         for doc in protein_docs[:10]:
             machine.filter_document(doc)
-    reference = machines[0]
-    for machine in machines[1:]:
-        assert (machine.stats.events, machine.stats.documents) == (
-            reference.stats.events,
-            reference.stats.documents,
-        )
-        assert machine.stats.pop_computed == reference.stats.pop_computed
-        assert machine.stats.push_computed == reference.stats.push_computed
-        assert machine.stats.hit_ratio == reference.stats.hit_ratio
+    reference = built[0]
+    for machine in built[1:]:
+        for name in ("events", "documents", "pop_computed", "push_computed", "hit_ratio"):
+            assert getattr(machine.stats, name) == getattr(reference.stats, name), name
 
 
 def test_codegen_stats_gauges_are_stamped(protein, protein_docs):
@@ -125,11 +122,9 @@ def test_codegen_stats_gauges_are_stamped(protein, protein_docs):
     the other runtimes report zeros (the counters exist everywhere so
     service/serving stats stay uniform)."""
     filters = make_workload(protein, 20, seed=3)
-    workload = build_workload_automata(filters)
-    for opts in all_runtimes(XPushOptions()):
-        machine = XPushMachine(workload, opts)
+    for runtime, machine in machines(build_workload_automata(filters), XPushOptions()).items():
         machine.filter_document(protein_docs[0])
-        if opts.runtime == "codegen":
+        if runtime == "codegen":
             assert machine.stats.codegen_handlers > 0
             assert machine.stats.codegen_compile_ms > 0.0
             assert machine.dump_source() is not None
@@ -195,9 +190,8 @@ def test_persist_round_trip_under_every_runtime(protein, protein_docs):
         parse_workload({afa.oid: afa.source for afa in original.afas})
     )
     assert reloaded.masks is not None
-    for options in all_runtimes(XPushOptions(top_down=True, precompute_values=False)):
-        a = XPushMachine(original, options)
-        b = XPushMachine(reloaded, options)
+    options = XPushOptions(top_down=True, precompute_values=False)
+    for a, b in zip(machines(original, options).values(), machines(reloaded, options).values()):
         for doc in protein_docs[:10]:
             assert a.filter_document(doc) == b.filter_document(doc)
 
@@ -232,12 +226,10 @@ def test_layered_updates_agree_at_every_epoch(protein, protein_docs):
     filters = make_workload(protein, 24, seed=9)
     base, updates = filters[:12], filters[12:]
     docs = protein_docs[:6]
-    engines = {
-        opts.runtime: LayeredFilterEngine(
-            base, options=opts, compact_threshold=1_000
-        )
-        for opts in all_runtimes(XPushOptions(top_down=True, precompute_values=False))
-    }
+    engines = {}
+    for runtime, opts in all_runtimes(XPushOptions(top_down=True, precompute_values=False)):
+        with oracle.under(runtime):
+            engines[runtime] = LayeredFilterEngine(base, options=opts, compact_threshold=1_000)
     codegen_engine = engines["codegen"]
     assert codegen_engine._base is not None
     base_handlers = codegen_engine._base._handlers
@@ -252,12 +244,11 @@ def test_layered_updates_agree_at_every_epoch(protein, protein_docs):
 
     check_epoch()
     for index, inserted in enumerate(updates):
-        for engine in engines.values():
-            engine.insert(inserted.oid, inserted.source)
-        if index == 2:
-            removed = base[0].oid
-            for engine in engines.values():
-                engine.remove(removed)
+        for runtime, engine in engines.items():
+            with oracle.under(runtime):  # the delta rebuilds here
+                engine.insert(inserted.oid, inserted.source)
+                if index == 2:
+                    engine.remove(base[0].oid)
         check_epoch()
         # Only the delta layer was rebuilt: base handlers are reused
         # by identity, and the delta has its own compiled handlers.
@@ -305,11 +296,11 @@ def test_sharded_engine_agrees_across_runtimes(shards, protein, protein_docs):
     filters = make_workload(protein, 24, seed=71)
     docs = protein_docs[:8]
     answers = {}
-    for options in all_runtimes(XPushOptions(top_down=True, precompute_values=False)):
-        with ShardedFilterEngine(
+    for runtime, options in all_runtimes(XPushOptions(top_down=True, precompute_values=False)):
+        with oracle.under(runtime), ShardedFilterEngine(
             filters, shards, options=options, parallel=False, batch_size=3
         ) as engine:
-            answers[options.runtime] = engine.filter_batch(docs)
+            answers[runtime] = engine.filter_batch(docs)
             assert engine.stats()["runtime"] == options.runtime
     reference = assert_all_agree(answers)
     assert reference == [matching_oids(filters, doc) for doc in docs]
@@ -340,8 +331,7 @@ def test_reset_tables_clears_early_notifications(protein):
     answer after a mid-stream flush."""
     filters = make_workload(protein, 12, seed=23)
     options = XPushOptions(top_down=True, early=True, precompute_values=False)
-    for opts in all_runtimes(options):
-        machine = XPushMachine(build_workload_automata(filters), opts)
+    for machine in machines(build_workload_automata(filters), options).values():
         machine.start_document()
         machine._early.add("ghost-oid")
         machine.reset_tables()
@@ -350,8 +340,7 @@ def test_reset_tables_clears_early_notifications(protein):
 
 def test_reset_tables_round_trips_all_runtimes(protein, protein_docs):
     filters = make_workload(protein, 20, seed=61)
-    for opts in all_runtimes(XPushOptions()):
-        machine = XPushMachine(build_workload_automata(filters), opts)
+    for machine in machines(build_workload_automata(filters), XPushOptions()).values():
         before = [machine.filter_document(doc) for doc in protein_docs[:6]]
         machine.reset_tables()
         after = [machine.filter_document(doc) for doc in protein_docs[:6]]

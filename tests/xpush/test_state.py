@@ -23,7 +23,7 @@ def test_interning_identity(masks):
     assert a is b is c
     assert a.mask == 0b1110
     assert a.sids == (1, 2, 3)  # the paper's sorted array, as a lazy view
-    assert a.sid_set == {1, 2, 3}
+    assert set(a.sids) == {1, 2, 3}
     assert s.bottom_count == 2  # the empty state plus {1,2,3}
 
 
