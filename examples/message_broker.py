@@ -47,7 +47,7 @@ def main() -> None:
     for subscriber, count in inboxes.most_common():
         print(f"  {subscriber:<11} received {count:>4}")
 
-    stats = broker.stats()
+    stats = broker.stats()["engine"]
     print(f"\nengine: {stats['xpush_states']} XPush states, "
           f"hit ratio {stats['hit_ratio']:.1%}")
 

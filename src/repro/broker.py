@@ -25,7 +25,7 @@ decides what a subscription change costs (Sec. 8):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.engine.config import EngineConfig
 from repro.engine.factory import create_engine
@@ -33,6 +33,9 @@ from repro.engine.protocol import FilterEngine
 from repro.errors import WorkloadError
 from repro.xmlstream.dom import Document
 from repro.xpath.parser import parse_xpath
+
+if TYPE_CHECKING:
+    from repro.serving.server import FilterServer
 
 Deliver = Callable[[str, Document], None]
 
@@ -150,32 +153,16 @@ class MessageBroker:
 
         return self.publish_batch(parse_forest(xml_text, backend=self.config.backend))
 
-    def stats(self) -> dict:
-        """Broker counters, the engine's ``stats()`` under its kind's
-        name, and the gauges every kind reports lifted to the top."""
-        out = {
+    def stats(self) -> dict[str, Any]:
+        """Broker counters, with the engine's own ``stats()`` nested
+        under ``"engine"`` (empty until the engine is first built)."""
+        engine = self._filter_engine
+        return {
             "subscriptions": len(self._subscriptions),
             "published": self.published,
             "delivered": self.delivered,
-            "backend": self.config.backend,
-            "runtime": self.config.options.runtime,
-            "engine": self.config.engine,
+            "engine": engine.stats() if engine is not None else {},
         }
-        engine_stats = (
-            self._filter_engine.stats() if self._filter_engine is not None else {}
-        )
-        out[self.config.engine] = engine_stats
-        for key in ("xpush_states", "hit_ratio", "resident_bytes", "evictions"):
-            out[key] = engine_stats.get(key, 0)
-        for key in ("worker_restarts", "epoch"):
-            if key in engine_stats:
-                out[key] = engine_stats[key]
-        # Uniform load gauge block, whatever the engine kind.
-        out["shard_load"] = engine_stats.get(
-            "shard_load", [float(len(self._subscriptions))]
-        )
-        out["imbalance"] = engine_stats.get("imbalance", 1.0)
-        return out
 
     def serve(
         self,
@@ -184,7 +171,7 @@ class MessageBroker:
         *,
         default_policy: str = "block",
         high_watermark: int = 256,
-    ):
+    ) -> FilterServer:
         """A network front door over this broker's engine: a
         :class:`repro.serving.server.FilterServer` *borrowing* the live
         engine (the broker keeps ownership and its in-process delivery
@@ -217,5 +204,5 @@ class MessageBroker:
     def __enter__(self) -> "MessageBroker":
         return self
 
-    def __exit__(self, *exc_info) -> None:
+    def __exit__(self, *exc_info: object) -> None:
         self.close()

@@ -265,7 +265,7 @@ def cmd_compact(args) -> int:
         compact = getattr(engine, "compact", None)
         if compact is None:
             raise ReproError(
-                f"{args.state}: engine {engine.stats().get('engine')!r} "
+                f"{args.state}: engine {engine.stats()['engine']!r} "
                 "has no delta layer to compact"
             )
         compact()
@@ -307,7 +307,7 @@ def cmd_filter(args) -> int:
     print(
         f"# {len(results)} documents, {stats['filters']} filters, "
         f"{f'state={args.state} ' if args.state else ''}engine={stats['engine']} "
-        f"backend={stats.get('backend', args.backend)}, "
+        f"backend={stats['backend']}, "
         f"{elapsed:.3f}s ({megabytes / elapsed if elapsed else 0:.2f} MB/s), "
         f"{_engine_footer(stats, config.options.max_memory_bytes is not None)}",
         file=sys.stderr,
@@ -321,17 +321,13 @@ def _engine_footer(stats: dict, bounded: bool) -> str:
     parts = []
     if "per_shard" in stats:
         fallback = ", serial fallback" if stats["serial_fallback"] else ""
-        parts.append(f"{stats['shards']} shards ({stats['inner']}{fallback})")
-    parts.append(f"{stats.get('xpush_states', 0)} states")
-    if "hit_ratio" in stats:
-        parts.append(f"hit ratio {stats['hit_ratio']:.1%}")
-    if bounded:
         parts.append(
-            f"{stats.get('evictions', 0)} evictions, "
-            f"{stats.get('resident_bytes', 0)} resident bytes"
+            f"{stats['shards']} shards ({stats['inner']}{fallback}), "
+            f"{stats['worker_restarts']} restarts"
         )
-    if "worker_restarts" in stats:
-        parts.append(f"{stats['worker_restarts']} restarts")
+    parts.append(f"{stats['xpush_states']} states, hit ratio {stats['hit_ratio']:.1%}")
+    if bounded:
+        parts.append(f"{stats['evictions']} evictions, {stats['resident_bytes']} resident bytes")
     return ", ".join(parts)
 
 

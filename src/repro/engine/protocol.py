@@ -120,12 +120,14 @@ class FilterEngine(Protocol):
     # -- observability and lifecycle -----------------------------------
 
     def stats(self) -> dict[str, Any]:
-        """Engine counters; every engine includes at least ``engine``
-        (its registry name), ``filters`` (the live filter count) and
-        the uniform load gauge block — ``shard_load`` (per-shard
-        load list; length 1 on in-process engines) and ``imbalance``
-        (hottest shard over mean, 1.0 when balanced) — so dashboards
-        never special-case engine kinds."""
+        """Engine counters.  Every engine reports the common keys:
+        ``engine`` (its registry name), ``filters`` (the live filter
+        count), ``runtime``, ``backend``, the machine counters of
+        :data:`repro.xpush.stats.MACHINE_KEYS` and their ``hit_ratio``
+        — summed over layers or shards by :func:`repro.xpush.stats.merged`,
+        zero on an engine without an XPush machine.  Load gauges (live
+        filters per shard, hottest shard over mean) are the sharded
+        engine's alone: no other engine has shards."""
         ...
 
     def close(self) -> None:

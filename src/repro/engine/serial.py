@@ -25,6 +25,7 @@ from repro.xmlstream.events import Event
 from repro.xmlstream.parser import _decode_utf8
 from repro.xpath.ast import XPathFilter
 from repro.xpath.parser import parse_workload, parse_xpath
+from repro.xpush.stats import merged
 
 #: ``snapshot()`` format tag shared by the source-level engines.
 SNAPSHOT_FORMAT = "repro-engine-workload"
@@ -188,10 +189,10 @@ class BaselineEngine:
             "filters": len(self._filters),
             "rebuilds": self.rebuilds,
             "stale": self._inner is None,
-            # Uniform load gauge block: an in-process engine is
-            # one "shard", here weighed by its filter count.
-            "shard_load": [float(len(self._filters))],
-            "imbalance": 1.0,
+            "runtime": self.config.options.runtime,
+            "backend": self.config.backend,
+            # The evaluators keep no memo tables to count: the zero block.
+            **merged(()),
         }
 
     def close(self) -> None:

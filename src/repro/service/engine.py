@@ -79,6 +79,7 @@ from repro.xmlstream.writer import document_to_xml
 from repro.xpath.ast import XPathFilter
 from repro.xpath.parser import parse_workload, parse_xpath
 from repro.xpush.options import XPushOptions
+from repro.xpush.stats import merged
 
 __all__ = ["ServiceError", "ShardedFilterEngine"]
 
@@ -560,10 +561,10 @@ class ShardedFilterEngine:
             )
         info_entry["waiting"].discard(shard_id)
         info_entry["slowest"] = max(info_entry["slowest"], info["batch_s"])
-        merged = info_entry["merged"]
-        if not merged:
-            merged.extend(set() for _ in range(size))
-        for mine, oids in zip(merged, answers):
+        unions = info_entry["merged"]
+        if not unions:
+            unions.extend(set() for _ in range(size))
+        for mine, oids in zip(unions, answers):
             mine |= oids
         if not info_entry["waiting"]:
             self.batches += 1
@@ -706,38 +707,17 @@ class ShardedFilterEngine:
             raise ServiceError("inject_crash requires parallel mode")
         self._workers[shard_id].inject_crash(exit_code)
 
-    #: What ``per_shard`` carries of a shard's ``info()``; 0 stands in
-    #: while a worker has not reported yet (and under a baseline inner).
-    _INFO_KEYS = (
-        "afa_states",
-        "xpush_states",
-        "hit_ratio",
-        "resident_bytes",
-        "table_entries",
-        "evictions",
-        "gc_states",
-        "base_states",
-        "delta_states",
-        "tombstones",
-        "codegen_compile_ms",
-        "codegen_handlers",
-        "codegen_fallbacks",
-        "busy_s",
-        "applied_epoch",
-    )
-
-    def stats(self) -> dict:
+    def stats(self) -> dict[str, Any]:
         counts = [0] * self.shards
         for oid in self._sources:
             counts[shard_of_oid(oid, self.shards)] += 1
         loads = [float(count) for count in counts]
-        per_shard = []
-        for shard_id in range(self.shards):
-            entry: dict = {"shard": shard_id, "filters": counts[shard_id]}
-            info = self._shards[shard_id].info()
-            for key in self._INFO_KEYS:
-                entry[key] = info.get(key, 0)
-            per_shard.append(entry)
+        # A shard's whole last report, over the zero block while its
+        # worker has not reported yet.
+        per_shard = [
+            {**merged(()), **self._shards[shard_id].info(), "shard": shard_id, "filters": count}
+            for shard_id, count in enumerate(counts)
+        ]
         depths = []
         for shard in self._workers.values():
             try:
@@ -759,9 +739,6 @@ class ShardedFilterEngine:
             "documents": self.documents,
             "batches": self.batches,
             "worker_restarts": self.worker_restarts,
-            "resident_bytes": sum(e["resident_bytes"] for e in per_shard),
-            "evictions": sum(e["evictions"] for e in per_shard),
-            "xpush_states": sum(e["xpush_states"] for e in per_shard),
             "queue_depths": depths,
             "per_shard": per_shard,
             "shard_load": loads,
@@ -769,6 +746,9 @@ class ShardedFilterEngine:
             "batch_latency": self.latency.snapshot(),
             "first_match_latency": self.first_match.snapshot(),
             "critical_path_latency": self.critical_path.snapshot(),
+            # The parent merges its workers' counters as a layered
+            # engine merges its layers'.
+            **merged(per_shard),
         }
 
     def _retire(self, shard: LocalShard | WorkerShard) -> None:

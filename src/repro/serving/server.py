@@ -37,7 +37,7 @@ from __future__ import annotations
 import asyncio
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Coroutine, Mapping, TypeVar
+from typing import Any, Callable, Coroutine, TypeVar
 
 from repro.engine.config import EngineConfig
 from repro.engine.factory import WorkloadSpec, create_engine
@@ -469,7 +469,7 @@ class FilterServer:
         compact = getattr(self.engine, "compact", None)
         if compact is None:
             raise ServingError(
-                f"engine {self.engine.stats().get('engine')!r} has no compact verb"
+                f"engine {self.engine.stats()['engine']!r} has no compact verb"
             )
         epoch, _ = await self._run_engine(lambda: self._control_job(compact))
         return {"ok": True, "epoch": epoch}
@@ -686,35 +686,26 @@ class FilterServer:
     # -- observability -------------------------------------------------
 
     async def stats(self) -> dict[str, Any]:
-        """Server + engine counters; engine stats are read on the
-        engine thread, like every other engine call."""
+        """Server counters, with the engine's own ``stats()`` nested
+        under ``"engine"`` — read on the engine thread, like every
+        other engine call."""
         engine_stats = await self._run_engine(self.engine.stats)
-        return self._stats_dict(engine_stats)
+        return {**self.stats_nowait(), "engine": engine_stats}
 
     def stats_nowait(self) -> dict[str, Any]:
         """Server-side counters only (no engine round-trip); safe from
         any thread."""
-        return self._stats_dict(None)
-
-    def _stats_dict(self, engine_stats: Mapping[str, Any] | None) -> dict[str, Any]:
-        out: dict[str, Any] = dict(self._counters)
-        out["epoch"] = self._epoch
-        out["seq"] = self._seq
-        out["draining"] = self._draining
-        out["connections"] = len(self._connections)
-        out["inflight"] = self._inflight
-        out["publish_latency"] = self._latency.snapshot()
-        out["first_match_latency"] = self._first_latency.snapshot()
-        out["consumers"] = {
-            name: consumer.stats() for name, consumer in sorted(self._consumers.items())
+        return {
+            **self._counters,
+            "epoch": self._epoch,
+            "seq": self._seq,
+            "draining": self._draining,
+            "connections": len(self._connections),
+            "inflight": self._inflight,
+            "publish_latency": self._latency.snapshot(),
+            "first_match_latency": self._first_latency.snapshot(),
+            "consumers": {
+                name: consumer.stats() for name, consumer in sorted(self._consumers.items())
+            },
+            "attached": sorted(self._attachments),
         }
-        out["attached"] = sorted(self._attachments)
-        # Uniform load gauge block: mirror the engine's gauges at
-        # the top level so dashboards read one shape from every tier.
-        out["shard_load"] = []
-        out["imbalance"] = 1.0
-        if engine_stats is not None:
-            out["engine"] = dict(engine_stats)
-            out["shard_load"] = list(engine_stats.get("shard_load", []))
-            out["imbalance"] = engine_stats.get("imbalance", 1.0)
-        return out

@@ -82,6 +82,7 @@ from repro.xpath.parser import parse_workload, parse_xpath
 from repro.xpush.machine import XPushMachine
 from repro.xpush.options import XPushOptions
 from repro.xpush.persist import PersistError
+from repro.xpush.stats import machine_block, merged
 
 log = logging.getLogger(__name__)
 
@@ -308,12 +309,12 @@ class LayeredFilterEngine:
             tombstones.discard(incoming.oid)
         arriving = [f for oid, f in delta.items() if oid not in tombstones]
         leaving = [oid for oid in self._base_filters if oid in tombstones or oid in delta]
-        merged = {
+        folded = {
             oid: f
             for oid, f in self._base_filters.items()
             if oid not in tombstones and oid not in delta
         }
-        merged.update((f.oid, f) for f in arriving)
+        folded.update((f.oid, f) for f in arriving)
         base = self._base
         workload = base.workload if base is not None else None
         # Passengers cost mask width — every interned state and lane is
@@ -328,16 +329,16 @@ class LayeredFilterEngine:
             # Compiling may refuse the incoming filter: nothing is
             # touched before it.  The old stores are most of the heap
             # and go before the new machine exists.
-            rebuilt = build_workload_automata(list(merged.values()))
+            rebuilt = build_workload_automata(list(folded.values()))
             if base is not None:
                 base.close()
-            self._base = self._machine_of(rebuilt) if merged else None
+            self._base = self._machine_of(rebuilt) if folded else None
         else:
             base.extend(arriving, retire=leaving)
         if self._delta is not None:
             self._delta.close()
         self._delta = None
-        self._base_filters = merged
+        self._base_filters = folded
         self._delta_filters = {}
         self._tombstones = set()
         self.compactions += 1
@@ -532,47 +533,22 @@ class LayeredFilterEngine:
 
     def stats(self) -> dict[str, Any]:
         base, delta = self._base, self._delta
-        layers = [m for m in (base, delta) if m is not None]
-        afa_states = sum(m.workload.state_count for m in layers)
-        lookups = sum(m.stats.lookups for m in layers)
         return {
             "engine": self.name,
             "filters": self.filter_count,
             "base_filters": len(self._base_filters),
             "delta_filters": len(self._delta_filters),
             "tombstones": len(self._tombstones),
-            # Passengers: folded-away AFAs still riding in a layer's sid
-            # space (and counted in ``afa_states``) until a renumbering.
-            "retired_filters": sum(m.workload.retired_filters for m in layers),
             "base_states": base.state_count if base else 0,
             "delta_states": delta.state_count if delta else 0,
             "insertions": self.insertions,
             "compactions": self.compactions,
-            # Cross-layer aggregates: an engine grown from empty has its
-            # only machine in the delta, so no gauge reads one layer.
-            "hit_ratio": sum(m.stats.hits for m in layers) / lookups if lookups else 0.0,
-            "afa_states": afa_states,
-            "xpush_states": sum(m.state_count for m in layers),
-            # Uniform load gauge block: an in-process engine is one
-            # "shard" carrying its whole automaton weight.
-            "shard_load": [float(afa_states)],
-            "imbalance": 1.0,
-            "events": sum(m.stats.events for m in layers),
             "bytes_processed": self.bytes_processed,
-            # Misses whose old block a predecessor store answered; the
-            # bytes and entries below count those stores too.
-            "carried": sum(m.stats.carried for m in layers),
-            "resident_bytes": sum(m.resident_bytes for m in layers),
-            "table_entries": sum(m.table_entries for m in layers),
-            "evictions": sum(m.stats.evictions for m in layers),
-            "gc_states": sum(m.stats.gc_states for m in layers),
             "runtime": self.options.runtime,
             "backend": self.backend,
-            # Compile cost is per-layer: a layer that grows recompiles
-            # its handlers, the other layer's are untouched.
-            "codegen_compile_ms": sum(m.stats.codegen_compile_ms for m in layers),
-            "codegen_handlers": sum(m.stats.codegen_handlers for m in layers),
-            "codegen_fallbacks": sum(m.stats.codegen_fallbacks for m in layers),
+            # Cross-layer sums: an engine grown from empty has its only
+            # machine in the delta, so no counter reads one layer.
+            **merged(machine_block(m) for m in (base, delta) if m is not None),
         }
 
     def close(self) -> None:

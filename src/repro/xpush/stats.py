@@ -7,12 +7,18 @@ paper's evaluation (Sec. 7).
 - events and bytes processed → throughput (the abstract's MB/s claim);
 - evictions / GC'd states and the resident-memory gauges →
   the Sec. 6 memory manager (bounded-memory infinite streams).
+
+It also owns the engine stats schema: :data:`MACHINE_KEYS` are the
+machine counters every engine's ``stats()`` reports, and
+:func:`merged` is the one place they combine — over a layered engine's
+layers and over a sharded engine's shards alike.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import Any, Iterable, Mapping
 
 
 @dataclass
@@ -63,19 +69,55 @@ class MachineStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
     def snapshot(self) -> dict:
-        out = {
-            field.name: getattr(self, field.name)
-            for field in dataclasses.fields(self)
-        }
-        out["hits"] = self.hits
-        out["hit_ratio"] = self.hit_ratio
-        # Historical alias: early consumers read "bytes"; keep it in
-        # step with the attribute's real name.
-        out["bytes"] = self.bytes_processed
-        return out
+        return {**dataclasses.asdict(self), "hits": self.hits, "hit_ratio": self.hit_ratio}
 
     def reset(self) -> None:
         # Every counter, current and future — a hardcoded list silently
         # skips fields added later.
         for field in dataclasses.fields(self):
             setattr(self, field.name, field.default)
+
+
+#: The :class:`MachineStats` counters an engine reports as they are.
+_COUNTED = (
+    "events", "carried", "evictions", "gc_states", "lookups", "hits",
+    "codegen_compile_ms", "codegen_handlers", "codegen_fallbacks",
+)
+
+#: The machine counters of every engine's ``stats()``, summed by
+#: :func:`merged`.  ``retired_filters`` counts passengers: folded-away
+#: AFAs still in a machine's sid space, and in ``afa_states``, until a
+#: renumbering.  ``lookups`` and ``hits`` make the merged ``hit_ratio``
+#: a ratio of sums, not a sum of ratios.
+MACHINE_KEYS = (
+    "afa_states", "xpush_states", "retired_filters", "resident_bytes", "table_entries",
+    *_COUNTED,
+)
+
+
+def machine_block(machine: Any) -> dict[str, float]:
+    """One :class:`~repro.xpush.machine.XPushMachine`'s counters under
+    :data:`MACHINE_KEYS`; the memory gauges are read live, predecessor
+    store included, not as mirrored at the last document boundary."""
+    stats, workload = machine.stats, machine.workload
+    return {
+        "afa_states": workload.state_count,
+        "xpush_states": machine.state_count,
+        "retired_filters": workload.retired_filters,
+        "resident_bytes": machine.resident_bytes,
+        "table_entries": machine.table_entries,
+        **{key: getattr(stats, key) for key in _COUNTED},
+    }
+
+
+def merged(blocks: Iterable[Mapping[str, Any]]) -> dict[str, float]:
+    """:data:`MACHINE_KEYS` summed over *blocks* (machine blocks, or
+    whole ``stats()`` dicts that carry them) plus the ``hit_ratio`` of
+    the sums; no blocks give the zero block."""
+    out: dict[str, float] = {key: 0 for key in MACHINE_KEYS}
+    for block in blocks:
+        for key in MACHINE_KEYS:
+            out[key] += block[key]
+    lookups = out["lookups"]
+    out["hit_ratio"] = out["hits"] / lookups if lookups else 0.0
+    return out

@@ -24,6 +24,7 @@ from repro.xmlstream.dom import parse_document
 from repro.xmlstream.events import events_of_document
 from repro.xpath.parser import parse_xpath
 from repro.xpath.semantics import matching_oids
+from repro.xpush.stats import MACHINE_KEYS
 
 WORKLOAD = {
     "q0": "//a[b = 1]",
@@ -298,6 +299,8 @@ def test_stats_names_the_engine(kind):
         # "xpush" is a second name of the layered engine, not a kind.
         assert stats["engine"] == ("layered" if kind == "xpush" else kind)
         assert stats["filters"] == len(WORKLOAD)
+        # One schema: the machine counters and their ratio, whatever the kind.
+        assert {*MACHINE_KEYS, "hit_ratio", "runtime", "backend"} <= stats.keys()
     finally:
         engine.close()
 

@@ -100,8 +100,8 @@ def test_incremental_broker_equals_rebuilding_broker():
         plain.publish(doc)
         layered.publish(doc)
     assert log_plain == log_layered
-    assert layered.stats()["layered"]["insertions"] == 3
-    assert plain.stats()["naive"]["rebuilds"] == 3
+    assert layered.stats()["engine"]["insertions"] == 3
+    assert plain.stats()["engine"]["rebuilds"] == 3
 
 
 # ----------------------------------------------------------------------
@@ -209,12 +209,27 @@ def test_sharded_broker_with_worker_processes():
         docs = [parse_document(text) for text in DOC_POOL]
         assert plain.publish_batch(docs) == sharded.publish_batch(docs)
         assert log_plain == log_sharded
-        stats = sharded.stats()
+        stats = sharded.stats()["engine"]
         assert stats["worker_restarts"] == 0
-        assert stats["sharded"]["shards"] == 2
+        assert stats["shards"] == 2
         assert stats["xpush_states"] > 0
-        if not stats["sharded"]["serial_fallback"]:
-            assert stats["sharded"]["batches"] >= 3  # batched fan-out happened
+        if not stats["serial_fallback"]:
+            assert stats["batches"] >= 3  # batched fan-out happened
+
+
+def test_sharded_broker_reports_its_shards_hit_ratio():
+    """The broker nests the engine's stats, whose top level merges the
+    shards' counters: the hit ratio is theirs, not a missing key's 0."""
+    with MessageBroker(EngineConfig(engine="sharded", shards=2, parallel=False)) as broker:
+        broker.subscribe("alice", "//a[b/text() = 1]")
+        for _ in range(5):
+            broker.publish(parse_document("<a><b>1</b></a>"))
+        stats = broker.stats()["engine"]
+        per_shard = stats["per_shard"]
+        assert stats["hit_ratio"] > 0
+        assert stats["hit_ratio"] == sum(e["hits"] for e in per_shard) / sum(
+            e["lookups"] for e in per_shard
+        )
 
 
 def test_broker_serve_bridges_to_network_tier():

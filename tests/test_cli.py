@@ -50,6 +50,16 @@ def test_filter_sharded_matches_serial(query_file, stream_file, capsys):
     assert "3 shards" in captured.err
 
 
+def test_sharded_filter_footer_reports_the_hit_ratio(query_file, stream_file, capsys):
+    assert (
+        main(["filter", "--queries", query_file, "--input", stream_file, "--shards", "2"])
+        == 0
+    )
+    footer = capsys.readouterr().err
+    assert "2 shards" in footer
+    assert re.search(r"hit ratio \d+\.\d%", footer)
+
+
 def test_filter_rejects_bad_shard_count(query_file, stream_file, capsys):
     assert (
         main(["filter", "--queries", query_file, "--input", stream_file, "--shards", "0"])

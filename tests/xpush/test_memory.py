@@ -379,7 +379,7 @@ def test_stats_reset_covers_every_field():
         assert getattr(stats, field.name) == field.default, field.name
 
 
-def test_stats_snapshot_has_gauges_and_bytes_alias():
+def test_stats_snapshot_has_gauges():
     stats = MachineStats()
     stats.bytes_processed = 123
     stats.resident_bytes = 456
@@ -387,7 +387,6 @@ def test_stats_snapshot_has_gauges_and_bytes_alias():
     stats.evictions = 2
     stats.gc_states = 1
     snap = stats.snapshot()
-    assert snap["bytes"] == 123  # historical alias stays in step
     assert snap["bytes_processed"] == 123
     assert snap["resident_bytes"] == 456
     assert snap["table_entries"] == 7
