@@ -134,11 +134,8 @@ class AfaState:
         "edges",
         "eps",
         "top_labels",
-        "eps_parents",
-        "rev",
         "rank",
         "owner",
-        "prec",
     )
 
     def __init__(self, sid: int, kind: StateKind, predicate: AtomicPredicate | None = None):
@@ -148,11 +145,8 @@ class AfaState:
         self.edges: dict[str, list[int]] = {}  # label -> target sids (δ)
         self.eps: list[int] = []  # ε-successors
         self.top_labels: set[str] = set()  # labels with an edge to ⊤
-        self.eps_parents: list[int] = []  # states with ε into self
-        self.rev: dict[str, tuple[int, ...]] = {}  # label -> source sids (δ⁻¹)
         self.rank = 0  # ε-DAG topological rank (0 = no ε-successors)
         self.owner = -1  # index of the owning AFA in the workload
-        self.prec: frozenset[int] = frozenset()  # order optimisation: must-precede siblings
 
     @property
     def is_terminal(self) -> bool:
@@ -354,8 +348,8 @@ class WorkloadAutomata:
 
     def finalize(self) -> "WorkloadAutomata":
         """Fold the states and AFAs added since the last call into the
-        reverse indexes, ranks, accept maps and compiled mask tables
-        (all of them, the first time).
+        ranks, accept maps and compiled mask tables (all of them, the
+        first time).
 
         Every state must be owned by exactly one AFA: the compiled
         per-filter owner masks resolve a state's filter through
@@ -371,17 +365,6 @@ class WorkloadAutomata:
         if self.masks is not None and not fresh and not fresh_afas:
             return self
         self._check_layout(fresh_afas)
-        rev: dict[int, dict[str, list[int]]] = {}
-        for state in fresh:
-            for label, targets in state.edges.items():
-                for target in targets:
-                    rev.setdefault(target, {}).setdefault(label, []).append(state.sid)
-            for child in state.eps:
-                states[child].eps_parents.append(state.sid)
-        for target, by_label in rev.items():
-            states[target].rev = {
-                label: tuple(sorted(sources)) for label, sources in by_label.items()
-            }
         self.terminals += tuple(s.sid for s in fresh if s.is_terminal)
         self.initial_sids |= {afa.initial for afa in fresh_afas}
         for index, afa in enumerate(fresh_afas, self._finalized_afas):
@@ -656,6 +639,16 @@ class CompiledMasks:
         local_bits = [1 << offset for offset in range(widest)]
         not_mask = 0
         eps_masks, rev_sources = self._eps_masks, self._rev_sources
+        # δ⁻¹ (label -> source sids) and ε-parents of the fresh states:
+        # no edge or ε-arc leaves its AFA, so only fresh states name them.
+        rev: dict[int, dict[str, list[int]]] = {}
+        eps_parents: dict[int, list[int]] = {}
+        for state in fresh:
+            for label, targets in state.edges.items():
+                for target in targets:
+                    rev.setdefault(target, {}).setdefault(label, []).append(state.sid)
+            for child in state.eps:
+                eps_parents.setdefault(child, []).append(state.sid)
         rev_lanes, top_masks = self._rev_lanes, self._top_masks
         # Rank-bucketed eval structures: per ε-rank ≥ 1, one candidate
         # mask per connective kind, so eval_closure is a rank-by-rank
@@ -674,7 +667,7 @@ class CompiledMasks:
             if state.kind is StateKind.NOT:
                 not_mask |= bit
             eps_masks.append(_or_all(local_bits[child - base] for child in state.eps))
-            for label, sources in state.rev.items():
+            for label, sources in rev.get(sid, {}).items():
                 rev_sources.setdefault(label, {})[sid] = _or_all(
                     local_bits[source - base] for source in sources
                 )
@@ -721,7 +714,7 @@ class CompiledMasks:
             closure_masks[state.sid] = mask
         for state in reversed(by_rank):  # parents (higher rank) first
             mask = local_bits[state.sid - bases[state.sid]]
-            for parent in state.eps_parents:
+            for parent in eps_parents.get(state.sid, ()):
                 mask |= up_masks[parent]
             up_masks[state.sid] = mask
         self.not_up_mask = _or_rows(up_masks, bases, not_mask, self.not_up_mask)

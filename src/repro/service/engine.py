@@ -732,10 +732,7 @@ class ShardedFilterEngine:
             "shards": self.shards,
             "backend": self.config.backend,
             "runtime": self.options.runtime,
-            "parallel": self.parallel,
             "serial_fallback": not self.parallel,
-            "batch_size": self.config.batch_size,
-            "queue_depth": self.config.queue_depth,
             "documents": self.documents,
             "batches": self.batches,
             "worker_restarts": self.worker_restarts,

@@ -317,18 +317,25 @@ class FilterServer:
             "event_index": event_index,
             "early": True,
         }
-        was_open = not consumer.closed
-        if await consumer.offer(event):
+        if await self._offer(name, consumer, event):
             if pending_first[0]:
                 pending_first[0] = False
                 self._first_latency.record(time.perf_counter() - start)
-            self._counters["deliveries"] += 1
             self._counters["early_deliveries"] += 1
-        else:
-            self._counters["delivery_drops"] += 1
-            if was_open and consumer.evicted:
-                self._counters["evictions"] += 1
-                self._close_attachment(name, "slow_consumer")
+
+    async def _offer(self, name: str, consumer: Consumer, event: Frame) -> bool:
+        """Offer one match frame under the consumer's own policy and
+        count the outcome; a consumer the offer evicts loses its push
+        attachment.  True when the frame was queued."""
+        was_open = not consumer.closed
+        if await consumer.offer(event):
+            self._counters["deliveries"] += 1
+            return True
+        self._counters["delivery_drops"] += 1
+        if was_open and consumer.evicted:
+            self._counters["evictions"] += 1
+            self._close_attachment(name, "slow_consumer")
+        return False
 
     def _control_job(self, fn: Callable[[], None]) -> tuple[int, int]:
         """Executor-side control verb: apply, then bump the epoch.
@@ -433,14 +440,7 @@ class FilterServer:
                 }
                 if consumer.payload and index < len(payloads):
                     event["xml"] = payloads[index]
-                was_open = not consumer.closed
-                if await consumer.offer(event):
-                    self._counters["deliveries"] += 1
-                else:
-                    self._counters["delivery_drops"] += 1
-                    if was_open and consumer.evicted:
-                        self._counters["evictions"] += 1
-                        self._close_attachment(name, "slow_consumer")
+                await self._offer(name, consumer, event)
 
     async def _op_subscribe(self, frame: Frame, conn: _Connection | None) -> Frame:
         oid = self._field(frame, "oid")

@@ -29,7 +29,9 @@ probe instead of four.
 The machine owns what no runtime disagrees about, once: the stack and
 registers, the SAX callbacks with their memoised hit path, state
 interning (:mod:`repro.xpush.state` — every state set is one int mask),
-the memo tables, the counters and the memory manager.  The first-touch
+the memo tables, the counters and the memory manager (Sec. 6: one
+CLOCK epoch at a document boundary past ``max_memory_bytes``, forced
+when the working set outgrew the bound).  The first-touch
 cost itself — mapping a set of AFA states to a set of AFA states — is
 the only runtime-specific decision and sits behind the transition-
 kernel seam of :mod:`repro.xpush.kernels`, selected by
@@ -81,7 +83,7 @@ from repro.xpush.stats import MachineStats
 #: The band between the low and high watermarks absorbs per-document
 #: growth: above *low* a paced clock pass evicts only states that
 #: stayed cold across document boundaries; only above *high* (the hard
-#: bound) does the sweep force eviction regardless of reference bits.
+#: bound) does a second, forced epoch evict regardless of reference bits.
 LOW_WATERMARK_RATIO = 0.8
 
 
@@ -278,10 +280,6 @@ class XPushMachine:
             self._seed_value_table()
         self._qt: XPushTopState = self.qt0
         self._qb: XPushState = self.store.empty
-        # Clock hands (uid of the last swept state) for the second-chance
-        # eviction sweep over each intern ring.
-        self._clock_bottom_hand = -1
-        self._clock_top_hand = -1
 
     def _seed_value_table(self) -> None:
         """Seed qt0's ``t_value`` memo from the precomputed index."""
@@ -919,8 +917,6 @@ class XPushMachine:
         self._sp = 0
         self._content = 0
         self._early = set()
-        self._clock_bottom_hand = -1
-        self._clock_top_hand = -1
         self.stats.resident_bytes = self.store.resident_bytes
         self.stats.table_entries = self.store.table_entries
 
@@ -941,7 +937,7 @@ class XPushMachine:
     def _manage_memory(self) -> None:
         """Apply the memory policy at a document boundary (Sec. 6):
         crossing ``max_memory_bytes`` triggers the incremental clock
-        sweep down to the low watermark."""
+        sweep down to the low watermark (:meth:`_evict_cold`)."""
         store, stats = self.store, self.stats
         high = self.options.max_memory_bytes
         if high is not None and self.resident_bytes > high:
@@ -956,18 +952,17 @@ class XPushMachine:
     def _evict_cold(self, low: int, high: int) -> None:
         """Second-chance (CLOCK) sweep toward the low watermark.
 
-        Cycle 1 is one fused epoch (:meth:`StateStore.sweep_epoch`):
-        states whose reference bit is clear (untouched since the last
-        sweep) lose their memo tables *and* their intern slot — where
-        the real memory lives, in the sid payloads — while referenced
-        states survive, pruned of individual entries whose target went
-        cold.  Reference bits are cleared afterwards, opening the next
-        epoch: a state earns its second chance by being probed before
-        the next sweep.  If the epoch did not reach the low watermark
-        (the working set itself outgrew the bound), cycle 2 force-
-        evicts in clock-hand order until the projected target is met
-        and mark-and-sweep GC reclaims whatever that orphaned — at
-        most two cycles over the rings.
+        One epoch (:meth:`StateStore.sweep_epoch`) deports states whose
+        reference bit is clear (untouched since the last sweep): they
+        lose their memo tables *and* their intern slot — where the real
+        memory lives, in the masks — while referenced states survive,
+        pruned of individual entries whose target went.  Reference bits
+        are cleared afterwards, opening the next epoch: a state earns
+        its second chance by being probed before the next sweep.  If
+        that epoch leaves the store above *high* (the working set itself
+        outgrew the bound), a forced epoch deports in clock-hand order,
+        reference bits ignored, down to *low* — at most two epochs, and
+        the bound holds unless the roots alone exceed it.
 
         The epoch targets *low* but is only *forced* past the working
         set when it fails to get back under *high*: landing between the
@@ -980,65 +975,16 @@ class XPushMachine:
         """
         store, stats = self.store, self.stats
         roots = [store.empty, self.qt0, self._qb, self._qt]
-        entries, states, self._clock_bottom_hand, self._clock_top_hand = (
-            store.sweep_epoch(
-                roots, low, self._clock_bottom_hand, self._clock_top_hand
-            )
-        )
-        stats.evictions += entries
-        stats.gc_states += states
-        if store.resident_bytes > high:
-            self._sweep(low, force=True)
-            stats.gc_states += store.collect_garbage(roots)
+        for force in (False, True):
+            entries, states = store.sweep_epoch(roots, low, force)
+            stats.evictions += entries
+            stats.gc_states += states
+            if store.resident_bytes <= high:
+                break
         # The precomputed t_value seeds are part of the permanent
         # working set (Sec. 4): restore any the sweep took.
         if self.options.precompute_values and not self.options.top_down:
             self._seed_value_table()
-
-    def _sweep(self, low: int, force: bool = True) -> None:
-        """The forced cycle: evict in clock-hand order, ignoring
-        reference bits, until the projected post-GC resident reaches
-        the low watermark — a desperation sweep that damages no more of
-        the working set than the bound requires."""
-        store = self.store
-        self._clock_bottom_hand, projected = self._sweep_ring(
-            store.bottom_states(), self._clock_bottom_hand, low, 0
-        )
-        if store.resident_bytes - projected > low:
-            self._clock_top_hand, projected = self._sweep_ring(
-                store.top_states(), self._clock_top_hand, low, projected
-            )
-
-    def _sweep_ring(
-        self, states, hand: int, low: int, projected: int
-    ) -> tuple[int, int]:
-        """One forced clock pass over an intern ring, resuming after
-        *hand* (the uid of the last swept state).  Returns the new hand
-        and the accumulated projection.
-
-        *projected* is the state-payload bytes the follow-up GC is
-        expected to reclaim.  The stop condition subtracts it from the
-        resident gauge: table eviction alone only drops entry bytes, a
-        small share of residency, so stopping on the raw gauge would
-        walk the whole ring every sweep and the GC would then overshoot
-        the low watermark into a de-facto full flush."""
-        if not states:
-            return hand, projected
-        store, stats = self.store, self.stats
-        count = len(states)
-        start = 0
-        for i, state in enumerate(states):  # uids are in insertion order
-            if state.uid > hand:
-                start = i
-                break
-        for i in range(count):
-            if store.resident_bytes - projected <= low:
-                break
-            state = states[(start + i) % count]
-            hand = state.uid
-            stats.evictions += store.evict_state_tables(state)
-            projected += store.state_cost(state)
-        return hand, projected
 
     # ------------------------------------------------------------------
 

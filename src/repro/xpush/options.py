@@ -69,12 +69,14 @@ class XPushOptions:
             byte-level estimate of resident state and memo-table
             memory; when it exceeds this high watermark at a document
             boundary, a second-chance (CLOCK) sweep runs until the low
-            watermark (80% of the bound) is reached: memo entries whose
-            owning state was not referenced since the last sweep are
-            dropped, then states no longer reachable from any table,
-            register or intern root are garbage-collected — cold
-            entries go, the hot working set (and its hit ratio)
-            survives.  None = unbounded.  (The paper's brute-force
+            watermark (80% of the bound) is reached: states not
+            referenced since the last sweep are deported with their
+            memo tables, and entries naming them are pruned — cold
+            states go, the hot working set (and its hit ratio)
+            survives.  If that leaves the store above the bound (the
+            working set outgrew it), a forced sweep deports in the same
+            clock order, reference bits ignored, so the bound holds at
+            every boundary.  None = unbounded.  (The paper's brute-force
             alternative, "deleted when we run out of memory and
             recomputed later", is :meth:`XPushMachine.reset_tables`.)
         retain_results: append each document's answer to the machine's

@@ -43,6 +43,12 @@ sweeps run only at document boundaries.  So a probed table's owner was
 marked in the current epoch when it became a register, and marking it
 again on each probe would change nothing.
 
+Eviction has one routine, :meth:`StateStore.sweep_epoch`: it deports
+states — memo tables, intern slot and mask — in clock-hand order and
+prunes the surviving entries that named them.  The reference bits pick
+the cold states; a *forced* epoch ignores them, for a working set that
+outgrew the bound, so the bound holds whatever its size.
+
 Memory accounting is an estimate, deliberately cheap: interning a state
 adds a calibrated per-object cost plus the size of its mask — an int
 as wide as the workload's highest member sid, whatever the state's
@@ -203,9 +209,8 @@ class StateStore:
     The store also keeps the memory manager's books: ``resident_bytes``
     estimates the bytes held by interned states plus memo-table
     entries, ``table_entries`` counts live entries.  The machine calls
-    :meth:`note_entries` when it inserts an entry; eviction and GC go
-    through :meth:`evict_state_tables` and :meth:`collect_garbage` so
-    the books stay balanced.
+    :meth:`note_entries` when it inserts an entry; eviction goes
+    through :meth:`sweep_epoch` so the books stay balanced.
     """
 
     def __init__(self, masks: CompiledMasks):
@@ -218,6 +223,8 @@ class StateStore:
         self._next_top_uid = 0
         self.resident_bytes = 0
         self.table_entries = 0
+        # CLOCK hands: the uid of the last state each ring's sweep reached.
+        self.bottom_hand = self.top_hand = -1
         self.empty = self.intern_bottom(0)
 
     # -- memory accounting ----------------------------------------------
@@ -288,34 +295,23 @@ class StateStore:
             self.drop_entries(dropped)
         return dropped
 
-    def state_cost(self, state: XPushState | XPushTopState) -> int:
-        """Estimated bytes the state object itself pins (base cost plus
-        mask) — the share of ``resident_bytes`` that only
-        :meth:`collect_garbage` can reclaim.  The sweep uses this to
-        *project* the post-GC resident while walking the clock ring:
-        table eviction alone barely moves ``resident_bytes`` (masks
-        dominate), so stopping on the raw gauge would walk the
-        whole ring and degenerate into a full flush."""
-        if isinstance(state, XPushState):
-            return _bottom_cost(state)
-        return _top_cost(state)
-
-    def sweep_epoch(
-        self, roots: Iterable, low: int, bottom_hand: int, top_hand: int
-    ) -> tuple[int, int, int, int]:
+    def sweep_epoch(self, roots: Iterable, low: int, force: bool = False) -> tuple[int, int]:
         """One CLOCK epoch over both intern rings, fused into two
-        passes; returns ``(entries_dropped, states_dropped,
-        bottom_hand, top_hand)``.
+        passes; returns ``(entries_dropped, states_dropped)``.
 
         Pass 1 deports cold states (reference bit clear since the
-        previous epoch): starting after each ring's *hand* and stopping
-        as soon as ``resident_bytes`` reaches *low*, a cold state loses
-        its memo tables and its intern slot — where the real memory
-        lives, in the masks.  The target cap and the rotating hand are
-        what make this a second-chance policy rather than a purge: a
-        cold state the target spares keeps its tables, and wins them
-        back outright if probed before the hand comes around again.  *roots* (registers and the intern seeds) are never
-        deported.
+        previous epoch): starting after each ring's hand (``bottom_hand``
+        / ``top_hand``, the uid of the last state the previous epoch
+        reached) and stopping as soon as ``resident_bytes`` reaches
+        *low*, a cold state loses its memo tables and its intern slot —
+        where the real memory lives, in the masks.  The target cap and
+        the rotating hand are what make this a second-chance policy
+        rather than a purge: a cold state the target spares keeps its
+        tables, and wins them back outright if probed before the hand
+        comes around again.  *force* ignores the reference bits, for a
+        working set that outgrew the bound: every state is then a
+        candidate in hand order.  *roots* (registers and the intern
+        seeds) are never deported.
 
         Pass 2 runs only if anything was deported: it drops every
         surviving memo entry whose target left the ring — without this
@@ -332,20 +328,14 @@ class StateStore:
                 break
             table = self._bottom if ring_is_bottom else self._top
             cost = _bottom_cost if ring_is_bottom else _top_cost
-            hand = bottom_hand if ring_is_bottom else top_hand
-            states = list(table.values())
-            count = len(states)
-            start = 0
-            for i, state in enumerate(states):  # uids are in insertion order
-                if state.uid > hand:
-                    start = i
-                    break
-            for i in range(count):
+            hand = self.bottom_hand if ring_is_bottom else self.top_hand
+            states = list(table.values())  # uids are in insertion order
+            start = next((i for i, state in enumerate(states) if state.uid > hand), 0)
+            for state in states[start:] + states[:start]:
                 if self.resident_bytes <= low:
                     break
-                state = states[(start + i) % count]
                 hand = state.uid
-                if state.ref or id(state) in keep:
+                if (state.ref and not force) or id(state) in keep:
                     continue
                 dropped += self.evict_state_tables(state)
                 del table[state.mask]
@@ -354,9 +344,9 @@ class StateStore:
                     self.bottom_size_total -= state.size
                 removed_ids.add(id(state))
             if ring_is_bottom:
-                bottom_hand = hand
+                self.bottom_hand = hand
             else:
-                top_hand = hand
+                self.top_hand = hand
         for state in self._bottom.values():
             if removed_ids:
                 dropped += self.prune_removed_entries(state, removed_ids)
@@ -365,46 +355,7 @@ class StateStore:
             if removed_ids:
                 dropped += self.prune_removed_entries(state, removed_ids)
             state.ref = False
-        return dropped, len(removed_ids), bottom_hand, top_hand
-
-    def collect_garbage(self, roots: Iterable) -> int:
-        """Mark-and-sweep over the intern tables: drop every state not
-        reachable from *roots* through the surviving memo entries.
-        Returns the number of states removed.  Memo entries keyed on a
-        removed state's uid stay behind harmlessly — uids are never
-        reused, so they can only go cold and be evicted later."""
-        marked: set[int] = set()
-        stack = [root for root in roots if root is not None]
-        while stack:
-            state = stack.pop()
-            ident = id(state)
-            if ident in marked:
-                continue
-            marked.add(ident)
-            if isinstance(state, XPushState):
-                for target, _notified in state.pop_table.values():
-                    stack.append(target)
-                stack.extend(state.add_table.values())
-            else:
-                stack.extend(state.push_table.values())
-                stack.extend(state.value_table.values())
-                for row in state.leaf_table.values():
-                    stack.extend(target for target, _notified in row.values())
-        removed = 0
-        for key, state in list(self._bottom.items()):
-            if id(state) not in marked:
-                self.evict_state_tables(state)
-                del self._bottom[key]
-                self.resident_bytes -= _bottom_cost(state)
-                self.bottom_size_total -= state.size
-                removed += 1
-        for key, state in list(self._top.items()):
-            if id(state) not in marked:
-                self.evict_state_tables(state)
-                del self._top[key]
-                self.resident_bytes -= _top_cost(state)
-                removed += 1
-        return removed
+        return dropped, len(removed_ids)
 
     def recount(self) -> tuple[int, int]:
         """(table_entries, resident_bytes) recomputed from scratch — the
@@ -529,4 +480,5 @@ class StateStore:
         "brute force" update path (Sec. 8): equivalent to flushing an
         entire cache."""
         self.close()
+        self.bottom_hand = self.top_hand = -1
         self.empty = self.intern_bottom(0)

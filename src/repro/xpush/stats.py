@@ -5,7 +5,7 @@ paper's evaluation (Sec. 7).
 - table lookups vs hits ("One can think of the XPush machine as a
   cache") → the hit ratio of Fig. 8;
 - events and bytes processed → throughput (the abstract's MB/s claim);
-- evictions / GC'd states and the resident-memory gauges →
+- evictions / deported states and the resident-memory gauges →
   the Sec. 6 memory manager (bounded-memory infinite streams).
 
 It also owns the engine stats schema: :data:`MACHINE_KEYS` are the
@@ -54,7 +54,7 @@ class MachineStats:
     codegen_handlers: int = 0  # gauge: compiled functions bound (codegen runtime)
     codegen_fallbacks: int = 0  # transitions interpreted while codegen requested
     evictions: int = 0  # memo entries dropped by the clock sweep
-    gc_states: int = 0  # states garbage-collected after eviction
+    gc_states: int = 0  # states deported by a sweep
     resident_bytes: int = 0  # gauge: estimated bytes of states + tables
     table_entries: int = 0  # gauge: live memo-table entries
 

@@ -391,7 +391,8 @@ def test_lanes_equal_sweep_equal_spec_on_both_sides_of_the_decision(lane_workloa
 def test_multi_source_rows_and_self_loops_are_lanes_too(lane_workload):
     """``//*//*`` puts two sources (offsets 0 and 1) on one ``*`` row."""
     multi = next(afa for afa in lane_workload.afas if afa.oid == "multi")
-    rows = [lane_workload.states[sid].rev.get("*", ()) for sid in multi.state_sids]
+    reverse = oracle.reverse_edges(lane_workload)
+    rows = [reverse[sid].get("*", ()) for sid in multi.state_sids]
     assert any(len(sources) > 1 for sources in rows)
     assert {0, 1} <= lane_workload.masks._rev_lanes["*"].keys()
 
@@ -661,7 +662,7 @@ def test_finalize_refuses_a_state_no_afa_owns():
 
 def reconstructed_rows(workload):
     """``eps_rows`` / ``up_rows`` / ``rev_rows`` / ``push_rows``, rebuilt
-    whole-width from ``AfaState.eps`` / ``edges`` / ``rev`` alone."""
+    whole-width from ``AfaState.eps`` / ``edges`` alone."""
     states = workload.states
     parents = {state.sid: [] for state in states}
     for state in states:
@@ -677,8 +678,8 @@ def reconstructed_rows(workload):
                     stack.append(parent)
         up.append(naive_mask(closure))
     rev = {}
-    for state in states:
-        for label, sources in state.rev.items():
+    for state, row in zip(states, oracle.reverse_edges(workload)):
+        for label, sources in row.items():
             rev.setdefault(label, {})[state.sid] = naive_mask(sources)
     push = {}
     labels = {label for state in states for label in state.edges}

@@ -21,18 +21,38 @@ ORACLE = "sets"  # the oracle's parametrize id in the walls
 _VIEWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _views(workload: WorkloadAutomata) -> tuple[int, tuple[int, ...], dict[str, list[int]]]:
-    """``(states, NOT sids, label -> ⊤-edge owners)``, derived from
-    ``workload.states`` once per size of the (only growing) workload."""
+def _views(workload: WorkloadAutomata) -> tuple:
+    """``(states, NOT sids, label -> ⊤-edge owners, δ⁻¹ rows,
+    ε-parents)``, derived from ``workload.states`` once per size of the
+    (only growing) workload."""
     views = _VIEWS.get(workload)
     if views is None or views[0] != len(workload.states):
+        states = workload.states
         top: dict[str, list[int]] = {}
-        for state in workload.states:
+        rev: list[dict[str, list[int]]] = [{} for _ in states]
+        parents: list[list[int]] = [[] for _ in states]
+        for state in states:  # in sid order, so every source list is sorted
             for label in state.top_labels:
                 top.setdefault(label, []).append(state.sid)
-        nots = tuple(s.sid for s in workload.states if s.kind is StateKind.NOT)
-        views = _VIEWS[workload] = (len(workload.states), nots, top)
+            for label, targets in state.edges.items():
+                for target in targets:
+                    rev[target].setdefault(label, []).append(state.sid)
+            for child in state.eps:
+                parents[child].append(state.sid)
+        nots = tuple(s.sid for s in states if s.kind is StateKind.NOT)
+        rows = [{label: tuple(sources) for label, sources in row.items()} for row in rev]
+        views = _VIEWS[workload] = (len(states), nots, top, rows, parents)
     return views
+
+
+def reverse_edges(workload: WorkloadAutomata) -> list[dict[str, tuple[int, ...]]]:
+    """δ⁻¹ per sid: label -> the sids with an edge so labelled into it."""
+    return _views(workload)[3]
+
+
+def eps_parents(workload: WorkloadAutomata) -> list[list[int]]:
+    """Per sid, the states with an ε-arc into it."""
+    return _views(workload)[4]
 
 
 def eval_closure(workload: WorkloadAutomata, qb: Iterable[int]) -> frozenset[int]:
@@ -42,6 +62,7 @@ def eval_closure(workload: WorkloadAutomata, qb: Iterable[int]) -> frozenset[int
     visited in ε-rank order, so nested ones — ``not(not(Q))`` too —
     settle in one pass."""
     states, not_sids = workload.states, _views(workload)[1]
+    parents = eps_parents(workload)
     result = set(qb)
     # Candidates: every NOT state (they fire on absence), plus the
     # upward ε-closure of the present states and of the NOTs.
@@ -49,7 +70,7 @@ def eval_closure(workload: WorkloadAutomata, qb: Iterable[int]) -> frozenset[int
     stack = [*result, *not_sids]
     seen = set(stack)
     while stack:
-        for parent in states[stack.pop()].eps_parents:
+        for parent in parents[stack.pop()]:
             if parent not in seen:
                 seen.add(parent)
                 candidates.add(parent)
@@ -74,10 +95,10 @@ def delta_inverse(
     *label* (an element labelled *a* closing witnesses existence edges
     on *a*)."""
     wildcard = ATTRIBUTE_WILDCARD if is_attribute else WILDCARD
-    top = _views(workload)[2]
+    top, rows = _views(workload)[2], reverse_edges(workload)
     out = set(top.get(label, ())).union(top.get(wildcard, ()))
     for sid in evaluated:
-        rev = workload.states[sid].rev
+        rev = rows[sid]
         if label in rev or wildcard in rev:
             out.update(rev.get(label, ()), rev.get(wildcard, ()))
     return out

@@ -47,11 +47,13 @@ def test_growing_in_chunks_builds_the_tables_of_one_shot(protein):
         assert getattr(grown.masks, slot) == getattr(whole.masks, slot), slot
     for name in ("terminals", "initial_sids", "_live"):
         assert getattr(grown, name) == getattr(whole, name), name
+    rows = [(oracle.reverse_edges(w), oracle.eps_parents(w)) for w in (grown, whole)]
     for ours, theirs in zip(grown.states, whole.states):
-        assert (ours.rank, ours.rev, ours.eps_parents, ours.owner) == (
+        sid = ours.sid
+        assert (ours.rank, rows[0][0][sid], rows[0][1][sid], ours.owner) == (
             theirs.rank,
-            theirs.rev,
-            theirs.eps_parents,
+            rows[1][0][sid],
+            rows[1][1][sid],
             theirs.owner,
         )
 

@@ -177,7 +177,7 @@ def test_a_sweep_after_every_document_changes_no_emission(
 
 def test_clock_survives_bound_below_working_set(memory_workload, memory_stream):
     """A bound smaller than the working set cannot be honoured by the
-    epoch sweep alone — the forced cycle must still terminate, keep the
+    plain epoch alone — the forced epoch must still terminate, keep the
     books balanced and the answers right."""
     workload = build_workload_automata(memory_workload)
     expected = XPushMachine(workload, TD).filter_stream(memory_stream)
@@ -188,6 +188,27 @@ def test_clock_survives_bound_below_working_set(memory_workload, memory_stream):
         entries,
         resident,
     )
+
+
+@pytest.mark.parametrize("bound_kb", [32, 40])
+def test_bound_below_the_working_set_holds_at_every_boundary(bound_kb):
+    """The forced epoch deports states, not just their tables: after
+    every document's management step the gauge is at or under
+    ``max_memory_bytes``, even where the plain epoch cannot get there."""
+    stream = locality_stream(200_000)
+    workload = build_workload_automata(standard_workload(300)[0])
+    expected = XPushMachine(workload, TD).filter_stream(stream)
+    bound = bound_kb * 1024
+    machine = XPushMachine(workload, replace(TD, max_memory_bytes=bound))
+    samples: list[int] = []
+    machine.on_result = lambda index, oids: samples.append(machine.stats.resident_bytes)
+    assert machine.filter_stream(stream) == expected
+    samples.append(machine.stats.resident_bytes)
+    # Each on_result sees the previous boundary's post-management gauge.
+    post = samples[1:]
+    assert len(post) == len(expected) > 100
+    assert max(post) <= bound
+    assert machine.store.recount() == (machine.store.table_entries, machine.store.resident_bytes)
 
 
 # ----------------------------------------------------------------------
@@ -214,7 +235,7 @@ def test_sweep_epoch_deports_cold_and_spares_referenced():
         state.ref = False
     hot.ref = True
     roots = [store.empty, machine.qt0]
-    dropped, removed, _bh, _th = store.sweep_epoch(roots, 0, -1, -1)
+    dropped, removed = store.sweep_epoch(roots, 0)
     assert removed > 0
     survivors = store.bottom_states()
     assert hot in survivors  # the referenced state earned its second chance
@@ -237,7 +258,7 @@ def test_sweep_epoch_stops_at_the_low_watermark():
     for state in store.bottom_states() + store.top_states():
         state.ref = False
     low = store.resident_bytes - 1  # one state's worth is enough
-    _d, removed, _bh, _th = store.sweep_epoch([store.empty, machine.qt0], low, -1, -1)
+    _d, removed = store.sweep_epoch([store.empty, machine.qt0], low)
     # The cap makes it a second-chance policy, not a purge: only enough
     # cold states to reach the target are deported.
     assert 0 < removed < len(machine.store.bottom_states()) + removed
@@ -254,21 +275,26 @@ def _leaf_targets(store):
 
 def test_leaf_entries_are_counted_evicted_and_collected():
     """Leaf memo entries are memo entries: in the books, pruned with
-    their deported targets, dropped with their owner's tables, and
-    edges the mark-and-sweep follows."""
+    their deported targets under a plain or a forced epoch, and dropped
+    with their owner's tables."""
     machine = _warmed_machine()
     store = machine.store
     assert _leaf_targets(store)  # @c, <b> and <d> came as leaves
     assert store.recount() == (store.table_entries, store.resident_bytes)
 
-    # Only the leaf entries are left pointing at lifted states: GC keeps
-    # those states, and the books stay balanced.
-    for state in store.bottom_states():
-        store.evict_state_tables(state)
-    store.collect_garbage([store.empty, machine.qt0])
+    # A forced epoch ignores reference bits: everything but its roots,
+    # the leaf owners, is deported, and no leaf entry is left naming a
+    # deported state; the books stay balanced.
+    owners = [top for top in store.top_states() if top.leaf_table]
+    for state in store.bottom_states() + store.top_states():
+        state.ref = True
+    _d, removed = store.sweep_epoch([store.empty, machine.qt0, *owners], 0, force=True)
+    assert removed > 0
+    assert all(owner in store.top_states() for owner in owners)
     interned = {id(state) for state in store.bottom_states()}
     assert all(id(target) in interned for target in _leaf_targets(store))
     assert store.recount() == (store.table_entries, store.resident_bytes)
+    machine.filter_stream('<a c="3"><b>1</b><d>0</d></a>')  # lifted targets again
 
     # Deported targets take their leaf entries with them; the owners,
     # referenced, survive.
@@ -277,7 +303,7 @@ def test_leaf_entries_are_counted_evicted_and_collected():
     for top in store.top_states():
         top.ref = True
     assert any(target is not store.empty for target in _leaf_targets(store))
-    store.sweep_epoch([store.empty, machine.qt0], 0, -1, -1)
+    store.sweep_epoch([store.empty, machine.qt0], 0)
     assert _leaf_targets(store)
     assert all(target is store.empty for target in _leaf_targets(store))
     assert store.recount() == (store.table_entries, store.resident_bytes)
