@@ -62,7 +62,7 @@ from repro.xmlstream.parser import count_bytes, decode_entities, iterparse
 from repro.xpush.machine import XPushMachine
 from repro.xpush.options import XPushOptions
 
-TD = XPushOptions(top_down=True, precompute_values=False)
+TD = XPushOptions(top_down=True)
 
 #: Memo probes per event of a warm pass over the ``--quick`` stream:
 #: 9 231 / 13 842 fed leaves, 15 643 / 13 842 fed triples.  A warm

@@ -46,12 +46,8 @@ from repro.xpath.generator import GeneratorConfig, QueryGenerator
 from repro.xpush.machine import XPushMachine
 from repro.xpush.options import XPushOptions
 
-EVENT_TIME = XPushOptions(
-    top_down=True, early=True, precompute_values=False, retain_results=False
-)
-DOCUMENT_TIME = XPushOptions(
-    top_down=True, early=False, precompute_values=False, retain_results=False
-)
+EVENT_TIME = XPushOptions(top_down=True, early=True, retain_results=False)
+DOCUMENT_TIME = XPushOptions(top_down=True, early=False, retain_results=False)
 
 QUICK_DOCS, FULL_DOCS = 12, 48
 QUICK_QUERIES, FULL_QUERIES = 60, 150

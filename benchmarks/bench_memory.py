@@ -54,7 +54,7 @@ from repro.xmlstream.parser import count_bytes
 from repro.xpush.machine import XPushMachine
 from repro.xpush.options import XPushOptions
 
-TD = XPushOptions(top_down=True, precompute_values=False, retain_results=False)
+TD = XPushOptions(top_down=True, retain_results=False)
 
 #: CI smoke gate: clock eviction must not be slower than full flush.
 QUICK_GATE_SPEEDUP = 1.0

@@ -38,7 +38,7 @@ from repro.xmlstream.dom import parse_forest
 from repro.xpush.machine import XPushMachine
 from repro.xpush.options import XPushOptions
 
-TD = XPushOptions(top_down=True, precompute_values=False)
+TD = XPushOptions(top_down=True)
 
 
 def measure_serial(filters, documents, dtd):

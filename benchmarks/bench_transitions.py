@@ -57,7 +57,7 @@ from repro.xpush.machine import XPushMachine
 from repro.xpush.options import XPushOptions
 from tests import oracle
 
-TD = XPushOptions(top_down=True, precompute_values=False)
+TD = XPushOptions(top_down=True)
 
 #: The acceptance gate: cold-path bitmask throughput vs sets, largest size.
 QUICK_GATE_SPEEDUP = 2.0

@@ -61,7 +61,7 @@ from repro.xpush.layered import LayeredFilterEngine
 from repro.xpush.machine import XPushMachine
 from repro.xpush.options import XPushOptions
 
-TD = XPushOptions(top_down=True, precompute_values=False, retain_results=False)
+TD = XPushOptions(top_down=True, retain_results=False)
 
 #: CI smoke gate at QUICK_RESIDENT filters (the measured gap is two
 #: orders of magnitude; x5 keeps the gate robust on noisy runners).

@@ -33,7 +33,7 @@ def main() -> None:
     # Build the machine.  Options select the Sec. 5 optimisations; the
     # default here enables top-down pruning, the best general setting.
     machine = XPushMachine.from_xpath(
-        FILTERS, options=XPushOptions(top_down=True, precompute_values=False)
+        FILTERS, options=XPushOptions(top_down=True)
     )
 
     # One pass over the stream: one answer set per document.

@@ -43,7 +43,7 @@ def main() -> None:
 
     # --- the XPush machine: one pass, shared predicates --------------
     machine = XPushMachine(
-        workload, XPushOptions(top_down=True, precompute_values=False), dtd=dataset.dtd
+        workload, XPushOptions(top_down=True), dtd=dataset.dtd
     )
     start = time.perf_counter()
     xpush_answers = [machine.filter_document(doc) for doc in documents]

@@ -17,9 +17,9 @@ Quickstart::
     for matched in machine.filter_stream(xml_packets):
         print(matched)          # e.g. frozenset({'o1', 'o2'}) per document
 
-Every engine variant — serial, layered, sharded, the baselines —
-conforms to one :class:`~repro.engine.protocol.FilterEngine` protocol
-and is built from an :class:`~repro.engine.config.EngineConfig`::
+Both engines — the in-process XPush engine and the sharded service
+over it — conform to one :class:`~repro.engine.protocol.FilterEngine`
+protocol and are built from an :class:`~repro.engine.config.EngineConfig`::
 
     from repro import EngineConfig, create_engine
 
@@ -35,7 +35,7 @@ reproduction record.
 """
 
 from repro.broker import MessageBroker
-from repro.engine import EngineConfig, FilterEngine, create_engine, engine_names
+from repro.engine import ENGINES, EngineConfig, FilterEngine, create_engine
 from repro.serving import FilterServer, ServerThread, ServingClient
 from repro.service import ShardedFilterEngine
 from repro.xmlstream.dom import Document, Element, parse_document, parse_forest
@@ -53,6 +53,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "DTD",
+    "ENGINES",
     "Document",
     "Element",
     "EngineConfig",
@@ -68,7 +69,6 @@ __all__ = [
     "XPushMachine",
     "XPushOptions",
     "create_engine",
-    "engine_names",
     "evaluate_filter",
     "iterparse",
     "matching_oids",

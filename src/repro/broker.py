@@ -64,7 +64,7 @@ class MessageBroker:
     """
 
     def __init__(self, config: EngineConfig | None = None):
-        """*config* names the engine (any registered kind) and carries
+        """*config* names the engine (one of ``ENGINES``) and carries
         every knob of it; the default is the in-process layered engine."""
         self.config = config or EngineConfig()
         self._subscriptions: dict[str, Subscription] = {}

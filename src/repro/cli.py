@@ -191,14 +191,14 @@ def _kind(name: str) -> str:
 
 
 def _engine_kind_of(snapshot: dict) -> str:
-    """Which registered engine kind a snapshot file belongs to."""
+    """Which engine kind a snapshot file belongs to.  A
+    ``repro-engine-workload`` file is the layered engine's whatever
+    kind wrote it: that engine's ``restore`` reads the format."""
     fmt = snapshot.get("format", "")
-    if fmt == "repro-layered-engine":
+    if fmt in ("repro-layered-engine", "repro-engine-workload"):
         return "layered"
     if fmt == "repro-sharded-engine":
         return "sharded"
-    if fmt == "repro-engine-workload":
-        return _kind(str(snapshot.get("engine", "layered")))
     raise ReproError(f"unrecognised engine state format {fmt!r}")
 
 
@@ -262,13 +262,7 @@ def cmd_unsubscribe(args) -> int:
 
 def cmd_compact(args) -> int:
     with _updating_state(args.state) as engine:
-        compact = getattr(engine, "compact", None)
-        if compact is None:
-            raise ReproError(
-                f"{args.state}: engine {engine.stats()['engine']!r} "
-                "has no delta layer to compact"
-            )
-        compact()
+        engine.compact()
         count = engine.filter_count
     print(
         f"# compacted {args.state}: {count} filters in the base layer",

@@ -1,10 +1,9 @@
 """One engine surface for the whole library.
 
-Every filtering engine — the in-process XPush engine, the sharded
-multi-process service over it, the eager machine and the three
-related-work baselines — conforms to the
-:class:`~repro.engine.protocol.FilterEngine` protocol, is configured by
-one consolidated :class:`~repro.engine.config.EngineConfig`, and is
+Both filtering engines — the in-process XPush engine and the sharded
+multi-process service over it — conform to the
+:class:`~repro.engine.protocol.FilterEngine` protocol, are configured by
+one consolidated :class:`~repro.engine.config.EngineConfig`, and are
 constructed through :func:`~repro.engine.factory.create_engine`:
 
     from repro.engine import EngineConfig, create_engine
@@ -17,22 +16,24 @@ constructed through :func:`~repro.engine.factory.create_engine`:
     answers = engine.filter_stream(xml)    # one oid-set per document
     engine.close()
 
+The related-work baselines (:mod:`repro.baselines`) and the eager
+Sec. 3.2 machine (:mod:`repro.xpush.eager`) are no engines of this
+surface: the figures and the tests call them directly, as comparison
+fixtures and references.
+
 See ``docs/architecture.md`` for the full contract, including the
 dynamic-update control plane of the sharded service.
 """
 
-from repro.engine.config import BACKENDS, EngineConfig
-from repro.engine.factory import create_engine, engine_names, register_engine
+from repro.engine.config import BACKENDS, ENGINES, EngineConfig
+from repro.engine.factory import create_engine
 from repro.engine.protocol import FilterEngine, StreamSource
-from repro.engine.serial import BaselineEngine
 
 __all__ = [
     "BACKENDS",
-    "BaselineEngine",
+    "ENGINES",
     "EngineConfig",
     "FilterEngine",
     "StreamSource",
     "create_engine",
-    "engine_names",
-    "register_engine",
 ]

@@ -29,11 +29,17 @@ from repro.xpush.options import XPushOptions
 #: Parser backends of the push-mode event path (repro.xmlstream.parser).
 BACKENDS = ("python", "expat", "auto")
 
+#: Engine kinds :func:`repro.engine.create_engine` builds: the
+#: in-process XPush engine, under either of its two names, and the
+#: sharded service over it.
+ENGINES = ("layered", "xpush", "sharded")
+
 
 def _default_options() -> XPushOptions:
     """The library-wide default machine variant (TD, as the service
-    always defaulted to: top-down pruning, no value precomputation)."""
-    return XPushOptions(top_down=True, precompute_values=False)
+    always defaulted to: top-down pruning, and so no value
+    precomputation)."""
+    return XPushOptions(top_down=True)
 
 
 @dataclass(frozen=True)
@@ -41,10 +47,9 @@ class EngineConfig:
     """Consolidated configuration for any :class:`FilterEngine`.
 
     Attributes:
-        engine: registry name of the engine to build
-            (:func:`repro.engine.engine_names`): ``"layered"`` — the
-            in-process XPush engine, which ``"xpush"`` also names —
-            ``"sharded"``, ``"eager"``, or a baseline.
+        engine: the engine to build, one of :data:`ENGINES`:
+            ``"layered"`` — the in-process XPush engine, which
+            ``"xpush"`` also names — or ``"sharded"``.
         options: the machine-level :class:`XPushOptions` (Sec. 5
             optimisation flags, runtime representation, memory bound,
             ``retain_results``).  The engines return answers per
@@ -58,17 +63,14 @@ class EngineConfig:
             runs at the start of a filter call, never inside a
             document).
         shards: shard count for the sharded service (>= 1).
-        inner: engine kind the sharded service hosts per shard — any
-            registry name but ``"sharded"``.
+        inner: engine kind the sharded service hosts per shard —
+            ``"layered"`` or ``"xpush"``, the same engine.
         batch_size: documents per work item fanned out to the shards
             by ``filter_batch`` / ``filter_events``, whose documents the
             parent holds; a ``filter_stream`` call is one item whatever
             its size (its source is shipped whole).
-        queue_depth: max in-flight work items (backpressure bound).
         parallel: force worker processes on (True), off (False) or
             auto (None = processes when ``shards > 1``).
-        training_seed: seed of the training-document generator
-            (``options.train``), in every engine that trains.
         result_timeout: seconds of no shard progress before a batch is
             declared stuck — for ``filter_stream``, one call's whole
             filtering on a shard.
@@ -82,9 +84,7 @@ class EngineConfig:
     shards: int = 1
     inner: str = "layered"
     batch_size: int = 16
-    queue_depth: int = 4
     parallel: bool | None = None
-    training_seed: int = 0
     result_timeout: float = 60.0
 
     def __post_init__(self) -> None:
@@ -104,14 +104,16 @@ class EngineConfig:
             raise WorkloadError(f"shards must be >= 1, got {self.shards}")
         if self.batch_size < 1:
             raise WorkloadError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.queue_depth < 1:
-            raise WorkloadError(f"queue_depth must be >= 1, got {self.queue_depth}")
         if self.result_timeout <= 0:
             raise WorkloadError(
                 f"result_timeout must be > 0 seconds, got {self.result_timeout}"
             )
-        if self.engine == "sharded" and self.inner == "sharded":
-            raise WorkloadError("sharded engines cannot nest sharded inner engines")
+        if self.engine not in ENGINES:
+            raise WorkloadError(f"unknown engine {self.engine!r}; known: {list(ENGINES)}")
+        if self.inner not in ENGINES[:2]:  # the in-process engine's two names
+            raise WorkloadError(
+                f"unknown inner engine {self.inner!r}; known: {list(ENGINES[:2])}"
+            )
 
     def with_engine(self, engine: str, **overrides: Any) -> "EngineConfig":
         """A copy selecting a different engine kind (plus overrides) —

@@ -1,22 +1,20 @@
 """The :class:`FilterEngine` protocol — one surface for every engine.
 
-Every filtering engine in the library (the XPush engine with its
-Sec. 8 layers, the sharded multi-process service over it, the eager
-Sec. 3.2 machine and the three related-work baselines) answers
-the same question — *which subscriptions match this document?* — yet
-each grew its own ad-hoc surface.  This protocol names the shared
-contract once, so composites (:class:`repro.service.ShardedFilterEngine`,
-:class:`repro.broker.MessageBroker`) can wrap *any* engine and the
-per-engine knobs live in one :class:`repro.engine.config.EngineConfig`.
+Both filtering engines of the library (the XPush engine with its
+Sec. 8 layers and the sharded multi-process service over it) answer
+the same question — *which subscriptions match this document?*  This
+protocol names that contract once, so composites
+(:class:`repro.service.ShardedFilterEngine`,
+:class:`repro.broker.MessageBroker`) wrap either engine and the knobs
+live in one :class:`repro.engine.config.EngineConfig`.
 
 The contract, in paper terms:
 
 - **workload updates are first-class** (Sec. 8): ``subscribe`` /
-  ``unsubscribe`` change the live workload.  How cheap that is differs
-  per engine — layered insertion touches only a small delta machine,
-  the baselines fall back to the brute-force rebuild ("flushing an
-  entire cache") — but the *semantics* are identical: after the
-  call returns, filtering reflects the new workload;
+  ``unsubscribe`` change the live workload.  An insertion touches
+  only a small delta machine, never the brute-force rebuild
+  ("flushing an entire cache"); after the call returns, filtering
+  reflects the new workload;
 - **filtering** over the three source granularities the library
   supports: an in-memory :class:`~repro.xmlstream.dom.Document`, a
   stream of SAX :class:`~repro.xmlstream.events.Event` values, or raw
@@ -54,9 +52,7 @@ StreamSource = Union[str, bytes, IO[str], IO[bytes]]
 #: ``doc_index`` is the 0-based document position *within the current
 #: filter call*; ``event_index`` is the SAX event position within that
 #: document at which the match was decided (``startDocument`` is event
-#: 0), or ``-1`` when the engine has no event-time information (the
-#: document-granularity rebuild engines).  Each oid is delivered at
-#: most once per document, emissions are monotone in event order, and
+#: 0).  Each oid is delivered at most once per document, emissions are monotone in event order, and
 #: the union over a document equals its ``filter_*`` answer set.
 MatchHook = Callable[[str, int, int], None]
 
@@ -65,12 +61,10 @@ MatchHook = Callable[[str, int, int], None]
 class FilterEngine(Protocol):
     """A filtering engine over a mutable workload of XPath filters."""
 
-    #: Optional event-time match sink (see :data:`MatchHook`).  Engines
-    #: with a streaming evaluator (layered, sharded) fire it at
+    #: Optional event-time match sink (see :data:`MatchHook`), fired at
     #: the deciding event — under ``XPushOptions.early`` that is the
     #: earliest event the paper's Sec. 5 notification resolves; without
-    #: early it is the document end.  Document-granularity engines fire
-    #: at document completion with ``event_index=-1``.
+    #: early it is the document end.
     on_match: Optional[MatchHook]
 
     # -- workload control plane ----------------------------------------
@@ -121,11 +115,11 @@ class FilterEngine(Protocol):
 
     def stats(self) -> dict[str, Any]:
         """Engine counters.  Every engine reports the common keys:
-        ``engine`` (its registry name), ``filters`` (the live filter
+        ``engine`` (its kind), ``filters`` (the live filter
         count), ``runtime``, ``backend``, the machine counters of
         :data:`repro.xpush.stats.MACHINE_KEYS` and their ``hit_ratio``
-        — summed over layers or shards by :func:`repro.xpush.stats.merged`,
-        zero on an engine without an XPush machine.  Load gauges (live
+        — summed over layers or shards by :func:`repro.xpush.stats.merged`.
+        Load gauges (live
         filters per shard, hottest shard over mean) are the sharded
         engine's alone: no other engine has shards."""
         ...

@@ -37,7 +37,7 @@ as one work item, to every shard: each shard's parse is the source's
 only parse, its well-formedness check and its document count (the first
 complete reply fixes the count; every other shard must agree).
 ``filter_batch`` submits ``document_to_xml`` texts cut into
-``batch_size`` items; ``queue_depth`` caps the items in flight.  Every
+``batch_size`` items; :data:`QUEUE_DEPTH` caps the items in flight.  Every
 shard answers in :func:`~repro.service.worker.run_batch`'s messages and
 ``_fold`` alone reads them: match dedupe, epoch tags and a failed item
 work alike for both.  A shard that refuses an item reports its error's
@@ -66,7 +66,6 @@ from typing import IO, Any, Iterable, Mapping, Sequence, Union, cast
 
 from repro import errors
 from repro.engine.config import EngineConfig
-from repro.engine.factory import engine_names
 from repro.engine.protocol import MatchHook
 from repro.errors import ReproError, WorkloadError
 from repro.service.latency import LatencyTracker
@@ -92,6 +91,11 @@ WorkItem = tuple[list[DocumentText], Union[int, None]]
 SNAPSHOT_FORMAT = "repro-sharded-engine"
 SNAPSHOT_VERSION = 3
 
+#: Work items in flight per call, and (plus slack) each worker's task
+#: queue bound: the backpressure that keeps a long ``filter_batch``
+#: from buffering every document ahead of the shards.
+QUEUE_DEPTH = 4
+
 
 def shard_of_oid(oid: str, shards: int) -> int:
     """The shard that owns *oid*: CRC-32 of its UTF-8 bytes — identical
@@ -114,6 +118,11 @@ def imbalance(loads: Sequence[float]) -> float:
 #: deduplicated workload compiles each distinct filter once per process.
 _COMPILES: set[str] = set()
 
+#: Bound of :data:`_COMPILES`: past it the set is cleared, so a
+#: long-lived parent under churn does not remember every filter it ever
+#: saw (a miss is one single-filter AFA build, ~0.1 ms).
+_COMPILES_LIMIT = 16_384
+
 
 def _check_compiles(xpath_filter: XPathFilter) -> None:
     """Raise what the AFA build raises on *xpath_filter* (a filter too
@@ -124,6 +133,8 @@ def _check_compiles(xpath_filter: XPathFilter) -> None:
         from repro.afa.build import build_workload_automata
 
         build_workload_automata([xpath_filter])
+        if len(_COMPILES) >= _COMPILES_LIMIT:
+            _COMPILES.clear()
         _COMPILES.add(key)
 
 
@@ -160,15 +171,6 @@ def _shippable(config: EngineConfig) -> EngineConfig:
         return config
     options = replace(config.options, order=False, train=False)
     return replace(config, dtd=None, options=options)
-
-
-def _known_inner(inner: str) -> str:
-    """*inner* if the registry has it — asked before any shard exists,
-    or a worker process is where the name is first looked up and the
-    refusal comes back as a failed batch."""
-    if inner not in engine_names():
-        raise WorkloadError(f"unknown inner engine {inner!r}; known: {engine_names()}")
-    return inner
 
 
 def _shard_error(shard_id: int, batch_id: int | None, name: str, text: str) -> ReproError:
@@ -237,7 +239,7 @@ class ShardedFilterEngine:
         self.config = config
         # Workload-level facts a restore may change.
         self.shards = config.shards
-        self.inner = _known_inner(config.inner)
+        self.inner = config.inner
 
         if filters and not isinstance(next(iter(filters)), XPathFilter):
             filters = parse_workload(filters)  # type: ignore[arg-type]
@@ -318,7 +320,7 @@ class ShardedFilterEngine:
             shard_id,
             partial(self._boot_payload, shard_id, _shippable(config)),
             self._ctx,
-            self.config.queue_depth,
+            QUEUE_DEPTH,
             self.config.result_timeout,
             epoch=self._epoch,
         )
@@ -415,7 +417,7 @@ class ShardedFilterEngine:
         offset = 0  # an item of unknown size is a call's only item
         try:
             for texts, size in items:
-                while len(outstanding) >= self.config.queue_depth:
+                while len(outstanding) >= QUEUE_DEPTH:
                     self._fold(self._receive(outstanding), outstanding)
                 self._batch_counter += 1
                 batch_id = self._batch_counter
@@ -620,7 +622,7 @@ class ShardedFilterEngine:
         :class:`~repro.errors.XMLSyntaxError`, word for word; the
         documents ahead of the fault were filtered and may already have
         fired ``on_match``, as on the layered engine.  ``batch_size``
-        and ``queue_depth`` do not cut a call; ``result_timeout``
+        and :data:`QUEUE_DEPTH` do not cut a call; ``result_timeout``
         bounds its filtering on a shard."""
         if not isinstance(source, (str, bytes)):
             source = source.read()
@@ -686,7 +688,8 @@ class ShardedFilterEngine:
         shards = int(snapshot.get("shards", 0))
         if shards < 1:
             raise PersistError("malformed sharded snapshot: shards")
-        inner = _known_inner(str(snapshot.get("inner", self.inner)))
+        # Refused as EngineConfig refuses it, before any shard exists.
+        inner = replace(self.config, inner=str(snapshot.get("inner", self.inner))).inner
         epoch = int(snapshot.get("epoch", 0))
         for oid, source in sources.items():
             _check_compiles(parse_xpath(source, oid))

@@ -132,11 +132,7 @@ def worker_main(shard_id: int, payload: dict, tasks, results) -> None:
 def apply_control(engine: Any, op: str, *args: str) -> None:
     """Apply one workload update — ``subscribe``, ``unsubscribe`` or
     ``compact`` — to *engine*; a worker and a local shard alike."""
-    if op == "compact":
-        compact = getattr(engine, "compact", None)  # baselines have none
-        if compact is not None:
-            compact()
-    elif op in ("subscribe", "unsubscribe"):
+    if op in ("subscribe", "unsubscribe", "compact"):
         getattr(engine, op)(*args)
     else:
         raise ValueError(f"unknown control op {op!r}")

@@ -52,8 +52,8 @@ a call is in flight (the serving tier and the shard workers already
 serialise updates and filter calls).
 
 The engine conforms to the :class:`repro.engine.protocol.FilterEngine`
-protocol and is registered under ``"layered"`` and, for the harness
-that still names it, ``"xpush"``: ``subscribe``/``unsubscribe`` alias
+protocol and is built by :func:`repro.engine.create_engine` for
+``"layered"`` and, for the harness that still names it, ``"xpush"``: ``subscribe``/``unsubscribe`` alias
 ``insert``/``remove``, ``filter_stream`` is the zero-allocation
 push-mode event path, and ``snapshot()``/``restore()`` capture the live
 definitions of base and delta plus the tombstones as XPath sources —
@@ -96,8 +96,8 @@ StreamSource = Union[str, bytes, IO[str], IO[bytes]]
 SNAPSHOT_FORMAT = "repro-layered-engine"
 SNAPSHOT_VERSION = 2
 
-#: What the serial ``xpush`` engine wrote before it became this one (and
-#: the baseline engines still write): live filters by source, no layers.
+#: What the serial ``xpush`` engine and the rebuild-on-change engines
+#: wrote before this one replaced them: live filters by source, no layers.
 SOURCES_FORMAT = "repro-engine-workload"
 
 
@@ -192,12 +192,9 @@ class LayeredFilterEngine:
         dtd: DTD | None = None,
         compact_threshold: int = 64,
         backend: str = "auto",
-        training_seed: int = 0,
     ):
         self.options = options or XPushOptions()
         self.dtd = dtd
-        #: Seed of the warm-up document generator (``options.train``).
-        self.training_seed = training_seed
         self.backend = backend
         #: A delta's life, in insertions or in documents answered since
         #: the last insertion, whichever it reaches first.
@@ -367,7 +364,6 @@ class LayeredFilterEngine:
             workload,
             replace(self.options, retain_results=False),
             dtd=self.dtd,
-            training_seed=self.training_seed,
         )
 
     # ------------------------------------------------------------------

@@ -150,12 +150,10 @@ class XPushMachine:
         workload: WorkloadAutomata,
         options: XPushOptions | None = None,
         dtd: DTD | None = None,
-        training_seed: int = 0,
     ):
         self.workload = workload
         self.options = options or XPushOptions()
         self.dtd = dtd
-        self.training_seed = training_seed  # kept so clone() trains alike
         # Hot-path copy: end_element keys its memo per (label, qt,
         # parent qt) under early notification, per label otherwise.
         self._early_keys = self.options.early
@@ -222,7 +220,7 @@ class XPushMachine:
         self._counted = 0
 
         if self.options.train:
-            self.warm_up(seed=training_seed)
+            self.warm_up()
 
     def _bind_workload(self) -> CompiledMasks:
         """(Re)derive what the machine reads off its workload — the
@@ -275,7 +273,7 @@ class XPushMachine:
         self.qt0 = self.store.intern_top(self._qt0_enabled)
         # Sec. 4, "State Precomputation": in the bottom-up machine the
         # atomic predicate index and the t_value states are precomputed.
-        if self.options.precompute_values and not self.options.top_down:
+        if not self.options.top_down:
             self.index.precompute()
             self._seed_value_table()
         self._qt: XPushTopState = self.qt0
@@ -298,7 +296,7 @@ class XPushMachine:
         """A fresh machine over the same (shared, immutable) workload
         automata with empty tables — e.g. one per worker thread, since
         a machine instance itself is not thread-safe."""
-        return XPushMachine(self.workload, self.options, self.dtd, self.training_seed)
+        return XPushMachine(self.workload, self.options, self.dtd)
 
     @classmethod
     def from_filters(
@@ -306,9 +304,8 @@ class XPushMachine:
         filters: list[XPathFilter],
         options: XPushOptions | None = None,
         dtd: DTD | None = None,
-        training_seed: int = 0,
     ) -> "XPushMachine":
-        return cls(build_workload_automata(filters), options, dtd, training_seed)
+        return cls(build_workload_automata(filters), options, dtd)
 
     @classmethod
     def from_xpath(
@@ -316,10 +313,9 @@ class XPushMachine:
         sources: dict[str, str] | list[str],
         options: XPushOptions | None = None,
         dtd: DTD | None = None,
-        training_seed: int = 0,
     ) -> "XPushMachine":
         """Build a machine straight from XPath source strings."""
-        return cls.from_filters(parse_workload(sources), options, dtd, training_seed)
+        return cls.from_filters(parse_workload(sources), options, dtd)
 
     # ------------------------------------------------------------------
     # Growth (Sec. 8) and release
@@ -905,11 +901,11 @@ class XPushMachine:
         path: "equivalent to flushing an entire cache").  The atomic
         predicate index survives — it is workload-derived, not
         data-derived — and precomputed ``t_value`` states are re-seeded
-        from it when the machine was built with precomputation."""
+        from it in a bottom-up machine (Sec. 4)."""
         self._drop_predecessor()
         self.store.reset()
         self.qt0 = self.store.intern_top(self._qt0_enabled)
-        if self.options.precompute_values and not self.options.top_down:
+        if not self.options.top_down:
             self._seed_value_table()
         self._qt = self.qt0
         self._qb = self.store.empty
@@ -983,7 +979,7 @@ class XPushMachine:
                 break
         # The precomputed t_value seeds are part of the permanent
         # working set (Sec. 4): restore any the sweep took.
-        if self.options.precompute_values and not self.options.top_down:
+        if not self.options.top_down:
             self._seed_value_table()
 
     # ------------------------------------------------------------------

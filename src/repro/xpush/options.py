@@ -29,7 +29,11 @@ class XPushOptions:
     Attributes:
         top_down: top-down pruning — the machine tracks the set of
             *enabled* AFA states per node and starts bottom-up
-            computation only at enabled branches.
+            computation only at enabled branches.  It also decides
+            Sec. 4's "State Precomputation": a bottom-up machine
+            eagerly materialises the atomic predicate index answers /
+            ``t_value`` states, a top-down one cannot (the Sec. 7
+            discussion of the TD-only series).
         order: order optimisation — ``t_badd`` drops a state whose
             DTD-mandated preceding siblings have not matched.
         early: early notification — report a filter as soon as its
@@ -37,12 +41,6 @@ class XPushOptions:
             states from subsequent XPush states.
         train: run the machine over workload-derived training documents
             before real data (Sec. 5, "Training the XPush Machine").
-        precompute_values: eagerly materialise the atomic predicate
-            index answers / ``t_value`` states (Sec. 4, "State
-            Precomputation").  The paper precomputes these in the basic
-            machine but cannot when top-down pruning is on (the Sec. 7
-            discussion of the TD-only series); we follow that rule at
-            machine construction.
         runtime: the transition kernel (:mod:`repro.xpush.kernels`)
             that computes a memo miss; state sets are int masks in
             every runtime.  ``"bitmask"`` (default) uses the compiled
@@ -91,13 +89,12 @@ class XPushOptions:
     order: bool = False
     early: bool = False
     train: bool = False
-    precompute_values: bool = True
     runtime: str = "bitmask"
     codegen_max_handlers: int = 4096
     max_memory_bytes: int | None = None
     retain_results: bool = True
 
-    def __post_init__(self):
+    def __post_init__(self) -> None:
         if self.early and not self.top_down:
             raise OptionsError("early notification requires top-down pruning (Sec. 5)")
         if self.runtime not in RUNTIMES:
@@ -127,14 +124,12 @@ class XPushOptions:
 #: The named machine variants used as series in the paper's figures.
 VARIANTS: dict[str, XPushOptions] = {
     "basic": XPushOptions(),
-    "TD": XPushOptions(top_down=True, precompute_values=False),
+    "TD": XPushOptions(top_down=True),
     "order": XPushOptions(order=True),
-    "TD-order": XPushOptions(top_down=True, order=True, precompute_values=False),
-    "TD-train": XPushOptions(top_down=True, train=True, precompute_values=False),
-    "TD-order-train": XPushOptions(top_down=True, order=True, train=True, precompute_values=False),
-    "TD-order-early-train": XPushOptions(
-        top_down=True, order=True, early=True, train=True, precompute_values=False
-    ),
+    "TD-order": XPushOptions(top_down=True, order=True),
+    "TD-train": XPushOptions(top_down=True, train=True),
+    "TD-order-train": XPushOptions(top_down=True, order=True, train=True),
+    "TD-order-early-train": XPushOptions(top_down=True, order=True, early=True, train=True),
 }
 
 

@@ -47,7 +47,7 @@ def test_machine_states_dot_with_early_pop_keys(running_filters, running_documen
 
     machine = XPushMachine.from_filters(
         running_filters,
-        options=XPushOptions(top_down=True, early=True, precompute_values=False),
+        options=XPushOptions(top_down=True, early=True),
     )
     machine.filter_document(running_document)
     dot = machine_states_to_dot(machine)

@@ -47,7 +47,7 @@ def test_differential_on_auction_data(auction, auction_docs):
     workload = build_workload_automata(filters)
     for options in (
         XPushOptions(),
-        XPushOptions(top_down=True, order=True, early=True, train=True, precompute_values=False),
+        XPushOptions(top_down=True, order=True, early=True, train=True),
     ):
         machine = XPushMachine(workload, options, dtd=auction.dtd)
         for doc in auction_docs:
@@ -61,7 +61,7 @@ def test_deep_recursion_descendant_queries(auction):
             "deep": "//description//text",
             "nest": "//parlist//parlist",
         },
-        options=XPushOptions(top_down=True, early=True, precompute_values=False),
+        options=XPushOptions(top_down=True, early=True),
     )
     hits = {"deep": 0, "nest": 0}
     for doc in auction.documents(20):

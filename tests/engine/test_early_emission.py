@@ -3,7 +3,7 @@
 Every engine exposes an ``on_match`` hook that fires ``(oid,
 doc_index, event_index)`` the moment a filter is decided.  The wall
 pins the contract down across kernels (the oracle, id ``sets``;
-bitmask; codegen) and engines (serial xpush / layered / sharded, serial
+bitmask; codegen) and engines (xpush / layered / sharded, serial
 and parallel): the emitted oid set per document must equal the
 end-of-document answer set exactly, no oid may be emitted twice for one
 document, and — for the single-machine engines — emissions arrive in
@@ -17,7 +17,7 @@ from contextlib import closing
 
 import pytest
 
-from repro.engine import EngineConfig, create_engine
+from repro.engine import ENGINES, EngineConfig, create_engine
 from repro.xmlstream.dom import documents_of_events, parse_document
 from repro.xmlstream.events import EndDocument, EndElement, StartElement, events_of_document
 from repro.xmlstream.writer import document_to_xml
@@ -45,12 +45,10 @@ DOCS = [
 
 RUNTIMES = ("sets", "bitmask", "codegen")
 
-#: Engines with a real event-time path (baselines are document-granular).
-EVENT_TIME_ENGINES = ("xpush", "layered", "sharded")
 
 
 def _early_options(runtime: str = "sets", **kwargs) -> XPushOptions:
-    options = XPushOptions(top_down=True, early=True, precompute_values=False, **kwargs)
+    options = XPushOptions(top_down=True, early=True, **kwargs)
     return oracle.options_for(options, runtime)
 
 
@@ -99,7 +97,7 @@ def _expected(workload, xml_docs):
 
 
 @pytest.mark.parametrize("runtime", RUNTIMES)
-@pytest.mark.parametrize("kind", EVENT_TIME_ENGINES)
+@pytest.mark.parametrize("kind", ENGINES)
 def test_emissions_equal_answers(kind, runtime):
     config = _config(kind, _early_options(runtime))
     with oracle.under(runtime), closing(create_engine(config, WORKLOAD)) as engine:
@@ -138,12 +136,12 @@ def test_emissions_on_a_generated_workload(runtime, protein, protein_docs):
     assert_emissions_cover(answers, emissions, event_ordered=True)
 
 
-@pytest.mark.parametrize("kind", EVENT_TIME_ENGINES)
+@pytest.mark.parametrize("kind", ENGINES)
 def test_hook_covers_answers_without_early_option(kind):
     """With ``early=False`` nothing is decided before end-of-document,
     but the hook still fires there — the hook is usable regardless of
     the machine option, it just fires later."""
-    options = XPushOptions(top_down=True, precompute_values=False)
+    options = XPushOptions(top_down=True)
     engine = create_engine(_config(kind, options), WORKLOAD)
     try:
         answers, emissions = collect(engine, "".join(DOCS))
@@ -151,20 +149,6 @@ def test_hook_covers_answers_without_early_option(kind):
         engine.close()
     assert answers == _expected(WORKLOAD, DOCS)
     assert_emissions_cover(answers, emissions, event_ordered=(kind != "sharded"))
-
-
-@pytest.mark.parametrize("kind", ["naive", "eager"])
-def test_rebuild_engines_emit_at_document_granularity(kind):
-    """Baseline engines re-evaluate whole documents: they honour the
-    hook contract with the ``-1`` no-event-time sentinel."""
-    engine = create_engine(EngineConfig(engine=kind), WORKLOAD)
-    try:
-        answers, emissions = collect(engine, "".join(DOCS))
-    finally:
-        engine.close()
-    assert answers == _expected(WORKLOAD, DOCS)
-    assert all(ev == -1 for _, _, ev in emissions)
-    assert_emissions_cover(answers, emissions, event_ordered=False)
 
 
 def test_layered_updates_respect_emission_routing():

@@ -1,6 +1,6 @@
 """Conformance wall for the unified engine surface.
 
-Every kind in the registry must structurally satisfy
+Every kind in :data:`repro.engine.ENGINES` must structurally satisfy
 :class:`repro.engine.FilterEngine` *and* behave identically on the
 protocol's contract: same answers for the same workload, updates
 visible on the next filter call, snapshot → restore round-trips to an
@@ -11,14 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import (
-    BACKENDS,
-    EngineConfig,
-    FilterEngine,
-    create_engine,
-    engine_names,
-    register_engine,
-)
+from repro.engine import BACKENDS, ENGINES, EngineConfig, FilterEngine, create_engine
 from repro.errors import ReproError, WorkloadError, XPathSyntaxError
 from repro.xmlstream.dom import parse_document
 from repro.xmlstream.events import events_of_document
@@ -34,12 +27,9 @@ WORKLOAD = {
 
 DOCS = ["<a><b>1</b></a>", "<c/>", "<a><d/></a>", "<a><b>2</b></a>"]
 
-#: Engine kinds exercised in-process (sharded runs serial here; its
-#: worker-process behaviour has its own suite in tests/service/).
-ALL_KINDS = engine_names()
-
-
 def _config(kind: str) -> EngineConfig:
+    # Sharded runs in-process here; its worker-process behaviour has
+    # its own suite in tests/service/.
     if kind == "sharded":
         return EngineConfig(engine="sharded", shards=2, parallel=False)
     return EngineConfig(engine=kind)
@@ -50,7 +40,7 @@ def _expected(workload: dict[str, str], xml: str) -> frozenset[str]:
     return matching_oids(filters, parse_document(xml))
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("kind", ENGINES)
 def test_every_registered_engine_satisfies_the_protocol(kind):
     engine = create_engine(_config(kind), WORKLOAD)
     try:
@@ -60,7 +50,7 @@ def test_every_registered_engine_satisfies_the_protocol(kind):
         engine.close()
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("kind", ENGINES)
 def test_filter_entry_points_agree(kind):
     """filter_document, filter_events and filter_stream are three
     spellings of the same evaluation."""
@@ -77,7 +67,7 @@ def test_filter_entry_points_agree(kind):
         engine.close()
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("kind", ENGINES)
 def test_updates_are_visible_and_validated(kind):
     engine = create_engine(_config(kind), WORKLOAD)
     try:
@@ -98,7 +88,7 @@ def test_updates_are_visible_and_validated(kind):
         engine.close()
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("kind", ENGINES)
 def test_snapshot_restore_round_trip(kind):
     """A restored engine answers exactly like the one captured — with
     updates applied after restore still working."""
@@ -122,10 +112,6 @@ def test_snapshot_restore_round_trip(kind):
     finally:
         restored.close()
 
-
-#: The names of the XPush-based engines ("xpush" and "layered" name one
-#: engine class).
-XPUSH_KINDS = ("xpush", "layered", "sharded")
 
 #: Snapshots as older trees wrote them: "xpush" is the sources format
 #: of the serial engine that name once built, the others are today's
@@ -160,7 +146,7 @@ LEGACY_SNAPSHOTS = {
 }
 LEGACY_LIVE = LEGACY_SNAPSHOTS["xpush"]["filters"]
 
-#: ``(file format, registry name restoring it)``: each format under its
+#: ``(file format, engine kind restoring it)``: each format under its
 #: own name, and the two in-process formats under each other's.
 FILE_UNDER_NAME = [
     pytest.param("xpush", "xpush", id="xpush"),
@@ -269,7 +255,7 @@ TOO_DEEP = {
 
 
 @pytest.mark.parametrize("shape", TOO_DEEP)
-@pytest.mark.parametrize("kind", XPUSH_KINDS)
+@pytest.mark.parametrize("kind", ENGINES)
 def test_a_filter_too_deep_to_compile_is_refused_typed_and_changes_nothing(kind, shape):
     """Refused at ``subscribe`` with a :class:`ReproError`, and the
     engine answers and updates as if never asked."""
@@ -291,7 +277,7 @@ def test_a_filter_too_deep_to_compile_is_refused_typed_and_changes_nothing(kind,
         engine.close()
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("kind", ENGINES)
 def test_stats_names_the_engine(kind):
     engine = create_engine(_config(kind), WORKLOAD)
     try:
@@ -335,47 +321,48 @@ def test_sharded_engine_refuses_an_unregistered_inner_at_construction(parallel, 
     """Regression: with worker processes the name was first looked up
     in a worker, so construction succeeded and the first filter call
     failed as ``ServiceError: ... worker init failed``.  It is refused
-    typed, naming the registry, before multiprocessing is touched."""
+    typed, naming the known kinds, when the config is built."""
 
     def no_workers():
         raise AssertionError("refuse the inner engine before spawning anything")
 
     monkeypatch.setattr("repro.service.engine._mp_context", no_workers)
-    config = EngineConfig(engine="sharded", shards=2, inner="bogus", parallel=parallel)
     with pytest.raises(WorkloadError, match=r"unknown inner engine 'bogus'.*'layered'"):
+        config = EngineConfig(engine="sharded", shards=2, inner="bogus", parallel=parallel)
         create_engine(config, WORKLOAD)
 
 
 def test_sharded_restore_refuses_an_unregistered_inner_and_changes_nothing():
     engine = create_engine(_config("sharded"), {"z": "//z"})
     try:
-        with pytest.raises(WorkloadError, match="unknown inner engine 'bogus'"):
-            engine.restore({**LEGACY_SNAPSHOTS["sharded"], "inner": "bogus"})
-        assert engine.filter_stream("<z/>") == [frozenset({"z"})]
-        assert engine.stats()["inner"] == "layered"
+        # "naive" was an engine kind once; a capture naming it is refused too.
+        for inner in ("bogus", "naive"):
+            with pytest.raises(WorkloadError, match=f"unknown inner engine '{inner}'"):
+                engine.restore({**LEGACY_SNAPSHOTS["sharded"], "inner": inner})
+            assert engine.filter_stream("<z/>") == [frozenset({"z"})]
+            assert engine.stats()["inner"] == "layered"
+            assert engine.filter_count == 1
     finally:
         engine.close()
 
 
-def test_register_engine_is_open():
-    calls = []
+@pytest.mark.parametrize(
+    "fields",
+    [{"engine": "naive"}, {"engine": "sharded", "inner": "naive"}],
+    ids=["engine", "inner"],
+)
+def test_removed_engine_kinds_are_refused_by_the_config(fields, monkeypatch):
+    """The baselines and the eager machine are no engine kinds: a
+    config naming one is refused where it is written, before any
+    engine exists."""
 
-    def builder(filters, config):
-        calls.append(len(filters))
-        return create_engine(EngineConfig(engine="xpush"), filters)
+    def no_engine(*args, **kwargs):
+        raise AssertionError("refuse the kind before building anything")
 
-    register_engine("custom-test", builder)
-    try:
-        engine = create_engine(
-            EngineConfig().with_engine("custom-test"), {"q0": "//a"}
-        )
-        assert engine.filter_stream("<a/>") == [frozenset({"q0"})]
-        assert calls == [1]
-        assert "custom-test" in engine_names()
-    finally:
-        from repro.engine.factory import _REGISTRY
-
-        _REGISTRY.pop("custom-test", None)
+    monkeypatch.setattr("repro.engine.factory.LayeredFilterEngine", no_engine)
+    monkeypatch.setattr("repro.service.engine.ShardedFilterEngine", no_engine)
+    with pytest.raises(WorkloadError, match="'naive'"):
+        create_engine(EngineConfig(**fields), WORKLOAD)
 
 
 def test_config_validation():
@@ -385,8 +372,6 @@ def test_config_validation():
         EngineConfig(shards=0)
     with pytest.raises(WorkloadError):
         EngineConfig(batch_size=0)
-    with pytest.raises(WorkloadError):
-        EngineConfig(queue_depth=0)
     with pytest.raises(WorkloadError):
         EngineConfig(compact_threshold=0)
     with pytest.raises(WorkloadError):
@@ -424,16 +409,15 @@ def test_stream_sources_accept_file_objects(tmp_path):
 
 
 def test_realistic_workload_matches_reference(protein, protein_docs):
-    """On realistic data every in-process engine kind agrees with the
-    semantic reference, document by document."""
+    """On realistic data the in-process engine, under both its names,
+    agrees with the semantic reference, document by document (the
+    baselines' agreement is tests/baselines/test_baselines.py's)."""
     from tests.conftest import make_workload
 
-    # "eager" is left out: its exponential construction exceeds the
-    # state budget on realistic workloads (the paper's Sec. 4 point).
     filters = make_workload(protein, 12, seed=13)
     docs = protein_docs[:6]
     expected = [matching_oids(filters, doc) for doc in docs]
-    for kind in ("xpush", "layered", "naive", "xfilter", "yfilter"):
+    for kind in ("xpush", "layered"):
         engine = create_engine(EngineConfig(engine=kind), filters)
         try:
             assert [engine.filter_document(d) for d in docs] == expected, kind

@@ -98,8 +98,8 @@ SEED_FILTERS = {
 
 VARIANTS = {
     "default": XPushOptions(),
-    "top_down": XPushOptions(top_down=True, precompute_values=False),
-    "top_down+early": XPushOptions(top_down=True, early=True, precompute_values=False),
+    "top_down": XPushOptions(top_down=True),
+    "top_down+early": XPushOptions(top_down=True, early=True),
     "order": XPushOptions(order=True),
 }
 RUNTIMES = ("bitmask", "sets")

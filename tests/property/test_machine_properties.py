@@ -124,7 +124,7 @@ def test_machine_equals_reference(workload, docs):
 def test_top_down_early_equals_reference(workload, docs):
     machine = XPushMachine(
         build_workload_automata(workload),
-        XPushOptions(top_down=True, early=True, precompute_values=False),
+        XPushOptions(top_down=True, early=True),
     )
     for doc in docs:
         if doc.has_mixed_content():

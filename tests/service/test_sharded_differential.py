@@ -19,7 +19,7 @@ from repro.xpush.machine import XPushMachine
 from repro.xpush.options import XPushOptions
 from tests.conftest import make_workload
 
-TD = XPushOptions(top_down=True, precompute_values=False)
+TD = XPushOptions(top_down=True)
 
 
 @pytest.fixture(scope="module")

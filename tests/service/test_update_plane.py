@@ -26,6 +26,7 @@ from hypothesis.stateful import (
 from hypothesis import strategies as st
 
 from repro.engine import EngineConfig, create_engine
+from repro.errors import WorkloadError, XPathSyntaxError
 from repro.service import ShardedFilterEngine
 from repro.service import engine as sharded_module
 from repro.service.engine import shard_of_oid
@@ -36,7 +37,7 @@ from repro.xpush.layered import LayeredFilterEngine
 from repro.xpush.options import XPushOptions
 from tests.conftest import make_workload
 
-TD = XPushOptions(top_down=True, precompute_values=False)
+TD = XPushOptions(top_down=True)
 
 FILTER_POOL = [
     "//a",
@@ -424,6 +425,29 @@ def test_the_parent_compiles_each_filter_structure_once(monkeypatch):
     for oid, source in [("x0", "/a/b[c = 1]"), ("x1", "/a/b[c = 1]"), ("x2", "//d")]:
         sharded_module._check_compiles(parse_xpath(source, oid))
     assert compiled == ["x0", "x2"]
+
+
+def test_the_parent_compile_cache_stays_bounded_under_churn(monkeypatch):
+    """Subscribe / unsubscribe churn of distinct filters keeps the
+    parent's compile cache within its bound (it only grew before), and
+    a clear forgets only filters that compiled: one too deep to compile
+    is still refused."""
+    limit = 8
+    monkeypatch.setattr(sharded_module, "_COMPILES", set())
+    monkeypatch.setattr(sharded_module, "_COMPILES_LIMIT", limit, raising=False)
+    engine = ShardedFilterEngine([], 2, options=TD, parallel=False)
+    try:
+        for i in range(5 * limit):
+            engine.subscribe(f"c{i}", f"//a[b = {i}]")
+            engine.unsubscribe(f"c{i}")
+            assert len(sharded_module._COMPILES) <= limit
+        with pytest.raises((XPathSyntaxError, WorkloadError), match="too deep"):
+            engine.subscribe("deep", "/a" + "/b" * 3000)
+        assert engine.filter_count == 0
+        engine.subscribe("c0", "//a[b = 0]")
+        assert engine.filter_stream("<a><b>0</b></a>") == [frozenset({"c0"})]
+    finally:
+        engine.close()
 
 
 class UpdatePlaneMachine(RuleBasedStateMachine):

@@ -27,7 +27,7 @@ BIG_DOC = "<r><a><b>1</b></a>" + "<x/>" * TRAILER_ELEMENTS + "</r>"
 
 EARLY_CONFIG = EngineConfig(
     engine="xpush",
-    options=XPushOptions(top_down=True, early=True, precompute_values=False),
+    options=XPushOptions(top_down=True, early=True),
 )
 
 

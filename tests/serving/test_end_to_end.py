@@ -173,7 +173,7 @@ def test_a_workload_loaded_by_subscribes_idles_to_one_layer(serve, early):
     sources = {**FILTER_POOL, "q8": "/r"}
     config = EngineConfig(
         compact_threshold=threshold,
-        options=XPushOptions(top_down=True, early=early, precompute_values=False),
+        options=XPushOptions(top_down=True, early=early),
     )
     direct = create_engine(config, sources)
     handle = serve(config, early=early)

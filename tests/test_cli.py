@@ -381,6 +381,23 @@ def test_state_files_load_under_either_name_of_the_xpush_engine(
     assert "'layered' engine, not 'sharded'" in capsys.readouterr().err
 
 
+def test_a_baseline_sources_file_loads_as_the_layered_engine(tmp_path, stream_file, capsys):
+    """The rebuild-on-change engines wrote their workload in the
+    ``repro-engine-workload`` format under their own name; the file
+    loads as the layered engine, whose ``restore`` reads the format,
+    and answers as its filters say."""
+    import json
+
+    legacy = str(tmp_path / "naive.json")
+    with open(legacy, "w", encoding="utf-8") as handle:
+        json.dump({"format": "repro-engine-workload", "version": 1, "engine": "naive",
+                   "filters": {"s0": "//a[b = 1]", "s1": "//c"}}, handle)
+    assert main(["filter", "--state", legacy, "--input", stream_file]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.strip().splitlines() == ["0\ts0", "1\ts1", "2\t-"]
+    assert "engine=layered" in captured.err
+
+
 def test_filter_rejects_multiple_workload_sources(query_file, tmp_path, capsys):
     state = str(tmp_path / "engine.json")
     assert main(["subscribe", "--state", state, "--oid", "s0",

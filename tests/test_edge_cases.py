@@ -3,10 +3,11 @@
 import pytest
 
 from repro import EngineConfig, create_engine
+from repro.baselines.xfilter import PerQueryEngine
 from repro.errors import MixedContentError
 from repro.xmlstream.dom import parse_document, parse_forest
 from repro.xmlstream.writer import document_to_xml
-from repro.xpath.parser import parse_xpath
+from repro.xpath.parser import parse_workload, parse_xpath
 from repro.xpath.semantics import evaluate_filter, matching_oids
 from repro.xpush.machine import XPushMachine
 
@@ -92,16 +93,19 @@ def test_very_deep_document():
     assert check(["//leaf[text() = 1]"], xml) == {"q0"}
 
 
-@pytest.mark.parametrize(
-    "config",
-    [
-        EngineConfig(engine="layered"),
-        EngineConfig(engine="sharded", shards=2, parallel=False),
-        EngineConfig(engine="xfilter"),
-    ],
-    ids=lambda config: config.engine,
-)
-def test_document_past_the_recursion_limit(config):
+#: Builders over a workload of sources: both engines, and a baseline
+#: called directly (it walks DOMs and events its own way).
+DEEP_BUILDERS = {
+    "layered": lambda sources: create_engine(EngineConfig(engine="layered"), sources),
+    "sharded": lambda sources: create_engine(
+        EngineConfig(engine="sharded", shards=2, parallel=False), sources
+    ),
+    "xfilter": lambda sources: PerQueryEngine(parse_workload(sources)),
+}
+
+
+@pytest.mark.parametrize("kind", DEEP_BUILDERS)
+def test_document_past_the_recursion_limit(kind):
     """Nesting far past the interpreter's recursion limit: the DOM walks,
     the event lowering and the serialiser are iterative, so
     ``filter_document`` (the sharded one serialises) answers what the
@@ -112,13 +116,13 @@ def test_document_past_the_recursion_limit(config):
     assert (document.depth(), document.size()) == (depth + 1, depth + 1)
     assert document_to_xml(document) == xml
     sources = {"q0": "//leaf[text() = 1]", "q1": "/a/a/leaf", "q2": "//a[leaf/@k = 'v']"}
-    engine = create_engine(config, sources)
+    engine = DEEP_BUILDERS[kind](sources)
     try:
         expected = engine.filter_stream(xml)
         assert expected == [frozenset({"q0", "q2"})]
         assert engine.filter_document(document) == expected[0]
     finally:
-        engine.close()
+        getattr(engine, "close", lambda: None)()
 
 
 def test_wide_document():

@@ -42,7 +42,7 @@ def test_readme_quickstart_snippet():
             "P1": "//a[b/text()=1 and .//a[@c>2]]",
             "P2": "//a[@c>2 and b/text()=1]",
         },
-        options=XPushOptions(top_down=True, precompute_values=False),
+        options=XPushOptions(top_down=True),
     )
     stream = (
         '<a> <b> 1 </b> <a c="3"> <b> 1 </b> </a> </a>'

@@ -19,15 +19,14 @@ from tests.conftest import make_workload
 
 ALL_OPTION_COMBOS = [
     XPushOptions(),
-    XPushOptions(precompute_values=False),
-    XPushOptions(top_down=True, precompute_values=False),
+    XPushOptions(top_down=True),
     XPushOptions(order=True),
-    XPushOptions(top_down=True, order=True, precompute_values=False),
-    XPushOptions(top_down=True, early=True, precompute_values=False),
-    XPushOptions(top_down=True, order=True, early=True, precompute_values=False),
-    XPushOptions(top_down=True, train=True, precompute_values=False),
+    XPushOptions(top_down=True, order=True),
+    XPushOptions(top_down=True, early=True),
+    XPushOptions(top_down=True, order=True, early=True),
+    XPushOptions(top_down=True, train=True),
     XPushOptions(
-        top_down=True, order=True, early=True, train=True, precompute_values=False
+        top_down=True, order=True, early=True, train=True
     ),
 ]
 
@@ -46,7 +45,7 @@ def test_all_variants_match_reference_protein(options, protein, protein_docs):
     "options",
     [
         XPushOptions(),
-        XPushOptions(top_down=True, order=True, early=True, train=True, precompute_values=False),
+        XPushOptions(top_down=True, order=True, early=True, train=True),
     ],
     ids=lambda o: o.describe(),
 )

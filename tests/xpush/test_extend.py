@@ -24,8 +24,8 @@ from repro.xpush.options import XPushOptions
 from tests import oracle
 from tests.conftest import make_workload
 
-TD = XPushOptions(top_down=True, precompute_values=False)
-EARLY = XPushOptions(top_down=True, early=True, precompute_values=False)
+TD = XPushOptions(top_down=True)
+EARLY = XPushOptions(top_down=True, early=True)
 
 
 def doc(xml):

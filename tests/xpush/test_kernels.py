@@ -52,7 +52,7 @@ SOURCES = {
     "deep": "//d[not(a or b[c])]//a",
 }
 LABELS = ["a", "b", "c", "d", "@a", "@b", "@d", "zz", "@zz"]
-TD_EARLY = XPushOptions(top_down=True, early=True, precompute_values=False)
+TD_EARLY = XPushOptions(top_down=True, early=True)
 
 
 def ordered_dtd() -> DTD:
@@ -169,7 +169,6 @@ def test_declined_codegen_runs_the_mask_kernel(workload):
             XPushOptions(
                 top_down=True,
                 early=True,
-                precompute_values=False,
                 runtime="codegen",
                 codegen_max_handlers=1,
             ),

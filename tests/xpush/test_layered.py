@@ -270,7 +270,7 @@ def test_fold_keeps_the_base_memo_reachable():
     assert engine.compactions == 2  # still counted, as before this engine grew in place
 
 
-EARLY = dict(top_down=True, early=True, precompute_values=False)
+EARLY = dict(top_down=True, early=True)
 
 
 @pytest.mark.parametrize("options", [{}, EARLY], ids=["default", "early"])

@@ -114,7 +114,7 @@ def test_early_requires_top_down():
 
 def test_reset_tables():
     machine = machine_for(
-        {"q": "/a[b = 1]"}, options=XPushOptions(precompute_values=False)
+        {"q": "/a[b = 1]"}, options=XPushOptions(top_down=True)
     )
     run(machine, "<a><b>1</b></a>")
     assert machine.state_count > 1
@@ -125,9 +125,7 @@ def test_reset_tables():
 
 
 def test_reset_tables_reseeds_precomputed_values():
-    machine = machine_for(
-        {"q": "/a[b = 1]"}, options=XPushOptions(precompute_values=True)
-    )
+    machine = machine_for({"q": "/a[b = 1]"}, options=XPushOptions())
     seeded = machine.state_count
     machine.reset_tables()
     assert machine.state_count == seeded  # t_value states re-seeded
@@ -138,7 +136,7 @@ def test_memory_bound_sweeps_at_document_boundaries():
     # Many distinct constants force many distinct t_value/union states.
     sources = {f"q{i}": f"//a[b = {i}]" for i in range(20)}
     machine = machine_for(
-        sources, options=XPushOptions(precompute_values=False, max_memory_bytes=1)
+        sources, options=XPushOptions(top_down=True, max_memory_bytes=1)
     )
     for i in range(20):
         j = (i + 7) % 20
@@ -222,9 +220,7 @@ def test_clone_is_independent_but_equivalent():
 
 
 def test_value_precompute_on_basic_machine():
-    machine = machine_for(
-        {"q": "/a[b = 1]"}, options=XPushOptions(precompute_values=True)
-    )
+    machine = machine_for({"q": "/a[b = 1]"}, options=XPushOptions())
     # The t_value states already exist: a fresh value lookup is a hit.
     lookups = machine.stats.lookups
     hits = machine.stats.hits

@@ -32,7 +32,7 @@ from tests import oracle
 from tests.conftest import make_workload
 from tests.xpush.test_differential import ALL_OPTION_COMBOS
 
-TD = XPushOptions(top_down=True, precompute_values=False)
+TD = XPushOptions(top_down=True)
 
 
 @pytest.fixture(scope="module")
@@ -323,7 +323,7 @@ def test_precomputed_value_seeds_survive_eviction(protein, protein_docs):
     filters = make_workload(protein, 12, seed=29)
     stream = "".join(document_to_xml(doc) for doc in protein_docs[:12])
     workload = build_workload_automata(filters)
-    basic = XPushOptions()  # bottom-up, precompute_values=True
+    basic = XPushOptions()  # bottom-up, so its t_value states are precomputed
     expected = XPushMachine(workload, basic).filter_stream(stream)
     machine = XPushMachine(workload, replace(basic, max_memory_bytes=48 * 1024))
     assert machine.filter_stream(stream) == expected

@@ -42,7 +42,7 @@ def test_top_down_prunes_false_leads():
 
     plain = XPushMachine.from_xpath(sources)
     pruned = XPushMachine.from_xpath(
-        sources, options=XPushOptions(top_down=True, precompute_values=False)
+        sources, options=XPushOptions(top_down=True)
     )
     assert plain.filter_document(doc) == pruned.filter_document(doc) == {"q1"}
     assert pruned.state_count < plain.state_count
@@ -53,7 +53,7 @@ def test_top_down_correct_with_descendants():
     sources = {"q": "//a[b = 1]"}
     xml = "<r><x><a><b>1</b></a></x></r>"
     pruned = XPushMachine.from_xpath(
-        sources, options=XPushOptions(top_down=True, precompute_values=False)
+        sources, options=XPushOptions(top_down=True)
     )
     assert pruned.filter_document(parse_document(xml)) == {"q"}
 
@@ -116,7 +116,7 @@ def test_wildcard_branches_are_incomparable():
 def test_early_notification_on_linear_queries():
     machine = XPushMachine.from_xpath(
         {"q": "/a/b/c"},
-        options=XPushOptions(top_down=True, early=True, precompute_values=False),
+        options=XPushOptions(top_down=True, early=True),
     )
     doc = parse_document("<a><b><c/><c/></b></a>")
     assert machine.filter_document(doc) == {"q"}
@@ -126,7 +126,7 @@ def test_early_notification_strips_states():
     sources = {"q": "/r/a[b = 1 and c = 2]", "p": "/r/x[y = 9]"}
     xml = "<r><a><b>1</b><c>2</c></a><x><y>8</y></x></r>"
     early = XPushMachine.from_xpath(
-        sources, options=XPushOptions(top_down=True, early=True, precompute_values=False)
+        sources, options=XPushOptions(top_down=True, early=True)
     )
     plain = XPushMachine.from_xpath(sources)
     doc = parse_document(xml)
@@ -140,7 +140,7 @@ def test_early_notification_with_descendant_queries():
     """The // case requires intersecting pops with the enabled set."""
     sources = {"q": "//a[b = 1]", "p": "//c//d"}
     early = XPushMachine.from_xpath(
-        sources, options=XPushOptions(top_down=True, early=True, precompute_values=False)
+        sources, options=XPushOptions(top_down=True, early=True)
     )
     for xml, expect in [
         ("<r><a><b>1</b></a></r>", {"q"}),
@@ -158,7 +158,7 @@ def test_early_notification_not_fooled_by_not(protein, protein_docs):
     filters = make_workload(protein, 25, seed=77, prob_not=0.5)
     early = XPushMachine(
         build_workload_automata(filters),
-        XPushOptions(top_down=True, early=True, precompute_values=False),
+        XPushOptions(top_down=True, early=True),
     )
     for doc in protein_docs:
         assert early.filter_document(doc) == matching_oids(filters, doc)
@@ -176,11 +176,11 @@ def test_training_warms_the_machine(protein):
     )
     workload = build_workload_automata(filters)
     cold = XPushMachine(
-        workload, XPushOptions(top_down=True, precompute_values=False), dtd=protein.dtd
+        workload, XPushOptions(top_down=True), dtd=protein.dtd
     )
     warm = XPushMachine(
         workload,
-        XPushOptions(top_down=True, train=True, precompute_values=False),
+        XPushOptions(top_down=True, train=True),
         dtd=protein.dtd,
     )
     assert warm.state_count > 1  # training created states up front

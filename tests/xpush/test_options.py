@@ -10,7 +10,6 @@ def test_defaults():
     options = XPushOptions()
     assert not options.top_down and not options.order
     assert not options.early and not options.train
-    assert options.precompute_values
 
 
 def test_early_requires_top_down():
@@ -46,10 +45,6 @@ def test_describe():
 def test_variants_cover_the_figures():
     for name in ["basic", "TD", "TD-order", "TD-order-train", "TD-order-early-train"]:
         assert name in VARIANTS
-    # TD variants cannot precompute the value index (Sec. 7 discussion).
-    for name, options in VARIANTS.items():
-        if options.top_down:
-            assert not options.precompute_values, name
 
 
 def test_variant_options_lookup():

@@ -37,7 +37,7 @@ def test_round_trip_structure(running_filters):
 
 def test_machines_behave_identically(protein, protein_docs):
     filters = make_workload(protein, 25, seed=61)
-    options = XPushOptions(top_down=True, early=True, precompute_values=False)
+    options = XPushOptions(top_down=True, early=True)
     original = _engine(filters, options)
     restored = LayeredFilterEngine([], options)
     restored.restore(json.loads(json.dumps(original.snapshot())))
@@ -83,7 +83,7 @@ def test_training_still_works_after_reload(protein):
         protein, 10, seed=3, prob_not=0.0, prob_or=0.0,
         prob_wildcard=0.0, prob_descendant=0.0,
     )
-    options = XPushOptions(top_down=True, train=True, precompute_values=False)
+    options = XPushOptions(top_down=True, train=True)
     snapshot = LayeredFilterEngine(filters, options, protein.dtd).snapshot()
     restored = LayeredFilterEngine([], options, protein.dtd)
     restored.restore(json.loads(json.dumps(snapshot)))

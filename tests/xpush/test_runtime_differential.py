@@ -106,7 +106,7 @@ def test_runtimes_build_identical_state_structure(protein, protein_docs):
 
 def test_stats_counters_agree_across_runtimes(protein, protein_docs):
     filters = make_workload(protein, 30, seed=31)
-    options = XPushOptions(top_down=True, early=True, precompute_values=False)
+    options = XPushOptions(top_down=True, early=True)
     built = list(machines(build_workload_automata(filters), options, protein.dtd).values())
     for machine in built:
         for doc in protein_docs[:10]:
@@ -152,7 +152,7 @@ def test_hypothesis_runtimes_agree_top_down_early(workload, docs):
     docs = [doc for doc in docs if not doc.has_mixed_content()]
     if not docs:
         return
-    options = XPushOptions(top_down=True, early=True, precompute_values=False)
+    options = XPushOptions(top_down=True, early=True)
     answers = run_all(workload, options, docs)
     reference = assert_all_agree(answers)
     assert reference == [matching_oids(workload, doc) for doc in docs]
@@ -164,7 +164,7 @@ def test_memory_bounded_eviction_agrees_across_runtimes(protein, protein_docs):
     runtime just like the first-time ones."""
     filters = make_workload(protein, 30, seed=13)
     options = XPushOptions(
-        top_down=True, precompute_values=False, max_memory_bytes=64 * 1024
+        top_down=True, max_memory_bytes=64 * 1024
     )
     answers = run_all(filters, options, protein_docs, dtd=protein.dtd)
     reference = assert_all_agree(answers)
@@ -190,7 +190,7 @@ def test_persist_round_trip_under_every_runtime(protein, protein_docs):
         parse_workload({afa.oid: afa.source for afa in original.afas})
     )
     assert reloaded.masks is not None
-    options = XPushOptions(top_down=True, precompute_values=False)
+    options = XPushOptions(top_down=True)
     for a, b in zip(machines(original, options).values(), machines(reloaded, options).values()):
         for doc in protein_docs[:10]:
             assert a.filter_document(doc) == b.filter_document(doc)
@@ -227,7 +227,7 @@ def test_layered_updates_agree_at_every_epoch(protein, protein_docs):
     base, updates = filters[:12], filters[12:]
     docs = protein_docs[:6]
     engines = {}
-    for runtime, opts in all_runtimes(XPushOptions(top_down=True, precompute_values=False)):
+    for runtime, opts in all_runtimes(XPushOptions(top_down=True)):
         with oracle.under(runtime):
             engines[runtime] = LayeredFilterEngine(base, options=opts, compact_threshold=1_000)
     codegen_engine = engines["codegen"]
@@ -296,7 +296,7 @@ def test_sharded_engine_agrees_across_runtimes(shards, protein, protein_docs):
     filters = make_workload(protein, 24, seed=71)
     docs = protein_docs[:8]
     answers = {}
-    for runtime, options in all_runtimes(XPushOptions(top_down=True, precompute_values=False)):
+    for runtime, options in all_runtimes(XPushOptions(top_down=True)):
         with oracle.under(runtime), ShardedFilterEngine(
             filters, shards, options=options, parallel=False, batch_size=3
         ) as engine:
@@ -317,7 +317,7 @@ def test_sharded_worker_processes_under_codegen(protein, protein_docs):
     expected = [matching_oids(filters, doc) for doc in docs]
     with ShardedFilterEngine(
         filters, 2,
-        options=XPushOptions(top_down=True, precompute_values=False, runtime="codegen"),
+        options=XPushOptions(top_down=True, runtime="codegen"),
         batch_size=3,
     ) as engine:
         if not engine.parallel:
@@ -330,7 +330,7 @@ def test_reset_tables_clears_early_notifications(protein):
     stale ``_early`` set would leak oids into the next document's
     answer after a mid-stream flush."""
     filters = make_workload(protein, 12, seed=23)
-    options = XPushOptions(top_down=True, early=True, precompute_values=False)
+    options = XPushOptions(top_down=True, early=True)
     for machine in machines(build_workload_automata(filters), options).values():
         machine.start_document()
         machine._early.add("ghost-oid")

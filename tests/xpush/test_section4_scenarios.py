@@ -73,7 +73,7 @@ def test_unseen_combinations_never_materialise():
 
     n = 12
     machine = XPushMachine.from_filters(
-        name_queries(n), options=XPushOptions(precompute_values=False)
+        name_queries(n), options=XPushOptions(top_down=True)
     )
     doc = person_doc("name0")
     for _ in range(5):

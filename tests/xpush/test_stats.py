@@ -31,7 +31,7 @@ def test_snapshot_and_reset():
 
 def test_hits_never_exceed_lookups_and_computations_balance():
     machine = XPushMachine.from_xpath(
-        {"q": "/a[b = 1 and c = 2]"}, options=XPushOptions(precompute_values=False)
+        {"q": "/a[b = 1 and c = 2]"}, options=XPushOptions(top_down=True)
     )
     for i in range(10):
         machine.filter_document(parse_document(f"<a><b>{i % 2}</b><c>2</c></a>"))

@@ -53,7 +53,7 @@ def test_generated_string_function_workloads_differential(protein, protein_docs)
     )
     for options in (
         XPushOptions(),
-        XPushOptions(top_down=True, early=True, precompute_values=False),
+        XPushOptions(top_down=True, early=True),
     ):
         machine = XPushMachine(build_workload_automata(filters), options)
         for doc in protein_docs[:8]:

@@ -36,7 +36,7 @@ def test_trace_records_every_event(running_filters, running_document):
 
 def test_trace_shows_enabled_counts_with_top_down(running_filters, running_document):
     machine = XPushMachine.from_filters(
-        running_filters, options=XPushOptions(top_down=True, precompute_values=False)
+        running_filters, options=XPushOptions(top_down=True)
     )
     _, rows = trace_document(machine, running_document)
     enabled = [row.enabled for row in rows if row.enabled is not None]
