@@ -17,6 +17,11 @@ Two entry points:
   harness variant at ``REPRO_BENCH_SCALE`` size, like the figure
   benches.
 
+Each shard count also runs one pass with an ``on_match`` hook wired,
+printed as hooked docs/s beside the unhooked figure (no timing gate):
+the script exits non-zero unless the hook delivered every returned
+answer exactly once.
+
 Interpretation note printed with the table: workload partitioning can
 only buy wall-clock speedup when the shards actually run on separate
 cores.  On a single-CPU host (``os.cpu_count() == 1``) the expected
@@ -68,7 +73,17 @@ def measure_sharded(filters, documents, dtd, shards, batch_size, parallel=None):
         engine.filter_batch(documents)
         elapsed = time.perf_counter() - started
         stats = engine.stats()
-    return elapsed, stats
+        delivered: list[tuple[int, str]] = []
+        engine.on_match = lambda oid, doc, _event: delivered.append((doc, oid))
+        started = time.perf_counter()
+        answers = engine.filter_batch(documents)
+        hooked = time.perf_counter() - started
+        engine.on_match = None
+    # Every answer delivered, and exactly once.
+    exact = sorted(delivered) == sorted(
+        (doc, oid) for doc, oids in enumerate(answers) for oid in oids
+    )
+    return elapsed, stats, hooked, exact
 
 
 def run(queries, stream_bytes, shard_counts, batch_size, out=sys.stdout):
@@ -83,7 +98,10 @@ def run(queries, stream_bytes, shard_counts, batch_size, out=sys.stdout):
         f"{megabytes:.2f} MB | host CPUs: {os.cpu_count()}",
         file=out,
     )
-    header = f"{'engine':<22}{'seconds':>9}{'docs/s':>10}{'MB/s':>8}{'speedup':>9}  p50/p99 ms"
+    header = (
+        f"{'engine':<22}{'seconds':>9}{'docs/s':>10}{'MB/s':>8}{'speedup':>9}"
+        f"{'hooked docs/s':>15}  p50/p99 ms"
+    )
     print(header, file=out)
     print("-" * len(header), file=out)
     print(
@@ -93,8 +111,9 @@ def run(queries, stream_bytes, shard_counts, batch_size, out=sys.stdout):
         file=out,
     )
     speedups = {}
+    inexact = []
     for shards in shard_counts:
-        elapsed, stats = measure_sharded(
+        elapsed, stats, hooked, exact = measure_sharded(
             filters, documents, dataset.dtd, shards, batch_size
         )
         speedups[shards] = serial_seconds / elapsed
@@ -105,16 +124,25 @@ def run(queries, stream_bytes, shard_counts, batch_size, out=sys.stdout):
         print(
             f"{label:<22}{elapsed:>9.3f}{len(documents) / elapsed:>10.1f}"
             f"{megabytes / elapsed:>8.2f}{'x%.2f' % speedups[shards]:>9}"
+            f"{len(documents) / hooked:>15.1f}"
             f"  {latency['p50_ms']:.1f}/{latency['p99_ms']:.1f}",
             file=out,
         )
+        if not exact:
+            inexact.append(shards)
     if os.cpu_count() == 1:
         print(
             "note: single-CPU host — shards time-share one core, so speedup "
             "<= 1x is expected; this run validates overhead and equality only.",
             file=out,
         )
-    return speedups
+    if inexact:
+        print(
+            f"FAIL: on_match did not deliver every answer exactly once "
+            f"at shard counts {inexact}",
+            file=out,
+        )
+    return speedups, not inexact
 
 
 def main(argv=None) -> int:
@@ -129,8 +157,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     stream_bytes = 60_000 if args.quick else args.bytes
     shard_counts = [int(s) for s in args.shards.split(",") if s]
-    run(args.queries, stream_bytes, shard_counts, args.batch_size)
-    return 0
+    _, exact = run(args.queries, stream_bytes, shard_counts, args.batch_size)
+    return 0 if exact else 1
 
 
 def test_parallel_shards(benchmark):
@@ -141,7 +169,7 @@ def test_parallel_shards(benchmark):
     documents = parse_forest(stream)
 
     serial_seconds = measure_serial(filters, documents, dataset.dtd)
-    elapsed, stats = measure_sharded(filters, documents, dataset.dtd, 4, 16)
+    elapsed, stats, _, exact = measure_sharded(filters, documents, dataset.dtd, 4, 16)
     print(
         f"\n{len(filters)} filters, {len(documents)} docs: "
         f"serial {serial_seconds:.3f}s, sharded x4 {elapsed:.3f}s "
@@ -156,6 +184,7 @@ def test_parallel_shards(benchmark):
             lambda: engine.filter_batch(documents), rounds=2, iterations=1
         )
     assert stats["worker_restarts"] == 0
+    assert exact
 
 
 if __name__ == "__main__":

@@ -40,9 +40,13 @@ complete reply fixes the count; every other shard must agree).
 ``batch_size`` items; :data:`QUEUE_DEPTH` caps the items in flight.  Every
 shard answers in :func:`~repro.service.worker.run_batch`'s messages and
 ``_fold`` alone reads them: match dedupe, epoch tags and a failed item
-work alike for both.  A shard that refuses an item reports its error's
-class and text, and the parent re-raises a library error as itself — a
-malformed source is the serial engine's
+work alike for both.  A hooked item's matches come as at most two
+frames per (shard, document) — the first match at once, the later ones
+in one ``matches`` frame flushed before the shard's next first match or
+its reply — so ``on_match`` may see a document's non-first matches up
+to one document later than they were decided.  A shard that refuses an
+item reports its error's class and text, and the parent re-raises a
+library error as itself — a malformed source is the serial engine's
 :class:`~repro.errors.XMLSyntaxError`, word for word — and anything
 else as :class:`ServiceError`.  ``parallel`` decides only where a reply
 is read and what the critical path records.  An in-process shard
@@ -514,31 +518,31 @@ class ShardedFilterEngine:
             if shard_id in self._workers:
                 self._workers[shard_id].last_info = info
             return
-        if kind == "match":
-            # Event-time delivery: a shard decided one match mid-batch.
-            # FIFO per-shard replies guarantee a shard's match messages
-            # precede its batch reply, so every match is folded in
-            # before the batch completes.
-            _, shard_id, batch_id, doc_offset, oid, event_index = message
+        if kind in ("match", "matches"):
+            # Event-time delivery: a shard decided a document's first
+            # match (``match``) or its later ones (one ``matches``
+            # frame).  FIFO per-shard replies guarantee both precede the
+            # shard's batch reply, so every match is folded in before
+            # the batch completes.
+            shard_id, batch_id = message[1], message[2]
             info_entry = outstanding.get(batch_id)
             if info_entry is None or shard_id not in info_entry["waiting"]:
                 return  # late duplicate from a pre-crash incarnation
-            key = (doc_offset, oid)
-            if key in info_entry["emitted"]:
-                return  # resubmitted batch re-streamed this match
-            info_entry["emitted"].add(key)
-            if doc_offset not in info_entry["firsts"]:
-                info_entry["firsts"].add(doc_offset)
-                self.first_match.record(
-                    time.perf_counter() - info_entry["started"]
-                )
+            emitted, firsts = info_entry["emitted"], info_entry["firsts"]
+            base = self._doc_base + info_entry["offset"]
             hook = self.on_match
-            if hook is not None:
-                hook(
-                    oid,
-                    self._doc_base + info_entry["offset"] + doc_offset,
-                    event_index,
-                )
+            for doc_offset, oid, event_index in (
+                [message[3:]] if kind == "match" else message[3]
+            ):
+                key = (doc_offset, oid)
+                if key in emitted:
+                    continue  # resubmitted batch re-streamed this match
+                emitted.add(key)
+                if doc_offset not in firsts:
+                    firsts.add(doc_offset)
+                    self.first_match.record(time.perf_counter() - info_entry["started"])
+                if hook is not None:
+                    hook(oid, base + doc_offset, event_index)
             return
         if kind == "error":
             _, shard_id, batch_id, name, text = message

@@ -25,9 +25,9 @@ parent → worker, on the shard's task queue:
   ``bytes``, untouched (``filter_stream``: one text per batch), or one
   ``str`` serialised from a DOM (``filter_batch``); either way this
   worker's parse is the document's only parse on this shard.
-  When ``emit`` is true, the worker additionally streams one
-  ``("match", ...)`` message per decided match *while the batch is
-  still running* (event-time earliest answering), ahead of the final
+  When ``emit`` is true, the worker additionally streams its match
+  decisions *while the batch is still running* (event-time earliest
+  answering), in ``match`` and ``matches`` frames ahead of the final
   batch reply on the same FIFO pipe;
 - ``("control", epoch, op, ...)`` — a workload update:
   ``("control", e, "subscribe", oid, xpath)``,
@@ -48,11 +48,19 @@ dying — even halfway through a frame — reads as end-of-file there):
 
 - ``("ready", shard_id, info)`` — engine built;
 - ``("match", shard_id, batch_id, doc_offset, oid, event_index)`` —
-  one event-time match decision (``doc_offset`` is the document's
-  position within the batch's answers).  Always precedes the batch
-  reply on the pipe, so the parent has folded every match in by the
-  time the batch completes; resubmitted batches re-stream their
-  matches and the parent dedupes on ``(doc_offset, oid)``;
+  a document's first match on this shard, sent the moment it is
+  decided (``doc_offset`` is the document's position within the
+  batch's answers);
+- ``("matches", shard_id, batch_id, [(doc_offset, oid, event_index), ...])``
+  — that document's later matches, in event order, buffered and sent
+  as one frame when the shard decides a later document's first match
+  (just before that ``match``) and at the latest just before the
+  batch's reply or error.  A shard thus sends at most two match frames
+  per document, not one per match, and its matches stay in
+  ``(doc_offset, event_index)`` order.  Every match precedes the batch
+  reply on the pipe, so the parent has folded it in by the time the
+  batch completes; resubmitted batches re-stream their frames and the
+  parent dedupes on ``(doc_offset, oid)``;
 - ``("batch", shard_id, batch_id, [frozenset, ...], info)`` — ``info``
   also carries ``batch_s``, the seconds this batch took on this shard;
 - ``("error", shard_id, batch_id, name, text)`` — a batch or control
@@ -154,12 +162,28 @@ def run_batch(
     ``info["batch_s"]``."""
     _, batch_id, texts, emit = task
     doc_base = 0  # the batch offset of the engine's call-relative doc_index
+    # The current document's non-first matches, and that document.
+    later: list[tuple[int, str, int]] = []
+    current = -1
+
+    def _flush() -> None:
+        if later:
+            send(("matches", shard_id, batch_id, later.copy()))
+            later.clear()
 
     def _relay(oid: str, doc_index: int, event_index: int) -> None:
-        send(("match", shard_id, batch_id, doc_base + doc_index, oid, event_index))
+        nonlocal current
+        doc_offset = doc_base + doc_index
+        if doc_offset == current:
+            later.append((doc_offset, oid, event_index))
+            return
+        _flush()
+        current = doc_offset
+        send(("match", shard_id, batch_id, doc_offset, oid, event_index))
 
     engine.on_match = _relay if emit else None
-    answers: list | None = []
+    answers: list = []
+    failure: Exception | None = None
     started = time.perf_counter()
     try:
         # Inner machines run with retain_results=False: the per-call
@@ -168,12 +192,14 @@ def run_batch(
             doc_base = len(answers)
             answers.extend(engine.filter_stream(text))
     except Exception as error:  # noqa: BLE001 - forwarded to the parent
-        send(("error", shard_id, batch_id, type(error).__name__, str(error)))
-        answers = None
+        failure = error
     finally:
         engine.on_match = None
     batch_s = time.perf_counter() - started
-    if answers is not None:
+    _flush()  # the last document's later matches precede the reply
+    if failure is not None:
+        send(("error", shard_id, batch_id, type(failure).__name__, str(failure)))
+    else:
         info = {**engine_info(engine, applied_epoch, busy_s + batch_s), "batch_s": batch_s}
         send(("batch", shard_id, batch_id, answers, info))
     return busy_s + batch_s

@@ -111,9 +111,10 @@ def test_emissions_equal_answers(kind, runtime):
 
 @pytest.mark.parametrize("runtime", ("sets", "codegen"))
 def test_parallel_sharded_workers_stream_matches(runtime):
-    """The worker-process path: matches cross the result queue as
-    ``("match", ...)`` messages ahead of the batch reply.  The workers
-    run the oracle only because they are forked inside its patch."""
+    """The worker-process path: matches cross each worker's result pipe
+    ahead of the batch reply, a document's first as a ``match`` frame
+    and its later ones in one ``matches`` frame.  The workers run the
+    oracle only because they are forked inside its patch."""
     config = _config("sharded-parallel", _early_options(runtime))
     with oracle.under(runtime), closing(create_engine(config, WORKLOAD)) as engine:
         answers, emissions = collect(engine, "".join(DOCS))

@@ -154,3 +154,53 @@ def test_half_a_reply_from_a_killed_worker_is_end_of_file(monkeypatch, tmp_path)
         assert engine.stats()["worker_restarts"] == 1
     finally:
         engine.close()
+
+
+def test_a_worker_killed_between_a_first_match_and_its_frame(monkeypatch, tmp_path):
+    marker = tmp_path / "killed-once"
+    real_worker_main = worker_module.worker_main
+
+    def _dying_worker(shard_id, payload, tasks, results):
+        class _Dying:
+            """Shard 1 dies as it would send its second ``matches``
+            frame: document 0's frame and document 1's first match are
+            already on the pipe, document 1's frame is not."""
+
+            frames = 0
+
+            def send(self, message):
+                if shard_id == 1 and message[0] == "matches" and not marker.exists():
+                    self.frames += 1
+                    if self.frames == 2:
+                        marker.touch()
+                        os.kill(os.getpid(), signal.SIGKILL)
+                results.send(message)
+
+        real_worker_main(shard_id, payload, tasks, _Dying())
+
+    monkeypatch.setattr(worker_module, "worker_main", _dying_worker)
+    engine = _engine(result_timeout=10.0)
+    try:
+        if engine._ctx.get_start_method() != "fork":
+            pytest.skip("the patched worker is inherited by fork only")
+        fired: list[tuple[int, str, int]] = []
+        engine.on_match = lambda oid, doc, event: fired.append(
+            (doc, oid, engine._workers[1].restarts)
+        )
+        assert engine.filter_stream(SOURCE) == EXPECTED
+        assert marker.exists() and engine.stats()["worker_restarts"] == 1
+        # Every (doc, oid) exactly once, though the respawned worker
+        # re-streamed the whole item's frames.
+        assert sorted((doc, oid) for doc, oid, _ in fired) == sorted(
+            (doc, oid) for doc, oids in enumerate(EXPECTED) for oid in oids
+        )
+        # Folded before the crash: document 0's two shard-1 matches and
+        # document 1's first; document 1's later one came from the
+        # respawned worker, which re-streamed the others in vain.
+        def _shard_1(document):
+            return [r for doc, oid, r in fired if doc == document and oid in ("root", "child")]
+
+        assert _shard_1(0) == [0, 0] and _shard_1(1) == [0, 1]
+    finally:
+        engine.on_match = None
+        engine.close()

@@ -6,15 +6,18 @@ callable that projects it, and keeps the one invariant the seam asks
 for (update ``live`` *before* calling a control verb).  Both kinds
 answer a ``submit`` in the worker protocol's messages, so one update
 schedule through both must give the same reply sequences — ``match``
-messages ahead of the ``batch`` reply, the same ``applied_epoch`` —
-and the same ``info()``; a killed worker must come back from ``boot``
-and re-answer exactly the batches it still owed.
+and ``matches`` frames ahead of the ``batch`` reply, the same
+``applied_epoch`` — and the same ``info()``; a hooked item costs at
+most two match frames per document on either kind; a killed worker
+must come back from ``boot`` and re-answer exactly the batches it
+still owed.
 """
 
 from __future__ import annotations
 
 import os
 import signal
+from collections import Counter
 
 import pytest
 
@@ -75,25 +78,39 @@ def _next(shard):
     return message
 
 
+def _unpack(frame):
+    """A ``match`` or ``matches`` frame as the per-match
+    ``("match", shard_id, batch_id, doc_offset, oid, event_index)``
+    tuples it carries."""
+    if frame[0] == "match":
+        return [frame]
+    _, shard_id, batch_id, matches = frame
+    return [("match", shard_id, batch_id, *match) for match in matches]
+
+
+def _frames(shard):
+    """The next batch reply, last, after the match frames ahead of it."""
+    frames = []
+    while not frames or frames[-1][0] != "batch":
+        message = _next(shard)
+        if message[0] != "ready":
+            frames.append(message)
+    return frames
+
+
 def _replies(shard, count):
     """The next *count* batch replies, by batch id; the ``info`` of
-    each cut down to ``applied_epoch``, its ``match`` messages kept."""
+    each cut down to ``applied_epoch``, its match frames unpacked into
+    one ``match`` tuple per match."""
     replies: dict = {}
-    matches: list = []
     while len(replies) < count:
-        message = _next(shard)
-        if message[0] == "ready":
-            continue
-        if message[0] == "match":
-            matches.append(message)
-            continue
-        assert message[0] == "batch", message
-        kind, shard_id, batch_id, answers, info = message
+        *frames, (kind, shard_id, batch_id, answers, info) = _frames(shard)
+        assert all(frame[0] in ("match", "matches") for frame in frames), frames
         assert batch_id not in replies, "a batch was answered twice"
         assert info["batch_s"] > 0.0
         epoch = {"applied_epoch": info["applied_epoch"]}
+        matches = [match for frame in frames for match in _unpack(frame)]
         replies[batch_id] = [*matches, (kind, shard_id, batch_id, answers, epoch)]
-        matches = []
     return replies
 
 
@@ -142,6 +159,58 @@ def test_one_schedule_through_both_kinds_of_shard(inner):
     finally:
         for shard in shards.values():
             shard.stop()
+
+
+#: Documents of several matches each under ``WIDE``.
+WIDE_DOCS = [
+    "<a><b>1</b><c/></a>",
+    "<r><a><b>2</b></a><a><b>1</b></a></r>",
+    "<c/>",
+    "<a k='x'><b>1</b><c>1</c></a>",
+]
+
+WIDE = {
+    "w0": "//a",
+    "w1": "//b",
+    "w2": "//a[b = 1]",
+    "w3": "//*[@k = 'x']",
+    "w4": "//c",
+    "w5": "/a/b",
+    "w6": "//a[c]",
+    "w7": "/r//b",
+}
+
+
+@pytest.mark.parametrize("kind", ["local", "worker"])
+def test_a_hooked_item_costs_at_most_two_match_frames_per_document(kind):
+    live = dict(WIDE)
+    shard = _make(kind, "layered", live)
+    try:
+        # One item as both filter calls ship them: a whole UTF-8 source
+        # of several documents, then one serialised document.
+        shard.submit(1, ["".join(WIDE_DOCS[:3]).encode("utf-8"), WIDE_DOCS[3]], True)
+        *frames, reply = _frames(shard)
+        answers = reply[3]
+        filters = [parse_xpath(source, oid) for oid, source in live.items()]
+        assert answers == [matching_oids(filters, parse_document(d)) for d in WIDE_DOCS]
+        assert all(frame[0] in ("match", "matches") for frame in frames)
+        # A matches frame carries one document's later matches.
+        assert all(len({doc for doc, _, _ in f[3]}) == 1 for f in frames if f[0] == "matches")
+        per_doc = Counter(_unpack(frame)[0][3] for frame in frames)
+        assert max(per_doc.values()) <= 2
+        assert sum(len(oids) for oids in answers) > len(frames)  # not one per match
+        matches = [m for frame in frames for m in _unpack(frame)]
+        # Every answer exactly once, in (document, event) order.
+        assert sorted((m[3], m[4]) for m in matches) == sorted(
+            (doc, oid) for doc, oids in enumerate(answers) for oid in oids
+        )
+        order = [(m[3], m[5]) for m in matches]
+        assert order == sorted(order)
+        # An unhooked pass sends the reply alone.
+        shard.submit(2, [WIDE_DOCS[0]], False)
+        assert [frame[0] for frame in _frames(shard)] == ["batch"]
+    finally:
+        shard.stop()
 
 
 def test_killed_worker_reanswers_exactly_its_pending_batches_once():
