@@ -108,9 +108,9 @@ class MessageBroker:
     # -- publishing -------------------------------------------------------
 
     def _matched_sets(self, documents: list[Document]) -> list[frozenset[str]]:
-        """One oid-set per document.  The sharded engine filters the
-        whole batch in one pipelined fan-out; in-process engines go
-        document by document."""
+        """One oid-set per document.  The sharded engine deals the
+        whole batch out to its shards in one pipelined call; in-process
+        engines go document by document."""
         engine = self._engine()
         filter_batch = getattr(engine, "filter_batch", None)
         if filter_batch is not None:
@@ -124,7 +124,7 @@ class MessageBroker:
     def publish_batch(self, documents: list[Document]) -> int:
         """Route a batch of packets in one engine round-trip; returns
         the total number of deliveries.  In sharded mode this is the
-        fast path: the whole batch is fanned out to the shard workers
+        fast path: the whole batch is dealt out to the shard workers
         pipelined, instead of one queue round-trip per packet."""
         documents = list(documents)
         if not documents:

@@ -109,8 +109,8 @@ _ENGINE_FLAGS: dict[str, dict] = {
     ),
     "--shards": dict(
         type=int,
-        help="partition the workload over N shards — worker processes "
-             "when N > 1 (docs/scaling.md)",
+        help="deal the documents out over N replicas of the compiled "
+             "engine — worker processes when N > 1 (docs/scaling.md)",
     ),
     "--batch-size": dict(
         type=int, default=16, help="documents per work item in sharded mode",

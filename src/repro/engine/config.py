@@ -12,8 +12,7 @@ subsumes all of them: it *contains* the machine-level
 flags) and adds the engine-level knobs around it.  A config plus a
 workload is everything :func:`repro.engine.create_engine` needs.
 
-Configs are frozen, picklable (they cross the process boundary inside
-shard-worker payloads) and validated eagerly at construction, so a bad
+Configs are frozen and validated eagerly at construction, so a bad
 knob fails where it was written, not in a worker process later.
 """
 
@@ -63,17 +62,19 @@ class EngineConfig:
             runs at the start of a filter call, never inside a
             document).
         shards: shard count for the sharded service (>= 1).
-        inner: engine kind the sharded service hosts per shard —
-            ``"layered"`` or ``"xpush"``, the same engine.
-        batch_size: documents per work item fanned out to the shards
-            by ``filter_batch`` / ``filter_events``, whose documents the
-            parent holds; a ``filter_stream`` call is one item whatever
-            its size (its source is shipped whole).
+        inner: kind of the one engine the sharded service compiles
+            and replicates to every shard — ``"layered"`` or
+            ``"xpush"``, the same engine.
+        batch_size: documents per work item dealt to the shards by
+            ``filter_batch`` / ``filter_events``, whose documents the
+            parent holds; a ``filter_stream`` call is cut into one run
+            of documents per shard instead.
         parallel: force worker processes on (True), off (False) or
-            auto (None = processes when ``shards > 1``).
+            auto (None = processes when ``shards > 1``); workers need
+            ``fork``, without it the shards run in process.
         result_timeout: seconds of no shard progress before a batch is
-            declared stuck — for ``filter_stream``, one call's whole
-            filtering on a shard.
+            declared stuck — for ``filter_stream``, a shard's filtering
+            of its run.
     """
 
     engine: str = "layered"

@@ -1,111 +1,110 @@
 """The parent-side orchestrator: :class:`ShardedFilterEngine`.
 
-Scaling model (see ``docs/scaling.md``): the *workload* is partitioned
-into N shards; every document batch fans out to all shards and the
-per-shard oid sets are unioned, so the engine's answers are exactly
-the serial machine's answers regardless of N.
+Scaling model (see ``docs/scaling.md``): every shard is a *replica* of
+one engine over the whole workload, and the *documents* are dealt out —
+each work item goes to exactly one shard — so the engine's answers are
+exactly the serial engine's answers regardless of N.  The XPush machine
+handles an event in amortised constant time whatever the workload's
+size, so a shard holding half the filters would barely shorten its
+pass; a shard holding half the documents halves it.
 
-**What the orchestrator owns.**  The XPush machine is a cache over the
-workload (Sec. 7-8: it "can be deleted ... and recomputed later"), so
-the only durable state here is the oid → XPath **sources**.  A filter's
-shard is a pure function of its oid, :func:`shard_of_oid` (CRC-32), so
-everything a shard needs — at boot, after a crash, after ``restore()``
-— is projected from the sources at that moment (``_boot_payload``);
-``snapshot()`` is the sources plus the epoch.  A shard itself is an inner
-:class:`~repro.engine.protocol.FilterEngine` (``config.inner`` names
-the kind; the default ``"layered"`` keeps updates from flushing a
-warmed base table) behind the seam in :mod:`repro.service.shard`:
-in-process when ``shards == 1``, ``parallel=False`` or
-``multiprocessing`` is unusable (``stats()["serial_fallback"]``), a
-worker process otherwise — same API, same batch path, same answers.
+**What the orchestrator owns.**  One inner engine, compiled once, here,
+over every filter (``config.inner`` names the kind; the default
+``"layered"`` keeps updates from flushing a warmed base table).  It
+never filters while there are workers: building it is the compile
+check, and each worker — at boot and on every respawn — is forked with
+it as its argument, so a replica inherits the compiled automata, a
+trained machine, options and DTD as they are, with nothing pickled and
+nothing compiled twice.  The oid → XPath **sources** are what
+``snapshot()`` writes, with the epoch.  A shard sits behind the seam in
+:mod:`repro.service.shard`: in-process when ``shards == 1``,
+``parallel=False`` or the platform cannot ``fork``
+(``stats()["serial_fallback"]``) — every local shard is then the
+orchestrator's engine itself, taking turns on it — a worker process
+otherwise; same API, same batch path, same answers.
 
 **Update control plane.**  ``subscribe`` / ``unsubscribe`` / ``compact``
-are each written once: validate in the parent (a bad XPath, a filter
-the AFA build refuses or a duplicate oid never reaches a shard), bump
-the *epoch*, update the sources, *then* call the shard verb.  That
-order is the whole crash story: a worker that dies at any point is
-respawned from the current projection, so every update is applied
-exactly once and no control message is ever replayed.  Verbs run
-between batch fan-outs and ``filter_batch`` drains its in-flight work
-before returning, so every batch is answered entirely pre-update or
-entirely post-update.  Batch replies carry the shard's
-``applied_epoch``, so answers are attributable to a workload version.
+are each written once: applied to the orchestrator's engine first (a
+bad XPath, a filter the AFA build refuses or a duplicate oid fails
+there, before any epoch or shard changes), then the *epoch* is bumped
+and the verb is broadcast to every shard.  That order is the whole
+crash story: a worker that dies at any point is forked again from the
+updated engine, so every update is applied exactly once and no control
+message is ever replayed.  Verbs run between filter calls, and a call
+drains its in-flight work before returning, so every call is answered
+entirely pre-update or entirely post-update.  Batch replies carry the
+shard's ``applied_epoch``, so answers are attributable to a workload
+version.
 
-**Data plane** — one for both kinds of shard.  The parent parses
-nothing.  ``filter_stream`` submits the publisher's UTF-8 bytes whole,
-as one work item, to every shard: each shard's parse is the source's
-only parse, its well-formedness check and its document count (the first
-complete reply fixes the count; every other shard must agree).
-``filter_batch`` submits ``document_to_xml`` texts cut into
-``batch_size`` items; :data:`QUEUE_DEPTH` caps the items in flight.  Every
-shard answers in :func:`~repro.service.worker.run_batch`'s messages and
+**Data plane** — one for both kinds of shard.  ``filter_stream`` cuts
+the publisher's UTF-8 bytes with one boundary scan
+(:func:`~repro.xmlstream.split.split_documents`, the shards' parser
+backend) into ``min(shards, n)`` contiguous runs of whole documents,
+one work item each; a source the scan refuses is shipped whole as one
+item, so the error the caller sees is the shard parse's — the serial
+engine's, word for word.  ``filter_batch`` submits ``document_to_xml``
+texts cut into ``batch_size`` items.  Each item goes to the shard with
+the fewest items outstanding (then the fewest documents answered), and
+at most :data:`QUEUE_DEPTH` items per shard are in flight.  Every shard
+answers in :func:`~repro.service.worker.run_batch`'s messages and
 ``_fold`` alone reads them: match dedupe, epoch tags and a failed item
 work alike for both.  A hooked item's matches come as at most two
-frames per (shard, document) — the first match at once, the later ones
-in one ``matches`` frame flushed before the shard's next first match or
-its reply — so ``on_match`` may see a document's non-first matches up
-to one document later than they were decided.  A shard that refuses an
-item reports its error's class and text, and the parent re-raises a
-library error as itself — a malformed source is the serial engine's
-:class:`~repro.errors.XMLSyntaxError`, word for word — and anything
-else as :class:`ServiceError`.  ``parallel`` decides only where a reply
-is read and what the critical path records.  An in-process shard
-answers inside ``submit`` (its ``on_match`` calls arrive as it finishes
-the item) and the path is modelled as the slowest shard's ``batch_s``;
-a worker's replies are awaited with ``multiprocessing.connection.wait``
-on every result pipe and process sentinel, and the path is the wall
-time to the last reply.  A dead worker is restarted, every item it had
-not answered — a whole ``filter_stream`` source included — is
-resubmitted (re-answered at the *current* epoch), and duplicates from
-the pre-crash incarnation are discarded idempotently.
+frames per document — the first match at once, the later ones in one
+``matches`` frame flushed before the shard's next first match or its
+reply — so ``on_match`` may see a document's non-first matches up to
+one document later than they were decided.  A shard that refuses an
+item reports its error's class and text; the call raises the failure
+of its earliest failed item once every item ahead of it is answered,
+a library error as itself and anything else as :class:`ServiceError`.
+``parallel`` decides only where a reply is read and what the critical
+path records.  An in-process shard answers inside ``submit`` and the
+path is modelled as its ``batch_s``; a worker's replies are awaited
+with ``multiprocessing.connection.wait`` on every result pipe and
+process sentinel, and the path is the wall time to the reply.  A dead
+worker is restarted, every item it had not answered is resubmitted
+(re-answered at the *current* epoch), and duplicates from the pre-crash
+incarnation are discarded idempotently.
 """
 
 from __future__ import annotations
 
 import time
-import zlib
+from collections import Counter
 from dataclasses import replace
-from functools import partial
 from typing import IO, Any, Iterable, Mapping, Sequence, Union, cast
 
 from repro import errors
 from repro.engine.config import EngineConfig
-from repro.engine.protocol import MatchHook
-from repro.errors import ReproError, WorkloadError
+from repro.engine.factory import create_engine
+from repro.engine.protocol import FilterEngine, MatchHook
+from repro.errors import ReproError, WorkloadError, XMLSyntaxError
 from repro.service.latency import LatencyTracker
 from repro.service.shard import DocumentText, LocalShard, ServiceError, WorkerShard
-from repro.service.worker import build_payload
 from repro.xmlstream.dom import Document, documents_of_events
 from repro.xmlstream.events import EndDocument, Event
 from repro.xmlstream.parser import _encode_utf8
+from repro.xmlstream.split import split_documents
 from repro.xmlstream.writer import document_to_xml
 from repro.xpath.ast import XPathFilter
-from repro.xpath.parser import parse_workload, parse_xpath
+from repro.xpath.parser import parse_workload
 from repro.xpush.options import XPushOptions
 from repro.xpush.stats import merged
 
 __all__ = ["ServiceError", "ShardedFilterEngine"]
 
-#: One work item: the texts every shard filters, and their document
-#: count — ``None`` for a ``filter_stream`` source, whose count only
-#: the shards' parse can tell.
+#: One work item: the texts one shard filters, and their document
+#: count — ``None`` for a source the boundary scan refused, shipped
+#: whole, whose count only the shard's parse can tell.
 WorkItem = tuple[list[DocumentText], Union[int, None]]
 
 #: ``snapshot()`` format tag of the sharded engine itself.
 SNAPSHOT_FORMAT = "repro-sharded-engine"
 SNAPSHOT_VERSION = 3
 
-#: Work items in flight per call, and (plus slack) each worker's task
-#: queue bound: the backpressure that keeps a long ``filter_batch``
-#: from buffering every document ahead of the shards.
+#: Work items in flight per shard and call, and (plus slack) each
+#: worker's task queue bound: the backpressure that keeps a long
+#: ``filter_batch`` from buffering every document ahead of the shards.
 QUEUE_DEPTH = 4
-
-
-def shard_of_oid(oid: str, shards: int) -> int:
-    """The shard that owns *oid*: CRC-32 of its UTF-8 bytes — identical
-    across processes and restarts, unlike the salted builtin ``hash``,
-    and independent of subscription order."""
-    return zlib.crc32(oid.encode("utf-8")) % shards
 
 
 def imbalance(loads: Sequence[float]) -> float:
@@ -117,73 +116,27 @@ def imbalance(loads: Sequence[float]) -> float:
     return max(loads) / (total / len(loads))
 
 
-#: Normalised path forms the AFA build has accepted.  Whether a filter
-#: compiles depends only on its structure, never its oid, so a
-#: deduplicated workload compiles each distinct filter once per process.
-_COMPILES: set[str] = set()
-
-#: Bound of :data:`_COMPILES`: past it the set is cleared, so a
-#: long-lived parent under churn does not remember every filter it ever
-#: saw (a miss is one single-filter AFA build, ~0.1 ms).
-_COMPILES_LIMIT = 16_384
-
-
-def _check_compiles(xpath_filter: XPathFilter) -> None:
-    """Raise what the AFA build raises on *xpath_filter* (a filter too
-    deep to compile), in the parent, before any shard or epoch changes
-    — the shards trust the parent and would only fail a boot."""
-    key = str(xpath_filter.path)
-    if key not in _COMPILES:
-        from repro.afa.build import build_workload_automata
-
-        build_workload_automata([xpath_filter])
-        if len(_COMPILES) >= _COMPILES_LIMIT:
-            _COMPILES.clear()
-        _COMPILES.add(key)
-
-
 def _mp_context() -> Any:
-    """A usable multiprocessing context (``fork`` where the platform
-    has it), or None — the serial fallback."""
+    """The ``fork`` multiprocessing context, or None — the serial
+    fallback: a worker is a replica only if it can inherit the
+    parent's engine."""
     try:
         import multiprocessing
 
-        methods = multiprocessing.get_all_start_methods()
-        return multiprocessing.get_context("fork" if "fork" in methods else methods[0])
+        if "fork" not in multiprocessing.get_all_start_methods():
+            return None
+        return multiprocessing.get_context("fork")
     except (ImportError, ValueError, OSError):
         return None
 
 
-def _picklable(value: Any) -> bool:
-    import pickle
-
-    try:
-        pickle.dumps(value)
-        return True
-    except Exception:  # noqa: BLE001 - any failure means "do not ship it"
-        return False
-
-
-def _shippable(config: EngineConfig) -> EngineConfig:
-    """*config* as it can cross the process boundary.
-
-    A DTD that cannot be pickled is dropped; the order optimisation
-    needs it, so that switches off in the workers — a performance knob
-    only, answers are unchanged.
-    """
-    if config.dtd is None or _picklable(config.dtd):
-        return config
-    options = replace(config.options, order=False, train=False)
-    return replace(config, dtd=None, options=options)
-
-
 def _shard_error(shard_id: int, batch_id: int | None, name: str, text: str) -> ReproError:
-    """A shard's failure as the parent raises it.  Every shard parses
-    the same bytes with the same backend, so an item one refuses with a
+    """A shard's failure as the parent raises it.  A shard parses its
+    item with the serial engine's backend, so an item it refuses with a
     library error (``XMLSyntaxError``, ``MixedContentError``, …) is
     re-raised as that error with the same text — what the serial engine
     raises on the source.  Anything else — an inner engine's internal
-    error, a failed boot or update — is a :class:`ServiceError`."""
+    error, a failed update — is a :class:`ServiceError`."""
     error_type = getattr(errors, name, None)
     if (
         batch_id is not None
@@ -210,7 +163,7 @@ def _snapshot_sources(snap: dict | None) -> dict[str, str]:
 
 
 class ShardedFilterEngine:
-    """Filter document batches against a workload split over N shards.
+    """Filter documents dealt over N replicas of one engine.
 
     Args:
         filters: the workload (``XPathFilter`` list, or oid→xpath
@@ -252,10 +205,9 @@ class ShardedFilterEngine:
         self.documents = 0
         self.batches = 0
         self.latency = LatencyTracker()
-        #: Per-fan-out critical path: the wall time to the last worker
-        #: reply, or in-process the slowest shard's ``batch_s`` —
-        #: *modelled*, what an ideally parallel run of these shards
-        #: would pay.
+        #: Per-item critical path: the wall time to the worker's reply,
+        #: or in-process the answering shard's ``batch_s`` —
+        #: *modelled*, what an ideally parallel run would pay.
         self.critical_path = LatencyTracker()
         #: Submit → first delivered match, per document that matched
         #: anything (populated while an ``on_match`` sink is attached).
@@ -265,7 +217,7 @@ class ShardedFilterEngine:
         #: ``doc_index`` is relative to the current filter call;
         #: ``event_index`` is the deciding event within the document.
         #: Emission order is monotone per shard, not globally — shards
-        #: scan the same document independently.
+        #: answer their documents independently.
         self.on_match: MatchHook | None = None
         # Document-index offset of the batch currently in flight —
         # filter_events fans one call out over several filter_batch
@@ -276,16 +228,15 @@ class ShardedFilterEngine:
         self._closed = False
         #: shard id → shard handle (all local or all workers).
         self._shards: dict[int, LocalShard | WorkerShard] = {}
+        #: Documents each shard has answered since it was built.
+        self._loads: list[int] = []
         # Restarts of workers since retired by restore().
         self._retired_restarts = 0
-        #: oid → XPath source of every live subscription: the single
-        #: source of truth, which snapshots carry and shards boot from.
-        self._sources: dict[str, str] = {}
-        for xpath_filter in parsed:
-            _check_compiles(xpath_filter)
-            self._sources[xpath_filter.oid] = xpath_filter.source or str(
-                xpath_filter.path
-            )
+        #: oid → XPath source of every live subscription: what
+        #: snapshots carry.
+        self._sources = {f.oid: f.source or str(f.path) for f in parsed}
+        #: The one compiled engine every shard is a replica of.
+        self._engine = self._compile(parsed, self.inner)
 
         self._ctx = None
         parallel = config.parallel
@@ -297,32 +248,23 @@ class ShardedFilterEngine:
         self._boot_shards()
 
     # ------------------------------------------------------------------
-    # Shards: built from the sources' projection, whenever one is needed
+    # Shards: replicas of the orchestrator's engine
     # ------------------------------------------------------------------
 
-    def _projection(self, shard_id: int) -> dict[str, str]:
-        """Shard *shard_id*'s workload (oid → XPath) as the sources
-        have it right now."""
-        return {
-            oid: source
-            for oid, source in self._sources.items()
-            if shard_of_oid(oid, self.shards) == shard_id
-        }
-
-    def _boot_payload(self, shard_id: int, config: EngineConfig, epoch: int) -> dict:
-        return build_payload(config, self._projection(shard_id), epoch)
+    def _compile(
+        self, filters: Iterable[XPathFilter] | Mapping[str, str], inner: str
+    ) -> FilterEngine:
+        """The *inner* engine over *filters*: the workload's one compile,
+        and its check — what the AFA build refuses is raised here."""
+        config = replace(self.config, engine=inner, shards=1, parallel=False)
+        return create_engine(config, filters)  # type: ignore[arg-type]
 
     def _make_shard(self, shard_id: int) -> LocalShard | WorkerShard:
-        # The per-shard config is fixed for the shard's life: restore()
-        # — the one thing that changes it, through the inner kind —
-        # rebuilds every shard.
-        config = replace(self.config, engine=self.inner, shards=1, parallel=False)
         if not self.parallel:
-            boot = partial(self._boot_payload, shard_id, config)
-            return LocalShard(shard_id, boot, epoch=self._epoch)
+            return LocalShard(shard_id, self._engine, epoch=self._epoch)
         return WorkerShard(
             shard_id,
-            partial(self._boot_payload, shard_id, _shippable(config)),
+            self._engine,
             self._ctx,
             QUEUE_DEPTH,
             self.config.result_timeout,
@@ -330,6 +272,7 @@ class ShardedFilterEngine:
         )
 
     def _boot_shards(self) -> None:
+        self._loads = [0] * self.shards
         self._shards = {
             shard_id: self._make_shard(shard_id) for shard_id in range(self.shards)
         }
@@ -346,7 +289,7 @@ class ShardedFilterEngine:
         )
 
     # ------------------------------------------------------------------
-    # Update control plane — every verb: parent state first, shard after
+    # Update control plane — every verb: engine first, shards after
     # ------------------------------------------------------------------
 
     @property
@@ -368,33 +311,37 @@ class ShardedFilterEngine:
             raise ServiceError("engine is closed")
 
     def subscribe(self, oid: str, xpath: str) -> None:
-        """Add a filter while serving.  Validated here — parsed and
-        compiled, so a filter the AFA build refuses stops before the
-        epoch moves — and applied on its CRC-32 shard without flushing
-        that shard's warmed base tables."""
+        """Add a filter while serving.  Compiled into the orchestrator's
+        engine first — so a filter the AFA build refuses stops before
+        the epoch moves — then applied on every replica without flushing
+        its warmed base tables."""
         self._check_open()
         if oid in self._sources:
             raise WorkloadError(f"oid {oid!r} already subscribed")
-        _check_compiles(parse_xpath(xpath, oid))  # eager; shards trust the parent
+        self._engine.subscribe(oid, xpath)
         self._epoch += 1
         self._sources[oid] = xpath
-        self._shards[shard_of_oid(oid, self.shards)].subscribe(oid, xpath, self._epoch)
+        for shard in self._shards.values():
+            shard.subscribe(oid, xpath, self._epoch)
 
     def unsubscribe(self, oid: str) -> None:
-        """Drop a filter while serving; a tombstone on its shard until
-        the next compaction."""
+        """Drop a filter while serving; a tombstone on every replica
+        until the next compaction."""
         self._check_open()
         if oid not in self._sources:
             raise WorkloadError(f"unknown oid {oid!r}")
+        self._engine.unsubscribe(oid)
         del self._sources[oid]
         self._epoch += 1
-        self._shards[shard_of_oid(oid, self.shards)].unsubscribe(oid, self._epoch)
+        for shard in self._shards.values():
+            shard.unsubscribe(oid, self._epoch)
 
     def compact(self) -> None:
-        """Fold every shard's delta and tombstones into its base (a
-        layered shard appends; the brute-force rebuild is its
+        """Fold every replica's delta and tombstones into its base (a
+        layered engine appends; the brute-force rebuild is its
         renumbering rule's to call)."""
         self._check_open()
+        self._engine.compact()
         self._epoch += 1
         for shard in self._shards.values():
             shard.compact(self._epoch)
@@ -405,39 +352,56 @@ class ShardedFilterEngine:
 
     def filter_batch(self, documents: Iterable[Document]) -> list[frozenset[str]]:
         """Filter *documents*; one oid-set per document, serial-identical.
-        Each shard parses its own serialised copy of every document; the
-        call is cut into ``batch_size``-document work items."""
+        The call is cut into ``batch_size``-document work items, each
+        serialised and parsed by the one shard it is dealt to."""
         texts = [document_to_xml(doc) for doc in documents]
         size = self.config.batch_size
         chunks = [texts[offset : offset + size] for offset in range(0, len(texts), size)]
         return self._filter([(chunk, len(chunk)) for chunk in chunks])
 
+    def _deal(self, outstanding: dict[int, dict]) -> int:
+        """The shard the next item goes to: the fewest items of this
+        call outstanding, then the fewest documents answered."""
+        busy = Counter(entry["shard"] for entry in outstanding.values())
+        return min(self._shards, key=lambda shard_id: (busy[shard_id], self._loads[shard_id]))
+
     def _filter(self, items: Sequence[WorkItem]) -> list[frozenset[str]]:
-        """The one data path: *items* fanned out to every shard."""
+        """The one data path: each of *items* dealt to one shard."""
         self._check_open()
         outstanding: dict[int, dict] = {}
         entries: list[dict] = []
+        settled = 0  # entries[:settled] are answered
+
+        def fold() -> None:
+            nonlocal settled
+            self._fold(self._receive(outstanding), outstanding)
+            while settled < len(entries) and entries[settled]["answers"] is not None:
+                settled += 1
+            # The earliest failed item's error is the serial engine's:
+            # raised once every item ahead of it is answered.
+            if settled < len(entries) and "error" in entries[settled]:
+                raise entries[settled]["error"]
+
         emit = self.on_match is not None
         offset = 0  # an item of unknown size is a call's only item
         try:
             for texts, size in items:
-                while len(outstanding) >= QUEUE_DEPTH:
-                    self._fold(self._receive(outstanding), outstanding)
+                while len(outstanding) >= QUEUE_DEPTH * len(self._shards):
+                    fold()
+                shard_id = self._deal(outstanding)
                 self._batch_counter += 1
                 batch_id = self._batch_counter
                 entry = {
                     "offset": offset,
-                    # The item's document count: None until the first
-                    # complete reply fixes it.
+                    # The item's document count: None until the reply
+                    # of a source shipped whole fixes it.
                     "size": size,
-                    "merged": [],
-                    "waiting": set(self._shards),
+                    "shard": shard_id,
+                    "answers": None,
                     "started": time.perf_counter(),
-                    # The slowest shard's own batch seconds so far.
-                    "slowest": 0.0,
                     # Event-time delivery bookkeeping: (doc_offset, oid)
-                    # pairs already delivered (resubmitted items
-                    # re-stream their matches), and doc offsets whose
+                    # pairs already delivered (a resubmitted item
+                    # re-streams its matches), and doc offsets whose
                     # first match has been latency-recorded.
                     "emitted": set(),
                     "firsts": set(),
@@ -445,10 +409,9 @@ class ShardedFilterEngine:
                 offset += size or 0
                 entries.append(entry)
                 outstanding[batch_id] = entry
-                for shard in self._shards.values():
-                    shard.submit(batch_id, texts, emit)
-            while outstanding:
-                self._fold(self._receive(outstanding), outstanding)
+                self._shards[shard_id].submit(batch_id, texts, emit)
+            while settled < len(entries):
+                fold()
         finally:
             # A call that gave up (a shard reported an error, nothing
             # moved for result_timeout) abandons its items: a later
@@ -457,7 +420,7 @@ class ShardedFilterEngine:
             for batch_id in outstanding:
                 for shard in self._workers.values():
                     shard.pending.pop(batch_id, None)
-        return [frozenset(oids) for entry in entries for oids in entry["merged"]]
+        return [oids for entry in entries for oids in entry["answers"]]
 
     def _receive(self, outstanding: dict[int, dict]) -> tuple:
         """The next shard message, restarting workers that die first.
@@ -487,9 +450,7 @@ class ShardedFilterEngine:
             # that keep dying cannot keep the call alive either.
             ready = wait([*readers, *sentinels], remaining) if remaining > 0 else []
             if not ready:
-                waiting = {
-                    bid: sorted(info["waiting"]) for bid, info in outstanding.items()
-                }
+                waiting = {bid: entry["shard"] for bid, entry in outstanding.items()}
                 raise ServiceError(
                     f"no shard progress for {result_timeout:.0f}s; "
                     f"waiting on {waiting}"
@@ -524,12 +485,12 @@ class ShardedFilterEngine:
             # frame).  FIFO per-shard replies guarantee both precede the
             # shard's batch reply, so every match is folded in before
             # the batch completes.
-            shard_id, batch_id = message[1], message[2]
-            info_entry = outstanding.get(batch_id)
-            if info_entry is None or shard_id not in info_entry["waiting"]:
+            batch_id = message[2]
+            entry = outstanding.get(batch_id)
+            if entry is None:
                 return  # late duplicate from a pre-crash incarnation
-            emitted, firsts = info_entry["emitted"], info_entry["firsts"]
-            base = self._doc_base + info_entry["offset"]
+            emitted, firsts = entry["emitted"], entry["firsts"]
+            base = self._doc_base + entry["offset"]
             hook = self.on_match
             for doc_offset, oid, event_index in (
                 [message[3:]] if kind == "match" else message[3]
@@ -540,46 +501,46 @@ class ShardedFilterEngine:
                 emitted.add(key)
                 if doc_offset not in firsts:
                     firsts.add(doc_offset)
-                    self.first_match.record(time.perf_counter() - info_entry["started"])
+                    self.first_match.record(time.perf_counter() - entry["started"])
                 if hook is not None:
                     hook(oid, base + doc_offset, event_index)
             return
         if kind == "error":
             _, shard_id, batch_id, name, text = message
-            if batch_id is not None and batch_id not in outstanding:
-                return  # the other shards' word on a batch already given up on
-            raise _shard_error(shard_id, batch_id, name, text)
+            error = _shard_error(shard_id, batch_id, name, text)
+            if batch_id is None:
+                raise error
+            entry = outstanding.pop(batch_id, None)
+            if entry is not None:  # else: an item already given up on
+                if shard_id in self._workers:
+                    self._workers[shard_id].pending.pop(batch_id, None)
+                entry["error"] = error
+            return
         _, shard_id, batch_id, answers, info = message
         shard = self._workers.get(shard_id)
-        info_entry = outstanding.get(batch_id)
         if shard is not None:
             shard.last_info = info
             shard.pending.pop(batch_id, None)
-        if info_entry is None or shard_id not in info_entry["waiting"]:
+        entry = outstanding.get(batch_id)
+        if entry is None:
             return  # duplicate from a pre-crash incarnation
-        size = info_entry["size"]
-        if size is None:  # the first complete reply fixes the count
-            size = info_entry["size"] = len(answers)
+        size = entry["size"]
+        if size is None:  # a source shipped whole: the shard counted it
+            size = entry["size"] = len(answers)
         if len(answers) != size:
             raise ServiceError(
                 f"shard {shard_id} returned {len(answers)} answers for an "
                 f"item of {size} documents"
             )
-        info_entry["waiting"].discard(shard_id)
-        info_entry["slowest"] = max(info_entry["slowest"], info["batch_s"])
-        unions = info_entry["merged"]
-        if not unions:
-            unions.extend(set() for _ in range(size))
-        for mine, oids in zip(unions, answers):
-            mine |= oids
-        if not info_entry["waiting"]:
-            self.batches += 1
-            self.documents += size
-            elapsed = time.perf_counter() - info_entry["started"]
-            self.latency.record(elapsed)
-            # In-process shards run one after another: model the path.
-            self.critical_path.record(elapsed if self.parallel else info_entry["slowest"])
-            del outstanding[batch_id]
+        entry["answers"] = answers
+        self._loads[shard_id] += size
+        self.batches += 1
+        self.documents += size
+        elapsed = time.perf_counter() - entry["started"]
+        self.latency.record(elapsed)
+        # An in-process shard's wall time includes its queue: model it.
+        self.critical_path.record(elapsed if self.parallel else info["batch_s"])
+        del outstanding[batch_id]
 
     def filter_document(self, document: Document) -> frozenset[str]:
         """Filter a single document (a batch of one)."""
@@ -588,7 +549,7 @@ class ShardedFilterEngine:
     def filter_events(self, events: Iterable[Event]) -> list[frozenset[str]]:
         """Filter a SAX event stream; one oid-set per document.
 
-        Documents are cut at ``EndDocument`` boundaries and fanned out
+        Documents are cut at ``EndDocument`` boundaries and dealt out
         in ``batch_size`` groups, so an unbounded stream is processed
         with bounded buffering (one batch of documents at a time).
         """
@@ -619,20 +580,32 @@ class ShardedFilterEngine:
     ) -> list[frozenset[str]]:
         """Filter a (possibly multi-document) XML source.
 
-        The parent parses nothing: it reads a file-like *source* into
-        memory and ships the publisher's UTF-8 bytes whole, as one work
-        item, to every shard, whose parse is the only one.  A source
-        that is not well-formed raises the serial engine's
-        :class:`~repro.errors.XMLSyntaxError`, word for word; the
-        documents ahead of the fault were filtered and may already have
-        fired ``on_match``, as on the layered engine.  ``batch_size``
-        and :data:`QUEUE_DEPTH` do not cut a call; ``result_timeout``
-        bounds its filtering on a shard."""
+        The parent reads a file-like *source* into memory, finds its
+        document boundaries with one :func:`split_documents` scan and
+        deals ``min(shards, n)`` contiguous runs of its documents out,
+        one to a shard; the shards' parse is the only one.  A source
+        that is not well-formed is shipped whole to one shard and
+        raises the serial engine's :class:`~repro.errors.XMLSyntaxError`,
+        word for word; an item a shard refuses raises that shard's
+        error.  Documents ahead of the fault, and possibly after it on
+        another shard, were filtered and may already have fired
+        ``on_match``.  ``batch_size`` does not cut a call;
+        ``result_timeout`` bounds a shard's filtering of its run."""
         if not isinstance(source, (str, bytes)):
             source = source.read()
         if isinstance(source, str):
             source = _encode_utf8(source)
-        return self._filter([([source], None)])
+        try:
+            slices = split_documents(source, self.config.backend)
+        except XMLSyntaxError:
+            # The scan's text may differ from the shard parse's: let the
+            # shard report it.
+            return self._filter([([source], None)])
+        runs = min(self.shards, len(slices))
+        cuts = [len(slices) * run // max(runs, 1) for run in range(runs + 1)]
+        return self._filter(
+            [([b"".join(slices[lo:hi])], hi - lo) for lo, hi in zip(cuts, cuts[1:])]
+        )
 
     # ------------------------------------------------------------------
     # Persistence
@@ -655,8 +628,8 @@ class ShardedFilterEngine:
     def _snapshot_filters(snapshot: Mapping[str, Any]) -> dict[str, str]:
         """The oid → XPath sources of a capture of any version.  A
         version-2 capture's ``routing`` and ``placement`` are not read:
-        every filter lives on its CRC-32 shard, whatever it was written
-        with, and the answers are the same."""
+        every shard holds every filter, whatever it was written with,
+        and the answers are the same."""
         from repro.xpush.persist import PersistError
 
         version = snapshot.get("version")
@@ -679,11 +652,12 @@ class ShardedFilterEngine:
         return sources
 
     def restore(self, snapshot: dict[str, Any]) -> None:
-        """Replace the workload with a :meth:`snapshot` capture; every
-        shard is rebuilt from the captured sources, under this engine's
-        own config.  A capture that is refused — malformed, or naming a
-        filter that does not parse or compile — leaves the engine as it
-        was: everything is checked before a shard is stopped."""
+        """Replace the workload with a :meth:`snapshot` capture; the
+        engine is recompiled from the captured sources, under this
+        engine's own config, and every shard is rebuilt from it.  A
+        capture that is refused — malformed, or naming a filter that
+        does not parse or compile — leaves the engine as it was: the new
+        engine is built before a shard is stopped."""
         from repro.xpush.persist import PersistError
 
         if snapshot.get("format") != SNAPSHOT_FORMAT:
@@ -695,13 +669,14 @@ class ShardedFilterEngine:
         # Refused as EngineConfig refuses it, before any shard exists.
         inner = replace(self.config, inner=str(snapshot.get("inner", self.inner))).inner
         epoch = int(snapshot.get("epoch", 0))
-        for oid, source in sources.items():
-            _check_compiles(parse_xpath(source, oid))
+        engine = self._compile(sources, inner)
         self._stop_shards()
+        self._engine.close()
         self.shards = shards
         self.inner = inner
         self._epoch = epoch
         self._sources = sources
+        self._engine = engine
         self._boot_shards()
 
     # ------------------------------------------------------------------
@@ -715,15 +690,12 @@ class ShardedFilterEngine:
         self._workers[shard_id].inject_crash(exit_code)
 
     def stats(self) -> dict[str, Any]:
-        counts = [0] * self.shards
-        for oid in self._sources:
-            counts[shard_of_oid(oid, self.shards)] += 1
-        loads = [float(count) for count in counts]
+        loads = [float(count) for count in self._loads]
         # A shard's whole last report, over the zero block while its
         # worker has not reported yet.
         per_shard = [
-            {**merged(()), **self._shards[shard_id].info(), "shard": shard_id, "filters": count}
-            for shard_id, count in enumerate(counts)
+            {**merged(()), **shard.info(), "shard": shard_id}
+            for shard_id, shard in self._shards.items()
         ]
         depths = []
         for shard in self._workers.values():
@@ -750,9 +722,10 @@ class ShardedFilterEngine:
             "batch_latency": self.latency.snapshot(),
             "first_match_latency": self.first_match.snapshot(),
             "critical_path_latency": self.critical_path.snapshot(),
-            # The parent merges its workers' counters as a layered
-            # engine merges its layers'.
-            **merged(per_shard),
+            # The parent merges its replicas' counters as a layered
+            # engine merges its layers'; in-process shards share one
+            # engine, counted once.
+            **merged(per_shard if self.parallel else [self._engine.stats()]),
         }
 
     def _retire(self, shard: LocalShard | WorkerShard) -> None:
@@ -764,11 +737,13 @@ class ShardedFilterEngine:
             self._retire(self._shards.popitem()[1])
 
     def close(self) -> None:
-        """Stop all shards; the engine cannot filter afterwards."""
+        """Stop all shards and release the compiled engine; the engine
+        cannot filter afterwards."""
         if self._closed:
             return
         self._closed = True
         self._stop_shards()
+        self._engine.close()
 
     def __enter__(self) -> "ShardedFilterEngine":
         return self

@@ -13,21 +13,21 @@ Both kinds answer a batch in :func:`~repro.service.worker.run_batch`'s
 messages — a worker down its result pipe, a local shard into ``replies``
 inside ``submit`` — and the orchestrator folds them alike.
 
-Who owns what: the orchestrator owns the *workload* — the XPath
-sources — and nothing else is durable.  A shard owns an engine built
-from that: it is handed ``boot``, a callable returning the shard's boot
-payload (:func:`~repro.service.worker.build_payload`) as projected from
-the sources *at the moment of the call*, and calls it whenever it needs
-an engine — once for a local shard, on every (re)spawn for a worker.
-:class:`WorkerShard` alone owns the process,
-its task queue, its per-incarnation result pipe and the batches it has
-not answered yet (``pending``).
+Who owns what: the orchestrator owns the *engine* — one inner engine
+compiled over the whole workload, which every control verb updates
+first — and a shard is a replica of it.  A :class:`LocalShard` *is*
+that engine (in-process shards take turns on it, so its control verbs
+only record the epoch); a :class:`WorkerShard` is forked with it as
+the worker's argument, at boot and on every respawn, and applies the
+control messages to its own copy.  :class:`WorkerShard` alone owns the
+process, its task queue, its per-incarnation result pipe and the
+batches it has not answered yet (``pending``).
 
-Crash recovery is therefore true by construction: a respawned worker
-boots the *current* workload, the stale queue dies with the old process,
-and a control message lost with it is deliberately not re-sent — its
-effect is already in the projection.  The one invariant callers keep:
-update the sources **before** calling a control verb.
+Crash recovery is therefore true by construction: a respawned worker is
+forked from the *current* engine, the stale queue dies with the old
+process, and a control message lost with it is deliberately not
+re-sent — its effect is already in the engine.  The one invariant
+callers keep: update the engine **before** calling a control verb.
 
 ``epoch`` on a shard is the epoch of the last update routed to it (or
 the one it was created at); a worker boots at that epoch, and both kinds
@@ -39,9 +39,8 @@ from __future__ import annotations
 import queue as queue_module
 import time
 from collections import deque
-from typing import Any, Callable, Sequence, Union
+from typing import Any, Sequence, Union
 
-from repro.engine.factory import create_engine
 from repro.errors import ReproError
 from repro.service import worker
 
@@ -50,13 +49,10 @@ class ServiceError(ReproError):
     """Raised when the sharded service cannot complete a batch."""
 
 
-#: One text on the wire: the publisher's whole source as UTF-8
-#: (``filter_stream``) or one serialised DOM (``filter_batch``).
+#: One text on the wire: a run of whole documents of the publisher's
+#: source as UTF-8 (``filter_stream``) or one serialised DOM
+#: (``filter_batch``).
 DocumentText = Union[str, bytes]
-
-#: ``boot(epoch)`` → the shard's boot payload, derived by the
-#: orchestrator from its sources when called.
-Boot = Callable[[int], dict]
 
 
 class _Shard:
@@ -76,19 +72,19 @@ class _Shard:
 
 
 class LocalShard(_Shard):
-    """A shard hosted in this process: the inner engine, called directly."""
+    """A shard hosted in this process: the orchestrator's own engine,
+    called directly, and shared with every other local shard."""
 
     restarts = 0  # an in-process engine has no process to lose
 
-    def __init__(self, shard_id: int, boot: Boot, epoch: int = 0):
+    def __init__(self, shard_id: int, engine: Any, epoch: int = 0):
         self.shard_id = shard_id
         self.epoch = epoch
         #: Cumulative seconds spent filtering (workers measure their own).
         self.busy_s = 0.0
         #: Batch replies (worker protocol), oldest first, until read.
         self.replies: deque[tuple] = deque()
-        payload = boot(epoch)
-        self.engine = create_engine(payload["config"], payload["filters"])
+        self.engine = engine
 
     def submit(self, batch_id: int, texts: Sequence[DocumentText], emit: bool) -> None:
         """Answer one batch now; its messages wait in ``replies``."""
@@ -98,18 +94,19 @@ class LocalShard(_Shard):
         )
 
     def _control(self, epoch: int, *op: str) -> None:
-        worker.apply_control(self.engine, *op)
-        self.epoch = epoch
+        self.epoch = epoch  # the caller has applied *op* to the engine
 
     def info(self) -> dict[str, Any]:
         return worker.engine_info(self.engine, self.epoch, self.busy_s)
 
     def stop(self) -> None:
-        self.engine.close()
+        pass  # the engine is the orchestrator's to close
 
 
 class WorkerShard(_Shard):
-    """A shard hosted in a worker process (:mod:`repro.service.worker`).
+    """A shard hosted in a worker process (:mod:`repro.service.worker`),
+    forked — at boot and on every respawn — with *engine*, the
+    orchestrator's, as it is at that moment.
 
     Control verbs are epoch-stamped messages on the same FIFO task queue
     as batches, so an update is visible to exactly the batches submitted
@@ -120,7 +117,7 @@ class WorkerShard(_Shard):
     def __init__(
         self,
         shard_id: int,
-        boot: Boot,
+        engine: Any,
         ctx: Any,
         queue_depth: int,
         result_timeout: float,
@@ -136,7 +133,7 @@ class WorkerShard(_Shard):
         # batch verbatim after a crash, match streaming included.
         self.pending: dict[int, tuple[Sequence[DocumentText], bool]] = {}
         self.last_info: dict[str, Any] = {}
-        self._boot = boot
+        self._engine = engine
         self._ctx = ctx
         self._queue_depth = queue_depth
         self._result_timeout = result_timeout
@@ -164,7 +161,7 @@ class WorkerShard(_Shard):
         self.results, sender = self._ctx.Pipe(duplex=False)
         self.process = self._ctx.Process(
             target=worker.worker_main,  # looked up per spawn: tests patch it
-            args=(self.shard_id, self._boot(self.epoch), self.tasks, sender),
+            args=(self.shard_id, (self._engine, self.epoch), self.tasks, sender),
             daemon=True,
             name=f"repro-shard-{self.shard_id}",
         )
@@ -174,8 +171,8 @@ class WorkerShard(_Shard):
         sender.close()
 
     def restart(self) -> None:
-        """Respawn from the current projection and resubmit every batch
-        the dead incarnation had not answered."""
+        """Respawn from the current engine and resubmit every batch the
+        dead incarnation had not answered."""
         self.restarts += 1
         if self.process is not None:
             self.process.join(timeout=1.0)
@@ -188,8 +185,8 @@ class WorkerShard(_Shard):
         while True:
             if self.dead:
                 # restart() resubmits everything in self.pending —
-                # including the batch this task may carry — and boots
-                # the workload any control message would have changed.
+                # including the batch this task may carry — and forks
+                # the engine any control message would have changed.
                 self.restart()
                 return
             try:

@@ -1,19 +1,18 @@
 """Worker-process side of the sharded filtering service.
 
-Each worker owns one shard: it boots an inner
-:class:`~repro.engine.protocol.FilterEngine` through
-:func:`~repro.engine.factory.create_engine` from a picklable payload
-(:func:`build_payload`): the inner engine's
-:class:`~repro.engine.config.EngineConfig` plus the shard's filters as
-``oid → XPath`` sources — the parent's projection at the moment
-of the (re)spawn.  The worker parses and compiles its own filters (and
-trains its machine exactly when ``config.options.train`` says so, as
-any engine of that config would); nothing about an engine's internal
-state ever lives outside it.
+Each worker is one replica of the parent's engine: the parent compiles
+one inner :class:`~repro.engine.protocol.FilterEngine` over the whole
+workload (:class:`~repro.service.engine.ShardedFilterEngine`), and a
+worker — at boot and on every respawn — is forked with that engine as
+its :func:`worker_main` argument, so nothing is pickled, parsed or
+compiled on the way in: the worker's machine is the parent's, trained
+(or not) and configured exactly as the parent's is, DTD included.
+From then on the replica answers the documents dealt to it and applies
+the same control messages the parent applied to its own engine.
 
-:func:`run_batch` answers a batch in the messages below, and
-:func:`apply_control` applies an update, for a worker and an
-in-process :class:`~repro.service.shard.LocalShard` alike.
+:func:`run_batch` answers a batch in the messages below, for a worker
+and an in-process :class:`~repro.service.shard.LocalShard` alike (a
+local shard takes no control message: it is the parent's engine).
 
 Protocol (plain picklable tuples):
 
@@ -21,10 +20,11 @@ parent → worker, on the shard's task queue:
 
 - ``("batch", batch_id, [text, ...], emit)`` — filter each text as a
   (possibly multi-document) stream, reply with one oid-set per document
-  in text order.  A text is the publisher's whole source as UTF-8
-  ``bytes``, untouched (``filter_stream``: one text per batch), or one
-  ``str`` serialised from a DOM (``filter_batch``); either way this
-  worker's parse is the document's only parse on this shard.
+  in text order.  A text is a run of whole documents of the
+  publisher's source as UTF-8 ``bytes``, cut where the parent's
+  boundary scan found them (``filter_stream``: one text per batch), or
+  one ``str`` serialised from a DOM (``filter_batch``); either way
+  this worker's parse is the document's only parse.
   When ``emit`` is true, the worker additionally streams its match
   decisions *while the batch is still running* (event-time earliest
   answering), in ``match`` and ``matches`` frames ahead of the final
@@ -34,10 +34,11 @@ parent → worker, on the shard's task queue:
   ``("control", e, "unsubscribe", oid)`` or
   ``("control", e, "compact")``.  Applied in FIFO order with batches,
   so a batch submitted after an update is always answered under it.
-  No ack is sent and none is needed: the parent updated its sources
-  *before* enqueuing the message, and a respawned
-  worker boots from exactly those, so a crash between enqueue and
-  apply loses nothing (the stale queue dies with the old process);
+  No ack is sent and none is needed: the parent applied the update to
+  its own engine *before* enqueuing the message, and a respawned
+  worker is forked from exactly that engine, so a crash between
+  enqueue and apply loses nothing (the stale queue dies with the old
+  process);
 - ``("crash", exit_code)`` — die immediately (test hook for the
   crash-recovery path);
 - ``("stop",)`` — drain and exit cleanly.
@@ -46,7 +47,7 @@ worker → parent, on this incarnation's own result pipe (the write end
 of a one-way ``Pipe``; the parent closed its copy, so this process
 dying — even halfway through a frame — reads as end-of-file there):
 
-- ``("ready", shard_id, info)`` — engine built;
+- ``("ready", shard_id, info)`` — the replica is up;
 - ``("match", shard_id, batch_id, doc_offset, oid, event_index)`` —
   a document's first match on this shard, sent the moment it is
   decided (``doc_offset`` is the document's position within the
@@ -69,7 +70,7 @@ dying — even halfway through a frame — reads as end-of-file there):
   (``XMLSyntaxError``, ``MixedContentError``, …) as itself, anything
   else as ``ServiceError``.
 
-``info`` is the inner engine's ``stats()`` plus ``applied_epoch`` — the
+``info`` is the replica's ``stats()`` plus ``applied_epoch`` — the
 epoch this worker booted at or of the last control message it applied.
 Every batch reply is thereby *epoch-tagged*: the parent can attribute
 each answer to a workload version, which matters after a crash, when
@@ -79,21 +80,10 @@ rather than the one they were first submitted under.
 
 from __future__ import annotations
 
+import gc
 import os
 import time
-from typing import Any, Callable, Mapping
-
-from repro.engine.factory import create_engine
-
-
-def build_payload(config: Any, filters: Mapping[str, str], epoch: int = 0) -> dict:
-    """The picklable description of one shard an engine boots from.
-
-    *config* is the inner engine's :class:`EngineConfig`; *filters* is
-    the shard's live workload as ``oid → XPath`` sources; *epoch* is
-    the workload version those filters represent.
-    """
-    return {"config": config, "filters": dict(filters), "epoch": epoch}
+from typing import Any, Callable
 
 
 def engine_info(engine: Any, applied_epoch: int, busy_s: float = 0.0) -> dict[str, Any]:
@@ -103,15 +93,18 @@ def engine_info(engine: Any, applied_epoch: int, busy_s: float = 0.0) -> dict[st
     return info
 
 
-def worker_main(shard_id: int, payload: dict, tasks, results) -> None:
-    """Run one shard worker until a ``stop`` task (or a crash hook)."""
-    try:
-        engine = create_engine(payload["config"], payload["filters"])
-    except Exception as error:  # noqa: BLE001 - forwarded to the parent
-        text = f"worker init failed: {error}"
-        results.send(("error", shard_id, None, type(error).__name__, text))
-        return
-    applied_epoch = payload["epoch"]
+def worker_main(shard_id: int, payload: tuple, tasks, results) -> None:
+    """Run one shard worker until a ``stop`` task (or a crash hook).
+    *payload* is ``(engine, epoch)``: the parent's engine, inherited
+    through the fork, and the workload version it holds."""
+    # Everything inherited from the parent, the engine first, goes into
+    # this process's permanent generation, so its collections never walk
+    # (and copy) the parent's pages.  Frozen here rather than in the
+    # parent, whose own freeze would outlive the fork: cyclic garbage
+    # frozen there is never collected, and an unfreeze would thaw what
+    # the embedding program froze itself.
+    gc.freeze()
+    engine, applied_epoch = payload
     busy_s = 0.0
     results.send(("ready", shard_id, engine_info(engine, applied_epoch)))
     while True:
@@ -125,7 +118,9 @@ def worker_main(shard_id: int, payload: dict, tasks, results) -> None:
         if kind == "control":
             _, epoch, op, *args = task
             try:
-                apply_control(engine, op, *args)
+                if op not in ("subscribe", "unsubscribe", "compact"):
+                    raise ValueError(f"unknown control op {op!r}")
+                getattr(engine, op)(*args)
                 applied_epoch = epoch
             except Exception as error:  # noqa: BLE001 - forwarded
                 text = f"control {op} failed: {error}"
@@ -135,15 +130,6 @@ def worker_main(shard_id: int, payload: dict, tasks, results) -> None:
             results.send(("error", shard_id, None, "ValueError", f"unknown task {kind!r}"))
             continue
         busy_s = run_batch(engine, shard_id, task, applied_epoch, busy_s, results.send)
-
-
-def apply_control(engine: Any, op: str, *args: str) -> None:
-    """Apply one workload update — ``subscribe``, ``unsubscribe`` or
-    ``compact`` — to *engine*; a worker and a local shard alike."""
-    if op in ("subscribe", "unsubscribe", "compact"):
-        getattr(engine, op)(*args)
-    else:
-        raise ValueError(f"unknown control op {op!r}")
 
 
 def run_batch(

@@ -3,15 +3,16 @@
 A stage should materialise only what it needs (Koch et al., PAPERS.md):
 a caller that wants each document's own text needs document
 *boundaries*, not trees, so this is a handler-light boundary scan over
-the publisher's own bytes.  Its one production caller is the serving
-tier, which cuts a publish into per-document payloads for the consumers
-that asked for them, after the engine has accepted the source (the
-sharded engine ships a source whole: each shard's own parse is the
-only one).  Each slice, parsed on its own by the backend that cut it,
-yields exactly the events that document yields inside the whole
-source; anything that is not well-formed — a ``str`` holding a lone
-surrogate included — raises :class:`~repro.errors.XMLSyntaxError`
-here, where :func:`~repro.xmlstream.dom.parse_forest` raises it.
+the publisher's own bytes.  It has two production callers: the sharded
+engine, which deals runs of whole documents out to its shards (each
+shard's parse is the documents' only one), and the serving tier, which
+cuts a publish into per-document payloads for the consumers that asked
+for them, after the engine has accepted the source.  Each slice, parsed
+on its own by the backend that cut it, yields exactly the events that
+document yields inside the whole source; anything that is not
+well-formed — a ``str`` holding a lone surrogate included — raises
+:class:`~repro.errors.XMLSyntaxError` here, where
+:func:`~repro.xmlstream.dom.parse_forest` raises it.
 
 Where a cut falls differs per backend, mirroring how each scanner
 itself finds the next document:

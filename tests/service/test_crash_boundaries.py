@@ -1,7 +1,8 @@
 """``kill -9`` at every control-message boundary.
 
-For each control verb and each inner engine kind, the workers the verb
-touches are crashed at each side of its control messages:
+For each control verb and each inner engine kind, the workers — every
+verb is broadcast to every replica — are crashed at each side of its
+control messages:
 
 - ``before`` — the worker is already dead when the message is sent (the
   send itself respawns it);
@@ -11,9 +12,9 @@ touches are crashed at each side of its control messages:
 
 Every time the next answers must equal the semantic reference over the
 live workload, every crashed worker must have restarted exactly once,
-and it must answer at the epoch of the last update routed to it — an
-update applied twice (the worker rejects a duplicate oid) or not at all
-(a wrong answer) cannot hide.
+and it must answer at the epoch of the last update and report every
+live filter — an update applied twice (the worker rejects a duplicate
+oid) or not at all (a wrong answer) cannot hide.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import signal
 import pytest
 
 from repro.service import ShardedFilterEngine
-from repro.service.engine import shard_of_oid
 from repro.xmlstream.dom import parse_forest
 from repro.xpath.parser import parse_xpath
 from repro.xpath.semantics import matching_oids
@@ -51,19 +51,16 @@ def _truth(live):
 
 def _subscribe(engine, live):
     live["new"] = "//a[b = 1 or b = 2]"
-    return (
-        [shard_of_oid("new", SHARDS)],
-        lambda: engine.subscribe("new", live["new"]),
-    )
+    return lambda: engine.subscribe("new", live["new"])
 
 
 def _unsubscribe(engine, live):
     del live["q2"]
-    return [shard_of_oid("q2", SHARDS)], lambda: engine.unsubscribe("q2")
+    return lambda: engine.unsubscribe("q2")
 
 
 def _compact(engine, live):
-    return list(range(SHARDS)), engine.compact
+    return engine.compact
 
 
 VERBS = {
@@ -90,7 +87,8 @@ def test_crash_at_the_control_message_boundary(verb, inner, when):
         pytest.skip("multiprocessing unavailable on this platform")
     try:
         assert engine.filter_stream(STREAM) == _truth(live)
-        touched, act = VERBS[verb](engine, live)
+        touched = list(range(SHARDS))
+        act = VERBS[verb](engine, live)
         processes = [engine._shards[shard_id].process for shard_id in touched]
         if when == "lost":
             for process in processes:
@@ -116,11 +114,12 @@ def test_crash_at_the_control_message_boundary(verb, inner, when):
         for shard_id in touched:
             entry = stats["per_shard"][shard_id]
             assert engine._shards[shard_id].restarts == 1
-            # Booted at — not replayed up to — its last routed update.
+            # Booted at — not replayed up to — its last update, and
+            # a replica of the whole live workload.
             assert entry["applied_epoch"] == engine._shards[shard_id].epoch
             worker_view = engine._shards[shard_id].info()["filters"]
-            assert worker_view == entry["filters"] == len(engine._projection(shard_id))
-        # One epoch, routed to exactly the touched shards.
+            assert worker_view == entry["filters"] == engine.filter_count
+        # One epoch, broadcast to every shard.
         assert all(engine._shards[s].epoch == engine.epoch for s in touched)
         # The control plane stays live, and nothing is applied twice.
         engine.subscribe("post", "//r")

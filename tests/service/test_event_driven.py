@@ -61,6 +61,7 @@ def test_killed_worker_wakes_the_waiting_parent():
     try:
         assert engine.filter_stream(SOURCE) == EXPECTED  # both workers booted
         before = engine.stats()
+        # Each shard holds one half of the next call: shard 0 the first.
         victim = _pid(engine, 0)
         # Stopped, the worker cannot answer: the parent is certainly
         # asleep in wait() when the kill lands.
@@ -88,10 +89,10 @@ def test_killed_worker_wakes_the_waiting_parent():
         after = engine.stats()
         assert after["worker_restarts"] - before["worker_restarts"] == 1
         # Answered exactly once: counted once, every match delivered once,
-        # though the restarted worker was handed the whole source again
-        # (a filter_stream call is one item).
+        # though the restarted worker was handed its whole run again (a
+        # filter_stream call is one item per shard).
         assert after["documents"] - before["documents"] == len(EXPECTED)
-        assert after["batches"] - before["batches"] == 1
+        assert after["batches"] - before["batches"] == 2
         assert sorted(fired) == sorted(
             (doc, oid) for doc, oids in enumerate(EXPECTED) for oid in oids
         )
@@ -162,14 +163,15 @@ def test_a_worker_killed_between_a_first_match_and_its_frame(monkeypatch, tmp_pa
 
     def _dying_worker(shard_id, payload, tasks, results):
         class _Dying:
-            """Shard 1 dies as it would send its second ``matches``
-            frame: document 0's frame and document 1's first match are
-            already on the pipe, document 1's frame is not."""
+            """Shard 0 — which holds the call's first documents — dies
+            as it would send its second ``matches`` frame: document 0's
+            frame and document 1's first match are already on the pipe,
+            document 1's frame is not."""
 
             frames = 0
 
             def send(self, message):
-                if shard_id == 1 and message[0] == "matches" and not marker.exists():
+                if shard_id == 0 and message[0] == "matches" and not marker.exists():
                     self.frames += 1
                     if self.frames == 2:
                         marker.touch()
@@ -185,7 +187,7 @@ def test_a_worker_killed_between_a_first_match_and_its_frame(monkeypatch, tmp_pa
             pytest.skip("the patched worker is inherited by fork only")
         fired: list[tuple[int, str, int]] = []
         engine.on_match = lambda oid, doc, event: fired.append(
-            (doc, oid, engine._workers[1].restarts)
+            (doc, oid, engine._workers[0].restarts)
         )
         assert engine.filter_stream(SOURCE) == EXPECTED
         assert marker.exists() and engine.stats()["worker_restarts"] == 1
@@ -194,13 +196,13 @@ def test_a_worker_killed_between_a_first_match_and_its_frame(monkeypatch, tmp_pa
         assert sorted((doc, oid) for doc, oid, _ in fired) == sorted(
             (doc, oid) for doc, oids in enumerate(EXPECTED) for oid in oids
         )
-        # Folded before the crash: document 0's two shard-1 matches and
+        # Folded before the crash: document 0's two shard-0 matches and
         # document 1's first; document 1's later one came from the
         # respawned worker, which re-streamed the others in vain.
-        def _shard_1(document):
+        def _shard_0(document):
             return [r for doc, oid, r in fired if doc == document and oid in ("root", "child")]
 
-        assert _shard_1(0) == [0, 0] and _shard_1(1) == [0, 1]
+        assert _shard_0(0) == [0, 0] and _shard_0(1) == [0, 1]
     finally:
         engine.on_match = None
         engine.close()

@@ -1,11 +1,12 @@
 """Differential wall for the text-forwarding data plane.
 
-``filter_stream`` parses nothing in the parent: it ships the
-publisher's bytes whole, and every shard's parse is the only one.
-Whatever the source looks like, the answers must be the serial
-``xpush`` engine's on the same source with the same parser backend —
-and a source the serial engine rejects must be rejected here with the
-serial engine's own error, raised from the shards' report.
+``filter_stream`` parses nothing in the parent: one boundary scan cuts
+the publisher's bytes into runs of whole documents, one per shard, and
+the shard's parse is each document's only one.  Whatever the source
+looks like, the answers must be the serial ``xpush`` engine's on the
+same source with the same parser backend — and a source the serial
+engine rejects must be rejected here with the serial engine's own
+error, raised from a shard's report.
 """
 
 from __future__ import annotations
@@ -16,12 +17,13 @@ import xml.parsers.expat
 import pytest
 
 import repro.xmlstream.parser
-import repro.xmlstream.split
 from repro.engine.config import EngineConfig
 from repro.engine.factory import create_engine
 from repro.errors import MixedContentError, XMLSyntaxError
+from repro.service import engine as sharded_module
 from repro.service import worker
 from repro.service.engine import ServiceError, ShardedFilterEngine
+from repro.xmlstream.split import _CutScanner
 from repro.xmlstream.dom import parse_forest
 
 BATCH_SIZE = 3
@@ -131,17 +133,37 @@ def test_the_sources_exercise_every_filter(engines):
     assert matched == set(FILTERS)
 
 
-def test_a_stream_call_is_one_item_whatever_its_size(engines):
+def _dealt(engine, call):
+    """What *call* did to *engine*: its answers, the ``on_match`` fires
+    as ``(doc_index, oid, event_index)``, and the move of each shard's
+    document count and of the item count."""
+    before = engine.stats()
+    fired = []
+    engine.on_match = lambda oid, doc, event: fired.append((doc, oid, event))
+    try:
+        answers = call()
+    finally:
+        engine.on_match = None
+    after = engine.stats()
+    loads = [b - a for a, b in zip(before.get("shard_load", ()), after.get("shard_load", ()))]
+    return answers, sorted(fired), loads, after.get("batches", 0) - before.get("batches", 0)
+
+
+def test_a_stream_call_is_dealt_as_one_item_per_shard(engines):
+    """An n-document call is ``min(shards, n)`` items, each answered by
+    exactly one shard, with the documents and the ``on_match`` indexes
+    of the serial engine."""
     serial, sharded = engines
-    source = SOURCES["more-than-a-batch"]
-    for text in (PLAIN, source):
-        before = sharded.stats()
-        answers = sharded.filter_stream(text)
-        assert answers == serial.filter_stream(text)
-        after = sharded.stats()
-        assert after["batches"] - before["batches"] == 1
-        assert after["documents"] - before["documents"] == len(answers)
-    assert len(answers) == 5 * (BATCH_SIZE + 1)
+    for text in (PLAIN, OTHER + PLAIN, SOURCES["more-than-a-batch"]):
+        expected, fired, _, _ = _dealt(serial, lambda: serial.filter_stream(text))
+        answers, sharded_fired, loads, items = _dealt(
+            sharded, lambda: sharded.filter_stream(text)
+        )
+        assert answers == expected
+        assert sharded_fired == fired
+        assert items == min(2, len(answers)) == sum(load > 0 for load in loads)
+        assert sum(loads) == len(answers)
+    assert loads == [len(answers) // 2] * 2 and len(answers) == 5 * (BATCH_SIZE + 1)
 
 
 def test_large_call_is_cut_into_batches(engines):
@@ -162,19 +184,34 @@ def _refuse(*args, **kwargs):
 
 def test_the_parent_makes_no_parse_call(engines, monkeypatch):
     """Worker mode only: in-process shards parse in the parent by
-    design.  The shards are already booted, and forked workers keep
-    the entry points they had, so only the parent is held to this.
-    Every python-scanner parse runs ``PushScanner.feed``, every expat
-    one a ``ParserCreate``."""
+    design.  The parent's one look at a source is one boundary scan per
+    call: it never calls ``parse_into``, and the only scanner it feeds
+    is the scan's own.  The shards are already booted, and forked
+    workers keep the entry points they had, so only the parent is held
+    to this."""
     serial, sharded = engines
     expected = {name: serial.filter_stream(text) for name, text in SOURCES.items()}
+    feed = repro.xmlstream.parser.PushScanner.feed
+    split = sharded_module.split_documents
+    scans = []
+
+    def _boundary_scan_only(scanner, *args):
+        if not isinstance(scanner, _CutScanner):
+            _refuse()
+        return feed(scanner, *args)
+
+    def _counted_split(*args):
+        scans.append(args)
+        return split(*args)
+
     monkeypatch.setattr(repro.xmlstream.parser, "parse_into", _refuse)
-    monkeypatch.setattr(repro.xmlstream.parser.PushScanner, "feed", _refuse)
-    monkeypatch.setattr(repro.xmlstream.split, "split_documents", _refuse)
-    monkeypatch.setattr(xml.parsers.expat, "ParserCreate", _refuse)
+    monkeypatch.setattr(repro.xmlstream.parser.PushScanner, "feed", _boundary_scan_only)
+    monkeypatch.setattr(sharded_module, "split_documents", _counted_split)
     for name, text in SOURCES.items():
         for kind in SOURCE_KINDS:
+            del scans[:]
             assert sharded.filter_stream(kind(text)) == expected[name], (name, kind)
+            assert len(scans) == 1, (name, kind)
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
@@ -217,14 +254,14 @@ def test_filter_batch_shares_the_text_path(engines):
 
 
 def test_shards_that_disagree_on_the_document_count_fail_the_call(monkeypatch):
-    """The first complete reply fixes a stream item's document count;
-    a shard answering for a different number of documents is a
-    ``ServiceError``, never a silently misaligned merge."""
+    """The parent's cut fixes each item's document count; a shard
+    answering for a different number of documents is a
+    ``ServiceError``, never a silently misaligned answer list."""
     run_batch = worker.run_batch
 
     def _one_document_short(engine, shard_id, task, applied_epoch, busy_s, send):
         def _send(message):
-            if message[0] == "batch" and shard_id == 1:
+            if message[0] == "batch" and shard_id == 0:
                 message = (*message[:3], message[3][:-1], message[4])
             send(message)
 
@@ -234,7 +271,27 @@ def test_shards_that_disagree_on_the_document_count_fail_the_call(monkeypatch):
     engine = ShardedFilterEngine(FILTERS, 2, parallel=False)
     try:
         with pytest.raises(ServiceError, match="returned 1 answers for an item of 2"):
-            engine.filter_stream(PLAIN + OTHER)
+            engine.filter_stream(PLAIN + OTHER + PLAIN + OTHER)
         assert engine.stats()["documents"] == 0
+    finally:
+        engine.close()
+
+
+def test_the_earliest_failed_item_raises(monkeypatch):
+    """Two items fail with different errors: the call raises the one
+    the serial engine raises — that of the earlier document — though
+    the later item's report is read first (in-process shards are read
+    in shard order, and shard 0 holds items 1 and 3)."""
+    source = PLAIN + "<a>x<b/></a>" + "<a>x<c/></a>"
+    serial = create_engine(EngineConfig(engine="xpush"), FILTERS)
+    with pytest.raises(MixedContentError) as reference:
+        serial.filter_stream(source)
+    assert "<b>" in str(reference.value)
+    engine = ShardedFilterEngine(FILTERS, 2, parallel=False, batch_size=1)
+    try:
+        with pytest.raises(MixedContentError) as raised:
+            engine.filter_batch(parse_forest(source))
+        assert str(raised.value) == str(reference.value)
+        assert engine.filter_stream(PLAIN) == serial.filter_stream(PLAIN)
     finally:
         engine.close()

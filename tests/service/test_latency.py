@@ -89,9 +89,9 @@ def test_extreme_fractions_clamp_to_the_window():
 
 def test_inprocess_critical_path_is_the_slowest_shards_batch(monkeypatch):
     """In-process shards run one after another, so the critical path
-    the harness reads is modelled: each sample is the largest
-    per-shard ``batch_s`` of its fan-out — not their sum, not the wall
-    time the fan-out took."""
+    the harness reads is modelled: each sample is the ``batch_s`` of
+    the one shard an item was dealt to (the slowest of its one) — not
+    the wall time the item spent queued behind the other shards."""
     workload = {f"q{i}": f"//a[b = {i}]" for i in range(30)}
     engine = ShardedFilterEngine(workload, 3, parallel=False, batch_size=2)
     shares: dict[int, list[float]] = defaultdict(list)
@@ -108,13 +108,14 @@ def test_inprocess_critical_path_is_the_slowest_shards_batch(monkeypatch):
     monkeypatch.setattr(engine.critical_path, "record", samples.append)
     monkeypatch.setattr(engine.latency, "record", walls.append)
     try:
-        # filter_batch cuts six documents into three fan-outs.
+        # filter_batch cuts six documents into three items, one a shard.
         engine.filter_batch(parse_forest("".join(f"<a><b>{i}</b></a>" for i in range(6))))
+        loads = engine.stats()["shard_load"]
     finally:
         engine.close()
-    per_fan_out = [shares[batch_id] for batch_id in sorted(shares)]
-    assert len(samples) == len(walls) == len(per_fan_out) == 3
-    for sample, wall, batch_s in zip(samples, walls, per_fan_out):
-        assert len(batch_s) == 3 and min(batch_s) > 0.0
-        assert sample == max(batch_s)
-        assert sample < sum(batch_s) < wall
+    per_item = [shares[batch_id] for batch_id in sorted(shares)]
+    assert len(samples) == len(walls) == len(per_item) == 3
+    assert loads == [2.0, 2.0, 2.0]
+    for sample, wall, batch_s in zip(samples, walls, per_item):
+        assert len(batch_s) == 1 and batch_s[0] > 0.0
+        assert sample == batch_s[0] < wall

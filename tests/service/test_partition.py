@@ -1,26 +1,31 @@
-"""Property tests for the boot partition of ``ShardedFilterEngine``.
+"""Property tests for the replica invariant of ``ShardedFilterEngine``.
 
-A filter's shard is ``shard_of_oid``: the CRC-32 of its oid modulo the
-shard count, and nothing else.  The invariants: every filter sits on
-exactly one shard (no loss, no duplication), original relative order
-is kept within a shard, and the partition ignores insertion order —
-the property the broker's rebuild path relies on (a resubscribed
-workload lands on the same shards whatever the subscription order).
-
-The golden tables were written by the retired ``partition_filters(...,
-"hash")`` before that module was deleted, so the per-shard workloads
-recorded by older snapshots stay the ones the engine rebuilds.
+Every shard is a replica of the one engine the parent compiled, so the
+*documents* are what is partitioned: an n-document ``filter_stream``
+call is cut into ``min(shards, n)`` contiguous runs — an exact cover of
+its documents, in order, one run per shard — and every shard holds
+every filter whatever order it was subscribed in.  A worker inherits
+the parent's engine through ``fork``, so nothing about it is pickled
+or recomputed: a DTD that does not pickle keeps its options, and
+training runs once, in the parent, however many workers start.
 """
 
 from __future__ import annotations
+
+import copy
+import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine import EngineConfig, create_engine
 from repro.service import ShardedFilterEngine
-from repro.service.engine import shard_of_oid
+from repro.service import worker as worker_module
+from repro.service.engine import _mp_context
 from repro.xpath.parser import parse_xpath
+from repro.xpush.machine import XPushMachine
+from repro.xpush.options import XPushOptions
 from tests.conftest import make_workload
 
 oids = st.lists(
@@ -31,58 +36,108 @@ oids = st.lists(
 shard_counts = st.integers(min_value=1, max_value=6)
 
 SOURCES = ["//a", "/a[b]", "//a[b/text()=1]", "//c[@d>2 and e]"]
+DOCUMENTS = ["<a><b>1</b></a>", "<a/>", "<c d='3'><e/></c>", "<a><b>2</b></a>"]
 
 
 def _filters(names):
     return [parse_xpath(SOURCES[i % len(SOURCES)], oid) for i, oid in enumerate(names)]
 
 
-def _place(filters, shards):
-    """Each shard's oids, in projection order, as the engine boots them."""
-    with ShardedFilterEngine(filters, shards, parallel=False) as engine:
-        return [list(engine._projection(shard_id)) for shard_id in range(shards)]
+@settings(max_examples=30, deadline=None)
+@given(documents=st.integers(min_value=0, max_value=20), shards=shard_counts)
+def test_partition_is_an_exact_cover(documents, shards):
+    """Each document is answered once, by one shard, in source order,
+    and the runs differ in length by one at most."""
+    source = "".join(DOCUMENTS[i % len(DOCUMENTS)] for i in range(documents))
+    serial = create_engine(EngineConfig(), {f"q{i}": s for i, s in enumerate(SOURCES)})
+    with ShardedFilterEngine(
+        {f"q{i}": s for i, s in enumerate(SOURCES)}, shards, parallel=False
+    ) as engine:
+        assert engine.filter_stream(source) == serial.filter_stream(source)
+        stats = engine.stats()
+    runs = [int(load) for load in stats["shard_load"] if load]
+    assert sum(runs) == stats["documents"] == documents
+    assert len(runs) == stats["batches"] == min(shards, documents)
+    assert max(runs, default=0) - min(runs, default=0) <= 1
 
 
 @settings(max_examples=30, deadline=None)
 @given(names=oids, shards=shard_counts)
-def test_partition_is_an_exact_cover(names, shards):
+def test_every_replica_holds_every_filter_in_any_order(names, shards):
     filters = _filters(names)
-    parts = _place(filters, shards)
-    assert len(parts) == shards
-    placed = [oid for part in parts for oid in part]
-    assert sorted(placed) == sorted(names)  # nothing lost, nothing doubled
-    position = {oid: index for index, oid in enumerate(names)}
-    for part in parts:  # original relative order within every shard
-        assert [position[oid] for oid in part] == sorted(position[oid] for oid in part)
-    assert _place(filters, shards) == parts
+    source = "".join(DOCUMENTS)
+    answers = []
+    for order in (filters, list(reversed(filters))):
+        with ShardedFilterEngine([], shards, parallel=False) as engine:
+            for xpath_filter in order:
+                engine.subscribe(xpath_filter.oid, xpath_filter.source)
+            answers.append(engine.filter_stream(source))
+            per_shard = engine.stats()["per_shard"]
+        assert [entry["filters"] for entry in per_shard] == [len(names)] * shards
+    assert answers[0] == answers[1]
 
 
-@settings(max_examples=30, deadline=None)
-@given(names=oids, shards=shard_counts)
-def test_hash_placement_ignores_insertion_order(names, shards):
-    filters = _filters(names)
-    forward = _place(filters, shards)
-    backward = _place(list(reversed(filters)), shards)
-    for shard in range(shards):
-        assert set(forward[shard]) == set(backward[shard])
-        assert all(shard_of_oid(oid, shards) == shard for oid in forward[shard])
+def _workers(protein, options, dtd, **kwargs):
+    if _mp_context() is None:
+        pytest.skip("multiprocessing unavailable on this platform")
+    filters = make_workload(protein, 12, seed=7)
+    return filters, ShardedFilterEngine(
+        filters, 2, options=options, dtd=dtd, result_timeout=30.0, **kwargs
+    )
 
 
-#: shards → the shard of each of the 60 filters of
-#: ``make_workload(protein, 60, seed=17)``, in workload order, as the
-#: deleted ``partition_filters(..., "hash")`` placed them.
-GOLDEN = {
-    2: "000011110011110000110000111100111100001100001111001111000011",
-    3: "110211201101002121200020222122000020101122001112111120120001",
-    5: "124311120230441144240204433400212242100042314340442043343210",
-}
+def test_a_dtd_that_does_not_pickle_keeps_the_workers_options(protein, monkeypatch, tmp_path):
+    """The order optimisation and training need the DTD; a worker
+    inherits the parent's engine, DTD and all, so neither is turned
+    off where the DTD cannot be pickled."""
+    dtd = copy.copy(protein.dtd)
+    dtd.unpicklable = lambda: None
+    options = XPushOptions(top_down=True, order=True, train=True)
+    real_worker_main = worker_module.worker_main
+
+    def _reporting_worker(shard_id, payload, tasks, results):
+        engine = payload[0]
+        seen = (engine.options.order, engine.options.train, engine.dtd is not None)
+        (tmp_path / f"shard-{shard_id}").write_text(repr(seen))
+        real_worker_main(shard_id, payload, tasks, results)
+
+    monkeypatch.setattr(worker_module, "worker_main", _reporting_worker)
+    filters, engine = _workers(protein, options, dtd)
+    reference = create_engine(EngineConfig(options=options, dtd=dtd), filters)
+    try:
+        stream = protein.stream_text(8)
+        assert engine.filter_stream(stream) == reference.filter_stream(stream)
+        assert engine.stats()["shard_load"] == [4.0, 4.0]
+        for shard_id in range(2):
+            assert (tmp_path / f"shard-{shard_id}").read_text() == repr((True, True, True))
+    finally:
+        engine.close()
+        reference.close()
 
 
-@pytest.mark.parametrize("shards", sorted(GOLDEN), ids=lambda shards: f"hash-{shards}")
-def test_policies_reproduce_the_retired_strategies(protein, shards):
-    filters = make_workload(protein, 60, seed=17)
-    parts = _place(filters, shards)
-    where = {oid: shard for shard, part in enumerate(parts) for oid in part}
-    assert "".join(str(where[f.oid]) for f in filters) == GOLDEN[shards]
-    # ... which is CRC-32 routing, oid by oid
-    assert all(where[f.oid] == shard_of_oid(f.oid, shards) for f in filters)
+def test_training_runs_once_in_the_parent(protein, monkeypatch, tmp_path):
+    """Two workers and a respawn, one training pass: the parent's."""
+    trained = tmp_path / "trained"
+    warm_up = XPushMachine.warm_up
+
+    def _logged(machine, *args, **kwargs):
+        with open(trained, "a") as log:
+            log.write(f"{os.getpid()}\n")
+        return warm_up(machine, *args, **kwargs)
+
+    monkeypatch.setattr(XPushMachine, "warm_up", _logged)
+    options = XPushOptions(top_down=True, train=True)
+    filters, engine = _workers(protein, options, protein.dtd)
+    reference = create_engine(EngineConfig(options=options, dtd=protein.dtd), filters)
+    try:
+        assert trained.read_text().split() == [str(os.getpid())] * 2  # parent, reference
+        stream = protein.stream_text(6)
+        expected = reference.filter_stream(stream)
+        assert engine.filter_stream(stream) == expected
+        engine.inject_crash(1)
+        assert engine.filter_stream(stream) == expected
+        assert engine.stats()["worker_restarts"] == 1
+        assert trained.read_text().split() == [str(os.getpid())] * 2
+    finally:
+        engine.close()
+        reference.close()

@@ -1,12 +1,12 @@
 """Determinism of the shard boot path and of workload persistence.
 
-Shards boot from XPath *sources* (the routing projection) rather than
-the parent's in-memory automata, and engine snapshots persist those
-sources and nothing compiled.  For either to be sound the result must
-be *behaviourally* identical, not merely answer-identical: a machine
-built the other way, trained with the same seed and replayed over the
-same stream, must make the same lazy-table decisions — same hit ratio,
-same state counts, same everything the stats record.
+Shards are replicas of an engine the parent compiles from XPath
+*sources* (at construction and at every restore), and engine snapshots
+persist those sources and nothing compiled.  For either to be sound the
+result must be *behaviourally* identical, not merely answer-identical:
+a machine built the other way, trained with the same seed and replayed
+over the same stream, must make the same lazy-table decisions — same
+hit ratio, same state counts, same everything the stats record.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import replace
 
 from repro.afa.build import build_workload_automata
 from repro.engine import EngineConfig, create_engine
-from repro.service.worker import build_payload
 from repro.xpush.layered import LayeredFilterEngine
 from repro.xpush.machine import XPushMachine
 from repro.xpush.options import XPushOptions
@@ -48,11 +47,11 @@ def test_snapshot_round_trip_replays_identically(protein):
 
 
 def test_worker_boot_path_matches_parent_machine(protein):
-    """The exact code path a shard runs (payload → engine): the engine
-    booted from the shipped sources must replay *behaviourally*
-    identically to a machine built from the parent's in-memory
-    automata — same answers, same lazy-table decisions — and trains
-    exactly when ``options.train`` says so, as the parent does."""
+    """The exact code path a shard's engine is built by (sources →
+    ``create_engine``, in the parent, inherited by every worker): it
+    must replay *behaviourally* identically to a machine built from
+    in-memory automata — same answers, same lazy-table decisions — and
+    train exactly when ``options.train`` says so."""
     filters = make_workload(protein, 14, seed=5)
     stream = protein.stream_text(10)
     workload = build_workload_automata(filters)
@@ -60,8 +59,7 @@ def test_worker_boot_path_matches_parent_machine(protein):
     parent = XPushMachine(workload, TRAINED, dtd=protein.dtd)
     assert parent.state_count > 1  # training ran at construction
     config = EngineConfig(engine="layered", options=TRAINED, dtd=protein.dtd)
-    payload = build_payload(config, {f.oid: f.source for f in filters})
-    worker_engine = create_engine(payload["config"], payload["filters"])
+    worker_engine = create_engine(config, {f.oid: f.source for f in filters})
 
     parent_results, parent_stats = _replay(parent, stream)
     worker_results = worker_engine.filter_stream(stream)

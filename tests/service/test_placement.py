@@ -1,12 +1,14 @@
-"""The load gauges of CRC-32 placement: ``shard_load`` counts each
-shard's filters, and ``imbalance`` is the hottest shard over the mean."""
+"""The load gauges of document dealing: ``shard_load`` counts the
+documents each shard answered, and ``imbalance`` is the hottest shard
+over the mean."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.service import ShardedFilterEngine
-from repro.service.engine import imbalance, shard_of_oid
+from repro.service.engine import imbalance
+from repro.xmlstream.dom import parse_forest
 
 
 def test_shard_loads_and_imbalance():
@@ -16,11 +18,18 @@ def test_shard_loads_and_imbalance():
     assert imbalance([2.0, 2.0]) == 1.0
 
     sources = {f"q{i}": "//a" for i in range(10)}
-    counts = [0, 0, 0]
-    for oid in sources:
-        counts[shard_of_oid(oid, 3)] += 1
-    with ShardedFilterEngine(sources, 3, parallel=False) as engine:
+    with ShardedFilterEngine(sources, 3, parallel=False, batch_size=2) as engine:
         stats = engine.stats()
-        assert stats["shard_load"] == [float(count) for count in counts]
-        assert [entry["filters"] for entry in stats["per_shard"]] == counts
-        assert stats["imbalance"] == pytest.approx(max(counts) / (10 / 3))
+        assert stats["shard_load"] == [0.0, 0.0, 0.0] and stats["imbalance"] == 1.0
+        # Seven documents in three contiguous runs, one per shard.
+        engine.filter_stream("<a/>" * 7)
+        stats = engine.stats()
+        assert stats["shard_load"] == [2.0, 2.0, 3.0]
+        assert stats["imbalance"] == pytest.approx(3 / (7 / 3))
+        # Every replica holds every filter.
+        assert [entry["filters"] for entry in stats["per_shard"]] == [10, 10, 10]
+        # Two items of two: each to the least-loaded shard still free.
+        engine.filter_batch(parse_forest("<a/>" * 4))
+        stats = engine.stats()
+        assert stats["shard_load"] == [4.0, 4.0, 3.0]
+        assert stats["imbalance"] == pytest.approx(4 / (11 / 3))

@@ -1,16 +1,16 @@
 """The shard seam: ``LocalShard`` and ``WorkerShard`` are interchangeable.
 
 Both are driven here without an orchestrator — the test plays that
-part: it owns the workload (``live``), hands each shard a ``boot``
-callable that projects it, and keeps the one invariant the seam asks
-for (update ``live`` *before* calling a control verb).  Both kinds
+part: it owns the engine a shard is a replica of, hands it to the
+shard, and keeps the one invariant the seam asks for (update the
+engine *before* calling a control verb).  Both kinds
 answer a ``submit`` in the worker protocol's messages, so one update
 schedule through both must give the same reply sequences — ``match``
 and ``matches`` frames ahead of the ``batch`` reply, the same
 ``applied_epoch`` — and the same ``info()``; a hooked item costs at
 most two match frames per document on either kind; a killed worker
-must come back from ``boot`` and re-answer exactly the batches it
-still owed.
+must come back forked from the updated engine and re-answer exactly
+the batches it still owed.
 """
 
 from __future__ import annotations
@@ -21,10 +21,9 @@ from collections import Counter
 
 import pytest
 
-from repro.engine import EngineConfig
+from repro.engine import EngineConfig, create_engine
 from repro.service.engine import _mp_context
 from repro.service.shard import LocalShard, WorkerShard
-from repro.service.worker import build_payload
 from repro.xpath.parser import parse_xpath
 from repro.xpath.semantics import matching_oids
 from repro.xmlstream.dom import parse_document
@@ -52,17 +51,18 @@ SCHEDULE = [
 
 
 def _make(kind, inner, live):
-    config = EngineConfig(engine=inner)
-
-    def boot(epoch):
-        return build_payload(config, live, epoch=epoch)
-
+    """A shard of *kind* over an engine compiled from *live*; the
+    engine rides along as ``shard.source`` for the test to update."""
+    engine = create_engine(EngineConfig(engine=inner), live)
     if kind == "local":
-        return LocalShard(0, boot)
-    ctx = _mp_context()
-    if ctx is None:
-        pytest.skip("multiprocessing unavailable on this platform")
-    return WorkerShard(0, boot, ctx, queue_depth=4, result_timeout=30.0)
+        shard = LocalShard(0, engine)
+    else:
+        ctx = _mp_context()
+        if ctx is None:
+            pytest.skip("multiprocessing unavailable on this platform")
+        shard = WorkerShard(0, engine, ctx, queue_depth=4, result_timeout=30.0)
+    shard.source = engine
+    return shard
 
 
 def _next(shard):
@@ -135,11 +135,14 @@ def test_one_schedule_through_both_kinds_of_shard(inner):
                 live = lives[kind]
                 if op[0] == "sub":
                     live[op[1]] = op[2]
+                    shard.source.subscribe(op[1], op[2])
                     shard.subscribe(op[1], op[2], epoch)
                 elif op[0] == "unsub":
                     del live[op[1]]
+                    shard.source.unsubscribe(op[1])
                     shard.unsubscribe(op[1], epoch)
                 else:
+                    shard.source.compact()
                     shard.compact(epoch)
             local = _submit(shards["local"], epoch, DOCS, emit=True)
             worker = _submit(shards["worker"], epoch, DOCS, emit=True)
@@ -221,10 +224,11 @@ def test_killed_worker_reanswers_exactly_its_pending_batches_once():
         assert _submit(shard, 1, DOCS)[-1][3] == expected  # answered: owes nothing
         # An update the worker never applies: it dies first (held
         # stopped while its queue fills, so the order is certain).  The
-        # workload moved before the verb, so the respawn boots it.
+        # engine moved before the verb, so the respawn inherits it.
         os.kill(shard.process.pid, signal.SIGSTOP)
         shard.inject_crash()
         live["late"] = "//a"
+        shard.source.subscribe("late", "//a")
         shard.subscribe("late", "//a", 7)
         shard.submit(2, DOCS[:2], False)
         shard.submit(3, DOCS[2:], False)

@@ -4,8 +4,9 @@ For random workloads (the Sec. 7 query generator) and random documents
 (the synthetic dataset generators), the sharded engine must produce
 *exactly* the serial XPush machine's answers, which in turn must equal
 the naive per-filter ground truth — for every shard count 1-4.
-Partitioning is over filters, so any
-discrepancy means a filter was lost, duplicated or mis-merged.
+Every shard is a replica of one engine and the documents are dealt
+out, so any discrepancy means a document was lost, answered twice or
+put back out of order.
 """
 
 from __future__ import annotations
@@ -49,7 +50,9 @@ def test_sharded_equals_serial_equals_naive(workload, documents, ground_truth, s
         assert engine.filter_batch(documents) == ground_truth
         stats = engine.stats()
         assert stats["serial_fallback"]
-        assert sum(e["filters"] for e in stats["per_shard"]) == len(workload)
+        # Every shard holds every filter, and answered its own documents.
+        assert [e["filters"] for e in stats["per_shard"]] == [len(workload)] * shards
+        assert sum(stats["shard_load"]) == stats["documents"] == len(documents)
 
 
 @pytest.mark.parametrize("shards", [2, 4])
@@ -64,7 +67,7 @@ def test_worker_processes_match_serial(workload, documents, ground_truth, shards
         assert engine.filter_batch(documents) == ground_truth
         stats = engine.stats()
         assert not stats["serial_fallback"]
-        assert stats["documents"] == 2 * len(documents)
+        assert stats["documents"] == sum(stats["shard_load"]) == 2 * len(documents)
 
 
 def test_nasa_recursive_dtd_differential(nasa, nasa_docs):

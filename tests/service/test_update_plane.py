@@ -6,10 +6,10 @@ identical to (a) a serial :class:`LayeredFilterEngine` fed the same
 update schedule and (b) a brute-force engine freshly rebuilt from the
 live filter set — and insertions must never flush a shard's warmed
 base tables.  Updates ride the worker task queues as epoch-stamped
-control messages after the sources are updated, so a crashed worker —
-respawned from those — resumes the *updated* workload.  Every filter
-lives on the shard the CRC-32 of its oid names, at boot, after a live
-subscribe and after a restore, whatever a capture recorded.
+control messages after the parent's engine is updated, so a crashed
+worker — forked again from it — resumes the *updated* workload.  Every
+shard holds every filter, at boot, after a live subscribe and after a
+restore, whatever a capture recorded.
 """
 
 from __future__ import annotations
@@ -26,10 +26,7 @@ from hypothesis.stateful import (
 from hypothesis import strategies as st
 
 from repro.engine import EngineConfig, create_engine
-from repro.errors import WorkloadError, XPathSyntaxError
 from repro.service import ShardedFilterEngine
-from repro.service import engine as sharded_module
-from repro.service.engine import shard_of_oid
 from repro.xmlstream.dom import parse_forest
 from repro.xpath.parser import parse_xpath
 from repro.xpath.semantics import matching_oids
@@ -173,9 +170,9 @@ def test_worker_processes_match_rebuild_at_each_epoch(schedule):
             assert entry["applied_epoch"] == engine._shards[entry["shard"]].epoch
         assert stats["worker_restarts"] == 0  # updates are not restarts
         # compact() broadcasts to every shard, so afterwards all of
-        # them answer at the current epoch.
+        # them answer at the current epoch (a document dealt to each).
         engine.compact()
-        engine.filter_stream("<a/>")
+        engine.filter_stream("<a/><a/>")
         stats = engine.stats()
         assert all(
             entry["applied_epoch"] == stats["epoch"]
@@ -254,7 +251,7 @@ def test_crash_with_uncompacted_deltas_recovers_updated_workload(protein, protei
         assert engine.filter_batch(docs) == expected
         stats = engine.stats()
         assert stats["worker_restarts"] == len(stats["per_shard"])
-        # The respawned workers booted the sources' projection: each
+        # The respawned workers were forked from the updated engine: each
         # answers at the epoch of the last update routed to it without
         # replaying any control message (the stale queue died with the
         # old process).
@@ -347,7 +344,7 @@ def test_version_1_snapshot_restores_the_live_workload():
     )
     try:
         assert restored.filter_stream(stream) == brute_truth(live, stream)
-        _assert_on_crc32_shards(restored, live)
+        _assert_on_every_replica(restored, live)
         assert restored.stats()["epoch"] == 9
         again = restored.snapshot()  # re-saved in the current format
         assert again["version"] == 3 and again["filters"] == live
@@ -357,23 +354,18 @@ def test_version_1_snapshot_restores_the_live_workload():
         restored.close()
 
 
-def _assert_on_crc32_shards(engine, live):
-    """Each shard holds — and reports — exactly the live oids whose
-    CRC-32 names it."""
-    shards = engine.shards
+def _assert_on_every_replica(engine, live):
+    """Each shard holds — and reports — every live oid."""
     stats = engine.stats()
-    for shard_id in range(shards):
-        expected = {oid for oid in live if shard_of_oid(oid, shards) == shard_id}
-        assert set(engine._projection(shard_id)) == expected
-        assert engine._shards[shard_id].info()["filters"] == len(expected)
-        assert stats["per_shard"][shard_id]["filters"] == len(expected)
-        assert stats["shard_load"][shard_id] == float(len(expected))
+    for shard_id in range(engine.shards):
+        assert engine._shards[shard_id].info()["filters"] == len(live)
+        assert stats["per_shard"][shard_id]["filters"] == len(live)
 
 
 def test_a_version_2_routing_table_is_not_read():
     """A version-2 capture carried a routing table, and ``placement=
     "cost"`` could route a filter anywhere.  The table is accepted and
-    ignored: every filter comes back on its CRC-32 shard, with the same
+    ignored: every filter comes back on every shard, with the same
     answers."""
     live = dict(SEED)
     stream = "".join(DOC_POOL)
@@ -384,8 +376,8 @@ def test_a_version_2_routing_table_is_not_read():
         "inner": "layered",
         "placement": "cost",
         "epoch": 4,
-        # Every oid on the shard its CRC-32 does not name.
-        "routing": {oid: 1 - shard_of_oid(oid, 2) for oid in live},
+        # Every oid on shard 1 alone.
+        "routing": {oid: 1 for oid in live},
         "filters": live,
     }
     restored = create_engine(
@@ -393,59 +385,23 @@ def test_a_version_2_routing_table_is_not_read():
     )
     try:
         assert restored.filter_stream(stream) == brute_truth(live, stream)
-        _assert_on_crc32_shards(restored, live)
+        _assert_on_every_replica(restored, live)
         assert restored.stats()["epoch"] == 4
     finally:
         restored.close()
 
 
-def test_a_live_subscribe_lands_on_the_crc32_shard_of_its_oid():
-    engine = ShardedFilterEngine(dict(SEED), 3, options=TD, parallel=False)
+def test_a_live_subscribe_reaches_every_replica():
+    """Broadcast, not routed: after a live subscribe each worker
+    reports the new filter and answers it on the documents dealt to it."""
+    engine = ShardedFilterEngine(dict(SEED), 3, options=TD, result_timeout=30.0)
     try:
         engine.subscribe("fresh", "//a")
-        _assert_on_crc32_shards(engine, {**SEED, "fresh": "//a"})
-    finally:
-        engine.close()
-
-
-def test_the_parent_compiles_each_filter_structure_once(monkeypatch):
-    """The parent's compile check (the refusal of a filter the AFA build
-    refuses) is memoised on the filter's structure, not its oid."""
-    import repro.afa.build as build
-
-    compiled = []
-    real = build.build_workload_automata
-
-    def counting(filters):
-        compiled.append(filters[0].oid)
-        return real(filters)
-
-    monkeypatch.setattr(sharded_module, "_COMPILES", set())
-    monkeypatch.setattr(build, "build_workload_automata", counting)
-    for oid, source in [("x0", "/a/b[c = 1]"), ("x1", "/a/b[c = 1]"), ("x2", "//d")]:
-        sharded_module._check_compiles(parse_xpath(source, oid))
-    assert compiled == ["x0", "x2"]
-
-
-def test_the_parent_compile_cache_stays_bounded_under_churn(monkeypatch):
-    """Subscribe / unsubscribe churn of distinct filters keeps the
-    parent's compile cache within its bound (it only grew before), and
-    a clear forgets only filters that compiled: one too deep to compile
-    is still refused."""
-    limit = 8
-    monkeypatch.setattr(sharded_module, "_COMPILES", set())
-    monkeypatch.setattr(sharded_module, "_COMPILES_LIMIT", limit, raising=False)
-    engine = ShardedFilterEngine([], 2, options=TD, parallel=False)
-    try:
-        for i in range(5 * limit):
-            engine.subscribe(f"c{i}", f"//a[b = {i}]")
-            engine.unsubscribe(f"c{i}")
-            assert len(sharded_module._COMPILES) <= limit
-        with pytest.raises((XPathSyntaxError, WorkloadError), match="too deep"):
-            engine.subscribe("deep", "/a" + "/b" * 3000)
-        assert engine.filter_count == 0
-        engine.subscribe("c0", "//a[b = 0]")
-        assert engine.filter_stream("<a><b>0</b></a>") == [frozenset({"c0"})]
+        live = {**SEED, "fresh": "//a"}
+        stream = "<a/>" * 3
+        assert engine.filter_stream(stream) == brute_truth(live, stream)
+        assert engine.stats()["shard_load"] == [1.0, 1.0, 1.0]
+        _assert_on_every_replica(engine, live)
     finally:
         engine.close()
 

@@ -39,14 +39,16 @@ def test_server_stats_nest_the_engine_load_gauges(serve):
     handle = serve(
         EngineConfig(engine="sharded", shards=2, parallel=False), dict(FILTER_POOL)
     )
-    stats = _get(f"http://{handle.server.host}:{handle.server.port}", "/stats")["stats"]
+    base = f"http://{handle.server.host}:{handle.server.port}"
+    assert _post(base, "/publish", b"<a><b>1</b></a><c/><a/>")["ok"]
+    stats = _get(base, "/stats")["stats"]
     # The engine's stats ride nested; the server lifts none of them.
     assert "shard_load" not in stats and "imbalance" not in stats
     engine = stats["engine"]
-    assert len(engine["shard_load"]) == 2
-    assert engine["imbalance"] >= 1.0
-    # Live filters per shard.
-    assert sum(engine["shard_load"]) == len(FILTER_POOL)
+    # Documents answered per shard: three, dealt in two runs.
+    assert engine["shard_load"] == [1.0, 2.0]
+    assert engine["imbalance"] == 2.0 / 1.5
+    assert [entry["filters"] for entry in engine["per_shard"]] == [len(FILTER_POOL)] * 2
 
 
 def test_full_http_lifecycle(base):
