@@ -24,6 +24,10 @@ Two pragmatic extensions used by the compiler (:mod:`repro.afa.build`):
 - OR states may carry both label edges and ε-successors (needed for
   ``a//text() = v`` and similar shapes).
 
+A state's ``eps``, ``top_labels`` and ``edges`` targets are immutable
+tuples of sids and labels, which the cyclic collector stops walking
+(:class:`AfaState`).
+
 The :class:`WorkloadAutomata` aggregates all AFAs of a workload with
 the global structures the XPush machine needs: reverse transitions
 (δ⁻¹ with back-pointers, Sec. 4), the ε-DAG topological ranks that make
@@ -125,6 +129,13 @@ class StateKind(enum.Enum):
 class AfaState:
     """One AFA state.  Identified workload-wide by its integer ``sid``
     (assigned in depth-first construction order — the paper's sort key).
+
+    Its containers hold atoms only: ``eps`` and ``top_labels`` are
+    tuples, and ``edges`` maps a label to a tuple that ``add_edge``
+    replaces rather than appends to.  The collector untracks a tuple of
+    atoms at its first collection and (before CPython 3.14) a dict of
+    them at its first full one, so it walks the states of a compiled
+    workload, not a dict, a list and a set beside each.
     """
 
     __slots__ = (
@@ -142,9 +153,9 @@ class AfaState:
         self.sid = sid
         self.kind = kind
         self.predicate = predicate
-        self.edges: dict[str, list[int]] = {}  # label -> target sids (δ)
-        self.eps: list[int] = []  # ε-successors
-        self.top_labels: set[str] = set()  # labels with an edge to ⊤
+        self.edges: dict[str, tuple[int, ...]] = {}  # label -> target sids (δ)
+        self.eps: tuple[int, ...] = ()  # ε-successors
+        self.top_labels: tuple[str, ...] = ()  # labels with an edge to ⊤
         self.rank = 0  # ε-DAG topological rank (0 = no ε-successors)
         self.owner = -1  # index of the owning AFA in the workload
 
@@ -158,7 +169,7 @@ class AfaState:
         return bool(self.eps)
 
     def add_edge(self, label: str, target: int) -> None:
-        self.edges.setdefault(label, []).append(target)
+        self.edges[label] = self.edges.get(label, ()) + (target,)
 
     def outgoing_labels(self) -> frozenset[str]:
         """Labels on outgoing transitions (order optimisation, Sec. 5)."""

@@ -92,7 +92,7 @@ class _Compiler:
                 # terminal so a direct text child also witnesses it.
                 source = self.state(StateKind.OR)
                 source.add_edge("*", source.sid)
-                source.eps.append(terminal_sid)
+                source.eps = (terminal_sid,)
                 return source.sid
             return terminal_sid
 
@@ -102,7 +102,7 @@ class _Compiler:
         label = self.edge_label(step)
         target = self.step_target(step, rest, terminal)
         if target == TOP:
-            source.top_labels.add(label)
+            source.top_labels = (label,)
         else:
             source.add_edge(label, target)
         return source.sid
@@ -154,7 +154,7 @@ class _Compiler:
         if len(members) == 1:
             return members[0]
         node = self.state(StateKind.AND)
-        node.eps.extend(members)
+        node.eps = tuple(members)
         return node.sid
 
     def boolean(self, expr: BooleanExpr) -> int:
@@ -169,21 +169,21 @@ class _Compiler:
             members = [m for m in members if m != TOP]
             if not members:
                 return TOP
-            node.eps.extend(members)
+            node.eps = tuple(members)
             return node.sid
         if isinstance(expr, Or):
             members = [self.boolean(child) for child in expr.children]
             if any(m == TOP for m in members):
                 return TOP
             node = self.state(StateKind.OR)
-            node.eps.extend(members)
+            node.eps = tuple(members)
             return node.sid
         if isinstance(expr, Not):
             child = self.boolean(expr.child)
             if child == TOP:
                 raise WorkloadError("not(⊤) is trivially false; refusing to compile")
             node = self.state(StateKind.NOT)
-            node.eps.append(child)
+            node.eps = (child,)
             return node.sid
         raise TypeError(f"not a boolean expression: {expr!r}")
 

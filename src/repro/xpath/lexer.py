@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+import re
+from typing import NamedTuple
 
 from repro.errors import XPathSyntaxError
 
@@ -26,19 +26,16 @@ OP = "OP"  # = != < <= > >=
 EOF = "EOF"
 
 _NAME_START_ASCII = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_NAME_CHARS_ASCII = _NAME_START_ASCII | set("0123456789.-")
+#: The rest of a name in one match: in a str pattern ``\w`` is exactly
+#: ``str.isalnum()`` or ``_``, so this takes ASCII and non-ASCII alike.
+_NAME_REST = re.compile(r"[\w.\-·]*")
 
 
 def _is_name_start(ch: str) -> bool:
     return ch in _NAME_START_ASCII or (ord(ch) > 127 and ch.isalpha())
 
 
-def _is_name_char(ch: str) -> bool:
-    return ch in _NAME_CHARS_ASCII or (ord(ch) > 127 and (ch.isalnum() or ch == "·"))
-
-
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     value: str
     position: int
@@ -140,16 +137,9 @@ def tokenize(source: str) -> list[Token]:
 def _read_name(source: str, i: int, start: int) -> tuple[str, int]:
     if i >= len(source) or not _is_name_start(source[i]):
         raise XPathSyntaxError("expected a name", start, source)
-    j = i
-    n = len(source)
-    while j < n and _is_name_char(source[j]):
-        # A trailing '.' belongs to names only between name chars (avoid
-        # swallowing the `.` of `a.` — not produced by our grammar, but
-        # be strict anyway): names may contain dots internally.
-        j += 1
-    name = source[i:j]
+    j = _NAME_REST.match(source, i + 1).end()
     # `text` immediately followed by `()` is handled by the parser.
-    return name, j
+    return source[i:j], j
 
 
 def _read_number(source: str, i: int) -> tuple[str, int]:
@@ -177,8 +167,3 @@ def parse_literal(token: Token) -> int | float | str:
     if "." in token.value:
         return float(token.value)
     return int(token.value)
-
-
-def iter_token_kinds(tokens: list[Token]) -> Iterator[str]:
-    for token in tokens:
-        yield token.kind

@@ -373,10 +373,10 @@ class LayeredFilterEngine:
     @property
     def filter_count(self) -> int:
         # An oid present in both layers (re-inserted while its old base
-        # definition awaits compaction) counts once: union, not sum.
-        return len(self._base_filters.keys() | self._delta_filters.keys()) - len(
-            self._tombstones
-        )
+        # definition awaits compaction) counts once; no union is built.
+        base = self._base_filters
+        fresh = sum(1 for oid in self._delta_filters if oid not in base)
+        return len(base) + fresh - len(self._tombstones)
 
     def _merge(
         self,

@@ -1,9 +1,13 @@
 """Tests for the XPath → AFA compiler against the paper's Fig. 4."""
 
+import gc
+import sys
+
 import pytest
 
 from repro.afa.automaton import StateKind, bits_of
 from repro.afa.build import build_afa, build_workload_automata
+from repro.bench.workloads import standard_workload
 from repro.errors import WorkloadError
 from repro.xpath.parser import parse_xpath
 
@@ -30,7 +34,7 @@ def test_running_example_matches_fig4(running_filters):
     init1 = states[a1.initial]
     # initial state: OR with a *-self-loop (//) and an `a` edge to the AND
     assert init1.kind is StateKind.OR
-    assert init1.edges["*"] == [init1.sid]
+    assert init1.edges["*"] == (init1.sid,)
     (and_sid,) = init1.edges["a"]
     and_state = states[and_sid]
     assert and_state.kind is StateKind.AND
@@ -110,7 +114,7 @@ def test_descendant_text():
         s for s in workload.states if terminal_sid in s.eps
     ]
     assert len(parents) == 1
-    assert parents[0].edges.get("*") == [parents[0].sid]
+    assert parents[0].edges.get("*") == (parents[0].sid,)
 
 
 def test_trivially_true_filter_rejected():
@@ -138,3 +142,20 @@ def test_wildcard_steps():
     assert "*" in init.edges
     terminal = workload.states[workload.terminals[0]]
     assert "@*" in oracle.reverse_edges(workload)[terminal.sid]
+
+
+def test_a_compiled_workload_leaves_its_containers_untracked():
+    """Every state's containers hold atoms only, so one full collection
+    untracks them all: the collector walks the states, not their edges.
+    CPython before 3.14 also untracks a dict of atoms; 3.14 tracks every
+    dict, so the ``edges`` maps themselves are checked only before it."""
+    filters, _ = standard_workload(2000, mean_predicates=1.15)
+    shapes = ["/a[not(b) or c = 1]", "/a[b and .//c//text() = 2]", "//*/a[@* and not(d)]"]
+    filters += [parse_xpath(source, f"shape{i}") for i, source in enumerate(shapes)]
+    workload = build_workload_automata(filters)
+    gc.collect()
+    states = workload.states
+    assert not any(gc.is_tracked(s.eps) or gc.is_tracked(s.top_labels) for s in states)
+    assert not any(gc.is_tracked(targets) for s in states for targets in s.edges.values())
+    if sys.version_info < (3, 14):
+        assert not any(gc.is_tracked(s.edges) for s in states)

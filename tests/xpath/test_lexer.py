@@ -66,3 +66,39 @@ def test_positions_recorded():
     assert by_value["/"] == 0
     assert by_value["a"] == 1
     assert by_value["["] == 2
+
+
+@pytest.mark.parametrize(
+    "source, names",
+    [
+        ("/a.b/c-d/_e/f9/g.1-x_", ["a.b", "c-d", "_e", "f9", "g.1-x_"]),
+        ("//x1[y-z.w = 'v']/@at_tr.i-b9", ["x1", "y-z.w", "@at_tr.i-b9"]),
+        ("/a[b]/c[d=1]/e[@f]/g[h/i]", ["a", "b", "c", "d", "e", "@f", "g", "h", "i"]),
+        ("/a[.//b-c=2]//d_e/text()", ["a", "b-c", "d_e", "text"]),
+        ("/éa/b", ["éa", "b"]),  # a non-ASCII start
+        ("/aé/bç[dñ = 1]", ["aé", "bç", "dñ"]),  # ASCII running into non-ASCII
+        ("/a·b/c", ["a·b", "c"]),
+        ("/a[é]", ["a", "é"]),
+        ("/a[@é", ["a", "@é"]),
+        ("ab", ["ab"]),
+    ],
+)
+def test_names(source, names):
+    tokens = tokenize(source)
+    assert [t.value for t in tokens if t.kind in (lexer.NAME, lexer.AT_NAME)] == names
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("/a→b", "unexpected character '→' (at position 2: '/a >>> →b')"),  # no name holds →
+        ("@", "expected a name (at position 0: ' >>> @')"),
+        ("/a[@", "expected a name (at position 3: '/a[ >>> @')"),
+        ("/a[@1]", "expected a name (at position 3: '/a[ >>> @1]')"),
+        ("/a#b", "unexpected character '#' (at position 2: '/a >>> #b')"),
+    ],
+)
+def test_name_errors(source, message):
+    with pytest.raises(XPathSyntaxError) as error:
+        tokenize(source)
+    assert str(error.value) == message
