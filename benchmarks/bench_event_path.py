@@ -1,34 +1,34 @@
-"""Event-path throughput: seed pull scanner vs run-based push scanners.
+"""Event-path throughput: seed pull scanner vs the push path on expat.
 
 The paper's engine cost model assumes SAX parsing is cheap relative to
 filtering; in pure CPython the seed's char-at-a-time pull scanner was
-anything but.  This bench pins the event-path rewrite: it measures the
-same Protein stream through
+anything but.  This bench pins the event path: it measures the same
+Protein stream through
 
 - ``seed-pull`` — a vendored copy of the seed's char-at-a-time
   ``_Buffer``/``_scan`` generator feeding ``machine.process_events``
   (Event allocation + generator + type-switch dispatch);
-- ``pull`` — today's ``iterparse`` (run-based scanner underneath, but
-  still materialising Event objects) feeding ``process_events``;
-- ``push-python`` — ``machine.filter_stream(..., backend="python")``:
-  run-based scanning with direct bound-method dispatch, zero per-event
-  allocation;
-- ``push-expat`` — the same push path on the streaming C expat backend.
+- ``pull`` — ``iterparse`` (the expat scanner underneath, but still
+  materialising Event objects) feeding ``process_events``;
+- ``push-expat`` — ``machine.filter_stream``: the expat scanner with
+  direct bound-method dispatch, zero per-event allocation.
 
 Each mode is reported twice: *parse-only* (events into a no-op handler,
 isolating scanner cost) and *filter* (end-to-end through a warmed
-XPush machine).  The filter section has two more rows,
-``push-python-triples`` and ``push-expat-triples``: the same warmed
-machine behind a handler without ``leaf``, so the scanners send it
-start/text/end triples instead of fused leaves.
+XPush machine).  The filter section has one more row,
+``push-expat-triples``: the same warmed machine behind a handler
+without ``leaf``, so the scanner sends it start/text/end triples
+instead of fused leaves.
 
 Entry points:
 
-- ``python benchmarks/bench_event_path.py [--quick] [--json PATH]`` —
-  the CI smoke test.  ``--quick`` shrinks the stream and **fails** if
-  push-mode python throughput drops below the pull path on the same
-  run, or if either scanner's leaf path answers differently from, or
-  runs slower than, its triple path (host-independent relative gates),
+- ``PYTHONPATH=src:. python benchmarks/bench_event_path.py [--quick]
+  [--json PATH]`` — the CI smoke test (the repo root on the path for
+  the seed scanner's entity decoder, ``tests/scanner_oracle.py``).
+  ``--quick`` shrinks the stream and **fails** if push-mode throughput
+  drops below the pull path on the same run, or if the leaf path
+  answers differently from, or runs slower than, the triple path
+  (host-independent relative gates),
   or if a warm pass of the machine, fed leaves or fed triples, misses
   a memo entry or makes more probes per event than
   :data:`MAX_LOOKUPS_PER_EVENT` records (counts, not times).
@@ -58,9 +58,11 @@ from repro.xmlstream.events import (
     Text,
     attribute_label,
 )
-from repro.xmlstream.parser import count_bytes, decode_entities, iterparse
+from repro.xmlstream.parser import count_bytes, iterparse, parse_into
 from repro.xpush.machine import XPushMachine
 from repro.xpush.options import XPushOptions
+
+from tests.scanner_oracle import decode_entities
 
 TD = XPushOptions(top_down=True)
 
@@ -298,8 +300,6 @@ class _NullHandler(EventHandler):
 
 
 def _parse_only_modes(stream: str) -> dict[str, callable]:
-    from repro.xmlstream.parser import parse_into
-
     def seed_pull():
         sink = _NullHandler()
         from repro.xmlstream.events import dispatch
@@ -314,22 +314,12 @@ def _parse_only_modes(stream: str) -> dict[str, callable]:
         dispatch(iterparse(stream), sink)
         return sink.documents
 
-    def push_python():
-        sink = _NullHandler()
-        parse_into(stream, sink, backend="python")
-        return sink.documents
-
     def push_expat():
         sink = _NullHandler()
-        parse_into(stream, sink, backend="expat")
+        parse_into(stream, sink)
         return sink.documents
 
-    return {
-        "seed-pull": seed_pull,
-        "pull": pull,
-        "push-python": push_python,
-        "push-expat": push_expat,
-    }
+    return {"seed-pull": seed_pull, "pull": pull, "push-expat": push_expat}
 
 
 class _Triples:
@@ -346,15 +336,13 @@ class _Triples:
         self.end_document = machine.end_document
 
 
-def _triples(machine: XPushMachine, stream: str, backend: str):
+def _triples(machine: XPushMachine, stream: str):
     """``filter_stream`` with the machine behind :class:`_Triples`."""
-    from repro.xmlstream.parser import parse_into
-
     handler = _Triples(machine)
 
     def call() -> list[frozenset[str]]:
         machine.clear_results()
-        parse_into(stream, handler, backend=backend)
+        parse_into(stream, handler)
         return machine.results()
 
     return call
@@ -372,10 +360,8 @@ def _filter_modes(machine: XPushMachine, stream: str) -> dict[str, callable]:
     return {
         "seed-pull": run(lambda: machine.process_events(seed_iterparse(stream))),
         "pull": run(lambda: machine.process_events(iterparse(stream))),
-        "push-python": run(lambda: machine.filter_stream(stream, backend="python")),
-        "push-python-triples": run(_triples(machine, stream, "python")),
-        "push-expat": run(lambda: machine.filter_stream(stream, backend="expat")),
-        "push-expat-triples": run(_triples(machine, stream, "expat")),
+        "push-expat": run(lambda: machine.filter_stream(stream)),
+        "push-expat-triples": run(_triples(machine, stream)),
     }
 
 
@@ -435,14 +421,13 @@ def run(queries: int, stream_bytes: int, repeats: int, out=sys.stdout) -> dict:
         results[section]["documents"] = documents
     # The same warmed machine, fed leaves and fed their triples, must
     # answer alike.
-    results["filter"]["leaf_equals_triples"] = all(
-        machine.filter_stream(stream, backend=backend) == _triples(machine, stream, backend)()
-        for backend in ("python", "expat")
+    results["filter"]["leaf_equals_triples"] = (
+        machine.filter_stream(stream) == _triples(machine, stream)()
     )
     machine.clear_results()
     results["filter"]["counts"] = {
-        "leaves": _pass_counts(machine, lambda: machine.filter_stream(stream, backend="expat")),
-        "triples": _pass_counts(machine, _triples(machine, stream, "expat")),
+        "leaves": _pass_counts(machine, lambda: machine.filter_stream(stream)),
+        "triples": _pass_counts(machine, _triples(machine, stream)),
     }
     return results
 
@@ -494,38 +479,37 @@ def main(argv=None) -> int:
         # Host-independent gate: the zero-allocation push path must not be
         # slower than materialising Events and dispatching them (pull), and
         # must beat the seed's char-at-a-time scanner outright.
-        push = results["filter"]["push-python"]["docs_per_s"]
+        push = results["filter"]["push-expat"]["docs_per_s"]
         pull_rate = results["filter"]["pull"]["docs_per_s"]
         seed_rate = results["filter"]["seed-pull"]["docs_per_s"]
         if push < pull_rate:
             print(
-                f"FAIL: push-python ({push}/s) slower than pull ({pull_rate}/s)",
+                f"FAIL: push-expat ({push}/s) slower than pull ({pull_rate}/s)",
                 file=sys.stderr,
             )
             return 1
         if push < seed_rate:
             print(
-                f"FAIL: push-python ({push}/s) slower than seed ({seed_rate}/s)",
+                f"FAIL: push-expat ({push}/s) slower than seed ({seed_rate}/s)",
                 file=sys.stderr,
             )
             return 1
-        print(f"gate ok: push-python {push}/s >= pull {pull_rate}/s >= seed {seed_rate}/s")
+        print(f"gate ok: push-expat {push}/s >= pull {pull_rate}/s >= seed {seed_rate}/s")
         # Fused leaves must answer like the triples they replace, and
-        # be no slower on either scanner.
+        # be no slower.
         if not results["filter"]["leaf_equals_triples"]:
             print("FAIL: leaf and triple answers differ", file=sys.stderr)
             return 1
-        for backend in ("python", "expat"):
-            leaf = results["filter"][f"push-{backend}"]["docs_per_s"]
-            triples = results["filter"][f"push-{backend}-triples"]["docs_per_s"]
-            if leaf < triples:
-                print(
-                    f"FAIL: push-{backend} with leaves ({leaf}/s) slower than "
-                    f"with triples ({triples}/s)",
-                    file=sys.stderr,
-                )
-                return 1
-            print(f"gate ok: push-{backend} leaves {leaf}/s >= triples {triples}/s")
+        leaf = results["filter"]["push-expat"]["docs_per_s"]
+        triples = results["filter"]["push-expat-triples"]["docs_per_s"]
+        if leaf < triples:
+            print(
+                f"FAIL: push-expat with leaves ({leaf}/s) slower than "
+                f"with triples ({triples}/s)",
+                file=sys.stderr,
+            )
+            return 1
+        print(f"gate ok: push-expat leaves {leaf}/s >= triples {triples}/s")
         failures = _count_gate(results["filter"]["counts"])
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)
@@ -544,11 +528,11 @@ def test_event_path(benchmark):
     filters, dataset = standard_workload(scaled(50_000, minimum=200), mean_predicates=1.15)
     stream = standard_stream(scaled(9_120_000, minimum=200_000))
     machine = XPushMachine(build_workload_automata(filters), TD, dtd=dataset.dtd)
-    machine.filter_stream(stream, backend="python")  # warm
+    machine.filter_stream(stream)  # warm
     machine.clear_results()
 
     def push():
-        machine.filter_stream(stream, backend="python")
+        machine.filter_stream(stream)
         machine.clear_results()
 
     benchmark.pedantic(push, rounds=3, iterations=1)
@@ -557,7 +541,7 @@ def test_event_path(benchmark):
     )
     machine.clear_results()
     push_seconds, _ = _measure(lambda: push() or 1, 1)
-    print(f"\nseed-pull {seed_seconds:.3f}s vs push-python {push_seconds:.3f}s "
+    print(f"\nseed-pull {seed_seconds:.3f}s vs push-expat {push_seconds:.3f}s "
           f"(x{seed_seconds / push_seconds:.2f})")
     assert push_seconds <= seed_seconds
 

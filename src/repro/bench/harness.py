@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from repro.afa.automaton import WorkloadAutomata
 from repro.afa.build import build_workload_automata
 from repro.xmlstream.dtd import DTD
-from repro.xmlstream.parser import count_bytes, iterparse
+from repro.xmlstream.events import EventHandler
+from repro.xmlstream.parser import count_bytes, parse_into
 from repro.xpath.ast import XPathFilter
 from repro.xpush.machine import XPushMachine
 from repro.xpush.options import variant_options
@@ -72,14 +73,10 @@ class VariantResult:
 
 
 def measure_parse_only(stream_text: str) -> float:
-    """Time to drain the SAX parser over the stream (the paper's
+    """Time to push-parse the stream into a handler that does nothing:
+    the scanner the machine sits on, without the machine (the paper's
     parse-time floor series)."""
-
-    def drain():
-        for _ in iterparse(stream_text):
-            pass
-
-    _, seconds = timed(drain)
+    _, seconds = timed(parse_into, stream_text, EventHandler())
     return seconds
 
 

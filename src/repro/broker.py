@@ -146,12 +146,10 @@ class MessageBroker:
         return total
 
     def publish_text(self, xml_text: str) -> int:
-        """Parse and route every document in *xml_text* as one batch.
-
-        Parsing uses the config's push-mode parser *backend*."""
+        """Parse and route every document in *xml_text* as one batch."""
         from repro.xmlstream.dom import parse_forest
 
-        return self.publish_batch(parse_forest(xml_text, backend=self.config.backend))
+        return self.publish_batch(parse_forest(xml_text))
 
     def stats(self) -> dict[str, Any]:
         """Broker counters, with the engine's own ``stats()`` nested

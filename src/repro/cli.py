@@ -33,7 +33,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 
 from repro.afa.build import build_workload_automata
-from repro.engine import BACKENDS, EngineConfig, create_engine
+from repro.engine import EngineConfig, create_engine
 from repro.errors import ReproError
 from repro.xmlstream.dtdparser import parse_dtd_file
 from repro.xmlstream.parser import _not_utf8
@@ -115,11 +115,6 @@ _ENGINE_FLAGS: dict[str, dict] = {
     "--batch-size": dict(
         type=int, default=16, help="documents per work item in sharded mode",
     ),
-    "--backend": dict(
-        default="auto", choices=list(BACKENDS),
-        help="parser backend for the push-mode event path "
-             "(auto = expat when available)",
-    ),
     "--runtime": dict(
         default="bitmask", choices=sorted(RUNTIMES),
         help="transition kernel for cold-path transitions "
@@ -173,7 +168,6 @@ def _engine_config(args, dtd) -> EngineConfig:
         engine=getattr(args, "engine", None) or ("sharded" if args.shards > 1 else "layered"),
         options=options,
         dtd=dtd,
-        backend=args.backend,
         shards=args.shards,
         batch_size=args.batch_size,
     )
@@ -300,8 +294,7 @@ def cmd_filter(args) -> int:
     megabytes = len(text.encode("utf-8")) / 1e6
     print(
         f"# {len(results)} documents, {stats['filters']} filters, "
-        f"{f'state={args.state} ' if args.state else ''}engine={stats['engine']} "
-        f"backend={stats['backend']}, "
+        f"{f'state={args.state} ' if args.state else ''}engine={stats['engine']}, "
         f"{elapsed:.3f}s ({megabytes / elapsed if elapsed else 0:.2f} MB/s), "
         f"{_engine_footer(stats, config.options.max_memory_bytes is not None)}",
         file=sys.stderr,
@@ -564,7 +557,7 @@ def cmd_bench(args) -> int:
     engine.close()
     print(
         f"variant={args.variant} queries={args.queries} data={megabytes:.2f}MB "
-        f"backend={args.backend} runtime={args.runtime}"
+        f"runtime={args.runtime}"
     )
     print(f"cold: {cold:.3f}s ({megabytes / cold:.2f} MB/s)")
     print(f"warm: {warm:.3f}s ({megabytes / warm:.2f} MB/s)")

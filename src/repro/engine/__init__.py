@@ -25,12 +25,11 @@ See ``docs/architecture.md`` for the full contract, including the
 dynamic-update control plane of the sharded service.
 """
 
-from repro.engine.config import BACKENDS, ENGINES, EngineConfig
+from repro.engine.config import ENGINES, EngineConfig
 from repro.engine.factory import create_engine
 from repro.engine.protocol import FilterEngine, StreamSource
 
 __all__ = [
-    "BACKENDS",
     "ENGINES",
     "EngineConfig",
     "FilterEngine",

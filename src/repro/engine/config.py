@@ -2,11 +2,10 @@
 
 Before this module existed each engine surface re-declared its own
 slice of the configuration space (machine options on
-:class:`~repro.xpush.options.XPushOptions`, backend strings on the
-parser entry points, shard/batch/queue knobs on the service, the
-compaction threshold on the layered engine) and every composite had to
-hand-thread each knob through its constructor.  ``EngineConfig``
-subsumes all of them: it *contains* the machine-level
+:class:`~repro.xpush.options.XPushOptions`, shard/batch/queue knobs on
+the service, the compaction threshold on the layered engine) and every
+composite had to hand-thread each knob through its constructor.
+``EngineConfig`` subsumes all of them: it *contains* the machine-level
 :class:`~repro.xpush.options.XPushOptions` (runtime,
 ``max_memory_bytes``, ``retain_results``, the Sec. 5 optimisation
 flags) and adds the engine-level knobs around it.  A config plus a
@@ -24,9 +23,6 @@ from typing import Any
 from repro.errors import WorkloadError
 from repro.xmlstream.dtd import DTD
 from repro.xpush.options import XPushOptions
-
-#: Parser backends of the push-mode event path (repro.xmlstream.parser).
-BACKENDS = ("python", "expat", "auto")
 
 #: Engine kinds :func:`repro.engine.create_engine` builds: the
 #: in-process XPush engine, under either of its two names, and the
@@ -54,7 +50,6 @@ class EngineConfig:
             ``retain_results``).  The engines return answers per
             call and force ``retain_results=False`` on their machines.
         dtd: optional DTD (order optimisation / training).
-        backend: parser backend for the push-mode event path.
         compact_threshold: the life of a layered engine's delta: it
             is folded into the base at this many uncompacted
             insertions, or once this many documents have been answered
@@ -80,7 +75,6 @@ class EngineConfig:
     engine: str = "layered"
     options: XPushOptions = field(default_factory=_default_options)
     dtd: DTD | None = None
-    backend: str = "auto"
     compact_threshold: int = 64
     shards: int = 1
     inner: str = "layered"
@@ -92,10 +86,6 @@ class EngineConfig:
         if not isinstance(self.options, XPushOptions):
             raise WorkloadError(
                 f"options must be XPushOptions, got {type(self.options).__name__}"
-            )
-        if self.backend not in BACKENDS:
-            raise WorkloadError(
-                f"unknown parser backend {self.backend!r}; known: {sorted(BACKENDS)}"
             )
         if self.compact_threshold < 1:
             raise WorkloadError(
@@ -115,6 +105,12 @@ class EngineConfig:
             raise WorkloadError(
                 f"unknown inner engine {self.inner!r}; known: {list(ENGINES[:2])}"
             )
+
+    @property
+    def backend(self) -> str:
+        """The one XML scanner; read by the e2e harness until direction
+        1's re-seat of it deletes this property."""
+        return "expat"
 
     def with_engine(self, engine: str, **overrides: Any) -> "EngineConfig":
         """A copy selecting a different engine kind (plus overrides) —

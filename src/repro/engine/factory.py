@@ -70,7 +70,6 @@ def create_engine(
             config.options,
             config.dtd,
             compact_threshold=config.compact_threshold,
-            backend=config.backend,
         )
     if snapshot is not None:
         engine.restore(dict(snapshot))

@@ -116,7 +116,7 @@ class FilterEngine(Protocol):
     def stats(self) -> dict[str, Any]:
         """Engine counters.  Every engine reports the common keys:
         ``engine`` (its kind), ``filters`` (the live filter
-        count), ``runtime``, ``backend``, the machine counters of
+        count), ``runtime``, the machine counters of
         :data:`repro.xpush.stats.MACHINE_KEYS` and their ``hit_ratio``
         — summed over layers or shards by :func:`repro.xpush.stats.merged`.
         Load gauges (live

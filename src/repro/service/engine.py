@@ -38,9 +38,8 @@ version.
 
 **Data plane** — one for both kinds of shard.  ``filter_stream`` cuts
 the publisher's UTF-8 bytes with one boundary scan
-(:func:`~repro.xmlstream.split.split_documents`, the shards' parser
-backend) into ``min(shards, n)`` contiguous runs of whole documents,
-one work item each; a source the scan refuses is shipped whole as one
+(:func:`~repro.xmlstream.split.split_documents`) into ``min(shards, n)``
+contiguous runs of whole documents, one work item each; a source the scan refuses is shipped whole as one
 item, so the error the caller sees is the shard parse's — the serial
 engine's, word for word.  ``filter_batch`` submits ``document_to_xml``
 texts cut into ``batch_size`` items.  Each item goes to the shard with
@@ -132,7 +131,7 @@ def _mp_context() -> Any:
 
 def _shard_error(shard_id: int, batch_id: int | None, name: str, text: str) -> ReproError:
     """A shard's failure as the parent raises it.  A shard parses its
-    item with the serial engine's backend, so an item it refuses with a
+    item as the serial engine does, so an item it refuses with a
     library error (``XMLSyntaxError``, ``MixedContentError``, …) is
     re-raised as that error with the same text — what the serial engine
     raises on the source.  Anything else — an inner engine's internal
@@ -596,7 +595,7 @@ class ShardedFilterEngine:
         if isinstance(source, str):
             source = _encode_utf8(source)
         try:
-            slices = split_documents(source, self.config.backend)
+            slices = split_documents(source)
         except XMLSyntaxError:
             # The scan's text may differ from the shard parse's: let the
             # shard report it.
@@ -709,7 +708,6 @@ class ShardedFilterEngine:
             "epoch": self._epoch,
             "inner": self.inner,
             "shards": self.shards,
-            "backend": self.config.backend,
             "runtime": self.options.runtime,
             "serial_fallback": not self.parallel,
             "documents": self.documents,

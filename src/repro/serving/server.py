@@ -98,11 +98,6 @@ class FilterServer:
         self.default_policy = default_policy
         self.high_watermark = high_watermark
         self.max_frame = max_frame
-        #: The engine's parser backend: payloads are cut by the scanner
-        #: that accepted the publish, so cutting never raises after it.
-        self.backend = (
-            config or getattr(engine, "config", None) or EngineConfig()
-        ).backend
         #: Event-time earliest answering: when on, each publish wires
         #: the engine's ``on_match`` hook and routed ``payload=False``
         #: consumers receive per-match frames the moment the deciding
@@ -276,10 +271,7 @@ class FilterServer:
         payloads: list[str] = []
         if want_payload and results:
             # A payload is the publisher's own bytes for that document.
-            payloads = [
-                text.decode("utf-8")
-                for text in split_documents(xml, self.backend)
-            ]
+            payloads = [text.decode("utf-8") for text in split_documents(xml)]
         return epoch, base_seq, results, payloads, early_futures, delivered
 
     async def _deliver_early(

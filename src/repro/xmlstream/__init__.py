@@ -4,8 +4,8 @@ This package implements everything the paper assumes about XML:
 
 - the five-event SAX model of Sec. 2, with attributes lowered to
   ``@name`` pseudo-elements (:mod:`repro.xmlstream.events`);
-- a from-scratch streaming parser producing those events
-  (:mod:`repro.xmlstream.parser`);
+- a streaming parser producing those events, C expat under the event
+  model (:mod:`repro.xmlstream.parser`);
 - a small DOM used by the reference evaluator, the baselines and the
   data generators (:mod:`repro.xmlstream.dom`);
 - a serialiser (:mod:`repro.xmlstream.writer`);
@@ -29,20 +29,11 @@ from repro.xmlstream.events import (
     is_attribute_label,
 )
 from repro.xmlstream.events import EventHandler
-from repro.xmlstream.parser import (
-    BACKENDS,
-    PushScanner,
-    iterparse,
-    make_scanner,
-    parse_events,
-    parse_into,
-    resolve_backend,
-)
+from repro.xmlstream.parser import iterparse, parse_events, parse_into
 from repro.xmlstream.split import split_documents
 from repro.xmlstream.writer import document_to_xml, element_to_xml
 
 __all__ = [
-    "BACKENDS",
     "DTD",
     "ContentParticle",
     "Document",
@@ -52,7 +43,6 @@ __all__ = [
     "EndElement",
     "Event",
     "EventHandler",
-    "PushScanner",
     "StartDocument",
     "StartElement",
     "Text",
@@ -61,11 +51,9 @@ __all__ = [
     "events_of_document",
     "is_attribute_label",
     "iterparse",
-    "make_scanner",
     "parse_document",
     "parse_forest",
     "parse_events",
     "parse_into",
-    "resolve_backend",
     "split_documents",
 ]

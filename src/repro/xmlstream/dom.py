@@ -171,20 +171,23 @@ def documents_of_events(events: Sequence) -> list[Document]:
     return builder.documents
 
 
-def parse_document(text: str, backend: str = "python") -> Document:
+def parse_document(text: str) -> Document:
     """Parse XML *text* containing exactly one document into a DOM."""
-    documents = parse_forest(text, backend)
+    documents = parse_forest(text)
     if len(documents) != 1:
         raise XMLSyntaxError(f"expected one document, found {len(documents)}")
     return documents[0]
 
 
-def parse_forest(text: str, backend: str = "python") -> list[Document]:
+def parse_forest(
+    text: str,
+    backend: str = "expat",  # only "expat"; direction 1's re-seat of the e2e harness deletes it
+) -> list[Document]:
     """Parse XML *text* containing zero or more concatenated documents.
 
-    The tree builder is fed directly from the push-mode scanner
-    selected by *backend* (see :func:`repro.xmlstream.parser.parse_into`),
-    so no intermediate event objects are materialised.
+    The trees are assembled straight from the push-mode scanner's
+    callbacks (see :func:`repro.xmlstream.parser.parse_into`), so no
+    intermediate event objects are materialised.
     """
     from repro.xmlstream.parser import parse_into
 

@@ -21,10 +21,10 @@ generated, stored, replayed and compared cheaply; every consumer in the
 library (XPush machine, baselines, validators) is written against this
 event vocabulary rather than against raw XML text.
 
-The push-mode scanners know one more callback, which a handler may
+The push-mode scanner knows one more callback, which a handler may
 define and :class:`EventHandler` does not: ``leaf(label, value)``,
 defined as exactly ``start_element(label); text(value);
-end_element(label)``.  To a handler that has it, a scanner sends every
+end_element(label)``.  To a handler that has it, the scanner sends every
 attribute as ``leaf("@name", value)`` and every element that holds
 only non-whitespace text (``<x>v</x>``) as ``leaf("x", "v")`` — one
 call instead of three.  Every other handler receives the classic
@@ -102,7 +102,7 @@ class EventHandler:
     stream of :class:`Event` values to them.  The XPush machine, the
     baselines and the document validators all implement this interface.
     A handler that also defines ``leaf(label, value)`` receives fused
-    leaves from the scanners (module docstring); this class defines no
+    leaves from the scanner (module docstring); this class defines no
     ``leaf``, so its subclasses get the triples unless they opt in.
     """
 

@@ -1,9 +1,9 @@
-"""Streaming expat backend for the five-event model.
+"""The library's XML scanner: C expat under the five-event model.
 
-:class:`ExpatScanner` wraps the C expat parser behind the same
-``feed(chunk)`` / ``close()`` push protocol as
-:class:`repro.xmlstream.parser.PushScanner`, with the fidelity rules of
-the hand-written scanner layered on top:
+:class:`ExpatScanner` wraps the C expat parser behind a push protocol —
+``feed(chunk)`` / ``close()``, the handler's callbacks invoked directly,
+no event objects allocated, the tokenisation itself in C — and layers
+the paper's data model on top:
 
 - **whitespace-only text is suppressed**: character data (including
   CDATA content) is accumulated across expat callbacks and flushed as
@@ -17,22 +17,22 @@ the hand-written scanner layered on top:
   expat parser handles exactly one document: when expat reports *junk
   after document element* the error byte offset is used to restart a
   fresh parser on the remaining input, so ``<a/><b/>`` parses as two
-  documents exactly like the python scanner.  The restart is O(1) per
-  document boundary — no rescanning of document bodies;
-- input is always decoded as UTF-8 (``ParserCreate("utf-8")``), the
-  hand parser's convention, regardless of what an XML declaration
-  claims;
+  documents.  The restart is O(1) per document boundary — no rescanning
+  of document bodies;
+- input is always decoded as UTF-8 (``ParserCreate("utf-8")``),
+  regardless of what an XML declaration claims; an input that never
+  starts an element (empty, whitespace, comments only) is an empty
+  stream, not an error;
 - expat errors surface as :class:`repro.errors.XMLSyntaxError`, the
   library-wide parse-failure type.
 
-Like the python scanner, the handler callbacks are invoked directly —
-no event objects are allocated on this path, and the tokenisation
-itself runs in C.  So are the python scanner's leaf rules: a handler
-that defines ``leaf`` (:mod:`repro.xmlstream.events`) gets each
-attribute, and each element holding only non-whitespace text, as one
-``leaf`` call; expat is then given the fused pair
-(:meth:`ExpatScanner._fused_handlers`), every other handler the
-classic ``_start`` / ``_end`` one.
+A handler that defines ``leaf`` (:mod:`repro.xmlstream.events`) gets
+each attribute, and each element holding only non-whitespace text, as
+one ``leaf`` call; expat is then given the fused pair
+(:meth:`ExpatScanner._fused_handlers`), every other handler the classic
+``_start`` / ``_end`` one.  The tests hold an independent pure-Python
+scanner (``tests/scanner_oracle.py``) that every parser wall diffs this
+one against.
 """
 
 from __future__ import annotations
@@ -42,10 +42,21 @@ from xml.parsers.expat import errors as _expat_errors
 
 from repro.errors import XMLSyntaxError
 from repro.xmlstream.events import EventHandler
-from repro.xmlstream.parser import _encode_utf8
 
 _JUNK_AFTER_DOC = _expat_errors.codes[_expat_errors.XML_ERROR_JUNK_AFTER_DOC_ELEMENT]
 _NO_ELEMENTS = _expat_errors.codes[_expat_errors.XML_ERROR_NO_ELEMENTS]
+
+def _encode_utf8(text: str, offset: int = 0) -> bytes:
+    """*text* as UTF-8 bytes; a lone surrogate — which a ``str`` can
+    hold and UTF-8 cannot encode — is a syntax error at its character
+    offset in the source (*offset*: where *text* starts there)."""
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as error:
+        raise XMLSyntaxError(
+            f"not encodable as UTF-8 ({error.reason}) at character {offset + error.start}"
+        ) from None
+
 
 # When a second document's ``<`` arrives at the end of one chunk, expat
 # buffers the incomplete token ("<", "<!", "<!-") and reports the junk
@@ -257,8 +268,7 @@ class ExpatScanner:
             self._parser.Parse(b"", True)
         except _expat.ExpatError as error:
             # An input that ends without ever starting an element
-            # (empty, whitespace, comments/PIs only) is an empty stream
-            # to the python scanner, not an error; match it.
+            # (empty, whitespace, comments/PIs only) is an empty stream.
             if error.code == _NO_ELEMENTS and not self._any_element:
                 return
             raise XMLSyntaxError(str(error), error.lineno, error.offset) from None

@@ -191,11 +191,9 @@ class LayeredFilterEngine:
         options: XPushOptions | None = None,
         dtd: DTD | None = None,
         compact_threshold: int = 64,
-        backend: str = "auto",
     ):
         self.options = options or XPushOptions()
         self.dtd = dtd
-        self.backend = backend
         #: A delta's life, in insertions or in documents answered since
         #: the last insertion, whichever it reaches first.
         self.compact_threshold = compact_threshold
@@ -457,22 +455,19 @@ class LayeredFilterEngine:
         self._idle_documents += len(answers)
         return answers
 
-    def filter_stream(
-        self, source: StreamSource, backend: str | None = None
-    ) -> list[frozenset[str]]:
+    def filter_stream(self, source: StreamSource) -> list[frozenset[str]]:
         """Parse and filter XML text on the push-mode fast path: the
         scanner drives the layer machine — or, while there are two, the
         fan-out over them — directly, no Event objects in between."""
         layers = self._layers_for_call()
-        backend = backend or self.backend
         if len(layers) == 1:
             stats = layers[0].stats
             before = stats.bytes_processed
-            answers = self._without_tombstones(layers[0].filter_stream(source, backend=backend))
+            answers = self._without_tombstones(layers[0].filter_stream(source))
             self.bytes_processed += stats.bytes_processed - before
         else:
             handler = _LayerFanout(self, layers)
-            self.bytes_processed += parse_into(source, handler, backend=backend)
+            self.bytes_processed += parse_into(source, handler)
             answers = handler.answers
         self._idle_documents += len(answers)
         return answers
@@ -541,7 +536,6 @@ class LayeredFilterEngine:
             "compactions": self.compactions,
             "bytes_processed": self.bytes_processed,
             "runtime": self.options.runtime,
-            "backend": self.backend,
             # Cross-layer sums: an engine grown from empty has its only
             # machine in the delta, so no counter reads one layer.
             **merged(machine_block(m) for m in (base, delta) if m is not None),

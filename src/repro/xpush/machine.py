@@ -18,7 +18,7 @@ there is "a relatively high cost", recovered on every reuse; the hit
 counters quantify it (Fig. 8).
 
 A seventh memo composes four of them.  An element that holds only
-text, and every attribute, reaches the machine from the scanners as
+text, and every attribute, reaches the machine from the scanner as
 one ``leaf(label, value)`` call (:mod:`repro.xmlstream.events`), and
 the machine answers it from the parent's top-down state alone: the
 t_pop entry that ``startElement``, ``text`` and ``endElement`` end in
@@ -820,12 +820,13 @@ class XPushMachine:
         return collected
 
     def filter_stream(
-        self, source: str | bytes | IO, backend: str = "auto"
+        self,
+        source: str | bytes | IO,
+        backend: str = "expat",  # only "expat"; direction 1's re-seat of the e2e harness deletes it
     ) -> list[frozenset[str]]:
         """Parse and filter a (possibly multi-document) XML text.
 
-        This is the push-mode fast path: the scanner selected by
-        *backend* (``"python"``, ``"expat"`` or ``"auto"``; see
+        This is the push-mode fast path: the scanner (see
         :func:`repro.xmlstream.parser.parse_into`) drives this
         machine's SAX callbacks directly — no event objects are
         allocated between parser and machine.  Bytes processed are

@@ -1,4 +1,4 @@
-"""Text that is not UTF-8 is malformed XML, on every engine and backend.
+"""Text that is not UTF-8 is malformed XML, on every engine and scanner.
 
 Bytes that do not decode, and a ``str`` holding a lone surrogate (which
 no UTF-8 encodes), meet each engine somewhere else: the layered engine
@@ -7,7 +7,8 @@ decodes or encodes them in its parser; a sharded engine encodes a
 own parse.  Every one of them must answer
 :class:`~repro.errors.XMLSyntaxError` — with the layered engine's text
 — never a bare ``UnicodeDecodeError`` or ``UnicodeEncodeError``, and
-the CLI must turn that into exit 2.
+the CLI must turn that into exit 2.  Each case runs on expat and again
+on the oracle scanner (``tests/scanner_oracle.py``, id ``"python"``).
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from repro.errors import XMLSyntaxError
 from repro.service.engine import ShardedFilterEngine, _mp_context
 from repro.xmlstream.split import split_documents
 
+from tests.scanner_oracle import scanning
+
 FILTERS = {"q0": "//a", "q1": "/a[b = 1]"}
 
 NOT_UTF8 = {
@@ -31,30 +34,29 @@ NOT_UTF8 = {
 LONE_SURROGATE = "<a><b>1</b></a><a>x\ud800</a>"
 
 
-def _engine(kind: str, backend: str):
+def _engine(kind: str):
     if kind == "layered":
-        return create_engine(EngineConfig(backend=backend), FILTERS)
+        return create_engine(EngineConfig(), FILTERS)
     if kind == "sharded-workers" and _mp_context() is None:
         pytest.skip("multiprocessing unavailable on this platform")
-    return ShardedFilterEngine(
-        FILTERS, 2, backend=backend, parallel=kind == "sharded-workers"
-    )
+    return ShardedFilterEngine(FILTERS, 2, parallel=kind == "sharded-workers")
 
 
 def _refuses_like_the_layered_engine(kind: str, backend: str, data) -> None:
-    layered = _engine("layered", backend)
-    with pytest.raises(XMLSyntaxError) as reference:
-        layered.filter_stream(data)
-    layered.close()
-    engine = _engine(kind, backend)
-    try:
-        with pytest.raises(XMLSyntaxError) as raised:
-            engine.filter_stream(data)
-        assert str(raised.value) == str(reference.value)
-        # Nothing was half-applied: the engine serves on.
-        assert engine.filter_stream(b"<a><b>1</b></a>") == [frozenset({"q0", "q1"})]
-    finally:
-        engine.close()
+    with scanning(backend):
+        layered = _engine("layered")
+        with pytest.raises(XMLSyntaxError) as reference:
+            layered.filter_stream(data)
+        layered.close()
+        engine = _engine(kind)
+        try:
+            with pytest.raises(XMLSyntaxError) as raised:
+                engine.filter_stream(data)
+            assert str(raised.value) == str(reference.value)
+            # Nothing was half-applied: the engine serves on.
+            assert engine.filter_stream(b"<a><b>1</b></a>") == [frozenset({"q0", "q1"})]
+        finally:
+            engine.close()
 
 
 KINDS = ["layered", "sharded-inprocess", "sharded-workers"]
@@ -72,7 +74,7 @@ def test_bytes_that_are_not_utf8_are_a_syntax_error(backend, kind, data):
 def test_a_str_with_a_lone_surrogate_is_a_syntax_error(backend, kind):
     _refuses_like_the_layered_engine(kind, backend, LONE_SURROGATE)
     with pytest.raises(XMLSyntaxError, match="at character 19"):
-        split_documents(LONE_SURROGATE, backend)
+        split_documents(LONE_SURROGATE)
 
 
 def test_cli_reports_input_that_is_not_utf8(tmp_path, capsys):

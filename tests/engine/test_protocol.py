@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import BACKENDS, ENGINES, EngineConfig, FilterEngine, create_engine
+from repro.engine import ENGINES, EngineConfig, FilterEngine, create_engine
 from repro.errors import ReproError, WorkloadError, XPathSyntaxError
 from repro.xmlstream.dom import parse_document
 from repro.xmlstream.events import events_of_document
@@ -286,7 +286,7 @@ def test_stats_names_the_engine(kind):
         assert stats["engine"] == ("layered" if kind == "xpush" else kind)
         assert stats["filters"] == len(WORKLOAD)
         # One schema: the machine counters and their ratio, whatever the kind.
-        assert {*MACHINE_KEYS, "hit_ratio", "runtime", "backend"} <= stats.keys()
+        assert {*MACHINE_KEYS, "hit_ratio", "runtime"} <= stats.keys()
     finally:
         engine.close()
 
@@ -367,8 +367,6 @@ def test_removed_engine_kinds_are_refused_by_the_config(fields, monkeypatch):
 
 def test_config_validation():
     with pytest.raises(WorkloadError):
-        EngineConfig(backend="libxml")
-    with pytest.raises(WorkloadError):
         EngineConfig(shards=0)
     with pytest.raises(WorkloadError):
         EngineConfig(batch_size=0)
@@ -379,8 +377,8 @@ def test_config_validation():
     with pytest.raises(WorkloadError):
         EngineConfig(engine="sharded", inner="sharded")
     assert "layered" in EngineConfig(engine="layered").describe()
-    for backend in BACKENDS:
-        EngineConfig(backend=backend)
+    with pytest.raises(TypeError):  # the scanner is no setting
+        EngineConfig(backend="expat")
 
 
 def test_engine_starts_empty_and_grows():

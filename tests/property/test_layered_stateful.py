@@ -5,7 +5,8 @@ answers like the reference evaluator over its *current* filter set —
 which is what a brute-force rebuild at that step would answer — in
 every machine variant and on both the production kernel and the
 oracle (id ``sets``), at ``end_document`` and through ``on_match``
-alike.  Streamed steps sample the parser backend, so both scanners'
+alike.  Streamed steps sample the scanner — expat or the oracle one
+(``tests/scanner_oracle.py``, id ``"python"``) — so both scanners'
 fused ``leaf`` delivery meets generated schedules, against references
 that replay the classic start/text/end triples.
 
@@ -42,6 +43,7 @@ from repro.xpush.machine import XPushMachine
 from repro.xpush.options import XPushOptions
 
 from tests import oracle
+from tests.scanner_oracle import scanning
 
 # The order optimisation is sound on documents that conform to the
 # DTD, so the closed world has one.
@@ -108,7 +110,7 @@ RUNTIMES = ("bitmask", "sets")
 #: idles a delta out.
 THRESHOLD = 3
 #: How a check feeds the documents: as event objects (``None``), or as
-#: text through ``filter_stream`` on that parser backend.
+#: text through ``filter_stream`` on that scanner.
 FEEDS = (None, "python", "expat")
 
 
@@ -164,7 +166,7 @@ def reference_emissions(options, live, documents):
 
 def check_answers(engines, live, indexes, feed=None):
     """In one filter call over the documents at *indexes* (parsed from
-    text by the *feed* backend, when one is named), every engine answers like the reference
+    text by the *feed* scanner, when one is named), every engine answers like the reference
     evaluator over *live* (oid -> xpath) and emits exactly that through
     ``on_match``: each oid once, at the document and event a bare
     machine over the live filters decides it."""
@@ -180,7 +182,8 @@ def check_answers(engines, live, indexes, feed=None):
         engine.on_match = lambda oid, doc, event: emitted.append((doc, event, oid))
         if feed is not None:
             text = "".join(DOC_POOL[index] for index in indexes)
-            answers = engine.filter_stream(text, backend=feed)
+            with scanning(feed):
+                answers = engine.filter_stream(text)
         else:
             answers = engine.filter_events(
                 e for document in documents for e in events_of_document(document)

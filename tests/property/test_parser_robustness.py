@@ -1,6 +1,7 @@
 """Fuzz the streaming XML parser: on arbitrary input it must either
 produce a well-formed event stream or raise XMLSyntaxError — never any
-other exception, never a malformed event sequence."""
+other exception, never a malformed event sequence.  Each input goes to
+expat and to the oracle scanner (``tests/scanner_oracle.py``) alike."""
 
 import string
 
@@ -15,6 +16,8 @@ from repro.xmlstream.events import (
     Text,
 )
 from repro.xmlstream.parser import parse_events
+
+from tests.scanner_oracle import oracle_events
 
 # Bias toward markup-looking noise so interesting paths are hit.
 noise = st.text(
@@ -71,24 +74,26 @@ def check_stream_shape(events):
     assert depth == 0 and not in_document
 
 
+def check_both_scanners(text):
+    """Each scanner refuses *text* or parses it into a balanced stream."""
+    for parse in (parse_events, oracle_events):
+        try:
+            events = parse(text)
+        except XMLSyntaxError:
+            continue
+        check_stream_shape(events)
+
+
 @given(noise)
 @settings(max_examples=400, deadline=None)
 def test_noise_never_crashes(text):
-    try:
-        events = parse_events(text)
-    except XMLSyntaxError:
-        return
-    check_stream_shape(events)
+    check_both_scanners(text)
 
 
 @given(fragments)
 @settings(max_examples=400, deadline=None)
 def test_fragment_soup_never_crashes(text):
-    try:
-        events = parse_events(text)
-    except XMLSyntaxError:
-        return
-    check_stream_shape(events)
+    check_both_scanners(text)
 
 
 @given(noise)

@@ -4,15 +4,16 @@
 the publisher's bytes into runs of whole documents, one per shard, and
 the shard's parse is each document's only one.  Whatever the source
 looks like, the answers must be the serial ``xpush`` engine's on the
-same source with the same parser backend — and a source the serial
-engine rejects must be rejected here with the serial engine's own
-error, raised from a shard's report.
+same source with the same scanner — and a source the serial engine
+rejects must be rejected here with the serial engine's own error,
+raised from a shard's report.  Every case runs on expat and again with
+the oracle scanner (``tests/scanner_oracle.py``, id ``"python"``)
+parsing in the serial engine and the shards.
 """
 
 from __future__ import annotations
 
 import io
-import xml.parsers.expat
 
 import pytest
 
@@ -23,8 +24,9 @@ from repro.errors import MixedContentError, XMLSyntaxError
 from repro.service import engine as sharded_module
 from repro.service import worker
 from repro.service.engine import ServiceError, ShardedFilterEngine
-from repro.xmlstream.split import _CutScanner
 from repro.xmlstream.dom import parse_forest
+
+from tests.scanner_oracle import scanning
 
 BATCH_SIZE = 3
 
@@ -76,26 +78,25 @@ MALFORMED = {
 
 @pytest.fixture(scope="module", params=["expat", "python"])
 def engines(request):
-    backend = request.param
-    serial = create_engine(EngineConfig(engine="xpush", backend=backend), FILTERS)
-    sharded = create_engine(
-        EngineConfig(
-            engine="sharded",
-            inner="xpush",
-            shards=2,
-            parallel=True,
-            batch_size=BATCH_SIZE,
-            backend=backend,
-            result_timeout=30.0,
-        ),
-        FILTERS,
-    )
-    if not sharded.parallel:
+    with scanning(request.param):  # workers fork inside: they inherit it
+        serial = create_engine(EngineConfig(engine="xpush"), FILTERS)
+        sharded = create_engine(
+            EngineConfig(
+                engine="sharded",
+                inner="xpush",
+                shards=2,
+                parallel=True,
+                batch_size=BATCH_SIZE,
+                result_timeout=30.0,
+            ),
+            FILTERS,
+        )
+        if not sharded.parallel:
+            sharded.close()
+            pytest.skip("multiprocessing unavailable on this platform")
+        yield serial, sharded
         sharded.close()
-        pytest.skip("multiprocessing unavailable on this platform")
-    yield serial, sharded
-    sharded.close()
-    serial.close()
+        serial.close()
 
 
 def _as_str(text: str):
@@ -185,27 +186,21 @@ def _refuse(*args, **kwargs):
 def test_the_parent_makes_no_parse_call(engines, monkeypatch):
     """Worker mode only: in-process shards parse in the parent by
     design.  The parent's one look at a source is one boundary scan per
-    call: it never calls ``parse_into``, and the only scanner it feeds
-    is the scan's own.  The shards are already booted, and forked
-    workers keep the entry points they had, so only the parent is held
-    to this."""
+    call: it never calls ``parse_into`` and builds no event scanner —
+    the scan drives a bare expat parser of its own.  The shards are
+    already booted, and forked workers keep the entry points they had,
+    so only the parent is held to this."""
     serial, sharded = engines
     expected = {name: serial.filter_stream(text) for name, text in SOURCES.items()}
-    feed = repro.xmlstream.parser.PushScanner.feed
     split = sharded_module.split_documents
     scans = []
-
-    def _boundary_scan_only(scanner, *args):
-        if not isinstance(scanner, _CutScanner):
-            _refuse()
-        return feed(scanner, *args)
 
     def _counted_split(*args):
         scans.append(args)
         return split(*args)
 
     monkeypatch.setattr(repro.xmlstream.parser, "parse_into", _refuse)
-    monkeypatch.setattr(repro.xmlstream.parser.PushScanner, "feed", _boundary_scan_only)
+    monkeypatch.setattr(repro.xmlstream.parser, "ExpatScanner", _refuse)
     monkeypatch.setattr(sharded_module, "split_documents", _counted_split)
     for name, text in SOURCES.items():
         for kind in SOURCE_KINDS:

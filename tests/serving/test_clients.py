@@ -16,6 +16,8 @@ from repro.serving import (
     ServingClient,
 )
 
+from tests.scanner_oracle import scanning
+
 
 def test_engine_xor_config_construction():
     engine = create_engine(EngineConfig(engine="xpush"), {"q0": "//a"})
@@ -92,11 +94,12 @@ def test_payload_delivery_carries_the_document(serve):
 def test_payload_is_the_publishers_own_bytes(serve, backend):
     """No second parse and no re-serialisation: each payload is the
     slice of the publish that held the document, references, CDATA,
-    quoting and multi-byte text exactly as they were sent."""
+    quoting and multi-byte text exactly as they were sent — also when
+    the engine parses with the oracle scanner (``"python"``)."""
     first = "<a k='é'><b>&#49;</b></a>"
     second = "<a><b><![CDATA[1]]></b><c>x&amp;y</c></a>"
-    handle = serve(EngineConfig(engine="layered", backend=backend))
-    with ServingClient(*handle.address) as client:
+    handle = serve(EngineConfig(engine="layered"))
+    with scanning(backend), ServingClient(*handle.address) as client:
         client.create_consumer("content", payload=True)
         client.subscribe("c0", "//a[b = 1]", consumer="content")
         client.publish(first + "<a><c/></a>" + second)

@@ -307,11 +307,10 @@ def test_filter_state_honours_the_engine_flags(tmp_path, stream_file, capsys, sp
     capsys.readouterr()
     spied_engines.clear()
     assert main(["filter", "--state", state, "--input", stream_file,
-                 "--backend", "python", "--max-memory", "1K", "--runtime", "codegen",
+                 "--max-memory", "1K", "--runtime", "codegen",
                  "--variant", "TD-train", "--early"]) == 0
     captured = capsys.readouterr()
     assert captured.out.strip().splitlines() == ["0\ts0", "1\ts1", "2\t-"]
-    assert "backend=python" in captured.err
     assert int(re.search(r"(\d+) evictions", captured.err).group(1)) > 0
     (engine,) = spied_engines
     options = engine.options
@@ -320,6 +319,9 @@ def test_filter_state_honours_the_engine_flags(tmp_path, stream_file, capsys, sp
     with pytest.raises(SystemExit) as refused:  # the oracle is no runtime
         main(["filter", "--state", state, "--input", stream_file, "--runtime", "sets"])
     assert refused.value.code == 2 and "invalid choice: 'sets'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as refused:  # expat is the one scanner
+        main(["filter", "--state", state, "--input", stream_file, "--backend", "expat"])
+    assert refused.value.code == 2 and "unrecognized arguments: --backend" in capsys.readouterr().err
 
 
 def test_serve_state_honours_the_engine_flags(tmp_path, capsys, monkeypatch):
@@ -333,7 +335,7 @@ def test_serve_state_honours_the_engine_flags(tmp_path, capsys, monkeypatch):
         host, port = "127.0.0.1", 0
 
         def __init__(self, engine=None, **kwargs):
-            served.update(backend=engine.backend, early=engine.options.early)
+            served.update(early=engine.options.early)
 
         async def start(self):
             pass
@@ -345,9 +347,8 @@ def test_serve_state_honours_the_engine_flags(tmp_path, capsys, monkeypatch):
             return dict(publishes=0, published_docs=0, deliveries=0, epoch=0)
 
     monkeypatch.setattr(repro.serving, "FilterServer", _Server)
-    assert main(["serve", "--state", state, "--backend", "python", "--early",
-                 "--duration", "0.01"]) == 0
-    assert served == {"backend": "python", "early": True}
+    assert main(["serve", "--state", state, "--early", "--duration", "0.01"]) == 0
+    assert served == {"early": True}
 
 
 @pytest.mark.parametrize("written, asked", [("xpush", "layered"), ("layered", "xpush")])

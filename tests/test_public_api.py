@@ -26,6 +26,14 @@ def test_subpackage_all_resolves():
             assert getattr(module, name, None) is not None, f"{module_name}.{name}"
 
 
+def test_xmlstream_exports_no_scanner_choice():
+    import repro.xmlstream
+
+    gone = {"BACKENDS", "PushScanner", "make_scanner", "resolve_backend"}
+    assert not gone & set(repro.xmlstream.__all__)
+    assert not any(hasattr(repro.xmlstream, name) for name in gone)
+
+
 def test_version():
     assert repro.__version__ == "1.0.0"
 

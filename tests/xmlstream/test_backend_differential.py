@@ -1,12 +1,13 @@
-"""Differential tests: the python and expat backends must emit
-identical event streams and identical filter answers.
+"""Differential tests: the expat scanner must emit the event streams,
+and give the filter answers, of the pure-Python oracle scanner
+(``tests/scanner_oracle.py``; the walls' id ``"python"``).
 
-Known, deliberate divergences (see docs/tuning.md) are *avoided* here
-rather than papered over in assertions: expat applies XML-spec
-attribute-value normalization (literal tab/newline become spaces) and
-``\\r\\n`` line-ending normalization, so the generated corpora never
-contain carriage returns or literal whitespace controls inside
-attribute values.
+Known divergences are *avoided* here rather than papered over in
+assertions: expat applies XML-spec attribute-value normalization
+(literal tab/newline become spaces) and ``\\r\\n`` line-ending
+normalization, which the oracle does not, so the generated corpora
+never contain carriage returns or literal whitespace controls inside
+attribute values (``test_push_parser.py`` pins expat's side).
 """
 
 from __future__ import annotations
@@ -20,13 +21,14 @@ from hypothesis import strategies as st
 
 from repro.errors import MixedContentError, XMLSyntaxError
 from repro.service.engine import ShardedFilterEngine
-from repro.xmlstream.parser import expat_events, iterparse, parse_events
+from repro.xmlstream.parser import iterparse, parse_events
 from repro.xmlstream.split import split_documents
 from repro.xmlstream.writer import document_to_xml, stream_to_xml
 from repro.xpath.parser import parse_xpath
 from repro.xpush.machine import XPushMachine
 
 from tests.conftest import P1, P2, RUNNING_DOC
+from tests.scanner_oracle import oracle_events, scanning
 
 #: Handcrafted documents covering the fidelity gaps satellite (b) fixes:
 #: whitespace-only text suppression, attribute source order, CDATA
@@ -55,7 +57,7 @@ CORPUS = [
 ]
 
 
-#: Not well-formed, and rejected by both backends.
+#: Not well-formed, and rejected by both scanners.
 REJECTED = [
     '<a b="1" b="2"/>',  # duplicate attribute
     '<a x="<"/>',  # '<' in an attribute value
@@ -65,14 +67,14 @@ REJECTED = [
 
 @pytest.mark.parametrize("text", CORPUS, ids=range(len(CORPUS)))
 def test_corpus_event_streams_identical(text):
-    assert parse_events(text) == expat_events(text)
+    assert parse_events(text) == oracle_events(text)
 
 
 @pytest.mark.parametrize("text", REJECTED)
 @pytest.mark.parametrize("backend", ["python", "expat"])
 def test_not_well_formed_rejected_by_both_backends(backend, text):
-    with pytest.raises(XMLSyntaxError):
-        parse_events(text, backend=backend)
+    with scanning(backend), pytest.raises(XMLSyntaxError):
+        parse_events(text)
 
 
 BOM = "\ufeff"
@@ -82,22 +84,20 @@ BOM = "\ufeff"
 def test_leading_byte_order_mark_accepted_by_both_backends(backend):
     # XML 1.0 lets a UTF-8 entity open with a byte-order mark.
     stream = "<r><c>1</c></r><s/>"
-    events = parse_events(stream, backend="python")
+    events = oracle_events(stream)
     encoded = (BOM + stream).encode("utf-8")
-    assert parse_events(BOM + stream, backend=backend) == events
-    assert parse_events(encoded, backend=backend) == events
-    # One byte per read: the mark's three bytes straddle every boundary.
-    assert list(iterparse(io.BytesIO(encoded), chunk_size=1, backend=backend)) == events
     machine = XPushMachine.from_xpath({"r": "//r[c = 1]", "s": "/s"})
     answers = [frozenset({"r"}), frozenset({"s"})]
-    assert machine.filter_stream(encoded, backend=backend) == answers
-    assert machine.filter_stream(io.BytesIO(encoded), backend=backend) == answers
     # The mark travels with the first document, which parses alone.
-    slices = split_documents(encoded, backend)
-    assert [parse_events(piece, backend=backend) for piece in slices] == [
-        events[:7],
-        events[7:],
-    ]
+    slices = split_documents(encoded)
+    with scanning(backend):
+        assert parse_events(BOM + stream) == events
+        assert parse_events(encoded) == events
+        # One byte per read: the mark's three bytes straddle every boundary.
+        assert list(iterparse(io.BytesIO(encoded), chunk_size=1)) == events
+        assert machine.filter_stream(encoded) == answers
+        assert machine.filter_stream(io.BytesIO(encoded)) == answers
+        assert [parse_events(piece) for piece in slices] == [events[:7], events[7:]]
 
 
 @pytest.mark.parametrize(
@@ -107,10 +107,10 @@ def test_leading_byte_order_mark_accepted_by_both_backends(backend):
 )
 @pytest.mark.parametrize("backend", ["python", "expat"])
 def test_byte_order_mark_elsewhere_rejected_by_both_backends(backend, text):
+    with scanning(backend), pytest.raises(XMLSyntaxError):
+        parse_events(text)
     with pytest.raises(XMLSyntaxError):
-        parse_events(text, backend=backend)
-    with pytest.raises(XMLSyntaxError):
-        split_documents(text.encode("utf-8"), backend)
+        split_documents(text.encode("utf-8"))
 
 
 def _dataset_corpus(docs, extra=()):
@@ -123,7 +123,7 @@ def _dataset_corpus(docs, extra=()):
 
 def test_dataset_event_streams_identical(nasa_docs, protein_docs):
     for text in _dataset_corpus(nasa_docs) + _dataset_corpus(protein_docs[:8]):
-        assert parse_events(text) == expat_events(text)
+        assert parse_events(text) == oracle_events(text)
 
 
 # -- filter-answer equivalence ---------------------------------------------
@@ -131,7 +131,8 @@ def test_dataset_event_streams_identical(nasa_docs, protein_docs):
 
 def _answers(filters, text, backend):
     machine = XPushMachine.from_filters(filters)
-    return machine.filter_stream(text, backend=backend)
+    with scanning(backend):
+        return machine.filter_stream(text)
 
 
 @pytest.fixture(scope="module")
@@ -167,8 +168,8 @@ def test_mixed_content_rejected_by_both_backends(running_parsed):
     for text in ("<a>x<b/></a>", "<a><b>1</b>tail</a>"):
         for backend in ("python", "expat"):
             machine = XPushMachine.from_filters(running_parsed)
-            with pytest.raises(MixedContentError):
-                machine.filter_stream(text, backend=backend)
+            with scanning(backend), pytest.raises(MixedContentError):
+                machine.filter_stream(text)
 
 
 def test_sharded_engine_answers_identical(nasa, nasa_docs):
@@ -178,9 +179,7 @@ def test_sharded_engine_answers_identical(nasa, nasa_docs):
     docs = nasa_docs[:6]
     answers = {}
     for backend in ("python", "expat"):
-        with ShardedFilterEngine(
-            filters, 2, parallel=False, backend=backend
-        ) as engine:
+        with scanning(backend), ShardedFilterEngine(filters, 2, parallel=False) as engine:
             answers[backend] = engine.filter_batch(docs)
     assert answers["python"] == answers["expat"]
     assert len(answers["python"]) == len(docs)
@@ -240,7 +239,7 @@ def _documents(draw):
 @settings(max_examples=60, deadline=None)
 @given(_documents())
 def test_hypothesis_event_streams_identical(text):
-    assert parse_events(text) == expat_events(text)
+    assert parse_events(text) == oracle_events(text)
 
 
 @settings(max_examples=25, deadline=None)

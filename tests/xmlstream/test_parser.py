@@ -1,4 +1,4 @@
-"""Tests for the from-scratch streaming XML parser."""
+"""Tests for the streaming XML parser's entry points (expat underneath)."""
 
 import io
 
@@ -12,12 +12,9 @@ from repro.xmlstream.events import (
     StartElement,
     Text,
 )
-from repro.xmlstream.parser import (
-    decode_entities,
-    expat_events,
-    iterparse,
-    parse_events,
-)
+from repro.xmlstream.parser import iterparse, parse_events
+
+from tests.scanner_oracle import decode_entities, oracle_events
 
 
 def kinds(events):
@@ -141,8 +138,8 @@ def test_iterparse_accepts_file_objects_and_bytes():
 
 def test_expat_agrees_with_our_parser():
     xml = '<a c="3"><b> 4 </b><d/></a>'
-    ours = parse_events(xml)
-    theirs = expat_events(xml)
+    ours = oracle_events(xml)
+    theirs = parse_events(xml)
     assert ours == theirs
 
 

@@ -1,22 +1,20 @@
-"""Tests for the push-mode event path: PushScanner/ExpatScanner feed
-protocol, chunk-boundary rollback, parse_into byte accounting."""
+"""Tests for the push-mode event path: the feed protocol and chunk
+boundaries of ExpatScanner and of the oracle PushScanner, parse_into
+byte accounting on either (``"python"`` runs it on the oracle)."""
 
 import io
 
 import pytest
 
 from repro.errors import XMLSyntaxError
-from repro.xmlstream.events import EventHandler
+from repro.engine import EngineConfig, create_engine
+from repro.xmlstream.dom import parse_forest
+from repro.xmlstream.events import EventHandler, Text
 from repro.xmlstream.expat_backend import ExpatScanner
-from repro.xmlstream.parser import (
-    PushScanner,
-    count_bytes,
-    iterparse,
-    make_scanner,
-    parse_events,
-    parse_into,
-    resolve_backend,
-)
+from repro.xmlstream.parser import count_bytes, iterparse, parse_events, parse_into
+from repro.xpush.machine import XPushMachine
+
+from tests.scanner_oracle import PushScanner, scanning
 
 #: One input exercising every token kind the scanner knows.
 TRICKY = (
@@ -128,7 +126,7 @@ def test_one_character_feeds(scanner_class):
 
 def test_push_and_pull_agree():
     recorder = Recorder()
-    parse_into(TRICKY, recorder, backend="python")
+    parse_into(TRICKY, recorder)
     from_pull = Recorder()
     for event in iterparse(TRICKY):
         kind = type(event).__name__
@@ -152,7 +150,8 @@ def test_parse_into_counts_bytes_for_every_source_kind(backend):
     assert expected != len(xml)  # the count is bytes, not characters
     for source in (xml, xml.encode("utf-8"), io.StringIO(xml), io.BytesIO(xml.encode("utf-8"))):
         handler = Recorder()
-        assert parse_into(source, handler, backend=backend) == expected
+        with scanning(backend):
+            assert parse_into(source, handler) == expected
         assert handler.calls[1] == ("startElement", "café")
 
 
@@ -162,19 +161,19 @@ def test_multibyte_character_straddles_binary_chunks(backend):
     raw = xml.encode("utf-8")
     for chunk_size in (1, 2, 3, 7):
         handler = Recorder()
-        total = parse_into(io.BytesIO(raw), handler, backend=backend, chunk_size=chunk_size)
+        with scanning(backend):
+            total = parse_into(io.BytesIO(raw), handler, chunk_size=chunk_size)
         assert total == len(raw)
         assert ("text", "λ中𝄞" * 50) in handler.calls
 
 
 def test_machine_counts_bytes_for_file_like_sources():
     """The CLI MB/s figure must not read 0 for file inputs."""
-    from repro.xpush.machine import XPushMachine
-
     xml = "<a><b>1</b></a>" * 5
     for backend in ("python", "expat"):
         machine = XPushMachine.from_xpath({"o1": "//a[b/text() = 1]"})
-        results = machine.filter_stream(io.StringIO(xml), backend=backend)
+        with scanning(backend):
+            results = machine.filter_stream(io.StringIO(xml))
         assert results == [frozenset({"o1"})] * 5
         assert machine.stats.bytes_processed == count_bytes(xml)
 
@@ -207,20 +206,44 @@ def test_incomplete_input_fails_at_close(scanner_class):
             scanner.close()
 
 
-def test_resolve_backend():
-    assert resolve_backend("python") == "python"
-    assert resolve_backend("expat") == "expat"
-    assert resolve_backend("auto") in ("python", "expat")
-    with pytest.raises(ValueError):
-        resolve_backend("libxml")
-    assert type(make_scanner(Recorder(), "python")) is PushScanner
-    assert type(make_scanner(Recorder(), "expat")) is ExpatScanner
+#: A literal tab and newline in an attribute value, CR LF in text.
+UNNORMALISED = "<a x='1\t2\n3'><b>4\r\n5</b></a>"
 
 
-def test_iterparse_backend_selector():
-    xml = "<a p='1'><b>x</b></a><c/>"
-    assert list(iterparse(xml, backend="expat")) == parse_events(xml)
-    assert list(iterparse(xml, backend="auto")) == parse_events(xml)
+def test_attribute_whitespace_reaches_every_entry_point_as_spaces():
+    """XML 1.0 (3.3.3): a literal tab or newline in an attribute value
+    is a space, whichever entry point parses it."""
+    expected = Text("1 2 3")
+    assert expected in parse_events(UNNORMALISED)
+    assert expected in list(iterparse(UNNORMALISED))
+    assert expected in list(iterparse(io.BytesIO(UNNORMALISED.encode("utf-8")), chunk_size=3))
+    (document,) = parse_forest(UNNORMALISED)
+    assert document.root.attribute("x") == "1 2 3"
+    engine = create_engine(EngineConfig(), {"q": "/a[@x = '1 2 3']", "r": "//a[@x = '1\t2\n3']"})
+    assert engine.filter_stream(UNNORMALISED) == [frozenset({"q"})]
+    engine.close()
+
+
+def test_line_ends_in_text_are_normalised():
+    """XML 1.0 (2.11): ``\\r\\n`` in character data is one ``\\n``."""
+    assert Text("4\n5") in parse_events(UNNORMALISED)
+    (document,) = parse_forest(UNNORMALISED)
+    assert document.root.children[0].text == "4\n5"
+
+
+def test_a_parser_other_than_expat_is_refused():
+    """``backend`` survives only as the one value the e2e harness
+    passes; nothing else names a parser."""
+    for parse in (
+        lambda backend: parse_into("<a/>", EventHandler(), backend=backend),
+        lambda backend: parse_forest("<a/>", backend=backend),
+        lambda backend: XPushMachine.from_xpath({"q": "/a"}).filter_stream("<a/>", backend=backend),
+    ):
+        parse("expat")
+        for backend in ("python", "auto"):
+            with pytest.raises(ValueError, match="expat is the only scanner"):
+                parse(backend)
+    assert EngineConfig().backend == "expat"
 
 
 @pytest.mark.parametrize("scanner_class", [PushScanner, ExpatScanner])
@@ -241,5 +264,5 @@ def test_handler_exceptions_propagate():
             raise RuntimeError("boom")
 
     for backend in ("python", "expat"):
-        with pytest.raises(RuntimeError, match="boom"):
-            parse_into("<a/>", Boom(), backend=backend)
+        with scanning(backend), pytest.raises(RuntimeError, match="boom"):
+            parse_into("<a/>", Boom())

@@ -16,6 +16,7 @@ from repro.xpush.machine import XPushMachine
 from repro.xpush.options import XPushOptions
 
 from tests.conftest import make_workload
+from tests.scanner_oracle import scanning
 
 ALL_OPTION_COMBOS = [
     XPushOptions(),
@@ -110,7 +111,8 @@ def test_leaf_calls_equal_classic_triples(options, backend, protein, protein_doc
         machine.on_match = lambda oid, doc, event: emitted.append((doc, event, oid))
         for _ in range(2):
             if drive == "leaf":
-                answers = machine.filter_stream(stream, backend=backend)
+                with scanning(backend):
+                    answers = machine.filter_stream(stream)
             else:
                 answers = machine.process_events(events)
         runs.append((answers, sorted(emitted), machine.state_count, machine.stats.events))

@@ -11,6 +11,7 @@ from repro.xpush.options import XPushOptions
 from repro.xpush.stats import MachineStats
 
 from tests.conftest import make_workload
+from tests.scanner_oracle import scanning
 
 
 def test_snapshot_and_reset():
@@ -94,8 +95,8 @@ def test_an_abandoned_document_counts_the_events_it_consumed(backend, text):
     fed_triples = XPushMachine.from_xpath({"q": "//c"})
     for machine in (fed_leaves, fed_triples):
         machine.filter_stream("<r><c>1</c></r>")
-    with pytest.raises(MixedContentError):
-        fed_leaves.filter_stream(text, backend=backend)
+    with scanning(backend), pytest.raises(MixedContentError):
+        fed_leaves.filter_stream(text)
     with pytest.raises(MixedContentError):
         fed_triples.process_events(parse_events(text))
     # Up to and including the refused event, counted as triples.
