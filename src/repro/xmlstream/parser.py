@@ -106,10 +106,13 @@ def parse_into(
     if isinstance(source, (str, bytes)):
         if isinstance(source, bytes):
             total = len(source)
-            source = _decode_utf8(source)
+            _decode_utf8(source)  # refuses non-UTF-8 whole; expat gets the bytes
         else:
             total = _utf8_length(source)
-        scanner.feed(source)
+        # A chunk at a time, as iterparse: a restart at each document
+        # boundary re-feeds the rest of its chunk, not of the source.
+        for start in range(0, len(source), chunk_size):
+            scanner.feed(source[start : start + chunk_size])
         scanner.close()
         return total
     total = 0

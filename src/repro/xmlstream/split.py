@@ -19,7 +19,8 @@ element* (:mod:`repro.xmlstream.expat_backend`), so a slice runs from
 one root's start — or the prolog before it — up to the next root's;
 comments, PIs and whitespace after a root stay with it.  No per-element
 Python callback runs: one start-element callback per document unhooks
-itself on first use.
+itself on first use, and is unhooked at the end of the scan if it never
+ran, so a scan leaves no reference cycle behind.
 """
 
 from __future__ import annotations
@@ -73,6 +74,10 @@ def _split_expat(data: bytes, block: int = 1 << 16) -> list[bytes]:
             if error.code == _NO_ELEMENTS and not seen:
                 return slices  # nothing but whitespace, comments, PIs left
             raise XMLSyntaxError(str(error), error.lineno, error.offset) from None
+        finally:
+            # A document that never opened an element still holds its
+            # callback, and the callback the parser: leave no cycle.
+            parser.StartElementHandler = None
         slices.append(data[start:])
         return slices
 

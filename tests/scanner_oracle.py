@@ -27,6 +27,7 @@ for it is ``"python"`` (:data:`ORACLE`).
 
 from __future__ import annotations
 
+import codecs
 import re
 from contextlib import AbstractContextManager, contextmanager, nullcontext
 from typing import Iterator
@@ -141,6 +142,7 @@ class PushScanner:
         "_stack",
         "_pending",
         "_fresh",
+        "_decoder",
         "line",
     )
 
@@ -159,16 +161,22 @@ class PushScanner:
         self._stack: list[str] = []
         self._pending: list[str] = []
         self._fresh = True
+        self._decoder: codecs.IncrementalDecoder | None = None
         self.line = 1
 
     # ------------------------------------------------------------------
     # Public protocol
     # ------------------------------------------------------------------
 
-    def feed(self, chunk: str) -> None:
-        """Consume as much of the buffered input + *chunk* as possible."""
+    def feed(self, chunk: str | bytes) -> None:
+        """Consume as much of the buffered input + *chunk* as possible;
+        ``bytes`` chunks are UTF-8, and a character may straddle two."""
         if self._closed:
             raise XMLSyntaxError("feed() after close()")
+        if isinstance(chunk, bytes):
+            if self._decoder is None:
+                self._decoder = codecs.getincrementaldecoder("utf-8")()
+            chunk = self._decoder.decode(chunk)
         if self._pos:
             self._data = self._data[self._pos :] + chunk
             self._pos = 0

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from repro.bench import harness
 from repro.bench.harness import VariantResult, measure_parse_only, run_variant, timed
 from repro.bench.reporting import format_table, print_series_table
 from repro.bench.workloads import (
@@ -67,6 +68,19 @@ def test_run_variant_produces_consistent_counters():
 
 def test_measure_parse_only_positive():
     assert measure_parse_only(standard_stream(20_000)) > 0
+
+
+def test_measure_parse_only_is_the_best_of_five_parses(monkeypatch):
+    readings = iter([0.9, 0.3, 0.7, 0.2, 0.8])
+    calls = []
+
+    def fake_timed(callable_, *args):
+        calls.append(callable_)
+        return None, next(readings)
+
+    monkeypatch.setattr(harness, "timed", fake_timed)
+    assert measure_parse_only("<a/>") == 0.2
+    assert calls == [harness.parse_into] * 5
 
 
 def test_format_table_alignment():

@@ -8,6 +8,7 @@ import pytest
 
 from repro.errors import XMLSyntaxError
 from repro.engine import EngineConfig, create_engine
+from repro.xmlstream import parser as parser_module
 from repro.xmlstream.dom import parse_forest
 from repro.xmlstream.events import EventHandler, Text
 from repro.xmlstream.expat_backend import ExpatScanner
@@ -165,6 +166,32 @@ def test_multibyte_character_straddles_binary_chunks(backend):
             total = parse_into(io.BytesIO(raw), handler, chunk_size=chunk_size)
         assert total == len(raw)
         assert ("text", "λ中𝄞" * 50) in handler.calls
+
+
+@pytest.mark.parametrize("backend", ["python", "expat"])
+def test_a_whole_source_is_fed_a_chunk_at_a_time(backend, monkeypatch):
+    """Each document boundary restarts the scanner on the rest of the
+    chunk it came in, so a source fed whole costs time quadratic in its
+    documents; a two-byte character straddles the binary chunks."""
+    xml = "<a x='λ'>λ</a>" * 40
+    document = [("startDocument",), ("startElement", "a"), ("startElement", "@x"), ("text", "λ")]
+    document += [("endElement", "@x"), ("text", "λ"), ("endElement", "a"), ("endDocument",)]
+    fed = []
+    with scanning(backend):
+        scanner_class = parser_module.ExpatScanner
+        feed = scanner_class.feed
+
+        def counted_feed(scanner, chunk):
+            fed.append(len(chunk))
+            feed(scanner, chunk)
+
+        monkeypatch.setattr(scanner_class, "feed", counted_feed)
+        for source in (xml, xml.encode("utf-8")):
+            fed.clear()
+            handler = Recorder()
+            assert parse_into(source, handler, chunk_size=7) == count_bytes(xml)
+            assert handler.calls == document * 40
+            assert max(fed) == 7 and sum(fed) == len(source)
 
 
 def test_machine_counts_bytes_for_file_like_sources():
