@@ -96,7 +96,7 @@ def run(resident: int, inserts: int, repeats: int, out=sys.stdout) -> dict:
     flushed = False
     for index, new in enumerate(extra, start=1):
         started = time.perf_counter()
-        layered.insert(new.oid, new.source)
+        layered.subscribe(new.oid, new.source)
         insert_times.append(time.perf_counter() - started)
 
         best = float("inf")
@@ -178,7 +178,7 @@ def run_fold(resident: int, out=sys.stdout) -> dict:
     times: list[float] = []
     for new in extra:
         started = time.perf_counter()
-        layered.insert(new.oid, new.source)
+        layered.subscribe(new.oid, new.source)
         times.append(time.perf_counter() - started)
     folded = layered.stats()["compactions"] == 1 and layered._delta is None
     early = sum(times[:15]) / 15
@@ -287,8 +287,8 @@ def test_layered_insert_beats_rebuild(benchmark):
     new = filters[resident]
 
     def insert_and_undo():
-        engine.insert(new.oid, new.source)
-        engine.remove(new.oid)
+        engine.subscribe(new.oid, new.source)
+        engine.unsubscribe(new.oid)
 
     benchmark(insert_and_undo)
     assert engine.filter_count == resident

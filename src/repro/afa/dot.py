@@ -1,4 +1,4 @@
-"""Graphviz (dot) export for AFAs and lazily materialised XPush states.
+"""Graphviz (dot) export for AFAs.
 
 Produces the Fig. 4-style picture of a workload's automata for
 debugging and documentation (render with ``dot -Tsvg``).  No graphviz
@@ -54,42 +54,5 @@ def afa_to_dot(workload: WorkloadAutomata, title: str = "workload") -> str:
             for label in sorted(state.top_labels):
                 lines.append(f"    n{sid} -> top{sid} [label={_quote(label)}];")
         lines.append("  }")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def machine_states_to_dot(machine, max_states: int = 200, title: str = "xpush") -> str:
-    """The materialised bottom-up states and their t_pop/t_badd edges.
-
-    Caps at *max_states* nodes — the lazy machine can hold thousands.
-    """
-    states = machine.store.bottom_states()[:max_states]
-    shown = {state.uid for state in states}
-    lines = [
-        f"digraph {_quote(title)} {{",
-        "  rankdir=LR;",
-        "  node [shape=box, fontsize=9];",
-    ]
-    for state in states:
-        body = ",".join(str(s) for s in state.sids[:10])
-        if len(state.sids) > 10:
-            body += ",…"
-        label = f"q{state.uid}\\n{{{body}}}"
-        if state.accepts:
-            label += "\\naccepts " + ",".join(sorted(state.accepts))
-        lines.append(f"  q{state.uid} [label={_quote(label)}];")
-    for state in states:
-        for key, (target, _notified) in state.pop_table.items():
-            if target.uid in shown:
-                tag = key if isinstance(key, str) else key[0]
-                lines.append(
-                    f"  q{state.uid} -> q{target.uid} [label={_quote('pop ' + str(tag))}];"
-                )
-        for other_uid, target in state.add_table.items():
-            if target.uid in shown and other_uid != target.uid:
-                lines.append(
-                    f"  q{state.uid} -> q{target.uid} "
-                    f"[label={_quote(f'+q{other_uid}')}, style=dotted];"
-                )
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -195,10 +195,6 @@ class AtomicPredicateIndex:
     def __len__(self) -> int:
         return len(self._entries)
 
-    @property
-    def predicate_count(self) -> int:
-        return len(self._entries)
-
     # ------------------------------------------------------------------
 
     def key_of(self, raw_value: str) -> int:

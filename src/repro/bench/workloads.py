@@ -20,7 +20,7 @@ import random
 from functools import lru_cache
 
 from repro.data.protein import ProteinDataset, document_to_xml
-from repro.xpath.ast import XPathFilter, count_atomic_predicates
+from repro.xpath.ast import XPathFilter
 from repro.xpath.generator import GeneratorConfig, QueryGenerator
 
 #: The paper's reference points, used to derive scaled defaults.
@@ -70,15 +70,6 @@ def standard_workload(
     generator = QueryGenerator(dataset.dtd, dataset.value_pool, config)
     filters = generator.generate(queries)
     return filters, dataset
-
-
-def workload_stats(filters: list[XPathFilter]) -> dict:
-    total = sum(count_atomic_predicates(f.path) for f in filters)
-    return {
-        "queries": len(filters),
-        "atomic_predicates": total,
-        "predicates_per_query": total / len(filters) if filters else 0.0,
-    }
 
 
 @lru_cache(maxsize=8)

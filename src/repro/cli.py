@@ -17,11 +17,20 @@ Commands:
 - ``generate-queries`` — emit a synthetic workload for a dataset;
 - ``inspect`` — show how a filter parses and compiles (AST, AFA
   summary, atomic predicates);
-- ``bench`` — a one-shot throughput measurement.
+- ``explain`` / ``analyze`` — a workload's compiled size, and its
+  sharing profile and mask lanes;
+- ``bench`` — a one-shot throughput measurement; with ``--shards N``
+  it also times the sharded engine's ``filter_stream``, the path
+  ``filter`` and ``serve`` run.
+
+The engine flags are ``--dtd``, ``--shards``, ``--max-memory`` and
+``--early``: the transition kernel is always ``bitmask`` and a sharded
+call is dealt out one run of documents per shard, so neither is a flag.
 
 Query files contain one filter per line, either bare XPath (oids are
-assigned ``q0, q1, …``) or ``oid <TAB> xpath``.  Blank lines and lines
-starting with ``#`` are skipped.
+assigned ``q0, q1, …``) or ``oid <TAB> xpath``
+(:mod:`repro.xpath.workload_io`, which ``generate-queries`` writes
+through).  Blank lines and lines starting with ``#`` are skipped.
 """
 
 from __future__ import annotations
@@ -39,8 +48,7 @@ from repro.xmlstream.dtdparser import parse_dtd_file
 from repro.xmlstream.parser import _not_utf8
 from repro.xpath.ast import count_atomic_predicates, is_linear
 from repro.xpath.parser import parse_xpath
-from repro.xpush.machine import XPushMachine
-from repro.xpush.options import RUNTIMES, VARIANTS, variant_options
+from repro.xpush.options import VARIANTS, variant_options
 
 
 def _parse_bytes(text: str) -> int:
@@ -112,14 +120,6 @@ _ENGINE_FLAGS: dict[str, dict] = {
         help="deal the documents out over N replicas of the compiled "
              "engine — worker processes when N > 1 (docs/scaling.md)",
     ),
-    "--batch-size": dict(
-        type=int, default=16, help="documents per work item in sharded mode",
-    ),
-    "--runtime": dict(
-        default="bitmask", choices=sorted(RUNTIMES),
-        help="transition kernel for cold-path transitions "
-             "(bitmask = compiled integer masks, codegen = generated code)",
-    ),
     "--max-memory": dict(
         default=None,
         help="bound resident states+tables per machine (bytes, or K/M/G "
@@ -156,7 +156,6 @@ def _engine_config(args, dtd) -> EngineConfig:
         options,
         order=options.order or getattr(args, "order", False),
         early=options.early or args.early,
-        runtime=args.runtime,
     )
     if args.max_memory:
         options = replace(options, max_memory_bytes=_parse_bytes(args.max_memory))
@@ -169,19 +168,12 @@ def _engine_config(args, dtd) -> EngineConfig:
         options=options,
         dtd=dtd,
         shards=args.shards,
-        batch_size=args.batch_size,
     )
 
 
 # ----------------------------------------------------------------------
 # Engine state files (the persisted update control plane)
 # ----------------------------------------------------------------------
-
-
-def _kind(name: str) -> str:
-    """``"xpush"`` and ``"layered"`` name one engine, so a state file
-    written under either loads under both."""
-    return "layered" if name == "xpush" else name
 
 
 def _engine_kind_of(snapshot: dict) -> str:
@@ -214,7 +206,7 @@ def _load_state(
     if os.path.exists(path):
         snapshot = load_engine_snapshot(path)
         kind = _engine_kind_of(snapshot)
-        if engine_kind and _kind(engine_kind) != kind:
+        if engine_kind and engine_kind != kind:
             raise ReproError(
                 f"{path} holds a {kind!r} engine, not {engine_kind!r}"
             )
@@ -377,23 +369,29 @@ def cmd_serve(args) -> int:
     return 0
 
 
+def _write_out(text: str, out: str) -> None:
+    """Write *text* to the file *out*, or to stdout for ``-``."""
+    if out and out != "-":
+        with open(out, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        print(f"# wrote {len(text.encode('utf-8'))} bytes to {out}", file=sys.stderr)
+    else:
+        sys.stdout.write(text)
+
+
 def cmd_generate_data(args) -> int:
     dataset = _dataset(args.dataset, args.seed)
     if args.bytes:
         text = dataset.stream_of_bytes(args.bytes)
     else:
         text = dataset.stream_text(args.documents, indent=2 if args.pretty else None)
-    if args.out and args.out != "-":
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(f"# wrote {len(text.encode('utf-8'))} bytes to {args.out}", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
+    _write_out(text, args.out)
     return 0
 
 
 def cmd_generate_queries(args) -> int:
     from repro.xpath.generator import GeneratorConfig, QueryGenerator
+    from repro.xpath.workload_io import dump_workload
 
     dataset = _dataset(args.dataset, args.seed)
     config = GeneratorConfig(
@@ -408,17 +406,7 @@ def cmd_generate_queries(args) -> int:
         prob_string_function=args.prob_string_function,
     )
     generator = QueryGenerator(dataset.dtd, dataset.value_pool, config)
-    out = sys.stdout
-    close = False
-    if args.out and args.out != "-":
-        out = open(args.out, "w", encoding="utf-8")
-        close = True
-    try:
-        for f in generator.generate(args.count):
-            out.write(f"{f.oid}\t{f.source}\n")
-    finally:
-        if close:
-            out.close()
+    _write_out(dump_workload(generator.generate(args.count)), args.out)
     return 0
 
 
@@ -459,10 +447,7 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    """Show the compiled form of a whole workload — counts by default,
-    the generated straight-line Python with ``--codegen``."""
-    from repro.xpush.options import XPushOptions
-
+    """Show the size of a whole workload's compiled form."""
     if not args.query and not args.queries:
         raise ReproError("explain needs --queries FILE or --query XPATH")
     filters = (
@@ -471,29 +456,6 @@ def cmd_explain(args) -> int:
     workload = build_workload_automata(filters)
     print(f"filters     : {len(filters)}")
     print(f"AFA states  : {workload.state_count}")
-    if not args.codegen:
-        return 0
-    options = XPushOptions(runtime="codegen")
-    if args.max_handlers is not None:
-        options = XPushOptions(
-            runtime="codegen", codegen_max_handlers=args.max_handlers
-        )
-    machine = XPushMachine(workload, options)
-    source = machine.dump_source()
-    if source is None:
-        print(
-            "codegen declined (handler bound exceeded); "
-            "running on the interpreted bitmask tables",
-            file=sys.stderr,
-        )
-        return 1
-    stats = machine.stats
-    print(
-        f"codegen     : {stats.codegen_handlers} handlers, "
-        f"compiled in {stats.codegen_compile_ms:.1f} ms"
-    )
-    print()
-    print(source)
     return 0
 
 
@@ -555,19 +517,10 @@ def cmd_bench(args) -> int:
     warm = time.perf_counter() - start
     stats = engine.stats()
     engine.close()
-    print(
-        f"variant={args.variant} queries={args.queries} data={megabytes:.2f}MB "
-        f"runtime={args.runtime}"
-    )
+    print(f"variant={args.variant} queries={args.queries} data={megabytes:.2f}MB")
     print(f"cold: {cold:.3f}s ({megabytes / cold:.2f} MB/s)")
     print(f"warm: {warm:.3f}s ({megabytes / warm:.2f} MB/s)")
     print(f"states={stats['xpush_states']} hit_ratio={stats['hit_ratio']:.1%}")
-    if args.runtime == "codegen":
-        print(
-            f"codegen: compile={stats['codegen_compile_ms']:.1f}ms "
-            f"handlers={stats['codegen_handlers']} "
-            f"fallbacks={stats['codegen_fallbacks']}"
-        )
     if options.max_memory_bytes is not None:
         print(
             f"memory: bound={options.max_memory_bytes} "
@@ -575,18 +528,15 @@ def cmd_bench(args) -> int:
             f"evictions={stats['evictions']} gc_states={stats['gc_states']}"
         )
     if config.engine == "sharded":
-        from repro.xmlstream.dom import parse_forest
-
-        documents = parse_forest(stream)
         with create_engine(config, filters) as sharded_engine:
-            sharded_engine.filter_batch(documents)  # warm the shard machines
+            sharded_engine.filter_stream(stream)  # warm the shard machines
             start = time.perf_counter()
-            sharded_engine.filter_batch(documents)
+            sharded_engine.filter_stream(stream)
             sharded = time.perf_counter() - start
             stats = sharded_engine.stats()
         latency = stats["batch_latency"]
         print(
-            f"sharded({args.shards}x, batch={args.batch_size}"
+            f"sharded({args.shards}x"
             f"{', serial fallback' if stats['serial_fallback'] else ''}): "
             f"{sharded:.3f}s ({megabytes / sharded:.2f} MB/s), "
             f"speedup x{warm / sharded:.2f} vs warm serial"
@@ -624,9 +574,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True, help="engine state file (JSON)")
     p.add_argument("--oid", required=True, help="subscription id")
     p.add_argument("--xpath", required=True, help="the XPath filter")
-    p.add_argument("--engine", choices=["layered", "xpush", "sharded"],
+    p.add_argument("--engine", choices=["layered", "sharded"],
                    help="engine kind when creating a new state file "
-                        "(default layered; xpush names the same engine)")
+                        "(default layered)")
     p.set_defaults(func=cmd_subscribe)
 
     p = sub.add_parser("unsubscribe", help="drop a filter from an engine state file")
@@ -650,13 +600,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="TCP port (0 = pick an ephemeral port)")
     p.add_argument("--queries", help="initial workload file (oid<TAB>xpath per line)")
     p.add_argument("--state", help="engine state file (see `subscribe`) to serve")
-    p.add_argument("--engine", default="layered",
-                   choices=["xpush", "layered", "sharded"],
-                   help="engine kind behind the server (default layered; "
-                        "xpush names the same engine)")
+    p.add_argument("--engine", default="layered", choices=["layered", "sharded"],
+                   help="engine kind behind the server (default layered)")
     p.add_argument("--order", action="store_true",
                    help="enable the Sec. 5 order optimisation (needs --dtd)")
-    _add_engine_flags(p, shards=2, without=("--runtime", "--max-memory"))
+    _add_engine_flags(p, shards=2, without=("--max-memory",))
     p.add_argument("--policy", default="block",
                    choices=["block", "drop_oldest", "evict"],
                    help="default slow-consumer policy at the high watermark")
@@ -701,16 +649,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_inspect)
 
     p = sub.add_parser(
-        "explain", help="show the compiled form of a workload"
+        "explain", help="count a workload's filters and AFA states"
     )
     p.add_argument("--queries", help="query file (oid<TAB>xpath per line)")
     p.add_argument("--query", help="a single XPath filter instead of --queries")
-    p.add_argument("--codegen", action="store_true",
-                   help="print the workload-specialized Python the codegen "
-                        "runtime dispatches into")
-    p.add_argument("--max-handlers", type=int, default=None,
-                   help="override the codegen handler bound "
-                        "(XPushOptions.codegen_max_handlers)")
     p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser("bench", help="one-shot throughput measurement")

@@ -76,16 +76,6 @@ class ServingClient:
             reply = self._read_frame(timeout)
         return _check(reply) if check else reply
 
-    def send_raw(self, data: bytes) -> None:
-        """Ship raw bytes (protocol tests: malformed/partial frames)."""
-        with self._lock:
-            self._sock.sendall(data)
-
-    def read_reply(self, *, timeout: float | None = None) -> Frame:
-        """Read one server frame without sending anything first."""
-        with self._lock:
-            return self._read_frame(timeout)
-
     # -- verbs ---------------------------------------------------------
 
     def publish(self, xml: str) -> list[frozenset[str]]:

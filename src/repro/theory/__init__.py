@@ -1,4 +1,5 @@
-"""The theoretical analysis of Sec. 6.
+"""The theoretical analysis of Sec. 6, in two modules and no
+third-party dependency.
 
 - :mod:`repro.theory.independence` — subsumption / inconsistency /
   independence between AFA states, the independence graph, and the

@@ -53,21 +53,6 @@ def expected_states_ordered(
     return math.exp(log_value)
 
 
-def ordered_bound_decreases_in_k(
-    documents: int, total_branches: int, selectivity: float, ks: list[int]
-) -> list[float]:
-    """The Sec. 6 observation: with k·n = total_branches fixed, the
-    ordered bound decreases as k grows.  Returns the bound per k."""
-    out = []
-    for k in ks:
-        if total_branches % k:
-            raise ValueError(f"total_branches={total_branches} not divisible by k={k}")
-        out.append(
-            expected_states_ordered(documents, total_branches // k, k, selectivity)
-        )
-    return out
-
-
 def _check(selectivity: float) -> None:
     if not 0.0 < selectivity < 1.0:
         raise ValueError("selectivity must be in (0, 1)")

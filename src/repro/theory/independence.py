@@ -190,19 +190,6 @@ class IndependenceAnalysis:
         empty clique, for q0) in the independence graph."""
         return count_cliques(self.independence_graph(), limit)
 
-    def networkx_graph(self):
-        """The independence graph as a networkx Graph (for notebooks /
-        further analysis)."""
-        import networkx as nx
-
-        graph = nx.Graph()
-        adjacency = self.independence_graph()
-        graph.add_nodes_from(adjacency)
-        for node, neighbours in adjacency.items():
-            for other in neighbours:
-                graph.add_edge(node, other)
-        return graph
-
 
 def count_cliques(adjacency: dict[int, set[int]], limit: int = 10_000_000) -> int:
     """Count *all* cliques of the graph, the empty clique included.

@@ -46,10 +46,6 @@ class Element:
                 return value
         return None
 
-    def find_children(self, label: str) -> list["Element"]:
-        """Return the child elements with the given label."""
-        return [child for child in self.children if child.label == label]
-
     def iter_descendants(self) -> Iterator["Element"]:
         """Yield self and every descendant element, pre-order."""
         stack = [self]

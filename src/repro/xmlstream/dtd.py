@@ -116,10 +116,6 @@ class ElementDecl:
     content: ContentParticle
     attributes: tuple[AttributeDecl, ...] = ()
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.content.kind in ("pcdata", "empty")
-
 
 class DTD:
     """A document type: a root element and a set of element declarations."""

@@ -221,21 +221,3 @@ def parse_dtd(text: str, root: str | None = None) -> DTD:
 def parse_dtd_file(path: str, root: str | None = None) -> DTD:
     with open(path, "r", encoding="utf-8") as handle:
         return parse_dtd(handle.read(), root)
-
-
-def dtd_to_text(dtd: DTD) -> str:
-    """Serialise a DTD model back to declaration syntax (round-trips
-    through :func:`parse_dtd` up to attribute types)."""
-    lines = []
-    for decl in dtd.elements.values():
-        content = str(decl.content)
-        if decl.content.kind == "element":
-            content = f"({content})"  # bare names need a group in DTD syntax
-        lines.append(f"<!ELEMENT {decl.name} {content}>")
-        if decl.attributes:
-            attrs = "\n  ".join(
-                f"{a.name} CDATA {'#REQUIRED' if a.required else '#IMPLIED'}"
-                for a in decl.attributes
-            )
-            lines.append(f"<!ATTLIST {decl.name}\n  {attrs}>")
-    return "\n".join(lines) + "\n"

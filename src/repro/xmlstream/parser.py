@@ -218,12 +218,6 @@ def parse_events(text: str | bytes) -> list[Event]:
     return sink.events
 
 
-def iterparse_path(path: str, chunk_size: int = 1 << 16) -> Iterator[Event]:
-    """Lazily parse the file at *path*."""
-    with open(path, "r", encoding="utf-8") as handle:
-        yield from iterparse(handle, chunk_size)
-
-
 def count_bytes(text: str) -> int:
     """UTF-8 size of *text*; used for MB/s throughput accounting."""
     return _utf8_length(text)

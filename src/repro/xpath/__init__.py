@@ -21,7 +21,7 @@ from repro.xpath.ast import (
 from repro.xpath.parser import parse_xpath
 from repro.xpath.semantics import evaluate_filter, matching_oids
 from repro.xpath.generator import QueryGenerator, GeneratorConfig
-from repro.xpath.simplify import simplify_filter, simplify_workload
+from repro.xpath.simplify import simplify_filter
 from repro.xpath.analysis import profile_workload
 from repro.xpath.dedupe import DeduplicatedEngine, DeduplicatedWorkload
 
@@ -30,7 +30,6 @@ __all__ = [
     "DeduplicatedWorkload",
     "profile_workload",
     "simplify_filter",
-    "simplify_workload",
     "Axis",
     "BooleanExpr",
     "Comparison",

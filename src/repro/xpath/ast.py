@@ -61,20 +61,6 @@ class NodeTest:
             return "@*"
         return "text()"
 
-    @property
-    def selects_attributes(self) -> bool:
-        return self.kind in (NodeTestKind.ATTRIBUTE, NodeTestKind.ATTRIBUTE_WILDCARD)
-
-    @property
-    def selects_text(self) -> bool:
-        return self.kind is NodeTestKind.TEXT
-
-
-def name_test(label: str) -> NodeTest:
-    if label.startswith("@"):
-        return NodeTest(NodeTestKind.ATTRIBUTE, label)
-    return NodeTest(NodeTestKind.NAME, label)
-
 
 WILDCARD_TEST = NodeTest(NodeTestKind.WILDCARD)
 ATTRIBUTE_WILDCARD_TEST = NodeTest(NodeTestKind.ATTRIBUTE_WILDCARD)
@@ -260,28 +246,6 @@ def count_atomic_predicates(path: LocationPath) -> int:
                     nested = count_atomic_predicates(atom.path)
                     total += nested if nested else 1
     return total
-
-
-def boolean_nesting_depth(path: LocationPath) -> int:
-    """Deepest nesting of boolean connectives; bounds eval() iterations."""
-
-    def expr_depth(expr: BooleanExpr) -> int:
-        if isinstance(expr, Exists):
-            return path_depth(expr.path)
-        if isinstance(expr, Comparison):
-            return path_depth(expr.path)
-        if isinstance(expr, Not):
-            return 1 + expr_depth(expr.child)
-        return 1 + max(expr_depth(child) for child in expr.children)
-
-    def path_depth(p: LocationPath) -> int:
-        best = 0
-        for step in p.steps:
-            for pred in step.predicates:
-                best = max(best, expr_depth(pred))
-        return best
-
-    return path_depth(path)
 
 
 def is_linear(path: LocationPath) -> bool:

@@ -88,8 +88,3 @@ def _dedupe(children: tuple[BooleanExpr, ...]) -> tuple[BooleanExpr, ...]:
             seen.add(child)
             out.append(child)
     return tuple(out)
-
-
-def simplify_workload(filters: list[XPathFilter]) -> list[XPathFilter]:
-    """Simplify every filter of a workload."""
-    return [simplify_filter(f) for f in filters]

@@ -76,8 +76,3 @@ def dump_workload(filters: Iterable[XPathFilter]) -> str:
             raise WorkloadError(f"filter source not representable: {source!r}")
         lines.append(f"{xpath_filter.oid}\t{source}")
     return "\n".join(lines) + "\n"
-
-
-def save_workload(filters: Iterable[XPathFilter], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dump_workload(filters))

@@ -22,7 +22,7 @@ from repro.xpush.machine import XPushMachine
 from repro.xpush.options import XPushOptions, VARIANTS, variant_options
 from repro.xpush.stats import MachineStats
 from repro.xpush.trace import render_trace, trace_document
-from repro.xpush.training import training_documents, training_stream
+from repro.xpush.training import training_documents
 
 __all__ = [
     "LayeredFilterEngine",
@@ -33,6 +33,5 @@ __all__ = [
     "XPushMachine",
     "XPushOptions",
     "training_documents",
-    "training_stream",
     "variant_options",
 ]

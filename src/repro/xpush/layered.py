@@ -21,7 +21,7 @@ the same event stream, and the answer is the union of the layers'
 answers.  Three verbs change a layer, and each is
 :meth:`repro.xpush.machine.XPushMachine.extend` underneath:
 
-- **grow** — ``insert`` compiles exactly one AFA, at the top of the
+- **grow** — ``subscribe`` compiles exactly one AFA, at the top of the
   delta's sid space; ``compact`` (the *fold*, automatic every
   ``compact_threshold`` insertions, and once a delta has gone
   ``compact_threshold`` documents without one) appends the delta's
@@ -30,7 +30,7 @@ answers.  Three verbs change a layer, and each is
   read-only predecessor and a memo miss takes the old block's share of
   the answer from it — the "on top of the old XPush machine" of the
   quote;
-- **retire** — ``remove`` is a tombstone (dropped from answers at
+- **retire** — ``unsubscribe`` is a tombstone (dropped from answers at
   once); the next fold turns tombstoned and re-defined filters into
   *passengers*: their AFAs stay in the sid space, transitions intact,
   and answer to no oid.  A re-inserted oid whose old definition still
@@ -53,8 +53,8 @@ serialise updates and filter calls).
 
 The engine conforms to the :class:`repro.engine.protocol.FilterEngine`
 protocol and is built by :func:`repro.engine.create_engine` for
-``"layered"`` and, for the harness that still names it, ``"xpush"``: ``subscribe``/``unsubscribe`` alias
-``insert``/``remove``, ``filter_stream`` is the zero-allocation
+``"layered"`` and, for the harness that still names it, ``"xpush"``:
+``filter_stream`` is the zero-allocation
 push-mode event path, and ``snapshot()``/``restore()`` capture the live
 definitions of base and delta plus the tombstones as XPath sources —
 passengers are never written, so a restart cannot resurrect one.
@@ -178,8 +178,8 @@ class LayeredFilterEngine:
     pending an insertion layer beside it.
 
     >>> engine = LayeredFilterEngine.from_xpath({"a": "//x"})
-    >>> engine.insert("b", "//y[z = 1]")
-    >>> sorted(engine.filter_text("<y><z>1</z></y>")[0])
+    >>> engine.subscribe("b", "//y[z = 1]")
+    >>> sorted(engine.filter_stream("<y><z>1</z></y>")[0])
     ['b']
     """
 
@@ -232,14 +232,14 @@ class LayeredFilterEngine:
     # Updates
     # ------------------------------------------------------------------
 
-    def insert(self, oid: str, xpath: str) -> None:
+    def subscribe(self, oid: str, xpath: str) -> None:
         """Add a filter: one AFA is compiled, at the top of the delta
         layer (or, when this insertion fills the delta, of the base it
         is folded into), unless the filter copies the source of a live
         filter of that layer, whose AFA then answers to it as well; the
         warmed base machine and all its states survive untouched.
 
-        Re-inserting a previously removed oid is allowed.  If its old
+        Re-subscribing an unsubscribed oid is allowed.  If its old
         definition sits in the base layer it is *shadowed* — the new
         delta definition answers alone (never both layers), and
         ``filter_count`` counts the oid once; if it sits in the delta,
@@ -266,7 +266,7 @@ class LayeredFilterEngine:
         self.insertions += 1
         self._idle_documents = 0
 
-    def remove(self, oid: str) -> None:
+    def unsubscribe(self, oid: str) -> None:
         """Delete a filter.  Cheap: a tombstone filters the answers; the
         machines are untouched until the next fold."""
         if oid not in self._base_filters and oid not in self._delta_filters:
@@ -274,14 +274,6 @@ class LayeredFilterEngine:
         if oid in self._tombstones:
             raise WorkloadError(f"oid {oid!r} already removed")
         self._tombstones.add(oid)
-
-    def subscribe(self, oid: str, xpath: str) -> None:
-        """Protocol alias for :meth:`insert`."""
-        self.insert(oid, xpath)
-
-    def unsubscribe(self, oid: str) -> None:
-        """Protocol alias for :meth:`remove`."""
-        self.remove(oid)
 
     def compact(self) -> None:
         """Fold the delta and the tombstones into the base: the delta's
@@ -471,10 +463,6 @@ class LayeredFilterEngine:
             answers = handler.answers
         self._idle_documents += len(answers)
         return answers
-
-    def filter_text(self, source: StreamSource) -> list[frozenset[str]]:
-        """Historical alias for :meth:`filter_stream`."""
-        return self.filter_stream(source)
 
     # ------------------------------------------------------------------
     # Persistence (Sec. 8 across restarts)

@@ -414,10 +414,6 @@ class StateStore:
             state.ref = True
         return state
 
-    @property
-    def top_count(self) -> int:
-        return len(self._top)
-
     def top_states(self) -> list[XPushTopState]:
         return list(self._top.values())
 

@@ -23,7 +23,6 @@ from typing import Iterator
 from repro.afa.automaton import WorkloadAutomata
 from repro.xmlstream.dom import Document, Element
 from repro.xmlstream.dtd import DTD, ContentParticle
-from repro.xmlstream.writer import stream_to_xml
 from repro.xpath.ast import (
     Axis,
     Comparison,
@@ -234,12 +233,3 @@ def training_documents(
         document = builder.build(path)
         if document is not None:
             yield document
-
-
-def training_stream(
-    workload: WorkloadAutomata,
-    dtd: DTD | None = None,
-    rng: random.Random | None = None,
-) -> str:
-    """The concatenated training data as XML text."""
-    return stream_to_xml(training_documents(workload, dtd, rng))

@@ -63,3 +63,21 @@ def make_workload(dataset, count, seed=0, **config_kwargs):
     defaults.update(config_kwargs)
     generator = QueryGenerator(dataset.dtd, dataset.value_pool, GeneratorConfig(**defaults))
     return generator.generate(count)
+
+
+def dtd_to_text(dtd):
+    """Serialise a DTD model back to declaration syntax (round-trips
+    through :func:`parse_dtd` up to attribute types)."""
+    lines = []
+    for decl in dtd.elements.values():
+        content = str(decl.content)
+        if decl.content.kind == "element":
+            content = f"({content})"  # bare names need a group in DTD syntax
+        lines.append(f"<!ELEMENT {decl.name} {content}>")
+        if decl.attributes:
+            attrs = "\n  ".join(
+                f"{a.name} CDATA {'#REQUIRED' if a.required else '#IMPLIED'}"
+                for a in decl.attributes
+            )
+            lines.append(f"<!ATTLIST {decl.name}\n  {attrs}>")
+    return "\n".join(lines) + "\n"

@@ -214,9 +214,9 @@ def run_seeded_schedule():
         for verb, *args in updates:
             for _, engine in each(engines):
                 getattr(engine, verb)(*args)
-            if verb == "insert":
+            if verb == "subscribe":
                 live[args[0]] = args[1]
-            elif verb == "remove":
+            elif verb == "unsubscribe":
                 del live[args[0]]
         # Every document meets the layers the updates left in one call
         # first; the one-document calls after it find the delta idle
@@ -232,29 +232,29 @@ def run_seeded_schedule():
                 peaks[key][name] = max(peak, stats[name])
 
     step(("compact",))
-    step(("insert", "n0", "//a[b = 1]"))
+    step(("subscribe", "n0", "//a[b = 1]"))
     step(
-        ("insert", "n1", "/r/a[b = 1 and d = 3]"),
-        ("insert", "n2", "//*[@k = 'x']"),
-        ("insert", "n4", "//a[d]"),  # the third insertion folds
+        ("subscribe", "n1", "/r/a[b = 1 and d = 3]"),
+        ("subscribe", "n2", "//*[@k = 'x']"),
+        ("subscribe", "n4", "//a[d]"),  # the third insertion folds
     )
-    step(("insert", "n3", "//c//a[b = 3 and a]"), ("remove", "n3"))  # tombstoned in the delta
-    step(("remove", "s0"))
+    step(("subscribe", "n3", "//c//a[b = 3 and a]"), ("unsubscribe", "n3"))  # tombstoned in the delta
+    step(("unsubscribe", "s0"))
     step(
-        ("insert", "s0", "//b[text() = 2]"),  # shadows the tombstoned base s0
-        ("remove", "n1"),
-        ("insert", "n3", "//c//a[b = 3 and a]"),
-        ("remove", "n3"),
-        ("insert", "n3", "/r/a/b"),  # redefined inside the delta
+        ("subscribe", "s0", "//b[text() = 2]"),  # shadows the tombstoned base s0
+        ("unsubscribe", "n1"),
+        ("subscribe", "n3", "//c//a[b = 3 and a]"),
+        ("unsubscribe", "n3"),
+        ("subscribe", "n3", "/r/a/b"),  # redefined inside the delta
     )
     step(("compact",))
-    step(("remove", "s0"))
-    step(("insert", "s0", "/r/a[not(b = 1)]"))  # two retired s0 AFAs ride in the base
+    step(("unsubscribe", "s0"))
+    step(("subscribe", "s0", "/r/a[not(b = 1)]"))  # two retired s0 AFAs ride in the base
     step(("compact",))
     # Copies of the carried n0: two share one delta AFA, the fold joins
     # them to n0's, and the AFA outlives the original.
-    step(("insert", "n5", "//a[b = 1]"), ("insert", "n6", "//a[b = 1]"))
-    step(("remove", "n0"), ("remove", "n5"))
+    step(("subscribe", "n5", "//a[b = 1]"), ("subscribe", "n6", "//a[b = 1]"))
+    step(("unsubscribe", "n0"), ("unsubscribe", "n5"))
     step(("compact",))
     return peaks
 
@@ -295,7 +295,7 @@ class LayeredEngineMachine(RuleBasedStateMachine):
 
     def _subscribe(self, oid, source):
         for _, engine in each(self.engines):
-            engine.insert(oid, source)
+            engine.subscribe(oid, source)
         self.live[oid] = source
 
     @rule(source=st.sampled_from(FILTER_POOL))
@@ -308,7 +308,7 @@ class LayeredEngineMachine(RuleBasedStateMachine):
     def remove(self, data):
         oid = data.draw(st.sampled_from(sorted(self.live)))
         for _, engine in each(self.engines):
-            engine.remove(oid)
+            engine.unsubscribe(oid)
         del self.live[oid]
         self.removed.append(oid)
 

@@ -78,8 +78,8 @@ def test_snapshot_is_idempotent(protein):
     filters = make_workload(protein, 10, seed=41)
     engine = LayeredFilterEngine(filters[:8], TD, compact_threshold=1_000)
     for f in filters[8:]:
-        engine.insert(f.oid, f.source)
-    engine.remove(filters[0].oid)
+        engine.subscribe(f.oid, f.source)
+    engine.unsubscribe(filters[0].oid)
     once = engine.snapshot()
     restored = LayeredFilterEngine([], TD)
     restored.restore(json.loads(json.dumps(once)))

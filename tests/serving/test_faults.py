@@ -26,12 +26,46 @@ import time
 import pytest
 
 from repro.engine import EngineConfig, create_engine
-from repro.serving import ServingClient, encode_frame
+from repro.serving import MAX_FRAME, FrameDecoder, ServingClient, encode_frame
 
 from tests.engine.test_protocol import TOO_DEEP
 from tests.serving.conftest import DOC_POOL, FILTER_POOL
 
 MATCH_ALL_DOC = "<a><b>1</b></a>"  # matches q0, q1, q5, q6
+
+
+class RawConnection:
+    """One framed connection that can also write bytes no client verb
+    would send; replies are read back with the public decoder."""
+
+    def __init__(self, address):
+        self.sock = socket.create_connection(address, timeout=30)
+        self.decoder = FrameDecoder(MAX_FRAME)
+        self.frames = []
+
+    def reply(self):
+        while not self.frames:
+            chunk = self.sock.recv(65536)
+            if not chunk:
+                raise ConnectionError("server closed the connection")
+            self.frames.extend(self.decoder.feed(chunk))
+        return self.frames.pop(0)
+
+    def request(self, frame):
+        self.sock.sendall(encode_frame(frame))
+        return self.reply()
+
+    def publish(self, xml):
+        return [frozenset(m) for m in self.request({"op": "publish", "xml": xml})["results"]]
+
+    def stats(self):
+        return self.request({"op": "stats"})["stats"]
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.sock.close()
 
 
 # ----------------------------------------------------------------------
@@ -175,10 +209,10 @@ def test_malformed_frame_keeps_the_connection(serve):
     """A well-delimited frame with a broken body answers with an error
     frame on the same connection; the next verb works."""
     handle = serve(EngineConfig(engine="layered"), {"q0": "//a"})
-    with ServingClient(*handle.address) as client:
+    with RawConnection(handle.address) as client:
         bad_body = b"this is not json {"
-        client.send_raw(struct.pack("!I", len(bad_body)) + bad_body)
-        error_reply = client.read_reply()
+        client.sock.sendall(struct.pack("!I", len(bad_body)) + bad_body)
+        error_reply = client.reply()
         assert error_reply["ok"] is False
         assert error_reply["kind"] == "ProtocolError"
         assert error_reply["fatal"] is False
@@ -202,11 +236,11 @@ LONE_SURROGATE_FRAMES = {
 )
 def test_a_lone_surrogate_escape_is_refused_in_band(serve, body):
     handle = serve(EngineConfig(engine="layered"), {"q0": "//a"})
-    with ServingClient(*handle.address) as client, ServingClient(
+    with RawConnection(handle.address) as client, ServingClient(
         *handle.address
     ) as other:
-        client.send_raw(struct.pack("!I", len(body)) + body)
-        reply = client.read_reply()
+        client.sock.sendall(struct.pack("!I", len(body)) + body)
+        reply = client.reply()
         assert reply["ok"] is False and reply["fatal"] is False
         assert reply["kind"] == "ProtocolError" and "surrogate" in reply["error"]
         # The same connection publishes on, and so does everybody else.
@@ -225,9 +259,8 @@ def test_a_filter_too_deep_to_compile_gets_an_error_reply(serve, shape, kind):
     own ``RecursionError`` would kill the subscriber's connection
     handler.  The refusal is a typed reply on a connection that lives."""
     handle = serve(EngineConfig(engine="layered"), {"q0": "//a"})
-    with ServingClient(*handle.address) as client:
-        client.send_raw(encode_frame({"op": "subscribe", "oid": "deep", "xpath": TOO_DEEP[shape]}))
-        reply = client.read_reply()
+    with RawConnection(handle.address) as client:
+        reply = client.request({"op": "subscribe", "oid": "deep", "xpath": TOO_DEEP[shape]})
         assert reply["ok"] is False
         assert reply["kind"] == kind
         assert "too deep" in reply["error"]
@@ -238,9 +271,9 @@ def test_a_filter_too_deep_to_compile_gets_an_error_reply(serve, shape, kind):
 def test_oversized_frame_closes_only_that_connection(serve):
     handle = serve(EngineConfig(engine="layered"), {"q0": "//a"})
     host, port = handle.address
-    with ServingClient(host, port) as victim:
-        victim.send_raw(struct.pack("!I", 0xFFFFFFFF))  # 4-GiB declared length
-        reply = victim.read_reply()
+    with RawConnection((host, port)) as victim:
+        victim.sock.sendall(struct.pack("!I", 0xFFFFFFFF))  # 4-GiB declared length
+        reply = victim.reply()
         assert reply["ok"] is False and reply["fatal"] is True
         with pytest.raises(Exception):
             victim.publish("<a/>")  # the connection died with the frame

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from repro.cli import main
-from repro.xmlstream.dtdparser import dtd_to_text
+from tests.conftest import dtd_to_text
 
 
 @pytest.fixture
@@ -41,7 +41,7 @@ def test_filter_sharded_matches_serial(query_file, stream_file, capsys):
     assert (
         main(
             ["filter", "--queries", query_file, "--input", stream_file,
-             "--shards", "3", "--batch-size", "2"]
+             "--shards", "3"]
         )
         == 0
     )
@@ -139,12 +139,14 @@ def test_generate_queries_parse_back(tmp_path):
         ]
     ) == 0
     from repro.xpath.parser import parse_xpath
+    from repro.xpath.workload_io import load_workload
 
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 12
     for line in lines:
         oid, _, xpath = line.partition("\t")
         parse_xpath(xpath, oid)
+    assert [f.oid for f in load_workload(str(out))] == [f"q{i}" for i in range(12)]
 
 
 def test_generated_queries_feed_filter(tmp_path, capsys):
@@ -210,6 +212,19 @@ def test_bench_smoke(capsys):
     ) == 0
     out = capsys.readouterr().out
     assert "cold:" in out and "warm:" in out and "hit_ratio" in out
+
+
+def test_sharded_bench_times_the_stream_path(capsys, monkeypatch):
+    """``bench --shards`` times ``filter_stream``, as ``filter`` and
+    ``serve`` run it, not the DOM path of ``filter_batch``."""
+    from repro.service.engine import ShardedFilterEngine
+
+    def refused(self, documents):
+        raise AssertionError("bench timed filter_batch")
+
+    monkeypatch.setattr(ShardedFilterEngine, "filter_batch", refused)
+    assert main(["bench", "--queries", "20", "--bytes", "6000", "--shards", "2"]) == 0
+    assert "sharded(2x" in capsys.readouterr().out
 
 
 # -- the update control plane: subscribe / unsubscribe / compact ---------
@@ -307,21 +322,21 @@ def test_filter_state_honours_the_engine_flags(tmp_path, stream_file, capsys, sp
     capsys.readouterr()
     spied_engines.clear()
     assert main(["filter", "--state", state, "--input", stream_file,
-                 "--max-memory", "1K", "--runtime", "codegen",
-                 "--variant", "TD-train", "--early"]) == 0
+                 "--max-memory", "1K", "--variant", "TD-train", "--early"]) == 0
     captured = capsys.readouterr()
     assert captured.out.strip().splitlines() == ["0\ts0", "1\ts1", "2\t-"]
     assert int(re.search(r"(\d+) evictions", captured.err).group(1)) > 0
     (engine,) = spied_engines
     options = engine.options
-    assert (options.runtime, options.max_memory_bytes) == ("codegen", 1024)
+    assert (options.runtime, options.max_memory_bytes) == ("bitmask", 1024)
     assert options.top_down and options.train and options.early
-    with pytest.raises(SystemExit) as refused:  # the oracle is no runtime
-        main(["filter", "--state", state, "--input", stream_file, "--runtime", "sets"])
-    assert refused.value.code == 2 and "invalid choice: 'sets'" in capsys.readouterr().err
-    with pytest.raises(SystemExit) as refused:  # expat is the one scanner
-        main(["filter", "--state", state, "--input", stream_file, "--backend", "expat"])
-    assert refused.value.code == 2 and "unrecognized arguments: --backend" in capsys.readouterr().err
+    # bitmask is the one kernel, expat the one scanner, and the stream
+    # is dealt out per call: none of them is a flag.
+    for flag, value in (("--runtime", "bitmask"), ("--backend", "expat"), ("--batch-size", "2")):
+        with pytest.raises(SystemExit) as refused:
+            main(["filter", "--state", state, "--input", stream_file, flag, value])
+        assert refused.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_serve_state_honours_the_engine_flags(tmp_path, capsys, monkeypatch):
@@ -355,27 +370,35 @@ def test_serve_state_honours_the_engine_flags(tmp_path, capsys, monkeypatch):
 def test_state_files_load_under_either_name_of_the_xpush_engine(
     written, asked, tmp_path, stream_file, capsys
 ):
-    """``xpush`` and ``layered`` name one engine: a state file started
-    under one takes updates under the other, and so does the sources
-    file the serial ``xpush`` engine used to write."""
+    """A state file written under either name of the XPush engine loads
+    as the layered engine: the sources file the serial ``xpush`` engine
+    used to write takes updates under ``layered``. ``xpush`` is no longer
+    an engine the CLI names: asking for it is refused, file untouched."""
     import json
 
     state = str(tmp_path / "engine.json")
-    legacy = str(tmp_path / "legacy.json")
-    with open(legacy, "w", encoding="utf-8") as handle:
-        json.dump({"format": "repro-engine-workload", "version": 1, "engine": "xpush",
-                   "filters": {"s0": "//a[b = 1]"}, "runtime": "bitmask"}, handle)
-    assert main(["subscribe", "--state", state, "--engine", written,
-                 "--oid", "s0", "--xpath", "//a[b = 1]"]) == 0
-    for path in (state, legacy):
-        assert main(["subscribe", "--state", path, "--engine", asked,
-                     "--oid", "s1", "--xpath", "//c"]) == 0
-        capsys.readouterr()
-        assert main(["filter", "--state", path, "--input", stream_file]) == 0
-        captured = capsys.readouterr()
-        assert captured.out.strip().splitlines() == ["0\ts0", "1\ts1", "2\t-"]
-        assert "engine=layered" in captured.err
-        assert json.load(open(path))["format"] == "repro-layered-engine"
+    if written == "xpush":
+        with open(state, "w", encoding="utf-8") as handle:
+            json.dump({"format": "repro-engine-workload", "version": 1, "engine": "xpush",
+                       "filters": {"s0": "//a[b = 1]"}, "runtime": "bitmask"}, handle)
+    else:
+        assert main(["subscribe", "--state", state, "--engine", written,
+                     "--oid", "s0", "--xpath", "//a[b = 1]"]) == 0
+    if asked == "xpush":
+        before = open(state).read()
+        with pytest.raises(SystemExit) as refused:
+            main(["subscribe", "--state", state, "--engine", asked,
+                  "--oid", "s1", "--xpath", "//c"])
+        assert refused.value.code == 2 and "invalid choice: 'xpush'" in capsys.readouterr().err
+        assert open(state).read() == before
+    assert main(["subscribe", "--state", state, "--engine", "layered",
+                 "--oid", "s1", "--xpath", "//c"]) == 0
+    capsys.readouterr()
+    assert main(["filter", "--state", state, "--input", stream_file]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.strip().splitlines() == ["0\ts0", "1\ts1", "2\t-"]
+    assert "engine=layered" in captured.err
+    assert json.load(open(state))["format"] == "repro-layered-engine"
     # ... and is still not a sharded one.
     assert main(["subscribe", "--state", state, "--engine", "sharded",
                  "--oid", "s2", "--xpath", "//d"]) == 2

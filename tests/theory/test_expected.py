@@ -7,7 +7,6 @@ import pytest
 from repro.theory.expected import (
     expected_states_ordered,
     expected_states_unordered,
-    ordered_bound_decreases_in_k,
 )
 
 
@@ -40,16 +39,9 @@ def test_linear_in_documents():
 
 def test_more_branches_per_query_fewer_states():
     """Sec. 6: with k·n fixed, the ordered bound decreases in k."""
-    bounds = ordered_bound_decreases_in_k(
-        documents=100, total_branches=60, selectivity=0.01, ks=[1, 2, 3, 5, 6]
-    )
+    bounds = [expected_states_ordered(100, 60 // k, k, 0.01) for k in (1, 2, 3, 5, 6)]
     assert bounds == sorted(bounds, reverse=True)
     assert bounds[-1] < bounds[0]
-
-
-def test_indivisible_k_rejected():
-    with pytest.raises(ValueError):
-        ordered_bound_decreases_in_k(10, 10, 0.1, ks=[3])
 
 
 def test_selectivity_bounds_checked():

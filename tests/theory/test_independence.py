@@ -104,12 +104,6 @@ def test_theorem_61_bound_on_small_workloads(protein, protein_docs):
     assert machine.state_count <= analysis.clique_bound(limit=50_000_000)
 
 
-def test_networkx_export(running_filters):
-    workload = build_workload_automata(running_filters)
-    graph = IndependenceAnalysis(workload).networkx_graph()
-    assert graph.number_of_nodes() == workload.state_count
-
-
 # -- hypothesis properties over the relation algebra -------------------
 
 _CONVERSE = {

@@ -19,7 +19,7 @@ def test_parse_document_basics():
     assert root.label == "a"
     assert root.attribute("c") == "3"
     assert root.attribute("missing") is None
-    assert [b.text for b in root.find_children("b")] == ["4", "5"]
+    assert [b.text for b in root.children if b.label == "b"] == ["4", "5"]
     assert doc.size() == 3
     assert doc.depth() == 2
 

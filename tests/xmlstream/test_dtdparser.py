@@ -4,7 +4,8 @@ import pytest
 
 from repro.errors import DTDError
 from repro.xmlstream.dtd import DTD
-from repro.xmlstream.dtdparser import dtd_to_text, parse_dtd
+from repro.xmlstream.dtdparser import parse_dtd
+from tests.conftest import dtd_to_text
 from repro.xmlstream.dom import parse_document
 
 PERSON_DTD = """

@@ -1,20 +1,22 @@
 """Tests for file-based parsing entry points."""
 
-from repro.xmlstream.parser import count_bytes, iterparse_path, parse_events
+from repro.xmlstream.parser import count_bytes, iterparse, parse_events
 
 
 def test_iterparse_path(tmp_path):
     path = tmp_path / "stream.xml"
     text = "<a><b>1</b></a><c/>"
     path.write_text(text, encoding="utf-8")
-    assert list(iterparse_path(str(path))) == parse_events(text)
+    with open(path, encoding="utf-8") as handle:
+        assert list(iterparse(handle)) == parse_events(text)
 
 
 def test_iterparse_path_small_chunks(tmp_path):
     path = tmp_path / "stream.xml"
     text = "<root>" + "<x>val</x>" * 50 + "</root>"
     path.write_text(text, encoding="utf-8")
-    assert list(iterparse_path(str(path), chunk_size=3)) == parse_events(text)
+    with open(path, encoding="utf-8") as handle:
+        assert list(iterparse(handle, chunk_size=3)) == parse_events(text)
 
 
 def test_count_bytes_utf8():

@@ -5,7 +5,6 @@ import pytest
 from repro.xpath.ast import (
     Comparison,
     LocationPath,
-    boolean_nesting_depth,
     count_atomic_predicates,
     is_linear,
 )
@@ -26,14 +25,6 @@ def test_atomic_predicate_counting():
     assert count("/a[b]") == 1
     assert count("/a[not(b = 1) or c]") == 2
     assert count("/a[b = 1]/c[d = 2][e]") == 3
-
-
-def test_boolean_nesting_depth():
-    assert boolean_nesting_depth(parse_xpath("/a").path) == 0
-    assert boolean_nesting_depth(parse_xpath("/a[b = 1]").path) == 0
-    assert boolean_nesting_depth(parse_xpath("/a[b = 1 and c = 2]").path) == 1
-    assert boolean_nesting_depth(parse_xpath("/a[not(not(b = 1))]").path) == 2
-    assert boolean_nesting_depth(parse_xpath("/a[x and not(b = 1 or c = 2)]").path) == 3
 
 
 def test_is_linear():

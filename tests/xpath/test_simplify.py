@@ -1,7 +1,7 @@
 """Tests for the boolean simplification pass."""
 
 from repro.xpath.parser import parse_xpath
-from repro.xpath.simplify import simplify_filter, simplify_workload
+from repro.xpath.simplify import simplify_filter
 
 
 def simplified(source):
@@ -56,7 +56,7 @@ def test_simplification_shrinks_afa():
 
     filters = parse_workload({"q": "/r[a = 1 and (a = 1 and a = 1)]"})
     plain = build_workload_automata(filters)
-    slim = build_workload_automata(simplify_workload(filters))
+    slim = build_workload_automata([simplify_filter(f) for f in filters])
     assert slim.state_count < plain.state_count
 
 
@@ -65,6 +65,6 @@ def test_simplification_preserves_semantics(protein, protein_docs):
     from tests.conftest import make_workload
 
     filters = make_workload(protein, 25, seed=71, prob_not=0.3, prob_or=0.3)
-    simplified_filters = simplify_workload(filters)
+    simplified_filters = [simplify_filter(f) for f in filters]
     for doc in protein_docs[:8]:
         assert matching_oids(filters, doc) == matching_oids(simplified_filters, doc)

@@ -10,7 +10,6 @@ from repro.xpath.workload_io import (
     dump_workload,
     iter_workload_lines,
     load_workload,
-    save_workload,
 )
 
 
@@ -52,7 +51,7 @@ def test_round_trip():
 def test_save_and_load(tmp_path):
     filters = parse_workload({"a": "//x"})
     path = tmp_path / "out.txt"
-    save_workload(filters, str(path))
+    path.write_text(dump_workload(filters), encoding="utf-8")
     assert [f.oid for f in load_workload(str(path))] == ["a"]
 
 

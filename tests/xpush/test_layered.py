@@ -18,7 +18,7 @@ def doc(xml):
 def test_insert_is_visible_immediately():
     engine = LayeredFilterEngine.from_xpath({"a": "//x"})
     assert engine.filter_document(doc("<y><z>1</z></y>")) == frozenset()
-    engine.insert("b", "//y[z = 1]")
+    engine.subscribe("b", "//y[z = 1]")
     assert engine.filter_document(doc("<y><z>1</z></y>")) == {"b"}
     assert engine.filter_document(doc("<x/>")) == {"a"}
     assert engine.filter_count == 2
@@ -28,7 +28,7 @@ def test_base_machine_untouched_by_insertion():
     engine = LayeredFilterEngine.from_xpath({"a": "//x[k = 1]"})
     engine.filter_document(doc("<x><k>1</k></x>"))  # warm the base
     base_states = engine.stats()["base_states"]
-    engine.insert("b", "//new")
+    engine.subscribe("b", "//new")
     assert engine.stats()["base_states"] == base_states
     assert engine.stats()["delta_states"] >= 1
     assert engine.compactions == 0
@@ -37,33 +37,33 @@ def test_base_machine_untouched_by_insertion():
 def test_remove_is_a_tombstone():
     engine = LayeredFilterEngine.from_xpath({"a": "//x", "b": "//x"})
     assert engine.filter_document(doc("<x/>")) == {"a", "b"}
-    engine.remove("a")
+    engine.unsubscribe("a")
     assert engine.filter_document(doc("<x/>")) == {"b"}
     assert engine.filter_count == 1
     with pytest.raises(WorkloadError):
-        engine.remove("a")
+        engine.unsubscribe("a")
     with pytest.raises(WorkloadError):
-        engine.remove("ghost")
+        engine.unsubscribe("ghost")
 
 
 def test_reinsert_after_remove():
     engine = LayeredFilterEngine.from_xpath({"a": "//x"})
-    engine.remove("a")
+    engine.unsubscribe("a")
     assert engine.filter_document(doc("<x/>")) == frozenset()
-    engine.insert("a", "//x")
+    engine.subscribe("a", "//x")
     assert engine.filter_document(doc("<x/>")) == {"a"}
 
 
 def test_duplicate_insert_rejected():
     engine = LayeredFilterEngine.from_xpath({"a": "//x"})
     with pytest.raises(WorkloadError):
-        engine.insert("a", "//y")
+        engine.subscribe("a", "//y")
 
 
 def test_compact_folds_everything():
     engine = LayeredFilterEngine.from_xpath({"a": "//x"})
-    engine.insert("b", "//y")
-    engine.remove("a")
+    engine.subscribe("b", "//y")
+    engine.unsubscribe("a")
     engine.compact()
     stats = engine.stats()
     assert stats["base_filters"] == 1
@@ -77,7 +77,7 @@ def test_automatic_compaction_threshold():
     engine = LayeredFilterEngine.from_xpath({"a": "//x0"})
     engine.compact_threshold = 5
     for i in range(1, 7):
-        engine.insert(f"q{i}", f"//x{i}")
+        engine.subscribe(f"q{i}", f"//x{i}")
     assert engine.compactions >= 1
     assert engine.stats()["delta_filters"] < 5
     for i in range(7):
@@ -89,23 +89,23 @@ def test_layered_equals_monolithic(protein, protein_docs):
     half = len(filters) // 2
     engine = LayeredFilterEngine(filters[:half])
     for f in filters[half:]:
-        engine.insert(f.oid, f.source)
+        engine.subscribe(f.oid, f.source)
     for document in protein_docs[:8]:
         assert engine.filter_document(document) == matching_oids(filters, document)
 
 
 def test_filter_text_multi_document():
     engine = LayeredFilterEngine.from_xpath({"a": "//x"})
-    engine.insert("b", "//y")
-    results = engine.filter_text("<x/><y/><z/>")
+    engine.subscribe("b", "//y")
+    results = engine.filter_stream("<x/><y/><z/>")
     assert results == [frozenset({"a"}), frozenset({"b"}), frozenset()]
 
 
 def test_empty_engine():
     engine = LayeredFilterEngine([])
     assert engine.filter_document(doc("<x/>")) == frozenset()
-    assert engine.filter_text("<x/><y/>") == [frozenset(), frozenset()]
-    engine.insert("a", "//x")
+    assert engine.filter_stream("<x/><y/>") == [frozenset(), frozenset()]
+    engine.subscribe("a", "//x")
     assert engine.filter_document(doc("<x/>")) == {"a"}
 
 def test_stats_aggregate_over_the_live_layers_not_the_base():
@@ -115,15 +115,15 @@ def test_stats_aggregate_over_the_live_layers_not_the_base():
     engine = LayeredFilterEngine([])
     engine.subscribe("a", "//a[b=1]")
     for _ in range(50):
-        assert engine.filter_text("<a><b>1</b></a>") == [frozenset({"a"})]
+        assert engine.filter_stream("<a><b>1</b></a>") == [frozenset({"a"})]
     assert engine._base is None and engine._delta is not None
     stats = engine.stats()
     assert stats["hit_ratio"] == engine._delta.stats.hit_ratio > 0.9
     engine.compact()  # the first fold builds the base ...
-    engine.filter_text("<a><b>1</b></a>")
-    engine.insert("b", "//b")
+    engine.filter_stream("<a><b>1</b></a>")
+    engine.subscribe("b", "//b")
     engine.compact()  # ... the second grows it: the old store stays, as predecessor
-    engine.filter_text("<a><b>1</b></a>")
+    engine.filter_stream("<a><b>1</b></a>")
     stats = engine.stats()
     assert stats["resident_bytes"] == engine._base.resident_bytes
     assert stats["resident_bytes"] > engine._base.store.resident_bytes
@@ -134,13 +134,13 @@ def test_reinsert_with_different_filter_shadows_stale_base_definition():
     filter must not resurrect the old definition — the stale base
     automaton used to keep answering (and the oid was double-counted)."""
     engine = LayeredFilterEngine.from_xpath({"a": "//x", "b": "//y"})
-    engine.remove("a")
-    engine.insert("a", "//y")  # same oid, different filter
+    engine.unsubscribe("a")
+    engine.subscribe("a", "//y")  # same oid, different filter
     assert engine.filter_count == 2
     assert engine.filter_document(doc("<x/>")) == frozenset()  # old def dead
     assert engine.filter_document(doc("<y/>")) == {"a", "b"}
     # One answer set per document, each oid reported at most once.
-    assert engine.filter_text("<x/><y/>") == [frozenset(), frozenset({"a", "b"})]
+    assert engine.filter_stream("<x/><y/>") == [frozenset(), frozenset({"a", "b"})]
     engine.compact()
     assert engine.filter_count == 2
     assert engine.filter_document(doc("<x/>")) == frozenset()
@@ -155,7 +155,7 @@ def test_filter_events_is_single_pass():
     from repro.xmlstream.events import events_of_document
 
     engine = LayeredFilterEngine.from_xpath({"a": "//x"})
-    engine.insert("b", "//y")
+    engine.subscribe("b", "//y")
     first = events_of_document(doc("<x/>"))
     second = events_of_document(doc("<y/>"))
     base_events_before_second = []
@@ -173,8 +173,8 @@ def test_snapshot_restore_with_uncompacted_layers():
     """The persisted form carries base + delta + tombstones verbatim;
     a restored engine answers identically without a compaction."""
     engine = LayeredFilterEngine.from_xpath({"a": "//x", "b": "//y"})
-    engine.insert("c", "//z")
-    engine.remove("b")
+    engine.subscribe("c", "//z")
+    engine.unsubscribe("b")
     snapshot = engine.snapshot()
 
     restored = LayeredFilterEngine([])
@@ -185,7 +185,7 @@ def test_snapshot_restore_with_uncompacted_layers():
     stats = restored.stats()
     assert stats["delta_filters"] == 1 and stats["tombstones"] == 1
     # Updates keep working on the restored engine.
-    restored.insert("b", "//x")
+    restored.subscribe("b", "//x")
     assert restored.filter_document(doc("<x/>")) == {"a", "b"}
 
 
@@ -228,7 +228,7 @@ def test_insert_compiles_exactly_one_afa(compiled):
     engine.compact_threshold = 1_000
     del compiled[:]
     for i in range(64):
-        engine.insert(f"q{i}", f"//y{i}[z = {i}]")
+        engine.subscribe(f"q{i}", f"//y{i}[z = {i}]")
     assert compiled == [f"q{i}" for i in range(64)]  # 64, not 1 + 2 + … + 64
     assert engine.filter_document(doc("<y63><z>63</z></y63>")) == {"q63"}
 
@@ -238,26 +238,26 @@ def test_fold_compiles_the_delta_only_and_never_a_doomed_delta(compiled):
     engine.compact_threshold = 3
     base = engine._base
     del compiled[:]
-    engine.insert("c", "//z")
-    engine.insert("d", "//w")
-    engine.remove("c")
+    engine.subscribe("c", "//z")
+    engine.subscribe("d", "//w")
+    engine.unsubscribe("c")
     assert compiled == ["c", "d"]
-    engine.insert("e", "//v")  # fills the delta: goes straight into the base
+    engine.subscribe("e", "//v")  # fills the delta: goes straight into the base
     assert compiled == ["c", "d", "d", "e"]  # no delta rebuilt to be thrown away
     assert engine._base is base and engine._delta is None
     assert engine.compactions == 1 and engine.stats()["base_filters"] == 4
-    assert engine.filter_text("<x/><z/><w/><v/>") == [{"a"}, frozenset(), {"d"}, {"e"}]
+    assert engine.filter_stream("<x/><z/><w/><v/>") == [{"a"}, frozenset(), {"d"}, {"e"}]
 
 
 def test_fold_keeps_the_base_memo_reachable():
     engine = LayeredFilterEngine.from_xpath({"a": "//x[k = 1]", "b": "/r/x[not(k = 2)]"})
     stream = "<r><x><k>1</k></x></r><r><x><k>2</k></x></r>"
-    assert engine.filter_text(stream) == [{"a", "b"}, frozenset()]
-    engine.insert("c", "//k")
+    assert engine.filter_stream(stream) == [{"a", "b"}, frozenset()]
+    engine.subscribe("c", "//k")
     engine.compact()
     base = engine._base
     computed = base.stats.pop_computed
-    assert engine.filter_text(stream) == [{"a", "b", "c"}, {"c"}]
+    assert engine.filter_stream(stream) == [{"a", "b", "c"}, {"c"}]
     # Every pop miss of the replay found its old block in the predecessor.
     assert base.stats.pop_computed > computed
     assert engine.stats()["carried"] >= base.stats.pop_computed - computed
@@ -265,7 +265,7 @@ def test_fold_keeps_the_base_memo_reachable():
     # warmed store live: the replay is all hits.
     store, misses = base.store, base.stats.lookups - base.stats.hits
     engine.compact()
-    assert engine.filter_text(stream) == [{"a", "b", "c"}, {"c"}]
+    assert engine.filter_stream(stream) == [{"a", "b", "c"}, {"c"}]
     assert base.store is store and base.stats.lookups - base.stats.hits == misses
     assert engine.compactions == 2  # still counted, as before this engine grew in place
 
@@ -297,17 +297,17 @@ def test_passenger_and_live_definition_share_an_oid_in_one_layer(options):
     old, new = "<r><x><k>1</k></x></r>", "<r><z/></r>"
     assert answers(old) == {"a"}
     # In the base: the old "a" is a passenger after the fold.
-    engine.remove("a")
-    engine.insert("a", "/r/z")
+    engine.unsubscribe("a")
+    engine.subscribe("a", "/r/z")
     assert (answers(old), answers(new)) == (frozenset(), {"a"})
     engine.compact()
     assert engine.stats()["retired_filters"] == 1 and engine.stats()["tombstones"] == 0
     assert (answers(old), answers(new)) == (frozenset(), {"a"})
     # In the delta: redefined before any fold, retired on the spot.
-    engine.insert("d", "/r/x[k]")
+    engine.subscribe("d", "/r/x[k]")
     assert answers(old) == {"d"}
-    engine.remove("d")
-    engine.insert("d", "/r/z")
+    engine.unsubscribe("d")
+    engine.subscribe("d", "/r/z")
     assert engine.stats()["retired_filters"] == 2 and engine.filter_count == 6
     assert (answers(old), answers(new)) == (frozenset(), {"a", "d"})
     engine.compact()
@@ -377,7 +377,7 @@ def test_unsubscribing_copies_retires_their_afa_with_the_last(options):
     engine = LayeredFilterEngine.from_xpath(live, XPushOptions(**options))
     stream_emissions(engine)  # warm the base
     for oid, retired in (("c0", 0), ("c1", 0), ("c2", 1)):
-        engine.remove(oid)
+        engine.unsubscribe(oid)
         del live[oid]
         engine.compact()
         assert engine.stats()["retired_filters"] == retired, oid
@@ -398,7 +398,7 @@ def test_a_copy_folded_into_a_warm_base_answers_at_its_originals_event(options):
     engine = LayeredFilterEngine.from_xpath({"c0": COPIED, "u": "/r/a/b"}, XPushOptions(**options))
     states = engine.stats()["afa_states"]
     before, emitted = stream_emissions(engine)
-    engine.insert("c1", COPIED)
+    engine.subscribe("c1", COPIED)
     engine.compact()
     assert engine.stats()["afa_states"] == states
     after, emitted_after = stream_emissions(engine)
@@ -413,11 +413,11 @@ def test_snapshot_never_resurrects_a_passenger():
     from repro.service.engine import _snapshot_sources
 
     engine = LayeredFilterEngine.from_xpath({"a": "//x", "b": "//y", "c": "//w"})
-    engine.remove("a")
-    engine.insert("a", "//z")
+    engine.unsubscribe("a")
+    engine.subscribe("a", "//z")
     engine.compact()  # the old "a" rides in the base, retired
-    engine.insert("d", "//v")
-    engine.remove("b")  # tombstoned, not yet folded
+    engine.subscribe("d", "//v")
+    engine.unsubscribe("b")  # tombstoned, not yet folded
     assert engine.stats()["retired_filters"] == 1
     snapshot = engine.snapshot()
     assert snapshot["version"] == 2
@@ -429,8 +429,8 @@ def test_snapshot_never_resurrects_a_passenger():
     stats = restored.stats()
     assert (stats["retired_filters"], stats["tombstones"], stats["delta_filters"]) == (0, 1, 1)
     stream = "<x/><y/><z/><w/><v/>"
-    assert restored.filter_text(stream) == engine.filter_text(stream)
-    assert restored.filter_text(stream) == [frozenset(), frozenset(), {"a"}, {"c"}, {"d"}]
+    assert restored.filter_stream(stream) == engine.filter_stream(stream)
+    assert restored.filter_stream(stream) == [frozenset(), frozenset(), {"a"}, {"c"}, {"d"}]
 
 
 #: The compiled ``{"a": "//x", "b": "//y"}`` base a version-1 snapshot
@@ -463,7 +463,7 @@ def test_version_1_snapshot_still_restores():
         }
     )
     assert engine.stats()["runtime"] == "bitmask"  # the recorded runtime is not read
-    assert engine.filter_text("<x/><y/><z/>") == [{"a"}, frozenset(), {"c"}]
+    assert engine.filter_stream("<x/><y/><z/>") == [{"a"}, frozenset(), {"c"}]
 
 
 def test_renumbering_rule_reads_the_workload(caplog):
@@ -476,18 +476,18 @@ def test_renumbering_rule_reads_the_workload(caplog):
     base = engine._base
     with caplog.at_level(logging.INFO, logger="repro.xpush.layered"):
         for i in range(3):
-            engine.remove(f"q{i}")
+            engine.unsubscribe(f"q{i}")
         engine.compact()  # 3 passengers against 6 live: not yet more than half
         assert engine._base is base
         assert engine.stats()["retired_filters"] == 3 and engine.stats()["afa_states"] == 9
-        engine.remove("q3")
+        engine.unsubscribe("q3")
         engine.compact()  # decided on what rides now (3 of 6): still grows
         assert engine._base is base and engine.stats()["retired_filters"] == 4
         engine.compact()  # 4 passengers against 5 live: renumbered
     assert engine._base is not base
     stats = engine.stats()
     assert (stats["retired_filters"], stats["afa_states"], stats["compactions"]) == (0, 5, 3)
-    assert engine.filter_text("<x3/><x4/>") == [frozenset(), {"q4"}]
+    assert engine.filter_stream("<x3/><x4/>") == [frozenset(), {"q4"}]
     lines = [record.getMessage() for record in caplog.records]
     assert [line.split(":")[0] for line in lines] == [
         "folded (compact)",
@@ -502,13 +502,13 @@ def test_uncompilable_insert_leaves_the_engine_as_it_was():
     engine.compact_threshold = 3
     for oid, xpath in (("b", "//y"), ("c", "//w")):  # into the delta, then a fold
         with pytest.raises(WorkloadError):
-            engine.insert("bad", "//z[not(.)]")
-        engine.insert(oid, xpath)
+            engine.subscribe("bad", "//z[not(.)]")
+        engine.subscribe(oid, xpath)
     with pytest.raises(WorkloadError):
-        engine.insert("bad", "//z[not(.)]")
+        engine.subscribe("bad", "//z[not(.)]")
     assert engine.filter_count == 3 and engine.compactions == 0
     assert engine.stats()["delta_filters"] == 2
-    assert engine.filter_text("<x/><y/><w/>") == [{"a"}, {"b"}, {"c"}]
+    assert engine.filter_stream("<x/><y/><w/>") == [{"a"}, {"b"}, {"c"}]
 
 
 # ----------------------------------------------------------------------
@@ -543,7 +543,7 @@ def test_a_delta_idles_out_after_threshold_documents(caplog, options):
         def emissions(target, xml):
             emitted = []
             target.on_match = lambda *match: emitted.append(match)
-            answers = target.filter_text(xml)
+            answers = target.filter_stream(xml)
             return answers, sorted(emitted)
 
         for i in range(threshold + 2):
@@ -566,30 +566,30 @@ def test_a_delta_beside_no_base_is_left_alone():
     engine.subscribe("a", "//a")
     delta = engine._delta
     for _ in range(5):
-        assert engine.filter_text("<a/>") == [{"a"}]
+        assert engine.filter_stream("<a/>") == [{"a"}]
     assert engine._delta is delta and engine._base is None and engine.compactions == 0
 
 
 def test_a_multi_document_call_counts_each_document():
     engine = LayeredFilterEngine.from_xpath({"a": "//x"})
     engine.compact_threshold = 3
-    engine.insert("b", "//y")
-    assert engine.filter_text("<x/><y/><z/>") == [{"a"}, {"b"}, frozenset()]
+    engine.subscribe("b", "//y")
+    assert engine.filter_stream("<x/><y/><z/>") == [{"a"}, {"b"}, frozenset()]
     assert engine._delta is not None  # never inside a call
-    assert engine.filter_text("<y/>") == [{"b"}]
+    assert engine.filter_stream("<y/>") == [{"b"}]
     assert engine._delta is None and engine.stats()["delta_filters"] == 0
 
 
 def test_an_insert_restarts_the_idle_count():
     engine = LayeredFilterEngine.from_xpath({"a": "//x"})
     engine.compact_threshold = 3
-    engine.insert("b", "//y")
-    engine.filter_text("<x/><y/>")
-    engine.insert("c", "//z")
-    engine.filter_text("<x/><y/>")
-    engine.filter_text("<z/>")
+    engine.subscribe("b", "//y")
+    engine.filter_stream("<x/><y/>")
+    engine.subscribe("c", "//z")
+    engine.filter_stream("<x/><y/>")
+    engine.filter_stream("<z/>")
     assert engine.stats()["delta_filters"] == 2  # 3 documents, not 5
-    assert engine.filter_text("<z/>") == [{"c"}]
+    assert engine.filter_stream("<z/>") == [{"c"}]
     assert engine.stats()["delta_filters"] == 0 and engine.compactions == 1
 
 
@@ -602,20 +602,20 @@ def test_an_insert_every_k_documents_never_idles(caplog):
     engine.compact_threshold = 4
     with caplog.at_level(logging.INFO, logger="repro.xpush.layered"):
         for i in range(12):
-            engine.insert(f"q{i}", f"//y{i}")
+            engine.subscribe(f"q{i}", f"//y{i}")
             for _ in range(3):
-                assert engine.filter_text(f"<y{i}/>") == [{f"q{i}"}]
+                assert engine.filter_stream(f"<y{i}/>") == [{f"q{i}"}]
     assert _fold_triggers(caplog) == ["folded (threshold)"] * 3
 
 
 def test_a_delta_holding_only_a_tombstone_idles_out():
     engine = LayeredFilterEngine.from_xpath({"a": "//x"})
     engine.compact_threshold = 2
-    engine.insert("b", "//x")
-    engine.remove("b")
-    assert engine.filter_text("<x/><x/>") == [{"a"}, {"a"}]
+    engine.subscribe("b", "//x")
+    engine.unsubscribe("b")
+    assert engine.filter_stream("<x/><x/>") == [{"a"}, {"a"}]
     assert engine._delta is not None
-    assert engine.filter_text("<x/>") == [{"a"}]
+    assert engine.filter_stream("<x/>") == [{"a"}]
     stats = engine.stats()
     assert engine._delta is None
     assert (stats["delta_filters"], stats["tombstones"], stats["filters"]) == (0, 0, 1)

@@ -18,8 +18,8 @@ def _engine(filters, options=None, **kwargs):
     """An engine with both layers live and a tombstone: every part a
     snapshot carries."""
     engine = LayeredFilterEngine(filters[:-1], options, compact_threshold=1_000, **kwargs)
-    engine.insert(filters[-1].oid, filters[-1].source)
-    engine.remove(filters[0].oid)
+    engine.subscribe(filters[-1].oid, filters[-1].source)
+    engine.unsubscribe(filters[0].oid)
     return engine
 
 

@@ -246,9 +246,9 @@ def test_layered_updates_agree_at_every_epoch(protein, protein_docs):
     for index, inserted in enumerate(updates):
         for runtime, engine in engines.items():
             with oracle.under(runtime):  # the delta rebuilds here
-                engine.insert(inserted.oid, inserted.source)
+                engine.subscribe(inserted.oid, inserted.source)
                 if index == 2:
-                    engine.remove(base[0].oid)
+                    engine.unsubscribe(base[0].oid)
         check_epoch()
         # Only the delta layer was rebuilt: base handlers are reused
         # by identity, and the delta has its own compiled handlers.
@@ -274,7 +274,7 @@ def test_layered_snapshot_round_trip_under_codegen(protein, protein_docs):
         compact_threshold=1_000,
     )
     for f in filters[10:]:
-        engine.insert(f.oid, f.source)
+        engine.subscribe(f.oid, f.source)
     docs = protein_docs[:5]
     expected = [engine.filter_document(doc) for doc in docs]
     snapshot = engine.snapshot()

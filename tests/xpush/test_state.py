@@ -76,7 +76,7 @@ def test_top_state_interning(masks):
     assert pruned.sids == {1, 2}
     assert pruned.size == 2
     assert s.intern_top(mask_of({1, 2})) is pruned
-    assert s.top_count == 2
+    assert len(s.top_states()) == 2
 
 
 def test_reset(masks):
@@ -85,6 +85,6 @@ def test_reset(masks):
     s.intern_top(0b10)
     s.reset()
     assert s.bottom_count == 1  # fresh empty state
-    assert s.top_count == 0
+    assert s.top_states() == []
     assert s.empty.sids == ()
     assert (s.table_entries, s.resident_bytes) == s.recount()

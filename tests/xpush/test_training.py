@@ -6,7 +6,7 @@ from repro.afa.build import build_workload_automata
 from repro.xmlstream.dtd import DTD, ElementDecl, PCDATA, elem, seq
 from repro.xpath.parser import parse_workload, parse_xpath
 from repro.xpath.semantics import evaluate_filter
-from repro.xpush.training import satisfying_value, training_documents, training_stream
+from repro.xpush.training import satisfying_value, training_documents
 
 
 def test_satisfying_values_numeric():
@@ -35,9 +35,9 @@ def test_paper_training_example():
     root = doc.root
     assert root.label == "a"
     assert root.attribute("c") == "4"
-    assert [c.label for c in sorted(root.children, key=lambda e: e.label)] == ["b", "d"]
-    assert root.find_children("b")[0].text == "3"
-    assert root.find_children("d")[0].text == "5"
+    children = sorted(root.children, key=lambda e: e.label)
+    assert [c.label for c in children] == ["b", "d"]
+    assert [c.text for c in children] == ["3", "5"]
 
 
 def test_training_document_satisfies_conjunctive_filter():
@@ -92,9 +92,10 @@ def test_dtd_ordering_of_children():
 def test_training_stream_is_parseable(protein):
     from tests.conftest import make_workload
     from repro.xmlstream.dom import parse_forest
+    from repro.xmlstream.writer import stream_to_xml
 
     filters = make_workload(protein, 15, seed=2)
     workload = build_workload_automata(filters)
-    text = training_stream(workload, protein.dtd, random.Random(0))
+    text = stream_to_xml(training_documents(workload, protein.dtd, random.Random(0)))
     docs = parse_forest(text)
     assert len(docs) >= 10
