@@ -47,7 +47,7 @@ import time
 
 from repro.afa.build import build_workload_automata
 from repro.bench.workloads import scaled, standard_stream, standard_workload
-from repro.service import ShardedFilterEngine
+from repro.engine import EngineConfig, create_engine
 from repro.service.latency import LatencyTracker
 from repro.xmlstream.dom import parse_forest
 from repro.xpush.machine import XPushMachine
@@ -70,13 +70,12 @@ def measure_serial(filters, documents, dtd):
 
 
 def measure_sharded(filters, documents, dtd, shards, batch_size, parallel=None):
-    with ShardedFilterEngine(
+    with create_engine(
+        EngineConfig(
+            engine="sharded", shards=shards, options=TD, dtd=dtd,
+            batch_size=batch_size, parallel=parallel,
+        ),
         filters,
-        shards,
-        options=TD,
-        dtd=dtd,
-        batch_size=batch_size,
-        parallel=parallel,
     ) as engine:
         warm_loads = warm(engine, documents, shards)
         engine.latency = LatencyTracker()  # p50/p99 of the timed pass's items only
@@ -214,8 +213,9 @@ def test_parallel_shards(benchmark):
         f"(speedup x{serial_seconds / elapsed:.2f}, "
         f"restarts {stats['worker_restarts']})"
     )
-    with ShardedFilterEngine(
-        filters, 4, options=TD, dtd=dataset.dtd, batch_size=16
+    with create_engine(
+        EngineConfig(engine="sharded", shards=4, options=TD, dtd=dataset.dtd, batch_size=16),
+        filters,
     ) as engine:
         warm(engine, documents, 4)
         benchmark.pedantic(

@@ -45,15 +45,15 @@ def build_inputs(queries: int, stream_bytes: int):
 
 
 def measure_direct(config: EngineConfig, filters, texts):
-    with_engine = create_engine(config, filters)
+    engine = create_engine(config, filters)
     try:
         for text in texts:  # warm pass (lazy machine tables)
-            with_engine.filter_stream(text)
+            engine.filter_stream(text)
         started = time.perf_counter()
-        answers = [with_engine.filter_stream(text)[0] for text in texts]
+        answers = [engine.filter_stream(text)[0] for text in texts]
         elapsed = time.perf_counter() - started
     finally:
-        with_engine.close()
+        engine.close()
     return elapsed, answers
 
 
@@ -61,8 +61,8 @@ def measure_wire(config: EngineConfig, filters, texts, publishers: int):
     """Publish every document over loopback; returns (elapsed,
     per-publisher answers, server stats).  With *publishers* > 1 the
     texts are round-robined across that many client threads."""
-    server = FilterServer(config=config, filters=filters)
-    with ServerThread(server) as handle:
+    engine = create_engine(config, filters)
+    with ServerThread(FilterServer(engine)) as handle:
         host, port = handle.address
         with ServingClient(host, port) as warm:
             for text in texts:
@@ -93,6 +93,7 @@ def measure_wire(config: EngineConfig, filters, texts, publishers: int):
                 thread.join()
         elapsed = time.perf_counter() - started
         stats = handle.stats()
+    engine.close()
     if errors:
         raise errors[0]
     return elapsed, answers, stats
@@ -175,8 +176,8 @@ def test_serving_overhead(benchmark):
     )
     direct_seconds, direct_answers = measure_direct(config, filters, texts)
 
-    server = FilterServer(config=config, filters=filters)
-    with ServerThread(server) as handle:
+    engine = create_engine(config, filters)
+    with ServerThread(FilterServer(engine)) as handle:
         with ServingClient(*handle.address, timeout=60.0) as client:
             for text in texts:  # warm pass
                 client.publish(text)
@@ -186,6 +187,7 @@ def test_serving_overhead(benchmark):
 
             answers = benchmark.pedantic(publish_all, rounds=2, iterations=1)
         stats = handle.stats()
+    engine.close()
     assert answers == direct_answers
     assert stats["publish_errors"] == 0
     print(

@@ -9,39 +9,48 @@ layer beside the warmed machine, which keeps its tables.
 Run:  python examples/notification_service.py
 """
 
-from repro import MessageBroker, parse_document
+from repro import create_engine, parse_document
 from repro.data import NasaDataset
 
 
 def main() -> None:
     dataset = NasaDataset(seed=11)
-    broker = MessageBroker()
+    engine = create_engine()
+    routes: dict[str, str] = {}  # oid -> subscriber
     log: list[tuple[str, str]] = []
-    broker.on_deliver = lambda who, doc: log.append((who, doc.root.label))
+
+    def subscribe(subscriber: str, xpath: str) -> None:
+        oid = f"sub{len(routes)}"
+        engine.subscribe(oid, xpath)
+        routes[oid] = subscriber
+
+    def publish(document) -> None:
+        for oid in sorted(engine.filter_document(document)):
+            log.append((routes[oid], document.root.label))
 
     # Boolean subscriptions, including universal negation: "notify me
     # about datasets with NO history section" is exactly the kind of
     # route-if-absent rule the paper motivates not() with.
-    broker.subscribe("astro", "//dataset[@subject = 'astrometry']")
-    broker.subscribe("fresh", "//revision[date]")
-    broker.subscribe("no-history", "//dataset[not(history)]")
-    broker.subscribe(
+    subscribe("astro", "//dataset[@subject = 'astrometry']")
+    subscribe("fresh", "//revision[date]")
+    subscribe("no-history", "//dataset[not(history)]")
+    subscribe(
         "picky",
         "//dataset[(keywords/keyword/text() = 'galaxy' or title) and not(altname)]",
     )
 
     first_batch = list(dataset.documents(30))
     for document in first_batch:
-        broker.publish(document)
+        publish(document)
     after_first = len(log)
     print(f"batch 1: {len(first_batch)} packets → {after_first} notifications")
 
     # A consumer joins mid-stream; one AFA is compiled, nothing is flushed.
-    broker.subscribe("deep", "//description//description")
+    subscribe("deep", "//description//description")
     for document in dataset.documents(30):
-        broker.publish(document)
+        publish(document)
     print(f"batch 2: 30 packets → {len(log) - after_first} notifications "
-          f"(now {broker.subscription_count} subscriptions)")
+          f"(now {engine.filter_count} subscriptions)")
 
     by_subscriber = {}
     for who, _ in log:
@@ -51,11 +60,12 @@ def main() -> None:
 
     # Spot-check the universal semantics on a crafted packet.
     log.clear()
-    broker.publish(parse_document(
+    publish(parse_document(
         "<datasets><dataset subject='catalog'>"
         "<title>t</title><identifier>i</identifier>"
         "</dataset></datasets>"
     ))
+    engine.close()
     assert ("no-history", "datasets") in log  # no <history> → notified
     print("\nuniversal not() behaves ✓")
 

@@ -34,7 +34,6 @@ engine surface and EXPERIMENTS.md for the figure-by-figure
 reproduction record.
 """
 
-from repro.broker import MessageBroker
 from repro.engine import ENGINES, EngineConfig, FilterEngine, create_engine
 from repro.serving import FilterServer, ServerThread, ServingClient
 from repro.service import ShardedFilterEngine
@@ -61,7 +60,6 @@ __all__ = [
     "FilterServer",
     "GeneratorConfig",
     "LayeredFilterEngine",
-    "MessageBroker",
     "QueryGenerator",
     "ServerThread",
     "ServingClient",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import os
 import platform
 import subprocess
@@ -92,10 +93,14 @@ def run_variant(
 ) -> VariantResult:
     """Build a machine variant, run it cold over *stream_text*, and
     collect the figure counters.  ``warm_pass`` adds a second pass over
-    the same data (the paper's "completed machine" measurement)."""
+    the same data (the paper's "completed machine" measurement).
+
+    The cell's timed calls start with no collection debt: what earlier
+    cells left for the cyclic collector is collected here, untimed."""
     if isinstance(workload, list):
         workload = build_workload_automata(workload)
     options = variant_options(variant)
+    gc.collect()
     machine, build_seconds = timed(XPushMachine, workload, options, dtd)
     _, filter_seconds = timed(machine.filter_stream, stream_text)
     warm_seconds = None

@@ -318,20 +318,18 @@ def cmd_serve(args) -> int:
     if args.queries and args.state:
         raise ReproError("pass at most one of --queries and --state")
     config = _engine_config(args, parse_dtd_file(args.dtd) if args.dtd else None)
-    serving = dict(
+    if args.state:
+        engine = _load_state(args.state, args.engine, config)
+    else:
+        engine = create_engine(config, _load_queries(args.queries) if args.queries else None)
+    server = FilterServer(
+        engine,
         host=args.host,
         port=args.port,
         default_policy=args.policy,
         high_watermark=args.high_watermark,
         early=args.early,
     )
-    borrowed_engine = None
-    if args.state:
-        borrowed_engine = _load_state(args.state, args.engine, config)
-        server = FilterServer(borrowed_engine, **serving)
-    else:
-        filters = _load_queries(args.queries) if args.queries else None
-        server = FilterServer(config=config, filters=filters, **serving)
 
     async def _run() -> None:
         await server.start()
@@ -364,8 +362,7 @@ def cmd_serve(args) -> int:
     except KeyboardInterrupt:  # pragma: no cover - interactive path
         pass
     finally:
-        if borrowed_engine is not None:
-            borrowed_engine.close()
+        engine.close()
     return 0
 
 
@@ -508,7 +505,7 @@ def cmd_bench(args) -> int:
     megabytes = len(stream.encode("utf-8")) / 1e6
     config = _engine_config(args, dataset.dtd)
     options = config.options
-    engine = create_engine(config.with_engine("layered", shards=1, parallel=False), filters)
+    engine = create_engine(replace(config, engine="layered", shards=1, parallel=False), filters)
     start = time.perf_counter()
     engine.filter_stream(stream)
     cold = time.perf_counter() - start

@@ -17,8 +17,7 @@ knob fails where it was written, not in a worker process later.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any
+from dataclasses import dataclass, field
 
 from repro.errors import WorkloadError
 from repro.xmlstream.dtd import DTD
@@ -111,11 +110,6 @@ class EngineConfig:
         """The one XML scanner; read by the e2e harness until direction
         1's re-seat of it deletes this property."""
         return "expat"
-
-    def with_engine(self, engine: str, **overrides: Any) -> "EngineConfig":
-        """A copy selecting a different engine kind (plus overrides) —
-        how composites derive their inner-engine config."""
-        return replace(self, engine=engine, **overrides)
 
     def describe(self) -> str:
         parts = [self.engine, self.options.describe()]

@@ -1,11 +1,11 @@
 """``create_engine(config)``: the one constructor of the library's engines.
 
-Composites (:class:`~repro.service.ShardedFilterEngine`,
-:class:`~repro.broker.MessageBroker`) and applications construct their
-engines through this factory.  There are two: ``config.engine ==
-"sharded"`` builds the sharded service, any other kind the config
-accepts (:data:`~repro.engine.config.ENGINES`) the in-process XPush
-engine.  The ``snapshot`` argument resumes an engine from a prior
+The sharded service (for its one inner engine), the CLI, the serving
+tier's callers and applications construct their engines through this
+factory.  There are two: ``config.engine == "sharded"`` builds the
+sharded service, any other kind the config accepts
+(:data:`~repro.engine.config.ENGINES`) the in-process XPush engine.
+The ``snapshot`` argument resumes an engine from a prior
 :meth:`~repro.engine.protocol.FilterEngine.snapshot` capture instead of
 a filter list (how ``repro … --state`` files load).
 """
@@ -60,7 +60,7 @@ def create_engine(
         # engine only.
         from repro.service.engine import ShardedFilterEngine
 
-        engine = ShardedFilterEngine(parsed, config=config)
+        engine = ShardedFilterEngine(parsed, config)
     else:
         # "xpush" and "layered" name one engine: the benchmark harness
         # builds "xpush" where it never updates and "layered" where it

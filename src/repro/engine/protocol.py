@@ -3,9 +3,9 @@
 Both filtering engines of the library (the XPush engine with its
 Sec. 8 layers and the sharded multi-process service over it) answer
 the same question — *which subscriptions match this document?*  This
-protocol names that contract once, so composites
-(:class:`repro.service.ShardedFilterEngine`,
-:class:`repro.broker.MessageBroker`) wrap either engine and the knobs
+protocol names that contract once, so the composites over it
+(:class:`repro.service.ShardedFilterEngine` and the network
+:class:`repro.serving.FilterServer`) take either engine and the knobs
 live in one :class:`repro.engine.config.EngineConfig`.
 
 The contract, in paper terms:
@@ -26,8 +26,8 @@ The contract, in paper terms:
 - **observability and lifecycle**: ``stats()`` and ``close()``.
 
 Beyond the required surface, engines may expose **optional control
-verbs** that callers discover with ``getattr`` — the serving tier and
-broker forward them over the wire only when present: ``compact()``
+verbs** that callers discover with ``getattr`` — the serving tier
+forwards them over the wire only when present: ``compact()``
 (fold the layered delta into the base, PR 5's update plane).  Engines
 without a verb simply do not grow stubs for it; absence is the
 capability signal.

@@ -85,7 +85,6 @@ from repro.xmlstream.parser import _encode_utf8
 from repro.xmlstream.split import split_documents
 from repro.xmlstream.writer import document_to_xml
 from repro.xpath.ast import XPathFilter
-from repro.xpath.parser import parse_workload
 from repro.xpush.options import XPushOptions
 from repro.xpush.stats import merged
 
@@ -164,42 +163,19 @@ def _snapshot_sources(snap: dict | None) -> dict[str, str]:
 class ShardedFilterEngine:
     """Filter documents dealt over N replicas of one engine.
 
-    Args:
-        filters: the workload (``XPathFilter`` list, or oid→xpath
-            mapping / list of sources as accepted by ``parse_workload``).
-        shards: number of shards (1 = serial, no processes); shorthand
-            for the ``shards=`` field of *config*.
-        config: the consolidated :class:`~repro.engine.config.EngineConfig`
-            (default ``EngineConfig(engine="sharded")``) — every knob and
-            every default lives there.
-        **overrides: ``EngineConfig`` fields replaced on *config*
-            (``options=``, ``batch_size=``, ``parallel=``, …); anything
-            that is not a field is a ``TypeError``.
+    Built by :func:`~repro.engine.factory.create_engine` for
+    ``EngineConfig(engine="sharded")``: *filters* are the parsed
+    workload, and *config* holds every knob (``shards``, ``inner``,
+    ``parallel``, …).
     """
 
     name = "sharded"
 
-    def __init__(
-        self,
-        filters: Sequence[XPathFilter] | dict[str, str] | list[str],
-        shards: int | None = None,
-        *,
-        config: EngineConfig | None = None,
-        **overrides: Any,
-    ):
-        config = config or EngineConfig(engine="sharded")
-        if shards is not None:
-            overrides["shards"] = int(shards)
-        if overrides:
-            config = replace(config, **overrides)
+    def __init__(self, filters: Sequence[XPathFilter], config: EngineConfig):
         self.config = config
         # Workload-level facts a restore may change.
         self.shards = config.shards
         self.inner = config.inner
-
-        if filters and not isinstance(next(iter(filters)), XPathFilter):
-            filters = parse_workload(filters)  # type: ignore[arg-type]
-        parsed: list[XPathFilter] = list(filters)  # type: ignore[arg-type]
 
         self.documents = 0
         self.batches = 0
@@ -233,9 +209,9 @@ class ShardedFilterEngine:
         self._retired_restarts = 0
         #: oid → XPath source of every live subscription: what
         #: snapshots carry.
-        self._sources = {f.oid: f.source or str(f.path) for f in parsed}
+        self._sources = {f.oid: f.source or str(f.path) for f in filters}
         #: The one compiled engine every shard is a replica of.
-        self._engine = self._compile(parsed, self.inner)
+        self._engine = self._compile(filters, self.inner)
 
         self._ctx = None
         parallel = config.parallel

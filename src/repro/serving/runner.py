@@ -6,10 +6,11 @@ loop.  :class:`ServerThread` runs one loop on a daemon thread, starts
 the server there, and exposes thread-safe start/stop; used as a context
 manager it guarantees the loop dies with the block:
 
-    server = FilterServer(config=EngineConfig(engine="layered"))
+    server = FilterServer(create_engine(EngineConfig()))
     with ServerThread(server) as handle:
         client = ServingClient(*handle.address)
         ...
+    server.engine.close()  # stopping the server never closes it
 
 Stopping performs the server's graceful drain *on the loop* before the
 loop is shut down, so in-flight publishes finish and attached consumers

@@ -24,8 +24,9 @@ network boundary around one engine:
   (``poll`` verb, any transport) or by push over an attached TCP
   connection;
 - **graceful shutdown** (:meth:`FilterServer.stop`): stop accepting,
-  drain in-flight publishes, hand pending deliveries to pollers, send
-  close frames to attached consumers, then release the engine.
+  drain in-flight publishes, hand pending deliveries to pollers, and
+  send close frames to attached consumers.  The caller owns the engine
+  and closes it afterwards.
 
 The server is transport-sniffing: frames and HTTP share one port (a
 frame's first prefix byte can never be an ASCII letter below the 64-MiB
@@ -39,10 +40,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Coroutine, TypeVar
 
-from repro.engine.config import EngineConfig
-from repro.engine.factory import WorkloadSpec, create_engine
 from repro.engine.protocol import FilterEngine
-from repro.errors import ProtocolError, ReproError, ServingError, WorkloadError
+from repro.errors import ProtocolError, ReproError, ServingError
 from repro.service.latency import LatencyTracker
 from repro.serving.consumers import Consumer, ConsumerClosed
 from repro.serving.protocol import MAX_FRAME, Frame, FrameDecoder, encode_frame
@@ -66,20 +65,17 @@ class _Connection:
 
 
 class FilterServer:
-    """Serve one :class:`FilterEngine` to the network.
+    """Serve one live :class:`FilterEngine` to the network.
 
-    Exactly one workload source: pass a live *engine* (borrowed — the
-    caller keeps ownership) or a *config* plus optional *filters* (the
-    server builds the engine through :func:`create_engine` and closes
-    it on :meth:`stop`).
+    The server borrows *engine*: the caller built it (through
+    :func:`~repro.engine.factory.create_engine`) and closes it after
+    :meth:`stop`, which never does.
     """
 
     def __init__(
         self,
-        engine: FilterEngine | None = None,
+        engine: FilterEngine,
         *,
-        config: EngineConfig | None = None,
-        filters: WorkloadSpec = None,
         host: str = "127.0.0.1",
         port: int = 0,
         default_policy: str = "block",
@@ -87,11 +83,6 @@ class FilterServer:
         max_frame: int = MAX_FRAME,
         early: bool = False,
     ):
-        if engine is not None and (config is not None or filters is not None):
-            raise WorkloadError("pass either a live engine or config/filters, not both")
-        self._owns_engine = engine is None
-        if engine is None:
-            engine = create_engine(config or EngineConfig(), filters)
         self.engine: FilterEngine = engine
         self.host = host
         self.port = port
@@ -158,7 +149,7 @@ class FilterServer:
     async def stop(self, drain: bool = True, timeout: float = 30.0) -> None:
         """Graceful shutdown: stop accepting, drain in-flight publishes,
         close consumers (pollers observe the closure, attached
-        connections get a close frame), release the engine."""
+        connections get a close frame).  The engine stays open."""
         if self._stopped:
             return
         self._draining = True
@@ -183,8 +174,6 @@ class FilterServer:
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
-        if self._owns_engine:
-            self.engine.close()
 
     async def serve_forever(self) -> None:
         """Run until cancelled (the CLI ``serve`` verb's main loop)."""

@@ -1,12 +1,10 @@
-"""Serialisation of DOM trees and event streams back to XML text.
+"""Serialisation of DOM trees back to XML text.
 
 Used by the data generators (synthetic Protein/NASA streams), the
 training-document generator (Sec. 5) and the round-trip tests.
 """
 
 from __future__ import annotations
-
-from typing import Iterable
 
 from repro.xmlstream.dom import Document, Element
 
@@ -69,9 +67,3 @@ def _write_element(element: Element, out: list[str], indent: int | None, level: 
 def document_to_xml(document: Document, indent: int | None = None) -> str:
     """Serialise one document."""
     return element_to_xml(document.root, indent)
-
-
-def stream_to_xml(documents: Iterable[Document], indent: int | None = None) -> str:
-    """Serialise a stream of documents to one concatenated text blob,
-    the on-the-wire format consumed by :func:`repro.xmlstream.iterparse`."""
-    return "".join(document_to_xml(doc, indent) for doc in documents)

@@ -21,7 +21,6 @@ from repro.xpath.ast import (
 from repro.xpath.parser import parse_xpath
 from repro.xpath.semantics import evaluate_filter, matching_oids
 from repro.xpath.generator import QueryGenerator, GeneratorConfig
-from repro.xpath.simplify import simplify_filter
 from repro.xpath.analysis import profile_workload
 from repro.xpath.dedupe import DeduplicatedEngine, DeduplicatedWorkload
 
@@ -29,7 +28,6 @@ __all__ = [
     "DeduplicatedEngine",
     "DeduplicatedWorkload",
     "profile_workload",
-    "simplify_filter",
     "Axis",
     "BooleanExpr",
     "Comparison",

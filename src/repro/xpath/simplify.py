@@ -1,9 +1,9 @@
-"""Boolean simplification of filters before compilation.
+"""Boolean simplification of one filter's path.
 
 The XPush machine eliminates work shared *between* filters; this pass
-eliminates redundancy *within* one filter before it ever reaches the
-AFA compiler, so the automata are smaller and the machine's states
-thinner.  All rewrites are semantics-preserving (property-tested
+names redundancy *within* one filter, so that
+:func:`repro.xpath.dedupe.canonical_key` gives filters that differ only
+by it one key.  All rewrites are semantics-preserving (property-tested
 against the reference evaluator):
 
 - flatten nested conjunctions/disjunctions: ``a and (b and c)`` →
@@ -29,17 +29,7 @@ from repro.xpath.ast import (
     Not,
     Or,
     Step,
-    XPathFilter,
 )
-
-
-def simplify_filter(xpath_filter: XPathFilter) -> XPathFilter:
-    """Simplified copy of *xpath_filter* (same oid/source)."""
-    return XPathFilter(
-        simplify_path(xpath_filter.path),
-        oid=xpath_filter.oid,
-        source=xpath_filter.source,
-    )
 
 
 def simplify_path(path: LocationPath) -> LocationPath:

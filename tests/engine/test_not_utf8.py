@@ -18,7 +18,7 @@ import pytest
 from repro.cli import main
 from repro.engine import EngineConfig, create_engine
 from repro.errors import XMLSyntaxError
-from repro.service.engine import ShardedFilterEngine, _mp_context
+from repro.service.engine import _mp_context
 from repro.xmlstream.split import split_documents
 
 from tests.scanner_oracle import scanning
@@ -39,7 +39,9 @@ def _engine(kind: str):
         return create_engine(EngineConfig(), FILTERS)
     if kind == "sharded-workers" and _mp_context() is None:
         pytest.skip("multiprocessing unavailable on this platform")
-    return ShardedFilterEngine(FILTERS, 2, parallel=kind == "sharded-workers")
+    return create_engine(
+        EngineConfig(engine="sharded", shards=2, parallel=kind == "sharded-workers"), FILTERS
+    )
 
 
 def _refuses_like_the_layered_engine(kind: str, backend: str, data) -> None:

@@ -9,6 +9,8 @@ engine with identical answers.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.engine import ENGINES, EngineConfig, FilterEngine, create_engine
@@ -84,6 +86,9 @@ def test_updates_are_visible_and_validated(kind):
             engine.unsubscribe("q3")  # already gone
         with pytest.raises(WorkloadError):
             engine.unsubscribe("ghost")
+        with pytest.raises(XPathSyntaxError):
+            engine.subscribe("bad", "not a filter [")
+        assert engine.filter_count == len(WORKLOAD)
     finally:
         engine.close()
 
@@ -309,7 +314,7 @@ def test_workload_spellings_are_equivalent():
 
 def test_factory_rejects_unknown_engine_and_double_source():
     with pytest.raises(WorkloadError):
-        create_engine(EngineConfig(engine="xpush").with_engine("nonsense"))
+        create_engine(replace(EngineConfig(engine="xpush"), engine="nonsense"))
     engine = create_engine(EngineConfig(), {"q0": "//a"})
     snapshot = engine.snapshot()
     with pytest.raises(WorkloadError):

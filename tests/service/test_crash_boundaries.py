@@ -24,7 +24,7 @@ import signal
 
 import pytest
 
-from repro.service import ShardedFilterEngine
+from repro.engine import EngineConfig, create_engine
 from repro.xmlstream.dom import parse_forest
 from repro.xpath.parser import parse_xpath
 from repro.xpath.semantics import matching_oids
@@ -75,12 +75,11 @@ VERBS = {
 @pytest.mark.parametrize("verb", sorted(VERBS))
 def test_crash_at_the_control_message_boundary(verb, inner, when):
     live = dict(SEED)
-    engine = ShardedFilterEngine(
+    engine = create_engine(
+        EngineConfig(
+            engine="sharded", shards=SHARDS, inner=inner, batch_size=2, result_timeout=30.0
+        ),
         dict(SEED),
-        SHARDS,
-        inner=inner,
-        batch_size=2,
-        result_timeout=30.0,
     )
     if not engine.parallel:
         engine.close()

@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.afa.build import build_workload_automata
-from repro.service import ShardedFilterEngine
+from repro.engine import EngineConfig, create_engine
 from repro.service.engine import ServiceError
 from repro.xpush.machine import XPushMachine
 from repro.xpush.options import XPushOptions
@@ -26,8 +26,9 @@ def engine_and_truth(protein, protein_docs):
     docs = protein_docs[:8]
     serial = XPushMachine(build_workload_automata(filters), TD)
     expected = [serial.filter_document(doc) for doc in docs]
-    engine = ShardedFilterEngine(
-        filters, 2, options=TD, batch_size=2, result_timeout=30.0
+    engine = create_engine(
+        EngineConfig(engine="sharded", shards=2, options=TD, batch_size=2, result_timeout=30.0),
+        filters,
     )
     if not engine.parallel:
         engine.close()

@@ -23,7 +23,7 @@ from repro.engine.factory import create_engine
 from repro.errors import MixedContentError, XMLSyntaxError
 from repro.service import engine as sharded_module
 from repro.service import worker
-from repro.service.engine import ServiceError, ShardedFilterEngine
+from repro.service.engine import ServiceError
 from repro.xmlstream.dom import parse_forest
 
 from tests.scanner_oracle import scanning
@@ -263,7 +263,7 @@ def test_shards_that_disagree_on_the_document_count_fail_the_call(monkeypatch):
         return run_batch(engine, shard_id, task, applied_epoch, busy_s, _send)
 
     monkeypatch.setattr(worker, "run_batch", _one_document_short)
-    engine = ShardedFilterEngine(FILTERS, 2, parallel=False)
+    engine = create_engine(EngineConfig(engine="sharded", shards=2, parallel=False), FILTERS)
     try:
         with pytest.raises(ServiceError, match="returned 1 answers for an item of 2"):
             engine.filter_stream(PLAIN + OTHER + PLAIN + OTHER)
@@ -282,7 +282,9 @@ def test_the_earliest_failed_item_raises(monkeypatch):
     with pytest.raises(MixedContentError) as reference:
         serial.filter_stream(source)
     assert "<b>" in str(reference.value)
-    engine = ShardedFilterEngine(FILTERS, 2, parallel=False, batch_size=1)
+    engine = create_engine(
+        EngineConfig(engine="sharded", shards=2, parallel=False, batch_size=1), FILTERS
+    )
     try:
         with pytest.raises(MixedContentError) as raised:
             engine.filter_batch(parse_forest(source))

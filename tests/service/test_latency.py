@@ -15,7 +15,7 @@ from collections import defaultdict
 
 import pytest
 
-from repro.service.engine import ShardedFilterEngine
+from repro.engine import EngineConfig, create_engine
 from repro.service.latency import LatencyTracker
 from repro.xmlstream.dom import parse_forest
 
@@ -93,7 +93,9 @@ def test_inprocess_critical_path_is_the_slowest_shards_batch(monkeypatch):
     the one shard an item was dealt to (the slowest of its one) — not
     the wall time the item spent queued behind the other shards."""
     workload = {f"q{i}": f"//a[b = {i}]" for i in range(30)}
-    engine = ShardedFilterEngine(workload, 3, parallel=False, batch_size=2)
+    engine = create_engine(
+        EngineConfig(engine="sharded", shards=3, parallel=False, batch_size=2), workload
+    )
     shares: dict[int, list[float]] = defaultdict(list)
     fold = engine._fold
 

@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import EngineConfig, create_engine
-from repro.service import ShardedFilterEngine
 from repro.service import worker as worker_module
 from repro.service.engine import _mp_context
 from repro.xpath.parser import parse_xpath
@@ -50,8 +49,9 @@ def test_partition_is_an_exact_cover(documents, shards):
     and the runs differ in length by one at most."""
     source = "".join(DOCUMENTS[i % len(DOCUMENTS)] for i in range(documents))
     serial = create_engine(EngineConfig(), {f"q{i}": s for i, s in enumerate(SOURCES)})
-    with ShardedFilterEngine(
-        {f"q{i}": s for i, s in enumerate(SOURCES)}, shards, parallel=False
+    with create_engine(
+        EngineConfig(engine="sharded", shards=shards, parallel=False),
+        {f"q{i}": s for i, s in enumerate(SOURCES)},
     ) as engine:
         assert engine.filter_stream(source) == serial.filter_stream(source)
         stats = engine.stats()
@@ -68,7 +68,8 @@ def test_every_replica_holds_every_filter_in_any_order(names, shards):
     source = "".join(DOCUMENTS)
     answers = []
     for order in (filters, list(reversed(filters))):
-        with ShardedFilterEngine([], shards, parallel=False) as engine:
+        config = EngineConfig(engine="sharded", shards=shards, parallel=False)
+        with create_engine(config, []) as engine:
             for xpath_filter in order:
                 engine.subscribe(xpath_filter.oid, xpath_filter.source)
             answers.append(engine.filter_stream(source))
@@ -81,8 +82,11 @@ def _workers(protein, options, dtd, **kwargs):
     if _mp_context() is None:
         pytest.skip("multiprocessing unavailable on this platform")
     filters = make_workload(protein, 12, seed=7)
-    return filters, ShardedFilterEngine(
-        filters, 2, options=options, dtd=dtd, result_timeout=30.0, **kwargs
+    return filters, create_engine(
+        EngineConfig(
+            engine="sharded", shards=2, options=options, dtd=dtd, result_timeout=30.0, **kwargs
+        ),
+        filters,
     )
 
 

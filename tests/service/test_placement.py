@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.service import ShardedFilterEngine
+from repro.engine import EngineConfig, create_engine
 from repro.service.engine import imbalance
 from repro.xmlstream.dom import parse_forest
 
@@ -18,7 +18,9 @@ def test_shard_loads_and_imbalance():
     assert imbalance([2.0, 2.0]) == 1.0
 
     sources = {f"q{i}": "//a" for i in range(10)}
-    with ShardedFilterEngine(sources, 3, parallel=False, batch_size=2) as engine:
+    with create_engine(
+        EngineConfig(engine="sharded", shards=3, parallel=False, batch_size=2), sources
+    ) as engine:
         stats = engine.stats()
         assert stats["shard_load"] == [0.0, 0.0, 0.0] and stats["imbalance"] == 1.0
         # Seven documents in three contiguous runs, one per shard.

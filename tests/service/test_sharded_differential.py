@@ -15,6 +15,7 @@ import pytest
 
 from repro.afa.build import build_workload_automata
 from repro.baselines.naive import NaiveEngine
+from repro.engine import EngineConfig, create_engine
 from repro.service import ShardedFilterEngine
 from repro.xpush.machine import XPushMachine
 from repro.xpush.options import XPushOptions
@@ -44,8 +45,9 @@ def ground_truth(workload, documents):
 
 @pytest.mark.parametrize("shards", [1, 2, 3, 4])
 def test_sharded_equals_serial_equals_naive(workload, documents, ground_truth, shards):
-    with ShardedFilterEngine(
-        workload, shards, options=TD, parallel=False, batch_size=3
+    with create_engine(
+        EngineConfig(engine="sharded", shards=shards, options=TD, parallel=False, batch_size=3),
+        workload,
     ) as engine:
         assert engine.filter_batch(documents) == ground_truth
         stats = engine.stats()
@@ -57,8 +59,8 @@ def test_sharded_equals_serial_equals_naive(workload, documents, ground_truth, s
 
 @pytest.mark.parametrize("shards", [2, 4])
 def test_worker_processes_match_serial(workload, documents, ground_truth, shards):
-    with ShardedFilterEngine(
-        workload, shards, options=TD, batch_size=4
+    with create_engine(
+        EngineConfig(engine="sharded", shards=shards, options=TD, batch_size=4), workload
     ) as engine:
         if not engine.parallel:
             pytest.skip("multiprocessing unavailable on this platform")
@@ -68,6 +70,8 @@ def test_worker_processes_match_serial(workload, documents, ground_truth, shards
         stats = engine.stats()
         assert not stats["serial_fallback"]
         assert stats["documents"] == sum(stats["shard_load"]) == 2 * len(documents)
+        assert stats["worker_restarts"] == 0 and stats["xpush_states"] > 0
+        assert stats["batches"] == 6  # ten documents, four to an item, twice
 
 
 def test_nasa_recursive_dtd_differential(nasa, nasa_docs):
@@ -75,7 +79,9 @@ def test_nasa_recursive_dtd_differential(nasa, nasa_docs):
     docs = nasa_docs[:8]
     naive = NaiveEngine(filters)
     expected = [naive.filter_document(doc) for doc in docs]
-    with ShardedFilterEngine(filters, 3, options=TD, parallel=False) as engine:
+    with create_engine(
+        EngineConfig(engine="sharded", shards=3, options=TD, parallel=False), filters
+    ) as engine:
         assert engine.filter_batch(docs) == expected
 
 
@@ -84,18 +90,22 @@ def test_more_shards_than_filters(protein, protein_docs):
     docs = protein_docs[:5]
     serial = XPushMachine(build_workload_automata(filters), TD)
     expected = [serial.filter_document(doc) for doc in docs]
-    with ShardedFilterEngine(filters, 4, options=TD, parallel=False) as engine:
+    with create_engine(
+        EngineConfig(engine="sharded", shards=4, options=TD, parallel=False), filters
+    ) as engine:
         assert engine.filter_batch(docs) == expected
 
 
 def test_empty_workload_and_empty_batch(protein_docs):
-    with ShardedFilterEngine([], 3, parallel=False) as engine:
+    with create_engine(EngineConfig(engine="sharded", shards=3, parallel=False), []) as engine:
         assert engine.filter_batch(protein_docs[:3]) == [frozenset()] * 3
         assert engine.filter_batch([]) == []
 
 
 def test_unknown_keyword_is_a_type_error():
-    """Keyword overrides are ``EngineConfig`` fields and nothing else —
-    the retired ``strategy=`` included."""
+    """The engine takes a parsed workload and one ``EngineConfig``, whose
+    fields are the only knobs — the retired ``strategy=`` included."""
     with pytest.raises(TypeError):
-        ShardedFilterEngine([], 2, parallel=False, strategy="hash")
+        EngineConfig(engine="sharded", shards=2, strategy="hash")
+    with pytest.raises(TypeError):
+        ShardedFilterEngine([], EngineConfig(engine="sharded"), parallel=False)

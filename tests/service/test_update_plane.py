@@ -26,7 +26,6 @@ from hypothesis.stateful import (
 from hypothesis import strategies as st
 
 from repro.engine import EngineConfig, create_engine
-from repro.service import ShardedFilterEngine
 from repro.xmlstream.dom import parse_forest
 from repro.xpath.parser import parse_xpath
 from repro.xpath.semantics import matching_oids
@@ -138,8 +137,9 @@ def _drive(schedule, engines, live):
 @pytest.mark.parametrize("schedule", SCHEDULES, ids=["inserts", "reinsert", "drain"])
 @pytest.mark.parametrize("shards", [1, 3])
 def test_serial_sharded_matches_layered_and_rebuild(schedule, shards):
-    sharded = ShardedFilterEngine(
-        dict(SEED), shards, options=TD, parallel=False, batch_size=2
+    sharded = create_engine(
+        EngineConfig(engine="sharded", shards=shards, options=TD, parallel=False, batch_size=2),
+        dict(SEED),
     )
     layered = LayeredFilterEngine(
         [parse_xpath(source, oid) for oid, source in SEED.items()], options=TD
@@ -152,8 +152,9 @@ def test_serial_sharded_matches_layered_and_rebuild(schedule, shards):
 
 @pytest.mark.parametrize("schedule", SCHEDULES, ids=["inserts", "reinsert", "drain"])
 def test_worker_processes_match_rebuild_at_each_epoch(schedule):
-    engine = ShardedFilterEngine(
-        dict(SEED), 2, options=TD, batch_size=2, result_timeout=30.0
+    engine = create_engine(
+        EngineConfig(engine="sharded", shards=2, options=TD, batch_size=2, result_timeout=30.0),
+        dict(SEED),
     )
     if not engine.parallel:
         engine.close()
@@ -187,8 +188,9 @@ def test_insertions_never_flush_the_base(parallel):
     """The Sec. 8 core claim, asserted on state counts: after an
     insertion the warmed base layer's states survive — only the small
     delta machine is (re)built."""
-    engine = ShardedFilterEngine(
-        dict(SEED), 2, options=TD, parallel=parallel, batch_size=2
+    engine = create_engine(
+        EngineConfig(engine="sharded", shards=2, options=TD, parallel=parallel, batch_size=2),
+        dict(SEED),
     )
     if parallel and not engine.parallel:
         engine.close()
@@ -222,8 +224,9 @@ def test_crash_with_uncompacted_deltas_recovers_updated_workload(protein, protei
     filters = make_workload(protein, 8, seed=13)
     extra = make_workload(protein, 12, seed=77)[8:]
     docs = protein_docs[:6]
-    engine = ShardedFilterEngine(
-        filters, 2, options=TD, batch_size=2, result_timeout=30.0
+    engine = create_engine(
+        EngineConfig(engine="sharded", shards=2, options=TD, batch_size=2, result_timeout=30.0),
+        filters,
     )
     if not engine.parallel:
         engine.close()
@@ -273,7 +276,9 @@ def test_crash_with_uncompacted_deltas_recovers_updated_workload(protein, protei
 
 
 def test_snapshot_restore_preserves_epoch_and_routing():
-    engine = ShardedFilterEngine(dict(SEED), 2, options=TD, parallel=False)
+    engine = create_engine(
+        EngineConfig(engine="sharded", shards=2, options=TD, parallel=False), dict(SEED)
+    )
     engine.subscribe("u0", "//a")
     engine.unsubscribe("q1")
     snapshot = engine.snapshot()
@@ -394,7 +399,9 @@ def test_a_version_2_routing_table_is_not_read():
 def test_a_live_subscribe_reaches_every_replica():
     """Broadcast, not routed: after a live subscribe each worker
     reports the new filter and answers it on the documents dealt to it."""
-    engine = ShardedFilterEngine(dict(SEED), 3, options=TD, result_timeout=30.0)
+    engine = create_engine(
+        EngineConfig(engine="sharded", shards=3, options=TD, result_timeout=30.0), dict(SEED)
+    )
     try:
         engine.subscribe("fresh", "//a")
         live = {**SEED, "fresh": "//a"}
@@ -414,8 +421,8 @@ class UpdatePlaneMachine(RuleBasedStateMachine):
         super().__init__()
         self.live: dict[str, str] = {}
         self.counter = 0
-        self.sharded = ShardedFilterEngine(
-            [], 2, options=TD, parallel=False, batch_size=2
+        self.sharded = create_engine(
+            EngineConfig(engine="sharded", shards=2, options=TD, parallel=False, batch_size=2), []
         )
         self.layered = LayeredFilterEngine([], options=TD, compact_threshold=3)
 

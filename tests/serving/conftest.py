@@ -17,7 +17,7 @@ import signal
 
 import pytest
 
-from repro.engine import EngineConfig
+from repro.engine import EngineConfig, create_engine
 from repro.serving import FilterServer, ServerThread
 
 #: Hard per-test budget, seconds.  Generous: the slowest test boots a
@@ -94,7 +94,8 @@ def pytest_runtest_call(item):
 
 @pytest.fixture
 def serve():
-    """Start servers on background threads; stop them all at teardown.
+    """Start servers on background threads; stop them all and close
+    their engines at teardown.
 
     Usage: ``handle = serve(config, filters, **server_kwargs)``.
 
@@ -114,7 +115,7 @@ def serve():
     def _serve(
         config: EngineConfig | None = None, filters=None, **kwargs
     ) -> ServerThread:
-        server = FilterServer(config=config, filters=filters, **kwargs)
+        server = FilterServer(create_engine(config, filters), **kwargs)
         handle = ServerThread(server).start()
         handle.run_coroutine(_install())
         handles.append(handle)
@@ -123,6 +124,7 @@ def serve():
     yield _serve
     for handle in handles:
         handle.stop()
+        handle.server.engine.close()  # the server borrows, never closes
     gc.collect()  # a task that died unobserved reports when collected
     if escaped:
         pytest.fail(

@@ -2,32 +2,16 @@
 
 from __future__ import annotations
 
-import asyncio
 import threading
 
 import pytest
 
 from repro.engine import EngineConfig, create_engine
-from repro.errors import ServingError, WorkloadError
-from repro.serving import (
-    AsyncServingClient,
-    FilterServer,
-    ServerThread,
-    ServingClient,
-)
+from repro.errors import ServingError
+from repro.serving import FilterServer, ServerThread, ServingClient
 
 from tests.scanner_oracle import scanning
-
-
-def test_engine_xor_config_construction():
-    engine = create_engine(EngineConfig(engine="xpush"), {"q0": "//a"})
-    try:
-        with pytest.raises(WorkloadError):
-            FilterServer(engine, config=EngineConfig())
-        with pytest.raises(WorkloadError):
-            FilterServer(engine, filters={"q1": "//b"})
-    finally:
-        engine.close()
+from tests.serving.test_faults import RawConnection
 
 
 def test_borrowed_engine_survives_server_stop():
@@ -42,37 +26,21 @@ def test_borrowed_engine_survives_server_stop():
         engine.close()
 
 
-def test_async_client_verbs_and_push_delivery(serve):
+def test_push_mode_attach_over_raw_frames(serve):
+    """Push delivery as the e2e harness's tap drives it: an ``attach``
+    frame on a raw connection, after whose reply the connection carries
+    delivery frames only — the event queued before the attach first,
+    then every match in publish order."""
     handle = serve(EngineConfig(engine="layered"))
-    host, port = handle.address
-
-    async def scenario() -> list[dict]:
-        control = await AsyncServingClient.connect(host, port)
-        await control.create_consumer("pushy", policy="block", high_watermark=64)
-        await control.subscribe("p0", "//a[b = 1]", consumer="pushy")
-        assert await control.publish("<a><b>1</b></a>") == [frozenset({"p0"})]
-
-        receiver = await AsyncServingClient.connect(host, port)
-        events: list[dict] = []
-
-        async def consume() -> None:
-            async for event in receiver.attach("pushy"):
-                events.append(event)
-                if len(events) == 3:
-                    break
-
-        consumer_task = asyncio.ensure_future(consume())
-        await asyncio.sleep(0.05)  # the first event is the pre-attach one
-        await control.publish("<a><b>1</b></a><a><c/></a>")
-        await control.publish("<a><b>1</b></a>")
-        await asyncio.wait_for(consumer_task, 10)
-        stats = await control.stats()
-        assert "pushy" in stats["attached"]
-        await receiver.close()
-        await control.close()
-        return events
-
-    events = asyncio.run(scenario())
+    with ServingClient(*handle.address) as control, RawConnection(handle.address) as receiver:
+        control.create_consumer("pushy", policy="block", high_watermark=64)
+        control.subscribe("p0", "//a[b = 1]", consumer="pushy")
+        assert control.publish("<a><b>1</b></a>") == [frozenset({"p0"})]
+        assert receiver.request({"op": "attach", "consumer": "pushy"})["consumer"] == "pushy"
+        control.publish("<a><b>1</b></a><a><c/></a>")
+        control.publish("<a><b>1</b></a>")
+        events = [receiver.reply() for _ in range(3)]
+        assert "pushy" in control.stats()["attached"]
     assert [e["oids"] for e in events] == [["p0"], ["p0"], ["p0"]]
     assert [e["seq"] for e in events] == [0, 1, 3]  # doc 2 did not match
 
@@ -109,8 +77,8 @@ def test_payload_is_the_publishers_own_bytes(serve, backend):
 
 
 def test_graceful_shutdown_closes_consumers_and_rejects_publishes():
-    server = FilterServer(config=EngineConfig(engine="layered"),
-                          filters={"q0": "//a"})
+    engine = create_engine(EngineConfig(engine="layered"), {"q0": "//a"})
+    server = FilterServer(engine)
     handle = ServerThread(server).start()
     host, port = handle.address
     client = ServingClient(host, port)
@@ -141,6 +109,7 @@ def test_graceful_shutdown_closes_consumers_and_rejects_publishes():
     finally:
         handle.stop()
         client.close()
+        engine.close()
 
 
 def test_draining_server_rejects_new_publishes(serve):

@@ -1,11 +1,10 @@
 """Tests for the benchmark harness itself (it feeds EXPERIMENTS.md)."""
 
-import os
-
-import pytest
+import gc
+import weakref
 
 from repro.bench import harness
-from repro.bench.harness import VariantResult, measure_parse_only, run_variant, timed
+from repro.bench.harness import measure_parse_only, run_variant, timed
 from repro.bench.reporting import format_table, print_series_table
 from repro.bench.workloads import (
     bench_scale,
@@ -66,6 +65,33 @@ def test_run_variant_produces_consistent_counters():
     # Warm ≈ no lazy construction; allow scheduler jitter headroom.
     assert result.warm_seconds <= result.filtering_seconds * 1.5
     assert result.throughput_mb_s > 0
+
+
+def test_run_variant_frees_the_callers_garbage_before_it_times(monkeypatch):
+    """A cycle the caller left is collected before the first timed call
+    starts, so no timed region can collect it: no figure cell absorbs
+    an earlier cell's garbage (the collector itself stays on)."""
+    filters, dataset = standard_workload(25, mean_predicates=1.15)
+    stream = standard_stream(20_000)
+    workload = harness.build_workload_automata(filters)
+    alive_when_timed = []
+    real_timed = harness.timed
+
+    def watched(callable_, *args):
+        alive_when_timed.append(left() is not None)
+        return real_timed(callable_, *args)
+
+    class Cycle:
+        def __init__(self):
+            self.me = self
+
+    monkeypatch.setattr(harness, "timed", watched)
+    gc.collect()  # so no young-generation pass is due before the call
+    cycle = Cycle()
+    left = weakref.ref(cycle)
+    del cycle
+    run_variant("TD", workload, stream, dtd=dataset.dtd, warm_pass=True)
+    assert alive_when_timed == [False, False, False]
 
 
 def test_measure_parse_only_positive():

@@ -4,13 +4,11 @@ import doctest
 
 import pytest
 
-import repro.broker
 import repro.data.protein
 import repro.xpath.parser
 import repro.xpush.layered
 
 MODULES = [
-    repro.broker,
     repro.data.protein,
     repro.xpath.parser,
     repro.xpush.layered,

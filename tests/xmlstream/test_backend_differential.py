@@ -19,11 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine import EngineConfig, create_engine
 from repro.errors import MixedContentError, XMLSyntaxError
-from repro.service.engine import ShardedFilterEngine
 from repro.xmlstream.parser import iterparse, parse_events
 from repro.xmlstream.split import split_documents
-from repro.xmlstream.writer import document_to_xml, stream_to_xml
+from repro.xmlstream.writer import document_to_xml
 from repro.xpath.parser import parse_xpath
 from repro.xpush.machine import XPushMachine
 
@@ -116,7 +116,7 @@ def test_byte_order_mark_elsewhere_rejected_by_both_backends(backend, text):
 def _dataset_corpus(docs, extra=()):
     texts = [document_to_xml(doc) for doc in docs]
     texts += [document_to_xml(doc, indent=2) for doc in docs[:3]]
-    texts.append(stream_to_xml(docs))
+    texts.append("".join(document_to_xml(doc) for doc in docs))
     texts.extend(extra)
     return texts
 
@@ -157,7 +157,7 @@ def test_machine_answers_identical_on_datasets(nasa, nasa_docs):
     from tests.conftest import make_workload
 
     filters = make_workload(nasa, 25)
-    stream = stream_to_xml(nasa_docs)
+    stream = "".join(document_to_xml(doc) for doc in nasa_docs)
     py = _answers(filters, stream, "python")
     ex = _answers(filters, stream, "expat")
     assert py == ex
@@ -179,7 +179,9 @@ def test_sharded_engine_answers_identical(nasa, nasa_docs):
     docs = nasa_docs[:6]
     answers = {}
     for backend in ("python", "expat"):
-        with scanning(backend), ShardedFilterEngine(filters, 2, parallel=False) as engine:
+        with scanning(backend), create_engine(
+            EngineConfig(engine="sharded", shards=2, parallel=False), filters
+        ) as engine:
             answers[backend] = engine.filter_batch(docs)
     assert answers["python"] == answers["expat"]
     assert len(answers["python"]) == len(docs)

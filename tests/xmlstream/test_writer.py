@@ -7,7 +7,6 @@ from repro.xmlstream.writer import (
     element_to_xml,
     escape_attribute,
     escape_text,
-    stream_to_xml,
 )
 
 
@@ -39,9 +38,3 @@ def test_pretty_print_round_trips():
 def test_empty_element_shorthand():
     assert element_to_xml(Element("x")) == "<x/>"
     assert element_to_xml(Element("x", text="")) == "<x></x>"
-
-
-def test_stream_to_xml_concatenates():
-    docs = [Document(Element("a", text="1")), Document(Element("b", text="2"))]
-    text = stream_to_xml(docs)
-    assert text == "<a>1</a><b>2</b>"

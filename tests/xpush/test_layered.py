@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine import EngineConfig, create_engine
 from repro.errors import WorkloadError
 from repro.xmlstream.dom import parse_document
 from repro.xpath.parser import parse_workload
@@ -92,6 +93,31 @@ def test_layered_equals_monolithic(protein, protein_docs):
         engine.subscribe(f.oid, f.source)
     for document in protein_docs[:8]:
         assert engine.filter_document(document) == matching_oids(filters, document)
+
+
+def test_updated_engine_answers_as_one_rebuilt_from_the_live_workload():
+    """Sec. 8's two update paths agree: an engine updated in place (a
+    delta beside the warmed base, then a tombstone) answers as one built
+    from the live filters after each change, which inserts nothing."""
+    stream = "<a><b>1</b></a><a/><c/>"
+    live = {"x": "//a", "y": "/a[b = 1]"}
+    updated = create_engine(EngineConfig())
+    for oid, source in live.items():
+        updated.subscribe(oid, source)
+
+    def agree():
+        rebuilt = create_engine(EngineConfig(), live)
+        assert updated.filter_stream(stream) == rebuilt.filter_stream(stream)
+        assert rebuilt.stats()["insertions"] == 0
+
+    agree()
+    updated.subscribe("z", "//c")
+    live["z"] = "//c"
+    agree()
+    updated.unsubscribe("z")
+    del live["z"]
+    agree()
+    assert updated.stats()["insertions"] == 3
 
 
 def test_filter_text_multi_document():

@@ -291,14 +291,17 @@ def test_layered_snapshot_round_trip_under_codegen(protein, protein_docs):
 
 @pytest.mark.parametrize("shards", [2, 3, 4])
 def test_sharded_engine_agrees_across_runtimes(shards, protein, protein_docs):
-    from repro.service import ShardedFilterEngine
+    from repro.engine import EngineConfig, create_engine
 
     filters = make_workload(protein, 24, seed=71)
     docs = protein_docs[:8]
     answers = {}
     for runtime, options in all_runtimes(XPushOptions(top_down=True)):
-        with oracle.under(runtime), ShardedFilterEngine(
-            filters, shards, options=options, parallel=False, batch_size=3
+        with oracle.under(runtime), create_engine(
+            EngineConfig(
+                engine="sharded", shards=shards, options=options, parallel=False, batch_size=3
+            ),
+            filters,
         ) as engine:
             answers[runtime] = engine.filter_batch(docs)
             assert engine.stats()["runtime"] == options.runtime
@@ -310,15 +313,19 @@ def test_sharded_worker_processes_under_codegen(protein, protein_docs):
     """Options (and so the runtime) pickle into the shard worker
     payloads; each worker recompiles its shard's handlers locally and
     the parallel path must agree with ground truth too."""
-    from repro.service import ShardedFilterEngine
+    from repro.engine import EngineConfig, create_engine
 
     filters = make_workload(protein, 16, seed=5)
     docs = protein_docs[:6]
     expected = [matching_oids(filters, doc) for doc in docs]
-    with ShardedFilterEngine(
-        filters, 2,
-        options=XPushOptions(top_down=True, runtime="codegen"),
-        batch_size=3,
+    with create_engine(
+        EngineConfig(
+            engine="sharded",
+            shards=2,
+            options=XPushOptions(top_down=True, runtime="codegen"),
+            batch_size=3,
+        ),
+        filters,
     ) as engine:
         if not engine.parallel:
             pytest.skip("multiprocessing unavailable on this platform")

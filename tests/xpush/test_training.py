@@ -92,10 +92,11 @@ def test_dtd_ordering_of_children():
 def test_training_stream_is_parseable(protein):
     from tests.conftest import make_workload
     from repro.xmlstream.dom import parse_forest
-    from repro.xmlstream.writer import stream_to_xml
+    from repro.xmlstream.writer import document_to_xml
 
     filters = make_workload(protein, 15, seed=2)
     workload = build_workload_automata(filters)
-    text = stream_to_xml(training_documents(workload, protein.dtd, random.Random(0)))
+    documents = training_documents(workload, protein.dtd, random.Random(0))
+    text = "".join(document_to_xml(doc) for doc in documents)
     docs = parse_forest(text)
     assert len(docs) >= 10
